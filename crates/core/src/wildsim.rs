@@ -55,6 +55,7 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Runs `n_jobs` indexed jobs across `workers` scoped threads and
 /// returns the results **in job order** — the caller merges them as if
@@ -179,7 +180,8 @@ struct OfferRt {
     app_id: AppId,
     iip: IipId,
     campaign_id: CampaignId,
-    tag: String,
+    /// Shared with every `Op::Install` and ledger record it attributes.
+    tag: Arc<str>,
     goal: ConversionGoal,
     start_day: u64,
     end_day: u64,
@@ -232,7 +234,7 @@ enum Op {
         app: AppId,
         at: SimTime,
         signals: InstallSignals,
-        tag: String,
+        tag: Arc<str>,
     },
     Session {
         app: AppId,
@@ -688,7 +690,7 @@ impl World {
                         .expect("planned app is published"),
                     iip: c.iip,
                     campaign_id,
-                    tag,
+                    tag: tag.into(),
                     goal: o.goal.clone(),
                     start_day: c.start_day,
                     end_day: c.end_day(),
@@ -977,7 +979,7 @@ impl World {
                 app: rt.app_id,
                 at: t,
                 signals,
-                tag: rt.tag.clone(),
+                tag: Arc::clone(&rt.tag),
             });
             let plan = plan_for(profile, kind, &rt.goal, rng);
             if plan.opens_app {
@@ -988,7 +990,7 @@ impl World {
                 rt.device_counter += 1;
                 let pb = Postback {
                     conversion: Conversion {
-                        tag: rt.tag.clone(),
+                        tag: rt.tag.to_string(),
                         device: DeviceId(rt.device_counter),
                         at: t,
                         fraud_flag: signals.is_suspicious(),

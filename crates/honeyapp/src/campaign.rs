@@ -210,6 +210,7 @@ impl CampaignDriver {
         let mut day2: Vec<(SimTime, &Device, bool)> = Vec::new();
         let mut installs = 0u64;
         let mut browse_misses = 0u64;
+        let source = InstallSource::Tagged(tag.as_str().into());
         for (i, (kind, device)) in arrivals.iter().enumerate() {
             t += SimDuration::from_secs(exponential(&mut rng, mean_gap_secs).ceil() as u64);
             self.net.clock().advance_to(t);
@@ -223,12 +224,8 @@ impl CampaignDriver {
             }
             last_install = t;
             // The Play install, attributed to the campaign tag.
-            self.store.record_install(
-                self.honey_app,
-                t,
-                device.install_signals(),
-                &InstallSource::Tagged(tag.clone()),
-            )?;
+            self.store
+                .record_install(self.honey_app, t, device.install_signals(), &source)?;
             installs += 1;
             let suspicious = device.install_signals().is_suspicious();
             self.mediator

@@ -213,13 +213,24 @@ impl IipPlatform {
         Ok((campaign_id, tag))
     }
 
-    /// Offers currently visible to a user browsing from `country`.
+    /// Offers currently visible to a user browsing from `country`, in
+    /// offer-id order.
     pub fn offers_for(&self, country: Country) -> Vec<Offer> {
+        self.offers_page(country, 0, usize::MAX)
+    }
+
+    /// One page of [`IipPlatform::offers_for`]: the visible offers
+    /// after the first `skip`, at most `take` of them. Only the page is
+    /// cloned, so a wall page costs a filter over the offer table, not
+    /// a copy of it.
+    pub fn offers_page(&self, country: Country, skip: usize, take: usize) -> Vec<Offer> {
         self.inner
             .lock()
             .offers
             .values()
             .filter(|o| o.targets(country))
+            .skip(skip)
+            .take(take)
             .cloned()
             .collect()
     }

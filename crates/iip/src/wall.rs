@@ -61,7 +61,10 @@ impl OfferWallHandler {
         ((usd.micros() as f64 / 1e6) * points_per_dollar as f64).round() as i64
     }
 
-    fn render_wall(&self, offers: &[Offer], points_per_dollar: u64) -> Json {
+    /// Renders `offers`, in the given order, as one wall page in this
+    /// platform's dialect, with rewards in an affiliate's point
+    /// currency.
+    pub fn render_wall(&self, offers: &[Offer], points_per_dollar: u64) -> Json {
         let iip = self.platform.id();
         let entries: Vec<Json> = offers
             .iter()
@@ -128,13 +131,11 @@ impl OfferWallHandler {
             })
             .collect();
 
+        let count = Json::Int(entries.len() as i64);
         match iip {
             IipId::Fyber => Json::obj([(
                 "ofw",
-                Json::obj([
-                    ("offers", Json::Array(entries.clone())),
-                    ("count", Json::Int(entries.len() as i64)),
-                ]),
+                Json::obj([("offers", Json::Array(entries)), ("count", count)]),
             )]),
             IipId::OfferToro => {
                 Json::obj([("response", Json::obj([("offers", Json::Array(entries))]))])
@@ -173,16 +174,16 @@ impl Handler for OfferWallHandler {
         // milkers change vantage points via VPN proxies precisely
         // because walls geo-filter on source address.
         let country = ctx.peer.addr.country;
-        let mut offers = self.platform.offers_for(country);
-        offers.sort_by_key(|o| o.id);
         // Pagination: walls return one page per request; the UI fuzzer
         // must scroll to load more (the coverage mechanic of §4.1).
-        // Two addressing schemes share the sorted offer list:
+        // Two addressing schemes slice the id-ordered offer list:
         // `cursor=N&limit=M` slices offers [N, N+M); the legacy
         // `page=P` (fixed PAGE_SIZE rows) remains the default so
-        // parameterless requests stay byte-identical.
+        // parameterless requests stay byte-identical. A page number
+        // too large to address saturates to an empty page rather than
+        // wrapping to an early one.
         let cursor_mode = req.query_param("cursor").is_some() || req.query_param("limit").is_some();
-        let page_items: Vec<Offer> = if cursor_mode {
+        let (skip, take) = if cursor_mode {
             let cursor: usize = req
                 .query_param("cursor")
                 .and_then(|c| c.parse().ok())
@@ -192,18 +193,15 @@ impl Handler for OfferWallHandler {
                 .and_then(|l| l.parse().ok())
                 .unwrap_or(PAGE_SIZE)
                 .min(CURSOR_MAX_LIMIT);
-            offers.into_iter().skip(cursor).take(limit).collect()
+            (cursor, limit)
         } else {
             let page: usize = req
                 .query_param("page")
                 .and_then(|p| p.parse().ok())
                 .unwrap_or(0);
-            offers
-                .into_iter()
-                .skip(page * PAGE_SIZE)
-                .take(PAGE_SIZE)
-                .collect()
+            (page.saturating_mul(PAGE_SIZE), PAGE_SIZE)
         };
+        let page_items = self.platform.offers_page(country, skip, take);
         Response::ok_json(&self.render_wall(&page_items, points_per_dollar))
     }
 }

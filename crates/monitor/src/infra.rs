@@ -89,9 +89,9 @@ impl MonitoringInfra {
 
 /// Maps an intercepted SNI back to the IIP whose wall it is.
 fn iip_for_sni(sni: &str) -> Option<IipId> {
-    IipId::ALL
-        .into_iter()
-        .find(|iip| AffiliateApp::wall_host(*iip) == sni)
+    sni.strip_prefix("wall.")
+        .and_then(|rest| rest.strip_suffix(".iiscope"))
+        .and_then(IipId::from_slug)
 }
 
 /// Parses a slice of intercepts into scraped offers.
@@ -261,6 +261,23 @@ mod tests {
             },
             platform,
         )
+    }
+
+    #[test]
+    fn sni_lookup_inverts_wall_host() {
+        for iip in IipId::ALL {
+            assert_eq!(iip_for_sni(&AffiliateApp::wall_host(iip)), Some(iip));
+        }
+        for sni in [
+            "play.iiscope",
+            "wall.iiscope",
+            "wall..iiscope",
+            "wall.fyber.iiscope.evil",
+            "xwall.fyber.iiscope",
+            "wall.Fyber.iiscope",
+        ] {
+            assert_eq!(iip_for_sni(sni), None, "{sni}");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! console to verify that we do not receive any organic installs …
 //! during our incentivized install campaigns").
 
-use crate::engagement::EngagementLedger;
+use crate::engagement::{EngagementLedger, ORGANIC_TAG};
 use iiscope_types::SimTime;
 use std::collections::BTreeMap;
 
@@ -36,24 +36,21 @@ pub fn acquisition_report(
     from: SimTime,
     to: SimTime,
 ) -> AcquisitionReport {
-    let mut organic = 0;
-    let mut by_tag: BTreeMap<String, u64> = BTreeMap::new();
-    let mut total = 0;
+    // Installs per tag id; id 0 is organic.
+    let mut per_tag = vec![0u64; ledger.tag_count() as usize + 1];
     for ev in ledger.install_events() {
-        if ev.at < from || ev.at >= to {
-            continue;
-        }
-        total += 1;
-        if ev.source_tag.is_empty() {
-            organic += 1;
-        } else {
-            *by_tag.entry(ev.source_tag.clone()).or_default() += 1;
+        if ev.at >= from && ev.at < to {
+            per_tag[ev.tag as usize] += 1;
         }
     }
+    let by_tag = (1..=ledger.tag_count())
+        .filter(|t| per_tag[*t as usize] > 0)
+        .map(|t| (ledger.tag_name(t).to_string(), per_tag[t as usize]))
+        .collect();
     AcquisitionReport {
-        organic,
+        organic: per_tag[ORGANIC_TAG as usize],
         by_tag,
-        total,
+        total: per_tag.iter().sum(),
     }
 }
 

@@ -6,9 +6,16 @@
 //! that the Play-side fraud filter of §5.2 *could* use. The ledger also
 //! buckets sessions, registrations, purchases and revenue per day so
 //! chart ranking can be computed over a trailing window.
+//!
+//! Alongside the events it keeps the running counts the enforcement
+//! sweep decides on — unfiltered installs, unfiltered suspicious
+//! installs, and unfiltered installs per /24 — updated by
+//! [`EngagementLedger::record_install`] and
+//! [`EngagementLedger::filter_installs`], so a daily sweep that does
+//! not fire reads a few counters instead of the app's whole history.
 
 use iiscope_types::{SimTime, Usd};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Device-quality signals attached to one install event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,12 +54,18 @@ pub struct InstallEvent {
     pub at: SimTime,
     /// Device-quality signals.
     pub signals: InstallSignals,
-    /// Attribution tag (empty for organic installs).
-    pub source_tag: String,
+    /// Attribution tag as an index into the ledger's tag table
+    /// ([`EngagementLedger::tag_name`]); [`ORGANIC_TAG`] for organic
+    /// installs. A campaign's tag is stored once per ledger, not once
+    /// per install.
+    pub tag: u32,
     /// Whether the enforcement sweep has removed this install from the
     /// public count.
     pub filtered: bool,
 }
+
+/// [`InstallEvent::tag`] of an install without an attribution tag.
+pub const ORGANIC_TAG: u32 = 0;
 
 /// Aggregates for one simulated day.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -75,6 +88,16 @@ pub struct DayStats {
 #[derive(Debug, Default)]
 pub struct EngagementLedger {
     installs: Vec<InstallEvent>,
+    /// Distinct attribution tags; [`InstallEvent::tag`] `i` names
+    /// `tags[i - 1]`.
+    tags: Vec<Box<str>>,
+    /// Unfiltered event installs with a hard fraud signal.
+    suspicious: u64,
+    /// Unfiltered event installs per /24 (blocks with none are absent).
+    blocks: HashMap<u32, u32>,
+    /// The blocks of `blocks` holding at least two installs — the only
+    /// candidates for a lockstep burst at any threshold above one.
+    shared_blocks: BTreeSet<u32>,
     /// Aggregate organic installs recorded in bulk (no per-event
     /// record; organic traffic of a 100M-install app cannot be
     /// materialized event by event).
@@ -95,15 +118,52 @@ impl EngagementLedger {
         EngagementLedger::default()
     }
 
-    /// Records an install.
+    /// Records an install. `source_tag` is empty for organic installs.
     pub fn record_install(&mut self, at: SimTime, signals: InstallSignals, source_tag: &str) {
+        let tag = self.intern_tag(source_tag);
         self.installs.push(InstallEvent {
             at,
             signals,
-            source_tag: source_tag.to_string(),
+            tag,
             filtered: false,
         });
+        self.suspicious += u64::from(signals.is_suspicious());
+        let n = self.blocks.entry(signals.block24).or_default();
+        *n += 1;
+        if *n == 2 {
+            self.shared_blocks.insert(signals.block24);
+        }
         self.days.entry(at.days()).or_default().installs += 1;
+    }
+
+    /// The tag id of `tag`, adding it to the table on first sight. A
+    /// ledger sees a handful of campaigns, so a scan beats a map.
+    fn intern_tag(&mut self, tag: &str) -> u32 {
+        if tag.is_empty() {
+            return ORGANIC_TAG;
+        }
+        let i = match self.tags.iter().position(|t| **t == *tag) {
+            Some(i) => i,
+            None => {
+                self.tags.push(tag.into());
+                self.tags.len() - 1
+            }
+        };
+        i as u32 + 1
+    }
+
+    /// The attribution tag an [`InstallEvent::tag`] id names (empty for
+    /// [`ORGANIC_TAG`]).
+    pub fn tag_name(&self, tag: u32) -> &str {
+        match tag {
+            ORGANIC_TAG => "",
+            i => &self.tags[i as usize - 1],
+        }
+    }
+
+    /// Number of distinct attribution tags; tag ids run from 1 to this.
+    pub fn tag_count(&self) -> u32 {
+        self.tags.len() as u32
     }
 
     /// Records `n` organic installs in aggregate (day stats only; no
@@ -198,6 +258,28 @@ impl EngagementLedger {
         &self.installs
     }
 
+    /// Installs with per-event records not yet filtered.
+    pub fn unfiltered_installs(&self) -> u64 {
+        self.installs.len() as u64 - self.filtered
+    }
+
+    /// Unfiltered installs carrying a hard fraud signal
+    /// ([`InstallSignals::is_suspicious`]).
+    pub fn unfiltered_suspicious(&self) -> u64 {
+        self.suspicious
+    }
+
+    /// Unfiltered installs from `block24`.
+    pub fn unfiltered_in_block(&self, block24: u32) -> u64 {
+        self.blocks.get(&block24).map_or(0, |n| u64::from(*n))
+    }
+
+    /// The /24 blocks holding at least two unfiltered installs, in
+    /// ascending order.
+    pub fn shared_blocks(&self) -> impl Iterator<Item = u32> + '_ {
+        self.shared_blocks.iter().copied()
+    }
+
     /// Marks `n` not-yet-filtered installs matching `pred` as filtered;
     /// returns how many were actually removed.
     pub fn filter_installs(&mut self, n: u64, mut pred: impl FnMut(&InstallEvent) -> bool) -> u64 {
@@ -209,6 +291,22 @@ impl EngagementLedger {
             if !ev.filtered && pred(ev) {
                 ev.filtered = true;
                 removed += 1;
+                self.suspicious -= u64::from(ev.signals.is_suspicious());
+                let block = ev.signals.block24;
+                let left = self
+                    .blocks
+                    .get_mut(&block)
+                    .expect("unfiltered install is counted");
+                *left -= 1;
+                match *left {
+                    0 => {
+                        self.blocks.remove(&block);
+                    }
+                    1 => {
+                        self.shared_blocks.remove(&block);
+                    }
+                    _ => {}
+                }
             }
         }
         self.filtered += removed;

@@ -18,10 +18,9 @@
 //! ("detecting the lockstep behavior of users", §5.2) and is exercised
 //! by the enforcement ablation bench.
 
-use crate::engagement::EngagementLedger;
+use crate::engagement::{EngagementLedger, InstallEvent, ORGANIC_TAG};
 use iiscope_types::rng::chance;
 use rand::Rng;
-use std::collections::BTreeMap;
 
 /// Tuning of the enforcement sweep.
 #[derive(Debug, Clone)]
@@ -96,71 +95,76 @@ impl EnforcementConfig {
 /// every install sharing their campaign attribution tags — the "we
 /// identified this incentivized campaign, purge it" model. Organic
 /// installs (empty tag) are only removed when individually flagged.
+///
+/// Whether the app is considered comes from the ledger's running
+/// counts, so a sweep that does not fire touches no install events;
+/// only an actioned sweep scans them. The flagged count is the same
+/// number a scan of every unfiltered install would give, and the
+/// action draw happens under the same condition, so the RNG stream is
+/// the one a full scan consumes.
 pub fn sweep(ledger: &mut EngagementLedger, cfg: &EnforcementConfig, rng: &mut impl Rng) -> u64 {
     if !cfg.enabled {
         return 0;
     }
-    // Hard signals.
-    let mut flagged: u64 = ledger
-        .install_events()
-        .iter()
-        .filter(|e| !e.filtered && e.signals.is_suspicious())
-        .count() as u64;
-
-    // Optional lockstep pass: count installs in /24 blocks that exceed
-    // the burst threshold.
-    let mut lockstep_blocks: Vec<u32> = Vec::new();
-    if cfg.detect_lockstep {
-        let mut per_block: BTreeMap<u32, u64> = BTreeMap::new();
-        for e in ledger.install_events().iter().filter(|e| !e.filtered) {
-            *per_block.entry(e.signals.block24).or_default() += 1;
-        }
-        for (block, n) in per_block {
-            if n >= cfg.lockstep_threshold {
-                lockstep_blocks.push(block);
-                flagged += n;
-            }
-        }
-    }
+    // Hard signals, plus the optional lockstep term: installs in /24
+    // blocks at or above the burst threshold. At a threshold of one
+    // or less every block with an unfiltered install qualifies.
+    let every_block = cfg.lockstep_threshold <= 1;
+    let lockstep_blocks: Vec<u32> = if cfg.detect_lockstep && !every_block {
+        ledger
+            .shared_blocks()
+            .filter(|b| ledger.unfiltered_in_block(*b) >= cfg.lockstep_threshold)
+            .collect()
+    } else {
+        Vec::new()
+    };
+    let lockstep_installs: u64 = match (cfg.detect_lockstep, every_block) {
+        (false, _) => 0,
+        (true, true) => ledger.unfiltered_installs(),
+        (true, false) => lockstep_blocks
+            .iter()
+            .map(|b| ledger.unfiltered_in_block(*b))
+            .sum(),
+    };
+    let flagged = ledger.unfiltered_suspicious() + lockstep_installs;
 
     if flagged < cfg.min_flagged || !chance(rng, cfg.action_prob) {
         return 0;
     }
 
+    // `lockstep_blocks` is ascending (the shared-block set is ordered).
+    let in_lockstep = |block: u32| {
+        cfg.detect_lockstep && (every_block || lockstep_blocks.binary_search(&block).is_ok())
+    };
+    let flagged_install =
+        |e: &InstallEvent| e.signals.is_suspicious() || in_lockstep(e.signals.block24);
+
     // Campaign tags implicated by the flagged installs — but only
     // tags carrying a meaningful amount of flagged traffic.
-    let mut tag_counts: BTreeMap<&str, u64> = BTreeMap::new();
-    for e in ledger.install_events().iter().filter(|e| {
-        !e.filtered
-            && !e.source_tag.is_empty()
-            && (e.signals.is_suspicious() || lockstep_blocks.contains(&e.signals.block24))
-    }) {
-        *tag_counts.entry(e.source_tag.as_str()).or_default() += 1;
+    let mut tag_counts = vec![0u64; ledger.tag_count() as usize + 1];
+    for e in ledger
+        .install_events()
+        .iter()
+        .filter(|e| !e.filtered && e.tag != ORGANIC_TAG && flagged_install(e))
+    {
+        tag_counts[e.tag as usize] += 1;
     }
-    let tags: Vec<String> = tag_counts
-        .into_iter()
-        .filter(|(_, n)| *n >= cfg.tag_implication_min)
-        .map(|(t, _)| t.to_string())
+    let implicated: Vec<bool> = tag_counts
+        .iter()
+        .map(|n| *n > 0 && *n >= cfg.tag_implication_min)
         .collect();
 
     // Everything matching an implicated tag, a flagged block, or a
     // hard signal is in scope; remove `detection_rate` of it.
-    let in_scope = ledger
+    let in_scope = |e: &InstallEvent| flagged_install(e) || implicated[e.tag as usize];
+    let to_remove = (ledger
         .install_events()
         .iter()
-        .filter(|e| {
-            !e.filtered
-                && (e.signals.is_suspicious()
-                    || lockstep_blocks.contains(&e.signals.block24)
-                    || (!e.source_tag.is_empty() && tags.binary_search(&e.source_tag).is_ok()))
-        })
-        .count() as u64;
-    let to_remove = (in_scope as f64 * cfg.detection_rate).ceil() as u64;
-    ledger.filter_installs(to_remove, |e| {
-        e.signals.is_suspicious()
-            || lockstep_blocks.contains(&e.signals.block24)
-            || (!e.source_tag.is_empty() && tags.binary_search(&e.source_tag).is_ok())
-    })
+        .filter(|e| !e.filtered && in_scope(e))
+        .count() as f64
+        * cfg.detection_rate)
+        .ceil() as u64;
+    ledger.filter_installs(to_remove, in_scope)
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@ use iiscope_types::{
 };
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Where an install came from, as seen by attribution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -19,7 +20,8 @@ pub enum InstallSource {
     /// Store search / charts / browsing.
     Organic,
     /// A tracking link with an attribution tag (campaign installs).
-    Tagged(String),
+    /// The tag is shared, so a campaign's installs reuse one copy.
+    Tagged(Arc<str>),
 }
 
 impl InstallSource {
@@ -405,18 +407,16 @@ impl PlayStore {
     /// installs removed. Deterministic per (`seed`, `day`).
     pub fn enforcement_sweep(&self, now: SimTime) -> u64 {
         let mut inner = self.inner.write();
-        let cfg = inner.enforcement.clone();
+        let Inner {
+            ledgers,
+            enforcement,
+            ..
+        } = &mut *inner;
+        let day = self.seed.fork_idx("enforcement", now.days());
         let mut removed = 0;
-        let app_ids: Vec<AppId> = inner.ledgers.keys().copied().collect();
-        for id in app_ids {
-            let mut rng = self
-                .seed
-                .fork_idx("enforcement", now.days())
-                .fork_idx("app", id.raw())
-                .rng();
-            if let Some(ledger) = inner.ledgers.get_mut(&id) {
-                removed += policy::sweep(ledger, &cfg, &mut rng);
-            }
+        for (id, ledger) in ledgers.iter_mut() {
+            let mut rng = day.fork_idx("app", id.raw()).rng();
+            removed += policy::sweep(ledger, enforcement, &mut rng);
         }
         removed
     }
