@@ -5,12 +5,17 @@ use bytes::BytesMut;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use iiscope_analysis::libradar::count_libraries;
 use iiscope_analysis::stats::{chi2_2x2, chi2_sf};
+use iiscope_attribution::ConversionGoal;
+use iiscope_core::{World, WorldConfig};
+use iiscope_devices::AffiliateApp;
+use iiscope_iip::{CampaignSpec, DeveloperApplication};
+use iiscope_monitor::UiFuzzer;
 use iiscope_netsim::{encode_frame, FrameDecoder};
 use iiscope_playstore::apk::{AdLibrary, ApkInfo};
 use iiscope_playstore::charts;
 use iiscope_playstore::engagement::DayStats;
 use iiscope_types::rng::ZipfTable;
-use iiscope_types::{AppId, SeedFork, Usd};
+use iiscope_types::{AppId, Country, DeveloperId, IipId, PackageName, SeedFork, Usd};
 use iiscope_wire::http::{Request, Response};
 use iiscope_wire::tls::{open_records, seal_records, RecordType};
 use iiscope_wire::Json;
@@ -55,24 +60,28 @@ fn bench_json(c: &mut Criterion) {
     g.finish();
 }
 
+/// Seal and open at the record layer's two hot sizes: a full 16 KiB
+/// record and a wall-page-sized 2 KiB one.
 fn bench_tls(c: &mut Criterion) {
-    let payload = vec![0x42u8; 16 * 1024];
     let mut g = c.benchmark_group("tls");
-    g.throughput(Throughput::Bytes(payload.len() as u64));
-    g.bench_function("seal_16k", |b| {
-        b.iter(|| {
-            let mut seq = 0;
-            black_box(seal_records(7, &mut seq, RecordType::AppData, &payload))
-        })
-    });
-    let mut seq = 0;
-    let wire = seal_records(7, &mut seq, RecordType::AppData, &payload);
-    g.bench_function("open_16k", |b| {
-        b.iter(|| {
-            let mut recv = 0;
-            black_box(open_records(7, &mut recv, &wire).unwrap())
-        })
-    });
+    for (label, len) in [("16k", 16 * 1024), ("2k", 2 * 1024)] {
+        let payload = vec![0x42u8; len];
+        g.throughput(Throughput::Bytes(payload.len() as u64));
+        g.bench_function(&format!("seal_{label}"), |b| {
+            b.iter(|| {
+                let mut seq = 0;
+                black_box(seal_records(7, &mut seq, RecordType::AppData, &payload))
+            })
+        });
+        let mut seq = 0;
+        let wire = seal_records(7, &mut seq, RecordType::AppData, &payload);
+        g.bench_function(&format!("open_{label}"), |b| {
+            b.iter(|| {
+                let mut recv = 0;
+                black_box(open_records(7, &mut recv, &wire).unwrap())
+            })
+        });
+    }
     g.finish();
 }
 
@@ -119,12 +128,12 @@ fn large_offer_wall_body(n: i64) -> String {
 }
 
 /// The zero-copy fast path end to end: streaming wall parse vs the
-/// tree-building reference, raw scanner event throughput, and a full
+/// tree-building reference, raw scanner event throughput, a full
 /// sealed-response "milk" (open TLS records → borrowed HTTP view →
-/// streaming wall parse) that never copies the body out of the slab.
+/// streaming wall parse) that never copies the body out of the slab,
+/// and one whole wall tab milked through the MITM rig.
 fn bench_wire_milking(c: &mut Criterion) {
     use iiscope_monitor::{parse_wall_streaming, parse_wall_tree};
-    use iiscope_types::IipId;
     use iiscope_wire::{JsonScanner, ResponseView};
 
     let body = large_offer_wall_body(100);
@@ -159,7 +168,61 @@ fn bench_wire_milking(c: &mut Criterion) {
             black_box(parse_wall_streaming(IipId::Fyber, view.body_str().unwrap()).unwrap())
         })
     });
+    // The whole path a crawl day pays per tab: the phone's TLS to the
+    // MITM proxy, decrypt + tap + re-encrypt, the wall's TLS, the HTTP
+    // engine and the wall handler, for 40 pages and the empty page
+    // that ends the scroll. Built on first use, so filtered runs skip
+    // the world build.
+    let mut rig = None;
+    g.throughput(Throughput::Elements(MILK_TAB_OFFERS as u64));
+    g.bench_function("milk_tab_40_pages", |b| {
+        let (world, app) = rig.get_or_insert_with(milk_tab_rig);
+        let fuzzer = UiFuzzer::default();
+        b.iter(|| black_box(world.infra.milk(app, Country::Us, &fuzzer).unwrap()))
+    });
     g.finish();
+}
+
+/// Offers on the one wall [`milk_tab_rig`] stocks: 40 full pages.
+const MILK_TAB_OFFERS: usize = 400;
+
+/// A small world whose Fyber wall carries [`MILK_TAB_OFFERS`]
+/// worldwide offers, plus an affiliate app cut down to its Fyber tab.
+fn milk_tab_rig() -> (World, AffiliateApp) {
+    let world = World::build(WorldConfig::small(11)).expect("world build");
+    let platform = &world.platforms[&IipId::Fyber];
+    let developer = DeveloperId(900_000);
+    platform
+        .register_developer(&DeveloperApplication {
+            developer,
+            has_tax_id: true,
+            has_bank_account: true,
+            deposit: Usd::from_dollars(100_000),
+        })
+        .expect("developer");
+    for i in 0..MILK_TAB_OFFERS {
+        let package = format!("com.bench.milk.app{i}");
+        platform
+            .create_campaign(
+                CampaignSpec {
+                    developer,
+                    store_url: format!("https://play.iiscope/store/apps/details?id={package}"),
+                    package: PackageName::new(package).expect("package"),
+                    goal: ConversionGoal::InstallAndOpen,
+                    payout: Usd::from_cents(40),
+                    cap: 50,
+                    countries: vec![],
+                },
+                world.study_start(),
+            )
+            .expect("campaign");
+    }
+    let mut app = AffiliateApp::table2_catalog().remove(0);
+    app.tabs.retain(|t| t.iip == IipId::Fyber);
+    let fuzzer = UiFuzzer::default();
+    let offers = world.infra.milk(&app, Country::Us, &fuzzer).unwrap();
+    assert_eq!(offers.len(), MILK_TAB_OFFERS, "one tab, every page");
+    (world, app)
 }
 
 fn bench_framing(c: &mut Criterion) {

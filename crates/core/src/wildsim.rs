@@ -924,6 +924,9 @@ impl World {
                 Err(_) => chaosstats::add_crawls_abandoned(1),
             }
         }
+        // No session outlives its crawl day, so a snapshot's
+        // `ClientState` describes the crawler completely.
+        st.crawler.close_idle();
         Ok(())
     }
 

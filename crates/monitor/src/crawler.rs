@@ -81,6 +81,7 @@ impl Crawler {
 
     /// Captures the crawler's mutable state (the underlying HTTP
     /// client's RNG position and connection lineage) for checkpointing.
+    /// Call [`Crawler::close_idle`] first.
     pub fn checkpoint(&self) -> iiscope_wire::ClientState {
         self.client.checkpoint()
     }
@@ -89,6 +90,12 @@ impl Crawler {
     /// crawler rebuilt with the same seed and configuration.
     pub fn restore(&mut self, state: &iiscope_wire::ClientState) {
         self.client.restore(state);
+    }
+
+    /// Closes the connection kept open between requests (see
+    /// [`HttpClient::close_idle`]).
+    pub fn close_idle(&mut self) {
+        self.client.close_idle();
     }
 
     /// Crawls one profile. `Ok(None)` when the app is not listed

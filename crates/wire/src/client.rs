@@ -12,7 +12,10 @@
 //! * a [`RetryPolicy`] governing retries over the fault-injected
 //!   substrate: a budget charged once per exchange, optional
 //!   exponential backoff with seeded jitter, and a per-exchange
-//!   deadline — all error-class-aware (only transport losses retry).
+//!   deadline — all error-class-aware (only transport losses retry);
+//! * persistent connections (RFC 9112 §9.3) — the last session stays
+//!   open for the next request to the same origin, so a scrolled offer
+//!   wall pays one handshake per tab, not one per page (DESIGN §17).
 
 use crate::http::{Request, Response};
 use crate::tls::{TlsClient, TrustStore};
@@ -99,7 +102,9 @@ impl RetryPolicy {
 
 /// The serializable mutable state of an [`HttpClient`]: everything a
 /// client with the same seed and configuration needs to continue its
-/// RNG and fault-stream lineage bit-for-bit after a restart.
+/// RNG and fault-stream lineage bit-for-bit after a restart. An open
+/// session is not part of it: checkpoint only after
+/// [`HttpClient::close_idle`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClientState {
     /// Keystream position of the jitter/TLS RNG.
@@ -123,6 +128,53 @@ pub struct HttpClient {
     /// order, hence stable across parallel schedules.
     links: SeedFork,
     conn_seq: u64,
+    /// The session left open by the last successful exchange.
+    idle: Option<Session>,
+}
+
+/// The origin a session is bound to: scheme, host and port.
+struct Origin {
+    tls: bool,
+    host: String,
+    port: u16,
+}
+
+impl Origin {
+    fn of(url: &Url) -> Origin {
+        Origin {
+            tls: url.is_tls(),
+            host: url.host.clone(),
+            port: url.effective_port(),
+        }
+    }
+
+    fn serves(&self, url: &Url) -> bool {
+        self.tls == url.is_tls() && self.port == url.effective_port() && self.host == url.host
+    }
+}
+
+/// An open connection to one origin. Dropping it closes it.
+struct Session {
+    origin: Origin,
+    transport: Transport,
+}
+
+enum Transport {
+    Plain(ClientConn),
+    Tls(TlsClient),
+}
+
+impl Transport {
+    /// Sends one request and returns the reply bytes of the same turn.
+    fn exchange(&mut self, wire: &[u8]) -> Result<bytes::Bytes> {
+        match self {
+            Transport::Plain(conn) => {
+                conn.send(wire);
+                conn.roundtrip()
+            }
+            Transport::Tls(tls) => tls.request(wire),
+        }
+    }
 }
 
 impl HttpClient {
@@ -138,6 +190,7 @@ impl HttpClient {
             rng: seed.fork("http-client").rng(),
             links: seed.fork("links"),
             conn_seq: 0,
+            idle: None,
         }
     }
 
@@ -178,6 +231,10 @@ impl HttpClient {
     /// with the constructor seed these fully determine all future
     /// connections, so a restored client continues bit-for-bit.
     pub fn checkpoint(&self) -> ClientState {
+        debug_assert!(
+            self.idle.is_none(),
+            "checkpoint with an open session; call close_idle first"
+        );
         ClientState {
             rng: self.rng.state(),
             conn_seq: self.conn_seq,
@@ -189,6 +246,13 @@ impl HttpClient {
     pub fn restore(&mut self, state: &ClientState) {
         self.rng = StdRng::restore(state.rng);
         self.conn_seq = state.conn_seq;
+        self.idle = None;
+    }
+
+    /// Closes the session kept open for reuse, if any. The next
+    /// request dials fresh.
+    pub fn close_idle(&mut self) {
+        self.idle = None;
     }
 
     /// GET `url`.
@@ -222,6 +286,10 @@ impl HttpClient {
     /// Sends a prepared request to a parsed URL, governed by the
     /// client's [`RetryPolicy`].
     ///
+    /// The first attempt reuses the idle session when it serves the
+    /// same origin; any failure closes the session, so a retry always
+    /// dials fresh.
+    ///
     /// The budget is decremented once per exchange attempt — an
     /// attempt that suffers several faults (say a corrupted request
     /// *and* a dropped reply) still costs a single unit. Between
@@ -229,7 +297,7 @@ impl HttpClient {
     /// charged against the deadline; when the accounted exchange time
     /// passes the deadline the client gives up with budget to spare.
     pub fn dispatch(&mut self, mut req: Request, url: &Url) -> Result<Response> {
-        req.headers.set("Host", url.host.clone());
+        req.headers.set("Host", url.authority());
         let policy = self.retry;
         let mut elapsed = SimDuration::ZERO;
         let mut last_err = Error::Network("no attempt made".into());
@@ -266,32 +334,57 @@ impl HttpClient {
         Err(last_err)
     }
 
-    fn connect(&mut self, url: &Url) -> Result<ClientConn> {
+    /// Dials a new session to `url`'s origin: a connection (through the
+    /// proxy for HTTPS when one is set) plus, for HTTPS, the handshake.
+    fn open(&mut self, url: &Url) -> Result<Session> {
         let link = self.links.fork_idx("conn", self.conn_seq);
         self.conn_seq += 1;
-        match (self.proxy, url.is_tls()) {
-            (Some((ip, port)), true) => self.net.connect_seeded(self.from, ip, port, link),
+        let conn = match (self.proxy, url.is_tls()) {
+            (Some((ip, port)), true) => self.net.connect_seeded(self.from, ip, port, link)?,
             _ => self
                 .net
-                .connect_host_seeded(self.from, &url.host, url.effective_port(), link),
-        }
+                .connect_host_seeded(self.from, &url.host, url.effective_port(), link)?,
+        };
+        let transport = if url.is_tls() {
+            let pin = self.pins.get(&url.host).copied();
+            Transport::Tls(TlsClient::connect(
+                conn,
+                &url.host,
+                &self.roots,
+                pin,
+                &mut self.rng,
+            )?)
+        } else {
+            Transport::Plain(conn)
+        };
+        Ok(Session {
+            origin: Origin::of(url),
+            transport,
+        })
     }
 
+    /// One exchange over the idle session for `url`'s origin, or a new
+    /// one. The session goes back to idle only after a clean exchange:
+    /// a whole response, no bytes after it, and no `Connection: close`.
     fn attempt(&mut self, req: &Request, url: &Url) -> Result<Response> {
-        let conn = self.connect(url)?;
-        let reply = if url.is_tls() {
-            let pin = self.pins.get(&url.host).copied();
-            let mut tls = TlsClient::connect(conn, &url.host, &self.roots, pin, &mut self.rng)?;
-            tls.request(&req.encode())?
-        } else {
-            let mut conn = conn;
-            conn.send(&req.encode());
-            conn.roundtrip()?
+        let mut session = match self.idle.take() {
+            Some(s) if s.origin.serves(url) => s,
+            _ => self.open(url)?,
         };
+        let reply = session.transport.exchange(&req.encode())?;
         // Zero-copy parse: the response body stays a slice of the
         // reply slab shared with the connection's capture log.
         match Response::parse_bytes(&reply)? {
-            Some((resp, _)) => Ok(resp),
+            Some((resp, consumed)) => {
+                let close = resp.headers.get("Connection").is_some_and(|v| {
+                    v.split(',')
+                        .any(|opt| opt.trim().eq_ignore_ascii_case("close"))
+                });
+                if consumed == reply.len() && !close {
+                    self.idle = Some(session);
+                }
+                Ok(resp)
+            }
             // An empty or partial reply (proxy stall, upstream died) is
             // worth retrying on a fresh connection.
             None => Err(Error::Network("truncated response".into())),
@@ -315,6 +408,7 @@ mod tests {
                 "/hello" => Response::ok_text("world"),
                 "/json" => Response::ok_json(&Json::obj([("v", Json::Int(7))])),
                 "/reflect" => Response::ok_bytes(req.body.clone(), "application/octet-stream"),
+                "/host" => Response::ok_text(req.headers.get("Host").unwrap_or("")),
                 _ => Response::not_found(),
             }
         })
@@ -343,6 +437,9 @@ mod tests {
         net.bind(http_ip, 80, Arc::new(HttpFactory::new(handler())))
             .unwrap();
         net.register_host("plain.test", http_ip);
+        // Plain HTTP on a non-default port of the same host.
+        net.bind(http_ip, 8080, Arc::new(HttpFactory::new(handler())))
+            .unwrap();
         // HTTPS on 443.
         let mut ca = CertAuthority::new("Root", seed.fork("ca"));
         let identity = ServerIdentity::issue(&mut ca, "secure.test", seed.fork("id"));
@@ -493,6 +590,20 @@ mod tests {
                 "world"
             );
         }
+    }
+
+    #[test]
+    fn host_header_carries_a_non_default_port() {
+        let r = rig();
+        let mut c = HttpClient::new(r.net, client_addr(), r.roots, SeedFork::new(12));
+        let host = |c: &mut HttpClient, url: &str| c.get(url).unwrap().body_text();
+        assert_eq!(
+            host(&mut c, "http://plain.test:8080/host"),
+            "plain.test:8080"
+        );
+        assert_eq!(host(&mut c, "http://plain.test/host"), "plain.test");
+        assert_eq!(host(&mut c, "http://plain.test:80/host"), "plain.test");
+        assert_eq!(host(&mut c, "https://secure.test/host"), "secure.test");
     }
 
     #[test]

@@ -300,23 +300,36 @@ fn newline_indent(out: &mut impl fmt::Write, indent: Option<usize>, level: usize
     Ok(())
 }
 
+/// Writes `s` as a quoted JSON string. Bytes are scanned, and each run
+/// that needs no escaping goes out in one `write_str`; every byte that
+/// does (`"`, `\`, and the controls below 0x20) is ASCII, so run
+/// boundaries always fall on `char` boundaries.
 fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.write_char('"')?;
-    for c in s.chars() {
-        match c {
-            '"' => out.write_str("\\\"")?,
-            '\\' => out.write_str("\\\\")?,
-            '\n' => out.write_str("\\n")?,
-            '\r' => out.write_str("\\r")?,
-            '\t' => out.write_str("\\t")?,
-            '\u{08}' => out.write_str("\\b")?,
-            '\u{0C}' => out.write_str("\\f")?,
-            c if (c as u32) < 0x20 => {
-                write!(out, "\\u{:04x}", c as u32)?;
+    let mut run = 0;
+    let mut code = *b"\\u0000";
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0C => "\\f",
+            0x00..=0x1F => {
+                code[4] = HEX[usize::from(b >> 4)];
+                code[5] = HEX[usize::from(b & 0xF)];
+                std::str::from_utf8(&code).expect("ASCII escape")
             }
-            c => out.write_char(c)?,
-        }
+            _ => continue,
+        };
+        out.write_str(&s[run..i])?;
+        out.write_str(escape)?;
+        run = i + 1;
     }
+    out.write_str(&s[run..])?;
     out.write_char('"')
 }
 

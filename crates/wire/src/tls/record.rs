@@ -19,13 +19,14 @@
 //!   [`MAX_RECORD_PLAINTEXT`] bytes, like real TLS fragmentation.
 //!
 //! Buffer discipline: sealing encrypts in place inside the output
-//! buffer (one write per plaintext byte), and the decoder makes exactly
-//! one copy per record — ciphertext into the buffer that decryption
-//! mutates and that is then frozen into the record's shared plaintext
-//! slab. Consumed wire bytes are dropped by advancing an offset, not by
-//! a `drain` memmove.
+//! buffer (one XOR pass, a `u64` word at a time), and the decoder
+//! makes exactly one copy per record — ciphertext into the buffer that
+//! decryption mutates and that is then frozen into the record's shared
+//! plaintext slab. Consumed wire bytes are dropped by advancing an
+//! offset, not by a `drain` memmove. The MAC digests the plaintext a
+//! word at a time too.
 
-use super::cert::{fnv64, mix};
+use super::cert::mix;
 use bytes::{BufMut, Bytes, BytesMut};
 use iiscope_types::{wirestats, Error, Result};
 
@@ -64,26 +65,48 @@ impl RecordType {
     }
 }
 
-/// xorshift64* keystream.
+/// xorshift64* keystream, XORed in a `u64` word at a time.
 fn keystream_xor(key: u64, seq: u64, data: &mut [u8]) {
     // The null key leaves handshake records readable on the wire.
     if key == 0 {
         return;
     }
     let mut state = mix(key ^ mix(seq)) | 1;
-    for chunk in data.chunks_mut(8) {
+    let mut next = || {
         state ^= state << 13;
         state ^= state >> 7;
         state ^= state << 17;
-        let ks = state.wrapping_mul(0x2545_F491_4F6C_DD1D).to_le_bytes();
-        for (b, k) in chunk.iter_mut().zip(ks.iter()) {
-            *b ^= k;
-        }
+        state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    };
+    let mut words = data.chunks_exact_mut(8);
+    for word in &mut words {
+        let x = u64::from_le_bytes((&*word).try_into().expect("8 bytes")) ^ next();
+        word.copy_from_slice(&x.to_le_bytes());
+    }
+    for (b, k) in words.into_remainder().iter_mut().zip(next().to_le_bytes()) {
+        *b ^= k;
     }
 }
 
+/// Keyless digest of a record body: the length, then each 8-byte
+/// little-endian word, then the zero-padded tail word, folded through
+/// [`mix`]. `h -> mix(h ^ w)` is a bijection for every word `w`, so
+/// changing any single word of a same-length body always changes the
+/// digest.
+fn digest(data: &[u8]) -> u64 {
+    let mut h = mix(data.len() as u64);
+    let mut words = data.chunks_exact(8);
+    for word in &mut words {
+        h = mix(h ^ u64::from_le_bytes(word.try_into().expect("8 bytes")));
+    }
+    let tail = words.remainder();
+    let mut last = [0u8; 8];
+    last[..tail.len()].copy_from_slice(tail);
+    mix(h ^ u64::from_le_bytes(last))
+}
+
 fn mac(key: u64, seq: u64, rtype: RecordType, plaintext: &[u8]) -> u64 {
-    fnv64(plaintext) ^ mix(key ^ seq.wrapping_mul(0x9E37) ^ u64::from(rtype.to_byte()))
+    digest(plaintext) ^ mix(key ^ seq.wrapping_mul(0x9E37) ^ u64::from(rtype.to_byte()))
 }
 
 /// Seals `plaintext` into one or more records appended to `out`,

@@ -22,7 +22,11 @@ pub struct Url {
 }
 
 impl Url {
-    /// Parses a URL of the form `scheme://host[:port][/path[?query]]`.
+    /// Parses a URL of the form `scheme://host[:port][/path][?query][#fragment]`.
+    ///
+    /// The authority ends at the first `/`, `?` or `#` (RFC 3986
+    /// §3.2), so `https://h?q` has host `h` and target `/?q`. The
+    /// fragment is dropped: it is never part of a request target.
     pub fn parse(s: &str) -> Result<Url> {
         let (scheme, rest) = s
             .split_once("://")
@@ -30,9 +34,12 @@ impl Url {
         if scheme != "http" && scheme != "https" {
             return Err(Error::Decode(format!("unsupported scheme {scheme:?}")));
         }
-        let (authority, target) = match rest.find('/') {
-            Some(idx) => (&rest[..idx], rest[idx..].to_string()),
-            None => (rest, "/".to_string()),
+        let rest = rest.split_once('#').map_or(rest, |(before, _)| before);
+        let (authority, path) = rest.split_at(rest.find(['/', '?']).unwrap_or(rest.len()));
+        let target = if path.starts_with('/') {
+            path.to_string()
+        } else {
+            format!("/{path}")
         };
         if authority.is_empty() {
             return Err(Error::Decode(format!("missing host in {s:?}")));
@@ -64,7 +71,24 @@ impl Url {
 
     /// Port to connect to (explicit, or 443/80 by scheme).
     pub fn effective_port(&self) -> u16 {
-        self.port.unwrap_or(if self.is_tls() { 443 } else { 80 })
+        self.port.unwrap_or(self.default_port())
+    }
+
+    fn default_port(&self) -> u16 {
+        if self.is_tls() {
+            443
+        } else {
+            80
+        }
+    }
+
+    /// The `Host` header value (RFC 9110 §7.2): the host, plus the port
+    /// when it is not the scheme's default.
+    pub fn authority(&self) -> String {
+        match self.port {
+            Some(p) if p != self.default_port() => format!("{}:{p}", self.host),
+            _ => self.host.clone(),
+        }
     }
 }
 
@@ -99,6 +123,42 @@ mod tests {
     }
 
     #[test]
+    fn authority_ends_at_query_or_fragment() {
+        let u = Url::parse("https://play.iiscope?id=x").unwrap();
+        assert_eq!(u.host, "play.iiscope");
+        assert_eq!(u.port, None);
+        assert_eq!(u.target, "/?id=x");
+
+        let u = Url::parse("http://h:80?x").unwrap();
+        assert_eq!(u.host, "h");
+        assert_eq!(u.port, Some(80));
+        assert_eq!(u.target, "/?x");
+
+        let u = Url::parse("http://h:81#top").unwrap();
+        assert_eq!((u.host.as_str(), u.port), ("h", Some(81)));
+        assert_eq!(u.target, "/");
+
+        let u = Url::parse("https://a.b/c?d=e#frag").unwrap();
+        assert_eq!(u.target, "/c?d=e");
+
+        // A `?` or `#` after the path belongs to the target, not the host.
+        let u = Url::parse("https://a.b/x?next=http://c:9/").unwrap();
+        assert_eq!(u.host, "a.b");
+        assert_eq!(u.target, "/x?next=http://c:9/");
+    }
+
+    #[test]
+    fn authority_names_only_non_default_ports() {
+        let host = |s: &str| Url::parse(s).unwrap().authority();
+        assert_eq!(host("http://h/x"), "h");
+        assert_eq!(host("http://h:80/x"), "h");
+        assert_eq!(host("http://h:8080/x"), "h:8080");
+        assert_eq!(host("https://h:443/"), "h");
+        assert_eq!(host("https://h:80/"), "h:80");
+        assert_eq!(host("https://h:8443?q"), "h:8443");
+    }
+
+    #[test]
     fn display_round_trip() {
         for s in [
             "https://a.b/c?d=e",
@@ -118,6 +178,9 @@ mod tests {
             "https://",
             "https://:443/x",
             "http://host:notaport/",
+            "https://?q",
+            "https://#f",
+            "http://:80?x",
         ] {
             assert!(Url::parse(bad).is_err(), "{bad:?}");
         }
