@@ -1,7 +1,7 @@
 //! Shared fixture for the Criterion benches: one small world with both
 //! studies run, built once per bench binary. Lives in `benches/` (not
 //! the crate's lib) so the `iiscope-bench` library itself stays
-//! dependency-light enough for `repro` to use its JSON envelope.
+//! dependency-light enough for `repro` to use its BENCH writer.
 #![allow(dead_code)] // not every bench binary touches every field
 
 use iiscope_core::{HoneyStudy, WildArtifacts, World, WorldConfig};

@@ -1,20 +1,29 @@
-//! The shared `BENCH_*.json` envelope: every bench dump the workspace
-//! emits (the six `repro --timing` dumps and anything CI archives)
-//! opens with the same header fields from [`envelope`], so downstream
-//! consumers (the `BENCH_load`/`BENCH_report` trend tooling of ROADMAP
-//! item 3) can parse one stable preamble instead of per-dump formats.
+//! The one `BENCH_*.json` writer: every bench dump the workspace emits
+//! (the seven `repro --timing` dumps, `BENCH_load.json`, and the soak
+//! artifacts CI archives) is a [`wire::Json`](iiscope_wire::Json)
+//! document built by [`document`] — the shared envelope fields plus
+//! the caller's own — and written by [`write`], so consumers parse one
+//! stable preamble and one serializer's output.
 //!
 //! The Criterion bench fixtures live under `benches/` (see
 //! `benches/fixture.rs`), not here: this library stays
-//! dependency-light (`iiscope-types` only) so `repro` — which the
-//! heavy bench targets dev-depend on — can link it without a cycle.
+//! dependency-light (`iiscope-types` and `iiscope-wire` only) so
+//! `repro` — which the heavy bench targets dev-depend on — can link it
+//! without a cycle.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Schema version stamped into every `BENCH_*.json` envelope. Bump on
-/// any incompatible change to the shared header fields below.
-pub const BENCH_SCHEMA_VERSION: u32 = 1;
+use iiscope_wire::Json;
+use std::path::Path;
+
+/// Schema version stamped into every `BENCH_*.json` document. Bump on
+/// any incompatible change to the shared header fields or the format.
+///
+/// Version 2 documents are `Json::pretty` output: keys sorted,
+/// floats at full precision. Version 1 was hand-formatted (fields in
+/// emit order, seconds to three decimals).
+pub const BENCH_SCHEMA_VERSION: u32 = 2;
 
 /// Peak resident set size of the current process, in bytes.
 ///
@@ -23,30 +32,39 @@ pub const BENCH_SCHEMA_VERSION: u32 = 1;
 /// the exact sampler.
 pub use iiscope_types::rss::peak_rss_bytes;
 
-/// The shared header every `BENCH_*.json` dump opens with: schema
-/// version, run identity (`scale`, `seed`, `parallelism`) and the
-/// process's peak RSS at emit time (`null` where `/proc` is
-/// unavailable).
-///
-/// Returns the header as indented `"key": value,` lines — the caller
-/// appends its own fields after it inside the same top-level object:
+/// Builds a `BENCH_*.json` document: the caller's `fields` plus the
+/// shared envelope — schema version, run identity (`scale`, `seed`,
+/// `parallelism`) and the process's peak RSS at build time (`null`
+/// where `/proc` is unavailable). Envelope keys win over a caller
+/// field of the same name.
 ///
 /// ```
-/// let mut s = String::from("{\n");
-/// s.push_str(&iiscope_bench::envelope("paper", 42, 8));
-/// s.push_str("  \"answer\": 42\n}\n");
+/// let doc = iiscope_bench::document("paper", 42, 8, [("answer", 42u64.into())]);
+/// assert_eq!(doc.get("answer").and_then(|v| v.as_i64()), Some(42));
+/// assert_eq!(doc.get("seed").and_then(|v| v.as_i64()), Some(42));
 /// ```
-pub fn envelope(scale: &str, seed: u64, parallelism: usize) -> String {
-    let mut s = String::new();
-    s.push_str(&format!("  \"schema_version\": {BENCH_SCHEMA_VERSION},\n"));
-    s.push_str(&format!("  \"scale\": \"{scale}\",\n"));
-    s.push_str(&format!("  \"seed\": {seed},\n"));
-    s.push_str(&format!("  \"parallelism\": {parallelism},\n"));
-    match peak_rss_bytes() {
-        Some(bytes) => s.push_str(&format!("  \"peak_rss_bytes\": {bytes},\n")),
-        None => s.push_str("  \"peak_rss_bytes\": null,\n"),
-    }
-    s
+pub fn document<K: Into<String>>(
+    scale: &str,
+    seed: u64,
+    parallelism: usize,
+    fields: impl IntoIterator<Item = (K, Json)>,
+) -> Json {
+    let mut doc: std::collections::BTreeMap<String, Json> =
+        fields.into_iter().map(|(k, v)| (k.into(), v)).collect();
+    doc.extend([
+        ("schema_version".to_string(), BENCH_SCHEMA_VERSION.into()),
+        ("scale".to_string(), scale.into()),
+        ("seed".to_string(), seed.into()),
+        ("parallelism".to_string(), parallelism.into()),
+        ("peak_rss_bytes".to_string(), peak_rss_bytes().into()),
+    ]);
+    Json::Object(doc)
+}
+
+/// Writes `doc` to `path` as [`Json::pretty`] text plus a trailing
+/// newline.
+pub fn write(path: impl AsRef<Path>, doc: &Json) -> std::io::Result<()> {
+    std::fs::write(path, doc.pretty() + "\n")
 }
 
 #[cfg(test)]
@@ -54,16 +72,31 @@ mod tests {
     use super::*;
 
     #[test]
-    fn envelope_carries_the_stable_header_fields() {
-        let e = envelope("paper:10", 42, 8);
-        assert!(e.contains("\"schema_version\": 1,"));
-        assert!(e.contains("\"scale\": \"paper:10\","));
-        assert!(e.contains("\"seed\": 42,"));
-        assert!(e.contains("\"parallelism\": 8,"));
-        assert!(e.contains("\"peak_rss_bytes\": "));
-        // Every line is a `"key": value,` continuation — the caller
-        // owns the braces.
-        assert!(!e.contains('{') && !e.contains('}'));
-        assert!(e.lines().all(|l| l.starts_with("  \"") && l.ends_with(',')));
+    fn document_carries_the_envelope_and_the_callers_fields() {
+        let doc = document("paper:10", 42, 8, [("answer", Json::Int(7))]);
+        assert_eq!(doc.get("schema_version").and_then(Json::as_i64), Some(2));
+        assert_eq!(doc.get("scale").and_then(Json::as_str), Some("paper:10"));
+        assert_eq!(doc.get("seed").and_then(Json::as_i64), Some(42));
+        assert_eq!(doc.get("parallelism").and_then(Json::as_i64), Some(8));
+        assert!(doc.get("peak_rss_bytes").is_some());
+        assert_eq!(doc.get("answer").and_then(Json::as_i64), Some(7));
+        // A caller field cannot shadow the envelope.
+        let doc = document("small", 1, 1, [("seed", Json::Int(99))]);
+        assert_eq!(doc.get("seed").and_then(Json::as_i64), Some(1));
+    }
+
+    #[test]
+    fn written_documents_parse_back() {
+        let dir = std::env::temp_dir().join(format!("iiscope-bench-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_test.json");
+        let doc = document("small", 7, 2, [("ratio", Json::Float(0.25))]);
+        write(&path, &doc).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.ends_with("}\n"));
+        assert!(text.contains("\"ratio\": 0.25"));
+        assert_eq!(Json::parse(&text).unwrap(), doc);
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(write(dir.join("missing/x.json"), &doc).is_err());
     }
 }

@@ -16,7 +16,7 @@
 //!   measuring the throughput ceiling.
 //!
 //! Per-stage results reduce to the percentile/tally rows of
-//! `BENCH_load.json` (shared envelope via [`iiscope_bench::envelope`])
+//! `BENCH_load.json` (built by [`iiscope_bench::document`])
 //! and a scalar [`Gate`] that CI compares against the committed
 //! `docs/bench_baseline.json` within a tolerance band.
 
@@ -372,70 +372,59 @@ pub fn gate(results: &[StageResult]) -> Option<Gate> {
         .iter()
         .max_by(|a, b| a.achieved_rps.total_cmp(&b.achieved_rps))
         .map(|r| Gate {
-            // Rounded to the JSON's one-decimal precision so an
-            // emitted gate round-trips exactly through
-            // `parse_baseline` (a half-up emission must not outrank
-            // the value it was printed from).
-            requests_per_sec: (r.achieved_rps * 10.0).round() / 10.0,
+            requests_per_sec: r.achieved_rps,
             p99_us: r.p99_us,
         })
 }
 
-/// Renders `BENCH_load.json`: the shared envelope, the plan, one row
-/// per stage, and the gate pair the baseline comparison reads back.
+/// Builds `BENCH_load.json`: the shared envelope (`seed` from the
+/// spec, `parallelism` = its connection count), the plan, one row per
+/// stage, and the gate pair the baseline comparison reads back.
 pub fn bench_load_json(
     scale: &str,
-    seed: u64,
-    parallelism: usize,
     cache_enabled: bool,
     spec: &LoadSpec,
     results: &[StageResult],
-) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&iiscope_bench::envelope(scale, seed, parallelism));
-    s.push_str(&format!("  \"cache\": {cache_enabled},\n"));
-    s.push_str(&format!("  \"conns\": {},\n", spec.conns));
-    s.push_str("  \"mix\": [\n");
-    for (i, e) in spec.mix.iter().enumerate() {
-        let comma = if i + 1 < spec.mix.len() { "," } else { "" };
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"weight\": {}}}{comma}\n",
-            e.name, e.weight
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"stages\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        s.push_str(&format!(
-            "    {{\"qps_target\": {}, \"secs\": {}, \"done\": {}, \
-             \"requests_per_sec\": {:.1}, \"p50_us\": {}, \"p90_us\": {}, \
-             \"p99_us\": {}, \"max_us\": {}, \"reconnects\": {}",
-            r.stage.qps,
-            r.stage.secs,
-            r.done,
-            r.achieved_rps,
-            r.p50_us,
-            r.p90_us,
-            r.p99_us,
-            r.max_us,
-            r.reconnects
-        ));
-        for (key, value) in r.tally.fields() {
-            s.push_str(&format!(", \"{key}\": {value}"));
-        }
-        s.push_str(&format!("}}{comma}\n"));
-    }
-    s.push_str("  ],\n");
-    match gate(results) {
-        Some(g) => s.push_str(&format!(
-            "  \"gate\": {{\"requests_per_sec\": {:.1}, \"p99_us\": {}}}\n",
-            g.requests_per_sec, g.p99_us
-        )),
-        None => s.push_str("  \"gate\": null\n"),
-    }
-    s.push_str("}\n");
-    s
+) -> Json {
+    let mix = spec.mix.iter().map(|e| {
+        Json::obj([
+            ("name", e.name.as_str().into()),
+            ("weight", e.weight.into()),
+        ])
+    });
+    let stages = results.iter().map(|r| {
+        let row = [
+            ("qps_target", r.stage.qps.into()),
+            ("secs", r.stage.secs.into()),
+            ("done", r.done.into()),
+            ("requests_per_sec", r.achieved_rps.into()),
+            ("p50_us", r.p50_us.into()),
+            ("p90_us", r.p90_us.into()),
+            ("p99_us", r.p99_us.into()),
+            ("max_us", r.max_us.into()),
+            ("reconnects", r.reconnects.into()),
+        ];
+        let tally = r.tally.fields().map(|(k, v)| (k, v.into()));
+        Json::obj(row.into_iter().chain(tally))
+    });
+    let gate = gate(results).map(|g| {
+        Json::obj([
+            ("requests_per_sec", g.requests_per_sec.into()),
+            ("p99_us", g.p99_us.into()),
+        ])
+    });
+    iiscope_bench::document(
+        scale,
+        spec.seed,
+        spec.conns,
+        [
+            ("cache", cache_enabled.into()),
+            ("conns", spec.conns.into()),
+            ("mix", Json::arr(mix)),
+            ("stages", Json::arr(stages)),
+            ("gate", gate.into()),
+        ],
+    )
 }
 
 /// Reads the gate pair out of a committed baseline (any JSON object
@@ -568,7 +557,8 @@ mod tests {
             },
             reconnects: 0,
         }];
-        let json = bench_load_json("small", 42, 1, true, &spec, &results);
+        let json = bench_load_json("small", true, &spec, &results).pretty();
+        assert!(json.contains("\"schema_version\": 2"));
         let g = parse_baseline(&json).unwrap();
         assert!((g.requests_per_sec - 1234.0).abs() < 1e-9);
         assert_eq!(g.p99_us, 300);
@@ -576,6 +566,15 @@ mod tests {
         assert!(json.contains("\"rejects_431\": 0"));
         assert!(json.contains("\"sheds_503\": 0"));
         assert!(json.contains("\"ok\": 1"));
+    }
+
+    #[test]
+    fn committed_schema_1_baseline_still_parses() {
+        let committed = include_str!("../../../docs/bench_baseline.json");
+        assert!(committed.contains("\"schema_version\": 1,"));
+        let g = parse_baseline(committed).unwrap();
+        assert!((g.requests_per_sec - 98499.7).abs() < 1e-9);
+        assert_eq!(g.p99_us, 123);
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! before the symbol rewrite, preserved verbatim — four owned-`String`
 //! tree indices, a `String`-keyed observation map, and the original
 //! `contains`-then-`insert` double probes. Nothing in the pipeline
-//! uses it; it exists so the `substrates/dataset_intern` benches and
-//! `repro --timing`'s ingest micro-bench measure the interned columnar
-//! ingest against the exact shape it replaced (the same role
-//! `parse_wall_tree` plays for the streaming wall parser).
+//! uses it; it exists so the `substrates/dataset_intern` benches
+//! measure the interned columnar ingest against the exact shape it
+//! replaced (the same role `parse_wall_tree` plays for the streaming
+//! wall parser).
 
 use crate::parsers::ScrapedOffer;
 use iiscope_types::{IipId, SimTime};

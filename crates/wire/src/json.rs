@@ -78,6 +78,50 @@ impl From<ParseError> for iiscope_types::Error {
     }
 }
 
+/// Integers become [`Json::Int`]; unsigned values above `i64::MAX`
+/// saturate.
+macro_rules! json_from_int {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(v: $t) -> Json {
+                Json::Int(i64::try_from(v).unwrap_or(i64::MAX))
+            }
+        }
+    )*};
+}
+json_from_int!(i64, u32, u64, usize);
+
+impl From<f64> for Json {
+    fn from(v: f64) -> Json {
+        Json::Float(v)
+    }
+}
+
+impl From<bool> for Json {
+    fn from(v: bool) -> Json {
+        Json::Bool(v)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(v: &str) -> Json {
+        Json::Str(v.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(v: String) -> Json {
+        Json::Str(v)
+    }
+}
+
+/// `None` becomes [`Json::Null`].
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
 impl Json {
     // ---------------------------------------------------------------
     // Construction helpers
@@ -1172,6 +1216,18 @@ mod tests {
         let pretty = v.pretty();
         assert!(pretty.contains('\n'));
         assert_eq!(Json::parse(&pretty).unwrap(), v);
+    }
+
+    #[test]
+    fn scalars_convert_into_values() {
+        assert_eq!(Json::from(7u32), Json::Int(7));
+        assert_eq!(Json::from(7usize), Json::Int(7));
+        assert_eq!(Json::from(u64::MAX), Json::Int(i64::MAX));
+        assert_eq!(Json::from(0.5), Json::Float(0.5));
+        assert_eq!(Json::from(true), Json::Bool(true));
+        assert_eq!(Json::from("x"), Json::str("x"));
+        assert_eq!(Json::from(Some(3u64)), Json::Int(3));
+        assert_eq!(Json::from(None::<u64>), Json::Null);
     }
 
     #[test]

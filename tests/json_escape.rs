@@ -143,7 +143,7 @@ proptest! {
     #[test]
     fn serializers_match_the_char_at_a_time_oracle(value in arb_json()) {
         let compact = oracle(&value, None);
-        prop_assert_eq!(value.to_string(), compact.clone());
+        prop_assert_eq!(value.to_string(), compact.as_str());
         prop_assert_eq!(&value.to_bytes()[..], compact.as_bytes());
         prop_assert_eq!(value.pretty(), oracle(&value, Some(2)));
     }

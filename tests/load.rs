@@ -311,8 +311,8 @@ fn load_harness_measures_a_real_server() {
 
     // BENCH_load.json round-trips through the committed-baseline gate:
     // a run compared against itself passes at zero tolerance.
-    let json = load::bench_load_json("test", 42, 2, true, &spec, &results);
-    let baseline = load::parse_baseline(&json).unwrap();
+    let json = load::bench_load_json("test", true, &spec, &results);
+    let baseline = load::parse_baseline(&json.pretty()).unwrap();
     let measured = load::gate(&results).unwrap();
     load::check_against_baseline(&measured, &baseline, 0.0).unwrap();
 

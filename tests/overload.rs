@@ -16,6 +16,7 @@ use iiscope::subsystems::honeyapp::HONEY_PACKAGE;
 use iiscope::subsystems::load::hostile::{HostileMix, HostilePlan};
 use iiscope::subsystems::load::{self, LoadSpec, LoadStage, MixEntry, StageResult};
 use iiscope::subsystems::serve::{ServeConfig, Server, ShedConfig};
+use iiscope::subsystems::wire::Json;
 use iiscope::{World, WorldConfig};
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -274,58 +275,63 @@ fn overload_soak_emits_bench_json() {
         p99_ceiling
     );
 
-    let mut s = String::from("{\n");
-    s.push_str(&iiscope_bench::envelope("small", 7, 1));
-    s.push_str(
-        "  \"shed\": {\"accept_queue_ms\": 250, \"max_inflight\": 6, \
-         \"per_route\": 6, \"deadline_ms\": 500},\n",
+    let stage_rows = |results: &[StageResult]| {
+        Json::arr(results.iter().map(|r| {
+            let row = [
+                ("qps_target", r.stage.qps.into()),
+                ("secs", r.stage.secs.into()),
+                ("done", r.done.into()),
+                ("requests_per_sec", r.achieved_rps.into()),
+                ("goodput_rps", r.goodput_rps().into()),
+                ("p50_us", r.p50_us.into()),
+                ("p99_us", r.p99_us.into()),
+                ("reconnects", r.reconnects.into()),
+            ];
+            let tally = r.tally.fields().map(|(k, v)| (k, v.into()));
+            Json::obj(row.into_iter().chain(tally))
+        }))
+    };
+    let goodput = (hostile.goodput_rps / clean.goodput_rps.max(1e-9)).into();
+    let p99 = (hostile.p99_us as f64 / clean.p99_us.max(1) as f64).into();
+    let doc = iiscope_bench::document(
+        "small",
+        7,
+        1,
+        [
+            (
+                "shed",
+                Json::obj([
+                    ("accept_queue_ms", 250u64.into()),
+                    ("max_inflight", 6u64.into()),
+                    ("per_route", 6u64.into()),
+                    ("deadline_ms", 500u64.into()),
+                ]),
+            ),
+            ("clean", stage_rows(&clean_results)),
+            ("hostile", stage_rows(&hostile_results)),
+            (
+                "hostile_clients",
+                Json::obj([
+                    ("aborts", hstats.aborts.into()),
+                    ("drip_bytes", hstats.drip_bytes.into()),
+                    ("idle_sessions", hstats.idle_sessions.into()),
+                    ("floods", hstats.floods.into()),
+                    ("denied_503", hstats.denied_503.into()),
+                    ("server_closes", hstats.server_closes.into()),
+                ]),
+            ),
+            (
+                "server",
+                Json::obj([
+                    ("sheds_503_clean", clean_sheds_server.into()),
+                    ("sheds_503_hostile", hostile_sheds_server.into()),
+                    ("conn_panics", panics.into()),
+                    ("worker_respawns", respawns.into()),
+                ]),
+            ),
+            ("ratios", Json::obj([("goodput", goodput), ("p99", p99)])),
+        ],
     );
-    for (label, results) in [("clean", &clean_results), ("hostile", &hostile_results)] {
-        s.push_str(&format!("  \"{label}\": [\n"));
-        for (i, r) in results.iter().enumerate() {
-            let comma = if i + 1 < results.len() { "," } else { "" };
-            s.push_str(&format!(
-                "    {{\"qps_target\": {}, \"secs\": {}, \"done\": {}, \
-                 \"requests_per_sec\": {:.1}, \"goodput_rps\": {:.1}, \
-                 \"p50_us\": {}, \"p99_us\": {}, \"reconnects\": {}",
-                r.stage.qps,
-                r.stage.secs,
-                r.done,
-                r.achieved_rps,
-                r.goodput_rps(),
-                r.p50_us,
-                r.p99_us,
-                r.reconnects
-            ));
-            for (key, value) in r.tally.fields() {
-                s.push_str(&format!(", \"{key}\": {value}"));
-            }
-            s.push_str(&format!("}}{comma}\n"));
-        }
-        s.push_str("  ],\n");
-    }
-    s.push_str(&format!(
-        "  \"hostile_clients\": {{\"aborts\": {}, \"drip_bytes\": {}, \
-         \"idle_sessions\": {}, \"floods\": {}, \"denied_503\": {}, \
-         \"server_closes\": {}}},\n",
-        hstats.aborts,
-        hstats.drip_bytes,
-        hstats.idle_sessions,
-        hstats.floods,
-        hstats.denied_503,
-        hstats.server_closes
-    ));
-    s.push_str(&format!(
-        "  \"server\": {{\"sheds_503_clean\": {clean_sheds_server}, \
-         \"sheds_503_hostile\": {hostile_sheds_server}, \
-         \"conn_panics\": {panics}, \"worker_respawns\": {respawns}}},\n"
-    ));
-    s.push_str(&format!(
-        "  \"ratios\": {{\"goodput\": {:.3}, \"p99\": {:.3}}}\n",
-        hostile.goodput_rps / clean.goodput_rps.max(1e-9),
-        hostile.p99_us as f64 / clean.p99_us.max(1) as f64
-    ));
-    s.push_str("}\n");
-    std::fs::write("BENCH_overload.json", &s).unwrap();
-    eprintln!("{s}");
+    iiscope_bench::write("BENCH_overload.json", &doc).unwrap();
+    eprintln!("{}", doc.pretty());
 }

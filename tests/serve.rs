@@ -19,7 +19,7 @@ use iiscope::subsystems::serve::{AdminHandler, ServeConfig, Server, ShutdownFlag
 use iiscope::subsystems::types::{Country, SeedFork, SimTime};
 use iiscope::subsystems::wire::http::{Method, RequestCtx};
 use iiscope::subsystems::wire::server::HttpEngine;
-use iiscope::subsystems::wire::{Handler, Request, Response};
+use iiscope::subsystems::wire::{Handler, Json, Request, Response};
 use iiscope::{World, WorldConfig};
 use proptest::prelude::*;
 use std::io::{ErrorKind, Read, Write};
@@ -528,7 +528,7 @@ fn serving_mid_run_changes_no_output_bytes() {
 
 /// Sustained soak against a small world's real router: connection
 /// churn for conns/sec, then ≥64 concurrent keep-alive clients for
-/// request latency. Writes `BENCH_serve.json` (shared envelope).
+/// request latency. Writes `BENCH_serve.json` (`iiscope_bench::document`).
 /// Nightly sized; run with `cargo test --release --test serve -- --ignored`.
 #[test]
 #[ignore = "nightly soak; run with --release -- --ignored"]
@@ -623,23 +623,22 @@ fn nightly_soak_emits_bench_serve_json() {
 
     let (p50, p99) = (log.percentile_us(50.0), log.percentile_us(99.0));
     let requests_per_sec = log.len() as f64 / soak_secs;
-    let mut s = String::from("{\n");
-    s.push_str(&iiscope_bench::envelope("soak", 42, WORKERS));
-    s.push_str(&format!("  \"concurrent_conns\": {CLIENTS},\n"));
-    s.push_str(&format!("  \"requests\": {},\n", log.len()));
-    s.push_str(&format!("  \"conns_per_sec\": {conns_per_sec:.1},\n"));
-    s.push_str(&format!("  \"requests_per_sec\": {requests_per_sec:.1},\n"));
-    s.push_str(&format!("  \"p50_us\": {p50},\n"));
-    s.push_str(&format!("  \"p99_us\": {p99},\n"));
-    s.push_str("  \"statuses\": {\n");
-    let fields = tally.fields();
-    for (i, (name, value)) in fields.iter().enumerate() {
-        let comma = if i + 1 < fields.len() { "," } else { "" };
-        s.push_str(&format!("    \"{name}\": {value}{comma}\n"));
-    }
-    s.push_str("  }\n");
-    s.push_str("}\n");
-    std::fs::write("BENCH_serve.json", s).unwrap();
+    let statuses = Json::obj(tally.fields().map(|(k, v)| (k, v.into())));
+    let doc = iiscope_bench::document(
+        "soak",
+        42,
+        WORKERS,
+        [
+            ("concurrent_conns", CLIENTS.into()),
+            ("requests", log.len().into()),
+            ("conns_per_sec", conns_per_sec.into()),
+            ("requests_per_sec", requests_per_sec.into()),
+            ("p50_us", p50.into()),
+            ("p99_us", p99.into()),
+            ("statuses", statuses),
+        ],
+    );
+    iiscope_bench::write("BENCH_serve.json", &doc).unwrap();
     assert_eq!(tally.total(), log.len() as u64);
     assert_eq!(tally.errors(), 0, "clean soak must tally zero errors");
 
