@@ -6,20 +6,26 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use iiscope_analysis::libradar::count_libraries;
 use iiscope_analysis::stats::{chi2_2x2, chi2_sf};
 use iiscope_attribution::ConversionGoal;
+use iiscope_core::wildsim::CRAWL_CHUNK;
 use iiscope_core::{World, WorldConfig};
 use iiscope_devices::AffiliateApp;
-use iiscope_iip::{CampaignSpec, DeveloperApplication};
+use iiscope_iip::wall::PAGE_SIZE;
+use iiscope_iip::{
+    CampaignSpec, DeveloperApplication, IipPlatform, Offer, OfferWallHandler, PayoutSplit,
+};
 use iiscope_monitor::UiFuzzer;
-use iiscope_netsim::{encode_frame, FrameDecoder};
+use iiscope_netsim::{encode_frame, AsnId, AsnKind, FrameDecoder, HostAddr, PeerInfo};
 use iiscope_playstore::apk::{AdLibrary, ApkInfo};
 use iiscope_playstore::charts;
 use iiscope_playstore::engagement::DayStats;
 use iiscope_types::rng::ZipfTable;
-use iiscope_types::{AppId, Country, DeveloperId, IipId, PackageName, SeedFork, Usd};
-use iiscope_wire::http::{Request, Response};
+use iiscope_types::{AppId, Country, DeveloperId, IipId, PackageName, SeedFork, SimTime, Usd};
+use iiscope_wire::http::{Request, RequestCtx, Response};
 use iiscope_wire::tls::{open_records, seal_records, RecordType};
+use iiscope_wire::Handler;
 use iiscope_wire::Json;
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn sample_offer_wall_body() -> String {
     // A realistic 10-offer wall page.
@@ -127,23 +133,55 @@ fn large_offer_wall_body(n: i64) -> String {
     .to_string()
 }
 
-/// The zero-copy fast path end to end: streaming wall parse vs the
-/// tree-building reference, raw scanner event throughput, a full
-/// sealed-response "milk" (open TLS records → borrowed HTTP view →
-/// streaming wall parse) that never copies the body out of the slab,
-/// and one whole wall tab milked through the MITM rig.
+/// The zero-copy fast path end to end: one wall page written straight
+/// to bytes vs cloned, built as a `Json` tree and serialized, streaming
+/// wall parse vs the tree-building reference vs the fuzzer's
+/// first-entry probe, raw scanner event
+/// throughput, a full sealed-response "milk" (open TLS records →
+/// borrowed HTTP view → streaming wall parse) that never copies the
+/// body out of the slab, and one whole wall tab milked through the MITM
+/// rig.
 fn bench_wire_milking(c: &mut Criterion) {
-    use iiscope_monitor::{parse_wall_streaming, parse_wall_tree};
+    use iiscope_monitor::{parse_wall_streaming, parse_wall_tree, probe_wall};
     use iiscope_wire::{JsonScanner, ResponseView};
 
-    let body = large_offer_wall_body(100);
     let mut g = c.benchmark_group("wire_milking");
+    // One 10-offer Fyber page. The direct path is the whole handler
+    // call (query parsing and the affiliate lookup included); the tree
+    // path is only the page clone, the tree and its serialization.
+    let (platform, wall) = wall_page_rig();
+    let request = Request::get(format!("/offers?affiliate={WALL_AFFILIATE}&page=1"));
+    let ctx = wall_ctx();
+    g.throughput(Throughput::Elements(PAGE_SIZE as u64));
+    g.bench_function("wall_page_direct", |b| {
+        b.iter(|| black_box(wall.handle(&request, &ctx)))
+    });
+    g.bench_function("wall_page_tree", |b| {
+        b.iter(|| {
+            let page = platform.offers_page(Country::Us, PAGE_SIZE, PAGE_SIZE);
+            black_box(Response::ok_json(&fyber_page_tree(&platform, &page)))
+        })
+    });
+    assert_eq!(
+        wall.handle(&request, &ctx).body,
+        Response::ok_json(&fyber_page_tree(
+            &platform,
+            &platform.offers_page(Country::Us, PAGE_SIZE, PAGE_SIZE)
+        ))
+        .body,
+        "the two paths write the same page"
+    );
+
+    let body = large_offer_wall_body(100);
     g.throughput(Throughput::Bytes(body.len() as u64));
     g.bench_function("parse_wall_streaming_100", |b| {
         b.iter(|| black_box(parse_wall_streaming(IipId::Fyber, &body).unwrap()))
     });
     g.bench_function("parse_wall_tree_100", |b| {
         b.iter(|| black_box(parse_wall_tree(IipId::Fyber, &body).unwrap()))
+    });
+    g.bench_function("probe_wall_100", |b| {
+        b.iter(|| black_box(probe_wall(IipId::Fyber, &body).unwrap()))
     });
     g.bench_function("scan_events_100", |b| {
         b.iter(|| {
@@ -179,6 +217,118 @@ fn bench_wire_milking(c: &mut Criterion) {
         let (world, app) = rig.get_or_insert_with(milk_tab_rig);
         let fuzzer = UiFuzzer::default();
         b.iter(|| black_box(world.infra.milk(app, Country::Us, &fuzzer).unwrap()))
+    });
+    g.finish();
+}
+
+/// The affiliate [`wall_page_rig`] registers, at 1,000 points a dollar.
+const WALL_AFFILIATE: &str = "com.bench.affiliate";
+
+/// A Fyber wall with 40 worldwide offers.
+fn wall_page_rig() -> (Arc<IipPlatform>, OfferWallHandler) {
+    let platform = Arc::new(IipPlatform::new(IipId::Fyber, SeedFork::new(17)));
+    platform
+        .register_developer(&DeveloperApplication {
+            developer: DeveloperId(1),
+            has_tax_id: true,
+            has_bank_account: true,
+            deposit: Usd::from_dollars(10_000),
+        })
+        .expect("developer");
+    for i in 0..40 {
+        let package = format!("com.bench.page.app{i}");
+        platform
+            .create_campaign(
+                CampaignSpec {
+                    developer: DeveloperId(1),
+                    store_url: format!("https://play.iiscope/store/apps/details?id={package}"),
+                    package: PackageName::new(package).expect("package"),
+                    goal: ConversionGoal::InstallAndOpen,
+                    payout: Usd::from_cents(40 + i),
+                    cap: 50,
+                    countries: vec![],
+                },
+                SimTime::EPOCH,
+            )
+            .expect("campaign");
+    }
+    let wall = OfferWallHandler::new(Arc::clone(&platform));
+    wall.register_affiliate(WALL_AFFILIATE, 1_000);
+    (platform, wall)
+}
+
+fn wall_ctx() -> RequestCtx {
+    RequestCtx {
+        peer: PeerInfo {
+            addr: HostAddr {
+                ip: std::net::Ipv4Addr::new(9, 9, 9, 9),
+                asn: AsnId(1),
+                asn_kind: AsnKind::Eyeball,
+                country: Country::Us,
+            },
+            opened_at: SimTime::EPOCH,
+            link: SeedFork::new(1),
+        },
+        now: SimTime::EPOCH,
+    }
+}
+
+/// A Fyber page as the wall rendered it before it wrote bytes
+/// directly: a `Json` tree per offer, serialized by `Response::ok_json`.
+fn fyber_page_tree(platform: &IipPlatform, offers: &[Offer]) -> Json {
+    let entries: Vec<Json> = offers
+        .iter()
+        .map(|o| {
+            let usd = PayoutSplit::compute(
+                o.payout,
+                platform.profile.iip_cut_percent,
+                platform.affiliate_cut_percent,
+            )
+            .user_share;
+            Json::obj([
+                ("offer_id", Json::Int(o.id.raw() as i64)),
+                ("title", Json::str(&o.description)),
+                ("payout_usd", Json::Float(usd.dollars_f64())),
+                ("package", Json::str(o.package.as_str())),
+                ("play_url", Json::str(&o.store_url)),
+            ])
+        })
+        .collect();
+    let count = Json::Int(entries.len() as i64);
+    Json::obj([(
+        "ofw",
+        Json::obj([("offers", Json::Array(entries)), ("count", count)]),
+    )])
+}
+
+/// One crawl chunk: 64 profiles on one kept store session (the wild
+/// study's path, [`World::crawl_profiles`]) against a fresh client, and
+/// so a fresh connection and handshake, per profile.
+fn bench_crawl(c: &mut Criterion) {
+    let world = World::build(WorldConfig::small(13)).expect("world build");
+    let plan: Vec<&str> = world
+        .plan
+        .baseline
+        .iter()
+        .map(|b| b.package.as_str())
+        .cycle()
+        .take(CRAWL_CHUNK)
+        .collect();
+    let now = world.study_start();
+    let mut g = c.benchmark_group("crawl");
+    g.throughput(Throughput::Elements(plan.len() as u64));
+    g.bench_function("profiles_64_kept_session", |b| {
+        b.iter(|| black_box(world.crawl_profiles(&plan, now).unwrap()))
+    });
+    g.bench_function("profiles_64_fresh_client", |b| {
+        b.iter(|| {
+            let snaps: Vec<_> = plan
+                .iter()
+                .enumerate()
+                .map(|(j, pkg)| world.crawler_indexed(j as u64).profile(pkg, now))
+                .collect();
+            black_box(snaps)
+        })
     });
     g.finish();
 }
@@ -483,6 +633,7 @@ criterion_group!(
     bench_tls,
     bench_http,
     bench_wire_milking,
+    bench_crawl,
     bench_framing,
     bench_stats,
     bench_libradar,

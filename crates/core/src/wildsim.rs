@@ -41,11 +41,11 @@ use crate::world::{OrganicProfile, World};
 use iiscope_attribution::{Conversion, ConversionGoal, Postback};
 use iiscope_devices::behavior::plan_for;
 use iiscope_devices::{IipBehaviorProfile, WorkerKind};
-use iiscope_monitor::{Crawler, Dataset, RateBook, UiFuzzer};
+use iiscope_monitor::{Crawler, Dataset, ProfileSnapshot, RateBook, UiFuzzer};
 use iiscope_playstore::{InstallSignals, InstallSource};
 use iiscope_types::rng::chance;
 use iiscope_types::{
-    chaosstats, shard_of, wirestats, AppId, CampaignId, DeviceId, Error, IipId, Result,
+    chaosstats, shard_of, wirestats, AppId, CampaignId, DeviceId, Error, IipId, Result, SeedFork,
     SimDuration, SimTime, Sym, Usd,
 };
 use parking_lot::Mutex;
@@ -107,6 +107,12 @@ where
         })
         .collect()
 }
+
+/// Plan entries one crawler fetches over its kept session: profile
+/// crawls and APK pulls run as chunks of this many, each chunk on its
+/// own crawler and seed fork. A constant, so the chunks — and with them
+/// every fault draw — never depend on the worker count.
+pub const CRAWL_CHUNK: usize = 64;
 
 /// Sizes a fan-out's worker pool: never more threads than jobs (extra
 /// threads would spin up, find the cursor exhausted, and die — pure
@@ -420,18 +426,15 @@ impl World {
             .into_iter()
             .chain(self.plan.baseline.iter().map(|b| b.package.as_str()))
             .collect();
-        let fetched = fan_out(self.cfg.parallelism, apk_plan.len(), |j| {
-            self.crawler_indexed(j as u64).apk(apk_plan[j])
-        });
-        let fetched: Vec<_> = apk_plan
-            .iter()
-            .zip(fetched)
-            .map(|(pkg, slot)| (pkg.to_string(), slot))
-            .collect();
-        for (pkg, slot) in fetched {
-            match slot? {
+        let fetched = self.crawl_in_chunks(
+            &apk_plan,
+            self.seed.fork("crawler").fork("apk"),
+            |crawler, pkg| crawler.apk(pkg),
+        )?;
+        for (pkg, slot) in apk_plan.iter().zip(fetched) {
+            match slot {
                 Ok(Some(bytes)) => {
-                    apks.insert(pkg, bytes);
+                    apks.insert(pkg.to_string(), bytes);
                 }
                 Ok(None) => {}
                 Err(_) => chaosstats::add_crawls_abandoned(1),
@@ -892,9 +895,8 @@ impl World {
             st.dataset.add_offers(offers);
         }
         // The dataset's advertised index *is* the discovery set (every
-        // milked offer lands there), in the same lexicographic order
-        // the old side-channel set kept — the crawl plan, and with it
-        // the per-job RNG forks, are unchanged.
+        // milked offer lands there), in lexicographic order, so the
+        // crawl plan and its chunks are a function of the dataset.
         let crawled = {
             let crawl_plan: Vec<&str> = st
                 .dataset
@@ -902,17 +904,12 @@ impl World {
                 .into_iter()
                 .chain(self.plan.baseline.iter().map(|b| b.package.as_str()))
                 .collect();
-            fan_out(workers, crawl_plan.len(), |j| {
-                // Each job gets its own crawler (connection + RNG
-                // fork); the snapshots it parses don't depend on
-                // either, so per-job clients leave the data unchanged.
-                self.crawler_indexed(j as u64).profile(crawl_plan[j], t0)
-            })
+            self.crawl_profiles(&crawl_plan, t0)?
         };
         for slot in crawled {
             // A failed crawl is a missing data point, not a dead study
             // (the paper's crawler had outages too).
-            match slot? {
+            match slot {
                 Ok(Some(snap)) => st.dataset.add_profile(snap),
                 Ok(None) => {}
                 Err(_) => chaosstats::add_crawls_abandoned(1),
@@ -928,6 +925,50 @@ impl World {
         // `ClientState` describes the crawler completely.
         st.crawler.close_idle();
         Ok(())
+    }
+
+    /// Crawls the profile of every package in `plan` on the crawl day
+    /// starting at `now`, in chunks of [`CRAWL_CHUNK`] over kept
+    /// sessions. Each day's chunks fork from a lineage of their own, so
+    /// a crawl day's fault draws are not a replay of the last one's.
+    /// Returns one result per package, in plan order; a worker panic is
+    /// the outer error.
+    pub fn crawl_profiles(
+        &self,
+        plan: &[&str],
+        now: SimTime,
+    ) -> Result<Vec<Result<Option<ProfileSnapshot>>>> {
+        let lineage = self.seed.fork("crawler").fork_idx("day", now.days());
+        self.crawl_in_chunks(plan, lineage, |crawler, pkg| crawler.profile(pkg, now))
+    }
+
+    /// Fetches every entry of `plan` with `fetch`, in chunks of
+    /// [`CRAWL_CHUNK`]: chunk `k` gets one crawler on
+    /// `lineage.fork_idx("chunk", k)`, keeps its session across the
+    /// chunk's requests and closes it when the chunk ends. Chunks fan
+    /// out over the configured workers and merge in plan order, so the
+    /// results are invariant to the worker count.
+    fn crawl_in_chunks<T: Send>(
+        &self,
+        plan: &[&str],
+        lineage: SeedFork,
+        fetch: impl Fn(&mut Crawler, &str) -> Result<T> + Sync,
+    ) -> Result<Vec<Result<T>>> {
+        let chunks: Vec<&[&str]> = plan.chunks(CRAWL_CHUNK).collect();
+        let fetched = fan_out(self.cfg.parallelism, chunks.len(), |k| {
+            let mut crawler = self.crawler_on(lineage.fork_idx("chunk", k as u64));
+            let results: Vec<Result<T>> = chunks[k]
+                .iter()
+                .map(|pkg| fetch(&mut crawler, pkg))
+                .collect();
+            crawler.close_idle();
+            results
+        });
+        let mut out = Vec::with_capacity(plan.len());
+        for chunk in fetched {
+            out.extend(chunk?);
+        }
+        Ok(out)
     }
 
     fn deliver_offer_day(

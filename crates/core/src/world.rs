@@ -406,24 +406,25 @@ impl World {
 
     /// A fresh crawler client (researchers' machine, genuine roots).
     pub fn crawler(&self) -> Crawler {
-        Crawler::new(
-            self.net.clone(),
-            self.crawler_from,
-            self.genuine_roots.clone(),
-            "play.iiscope",
-            self.seed.fork("crawler"),
-        )
+        self.crawler_on(self.seed.fork("crawler"))
     }
 
-    /// A crawler with a labelled per-index RNG fork — the wild study's
-    /// parallel workers each get their own connection and seed stream.
+    /// A crawler with a labelled per-index RNG fork, its own connection
+    /// and seed stream (the benchmark's monitor probe times one per
+    /// profile). The wild study crawls in chunks instead
+    /// ([`World::crawl_profiles`]).
     pub fn crawler_indexed(&self, idx: u64) -> Crawler {
+        self.crawler_on(self.seed.fork("crawler").fork_idx("worker", idx))
+    }
+
+    /// A crawler client on the given seed lineage.
+    pub(crate) fn crawler_on(&self, seed: SeedFork) -> Crawler {
         Crawler::new(
             self.net.clone(),
             self.crawler_from,
             self.genuine_roots.clone(),
             "play.iiscope",
-            self.seed.fork("crawler").fork_idx("worker", idx),
+            seed,
         )
     }
 

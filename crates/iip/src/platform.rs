@@ -224,15 +224,31 @@ impl IipPlatform {
     /// cloned, so a wall page costs a filter over the offer table, not
     /// a copy of it.
     pub fn offers_page(&self, country: Country, skip: usize, take: usize) -> Vec<Offer> {
-        self.inner
-            .lock()
+        self.with_offers_page(country, skip, take, |page| {
+            page.iter().map(|&o| o.clone()).collect()
+        })
+    }
+
+    /// Calls `f` with the page [`IipPlatform::offers_page`] would
+    /// return, borrowed under the platform lock instead of cloned. The
+    /// wall handler writes its response this way; `f` must not call
+    /// back into the platform.
+    pub fn with_offers_page<R>(
+        &self,
+        country: Country,
+        skip: usize,
+        take: usize,
+        f: impl FnOnce(&[&Offer]) -> R,
+    ) -> R {
+        let inner = self.inner.lock();
+        let page: Vec<&Offer> = inner
             .offers
             .values()
             .filter(|o| o.targets(country))
             .skip(skip)
             .take(take)
-            .cloned()
-            .collect()
+            .collect();
+        f(&page)
     }
 
     /// All offers ever published (for analysis ground truth).

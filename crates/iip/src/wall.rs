@@ -17,11 +17,14 @@
 use crate::economics::PayoutSplit;
 use crate::offer::Offer;
 use crate::platform::IipPlatform;
+use bytes::{Bytes, BytesMut};
 use iiscope_types::{IipId, Usd};
 use iiscope_wire::http::RequestCtx;
-use iiscope_wire::{Handler, Json, Request, Response};
+use iiscope_wire::json::{write_escaped, write_float};
+use iiscope_wire::{Handler, Request, Response};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::fmt::Write;
 use std::sync::Arc;
 
 /// HTTP handler serving one platform's offer wall.
@@ -46,111 +49,226 @@ impl OfferWallHandler {
             .insert(package.into(), points_per_dollar);
     }
 
-    /// The user-visible reward for an offer, in USD.
-    fn user_share(&self, offer: &Offer) -> Usd {
-        PayoutSplit::compute(
-            offer.payout,
-            self.platform.profile.iip_cut_percent,
-            self.platform.affiliate_cut_percent,
-        )
-        .user_share
-    }
-
-    fn points(&self, usd: Usd, points_per_dollar: u64) -> i64 {
-        // Round to nearest point; walls never show fractions.
-        ((usd.micros() as f64 / 1e6) * points_per_dollar as f64).round() as i64
-    }
-
-    /// Renders `offers`, in the given order, as one wall page in this
+    /// Writes `offers`, in the given order, as one wall page in this
     /// platform's dialect, with rewards in an affiliate's point
-    /// currency.
-    pub fn render_wall(&self, offers: &[Offer], points_per_dollar: u64) -> Json {
-        let iip = self.platform.id();
-        let entries: Vec<Json> = offers
-            .iter()
-            .map(|o| {
-                let usd = self.user_share(o);
-                let pts = self.points(usd, points_per_dollar);
-                match iip {
-                    IipId::Fyber => Json::obj([
-                        ("offer_id", Json::Int(o.id.raw() as i64)),
-                        ("title", Json::str(&o.description)),
-                        ("payout_usd", Json::Float(usd.dollars_f64())),
-                        ("package", Json::str(o.package.as_str())),
-                        ("play_url", Json::str(&o.store_url)),
-                    ]),
-                    IipId::OfferToro => Json::obj([
-                        ("id", Json::Int(o.id.raw() as i64)),
-                        ("offer_desc", Json::str(&o.description)),
-                        ("amount", Json::Int(pts)),
-                        ("package_name", Json::str(o.package.as_str())),
-                        ("link", Json::str(&o.store_url)),
-                    ]),
-                    IipId::AdscendMedia => Json::obj([
-                        ("uid", Json::Int(o.id.raw() as i64)),
-                        ("description", Json::str(&o.description)),
-                        ("currency_count", Json::Int(pts)),
-                        (
-                            "app",
-                            Json::obj([
-                                ("bundle", Json::str(o.package.as_str())),
-                                ("market_url", Json::str(&o.store_url)),
-                            ]),
-                        ),
-                    ]),
-                    IipId::HangMyAds => Json::obj([
-                        ("task", Json::str(&o.description)),
-                        ("points", Json::Int(pts)),
-                        ("pkg", Json::str(o.package.as_str())),
-                        ("url", Json::str(&o.store_url)),
-                        ("tid", Json::Int(o.id.raw() as i64)),
-                    ]),
-                    IipId::AdGem => Json::obj([
-                        ("id", Json::Int(o.id.raw() as i64)),
-                        ("text", Json::str(&o.description)),
-                        ("reward", Json::obj([("points", Json::Int(pts))])),
-                        ("bundle_id", Json::str(o.package.as_str())),
-                        ("store_link", Json::str(&o.store_url)),
-                    ]),
-                    IipId::AyetStudios => Json::obj([
-                        ("offer_key", Json::Int(o.id.raw() as i64)),
-                        ("name", Json::str(&o.description)),
-                        ("payout", Json::Int(pts)),
-                        ("package_id", Json::str(o.package.as_str())),
-                        ("tracking_link", Json::str(&o.store_url)),
-                    ]),
-                    IipId::RankApp => Json::obj([
-                        ("task", Json::str(&o.description)),
-                        // RankApp quotes the user reward in cents.
-                        ("price_cents", Json::Int((usd.micros() / 10_000).max(0))),
-                        ("gp_link", Json::str(&o.store_url)),
-                        ("app", Json::str(o.package.as_str())),
-                        ("rid", Json::Int(o.id.raw() as i64)),
-                    ]),
-                }
-            })
-            .collect();
-
-        let count = Json::Int(entries.len() as i64);
-        match iip {
-            IipId::Fyber => Json::obj([(
-                "ofw",
-                Json::obj([("offers", Json::Array(entries)), ("count", count)]),
-            )]),
-            IipId::OfferToro => {
-                Json::obj([("response", Json::obj([("offers", Json::Array(entries))]))])
+    /// currency. The bytes are what serializing the page's `Json`
+    /// value would give (keys sorted, the same escaper and float
+    /// formatter), written without building the value.
+    fn write_page(&self, offers: &[&Offer], points_per_dollar: u64) -> Bytes {
+        let dialect = Dialect::of(self.platform.id());
+        let mut out = BytesMut::with_capacity(64 + 256 * offers.len());
+        let profile = &self.platform.profile;
+        let affiliate_cut = self.platform.affiliate_cut_percent;
+        write_parts(&mut out, dialect.head, None, offers.len());
+        for (i, offer) in offers.iter().enumerate() {
+            if i > 0 {
+                out.extend_from_slice(b",");
             }
-            IipId::AdscendMedia => {
-                Json::obj([("adscend", Json::obj([("entries", Json::Array(entries))]))])
-            }
-            IipId::HangMyAds => Json::obj([("result", Json::Array(entries))]),
-            IipId::AdGem => Json::obj([("data", Json::obj([("wall", Json::Array(entries))]))]),
-            IipId::AyetStudios => Json::obj([
-                ("status", Json::str("ok")),
-                ("offers", Json::Array(entries)),
-            ]),
-            IipId::RankApp => Json::Array(entries),
+            let usd = PayoutSplit::compute(offer.payout, profile.iip_cut_percent, affiliate_cut)
+                .user_share;
+            let entry = Entry {
+                offer,
+                usd,
+                points: points(usd, points_per_dollar),
+            };
+            write_parts(&mut out, dialect.entry, Some(&entry), offers.len());
         }
+        out.extend_from_slice(dialect.tail.as_bytes());
+        out.freeze()
+    }
+}
+
+/// A user share in an affiliate's points, rounded to the nearest
+/// point: walls never show fractions.
+fn points(usd: Usd, points_per_dollar: u64) -> i64 {
+    ((usd.micros() as f64 / 1e6) * points_per_dollar as f64).round() as i64
+}
+
+/// One offer's values, computed once per entry.
+struct Entry<'a> {
+    offer: &'a Offer,
+    usd: Usd,
+    points: i64,
+}
+
+/// A piece of a dialect's fixed page layout.
+#[derive(Clone, Copy)]
+enum Part {
+    /// Literal JSON text (punctuation and keys, none needing escapes).
+    Lit(&'static str),
+    /// The page's entry count.
+    Count,
+    /// The offer id.
+    Id,
+    /// The task description, as a JSON string.
+    Desc,
+    /// The advertised package, as a JSON string.
+    Package,
+    /// The store URL, as a JSON string.
+    Url,
+    /// The user share in dollars, as a float.
+    Usd,
+    /// The user share in the affiliate's points.
+    Points,
+    /// The user share in whole cents (RankApp's currency).
+    Cents,
+}
+
+use Part::{Cents, Count, Desc, Id, Lit, Package, Points, Url};
+
+/// A dialect's page: the envelope opening, one entry's layout and the
+/// envelope close. Keys appear in sorted order at every level, as the
+/// `Json` serializer writes an object's `BTreeMap`.
+struct Dialect {
+    head: &'static [Part],
+    entry: &'static [Part],
+    tail: &'static str,
+}
+
+impl Dialect {
+    fn of(iip: IipId) -> &'static Dialect {
+        match iip {
+            IipId::Fyber => &Dialect {
+                head: &[Lit(r#"{"ofw":{"count":"#), Count, Lit(r#","offers":["#)],
+                entry: &[
+                    Lit(r#"{"offer_id":"#),
+                    Id,
+                    Lit(r#","package":"#),
+                    Package,
+                    Lit(r#","payout_usd":"#),
+                    Part::Usd,
+                    Lit(r#","play_url":"#),
+                    Url,
+                    Lit(r#","title":"#),
+                    Desc,
+                    Lit("}"),
+                ],
+                tail: "]}}",
+            },
+            IipId::OfferToro => &Dialect {
+                head: &[Lit(r#"{"response":{"offers":["#)],
+                entry: &[
+                    Lit(r#"{"amount":"#),
+                    Points,
+                    Lit(r#","id":"#),
+                    Id,
+                    Lit(r#","link":"#),
+                    Url,
+                    Lit(r#","offer_desc":"#),
+                    Desc,
+                    Lit(r#","package_name":"#),
+                    Package,
+                    Lit("}"),
+                ],
+                tail: "]}}",
+            },
+            IipId::AdscendMedia => &Dialect {
+                head: &[Lit(r#"{"adscend":{"entries":["#)],
+                entry: &[
+                    Lit(r#"{"app":{"bundle":"#),
+                    Package,
+                    Lit(r#","market_url":"#),
+                    Url,
+                    Lit(r#"},"currency_count":"#),
+                    Points,
+                    Lit(r#","description":"#),
+                    Desc,
+                    Lit(r#","uid":"#),
+                    Id,
+                    Lit("}"),
+                ],
+                tail: "]}}",
+            },
+            IipId::HangMyAds => &Dialect {
+                head: &[Lit(r#"{"result":["#)],
+                entry: &[
+                    Lit(r#"{"pkg":"#),
+                    Package,
+                    Lit(r#","points":"#),
+                    Points,
+                    Lit(r#","task":"#),
+                    Desc,
+                    Lit(r#","tid":"#),
+                    Id,
+                    Lit(r#","url":"#),
+                    Url,
+                    Lit("}"),
+                ],
+                tail: "]}",
+            },
+            IipId::AdGem => &Dialect {
+                head: &[Lit(r#"{"data":{"wall":["#)],
+                entry: &[
+                    Lit(r#"{"bundle_id":"#),
+                    Package,
+                    Lit(r#","id":"#),
+                    Id,
+                    Lit(r#","reward":{"points":"#),
+                    Points,
+                    Lit(r#"},"store_link":"#),
+                    Url,
+                    Lit(r#","text":"#),
+                    Desc,
+                    Lit("}"),
+                ],
+                tail: "]}}",
+            },
+            IipId::AyetStudios => &Dialect {
+                head: &[Lit(r#"{"offers":["#)],
+                entry: &[
+                    Lit(r#"{"name":"#),
+                    Desc,
+                    Lit(r#","offer_key":"#),
+                    Id,
+                    Lit(r#","package_id":"#),
+                    Package,
+                    Lit(r#","payout":"#),
+                    Points,
+                    Lit(r#","tracking_link":"#),
+                    Url,
+                    Lit("}"),
+                ],
+                tail: r#"],"status":"ok"}"#,
+            },
+            IipId::RankApp => &Dialect {
+                head: &[Lit("[")],
+                entry: &[
+                    Lit(r#"{"app":"#),
+                    Package,
+                    Lit(r#","gp_link":"#),
+                    Url,
+                    // RankApp quotes the user reward in cents.
+                    Lit(r#","price_cents":"#),
+                    Cents,
+                    Lit(r#","rid":"#),
+                    Id,
+                    Lit(r#","task":"#),
+                    Desc,
+                    Lit("}"),
+                ],
+                tail: "]",
+            },
+        }
+    }
+}
+
+/// Writes `parts`, taking offer values from `entry` (absent in the
+/// envelope, which holds no offer values).
+fn write_parts(out: &mut BytesMut, parts: &[Part], entry: Option<&Entry<'_>>, count: usize) {
+    for &part in parts {
+        let written = match (part, entry) {
+            (Lit(text), _) => out.write_str(text),
+            (Count, _) => write!(out, "{count}"),
+            (_, None) => unreachable!("offer values appear only in entries"),
+            (Id, Some(e)) => write!(out, "{}", e.offer.id.raw() as i64),
+            (Desc, Some(e)) => write_escaped(out, &e.offer.description),
+            (Package, Some(e)) => write_escaped(out, e.offer.package.as_str()),
+            (Url, Some(e)) => write_escaped(out, &e.offer.store_url),
+            (Part::Usd, Some(e)) => write_float(out, e.usd.dollars_f64()),
+            (Points, Some(e)) => write!(out, "{}", e.points),
+            (Cents, Some(e)) => write!(out, "{}", (e.usd.micros() / 10_000).max(0)),
+        };
+        written.expect("BytesMut never fails");
     }
 }
 
@@ -201,8 +319,12 @@ impl Handler for OfferWallHandler {
                 .unwrap_or(0);
             (page.saturating_mul(PAGE_SIZE), PAGE_SIZE)
         };
-        let page_items = self.platform.offers_page(country, skip, take);
-        Response::ok_json(&self.render_wall(&page_items, points_per_dollar))
+        let body = self
+            .platform
+            .with_offers_page(country, skip, take, |offers| {
+                self.write_page(offers, points_per_dollar)
+            });
+        Response::ok_bytes(body, "application/json")
     }
 }
 
@@ -221,6 +343,7 @@ mod tests {
     use iiscope_attribution::ConversionGoal;
     use iiscope_netsim::{AsnId, AsnKind, HostAddr, PeerInfo};
     use iiscope_types::{Country, DeveloperId, PackageName, SeedFork, SimTime};
+    use iiscope_wire::Json;
 
     fn rig(iip: IipId) -> (Arc<IipPlatform>, OfferWallHandler) {
         let p = Arc::new(IipPlatform::new(iip, SeedFork::new(11)));

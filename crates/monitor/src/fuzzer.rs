@@ -11,9 +11,10 @@
 //! page comes back empty (or the scroll budget runs out — the
 //! coverage-vs-depth ablation knob). The fuzzer never interprets
 //! offers; it only needs to know whether the page had any, which it
-//! checks with the wall parser.
+//! checks with the wall probe ([`probe_wall`]), reading up to the first
+//! entry. The full parse happens once, on the proxy side.
 
-use crate::parsers::parse_wall;
+use crate::parsers::{probe_wall, PageFill};
 use iiscope_devices::AffiliateApp;
 use iiscope_types::Result;
 use iiscope_wire::HttpClient;
@@ -80,12 +81,11 @@ impl UiFuzzer {
                 };
                 run.pages += 1;
                 // Scroll detection: stop when the page shows nothing.
-                // The body is parsed in place (a borrowed slice of the
+                // The body is probed in place (a borrowed slice of the
                 // response slab) — no copy per page.
-                let parsed = resp.body_str().and_then(|b| parse_wall(tab.iip, b));
-                match parsed {
-                    Ok(p) if p.offers.is_empty() && p.skipped == 0 => break,
-                    Ok(_) => {}
+                match resp.body_str().and_then(|b| probe_wall(tab.iip, b)) {
+                    Ok(PageFill::Empty) => break,
+                    Ok(PageFill::HasEntries) => {}
                     Err(_) => {
                         // Unparseable page: the UI would render nothing;
                         // stop scrolling this tab.

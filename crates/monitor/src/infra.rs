@@ -43,8 +43,11 @@ pub struct MonitoringInfra {
 }
 
 impl MonitoringInfra {
-    /// The phone's HTTP client when milking from `country`.
-    pub fn phone_client(&self, country: Country) -> Result<HttpClient> {
+    /// The phone's HTTP client when milking from `country` on sim day
+    /// `day`. Each (day, vantage) gets its own seed lineage, so a crawl
+    /// day's fault draws are fresh rather than a replay of the last
+    /// one's.
+    pub fn phone_client(&self, country: Country, day: u64) -> Result<HttpClient> {
         let addr = self.vantage_addrs.get(&country).ok_or_else(|| {
             iiscope_types::Error::NotFound(format!("no vantage point in {country}"))
         })?;
@@ -52,7 +55,10 @@ impl MonitoringInfra {
             self.net.clone(),
             *addr,
             self.phone_roots.clone(),
-            self.seed.fork("phone").fork(country.code()),
+            self.seed
+                .fork("phone")
+                .fork_idx("day", day)
+                .fork(country.code()),
         )
         .via_proxy(self.proxy.0, self.proxy.1)
         .with_retry_policy(RetryPolicy::exponential(4));
@@ -70,6 +76,8 @@ impl MonitoringInfra {
     /// the calling thread instead of the shared log, so concurrent
     /// milk jobs on different threads never see each other's pages —
     /// this is what makes the wild study's crawl-day fan-out safe.
+    /// The phone's lineage is that of the network clock's current day
+    /// ([`MonitoringInfra::phone_client`]).
     pub fn milk(
         &self,
         app: &AffiliateApp,
@@ -80,7 +88,8 @@ impl MonitoringInfra {
         // is not ours to parse, and draining keeps long runs from
         // hoarding every page body.
         let _stale = self.intercepts.take_all();
-        let mut client = self.phone_client(country)?;
+        let day = self.net.clock().now().days();
+        let mut client = self.phone_client(country, day)?;
         let (run, intercepts) = self.intercepts.tap_scope(|| fuzzer.drive(app, &mut client));
         run?;
         Ok(parse_intercepts(&intercepts, country))
@@ -322,7 +331,7 @@ mod tests {
     #[test]
     fn unknown_vantage_country_errors() {
         let (infra, _platform) = rig(IipId::Fyber, 1);
-        assert!(infra.phone_client(Country::Br).is_err());
+        assert!(infra.phone_client(Country::Br, 0).is_err());
     }
 
     #[test]

@@ -49,6 +49,7 @@ pub use fuzzer::{FuzzerConfig, UiFuzzer};
 pub use infra::MonitoringInfra;
 pub use normalize::RateBook;
 pub use parsers::{
-    parse_wall, parse_wall_streaming, parse_wall_tree, RawOffer, RewardValue, ScrapedOffer,
+    parse_wall, parse_wall_streaming, parse_wall_tree, probe_wall, PageFill, RawOffer, RewardValue,
+    ScrapedOffer,
 };
 pub use spill::{RowLog, SegRef, SpillManifest, SpillRow, SpillStats};

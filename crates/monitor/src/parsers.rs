@@ -20,6 +20,11 @@
 //!   Equivalence between the two is property-tested in
 //!   `tests/proptests.rs`; on any streaming error `parse_wall` defers
 //!   to the reference so error messages stay bit-identical.
+//!
+//! [`probe_wall`] runs the same streaming walk but stops at the first
+//! entry: it is all the UI fuzzer needs to decide whether to scroll on,
+//! and it leaves the proxy-side [`parse_wall`] as the only full parse
+//! of a page.
 
 use iiscope_types::{wirestats, Country, IipId, SimTime};
 use iiscope_wire::json::{Event, ParseError, Scanner};
@@ -81,6 +86,40 @@ fn str_field(v: &Json, key: &str) -> Option<String> {
 
 fn int_field(v: &Json, key: &str) -> Option<i64> {
     v.get(key)?.as_i64()
+}
+
+/// Whether a wall page shows anything, as [`probe_wall`] reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PageFill {
+    /// No entries: the end of the wall.
+    Empty,
+    /// At least one entry, well-formed or not.
+    HasEntries,
+}
+
+/// Answers the fuzzer's scroll check — does this page show anything? —
+/// without parsing the page.
+///
+/// It runs [`parse_wall`]'s streaming walk and stops at the first entry
+/// of the entries array. A page with no entry is read to its end, so
+/// its verdict is the full parse's. The contract, property-tested in
+/// `tests/proptests.rs`:
+///
+/// * `Ok(Empty)` only when [`parse_wall`] returns no offers and no
+///   skipped entries; on every page a wall renders, exactly then.
+/// * An error whenever [`parse_wall`] errs on the prefix the probe
+///   reads. An error past the first entry (a truncated tail, a bad
+///   envelope key after the entries) is the proxy-side parse's to find.
+pub fn probe_wall(iip: IipId, body: &str) -> iiscope_types::Result<PageFill> {
+    let mut sch = schema(iip);
+    sch.halt_at_first_entry = true;
+    let mut sc = Scanner::new(body);
+    match stream_document(&mut sc, &sch) {
+        Err(Halt::FirstEntry) => Ok(PageFill::HasEntries),
+        Ok(Some(_)) => Ok(PageFill::Empty),
+        Ok(None) => Err(bad_envelope(iip)),
+        Err(Halt::Syntax(e)) => Err(iiscope_types::Error::Decode(format!("{iip} wall: {e}"))),
+    }
 }
 
 /// Parses one wall page body for the given IIP dialect.
@@ -263,7 +302,7 @@ enum RewardKind {
 }
 
 /// A dialect, described declaratively: the envelope plus the five
-/// fields [`RawOffer`] needs.
+/// fields [`RawOffer`] needs, and how far to walk.
 struct Schema {
     envelope: Envelope,
     id: Field,
@@ -272,6 +311,23 @@ struct Schema {
     reward_kind: RewardKind,
     package: Field,
     url: Field,
+    /// Stop with [`Halt::FirstEntry`] at the first entry instead of
+    /// parsing it ([`probe_wall`]).
+    halt_at_first_entry: bool,
+}
+
+/// Why a streaming walk ended early.
+enum Halt {
+    /// The body is not valid JSON.
+    Syntax(ParseError),
+    /// A probe reached the first entry.
+    FirstEntry,
+}
+
+impl From<ParseError> for Halt {
+    fn from(e: ParseError) -> Halt {
+        Halt::Syntax(e)
+    }
 }
 
 fn schema(iip: IipId) -> Schema {
@@ -284,6 +340,7 @@ fn schema(iip: IipId) -> Schema {
             reward_kind: RewardKind::Usd,
             package: field("package"),
             url: field("play_url"),
+            halt_at_first_entry: false,
         },
         IipId::OfferToro => Schema {
             envelope: Envelope::Nested("response", "offers"),
@@ -293,6 +350,7 @@ fn schema(iip: IipId) -> Schema {
             reward_kind: RewardKind::Points,
             package: field("package_name"),
             url: field("link"),
+            halt_at_first_entry: false,
         },
         IipId::AdscendMedia => Schema {
             envelope: Envelope::Nested("adscend", "entries"),
@@ -302,6 +360,7 @@ fn schema(iip: IipId) -> Schema {
             reward_kind: RewardKind::Points,
             package: sub("app", "bundle"),
             url: sub("app", "market_url"),
+            halt_at_first_entry: false,
         },
         IipId::HangMyAds => Schema {
             envelope: Envelope::Flat("result"),
@@ -311,6 +370,7 @@ fn schema(iip: IipId) -> Schema {
             reward_kind: RewardKind::Points,
             package: field("pkg"),
             url: field("url"),
+            halt_at_first_entry: false,
         },
         IipId::AdGem => Schema {
             envelope: Envelope::Nested("data", "wall"),
@@ -320,6 +380,7 @@ fn schema(iip: IipId) -> Schema {
             reward_kind: RewardKind::Points,
             package: field("bundle_id"),
             url: field("store_link"),
+            halt_at_first_entry: false,
         },
         IipId::AyetStudios => Schema {
             envelope: Envelope::FlatWithStatus("offers"),
@@ -329,6 +390,7 @@ fn schema(iip: IipId) -> Schema {
             reward_kind: RewardKind::Points,
             package: field("package_id"),
             url: field("tracking_link"),
+            halt_at_first_entry: false,
         },
         IipId::RankApp => Schema {
             envelope: Envelope::TopArray,
@@ -338,6 +400,7 @@ fn schema(iip: IipId) -> Schema {
             reward_kind: RewardKind::Cents,
             package: field("app"),
             url: field("gp_link"),
+            halt_at_first_entry: false,
         },
     }
 }
@@ -377,10 +440,12 @@ impl EntryAcc {
 pub fn parse_wall_streaming(iip: IipId, body: &str) -> iiscope_types::Result<PageParse> {
     let sch = schema(iip);
     let mut sc = Scanner::new(body);
-    stream_document(&mut sc, &sch)
-        .map_err(|e| iiscope_types::Error::Decode(format!("{iip} wall: {e}")))?
-        .map(|(offers, skipped)| PageParse { offers, skipped })
-        .ok_or_else(|| bad_envelope(iip))
+    match stream_document(&mut sc, &sch) {
+        Ok(Some((offers, skipped))) => Ok(PageParse { offers, skipped }),
+        Ok(None) => Err(bad_envelope(iip)),
+        Err(Halt::Syntax(e)) => Err(iiscope_types::Error::Decode(format!("{iip} wall: {e}"))),
+        Err(Halt::FirstEntry) => unreachable!("a full parse never halts at an entry"),
+    }
 }
 
 type Entries = (Vec<RawOffer>, usize);
@@ -388,7 +453,7 @@ type Entries = (Vec<RawOffer>, usize);
 /// Walks the whole document (every byte is validated, matching
 /// `Json::parse`'s strictness); `Ok(None)` means valid JSON with the
 /// wrong envelope.
-fn stream_document(sc: &mut Scanner<'_>, sch: &Schema) -> Result<Option<Entries>, ParseError> {
+fn stream_document(sc: &mut Scanner<'_>, sch: &Schema) -> Result<Option<Entries>, Halt> {
     let first = sc.next_event()?;
     let result = match (sch.envelope, first) {
         (Envelope::TopArray, Some(Event::StartArray)) => Some(parse_entries(sc, sch)?),
@@ -410,10 +475,7 @@ fn stream_document(sc: &mut Scanner<'_>, sch: &Schema) -> Result<Option<Entries>
 }
 
 /// Scans the top-level envelope object of every non-array dialect.
-fn stream_envelope_object(
-    sc: &mut Scanner<'_>,
-    sch: &Schema,
-) -> Result<Option<Entries>, ParseError> {
+fn stream_envelope_object(sc: &mut Scanner<'_>, sch: &Schema) -> Result<Option<Entries>, Halt> {
     let (entries_key, nested_inner, wants_status) = match sch.envelope {
         Envelope::Nested(outer, inner) => (outer, Some(inner), false),
         Envelope::Flat(key) => (key, None, false),
@@ -452,7 +514,7 @@ fn stream_inner_object(
     sc: &mut Scanner<'_>,
     sch: &Schema,
     inner: &str,
-) -> Result<Option<Entries>, ParseError> {
+) -> Result<Option<Entries>, Halt> {
     match sc.next_event()? {
         Some(Event::StartObject) => {
             let mut result = None;
@@ -477,7 +539,7 @@ fn stream_inner_object(
 }
 
 /// Consumes the value under the entries key; it must be an array.
-fn stream_entries_value(sc: &mut Scanner<'_>, sch: &Schema) -> Result<Option<Entries>, ParseError> {
+fn stream_entries_value(sc: &mut Scanner<'_>, sch: &Schema) -> Result<Option<Entries>, Halt> {
     match sc.next_event()? {
         Some(Event::StartArray) => Ok(Some(parse_entries(sc, sch)?)),
         Some(Event::StartObject) => {
@@ -490,12 +552,13 @@ fn stream_entries_value(sc: &mut Scanner<'_>, sch: &Schema) -> Result<Option<Ent
 }
 
 /// Streams the entries array (positioned just past its `[`).
-fn parse_entries(sc: &mut Scanner<'_>, sch: &Schema) -> Result<Entries, ParseError> {
+fn parse_entries(sc: &mut Scanner<'_>, sch: &Schema) -> Result<Entries, Halt> {
     let mut offers = Vec::new();
     let mut skipped = 0usize;
     loop {
         match sc.next_event()? {
             Some(Event::EndArray) => return Ok((offers, skipped)),
+            Some(_) if sch.halt_at_first_entry => return Err(Halt::FirstEntry),
             Some(Event::StartObject) => {
                 let mut acc = EntryAcc::default();
                 stream_entry_object(sc, sch, &mut acc)?;

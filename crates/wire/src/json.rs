@@ -23,7 +23,7 @@
 //!   `Json::parse` remains the reference implementation; a proptest
 //!   harness asserts the two agree on accepts, rejects, and values.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 use iiscope_types::wirestats;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -252,8 +252,7 @@ impl Json {
 
     /// Compact serialization appended to `buf`.
     pub fn write_bytes(&self, buf: &mut BytesMut) {
-        let mut w = BytesWriter(buf);
-        self.write(&mut w, None, 0).expect("BytesMut never fails");
+        self.write(buf, None, 0).expect("BytesMut never fails");
     }
 
     fn write(&self, out: &mut impl fmt::Write, indent: Option<usize>, level: usize) -> fmt::Result {
@@ -262,20 +261,7 @@ impl Json {
             Json::Bool(true) => out.write_str("true")?,
             Json::Bool(false) => out.write_str("false")?,
             Json::Int(i) => write!(out, "{i}")?,
-            Json::Float(f) => {
-                if f.is_finite() {
-                    // Ensure the literal re-parses as a float.
-                    let s = format!("{f}");
-                    out.write_str(&s)?;
-                    if !s.contains(['.', 'e', 'E']) {
-                        out.write_str(".0")?;
-                    }
-                } else {
-                    // JSON has no Inf/NaN; emit null like serde_json's
-                    // lossy mode would refuse — we document the choice.
-                    out.write_str("null")?;
-                }
-            }
+            Json::Float(f) => write_float(out, *f)?,
             Json::Str(s) => write_escaped(out, s)?,
             Json::Array(items) => {
                 out.write_char('[')?;
@@ -323,17 +309,6 @@ impl fmt::Display for Json {
     }
 }
 
-/// Adapts [`BytesMut`] to `fmt::Write` so the serializer can target a
-/// shared buffer.
-struct BytesWriter<'a>(&'a mut BytesMut);
-
-impl fmt::Write for BytesWriter<'_> {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.0.put_slice(s.as_bytes());
-        Ok(())
-    }
-}
-
 fn newline_indent(out: &mut impl fmt::Write, indent: Option<usize>, level: usize) -> fmt::Result {
     if let Some(n) = indent {
         out.write_char('\n')?;
@@ -344,11 +319,45 @@ fn newline_indent(out: &mut impl fmt::Write, indent: Option<usize>, level: usize
     Ok(())
 }
 
-/// Writes `s` as a quoted JSON string. Bytes are scanned, and each run
-/// that needs no escaping goes out in one `write_str`; every byte that
-/// does (`"`, `\`, and the controls below 0x20) is ASCII, so run
+/// Writes `f` as a JSON number literal, exactly as [`Json::Float`]
+/// serializes: Rust's shortest round-trip `Display` form, with `.0`
+/// appended when that form has no fraction or exponent (so the literal
+/// re-parses as a float), and `null` for NaN and the infinities, which
+/// JSON cannot spell. Writers that emit JSON without building a
+/// [`Json`] tree use this to stay byte-identical to it.
+pub fn write_float(out: &mut impl fmt::Write, f: f64) -> fmt::Result {
+    /// Passes text through while noting whether it held a fraction or
+    /// an exponent, so the literal needs no intermediate `String`.
+    struct Marked<'a, W> {
+        out: &'a mut W,
+        float_like: bool,
+    }
+    impl<W: fmt::Write> fmt::Write for Marked<'_, W> {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.float_like |= s.contains(['.', 'e', 'E']);
+            self.out.write_str(s)
+        }
+    }
+    if !f.is_finite() {
+        return out.write_str("null");
+    }
+    let mut marked = Marked {
+        out,
+        float_like: false,
+    };
+    fmt::Write::write_fmt(&mut marked, format_args!("{f}"))?;
+    if !marked.float_like {
+        marked.out.write_str(".0")?;
+    }
+    Ok(())
+}
+
+/// Writes `s` as a quoted JSON string, exactly as [`Json::Str`] and
+/// object keys serialize. Bytes are scanned, and each run that needs
+/// no escaping goes out in one `write_str`; every byte that does
+/// (`"`, `\`, and the controls below 0x20) is ASCII, so run
 /// boundaries always fall on `char` boundaries.
-fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+pub fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
     const HEX: &[u8; 16] = b"0123456789abcdef";
     out.write_char('"')?;
     let mut run = 0;
@@ -673,12 +682,23 @@ enum Frame {
 /// complete document). The trailing-garbage check fires on the call
 /// *after* the document's last event, so consumers must drain to `None`
 /// to get full validation.
+///
+/// Events are tallied in the scanner and added to the process-wide
+/// `json_scanner_events` counter once, when it drops, so scanners on
+/// different threads never contend on the counter per token.
 #[derive(Debug)]
 pub struct Scanner<'a> {
     input: &'a str,
     pos: usize,
     stack: Vec<Frame>,
     done: bool,
+    events: u64,
+}
+
+impl Drop for Scanner<'_> {
+    fn drop(&mut self) {
+        wirestats::add_json_events(self.events);
+    }
 }
 
 impl<'a> Scanner<'a> {
@@ -689,6 +709,7 @@ impl<'a> Scanner<'a> {
             pos: 0,
             stack: Vec::new(),
             done: false,
+            events: 0,
         }
     }
 
@@ -775,7 +796,7 @@ impl<'a> Scanner<'a> {
             // the document is complete.
             self.done = true;
         }
-        wirestats::add_json_events(1);
+        self.events += 1;
         Ok(Some(ev))
     }
 

@@ -18,6 +18,7 @@ use iiscope::subsystems::wire::tls::{
     seal_records, CertAuthority, RecordDecoder, RecordType, ServerIdentity, TrustStore,
 };
 use iiscope::subsystems::wire::{Handler, HttpClient, Request, Response};
+use iiscope::wildsim::CRAWL_CHUNK;
 use iiscope::{World, WorldConfig};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
@@ -191,7 +192,8 @@ fn one_milk_opens_one_phone_and_one_upstream_connection_per_tab() {
                 .unwrap();
         }
     }
-    let mut phone = world.infra.phone_client(Country::Us).unwrap();
+    let day = world.net.clock().now().days();
+    let mut phone = world.infra.phone_client(Country::Us, day).unwrap();
     let before = world.net.metrics().connections;
     let run = UiFuzzer::default().drive(&app, &mut phone).unwrap();
     let opened = world.net.metrics().connections - before;
@@ -199,6 +201,59 @@ fn one_milk_opens_one_phone_and_one_upstream_connection_per_tab() {
     assert_eq!(run.tabs, app.tabs.len());
     assert_eq!(run.pages, 5 * run.tabs, "4 pages with offers + 1 empty");
     assert_eq!(opened, 2 * run.tabs as u64, "{run:?}");
+}
+
+/// Milking and profile crawls fork a fresh lineage per crawl day, so
+/// one day's fault draws are not a replay of the previous day's.
+#[test]
+fn phone_clients_of_different_crawl_days_start_from_different_states() {
+    let world = World::build(WorldConfig::small(6)).unwrap();
+    let state = |day: u64| {
+        world
+            .infra
+            .phone_client(Country::Us, day)
+            .unwrap()
+            .checkpoint()
+    };
+    assert_eq!(state(4), state(4), "a day's lineage is deterministic");
+    assert_ne!(state(4), state(6));
+    assert_ne!(state(0), state(2));
+    let other_vantage = world.infra.phone_client(Country::De, 4).unwrap();
+    assert_ne!(other_vantage.checkpoint(), state(4));
+}
+
+/// A crawl day's profiles go out in chunks of `CRAWL_CHUNK`, one kept
+/// store session per chunk, instead of one connection per profile.
+#[test]
+fn a_crawl_day_opens_one_store_connection_per_chunk() {
+    let world = World::build(WorldConfig::small(7)).unwrap();
+    let listed: Vec<&str> = world
+        .plan
+        .baseline
+        .iter()
+        .map(|b| b.package.as_str())
+        .collect();
+    let unlisted: Vec<String> = (0..30).map(|i| format!("com.not.listed.app{i}")).collect();
+    for n in [1, CRAWL_CHUNK - 1, CRAWL_CHUNK, CRAWL_CHUNK + 1, 150] {
+        // Listed profiles, interleaved with unlisted ones (404s keep
+        // the session too).
+        let plan: Vec<&str> = listed
+            .iter()
+            .copied()
+            .cycle()
+            .zip(unlisted.iter().cycle())
+            .flat_map(|(a, b)| [a, b.as_str()])
+            .take(n)
+            .collect();
+        let before = world.net.metrics().connections;
+        let crawled = world.crawl_profiles(&plan, world.study_start()).unwrap();
+        let opened = world.net.metrics().connections - before;
+        assert_eq!(crawled.len(), n);
+        let found = crawled.iter().filter(|r| matches!(r, Ok(Some(_)))).count();
+        assert_eq!(found, n.div_ceil(2), "every listed profile, in plan order");
+        assert!(crawled.iter().all(Result::is_ok));
+        assert_eq!(opened, n.div_ceil(CRAWL_CHUNK) as u64, "n = {n}");
+    }
 }
 
 #[test]

@@ -299,6 +299,145 @@ proptest! {
     }
 }
 
+// ---------------------------------------------------------------------------
+// The fuzzer's scroll probe against the full wall parse.
+// ---------------------------------------------------------------------------
+
+use iiscope::subsystems::monitor::parsers::{probe_wall, PageFill};
+
+/// One page as the wall handler renders it: `iip`'s wall stocked with
+/// `n` worldwide offers at the given payout, page `page`.
+fn rendered_wall_page(iip: IipId, n: usize, payout_micros: i64, page: usize) -> String {
+    use iiscope::subsystems::attribution::ConversionGoal;
+    use iiscope::subsystems::iip::{
+        CampaignSpec, DeveloperApplication, IipPlatform, OfferWallHandler,
+    };
+    use iiscope::subsystems::netsim::{AsnId, AsnKind, HostAddr, PeerInfo};
+    use iiscope::subsystems::types::{DeveloperId, PackageName};
+    use iiscope::subsystems::wire::http::RequestCtx;
+    use iiscope::subsystems::wire::Handler;
+    use std::sync::Arc;
+
+    let p = Arc::new(IipPlatform::new(iip, SeedFork::new(n as u64)));
+    p.register_developer(&DeveloperApplication {
+        developer: DeveloperId(1),
+        has_tax_id: true,
+        has_bank_account: true,
+        deposit: Usd::from_dollars(1_000_000),
+    })
+    .unwrap();
+    for i in 0..n {
+        p.create_campaign(
+            CampaignSpec {
+                developer: DeveloperId(1),
+                package: PackageName::new(format!("com.probe.app{i}")).unwrap(),
+                store_url: format!("https://play.iiscope/store/apps/details?id=com.probe.app{i}"),
+                goal: ConversionGoal::InstallAndOpen,
+                payout: Usd::from_micros(payout_micros),
+                cap: 1,
+                countries: vec![],
+            },
+            SimTime::EPOCH,
+        )
+        .unwrap();
+    }
+    let wall = OfferWallHandler::new(Arc::clone(&p));
+    wall.register_affiliate("com.probe.affiliate", 1_000);
+    let ctx = RequestCtx {
+        peer: PeerInfo {
+            addr: HostAddr {
+                ip: std::net::Ipv4Addr::new(9, 9, 9, 9),
+                asn: AsnId(1),
+                asn_kind: AsnKind::Eyeball,
+                country: Country::Us,
+            },
+            opened_at: SimTime::EPOCH,
+            link: SeedFork::new(1),
+        },
+        now: SimTime::EPOCH,
+    };
+    let resp = wall.handle(
+        &Request::get(format!("/offers?affiliate=com.probe.affiliate&page={page}")),
+        &ctx,
+    );
+    assert_eq!(resp.status, 200);
+    resp.body_text()
+}
+
+/// The verdict the probe must give, derived from the full parse:
+/// `None` when `parse_wall` errs.
+fn verdict_of_parse(iip: IipId, body: &str) -> Option<PageFill> {
+    parse_wall(iip, body).ok().map(|page| {
+        if page.offers.is_empty() && page.skipped == 0 {
+            PageFill::Empty
+        } else {
+            PageFill::HasEntries
+        }
+    })
+}
+
+proptest! {
+    /// On every page a wall renders, the probe's verdict is the full
+    /// parse's. On each truncation of a page it errs exactly while the
+    /// cut falls before the first entry begins (the error lies in the
+    /// prefix it reads), and reports entries from there on.
+    #[test]
+    fn probe_matches_the_full_parse_on_rendered_pages(
+        iip_idx in 0usize..IipId::ALL.len(),
+        n in 0usize..25,
+        payout_micros in 1i64..5_000_000,
+        page in 0usize..4,
+        cut in any::<prop::sample::Index>(),
+    ) {
+        let iip = IipId::ALL[iip_idx];
+        let body = rendered_wall_page(iip, n, payout_micros, page);
+        let probed = probe_wall(iip, &body).ok();
+        prop_assert_eq!(probed, verdict_of_parse(iip, &body), "{}", body);
+        prop_assert_eq!(probed, Some(if n > page * 10 {
+            PageFill::HasEntries
+        } else {
+            PageFill::Empty
+        }));
+
+        let cut = truncate_at_char(&body, &cut);
+        let prefix = &body[..cut];
+        let first_entry = body.find("[{").map(|i| i + 1);
+        let want = match first_entry {
+            Some(at) if cut > at => Some(PageFill::HasEntries),
+            _ if cut == body.len() => probed,
+            _ => None,
+        };
+        prop_assert_eq!(probe_wall(iip, prefix).ok(), want, "{:?}", prefix);
+    }
+
+    /// On the adversarial generators of `wall_parsers_agree_everywhere`
+    /// the probe never says "empty" unless the full parse finds an
+    /// empty page, and never rejects a page the full parse accepts.
+    #[test]
+    fn probe_never_contradicts_the_full_parse(
+        iip_idx in 0usize..IipId::ALL.len(),
+        body in prop_oneof![
+            arb_fyber_wall(),
+            arb_json().prop_map(|v| v.to_string()),
+            "\\PC{0,120}",
+        ],
+        cut in any::<prop::sample::Index>(),
+    ) {
+        let iip = IipId::ALL[iip_idx];
+        let cut = truncate_at_char(&body, &cut);
+        for s in [body.as_str(), &body[..cut]] {
+            let full = verdict_of_parse(iip, s);
+            match probe_wall(iip, s) {
+                Ok(PageFill::Empty) => prop_assert_eq!(full, Some(PageFill::Empty), "{:?}", s),
+                Ok(PageFill::HasEntries) => {
+                    prop_assert_ne!(full, Some(PageFill::Empty), "{:?}", s)
+                }
+                Err(_) => prop_assert_eq!(full, None, "{:?}", s),
+            }
+        }
+    }
+}
+
 /// Structural equality that treats Int(n) and Float(n.0) as the same
 /// number (the serializer may print either form for round floats).
 fn json_eq(a: &Json, b: &Json) -> bool {

@@ -12,6 +12,7 @@ use iiscope::experiments::Table3;
 use iiscope::subsystems::netsim::{FaultPlan, GilbertElliott, OutageWindow};
 use iiscope::subsystems::types::time::study;
 use iiscope::subsystems::types::SimDuration;
+use iiscope::wildsim::CRAWL_CHUNK;
 use iiscope::{World, WorldConfig};
 
 fn small_quick(seed: u64) -> WorldConfig {
@@ -199,6 +200,10 @@ fn collector_outage_is_caught_up_by_later_uploads() {
 fn parallel_fan_out_matches_sequential_under_faults() {
     let run = |parallelism: usize| {
         let mut cfg = tiny_quick(4_249);
+        // Enough baseline apps that every crawl day's profile plan
+        // spans more than one crawl chunk, so 8 workers crawl chunks
+        // concurrently.
+        cfg.baseline_apps = CRAWL_CHUNK + 16;
         cfg.parallelism = parallelism;
         let world = World::build(cfg).expect("build");
         world.net.set_default_fault(FaultPlan::lossy(0.06, 0.01));
@@ -213,9 +218,11 @@ fn parallel_fan_out_matches_sequential_under_faults() {
         "fault randomness must be a function of each connection's \
          lineage, not of worker scheduling"
     );
+    assert!(seq.dataset.profiles().len() > CRAWL_CHUNK);
     assert_eq!(
         format!("{:?}", seq.dataset.profiles()),
         format!("{:?}", par.dataset.profiles()),
+        "profile snapshots must not depend on which worker crawled a chunk"
     );
     assert_eq!(seq.apks, par.apks);
 }
