@@ -6,7 +6,8 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use iiscope_analysis::libradar::count_libraries;
 use iiscope_analysis::stats::{chi2_2x2, chi2_sf};
 use iiscope_attribution::ConversionGoal;
-use iiscope_core::wildsim::CRAWL_CHUNK;
+use iiscope_core::checkpoint::{self, Snapshot};
+use iiscope_core::wildsim::{CheckpointPolicy, WildRunOptions, CRAWL_CHUNK};
 use iiscope_core::{World, WorldConfig};
 use iiscope_devices::AffiliateApp;
 use iiscope_iip::wall::PAGE_SIZE;
@@ -18,6 +19,7 @@ use iiscope_netsim::{encode_frame, AsnId, AsnKind, FrameDecoder, HostAddr, PeerI
 use iiscope_playstore::apk::{AdLibrary, ApkInfo};
 use iiscope_playstore::charts;
 use iiscope_playstore::engagement::DayStats;
+use iiscope_types::frame::crc32;
 use iiscope_types::rng::ZipfTable;
 use iiscope_types::{AppId, Country, DeveloperId, IipId, PackageName, SeedFork, SimTime, Usd};
 use iiscope_wire::http::{Request, RequestCtx, Response};
@@ -391,6 +393,50 @@ fn bench_framing(c: &mut Criterion) {
         })
     });
     g.finish();
+
+    // The checkpoint/spill CRC over 1 MiB of non-uniform bytes.
+    let mib: Vec<u8> = (0..1u32 << 20)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+        .collect();
+    let mut g = c.benchmark_group("framing");
+    g.throughput(Throughput::Bytes(mib.len() as u64));
+    g.bench_function("crc32_1m", |b| b.iter(|| black_box(crc32(black_box(&mib)))));
+    g.finish();
+
+    // One snapshot of a small world's last study day, encoded through
+    // the same view the live study encodes from.
+    let snap = last_day_snapshot();
+    let bytes = snap.encode().len();
+    let mut g = c.benchmark_group("framing");
+    g.throughput(Throughput::Bytes(bytes as u64));
+    g.bench_function("encode_snapshot", |b| b.iter(|| black_box(snap.encode())));
+    g.finish();
+}
+
+/// Runs the small world's wild study with a snapshot on the last day
+/// only, into a temp dir, and returns that snapshot decoded.
+fn last_day_snapshot() -> Snapshot {
+    let dir = std::env::temp_dir().join(format!("iiscope-bench-snap-{}", std::process::id()));
+    let world = World::build(WorldConfig::small(31_337)).expect("world build");
+    world
+        .run_honey_study(world.study_start())
+        .expect("honey study");
+    world
+        .run_wild_study_with(WildRunOptions {
+            checkpoint: Some(CheckpointPolicy {
+                dir: dir.clone(),
+                every_days: world.cfg.monitoring_days,
+            }),
+            resume: None,
+            crash: None,
+        })
+        .expect("wild study");
+    let (snap, _) = checkpoint::load_latest(&dir)
+        .expect("scan snapshots")
+        .snapshot
+        .expect("the last day's snapshot");
+    let _ = std::fs::remove_dir_all(&dir);
+    snap
 }
 
 fn bench_stats(c: &mut Criterion) {

@@ -356,7 +356,7 @@ fn main() {
         cfg.scale,
         cfg.shards,
         match cfg.memory_budget {
-            Some(b) => format!(", {:.0} MB budget", b as f64 / (1 << 20) as f64),
+            Some(b) => format!(", {} budget", exact_bytes(b)),
             None => String::new(),
         }
     );
@@ -497,11 +497,13 @@ fn run_study(world: &World, scale: &str, study: Study) {
     let ckpt = &artifacts.checkpoints;
     if ckpt.snapshots_written > 0 {
         eprintln!(
-            "wrote {} snapshot(s): last {:.1} KB, {:.1} KB total, {:.3}s total write time",
+            "wrote {} snapshot(s): last {:.1} KB, {:.1} KB total, \
+             {:.3}s total write time ({:.3}s encoding)",
             ckpt.snapshots_written,
             ckpt.last_bytes as f64 / 1e3,
             ckpt.total_bytes as f64 / 1e3,
-            ckpt.total_write_secs
+            ckpt.total_write_secs,
+            ckpt.encode_secs
         );
     }
     if let Some(day) = ckpt.resumed_from_day {
@@ -694,6 +696,7 @@ fn timed_report(
                 ("last_snapshot_bytes", ckpt.last_bytes.into()),
                 ("total_snapshot_bytes", ckpt.total_bytes.into()),
                 ("total_write_secs", ckpt.total_write_secs.into()),
+                ("encode_secs", ckpt.encode_secs.into()),
                 ("resumed_from_day", ckpt.resumed_from_day.into()),
                 ("replay_secs", ckpt.replay_secs.into()),
             ],
@@ -811,6 +814,16 @@ fn parse_bytes(s: &str) -> Option<u64> {
     };
     let n: u64 = digits.parse().ok()?;
     n.checked_mul(1 << shift).filter(|&b| b > 0)
+}
+
+/// A byte count in the largest binary unit that divides it exactly:
+/// `32 KiB`, `32 MiB`, `1536 KiB`, `100 B`.
+fn exact_bytes(b: u64) -> String {
+    let (n, unit) = [(30, "GiB"), (20, "MiB"), (10, "KiB")]
+        .into_iter()
+        .find(|&(shift, _)| b != 0 && b.is_multiple_of(1 << shift))
+        .map_or((b, "B"), |(shift, unit)| (b >> shift, unit));
+    format!("{n} {unit}")
 }
 
 /// Prints `repro: <msg>` (unless empty) and the usage text, and exits 2.
@@ -1013,6 +1026,22 @@ mod tests {
         }
         for s in " 0 small:0 small: small:x tiny tiny:2 -1".split(' ') {
             assert_eq!(parse_scale(s), None, "{s:?}");
+        }
+    }
+
+    #[test]
+    fn budgets_print_exactly_in_the_largest_unit() {
+        let table = [
+            (32 << 10, "32 KiB"),
+            (64 << 10, "64 KiB"),
+            (32 << 20, "32 MiB"),
+            (2 << 30, "2 GiB"),
+            (1536 << 10, "1536 KiB"),
+            (100, "100 B"),
+            (1, "1 B"),
+        ];
+        for (b, want) in table {
+            assert_eq!(exact_bytes(b), want, "{b}");
         }
     }
 

@@ -110,6 +110,121 @@ pub struct Snapshot {
     pub aggregates: Option<ReportAggregates>,
 }
 
+/// A snapshot as the encoder reads it: every bulk part borrowed, so
+/// the live study encodes straight from its own state without cloning
+/// it. [`Snapshot::view`] borrows a decoded snapshot the same way;
+/// [`SnapshotRef::encode`] is the only snapshot encoder.
+#[derive(Debug)]
+pub struct SnapshotRef<'a> {
+    /// Last fully completed sim day.
+    pub day: u64,
+    /// World seed the run was started with.
+    pub seed: u64,
+    /// Fingerprint of the result-relevant configuration.
+    pub fingerprint: u64,
+    /// Encoded sim-side state (see [`Snapshot::sim_bytes`]).
+    pub sim_bytes: &'a [u8],
+    /// Chart crawler HTTP-client state.
+    pub crawler: ClientState,
+    /// Package symbol table, rank order.
+    pub pkg_syms: &'a Interner,
+    /// Description symbol table, rank order.
+    pub desc_syms: &'a Interner,
+    /// Spilled prefix of the offer log, by reference.
+    pub offers_spill: &'a SpillManifest,
+    /// Resident suffix of the offer log: chunks whose concatenation is
+    /// the rows in arrival order.
+    pub offers: Vec<&'a [ScrapedOffer]>,
+    /// Raw profile log, arrival order.
+    pub profiles: &'a [ProfileSnapshot],
+    /// Spilled prefix of the chart log, by reference.
+    pub charts_spill: &'a SpillManifest,
+    /// Resident suffix of the chart log, chunked like `offers`.
+    pub charts: Vec<&'a [ChartSnapshot]>,
+    /// Chaos counter ledger.
+    pub chaos_counters: Vec<(&'a str, u64)>,
+    /// Wire counter ledger.
+    pub wire_counters: Vec<(&'a str, u64)>,
+    /// Incremental report-aggregate state (v3).
+    pub aggregates: Option<&'a ReportAggregates>,
+}
+
+impl SnapshotRef<'_> {
+    /// Serializes the snapshot into a frame file.
+    pub fn encode(&self) -> Vec<u8> {
+        self.encode_as(SNAPSHOT_VERSION)
+    }
+
+    /// Version-parameterized encoder: version 2 omits the AGGS section
+    /// (its wire layout predates aggregates). Only tests downgrade;
+    /// the public path always writes [`SNAPSHOT_VERSION`].
+    fn encode_as(&self, version: u32) -> Vec<u8> {
+        let mut w = FrameWriter::new();
+
+        let mut meta = Enc::new();
+        meta.u8(SEC_META)
+            .u32(version)
+            .u64(self.seed)
+            .u64(self.fingerprint)
+            .u64(self.day);
+        w.record(meta.bytes());
+
+        let mut sim = Enc::new();
+        sim.u8(SEC_SIM).bytes_field(self.sim_bytes);
+        w.record(sim.bytes());
+
+        let mut syms = Enc::new();
+        syms.u8(SEC_SYMS);
+        enc_interner(&mut syms, self.pkg_syms);
+        enc_interner(&mut syms, self.desc_syms);
+        w.record(syms.bytes());
+
+        let mut spill = Enc::new();
+        spill.u8(SEC_SPILL);
+        enc_manifest(&mut spill, self.offers_spill);
+        enc_manifest(&mut spill, self.charts_spill);
+        w.record(spill.bytes());
+
+        w.record(&enc_rows(SEC_OFFERS, &self.offers));
+        w.record(&enc_rows(SEC_PROFILES, &[self.profiles]));
+        w.record(&enc_rows(SEC_CHARTS, &self.charts));
+
+        let mut crawler = Enc::new();
+        crawler.u8(SEC_CRAWLER);
+        enc_rng(&mut crawler, &self.crawler.rng);
+        crawler.u64(self.crawler.conn_seq);
+        w.record(crawler.bytes());
+
+        let mut counters = Enc::new();
+        counters.u8(SEC_COUNTERS);
+        enc_ledger(&mut counters, &self.chaos_counters);
+        enc_ledger(&mut counters, &self.wire_counters);
+        w.record(counters.bytes());
+
+        if version >= 3 {
+            if let Some(aggs) = self.aggregates {
+                let mut a = Enc::new();
+                a.u8(SEC_AGGS);
+                aggs.encode(&mut a);
+                w.record(a.bytes());
+            }
+        }
+
+        w.finish()
+    }
+}
+
+/// A row section: tag, row count, then every row of `chunks` in order.
+fn enc_rows<T: SpillRow>(section: u8, chunks: &[&[T]]) -> Vec<u8> {
+    let mut e = Enc::new();
+    let n: usize = chunks.iter().map(|c| c.len()).sum();
+    e.u8(section).u64(n as u64);
+    for row in chunks.iter().flat_map(|c| c.iter()) {
+        row.enc_row(&mut e);
+    }
+    e.into_bytes()
+}
+
 /// Cumulative cost of checkpoint writes (and the resume replay) over a
 /// run — surfaced by `repro --timing` as `BENCH_checkpoint.json`.
 #[derive(Debug, Clone, Copy, Default)]
@@ -122,6 +237,8 @@ pub struct CheckpointStats {
     pub total_bytes: u64,
     /// Wall-clock seconds spent encoding + durably writing snapshots.
     pub total_write_secs: f64,
+    /// The encoding part of `total_write_secs`.
+    pub encode_secs: f64,
     /// Day the run resumed from, when it did.
     pub resumed_from_day: Option<u64>,
     /// Wall-clock seconds the resume replay + verification took.
@@ -179,84 +296,34 @@ impl Snapshot {
         Ok(())
     }
 
-    /// Serializes the snapshot into a frame file.
-    pub fn encode(&self) -> Vec<u8> {
-        self.encode_as(SNAPSHOT_VERSION)
+    /// Borrows the snapshot as the view the encoder reads.
+    pub fn view(&self) -> SnapshotRef<'_> {
+        fn ledger(l: &Ledger) -> Vec<(&str, u64)> {
+            l.iter().map(|(k, v)| (k.as_str(), *v)).collect()
+        }
+        SnapshotRef {
+            day: self.day,
+            seed: self.seed,
+            fingerprint: self.fingerprint,
+            sim_bytes: &self.sim_bytes,
+            crawler: self.crawler,
+            pkg_syms: &self.pkg_syms,
+            desc_syms: &self.desc_syms,
+            offers_spill: &self.offers_spill,
+            offers: vec![&self.offers],
+            profiles: &self.profiles,
+            charts_spill: &self.charts_spill,
+            charts: vec![&self.charts],
+            chaos_counters: ledger(&self.chaos_counters),
+            wire_counters: ledger(&self.wire_counters),
+            aggregates: self.aggregates.as_ref(),
+        }
     }
 
-    /// Version-parameterized encoder: version 2 omits the AGGS section
-    /// (its wire layout predates aggregates). Only tests downgrade;
-    /// the public path always writes [`SNAPSHOT_VERSION`].
-    fn encode_as(&self, version: u32) -> Vec<u8> {
-        let mut w = FrameWriter::new();
-
-        let mut meta = Enc::new();
-        meta.u8(SEC_META)
-            .u32(version)
-            .u64(self.seed)
-            .u64(self.fingerprint)
-            .u64(self.day);
-        w.record(meta.bytes());
-
-        let mut sim = Enc::new();
-        sim.u8(SEC_SIM).bytes_field(&self.sim_bytes);
-        w.record(sim.bytes());
-
-        let mut syms = Enc::new();
-        syms.u8(SEC_SYMS);
-        enc_interner(&mut syms, &self.pkg_syms);
-        enc_interner(&mut syms, &self.desc_syms);
-        w.record(syms.bytes());
-
-        let mut spill = Enc::new();
-        spill.u8(SEC_SPILL);
-        enc_manifest(&mut spill, &self.offers_spill);
-        enc_manifest(&mut spill, &self.charts_spill);
-        w.record(spill.bytes());
-
-        let mut offers = Enc::new();
-        offers.u8(SEC_OFFERS).u64(self.offers.len() as u64);
-        for o in &self.offers {
-            o.enc_row(&mut offers);
-        }
-        w.record(offers.bytes());
-
-        let mut profiles = Enc::new();
-        profiles.u8(SEC_PROFILES).u64(self.profiles.len() as u64);
-        for p in &self.profiles {
-            p.enc_row(&mut profiles);
-        }
-        w.record(profiles.bytes());
-
-        let mut charts = Enc::new();
-        charts.u8(SEC_CHARTS).u64(self.charts.len() as u64);
-        for c in &self.charts {
-            c.enc_row(&mut charts);
-        }
-        w.record(charts.bytes());
-
-        let mut crawler = Enc::new();
-        crawler.u8(SEC_CRAWLER);
-        enc_rng(&mut crawler, &self.crawler.rng);
-        crawler.u64(self.crawler.conn_seq);
-        w.record(crawler.bytes());
-
-        let mut counters = Enc::new();
-        counters.u8(SEC_COUNTERS);
-        enc_ledger(&mut counters, &self.chaos_counters);
-        enc_ledger(&mut counters, &self.wire_counters);
-        w.record(counters.bytes());
-
-        if version >= 3 {
-            if let Some(aggs) = &self.aggregates {
-                let mut a = Enc::new();
-                a.u8(SEC_AGGS);
-                aggs.encode(&mut a);
-                w.record(a.bytes());
-            }
-        }
-
-        w.finish()
+    /// Serializes the snapshot into a frame file (through
+    /// [`Snapshot::view`]: there is one encoder).
+    pub fn encode(&self) -> Vec<u8> {
+        self.view().encode()
     }
 
     /// Deserializes and fully validates a frame file. Total: corrupt or
@@ -458,7 +525,7 @@ fn dec_interner(d: &mut Dec) -> Result<Interner, FrameError> {
     Ok(interner)
 }
 
-fn enc_ledger(e: &mut Enc, ledger: &[(String, u64)]) {
+fn enc_ledger(e: &mut Enc, ledger: &[(&str, u64)]) {
     e.u64(ledger.len() as u64);
     for (key, value) in ledger {
         e.str(key).u64(*value);
@@ -736,12 +803,12 @@ mod tests {
     #[test]
     fn v2_snapshots_decode_without_aggregates() {
         let snap = sample_snapshot();
-        let back = Snapshot::decode(&snap.encode_as(2)).unwrap();
+        let back = Snapshot::decode(&snap.view().encode_as(2)).unwrap();
         assert!(back.aggregates.is_none(), "v2 has no AGGS section");
         assert_eq!(back.offers, snap.offers);
         assert_eq!(back.charts, snap.charts);
         // Unknown future versions are still refused, not guessed at.
-        assert!(Snapshot::decode(&snap.encode_as(4)).is_err());
+        assert!(Snapshot::decode(&snap.view().encode_as(4)).is_err());
     }
 
     #[test]

@@ -36,7 +36,7 @@
 
 use crate::aggregates::ReportAggregates;
 use crate::chaos::CrashPlan;
-use crate::checkpoint::{self, CheckpointStats, Snapshot};
+use crate::checkpoint::{self, CheckpointStats, Snapshot, SnapshotRef};
 use crate::world::{OrganicProfile, World};
 use iiscope_attribution::{Conversion, ConversionGoal, Postback};
 use iiscope_devices::behavior::plan_for;
@@ -119,6 +119,15 @@ pub const CRAWL_CHUNK: usize = 64;
 /// overhead), never zero.
 pub(crate) fn pool_size(workers: usize, n_jobs: usize) -> usize {
     workers.max(1).min(n_jobs.max(1))
+}
+
+/// A failed spill write ends the study: the dataset kept every row
+/// resident, but the memory budget no longer holds.
+fn check_spill(dataset: &Dataset) -> Result<()> {
+    match dataset.spill_error() {
+        Some(e) => Err(Error::InvalidState(e.to_string())),
+        None => Ok(()),
+    }
 }
 
 fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
@@ -372,6 +381,7 @@ impl World {
                 &dir,
                 &format!("iiscope-{}", self.cfg.seed),
             );
+            check_spill(&st.dataset)?;
         }
 
         for day in start_day..=self.cfg.monitoring_days {
@@ -403,7 +413,8 @@ impl World {
             if let Some(cp) = &opts.checkpoint {
                 if day % cp.every_days.max(1) == 0 {
                     let t = std::time::Instant::now();
-                    let bytes = self.snapshot_at(&st, day).encode();
+                    let bytes = self.encode_snapshot(&st, day);
+                    stats.encode_secs += t.elapsed().as_secs_f64();
                     checkpoint::write_durable(&cp.dir, day, &bytes).map_err(|e| {
                         Error::InvalidState(format!(
                             "checkpoint write to {} failed: {e}",
@@ -604,31 +615,29 @@ impl World {
         e.into_bytes()
     }
 
-    /// Assembles the durable snapshot for a completed day.
-    fn snapshot_at(&self, st: &SimState, day: u64) -> Snapshot {
-        Snapshot {
+    /// Encodes the durable snapshot for a completed day straight from
+    /// the live state: the dataset, interners and aggregates are
+    /// borrowed, not cloned.
+    fn encode_snapshot(&self, st: &SimState, day: u64) -> Vec<u8> {
+        let sim_bytes = self.encode_sim(st, day);
+        SnapshotRef {
             day,
             seed: self.cfg.seed,
             fingerprint: checkpoint::config_fingerprint(&self.cfg),
-            sim_bytes: self.encode_sim(st, day),
+            sim_bytes: &sim_bytes,
             crawler: st.crawler.checkpoint(),
-            pkg_syms: st.dataset.package_interner().clone(),
-            desc_syms: st.dataset.description_interner().clone(),
+            pkg_syms: st.dataset.package_interner(),
+            desc_syms: st.dataset.description_interner(),
             offers_spill: st.dataset.offers_spill(),
-            offers: st.dataset.offers_suffix(),
-            profiles: st.dataset.profiles().to_vec(),
+            offers: st.dataset.offers_resident().collect(),
+            profiles: st.dataset.profiles(),
             charts_spill: st.dataset.charts_spill(),
-            charts: st.dataset.charts_suffix(),
-            aggregates: Some(st.aggregates.clone()),
-            chaos_counters: chaosstats::snapshot()
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-            wire_counters: wirestats::snapshot()
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
+            charts: st.dataset.charts_resident().collect(),
+            chaos_counters: chaosstats::snapshot(),
+            wire_counters: wirestats::snapshot(),
+            aggregates: Some(&st.aggregates),
         }
+        .encode()
     }
 
     /// Steps 1–4 and 6 of one day: campaign starts, organic
@@ -893,6 +902,7 @@ impl World {
                 Err(e) => return Err(e),
             };
             st.dataset.add_offers(offers);
+            check_spill(&st.dataset)?;
         }
         // The dataset's advertised index *is* the discovery set (every
         // milked offer lands there), in lexicographic order, so the
@@ -921,6 +931,7 @@ impl World {
                 Err(_) => chaosstats::add_crawls_abandoned(1),
             }
         }
+        check_spill(&st.dataset)?;
         // No session outlives its crawl day, so a snapshot's
         // `ClientState` describes the crawler completely.
         st.crawler.close_idle();

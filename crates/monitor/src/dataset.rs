@@ -20,7 +20,7 @@
 
 use crate::crawler::{ChartSnapshot, ProfileSnapshot};
 use crate::parsers::ScrapedOffer;
-use crate::spill::{RowLog, RowLogIter, SpillManifest, SpillStats};
+use crate::spill::{RowLog, RowLogIter, SpillError, SpillManifest, SpillStats};
 use iiscope_types::{IipId, Interner, SimTime, Sym, SymMap, SymSet};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -286,24 +286,32 @@ impl Dataset {
         self.offers.stats().merged(self.charts.stats())
     }
 
+    /// The first failed spill write of either log, if any (the logs
+    /// keep every row resident after it).
+    pub fn spill_error(&self) -> Option<&SpillError> {
+        self.offers.spill_error().or(self.charts.spill_error())
+    }
+
     /// Spill manifest of the offer log (for checkpointing).
-    pub fn offers_spill(&self) -> SpillManifest {
+    pub fn offers_spill(&self) -> &SpillManifest {
         self.offers.manifest()
     }
 
-    /// Offer rows not covered by [`Dataset::offers_spill`].
-    pub fn offers_suffix(&self) -> Vec<ScrapedOffer> {
-        self.offers.suffix_rows()
+    /// Offer rows not covered by [`Dataset::offers_spill`], borrowed
+    /// in arrival order one contiguous chunk at a time.
+    pub fn offers_resident(&self) -> impl Iterator<Item = &[ScrapedOffer]> + '_ {
+        self.offers.resident_chunks()
     }
 
     /// Spill manifest of the chart log (for checkpointing).
-    pub fn charts_spill(&self) -> SpillManifest {
+    pub fn charts_spill(&self) -> &SpillManifest {
         self.charts.manifest()
     }
 
-    /// Chart rows not covered by [`Dataset::charts_spill`].
-    pub fn charts_suffix(&self) -> Vec<ChartSnapshot> {
-        self.charts.suffix_rows()
+    /// Chart rows not covered by [`Dataset::charts_spill`], borrowed
+    /// like [`Dataset::offers_resident`].
+    pub fn charts_resident(&self) -> impl Iterator<Item = &[ChartSnapshot]> + '_ {
+        self.charts.resident_chunks()
     }
 
     /// Index maintenance for one appended offer row (shared by live
@@ -960,11 +968,11 @@ mod tests {
         let restored = Dataset::from_parts_with_spill(
             spilled.package_interner().clone(),
             spilled.description_interner().clone(),
-            &spilled.offers_spill(),
-            spilled.offers_suffix(),
+            spilled.offers_spill(),
+            spilled.offers_resident().flatten().cloned().collect(),
             spilled.profiles().to_vec(),
-            &spilled.charts_spill(),
-            spilled.charts_suffix(),
+            spilled.charts_spill(),
+            spilled.charts_resident().flatten().cloned().collect(),
         )
         .unwrap();
         assert_eq!(

@@ -52,4 +52,4 @@ pub use parsers::{
     parse_wall, parse_wall_streaming, parse_wall_tree, probe_wall, PageFill, RawOffer, RewardValue,
     ScrapedOffer,
 };
-pub use spill::{RowLog, SegRef, SpillManifest, SpillRow, SpillStats};
+pub use spill::{RowLog, SegRef, SpillError, SpillManifest, SpillRow, SpillStats};

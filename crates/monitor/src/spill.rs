@@ -31,6 +31,7 @@ use iiscope_playstore::ChartKind;
 use iiscope_types::frame::{crc32, Dec, Enc, FrameError, FrameReader, FrameWriter};
 use iiscope_types::{Country, IipId, SimTime};
 use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::PathBuf;
@@ -103,11 +104,30 @@ impl SpillStats {
     }
 }
 
+/// A closed segment still in memory.
 #[derive(Debug)]
-enum Segment<T> {
-    Resident { rows: Vec<T>, bytes: usize },
-    Spilled(SegRef),
+struct Warm<T> {
+    rows: Vec<T>,
+    bytes: usize,
 }
+
+/// The first spill write that failed. The log stops spilling after
+/// it, so every later row stays resident and no row is lost.
+#[derive(Debug)]
+pub struct SpillError {
+    /// Spill file the log was writing.
+    pub path: PathBuf,
+    /// What the filesystem said.
+    pub error: std::io::Error,
+}
+
+impl std::fmt::Display for SpillError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "spill to {} failed: {}", self.path.display(), self.error)
+    }
+}
+
+impl std::error::Error for SpillError {}
 
 /// Disk side of a log: the spill file plus the LRU of decoded
 /// segments. Behind a mutex so read-only dataset accessors (which run
@@ -139,21 +159,28 @@ impl<T> Default for Cold<T> {
 const DEFAULT_SEG_BYTES: usize = 1 << 20;
 
 /// An append-only row log with optional disk spilling.
+///
+/// In log order a log is its spilled segments (`spilled`), then its
+/// resident closed segments (`warm`), then the open `tail`; segment
+/// indices count across `spilled` and `warm`.
 #[derive(Debug)]
 pub struct RowLog<T: SpillRow> {
     tail: Vec<T>,
     tail_bytes: usize,
-    closed: Vec<Segment<T>>,
-    /// `closed[..spilled_prefix]` are all `Spilled` (prefix invariant).
-    spilled_prefix: usize,
+    /// The spilled prefix: the spill file and its segments, oldest
+    /// first — exactly what a checkpoint references.
+    spilled: SpillManifest,
+    warm: VecDeque<Warm<T>>,
     len: usize,
-    resident_seg_bytes: usize,
+    warm_bytes: usize,
     /// Resident budget in bytes; `None` disables spilling.
     budget: Option<usize>,
     /// Where to create the spill file on first spill.
     spill_target: Option<PathBuf>,
     spilled_rows: u64,
     spilled_bytes: u64,
+    /// First spill write failure; set once, spilling stops after it.
+    failed: Option<SpillError>,
     cold: Mutex<Cold<T>>,
 }
 
@@ -162,14 +189,15 @@ impl<T: SpillRow> Default for RowLog<T> {
         RowLog {
             tail: Vec::new(),
             tail_bytes: 0,
-            closed: Vec::new(),
-            spilled_prefix: 0,
+            spilled: SpillManifest::default(),
+            warm: VecDeque::new(),
             len: 0,
-            resident_seg_bytes: 0,
+            warm_bytes: 0,
             budget: None,
             spill_target: None,
             spilled_rows: 0,
             spilled_bytes: 0,
+            failed: None,
             cold: Mutex::new(Cold::default()),
         }
     }
@@ -219,75 +247,91 @@ impl<T: SpillRow> RowLog<T> {
         if self.tail_bytes >= self.seg_bytes_threshold() {
             let rows = std::mem::take(&mut self.tail);
             let bytes = std::mem::take(&mut self.tail_bytes);
-            self.closed.push(Segment::Resident { rows, bytes });
-            self.resident_seg_bytes += bytes;
+            self.warm.push_back(Warm { rows, bytes });
+            self.warm_bytes += bytes;
             self.enforce();
         }
     }
 
     /// Spills oldest resident segments until the resident footprint
-    /// fits the budget (or nothing closed remains resident).
+    /// fits the budget (or nothing closed remains resident). After a
+    /// failed spill write it does nothing: rows stay resident.
     fn enforce(&mut self) {
         let Some(budget) = self.budget else { return };
-        while self.resident_bytes() > budget as u64 && self.spilled_prefix < self.closed.len() {
-            self.spill_oldest();
+        while self.failed.is_none()
+            && self.resident_bytes() > budget as u64
+            && !self.warm.is_empty()
+        {
+            if let Err(e) = self.spill_oldest() {
+                self.failed = Some(e);
+            }
         }
     }
 
-    fn spill_oldest(&mut self) {
-        let idx = self.spilled_prefix;
-        let Segment::Resident { rows, bytes } = &self.closed[idx] else {
-            unreachable!("spilled_prefix points at a resident segment");
+    /// Writes the oldest warm segment to the spill file and moves it to
+    /// the spilled prefix. On an I/O error the segment stays warm.
+    fn spill_oldest(&mut self) -> Result<(), SpillError> {
+        let path = self
+            .spill_target
+            .clone()
+            .expect("spill budget set without a spill file path");
+        let fail = |error| SpillError {
+            path: path.clone(),
+            error,
         };
+        let seg = self.warm.front().expect("enforce checks a warm segment");
         let mut enc = Enc::new();
-        enc.u64(rows.len() as u64);
-        for r in rows {
+        enc.u64(seg.rows.len() as u64);
+        for r in &seg.rows {
             r.enc_row(&mut enc);
         }
         let mut w = FrameWriter::new();
         w.record(enc.bytes());
         let blob = w.finish();
         let crc = crc32(&blob);
-        let n_rows = rows.len() as u64;
-        let seg_bytes = *bytes;
 
         let mut cold = self.cold.lock();
         if cold.file.is_none() {
-            let path = self
-                .spill_target
-                .as_ref()
-                .expect("spill budget set without a spill file path");
             if let Some(parent) = path.parent() {
-                std::fs::create_dir_all(parent).expect("create spill dir");
+                std::fs::create_dir_all(parent).map_err(fail)?;
             }
             let file = OpenOptions::new()
                 .read(true)
                 .write(true)
                 .create(true)
                 .truncate(true)
-                .open(path)
-                .unwrap_or_else(|e| panic!("open spill file {}: {e}", path.display()));
+                .open(&path)
+                .map_err(fail)?;
             cold.file = Some(file);
             cold.file_end = 0;
+            self.spilled.file = Some(path.clone());
         }
         let offset = cold.file_end;
         let file = cold.file.as_mut().expect("just opened");
-        file.seek(SeekFrom::Start(offset)).expect("seek spill file");
-        file.write_all(&blob).expect("write spill segment");
+        file.seek(SeekFrom::Start(offset)).map_err(fail)?;
+        file.write_all(&blob).map_err(fail)?;
         cold.file_end = offset + blob.len() as u64;
         drop(cold);
 
-        let seg = SegRef {
-            rows: n_rows,
+        let seg = self.warm.pop_front().expect("checked above");
+        let r = SegRef {
+            rows: seg.rows.len() as u64,
             offset,
             len: blob.len() as u64,
             crc,
         };
-        self.closed[idx] = Segment::Spilled(seg);
-        self.spilled_prefix += 1;
-        self.resident_seg_bytes -= seg_bytes;
-        self.spilled_rows += seg.rows;
-        self.spilled_bytes += seg.len;
+        self.spilled.segments.push(r);
+        self.warm_bytes -= seg.bytes;
+        self.spilled_rows += r.rows;
+        self.spilled_bytes += r.len;
+        Ok(())
+    }
+
+    /// The first spill write that failed, if any. The log keeps
+    /// working fully resident after it; a caller that needs the
+    /// budget to hold treats it as fatal.
+    pub fn spill_error(&self) -> Option<&SpillError> {
+        self.failed.as_ref()
     }
 
     /// Loads a spilled segment through the LRU cache.
@@ -324,6 +368,27 @@ impl<T: SpillRow> RowLog<T> {
         rows
     }
 
+    /// Closed segments, spilled and warm.
+    fn closed_len(&self) -> usize {
+        self.spilled.segments.len() + self.warm.len()
+    }
+
+    /// Rows in closed segment `idx`.
+    fn seg_rows(&self, idx: usize) -> usize {
+        match self.spilled.segments.get(idx) {
+            Some(r) => r.rows as usize,
+            None => self.warm[idx - self.spilled.segments.len()].rows.len(),
+        }
+    }
+
+    /// The rows of closed segment `idx`, reloading a spilled one.
+    fn seg_cur(&self, idx: usize) -> Cur<'_, T> {
+        match self.spilled.segments.get(idx) {
+            Some(r) => Cur::Loaded(self.load(idx, *r)),
+            None => Cur::Slice(&self.warm[idx - self.spilled.segments.len()].rows),
+        }
+    }
+
     /// Iterates every row in append order, transparently reloading
     /// spilled segments. Yields owned rows (clones of resident rows,
     /// decoded copies of spilled ones).
@@ -343,30 +408,24 @@ impl<T: SpillRow> RowLog<T> {
     /// prefix therefore never reloads a cold segment, which is what
     /// lets per-day incremental folds read only the day's new rows.
     pub fn iter_from(&self, start_row: usize) -> RowLogIter<'_, T> {
+        let past_end = self.closed_len() + 1;
         if start_row >= self.len {
             return RowLogIter {
                 log: self,
-                seg: self.closed.len() + 1,
+                seg: past_end,
                 cur: None,
                 at: 0,
                 remaining: 0,
             };
         }
         let mut before = 0usize;
-        for (idx, seg) in self.closed.iter().enumerate() {
-            let rows = match seg {
-                Segment::Resident { rows, .. } => rows.len(),
-                Segment::Spilled(r) => r.rows as usize,
-            };
+        for idx in 0..self.closed_len() {
+            let rows = self.seg_rows(idx);
             if start_row < before + rows {
-                let cur = match seg {
-                    Segment::Resident { rows, .. } => Cur::Slice(rows.as_slice()),
-                    Segment::Spilled(r) => Cur::Loaded(self.load(idx, *r)),
-                };
                 return RowLogIter {
                     log: self,
                     seg: idx + 1,
-                    cur: Some(cur),
+                    cur: Some(self.seg_cur(idx)),
                     at: start_row - before,
                     remaining: self.len - start_row,
                 };
@@ -375,7 +434,7 @@ impl<T: SpillRow> RowLog<T> {
         }
         RowLogIter {
             log: self,
-            seg: self.closed.len() + 1,
+            seg: past_end,
             cur: Some(Cur::Slice(&self.tail)),
             at: start_row - before,
             remaining: self.len - start_row,
@@ -383,38 +442,20 @@ impl<T: SpillRow> RowLog<T> {
     }
 
     /// Spill-file reference for the spilled prefix (empty manifest when
-    /// nothing spilled). Together with [`RowLog::suffix_rows`] this is
-    /// the complete persistent form of the log.
-    pub fn manifest(&self) -> SpillManifest {
-        let segments: Vec<SegRef> = self.closed[..self.spilled_prefix]
-            .iter()
-            .map(|s| match s {
-                Segment::Spilled(r) => *r,
-                Segment::Resident { .. } => unreachable!("prefix invariant"),
-            })
-            .collect();
-        SpillManifest {
-            file: if segments.is_empty() {
-                None
-            } else {
-                self.spill_target.clone()
-            },
-            segments,
-        }
+    /// nothing spilled). Together with [`RowLog::resident_chunks`] this
+    /// is the complete persistent form of the log.
+    pub fn manifest(&self) -> &SpillManifest {
+        &self.spilled
     }
 
-    /// Clones the rows *after* the spilled prefix (resident segments +
-    /// tail) — what a checkpoint serializes inline.
-    pub fn suffix_rows(&self) -> Vec<T> {
-        let mut out = Vec::new();
-        for seg in &self.closed[self.spilled_prefix..] {
-            match seg {
-                Segment::Resident { rows, .. } => out.extend(rows.iter().cloned()),
-                Segment::Spilled(_) => unreachable!("prefix invariant"),
-            }
-        }
-        out.extend(self.tail.iter().cloned());
-        out
+    /// The rows *after* the spilled prefix (warm segments, then the
+    /// tail), borrowed in log order one contiguous chunk at a time —
+    /// what a checkpoint serializes inline.
+    pub fn resident_chunks(&self) -> impl Iterator<Item = &[T]> + '_ {
+        self.warm
+            .iter()
+            .map(|w| w.rows.as_slice())
+            .chain(std::iter::once(self.tail.as_slice()))
     }
 
     /// Reattaches a spilled prefix on restore: opens the manifest's
@@ -423,10 +464,7 @@ impl<T: SpillRow> RowLog<T> {
     /// manifest, and registers the segments. Must be called on an
     /// empty log, before any push.
     pub fn attach(&mut self, manifest: &SpillManifest) -> Result<(), String> {
-        assert!(
-            self.len == 0 && self.closed.is_empty(),
-            "attach on empty log only"
-        );
+        assert!(self.len == 0, "attach on empty log only");
         if manifest.segments.is_empty() {
             return Ok(());
         }
@@ -459,12 +497,11 @@ impl<T: SpillRow> RowLog<T> {
         file.set_len(end)
             .map_err(|e| format!("truncate spill file: {e}"))?;
         for seg in &manifest.segments {
-            self.closed.push(Segment::Spilled(*seg));
             self.len += seg.rows as usize;
             self.spilled_rows += seg.rows;
             self.spilled_bytes += seg.len;
         }
-        self.spilled_prefix = self.closed.len();
+        self.spilled = manifest.clone();
         self.spill_target = Some(path.clone());
         let mut cold = self.cold.lock();
         cold.file = Some(file);
@@ -474,19 +511,19 @@ impl<T: SpillRow> RowLog<T> {
 
     fn resident_bytes(&self) -> u64 {
         let cache = self.cold.lock().cache_bytes as u64;
-        self.tail_bytes as u64 + self.resident_seg_bytes as u64 + cache
+        self.tail_bytes as u64 + self.warm_bytes as u64 + cache
     }
 
     /// Spill activity counters.
     pub fn stats(&self) -> SpillStats {
         let cold = self.cold.lock();
         SpillStats {
-            spilled_segments: self.spilled_prefix as u64,
+            spilled_segments: self.spilled.segments.len() as u64,
             spilled_rows: self.spilled_rows,
             spilled_bytes: self.spilled_bytes,
             reloads: cold.reloads,
             resident_bytes: self.tail_bytes as u64
-                + self.resident_seg_bytes as u64
+                + self.warm_bytes as u64
                 + cold.cache_bytes as u64,
         }
     }
@@ -524,7 +561,7 @@ enum Cur<'a, T> {
 /// Iterator over a [`RowLog`], yielding owned rows in append order.
 pub struct RowLogIter<'a, T: SpillRow> {
     log: &'a RowLog<T>,
-    /// Next closed-segment index to enter (`closed.len()` = tail).
+    /// Next closed-segment index to enter (`closed_len()` = tail).
     seg: usize,
     cur: Option<Cur<'a, T>>,
     at: usize,
@@ -550,14 +587,11 @@ impl<T: SpillRow> Iterator for RowLogIter<'_, T> {
                 self.cur = None;
             }
             self.at = 0;
-            if self.seg < self.log.closed.len() {
-                let idx = self.seg;
+            let closed = self.log.closed_len();
+            if self.seg < closed {
+                self.cur = Some(self.log.seg_cur(self.seg));
                 self.seg += 1;
-                self.cur = Some(match &self.log.closed[idx] {
-                    Segment::Resident { rows, .. } => Cur::Slice(rows),
-                    Segment::Spilled(seg) => Cur::Loaded(self.log.load(idx, *seg)),
-                });
-            } else if self.seg == self.log.closed.len() {
+            } else if self.seg == closed {
                 self.seg += 1;
                 self.cur = Some(Cur::Slice(&self.log.tail));
             } else {
@@ -755,6 +789,10 @@ mod tests {
         }
     }
 
+    fn resident_rows(log: &RowLog<ScrapedOffer>) -> Vec<ScrapedOffer> {
+        log.resident_chunks().flatten().cloned().collect()
+    }
+
     fn tmpfile(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!(
             "iiscope-spill-test-{tag}-{}-{:?}.spill",
@@ -775,7 +813,7 @@ mod tests {
         assert_eq!(back[7], offer(7, 7));
         assert_eq!(log.stats().spilled_segments, 0);
         assert!(log.manifest().segments.is_empty());
-        assert_eq!(log.suffix_rows().len(), 100);
+        assert_eq!(resident_rows(&log).len(), 100);
     }
 
     #[test]
@@ -802,8 +840,29 @@ mod tests {
         // Manifest + suffix partition the log.
         let manifest = log.manifest();
         let spilled: u64 = manifest.segments.iter().map(|s| s.rows).sum();
-        assert_eq!(spilled as usize + log.suffix_rows().len(), want.len());
+        assert_eq!(spilled as usize + resident_rows(&log).len(), want.len());
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_failed_spill_write_is_recorded_and_rows_stay_resident() {
+        // A spill path under a regular file: creating its directory
+        // fails even as root.
+        let blocker = tmpfile("blocker");
+        std::fs::write(&blocker, b"not a directory").unwrap();
+        let mut log: RowLog<ScrapedOffer> = RowLog::new();
+        log.configure(Some(8 * 1024), blocker.join("spill").join("x.spill"));
+        let want: Vec<ScrapedOffer> = (0..500).map(|k| offer(k, k % 90)).collect();
+        for o in &want {
+            log.push(o.clone());
+        }
+        let err = log.spill_error().expect("the spill write must fail");
+        assert!(err.to_string().starts_with("spill to "), "{err}");
+        assert_eq!(log.stats().spilled_segments, 0);
+        assert!(log.manifest().segments.is_empty() && log.manifest().file.is_none());
+        assert_eq!(log.iter().collect::<Vec<_>>(), want);
+        assert_eq!(resident_rows(&log), want);
+        let _ = std::fs::remove_file(&blocker);
     }
 
     #[test]
@@ -815,8 +874,8 @@ mod tests {
         for o in &want {
             log.push(o.clone());
         }
-        let manifest = log.manifest();
-        let suffix = log.suffix_rows();
+        let manifest = log.manifest().clone();
+        let suffix = resident_rows(&log);
         assert!(!manifest.segments.is_empty());
 
         // Simulate a crashed run writing stale bytes past the manifest.

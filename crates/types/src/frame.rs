@@ -132,18 +132,50 @@ impl std::error::Error for FrameError {}
 
 /// CRC-32 (ISO-HDLC / zlib: reflected polynomial `0xEDB88320`).
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for b in bytes {
-        let idx = ((crc ^ u32::from(*b)) & 0xFF) as usize;
-        crc = (crc >> 8) ^ CRC_TABLE[idx];
-    }
-    !crc
+    !crc_update(!0, bytes)
 }
 
-const CRC_TABLE: [u32; 256] = build_crc_table();
+/// Advances a raw CRC-32 register (no pre- or post-inversion) over
+/// `bytes`, so `crc32(b) == !crc_update(!0, b)` and updates compose:
+/// `crc_update(crc_update(s, a), b) == crc_update(s, a ++ b)`.
+///
+/// Slicing-by-16: each 16-byte block is folded with sixteen table
+/// lookups (table `k` advances a byte through `k` further zero bytes),
+/// the tail shorter than a block goes bytewise through `CRC_TABLES[0]`.
+pub fn crc_update(mut crc: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut blocks = bytes.chunks_exact(16);
+    for b in &mut blocks {
+        let lo = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        crc = t[15][(lo & 0xFF) as usize]
+            ^ t[14][((lo >> 8) & 0xFF) as usize]
+            ^ t[13][((lo >> 16) & 0xFF) as usize]
+            ^ t[12][(lo >> 24) as usize]
+            ^ t[11][b[4] as usize]
+            ^ t[10][b[5] as usize]
+            ^ t[9][b[6] as usize]
+            ^ t[8][b[7] as usize]
+            ^ t[7][b[8] as usize]
+            ^ t[6][b[9] as usize]
+            ^ t[5][b[10] as usize]
+            ^ t[4][b[11] as usize]
+            ^ t[3][b[12] as usize]
+            ^ t[2][b[13] as usize]
+            ^ t[1][b[14] as usize]
+            ^ t[0][b[15] as usize];
+    }
+    for &b in blocks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+    }
+    crc
+}
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[0]` is the classic bytewise table; `CRC_TABLES[k]`
+/// extends it by `k` zero bytes.
+static CRC_TABLES: [[u32; 256]; 16] = build_crc_tables();
+
+const fn build_crc_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -156,10 +188,20 @@ const fn build_crc_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// Builds a frame file in memory. [`FrameWriter::finish`] appends the
@@ -186,17 +228,11 @@ impl FrameWriter {
     }
 
     fn push_record(&mut self, ty: u8, payload: &[u8]) {
-        let len = payload.len() as u32;
-        let mut crc = !0u32;
-        for b in std::iter::once(ty)
-            .chain(len.to_le_bytes())
-            .chain(payload.iter().copied())
-        {
-            let idx = ((crc ^ u32::from(b)) & 0xFF) as usize;
-            crc = (crc >> 8) ^ CRC_TABLE[idx];
-        }
+        let start = self.buf.len();
         self.buf.push(ty);
-        self.buf.extend_from_slice(&len.to_le_bytes());
+        self.buf
+            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        let crc = crc_update(crc_update(!0, &self.buf[start..]), payload);
         self.buf.extend_from_slice(&(!crc).to_le_bytes());
         self.buf.extend_from_slice(payload);
     }
@@ -274,15 +310,7 @@ impl<'a> FrameReader<'a> {
             });
         }
         let payload = &self.buf[at + header..at + header + len];
-        let mut crc = !0u32;
-        for b in std::iter::once(ty)
-            .chain((len as u32).to_le_bytes())
-            .chain(payload.iter().copied())
-        {
-            let idx = ((crc ^ u32::from(b)) & 0xFF) as usize;
-            crc = (crc >> 8) ^ CRC_TABLE[idx];
-        }
-        let got = !crc;
+        let got = !crc_update(crc_update(!0, &self.buf[at..at + 5]), payload);
         if got != want {
             return Err(FrameError::CrcMismatch { at, want, got });
         }
@@ -484,11 +512,64 @@ impl<'a> Dec<'a> {
 mod tests {
     use super::*;
 
+    /// The bytewise table loop: the definition the sliced kernel must
+    /// reproduce.
+    fn crc_update_bytewise(mut crc: u32, bytes: &[u8]) -> u32 {
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        crc
+    }
+
+    /// Deterministic filler (xorshift64*), so failures reproduce.
+    fn seeded_bytes(n: usize, mut seed: u64) -> Vec<u8> {
+        (0..n)
+            .map(|_| {
+                seed ^= seed >> 12;
+                seed ^= seed << 25;
+                seed ^= seed >> 27;
+                (seed.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 56) as u8
+            })
+            .collect()
+    }
+
     #[test]
     fn crc32_reference_vector() {
         // The canonical CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(!crc_update_bytewise(!0, b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn sliced_kernel_matches_the_bytewise_oracle() {
+        // Every length 0..=300 at every alignment: the block loop, the
+        // tail loop and every split between them.
+        let buf = seeded_bytes(316, 1);
+        for start in 0..16 {
+            for len in 0..=300 {
+                let bytes = &buf[start..start + len];
+                for state in [!0u32, 0, 0x1234_5678] {
+                    assert_eq!(
+                        crc_update(state, bytes),
+                        crc_update_bytewise(state, bytes),
+                        "start {start} len {len} state {state:#x}"
+                    );
+                }
+            }
+        }
+        let big = seeded_bytes(1 << 20, 2);
+        assert_eq!(crc32(&big), !crc_update_bytewise(!0, &big));
+    }
+
+    #[test]
+    fn split_updates_compose() {
+        let buf = seeded_bytes(1000, 3);
+        let whole = crc_update(!0, &buf);
+        for cut in [0, 1, 7, 15, 16, 17, 31, 32, 33, 500, 999, 1000] {
+            let (a, b) = buf.split_at(cut);
+            assert_eq!(crc_update(crc_update(!0, a), b), whole, "cut {cut}");
+        }
     }
 
     fn sample_file() -> Vec<u8> {

@@ -17,7 +17,7 @@
 use iiscope::chaos::{
     chaos_config, crash_resume_digest, fnv64, straight_digest, CrashPlan, RunDigest,
 };
-use iiscope::checkpoint::{load_latest, snapshot_path};
+use iiscope::checkpoint::{load_latest, snapshot_path, Snapshot};
 use iiscope::subsystems::monitor::export::{charts_csv, offers_csv, profiles_csv};
 use iiscope::wildsim::{CheckpointPolicy, WildRunOptions};
 use iiscope::{HoneyStudy, WildArtifacts, World, WorldConfig};
@@ -259,6 +259,50 @@ fn incompatible_snapshots_are_refused_not_resumed() {
     assert!(
         err.to_string().contains("fingerprint"),
         "diagnostic names the fingerprint mismatch: {err}"
+    );
+}
+
+#[test]
+fn every_written_snapshot_is_its_own_decode_reencode() {
+    // The live study encodes from borrowed state and a decoded
+    // snapshot encodes through the same view: the bytes on disk must
+    // be exactly what decoding and re-encoding them gives. A budgeted,
+    // sharded world, so the SPILL manifests and chunked resident
+    // suffixes are both exercised.
+    let dir = TempDir::new("one-encoder");
+    let mut cfg = chaos_config(42);
+    cfg.shards = 2;
+    cfg.memory_budget = Some(32 * 1024);
+    cfg.spill_dir = Some(dir.0.join("spill"));
+    let snaps = dir.0.join("snap");
+    let world = World::build(cfg).unwrap();
+    world.run_honey_study(world.study_start()).unwrap();
+    let artifacts = world
+        .run_wild_study_with(WildRunOptions {
+            checkpoint: Some(CheckpointPolicy {
+                dir: snaps.clone(),
+                every_days: 1,
+            }),
+            resume: None,
+            crash: None,
+        })
+        .unwrap();
+    assert!(artifacts.dataset.spill_stats().spilled_segments > 0);
+    let written = artifacts.checkpoints.snapshots_written;
+    assert_eq!(written, world.cfg.monitoring_days + 1);
+    let mut spilled_refs = 0;
+    for day in 0..written {
+        let bytes = std::fs::read(snapshot_path(&snaps, day)).unwrap();
+        let snap = Snapshot::decode(&bytes).unwrap();
+        spilled_refs += snap.offers_spill.segments.len() + snap.charts_spill.segments.len();
+        assert!(
+            snap.encode() == bytes,
+            "day {day}: decode + encode changed the snapshot's bytes"
+        );
+    }
+    assert!(
+        spilled_refs > 0,
+        "some snapshot references spilled segments"
     );
 }
 

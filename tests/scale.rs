@@ -17,6 +17,7 @@
 use iiscope::chaos::{chaos_config, crash_resume_digest, straight_digest};
 use iiscope::experiments;
 use iiscope::subsystems::monitor::export;
+use iiscope::subsystems::types::Error;
 use iiscope::{World, WorldConfig};
 
 /// A reduced world exercising every mechanism in seconds, with the
@@ -172,4 +173,33 @@ fn shard_count_one_is_bit_identical_to_the_legacy_loop() {
     let b = run(cfg);
     assert_eq!(a.report, b.report);
     assert_eq!(a.csv, b.csv);
+}
+
+#[test]
+fn a_failed_spill_write_ends_the_study_with_an_error_not_a_panic() {
+    // The spill directory sits under a regular file, so creating it
+    // fails even as root. The study must return the I/O error, naming
+    // the spill file, instead of panicking inside the dataset.
+    let blocker =
+        std::env::temp_dir().join(format!("iiscope-spill-blocker-{}", std::process::id()));
+    std::fs::write(&blocker, b"not a directory").expect("create blocker file");
+    let mut cfg = reduced(5_150);
+    cfg.memory_budget = Some(32 * 1024);
+    cfg.spill_dir = Some(blocker.join("spill"));
+    let world = World::build(cfg).expect("build");
+    world
+        .run_honey_study(world.study_start())
+        .expect("honey study");
+    let err = world
+        .run_wild_study()
+        .map(|_| ())
+        .expect_err("an unwritable spill dir must fail the study");
+    let _ = std::fs::remove_file(&blocker);
+    match err {
+        Error::InvalidState(msg) => {
+            let want = format!("spill to {}", blocker.join("spill").display());
+            assert!(msg.starts_with(&want), "{msg}");
+        }
+        other => panic!("expected InvalidState, got {other}"),
+    }
 }
