@@ -144,7 +144,8 @@ fn large_offer_wall_body(n: i64) -> String {
 /// body out of the slab, and one whole wall tab milked through the MITM
 /// rig.
 fn bench_wire_milking(c: &mut Criterion) {
-    use iiscope_monitor::{parse_wall_streaming, parse_wall_tree, probe_wall};
+    use iiscope_bench::oracles::parse_wall_tree;
+    use iiscope_monitor::{parse_wall, probe_wall};
     use iiscope_wire::{JsonScanner, ResponseView};
 
     let mut g = c.benchmark_group("wire_milking");
@@ -177,7 +178,7 @@ fn bench_wire_milking(c: &mut Criterion) {
     let body = large_offer_wall_body(100);
     g.throughput(Throughput::Bytes(body.len() as u64));
     g.bench_function("parse_wall_streaming_100", |b| {
-        b.iter(|| black_box(parse_wall_streaming(IipId::Fyber, &body).unwrap()))
+        b.iter(|| black_box(parse_wall(IipId::Fyber, &body).unwrap()))
     });
     g.bench_function("parse_wall_tree_100", |b| {
         b.iter(|| black_box(parse_wall_tree(IipId::Fyber, &body).unwrap()))
@@ -205,7 +206,7 @@ fn bench_wire_milking(c: &mut Criterion) {
             let mut recv = 0;
             let plain = open_records(7, &mut recv, &wire).unwrap();
             let (view, _) = ResponseView::parse(&plain).unwrap().unwrap();
-            black_box(parse_wall_streaming(IipId::Fyber, view.body_str().unwrap()).unwrap())
+            black_box(parse_wall(IipId::Fyber, view.body_str().unwrap()).unwrap())
         })
     });
     // The whole path a crawl day pays per tab: the phone's TLS to the
@@ -595,11 +596,11 @@ fn bench_dataset_queries(c: &mut Criterion) {
 
 /// The interned columnar core against the `String`-keyed shapes it
 /// replaced: full ingest (interned `Dataset` vs the kept
-/// `StringIndexedIngest` reference) and the experiment-side campaign
+/// `oracles::StringIndexedIngest` reference) and the experiment-side campaign
 /// join (`Sym` bitset walk vs string-set walk + `BTreeMap` lookups).
 fn bench_dataset_intern(c: &mut Criterion) {
+    use iiscope_bench::oracles::StringIndexedIngest;
     use iiscope_monitor::parsers::{RawOffer, RewardValue, ScrapedOffer};
-    use iiscope_monitor::StringIndexedIngest;
     use iiscope_types::{Country, IipId, SimTime};
 
     // The offer stream of `synthetic_dataset`, flattened so each

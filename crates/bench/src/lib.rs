@@ -5,17 +5,22 @@
 //! the caller's own — and written by [`write`], so consumers parse one
 //! stable preamble and one serializer's output.
 //!
+//! [`oracles`] holds the reference implementations the production
+//! crates replaced, for the tests and benches that compare against
+//! them.
+//!
 //! The Criterion bench fixtures live under `benches/` (see
-//! `benches/fixture.rs`), not here: this library stays
-//! dependency-light (`iiscope-types` and `iiscope-wire` only) so
-//! `repro` — which the heavy bench targets dev-depend on — can link it
-//! without a cycle.
+//! `benches/fixture.rs`), not here: this library depends on no crate
+//! above `iiscope-monitor`, so `repro` — which the heavy bench targets
+//! dev-depend on — can link it without a cycle.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use iiscope_wire::Json;
 use std::path::Path;
+
+pub mod oracles;
 
 /// Schema version stamped into every `BENCH_*.json` document. Bump on
 /// any incompatible change to the shared header fields or the format.

@@ -16,11 +16,14 @@
 //! and prints the full report (the measured side of `EXPERIMENTS.md`).
 //! `--parallel N` fans the wild study's crawl days, sim shards and the
 //! experiment suite over N worker threads — the report is bit-identical
-//! to the sequential run at any N. `--timing` prints a per-experiment
-//! timing table to stderr and writes the seven `BENCH_*.json` dumps
-//! (one `iiscope_bench::document` each), including `BENCH_report.json`
-//! — the incremental-vs-batch report pass comparison (wall time and
-//! spill reloads).
+//! to the sequential run at any N. The printed report is the
+//! incremental one (the hot tables render from aggregates folded during
+//! the wild study); the batch report it equals byte for byte is a test
+//! oracle, not run here. `--timing` renders the report once, timed,
+//! prints a per-experiment timing table to stderr and writes the seven
+//! `BENCH_*.json` dumps (one `iiscope_bench::document` each), including
+//! `BENCH_report.json` — the report pass's wall time and the spill
+//! reloads it forced.
 //!
 //! `--scale` takes a profile (`small`/`paper`), a bare multiplier
 //! (`100` = the paper profile at 100× campaign volume), or both
@@ -87,7 +90,7 @@
 //! match this run, `6` the load harness measured a regression beyond
 //! the baseline band.
 
-use iiscope_core::experiments::{self, ExperimentTiming};
+use iiscope_core::experiments;
 use iiscope_core::wildsim::{CheckpointPolicy, WildRunOptions};
 use iiscope_core::{checkpoint, HoneyStudy, WildArtifacts, World, WorldConfig};
 use iiscope_load::{LoadStage, MixEntry};
@@ -528,7 +531,7 @@ fn run_study(world: &World, scale: &str, study: Study) {
     let report = if study.timing {
         timed_report(world, scale, &artifacts, honey, wild_secs)
     } else {
-        experiments::full_report(world, &artifacts, honey)
+        experiments::full_report_incremental(world, &artifacts, honey)
     };
     println!("{report}");
 
@@ -581,23 +584,8 @@ fn resume_snapshot(world: &World, dir: &Path) -> Option<checkpoint::Snapshot> {
     }
 }
 
-/// One timed report render: `(report, timings, wall seconds, spill
-/// reloads it forced)`.
-fn timed_pass(
-    artifacts: &WildArtifacts,
-    render: impl FnOnce() -> (String, Vec<ExperimentTiming>),
-) -> (String, Vec<ExperimentTiming>, f64, u64) {
-    let before = artifacts.dataset.spill_stats().reloads;
-    let t = Instant::now();
-    let (report, timings) = render();
-    let secs = t.elapsed().as_secs_f64();
-    let reloads = artifacts.dataset.spill_stats().reloads - before;
-    (report, timings, secs, reloads)
-}
-
-/// `--timing`: renders the report incrementally and in batch, prints
-/// the timing tables, writes the seven BENCH dumps, and returns the
-/// batch report.
+/// `--timing`: renders the report once, timed, prints the timing
+/// tables, writes the seven BENCH dumps, and returns the report.
 fn timed_report(
     world: &World,
     scale: &str,
@@ -605,23 +593,11 @@ fn timed_report(
     honey: HoneyStudy,
     wild_secs: f64,
 ) -> String {
-    // Render the incremental report first — on the still-cold dataset
-    // — so its reload counter reflects what the aggregate layer
-    // actually avoids; the batch pass runs second and can only benefit
-    // from whatever the first pass left in the LRU, which understates
-    // (never inflates) the measured win. An untimed incremental
-    // warm-up goes before both: the sections shared by both paths
-    // (detector, APK static analysis) fault their working set in on
-    // first touch, which would otherwise be billed to whichever timed
-    // pass ran first, and it touches no cold spill segments, so the
-    // reload counters stay honest.
-    let _ = experiments::full_report_incremental(world, artifacts, honey.clone());
-    let (incr_report, incr_timings, incr_secs, incr_reloads) = timed_pass(artifacts, || {
-        experiments::full_report_incremental_timed(world, artifacts, honey.clone())
-    });
-    let (report, timings, batch_secs, batch_reloads) = timed_pass(artifacts, || {
-        experiments::full_report_timed(world, artifacts, honey)
-    });
+    let reloads_before = artifacts.dataset.spill_stats().reloads;
+    let t = Instant::now();
+    let (report, timings) = experiments::full_report_incremental_timed(world, artifacts, honey);
+    let report_secs = t.elapsed().as_secs_f64();
+    let report_reloads = artifacts.dataset.spill_stats().reloads - reloads_before;
 
     let total: f64 = timings.iter().map(|t| t.seconds).sum();
     eprintln!("experiment timings ({total:.2}s total):");
@@ -633,25 +609,11 @@ fn timed_report(
         "chaos-layer counters (all zero on a clean network):",
         chaosstats::snapshot(),
     );
-    let byte_identical = incr_report == report;
-    eprintln!(
-        "report pass: batch {batch_secs:.3}s ({batch_reloads} reload(s)) vs \
-         incremental {incr_secs:.3}s ({incr_reloads} reload(s)), byte-identical: {byte_identical}"
-    );
-    if !byte_identical {
-        eprintln!("repro: WARNING: incremental report differs from the batch oracle");
-    }
+    eprintln!("report pass: {report_secs:.3}s ({report_reloads} spill reload(s))");
 
     let experiments = timings
         .iter()
         .map(|t| Json::obj([("label", t.label.into()), ("seconds", t.seconds.into())]));
-    let side_by_side = timings.iter().zip(&incr_timings).map(|(b, i)| {
-        Json::obj([
-            ("label", b.label.into()),
-            ("batch_seconds", b.seconds.into()),
-            ("incremental_seconds", i.seconds.into()),
-        ])
-    });
     let stats = artifacts.dataset.intern_stats();
     let intern_stats = Json::obj([
         ("package_symbols", stats.package_symbols.into()),
@@ -719,13 +681,8 @@ fn timed_report(
         (
             "BENCH_report.json",
             vec![
-                ("batch_report_seconds", batch_secs.into()),
-                ("incremental_report_seconds", incr_secs.into()),
-                ("speedup", (batch_secs / incr_secs.max(1e-9)).into()),
-                ("batch_reloads_during_render", batch_reloads.into()),
-                ("incremental_reloads_during_render", incr_reloads.into()),
-                ("byte_identical", byte_identical.into()),
-                ("experiments", Json::arr(side_by_side)),
+                ("incremental_report_seconds", report_secs.into()),
+                ("incremental_reloads_during_render", report_reloads.into()),
             ],
         ),
     ];

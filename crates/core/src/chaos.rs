@@ -22,6 +22,7 @@ use crate::checkpoint;
 use crate::config::WorldConfig;
 use crate::wildsim::{CheckpointPolicy, WildRunOptions};
 use crate::world::World;
+use crate::{HoneyStudy, WildArtifacts};
 use iiscope_honeyapp::app::telemetry_payload;
 use iiscope_honeyapp::{Collector, TelemetryEvent};
 use iiscope_monitor::export::{charts_csv, offers_csv, profiles_csv};
@@ -53,7 +54,7 @@ pub struct ChaosOutcome {
     pub profile_snapshots: usize,
     /// APKs downloaded for the static analysis.
     pub apks: usize,
-    /// FNV-1a digest of the full rendered report — byte-identity of
+    /// FNV-1a digest of the full printed report — byte-identity of
     /// two runs collapses to equality of this (and the counts above).
     pub report_digest: u64,
     /// Shared-clock day the world ended on. Faults consume only
@@ -118,7 +119,7 @@ pub fn run_chaos(seed: u64, plan: &FaultPlan, parallelism: usize) -> Result<Chao
     let honey = world.run_honey_study(world.study_start())?;
     let artifacts = world.run_wild_study()?;
     let honey_delivered = honey.outcomes.iter().map(|o| o.installs_delivered).sum();
-    let report = crate::experiments::full_report(&world, &artifacts, honey);
+    let report = crate::experiments::full_report_incremental(&world, &artifacts, honey);
     Ok(ChaosOutcome {
         honey_delivered,
         telemetry_installs: world.collector.distinct_installs(),
@@ -147,7 +148,7 @@ pub struct CrashPlan {
 /// `RunDigest`s are equal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunDigest {
-    /// FNV-1a of the full rendered report.
+    /// FNV-1a of the full printed report.
     pub report: u64,
     /// FNV-1a of `offers.csv`.
     pub offers_csv: u64,
@@ -162,17 +163,17 @@ fn reset_counters() {
     wirestats::reset();
 }
 
-fn digest_world(
-    world: &World,
-    artifacts: &crate::WildArtifacts,
-    honey: crate::HoneyStudy,
-) -> RunDigest {
-    let report = crate::experiments::full_report(world, artifacts, honey);
-    RunDigest {
-        report: fnv64(report.as_bytes()),
-        offers_csv: fnv64(offers_csv(&artifacts.dataset).as_bytes()),
-        profiles_csv: fnv64(profiles_csv(&artifacts.dataset).as_bytes()),
-        charts_csv: fnv64(charts_csv(&artifacts.dataset).as_bytes()),
+impl RunDigest {
+    /// Digests what a finished run publishes: the printed report and
+    /// the three CSVs.
+    pub fn of(world: &World, artifacts: &WildArtifacts, honey: HoneyStudy) -> RunDigest {
+        let report = crate::experiments::full_report_incremental(world, artifacts, honey);
+        RunDigest {
+            report: fnv64(report.as_bytes()),
+            offers_csv: fnv64(offers_csv(&artifacts.dataset).as_bytes()),
+            profiles_csv: fnv64(profiles_csv(&artifacts.dataset).as_bytes()),
+            charts_csv: fnv64(charts_csv(&artifacts.dataset).as_bytes()),
+        }
     }
 }
 
@@ -184,7 +185,7 @@ pub fn straight_digest(cfg: WorldConfig) -> Result<RunDigest> {
     let world = World::build(cfg)?;
     let honey = world.run_honey_study(world.study_start())?;
     let artifacts = world.run_wild_study()?;
-    Ok(digest_world(&world, &artifacts, honey))
+    Ok(RunDigest::of(&world, &artifacts, honey))
 }
 
 /// The crash-resume harness: runs the pipeline with checkpointing
@@ -235,7 +236,7 @@ pub fn crash_resume_digest(cfg: WorldConfig, kill_day: u64, dir: &Path) -> Resul
         resume: scan.snapshot.map(|(snap, _)| snap),
         crash: None,
     })?;
-    Ok(digest_world(&world, &artifacts, honey))
+    Ok(RunDigest::of(&world, &artifacts, honey))
 }
 
 /// The monotone-degradation scenario: `devices` fixed clients each

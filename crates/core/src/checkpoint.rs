@@ -46,9 +46,9 @@ use std::path::{Path, PathBuf};
 /// logs' disk-resident segments are checkpointed *by reference*
 /// (file + per-segment CRC) instead of being re-serialized into every
 /// snapshot, so snapshot cost tracks the resident suffix, not the
-/// full run history. Version 3 added the optional AGGS section
-/// (incremental report-aggregate state); v2 snapshots still decode —
-/// their aggregates are refolded from the restored dataset on resume.
+/// full run history. Version 3 added the AGGS section (incremental
+/// report-aggregate state), which every snapshot carries; only this
+/// version decodes.
 pub const SNAPSHOT_VERSION: u32 = 3;
 
 const SEC_META: u8 = 1;
@@ -104,10 +104,8 @@ pub struct Snapshot {
     pub chaos_counters: Ledger,
     /// Wire counter ledger at snapshot time.
     pub wire_counters: Ledger,
-    /// Incremental report-aggregate state at snapshot time (v3;
-    /// `None` for v2 snapshots — resume refolds from the restored
-    /// dataset instead).
-    pub aggregates: Option<ReportAggregates>,
+    /// Incremental report-aggregate state at snapshot time.
+    pub aggregates: ReportAggregates,
 }
 
 /// A snapshot as the encoder reads it: every bulk part borrowed, so
@@ -145,25 +143,18 @@ pub struct SnapshotRef<'a> {
     pub chaos_counters: Vec<(&'a str, u64)>,
     /// Wire counter ledger.
     pub wire_counters: Vec<(&'a str, u64)>,
-    /// Incremental report-aggregate state (v3).
-    pub aggregates: Option<&'a ReportAggregates>,
+    /// Incremental report-aggregate state.
+    pub aggregates: &'a ReportAggregates,
 }
 
 impl SnapshotRef<'_> {
     /// Serializes the snapshot into a frame file.
     pub fn encode(&self) -> Vec<u8> {
-        self.encode_as(SNAPSHOT_VERSION)
-    }
-
-    /// Version-parameterized encoder: version 2 omits the AGGS section
-    /// (its wire layout predates aggregates). Only tests downgrade;
-    /// the public path always writes [`SNAPSHOT_VERSION`].
-    fn encode_as(&self, version: u32) -> Vec<u8> {
         let mut w = FrameWriter::new();
 
         let mut meta = Enc::new();
         meta.u8(SEC_META)
-            .u32(version)
+            .u32(SNAPSHOT_VERSION)
             .u64(self.seed)
             .u64(self.fingerprint)
             .u64(self.day);
@@ -201,14 +192,10 @@ impl SnapshotRef<'_> {
         enc_ledger(&mut counters, &self.wire_counters);
         w.record(counters.bytes());
 
-        if version >= 3 {
-            if let Some(aggs) = self.aggregates {
-                let mut a = Enc::new();
-                a.u8(SEC_AGGS);
-                aggs.encode(&mut a);
-                w.record(a.bytes());
-            }
-        }
+        let mut aggs = Enc::new();
+        aggs.u8(SEC_AGGS);
+        self.aggregates.encode(&mut aggs);
+        w.record(aggs.bytes());
 
         w.finish()
     }
@@ -316,7 +303,7 @@ impl Snapshot {
             charts: vec![&self.charts],
             chaos_counters: ledger(&self.chaos_counters),
             wire_counters: ledger(&self.wire_counters),
-            aggregates: self.aggregates.as_ref(),
+            aggregates: &self.aggregates,
         }
     }
 
@@ -345,11 +332,7 @@ impl Snapshot {
             let mut d = Dec::new(payload);
             match d.u8()? {
                 SEC_META => {
-                    let version = d.u32()?;
-                    // v2 snapshots (pre-AGGS) remain readable: the
-                    // aggregate state is a pure fold of the dataset,
-                    // so resume reconstructs it instead.
-                    if version != 2 && version != SNAPSHOT_VERSION {
+                    if d.u32()? != SNAPSHOT_VERSION {
                         return Err(FrameError::Codec("unsupported snapshot version"));
                     }
                     meta = Some((d.u64()?, d.u64()?, d.u64()?));
@@ -440,7 +423,7 @@ impl Snapshot {
             charts: charts.ok_or(FrameError::Codec("missing CHARTS section"))?,
             chaos_counters,
             wire_counters,
-            aggregates,
+            aggregates: aggregates.ok_or(FrameError::Codec("missing AGGS section"))?,
         })
     }
 }
@@ -743,7 +726,7 @@ mod tests {
             }],
             chaos_counters: vec![("retries".into(), 3)],
             wire_counters: vec![("bytes_delivered".into(), 912)],
-            aggregates: Some(sample_aggregates()),
+            aggregates: sample_aggregates(),
         }
     }
 
@@ -797,18 +780,47 @@ mod tests {
         assert_eq!(back.chaos_counters, snap.chaos_counters);
         assert_eq!(back.wire_counters, snap.wire_counters);
         assert_eq!(back.aggregates, snap.aggregates);
-        assert!(back.aggregates.is_some());
+    }
+
+    /// Re-frames `bytes` record by record: `edit` maps each payload to
+    /// its replacement, or drops it with `None`.
+    fn reframe(bytes: &[u8], edit: impl Fn(&[u8]) -> Option<Vec<u8>>) -> Vec<u8> {
+        let mut reader = FrameReader::new(bytes).unwrap();
+        let mut w = FrameWriter::new();
+        while let Some(payload) = reader.next_record().unwrap() {
+            if let Some(p) = edit(payload) {
+                w.record(&p);
+            }
+        }
+        w.finish()
     }
 
     #[test]
-    fn v2_snapshots_decode_without_aggregates() {
-        let snap = sample_snapshot();
-        let back = Snapshot::decode(&snap.view().encode_as(2)).unwrap();
-        assert!(back.aggregates.is_none(), "v2 has no AGGS section");
-        assert_eq!(back.offers, snap.offers);
-        assert_eq!(back.charts, snap.charts);
-        // Unknown future versions are still refused, not guessed at.
-        assert!(Snapshot::decode(&snap.view().encode_as(4)).is_err());
+    fn only_version_3_snapshots_with_aggs_decode() {
+        let bytes = sample_snapshot().encode();
+        assert_eq!(reframe(&bytes, |p| Some(p.to_vec())), bytes);
+        let err = |bytes: &[u8]| Snapshot::decode(bytes).err().map(|e| e.to_string());
+        // v2 (the pre-AGGS layout) and an unknown future version are
+        // both refused, not guessed at.
+        for version in [2u32, 4] {
+            let relabelled = reframe(&bytes, |p| {
+                let mut p = p.to_vec();
+                if p[0] == SEC_META {
+                    p[1..5].copy_from_slice(&version.to_le_bytes());
+                }
+                Some(p)
+            });
+            let got = err(&relabelled).unwrap_or_else(|| panic!("v{version} decoded"));
+            assert!(
+                got.contains("unsupported snapshot version"),
+                "v{version}: {got}"
+            );
+        }
+        // A v3 frame without its AGGS section is incomplete.
+        let no_aggs = reframe(&bytes, |p| (p[0] != SEC_AGGS).then(|| p.to_vec()));
+        assert!(no_aggs.len() < bytes.len());
+        let got = err(&no_aggs).expect("a v3 frame without AGGS decoded");
+        assert!(got.contains("missing AGGS section"), "{got}");
     }
 
     #[test]

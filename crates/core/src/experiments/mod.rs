@@ -53,14 +53,10 @@ pub struct ExperimentTiming {
     pub seconds: f64,
 }
 
-/// Runs every experiment and renders the full report — the content of
-/// `EXPERIMENTS.md`'s measured side.
-pub fn full_report(world: &World, artifacts: &WildArtifacts, honey: HoneyStudy) -> String {
-    full_report_timed(world, artifacts, honey).0
-}
-
-/// Like [`full_report`], but also returns per-experiment wall-clock
-/// timings (`repro --timing` prints them and dumps `BENCH_repro.json`).
+/// The batch report: every experiment re-scans the dataset. It is the
+/// parity oracle for [`full_report_incremental`] — `tests/aggregates.rs`
+/// holds the two byte-identical — and returns per-experiment wall-clock
+/// timings alongside the text.
 ///
 /// Experiments are independent reads of the world and artifacts — the
 /// one writer-shaped step, Table 2's live milking run, captures its
@@ -76,11 +72,14 @@ pub fn full_report_timed(
     report_timed(world, artifacts, honey, false)
 }
 
-/// The incremental report: the hot tables (4–8, figures 5/6,
-/// monetization) render from the streaming aggregates folded during
-/// the wild study instead of re-scanning the full dataset. The output
-/// is byte-identical to [`full_report`] — the batch path is the
-/// parity oracle, enforced by `tests/aggregates.rs`.
+/// Runs every experiment and renders the full report — the content of
+/// `EXPERIMENTS.md`'s measured side, and what `repro` prints.
+///
+/// The hot tables (4–8, figures 5/6, monetization) render from the
+/// streaming aggregates folded during the wild study instead of
+/// re-scanning the full dataset. The output is byte-identical to
+/// [`full_report_timed`]'s batch report, the parity oracle
+/// `tests/aggregates.rs` enforces.
 pub fn full_report_incremental(
     world: &World,
     artifacts: &WildArtifacts,
@@ -89,7 +88,8 @@ pub fn full_report_incremental(
     full_report_incremental_timed(world, artifacts, honey).0
 }
 
-/// Timed variant of [`full_report_incremental`].
+/// [`full_report_incremental`] plus per-experiment wall-clock timings
+/// (`repro --timing` prints them and dumps `BENCH_repro.json`).
 pub fn full_report_incremental_timed(
     world: &World,
     artifacts: &WildArtifacts,

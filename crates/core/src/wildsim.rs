@@ -87,9 +87,9 @@ where
     let cursor = AtomicUsize::new(0);
     let mut slots: Vec<Mutex<Option<Result<T>>>> = Vec::with_capacity(n_jobs);
     slots.resize_with(n_jobs, || Mutex::new(None));
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..pool_size(workers, n_jobs) {
-            s.spawn(|_| loop {
+            s.spawn(|| loop {
                 let j = cursor.fetch_add(1, Ordering::Relaxed);
                 if j >= n_jobs {
                     break;
@@ -97,8 +97,7 @@ where
                 *slots[j].lock() = Some(run(j));
             });
         }
-    })
-    .expect("wild-study worker scope");
+    });
     slots
         .into_iter()
         .map(|slot| {
@@ -325,8 +324,7 @@ impl World {
         let book = RateBook::from_catalog(&self.affiliate_apps);
 
         let (mut st, start_day) = match opts.resume.take() {
-            Some(mut snap) => {
-                let snap_aggs = snap.aggregates.take();
+            Some(snap) => {
                 snap.check_compatible(&self.cfg)
                     .map_err(Error::InvalidState)?;
                 let t = std::time::Instant::now();
@@ -352,15 +350,9 @@ impl World {
                     snap.charts,
                 )?;
                 st.crawler.restore(&snap.crawler);
-                // v3 snapshots carry the aggregate state verbatim; a
-                // v2 snapshot (no AGGS section) catches up with one
-                // fold over the restored dataset — the fold is a pure
-                // function of arrival order, so the refolded state is
-                // byte-identical to the day-by-day original.
-                st.aggregates = snap_aggs.unwrap_or_default();
-                if !st.aggregates.covers(&st.dataset) {
-                    st.aggregates.fold_day(&st.dataset, &book);
-                }
+                // The snapshot was taken after the day's fold, so its
+                // aggregates already cover the restored dataset.
+                st.aggregates = snap.aggregates;
                 chaosstats::restore(&snap.chaos_counters);
                 wirestats::restore(&snap.wire_counters);
                 stats.resumed_from_day = Some(snap.day);
@@ -635,7 +627,7 @@ impl World {
             charts: st.dataset.charts_resident().collect(),
             chaos_counters: chaosstats::snapshot(),
             wire_counters: wirestats::snapshot(),
-            aggregates: Some(&st.aggregates),
+            aggregates: &st.aggregates,
         }
         .encode()
     }

@@ -31,7 +31,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod crawler;
 pub mod dataset;
 pub mod export;
@@ -41,15 +40,11 @@ pub mod normalize;
 pub mod parsers;
 pub mod spill;
 
-pub use baseline::StringIndexedIngest;
 pub use crawler::{ChartSnapshot, Crawler, ProfileSnapshot};
 pub use dataset::{CampaignObservation, CampaignRef, Dataset, InternStats};
 pub use export::export_csv;
 pub use fuzzer::{FuzzerConfig, UiFuzzer};
 pub use infra::MonitoringInfra;
 pub use normalize::RateBook;
-pub use parsers::{
-    parse_wall, parse_wall_streaming, parse_wall_tree, probe_wall, PageFill, RawOffer, RewardValue,
-    ScrapedOffer,
-};
+pub use parsers::{parse_wall, probe_wall, PageFill, RawOffer, RewardValue, ScrapedOffer};
 pub use spill::{RowLog, SegRef, SpillError, SpillManifest, SpillRow, SpillStats};

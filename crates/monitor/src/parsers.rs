@@ -8,18 +8,15 @@
 //! paper's authors did: by reverse-engineering captured traffic, so
 //! nothing here links against the wall implementation.
 //!
-//! Two implementations share each dialect's schema:
-//!
-//! * [`parse_wall`] — the milking hot path. It walks the body with the
-//!   streaming [`Scanner`], extracting the schema's five fields per
-//!   entry without building a value tree (escape-free strings are the
-//!   only per-offer allocations). Object keys repeat with last-wins
-//!   semantics at every level, exactly like the tree parser's
-//!   `BTreeMap` inserts.
-//! * [`parse_wall_tree`] — the original `Json::parse`-based reference.
-//!   Equivalence between the two is property-tested in
-//!   `tests/proptests.rs`; on any streaming error `parse_wall` defers
-//!   to the reference so error messages stay bit-identical.
+//! [`parse_wall`] walks the body with the streaming [`Scanner`],
+//! extracting each dialect's five fields per entry without building a
+//! value tree (escape-free strings are the only per-offer
+//! allocations). Object keys repeat with last-wins semantics at every
+//! level, and every byte is validated with `Json::parse`'s strictness,
+//! so values and error text both match a parse-then-navigate reader.
+//! That reader, `iiscope_bench::oracles::parse_wall_tree`, is the
+//! oracle `tests/proptests.rs` holds the walk to, on `Ok` values and
+//! on error text alike.
 //!
 //! [`probe_wall`] runs the same streaming walk but stops at the first
 //! entry: it is all the UI fuzzer needs to decide whether to scroll on,
@@ -28,7 +25,6 @@
 
 use iiscope_types::{wirestats, Country, IipId, SimTime};
 use iiscope_wire::json::{Event, ParseError, Scanner};
-use iiscope_wire::Json;
 
 /// The reward currency as displayed by a wall.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,14 +76,6 @@ pub struct PageParse {
     pub skipped: usize,
 }
 
-fn str_field(v: &Json, key: &str) -> Option<String> {
-    v.get(key)?.as_str().map(str::to_string)
-}
-
-fn int_field(v: &Json, key: &str) -> Option<i64> {
-    v.get(key)?.as_i64()
-}
-
 /// Whether a wall page shows anything, as [`probe_wall`] reports it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PageFill {
@@ -127,135 +115,24 @@ pub fn probe_wall(iip: IipId, body: &str) -> iiscope_types::Result<PageFill> {
 /// Returns an error only when the page as a whole is unusable (not
 /// JSON / wrong envelope); individual bad entries are skipped.
 ///
-/// This is the streaming fast path; it never builds a JSON tree. The
-/// rare failure cases re-run [`parse_wall_tree`] so callers see the
-/// reference implementation's exact errors.
+/// This is the streaming walk; it never builds a JSON tree.
 pub fn parse_wall(iip: IipId, body: &str) -> iiscope_types::Result<PageParse> {
-    match parse_wall_streaming(iip, body) {
-        Ok(page) => {
+    let sch = schema(iip);
+    let mut sc = Scanner::new(body);
+    match stream_document(&mut sc, &sch) {
+        Ok(Some((offers, skipped))) => {
             wirestats::add_walls_streamed(1);
-            wirestats::add_offers_streamed(page.offers.len() as u64);
-            Ok(page)
+            wirestats::add_offers_streamed(offers.len() as u64);
+            Ok(PageParse { offers, skipped })
         }
-        // Defensive: if the streaming walk rejects a page, defer to the
-        // reference parser for the verdict (and the exact error text).
-        // The equivalence proptests assert the two paths agree, so this
-        // re-parse only ever runs on genuinely malformed pages.
-        Err(_) => parse_wall_tree(iip, body),
+        Ok(None) => Err(bad_envelope(iip)),
+        Err(Halt::Syntax(e)) => Err(iiscope_types::Error::Decode(format!("{iip} wall: {e}"))),
+        Err(Halt::FirstEntry) => unreachable!("a full parse never halts at an entry"),
     }
-}
-
-/// The original tree-building reference parser, kept verbatim: parse
-/// the whole body with [`Json::parse`], then navigate the envelope.
-pub fn parse_wall_tree(iip: IipId, body: &str) -> iiscope_types::Result<PageParse> {
-    let json =
-        Json::parse(body).map_err(|e| iiscope_types::Error::Decode(format!("{iip} wall: {e}")))?;
-    let entries: &[Json] = match iip {
-        IipId::Fyber => json
-            .get("ofw")
-            .and_then(|o| o.get("offers"))
-            .and_then(Json::as_array)
-            .ok_or_else(|| bad_envelope(iip))?,
-        IipId::OfferToro => json
-            .get("response")
-            .and_then(|o| o.get("offers"))
-            .and_then(Json::as_array)
-            .ok_or_else(|| bad_envelope(iip))?,
-        IipId::AdscendMedia => json
-            .get("adscend")
-            .and_then(|o| o.get("entries"))
-            .and_then(Json::as_array)
-            .ok_or_else(|| bad_envelope(iip))?,
-        IipId::HangMyAds => json
-            .get("result")
-            .and_then(Json::as_array)
-            .ok_or_else(|| bad_envelope(iip))?,
-        IipId::AdGem => json
-            .get("data")
-            .and_then(|o| o.get("wall"))
-            .and_then(Json::as_array)
-            .ok_or_else(|| bad_envelope(iip))?,
-        IipId::AyetStudios => {
-            if json.get("status").and_then(Json::as_str) != Some("ok") {
-                return Err(bad_envelope(iip));
-            }
-            json.get("offers")
-                .and_then(Json::as_array)
-                .ok_or_else(|| bad_envelope(iip))?
-        }
-        IipId::RankApp => json.as_array().ok_or_else(|| bad_envelope(iip))?,
-    };
-
-    let mut offers = Vec::with_capacity(entries.len());
-    let mut skipped = 0;
-    for entry in entries {
-        match parse_entry(iip, entry) {
-            Some(offer) => offers.push(offer),
-            None => skipped += 1,
-        }
-    }
-    Ok(PageParse { offers, skipped })
 }
 
 fn bad_envelope(iip: IipId) -> iiscope_types::Error {
     iiscope_types::Error::Decode(format!("{iip} wall: unexpected envelope"))
-}
-
-fn parse_entry(iip: IipId, v: &Json) -> Option<RawOffer> {
-    match iip {
-        IipId::Fyber => Some(RawOffer {
-            offer_key: int_field(v, "offer_id")? as u64,
-            description: str_field(v, "title")?,
-            reward: RewardValue::Usd(v.get("payout_usd")?.as_f64()?),
-            package: str_field(v, "package")?,
-            store_url: str_field(v, "play_url")?,
-        }),
-        IipId::OfferToro => Some(RawOffer {
-            offer_key: int_field(v, "id")? as u64,
-            description: str_field(v, "offer_desc")?,
-            reward: RewardValue::Points(int_field(v, "amount")?),
-            package: str_field(v, "package_name")?,
-            store_url: str_field(v, "link")?,
-        }),
-        IipId::AdscendMedia => {
-            let app = v.get("app")?;
-            Some(RawOffer {
-                offer_key: int_field(v, "uid")? as u64,
-                description: str_field(v, "description")?,
-                reward: RewardValue::Points(int_field(v, "currency_count")?),
-                package: str_field(app, "bundle")?,
-                store_url: str_field(app, "market_url")?,
-            })
-        }
-        IipId::HangMyAds => Some(RawOffer {
-            offer_key: int_field(v, "tid")? as u64,
-            description: str_field(v, "task")?,
-            reward: RewardValue::Points(int_field(v, "points")?),
-            package: str_field(v, "pkg")?,
-            store_url: str_field(v, "url")?,
-        }),
-        IipId::AdGem => Some(RawOffer {
-            offer_key: int_field(v, "id")? as u64,
-            description: str_field(v, "text")?,
-            reward: RewardValue::Points(int_field(v.get("reward")?, "points")?),
-            package: str_field(v, "bundle_id")?,
-            store_url: str_field(v, "store_link")?,
-        }),
-        IipId::AyetStudios => Some(RawOffer {
-            offer_key: int_field(v, "offer_key")? as u64,
-            description: str_field(v, "name")?,
-            reward: RewardValue::Points(int_field(v, "payout")?),
-            package: str_field(v, "package_id")?,
-            store_url: str_field(v, "tracking_link")?,
-        }),
-        IipId::RankApp => Some(RawOffer {
-            offer_key: int_field(v, "rid")? as u64,
-            description: str_field(v, "task")?,
-            reward: RewardValue::Cents(int_field(v, "price_cents")?),
-            package: str_field(v, "app")?,
-            store_url: str_field(v, "gp_link")?,
-        }),
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -406,8 +283,8 @@ fn schema(iip: IipId) -> Schema {
 }
 
 /// Last-parsed value of each schema slot for the entry being streamed.
-/// Re-occurring keys overwrite — the same last-wins the tree parser
-/// gets from `BTreeMap::insert`.
+/// Re-occurring keys overwrite — the same last-wins `Json::parse` gets
+/// from `BTreeMap::insert`.
 #[derive(Default)]
 struct EntryAcc {
     id: Option<i64>,
@@ -434,20 +311,6 @@ impl EntryAcc {
     }
 }
 
-/// The streaming walk itself. Public so the equivalence proptests can
-/// target it without the tree-parser fallback in the way; production
-/// code calls [`parse_wall`].
-pub fn parse_wall_streaming(iip: IipId, body: &str) -> iiscope_types::Result<PageParse> {
-    let sch = schema(iip);
-    let mut sc = Scanner::new(body);
-    match stream_document(&mut sc, &sch) {
-        Ok(Some((offers, skipped))) => Ok(PageParse { offers, skipped }),
-        Ok(None) => Err(bad_envelope(iip)),
-        Err(Halt::Syntax(e)) => Err(iiscope_types::Error::Decode(format!("{iip} wall: {e}"))),
-        Err(Halt::FirstEntry) => unreachable!("a full parse never halts at an entry"),
-    }
-}
-
 type Entries = (Vec<RawOffer>, usize);
 
 /// Walks the whole document (every byte is validated, matching
@@ -465,8 +328,8 @@ fn stream_document(sc: &mut Scanner<'_>, sch: &Schema) -> Result<Option<Entries>
             None
         }
         // A scalar document can't hold the envelope; keep draining so
-        // trailing-garbage errors surface first, as the tree parser's
-        // up-front `Json::parse` would report them.
+        // trailing-garbage errors win over the envelope error, as they
+        // do for a reader that runs `Json::parse` up front.
         (_, Some(_)) => None,
         (_, None) => unreachable!("scanner yields at least one event or errors"),
     };
@@ -794,6 +657,10 @@ mod tests {
         assert!(parse_wall(IipId::Fyber, "{}").is_err());
         assert!(parse_wall(IipId::RankApp, "{}").is_err());
         assert!(parse_wall(IipId::AyetStudios, r#"{"status":"error","offers":[]}"#).is_err());
+        assert!(parse_wall(IipId::AyetStudios, r#"{"status":"OK","offers":[]}"#).is_err());
+        // A repeated key wins with its last value, as in `Json::parse`.
+        assert!(parse_wall(IipId::Fyber, r#"{"ofw":{"offers":[]},"ofw":5}"#).is_err());
+        assert!(parse_wall(IipId::Fyber, r#"{"ofw":5,"ofw":{"offers":[]}}"#).is_ok());
         assert!(parse_wall(IipId::Fyber, "not json at all").is_err());
     }
 

@@ -13,47 +13,6 @@
 //! stack (`iiscope-netsim`'s fault injector) can report without
 //! depending on the crates above it.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// One relaxed counter.
-macro_rules! counters {
-    ($($(#[$doc:meta])* $name:ident / $inc:ident / $key:literal;)*) => {
-        $( $(#[$doc])* pub static $name: AtomicU64 = AtomicU64::new(0); )*
-
-        $(
-            $(#[$doc])*
-            #[inline]
-            pub fn $inc(n: u64) {
-                $name.fetch_add(n, Ordering::Relaxed);
-            }
-        )*
-
-        /// Snapshot of every counter, in declaration order, as
-        /// `(json_key, value)` pairs.
-        pub fn snapshot() -> Vec<(&'static str, u64)> {
-            vec![$( ($key, $name.load(Ordering::Relaxed)), )*]
-        }
-
-        /// Resets every counter to zero (tests and `--timing` runs).
-        pub fn reset() {
-            $( $name.store(0, Ordering::Relaxed); )*
-        }
-
-        /// Restores counters from a checkpoint ledger keyed by the
-        /// snapshot keys. Unknown keys are ignored and missing keys
-        /// stay at their current value, so ledgers survive counter
-        /// additions across versions.
-        pub fn restore(ledger: &[(String, u64)]) {
-            for (key, value) in ledger {
-                match key.as_str() {
-                    $( $key => $name.store(*value, Ordering::Relaxed), )*
-                    _ => {}
-                }
-            }
-        }
-    };
-}
-
 counters! {
     /// Deliveries dropped by the memoryless loss coin.
     DROPS_RANDOM / add_drops_random / "drops_random";

@@ -43,6 +43,53 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// Declares a family of relaxed, write-only `AtomicU64` counters in
+/// the invoking module ([`chaosstats`], [`wirestats`], [`servestats`]):
+/// one `static` and one `add_*` incrementer per entry, plus
+/// `snapshot` (every counter as `(json_key, value)`, in declaration
+/// order), `reset` and `restore`.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $name:ident / $inc:ident / $key:literal;)*) => {
+        $(
+            $(#[$doc])*
+            pub static $name: ::std::sync::atomic::AtomicU64 =
+                ::std::sync::atomic::AtomicU64::new(0);
+        )*
+
+        $(
+            $(#[$doc])*
+            #[inline]
+            pub fn $inc(n: u64) {
+                $name.fetch_add(n, ::std::sync::atomic::Ordering::Relaxed);
+            }
+        )*
+
+        /// Snapshot of every counter, in declaration order, as
+        /// `(json_key, value)` pairs.
+        pub fn snapshot() -> Vec<(&'static str, u64)> {
+            vec![$( ($key, $name.load(::std::sync::atomic::Ordering::Relaxed)), )*]
+        }
+
+        /// Resets every counter to zero (tests and `--timing` runs).
+        pub fn reset() {
+            $( $name.store(0, ::std::sync::atomic::Ordering::Relaxed); )*
+        }
+
+        /// Restores counters from a checkpoint ledger keyed by the
+        /// snapshot keys. Unknown keys are ignored and missing keys
+        /// stay at their current value, so ledgers survive counter
+        /// additions across versions.
+        pub fn restore(ledger: &[(String, u64)]) {
+            for (key, value) in ledger {
+                match key.as_str() {
+                    $( $key => $name.store(*value, ::std::sync::atomic::Ordering::Relaxed), )*
+                    _ => {}
+                }
+            }
+        }
+    };
+}
+
 pub mod chaosstats;
 pub mod country;
 pub mod error;

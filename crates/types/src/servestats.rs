@@ -11,34 +11,6 @@
 //! determinism, and they live in `iiscope-types` so any layer can
 //! report without new dependency edges.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// One relaxed counter.
-macro_rules! counters {
-    ($($(#[$doc:meta])* $name:ident / $inc:ident / $key:literal;)*) => {
-        $( $(#[$doc])* pub static $name: AtomicU64 = AtomicU64::new(0); )*
-
-        $(
-            $(#[$doc])*
-            #[inline]
-            pub fn $inc(n: u64) {
-                $name.fetch_add(n, Ordering::Relaxed);
-            }
-        )*
-
-        /// Snapshot of every counter, in declaration order, as
-        /// `(json_key, value)` pairs.
-        pub fn snapshot() -> Vec<(&'static str, u64)> {
-            vec![$( ($key, $name.load(Ordering::Relaxed)), )*]
-        }
-
-        /// Resets every counter to zero (tests and `--timing` runs).
-        pub fn reset() {
-            $( $name.store(0, Ordering::Relaxed); )*
-        }
-    };
-}
-
 counters! {
     /// Connections accepted by the listener workers.
     CONNS_ACCEPTED / add_conns_accepted / "conns_accepted";

@@ -22,7 +22,7 @@
 //! let world = World::build(WorldConfig::small(42)).unwrap();
 //! let honey = world.run_honey_study(world.study_start()).unwrap();
 //! let artifacts = world.run_wild_study().unwrap();
-//! println!("{}", iiscope::experiments::full_report(&world, &artifacts, honey));
+//! println!("{}", iiscope::experiments::full_report_incremental(&world, &artifacts, honey));
 //! ```
 
 #![forbid(unsafe_code)]

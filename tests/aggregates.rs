@@ -1,10 +1,11 @@
 //! Incremental-aggregates parity: the streaming report is
 //! byte-identical to the batch oracle at every run shape.
 //!
-//! The batch report (`full_report`) re-scans the dataset per table;
-//! the incremental report (`full_report_incremental`) renders the hot
-//! tables from the per-day aggregate digest folded during the wild
-//! study. The contract swept here:
+//! The batch report (`full_report_timed`, the oracle) re-scans the
+//! dataset per table; the incremental report (`full_report_incremental`,
+//! what `repro` prints) renders the hot tables from the per-day
+//! aggregate digest folded during the wild study. The contract swept
+//! here:
 //!
 //! - {1, 8} workers × {1, 4} shards × {unbounded, 64 KiB} memory
 //!   budget: the two reports are the same bytes;
@@ -15,33 +16,18 @@
 //!   reloads than the batch render — the perf claim, pinned in-suite
 //!   at a reduced scale.
 
+mod common;
+
+use common::TempDir;
 use iiscope::chaos::{chaos_config, CrashPlan};
 use iiscope::checkpoint::load_latest;
 use iiscope::experiments;
 use iiscope::wildsim::{CheckpointPolicy, WildRunOptions};
 use iiscope::{HoneyStudy, WildArtifacts, World, WorldConfig};
-use std::path::PathBuf;
 
-/// A unique, self-cleaning scratch directory per test case.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let dir = std::env::temp_dir().join(format!(
-            "iiscope-aggs-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create scratch dir");
-        TempDir(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
+/// The batch oracle's report text.
+fn batch_report(world: &World, artifacts: &WildArtifacts, honey: HoneyStudy) -> String {
+    experiments::full_report_timed(world, artifacts, honey).0
 }
 
 fn run(cfg: WorldConfig) -> (World, WildArtifacts, HoneyStudy) {
@@ -75,7 +61,7 @@ fn incremental_report_matches_batch_at_every_run_shape() {
                     artifacts.aggregates.covers(&artifacts.dataset),
                     "{tag}: wild-study aggregates must cover the final dataset"
                 );
-                let batch = experiments::full_report(&world, &artifacts, honey.clone());
+                let batch = batch_report(&world, &artifacts, honey.clone());
                 let incremental = experiments::full_report_incremental(&world, &artifacts, honey);
                 assert_eq!(
                     incremental, batch,
@@ -91,7 +77,7 @@ fn incremental_report_survives_kill_and_resume() {
     // Straight-through batch baseline.
     let cfg = chaos_config(10_600);
     let (world, artifacts, honey) = run(cfg.clone());
-    let straight_batch = experiments::full_report(&world, &artifacts, honey);
+    let straight_batch = batch_report(&world, &artifacts, honey);
 
     // First life: checkpoint every crawl, die at day 5 (a snapshot
     // exists at day 4, mid-run with offers already folded).
@@ -172,7 +158,7 @@ fn incremental_render_reloads_fewer_spilled_segments() {
         let report = if incremental {
             experiments::full_report_incremental(&world, &artifacts, honey)
         } else {
-            experiments::full_report(&world, &artifacts, honey)
+            batch_report(&world, &artifacts, honey)
         };
         assert!(!report.is_empty());
         artifacts.dataset.spill_stats().reloads - stats0.reloads

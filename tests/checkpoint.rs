@@ -14,46 +14,13 @@
 //! chaos scale. Behind `--ignored`: the exhaustive every-day sweep at
 //! both worker counts.
 
-use iiscope::chaos::{
-    chaos_config, crash_resume_digest, fnv64, straight_digest, CrashPlan, RunDigest,
-};
+mod common;
+
+use common::TempDir;
+use iiscope::chaos::{chaos_config, crash_resume_digest, straight_digest, CrashPlan, RunDigest};
 use iiscope::checkpoint::{load_latest, snapshot_path, Snapshot};
-use iiscope::subsystems::monitor::export::{charts_csv, offers_csv, profiles_csv};
 use iiscope::wildsim::{CheckpointPolicy, WildRunOptions};
-use iiscope::{HoneyStudy, WildArtifacts, World, WorldConfig};
-use std::path::PathBuf;
-
-/// A unique, self-cleaning checkpoint directory per test case.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let dir = std::env::temp_dir().join(format!(
-            "iiscope-ckpt-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create checkpoint dir");
-        TempDir(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-fn digest_of(world: &World, artifacts: &WildArtifacts, honey: HoneyStudy) -> RunDigest {
-    let report = iiscope::experiments::full_report(world, artifacts, honey);
-    RunDigest {
-        report: fnv64(report.as_bytes()),
-        offers_csv: fnv64(offers_csv(&artifacts.dataset).as_bytes()),
-        profiles_csv: fnv64(profiles_csv(&artifacts.dataset).as_bytes()),
-        charts_csv: fnv64(charts_csv(&artifacts.dataset).as_bytes()),
-    }
-}
+use iiscope::{World, WorldConfig};
 
 /// Sweep kill days for one config, comparing each crash-and-resume
 /// digest against the straight-through baseline.
@@ -134,7 +101,7 @@ fn snapshot_written_at_one_worker_count_resumes_at_another() {
         .unwrap();
     assert_eq!(artifacts.checkpoints.resumed_from_day, Some(4));
     assert_eq!(
-        digest_of(&world, &artifacts, honey),
+        RunDigest::of(&world, &artifacts, honey),
         straight,
         "1-worker snapshot resumed at 8 workers must stay byte-identical"
     );
@@ -188,7 +155,7 @@ fn corrupt_snapshots_fall_back_to_last_valid_and_stay_byte_identical() {
             })
             .unwrap();
         assert_eq!(
-            digest_of(&world, &artifacts, honey),
+            RunDigest::of(&world, &artifacts, honey),
             straight,
             "resume from the fallback snapshot must stay byte-identical"
         );
@@ -206,7 +173,7 @@ fn corrupt_snapshots_fall_back_to_last_valid_and_stay_byte_identical() {
     let world = World::build(cfg).unwrap();
     let honey = world.run_honey_study(world.study_start()).unwrap();
     let artifacts = world.run_wild_study().unwrap();
-    assert_eq!(digest_of(&world, &artifacts, honey), straight);
+    assert_eq!(RunDigest::of(&world, &artifacts, honey), straight);
 }
 
 #[test]

@@ -1,0 +1,42 @@
+//! Helpers shared by the integration-test binaries. Each binary that
+//! declares `mod common;` compiles its own copy and uses a subset.
+
+#![allow(dead_code)]
+
+use iiscope::WorldConfig;
+use std::path::PathBuf;
+
+/// A reduced small world: every mechanism exercised (two crawl days,
+/// campaign delivery, enforcement, charts), minutes → seconds.
+pub fn reduced(seed: u64, parallelism: usize) -> WorldConfig {
+    let mut cfg = WorldConfig::small(seed);
+    cfg.monitoring_days = 8;
+    cfg.crawl_cadence_days = 4;
+    cfg.advertised_apps = 25;
+    cfg.baseline_apps = 10;
+    cfg.honey_purchase = 60;
+    cfg.parallelism = parallelism;
+    cfg
+}
+
+/// A unique, self-cleaning scratch directory per test case.
+pub struct TempDir(pub PathBuf);
+
+impl TempDir {
+    pub fn new(tag: &str) -> TempDir {
+        let dir = std::env::temp_dir().join(format!(
+            "iiscope-test-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        TempDir(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}

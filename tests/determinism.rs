@@ -8,22 +8,12 @@
 //! `docs/report_seed42.txt` oracle (which predates the parallel path,
 //! so it also proves the refactor changed no bytes).
 
+mod common;
+
+use common::reduced;
 use iiscope::experiments;
 use iiscope::subsystems::monitor::export;
 use iiscope::{World, WorldConfig};
-
-/// A reduced small world: every mechanism exercised (two crawl days,
-/// campaign delivery, enforcement, charts), minutes → seconds.
-fn reduced(seed: u64, parallelism: usize) -> WorldConfig {
-    let mut cfg = WorldConfig::small(seed);
-    cfg.monitoring_days = 8;
-    cfg.crawl_cadence_days = 4;
-    cfg.advertised_apps = 25;
-    cfg.baseline_apps = 10;
-    cfg.honey_purchase = 60;
-    cfg.parallelism = parallelism;
-    cfg
-}
 
 #[test]
 fn parallel_run_matches_sequential_report_and_csv_bytes() {
@@ -33,7 +23,7 @@ fn parallel_run_matches_sequential_report_and_csv_bytes() {
             .run_honey_study(world.study_start())
             .expect("honey study");
         let artifacts = world.run_wild_study().expect("wild study");
-        let report = experiments::full_report(&world, &artifacts, honey);
+        let report = experiments::full_report_incremental(&world, &artifacts, honey);
         let csv = [
             export::offers_csv(&artifacts.dataset),
             export::profiles_csv(&artifacts.dataset),
@@ -43,7 +33,7 @@ fn parallel_run_matches_sequential_report_and_csv_bytes() {
     };
     let (seq_report, seq_csv, seq_interns) = run(1);
     let (par_report, par_csv, par_interns) = run(8);
-    assert_eq!(seq_report, par_report, "full_report must be byte-identical");
+    assert_eq!(seq_report, par_report, "the report must be byte-identical");
     assert_eq!(seq_csv, par_csv, "CSV export must be byte-identical");
     // The symbol tables (first-insertion numbering) must not depend on
     // worker count either — ingest is sequential after plan-order merge.
@@ -58,7 +48,7 @@ fn experiment_timings_cover_every_section_in_order() {
     let world = World::build(reduced(9_876, 4)).unwrap();
     let honey = world.run_honey_study(world.study_start()).unwrap();
     let artifacts = world.run_wild_study().unwrap();
-    let (report, timings) = experiments::full_report_timed(&world, &artifacts, honey);
+    let (report, timings) = experiments::full_report_incremental_timed(&world, &artifacts, honey);
     let labels: Vec<&str> = timings.iter().map(|t| t.label).collect();
     assert_eq!(
         labels,
@@ -97,7 +87,7 @@ fn paper_scale_seed42_report_regenerates_unchanged_with_8_workers() {
     let world = World::build(cfg).unwrap();
     let honey = world.run_honey_study(world.study_start()).unwrap();
     let artifacts = world.run_wild_study().unwrap();
-    let report = experiments::full_report(&world, &artifacts, honey);
+    let report = experiments::full_report_incremental(&world, &artifacts, honey);
     let oracle = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/docs/report_seed42.txt"

@@ -3,7 +3,7 @@
 //! the paper's qualitative results.
 
 use iiscope::experiments::{
-    full_report, Figure4, Figure6, Section5, Table1, Table3, Table4, Table5, Table7,
+    full_report_incremental, Figure4, Figure6, Section5, Table1, Table3, Table4, Table5, Table7,
 };
 use iiscope::{World, WorldConfig};
 use iiscope_types::IipId;
@@ -32,7 +32,7 @@ fn shared() -> &'static Shared {
 #[test]
 fn full_report_renders_every_artifact() {
     let s = shared();
-    let report = full_report(&s.world, &s.artifacts, s.honey.clone());
+    let report = full_report_incremental(&s.world, &s.artifacts, s.honey.clone());
     for needle in [
         "Section 3.2",
         "Table 1",

@@ -163,9 +163,10 @@ proptest! {
 // and reject the same garbage with the *same* error text and offset.
 // ---------------------------------------------------------------------------
 
-use iiscope::subsystems::monitor::parsers::{parse_wall, parse_wall_streaming, parse_wall_tree};
-use iiscope::subsystems::wire::json::ParseError;
+use iiscope::subsystems::monitor::parsers::parse_wall;
+use iiscope::subsystems::wire::json::{ParseError, MAX_DEPTH};
 use iiscope::subsystems::wire::JsonScanner;
+use iiscope_bench::oracles::parse_wall_tree;
 
 /// Parses one document with the streaming scanner, including the
 /// trailing-garbage check (which fires on the event pull *after* the
@@ -223,6 +224,157 @@ fn arb_fyber_wall() -> impl Strategy<Value = String> {
     })
 }
 
+/// Every key some dialect reads, at entry level or in a sub-object,
+/// plus `status` and a key no dialect reads.
+const WALL_KEYS: &str = "offer_id title payout_usd package play_url id offer_desc amount \
+    package_name link uid description currency_count app bundle market_url tid task points pkg \
+    url text reward bundle_id store_link offer_key name payout package_id tracking_link rid \
+    price_cents gp_link status x";
+
+/// Entry field values: the scalars each reader converts or rejects, a
+/// surrogate pair, and the containers a sub-object field reads (or a
+/// scalar field skips), one with a duplicate key.
+const WALL_VALUES: [&str; 14] = [
+    "7",
+    "-3",
+    "2.5",
+    "1e3",
+    "null",
+    "true",
+    r#""com.a.b""#,
+    r#""ok""#,
+    r#""\ud83e\udd80""#,
+    r#"{"bundle":"com.q.r","market_url":"u","points":5}"#,
+    r#"{"points":1,"points":"2"}"#,
+    r#"[1,{"points":2}]"#,
+    "{}",
+    "[]",
+];
+
+/// Lone and broken surrogate escapes, as JSON strings.
+const WALL_SURROGATES: [&str; 4] = [
+    r#""\ud800""#,
+    r#""x\udc00""#,
+    r#""\ud800\u0041""#,
+    r#""\udbff""#,
+];
+
+/// What the envelope's `status` key holds.
+const WALL_STATUS: [&str; 7] = [
+    r#""ok""#,
+    r#""OK""#,
+    r#""error""#,
+    "1",
+    "null",
+    r#"["ok"]"#,
+    r#""o\u006b""#,
+];
+
+/// Text after the document: nothing or whitespace (half the picks, so
+/// the other faults get to decide the result), or trailing garbage.
+const WALL_TRAILERS: [&str; 12] = [
+    "",
+    "",
+    "",
+    "",
+    " \n",
+    " ",
+    " x",
+    "}",
+    "]",
+    ",",
+    " 1",
+    r#" "\ud800""#,
+];
+
+/// One entry object: `(key, value)` picks, so keys repeat.
+fn arb_wall_entry() -> impl Strategy<Value = String> {
+    let keys: Vec<&str> = WALL_KEYS.split_whitespace().collect();
+    let pick = (0..keys.len(), 0..WALL_VALUES.len());
+    prop::collection::vec(pick, 0..7).prop_map(move |kv| {
+        let fields: Vec<String> = kv
+            .into_iter()
+            .map(|(k, v)| format!("\"{}\":{}", keys[k], WALL_VALUES[v]))
+            .collect();
+        format!("{{{}}}", fields.join(","))
+    })
+}
+
+/// Pages built to test which error a malformed page reports first,
+/// as `(dialect index, body)`: an envelope in the parsed dialect (half
+/// the picks), in another one or a scalar document, then trailing
+/// garbage; a `status` other than `"ok"`, before or after the entries;
+/// nesting on either side of the depth cap, in an entry or beside the
+/// envelope; a lone surrogate as an entry's or the envelope's key or
+/// value; duplicate keys in entries, in sub-objects and at both
+/// envelope levels.
+fn arb_wall_error_case() -> impl Strategy<Value = (usize, String)> {
+    let n = IipId::ALL.len();
+    (
+        (0..n, 0usize..4, 1..n),
+        prop::collection::vec(arb_wall_entry(), 0..4),
+        (0..WALL_STATUS.len(), 0usize..2, 0..WALL_TRAILERS.len()),
+        (0usize..4, 0usize..4, MAX_DEPTH - 8..MAX_DEPTH + 4),
+        (0usize..8, 0..WALL_SURROGATES.len()),
+    )
+        .prop_map(
+            move |(iips, mut items, (status, at, trailer), faults, lone)| {
+                let ((parse_as, written, other), (dup, deep_at, depth)) = (iips, faults);
+                let (spot, lone) = (lone.0, WALL_SURROGATES[lone.1]);
+                let written_as = match written {
+                    0 | 1 => Some(IipId::ALL[parse_as]),
+                    2 => Some(IipId::ALL[(parse_as + other) % n]),
+                    _ => None,
+                };
+                let nested = "[".repeat(depth) + &"]".repeat(depth);
+                match deep_at {
+                    1 => items.push(format!("{{\"title\":{nested}}}")),
+                    2 if written_as == Some(IipId::RankApp) => items.push(nested.clone()),
+                    _ => {}
+                }
+                match spot {
+                    0 => items.push(format!("{{\"title\":{lone}}}")),
+                    1 => items.push(format!("{{{lone}:1}}")),
+                    _ => {}
+                }
+                let array = format!("[{}]", items.join(","));
+                let (outer, inner) = match written_as {
+                    None => return (parse_as, r#""scalar""#.to_string() + WALL_TRAILERS[trailer]),
+                    Some(IipId::RankApp) => return (parse_as, array + WALL_TRAILERS[trailer]),
+                    Some(IipId::Fyber) => ("ofw", Some("offers")),
+                    Some(IipId::OfferToro) => ("response", Some("offers")),
+                    Some(IipId::AdscendMedia) => ("adscend", Some("entries")),
+                    Some(IipId::AdGem) => ("data", Some("wall")),
+                    Some(IipId::HangMyAds) => ("result", None),
+                    Some(IipId::AyetStudios) => ("offers", None),
+                };
+                let value = match inner {
+                    Some(inner) if dup == 3 => format!("{{\"{inner}\":{array},\"{inner}\":null}}"),
+                    Some(inner) => format!("{{\"{inner}\":{array}}}"),
+                    None => array,
+                };
+                let mut members = vec![format!("\"{outer}\":{value}")];
+                match dup {
+                    1 => members.push(format!("\"{outer}\":5")),
+                    2 => members.insert(0, format!("\"{outer}\":[]")),
+                    _ => {}
+                }
+                let status = format!("\"status\":{}", WALL_STATUS[status]);
+                members.insert(if at == 0 { 0 } else { members.len() }, status);
+                if deep_at == 2 {
+                    members.push(format!("\"x\":{nested}"));
+                }
+                match spot {
+                    2 => members.push(format!("{lone}:1")),
+                    3 => members.push(format!("\"x\":{lone}")),
+                    _ => {}
+                }
+                let body = format!("{{{}}}", members.join(","));
+                (parse_as, body + WALL_TRAILERS[trailer])
+            },
+        )
+}
+
 proptest! {
     /// Round-tripped documents: the scanner rebuilds exactly the tree
     /// the reference parser builds, compact or pretty.
@@ -258,24 +410,27 @@ proptest! {
         prop_assert_eq!(scan_parse(&open_only), Json::parse(&open_only));
     }
 
-    /// The schema-directed streaming wall parser against the tree
-    /// reference, over valid pages, truncations of valid pages, and
-    /// arbitrary garbage, for every IIP dialect:
-    ///   * the public `parse_wall` (streaming + fallback) is
-    ///     bit-identical to `parse_wall_tree` — values and error text;
-    ///   * whenever the pure streaming path succeeds it matches the
-    ///     tree result (the fallback never masks a divergence);
-    ///   * nothing panics.
+    /// The schema-directed streaming `parse_wall` against the
+    /// tree-building oracle, over valid pages, truncations of valid
+    /// pages, arbitrary garbage and the error-order shapes of
+    /// [`arb_wall_error_case`], for every IIP dialect: the two return
+    /// the same values and the same error text, and nothing panics.
     #[test]
     fn wall_parsers_agree_everywhere(
-        iip_idx in 0usize..IipId::ALL.len(),
-        body in prop_oneof![
-            arb_fyber_wall(),
-            arb_json().prop_map(|v| v.to_string()),
-            "\\PC{0,120}",
+        case in prop_oneof![
+            (
+                0usize..IipId::ALL.len(),
+                prop_oneof![
+                    arb_fyber_wall(),
+                    arb_json().prop_map(|v| v.to_string()),
+                    "\\PC{0,120}",
+                ],
+            ),
+            arb_wall_error_case(),
         ],
         cut in any::<prop::sample::Index>(),
     ) {
+        let (iip_idx, body) = case;
         let iip = IipId::ALL[iip_idx];
         let cut = truncate_at_char(&body, &cut);
         for s in [body.as_str(), &body[..cut]] {
@@ -288,12 +443,8 @@ proptest! {
                 }
                 _ => prop_assert!(
                     false,
-                    "fast path and reference disagree on Ok-ness for {s:?}: {fast:?} vs {reference:?}"
+                    "parse_wall and the oracle disagree on Ok-ness for {s:?}: {fast:?} vs {reference:?}"
                 ),
-            }
-            if let Ok(page) = parse_wall_streaming(iip, s) {
-                let tree = reference.expect("streaming Ok implies tree Ok");
-                prop_assert_eq!(page, tree, "{:?}", s);
             }
         }
     }

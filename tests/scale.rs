@@ -14,23 +14,14 @@
 //! differ — but each such world must itself be deterministic and
 //! worker-invariant, which the sharded smoke pins.
 
+mod common;
+
+use common::reduced;
 use iiscope::chaos::{chaos_config, crash_resume_digest, straight_digest};
 use iiscope::experiments;
 use iiscope::subsystems::monitor::export;
 use iiscope::subsystems::types::Error;
 use iiscope::{World, WorldConfig};
-
-/// A reduced world exercising every mechanism in seconds, with the
-/// scale knobs applied on top.
-fn reduced(seed: u64) -> WorldConfig {
-    let mut cfg = WorldConfig::small(seed);
-    cfg.monitoring_days = 8;
-    cfg.crawl_cadence_days = 4;
-    cfg.advertised_apps = 25;
-    cfg.baseline_apps = 10;
-    cfg.honey_purchase = 60;
-    cfg
-}
 
 struct RunOut {
     report: String,
@@ -46,7 +37,7 @@ fn run(cfg: WorldConfig) -> RunOut {
         .run_honey_study(world.study_start())
         .expect("honey study");
     let artifacts = world.run_wild_study().expect("wild study");
-    let report = experiments::full_report(&world, &artifacts, honey);
+    let report = experiments::full_report_incremental(&world, &artifacts, honey);
     let csv = [
         export::offers_csv(&artifacts.dataset),
         export::profiles_csv(&artifacts.dataset),
@@ -66,14 +57,13 @@ fn run(cfg: WorldConfig) -> RunOut {
 
 #[test]
 fn tiny_memory_budget_changes_no_bytes_at_any_worker_count() {
-    let resident = run(reduced(5_150));
+    let resident = run(reduced(5_150, 1));
     assert_eq!(resident.spilled_segments, 0, "no budget, no spilling");
 
     for parallelism in [1, 8] {
         let dir = std::env::temp_dir().join(format!("iiscope-scale-test-{parallelism}"));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut cfg = reduced(5_150);
-        cfg.parallelism = parallelism;
+        let mut cfg = reduced(5_150, parallelism);
         // Small enough that nearly every closed segment is evicted.
         cfg.memory_budget = Some(32 * 1024);
         cfg.spill_dir = Some(dir.clone());
@@ -102,13 +92,12 @@ fn tiny_memory_budget_changes_no_bytes_at_any_worker_count() {
 
 #[test]
 fn scaled_sharded_world_is_worker_invariant_and_scales_delivery() {
-    let baseline = run(reduced(6_260));
+    let baseline = run(reduced(6_260, 1));
 
     let scaled = |parallelism: usize| {
-        let mut cfg = reduced(6_260);
+        let mut cfg = reduced(6_260, parallelism);
         cfg.scale = 3;
         cfg.shards = 4;
-        cfg.parallelism = parallelism;
         cfg
     };
     let seq = run(scaled(1));
@@ -166,10 +155,9 @@ fn shard_count_one_is_bit_identical_to_the_legacy_loop() {
     // restructure itself changed no bytes vs. the committed behaviour
     // (the determinism suite's oracle covers paper scale; this covers
     // the reduced world in tier-1).
-    let a = run(reduced(7_370));
-    let mut cfg = reduced(7_370);
+    let a = run(reduced(7_370, 1));
+    let mut cfg = reduced(7_370, 8);
     cfg.shards = 1;
-    cfg.parallelism = 8;
     let b = run(cfg);
     assert_eq!(a.report, b.report);
     assert_eq!(a.csv, b.csv);
@@ -183,7 +171,7 @@ fn a_failed_spill_write_ends_the_study_with_an_error_not_a_panic() {
     let blocker =
         std::env::temp_dir().join(format!("iiscope-spill-blocker-{}", std::process::id()));
     std::fs::write(&blocker, b"not a directory").expect("create blocker file");
-    let mut cfg = reduced(5_150);
+    let mut cfg = reduced(5_150, 1);
     cfg.memory_budget = Some(32 * 1024);
     cfg.spill_dir = Some(blocker.join("spill"));
     let world = World::build(cfg).expect("build");

@@ -11,6 +11,9 @@
 //! leave the seed-42 report and CSVs byte-identical to a no-server
 //! run. The nightly `--ignored` soak emits `BENCH_serve.json`.
 
+mod common;
+
+use common::reduced;
 use iiscope::experiments;
 use iiscope::subsystems::monitor::export;
 use iiscope::subsystems::netsim::{AsnId, AsnKind, HostAddr, PeerInfo};
@@ -410,19 +413,6 @@ fn soak_holds_cap_keepalive_conns_with_backpressure_then_drains() {
 // Satellite 3: determinism guard — serving mid-run changes no bytes
 // ---------------------------------------------------------------------
 
-/// The reduced world of `tests/determinism.rs`: every mechanism
-/// exercised, minutes → seconds.
-fn reduced(seed: u64, parallelism: usize) -> WorldConfig {
-    let mut cfg = WorldConfig::small(seed);
-    cfg.monitoring_days = 8;
-    cfg.crawl_cadence_days = 4;
-    cfg.advertised_apps = 25;
-    cfg.baseline_apps = 10;
-    cfg.honey_purchase = 60;
-    cfg.parallelism = parallelism;
-    cfg
-}
-
 type RunOutput = (String, [String; 3]);
 
 fn run_world(cfg: WorldConfig, serve: bool) -> RunOutput {
@@ -488,7 +478,7 @@ fn run_world(cfg: WorldConfig, serve: bool) -> RunOutput {
 
     let honey = world.run_honey_study(world.study_start()).unwrap();
     let artifacts = world.run_wild_study().unwrap();
-    let report = experiments::full_report(&world, &artifacts, honey);
+    let report = experiments::full_report_incremental(&world, &artifacts, honey);
     let csv = [
         export::offers_csv(&artifacts.dataset),
         export::profiles_csv(&artifacts.dataset),
@@ -684,7 +674,7 @@ fn paper_scale_seed42_report_survives_serving() {
 
     let honey = world.run_honey_study(world.study_start()).unwrap();
     let artifacts = world.run_wild_study().unwrap();
-    let report = experiments::full_report(&world, &artifacts, honey);
+    let report = experiments::full_report_incremental(&world, &artifacts, honey);
     stop.store(true, Ordering::Relaxed);
     hammer.join().unwrap();
     server.stop();
