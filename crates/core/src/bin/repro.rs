@@ -649,6 +649,11 @@ fn timed_report(
             vec![
                 ("wild_study_seconds", wild_secs.into()),
                 ("intern_stats", intern_stats),
+                ("offer_rows", artifacts.offer_observations.into()),
+                (
+                    "offer_log_bytes",
+                    artifacts.dataset.offer_log_bytes().into(),
+                ),
             ],
         ),
         (

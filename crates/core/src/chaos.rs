@@ -25,7 +25,8 @@ use crate::world::World;
 use crate::{HoneyStudy, WildArtifacts};
 use iiscope_honeyapp::app::telemetry_payload;
 use iiscope_honeyapp::{Collector, TelemetryEvent};
-use iiscope_monitor::export::{charts_csv, offers_csv, profiles_csv};
+use iiscope_monitor::export::{write_charts_csv, write_offers_csv, write_profiles_csv};
+use iiscope_monitor::Dataset;
 use iiscope_netsim::{AsnId, AsnKind, FaultPlan, GilbertElliott, HostAddr, Network, OutageWindow};
 use iiscope_types::time::study;
 use iiscope_types::{
@@ -34,6 +35,7 @@ use iiscope_types::{
 use iiscope_wire::server::HttpsFactory;
 use iiscope_wire::tls::{CertAuthority, ServerIdentity, TrustStore};
 use iiscope_wire::HttpClient;
+use std::io::Write;
 use std::net::Ipv4Addr;
 use std::path::Path;
 use std::sync::Arc;
@@ -168,11 +170,17 @@ impl RunDigest {
     /// the three CSVs.
     pub fn of(world: &World, artifacts: &WildArtifacts, honey: HoneyStudy) -> RunDigest {
         let report = crate::experiments::full_report_incremental(world, artifacts, honey);
+        let ds = &artifacts.dataset;
+        let csv = |write: fn(&Dataset, &mut Fnv64) -> std::io::Result<usize>| {
+            let mut h = Fnv64::new();
+            write(ds, &mut h).expect("hashing cannot fail");
+            h.finish()
+        };
         RunDigest {
             report: fnv64(report.as_bytes()),
-            offers_csv: fnv64(offers_csv(&artifacts.dataset).as_bytes()),
-            profiles_csv: fnv64(profiles_csv(&artifacts.dataset).as_bytes()),
-            charts_csv: fnv64(charts_csv(&artifacts.dataset).as_bytes()),
+            offers_csv: csv(write_offers_csv),
+            profiles_csv: csv(write_profiles_csv),
+            charts_csv: csv(write_charts_csv),
         }
     }
 }
@@ -304,12 +312,50 @@ pub fn telemetry_survival(seed: u64, drop_chance: f64, devices: u64) -> usize {
 /// FNV-1a over a byte slice — the digest two chaos runs are compared
 /// by (the workspace carries no hashing dependency).
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
+    let mut h = Fnv64::new();
+    h.fold(bytes);
+    h.finish()
+}
+
+/// Streaming [`fnv64`]: a [`Write`] sink, so an export digests its
+/// bytes as they are written instead of rendering them first.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv64(u64);
+
+impl Fnv64 {
+    /// The empty digest.
+    pub fn new() -> Fnv64 {
+        Fnv64(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    fn fold(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    /// The digest of every byte written so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv64 {
+    fn default() -> Fnv64 {
+        Fnv64::new()
+    }
+}
+
+impl Write for Fnv64 {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.fold(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@ use crate::aggregates::ReportAggregates;
 use crate::chaos::fnv64;
 use crate::config::WorldConfig;
 use iiscope_monitor::parsers::ScrapedOffer;
-use iiscope_monitor::spill::{SegRef, SpillManifest, SpillRow};
+use iiscope_monitor::spill::{ResidentRows, RowSection, SegRef, SpillManifest, SpillRow};
 use iiscope_monitor::{ChartSnapshot, ProfileSnapshot};
 use iiscope_types::frame::{Dec, Enc, FrameError, FrameReader, FrameWriter};
 use iiscope_types::Interner;
@@ -130,15 +130,16 @@ pub struct SnapshotRef<'a> {
     pub desc_syms: &'a Interner,
     /// Spilled prefix of the offer log, by reference.
     pub offers_spill: &'a SpillManifest,
-    /// Resident suffix of the offer log: chunks whose concatenation is
-    /// the rows in arrival order.
-    pub offers: Vec<&'a [ScrapedOffer]>,
+    /// Resident suffix of the offer log, arrival order: the live
+    /// dataset's interned rows or a decoded snapshot's owned rows,
+    /// encoded with the same row codec either way.
+    pub offers: Box<dyn RowSection + 'a>,
     /// Raw profile log, arrival order.
     pub profiles: &'a [ProfileSnapshot],
     /// Spilled prefix of the chart log, by reference.
     pub charts_spill: &'a SpillManifest,
-    /// Resident suffix of the chart log, chunked like `offers`.
-    pub charts: Vec<&'a [ChartSnapshot]>,
+    /// Resident suffix of the chart log, arrival order.
+    pub charts: Box<dyn RowSection + 'a>,
     /// Chaos counter ledger.
     pub chaos_counters: Vec<(&'a str, u64)>,
     /// Wire counter ledger.
@@ -176,9 +177,9 @@ impl SnapshotRef<'_> {
         enc_manifest(&mut spill, self.charts_spill);
         w.record(spill.bytes());
 
-        w.record(&enc_rows(SEC_OFFERS, &self.offers));
-        w.record(&enc_rows(SEC_PROFILES, &[self.profiles]));
-        w.record(&enc_rows(SEC_CHARTS, &self.charts));
+        w.record(&enc_rows(SEC_OFFERS, &*self.offers));
+        w.record(&enc_rows(SEC_PROFILES, &ResidentRows::of(self.profiles)));
+        w.record(&enc_rows(SEC_CHARTS, &*self.charts));
 
         let mut crawler = Enc::new();
         crawler.u8(SEC_CRAWLER);
@@ -201,14 +202,11 @@ impl SnapshotRef<'_> {
     }
 }
 
-/// A row section: tag, row count, then every row of `chunks` in order.
-fn enc_rows<T: SpillRow>(section: u8, chunks: &[&[T]]) -> Vec<u8> {
+/// A row section: tag, row count, then every row in order.
+fn enc_rows(section: u8, rows: &dyn RowSection) -> Vec<u8> {
     let mut e = Enc::new();
-    let n: usize = chunks.iter().map(|c| c.len()).sum();
-    e.u8(section).u64(n as u64);
-    for row in chunks.iter().flat_map(|c| c.iter()) {
-        row.enc_row(&mut e);
-    }
+    e.u8(section).u64(rows.row_count() as u64);
+    rows.enc_rows(&mut e);
     e.into_bytes()
 }
 
@@ -297,10 +295,10 @@ impl Snapshot {
             pkg_syms: &self.pkg_syms,
             desc_syms: &self.desc_syms,
             offers_spill: &self.offers_spill,
-            offers: vec![&self.offers],
+            offers: Box::new(ResidentRows::of(&self.offers)),
             profiles: &self.profiles,
             charts_spill: &self.charts_spill,
-            charts: vec![&self.charts],
+            charts: Box::new(ResidentRows::of(&self.charts)),
             chaos_counters: ledger(&self.chaos_counters),
             wire_counters: ledger(&self.wire_counters),
             aggregates: &self.aggregates,

@@ -612,7 +612,7 @@ impl World {
     /// borrowed, not cloned.
     fn encode_snapshot(&self, st: &SimState, day: u64) -> Vec<u8> {
         let sim_bytes = self.encode_sim(st, day);
-        SnapshotRef {
+        let snapshot = SnapshotRef {
             day,
             seed: self.cfg.seed,
             fingerprint: checkpoint::config_fingerprint(&self.cfg),
@@ -621,15 +621,15 @@ impl World {
             pkg_syms: st.dataset.package_interner(),
             desc_syms: st.dataset.description_interner(),
             offers_spill: st.dataset.offers_spill(),
-            offers: st.dataset.offers_resident().collect(),
+            offers: Box::new(st.dataset.offers_resident()),
             profiles: st.dataset.profiles(),
             charts_spill: st.dataset.charts_spill(),
-            charts: st.dataset.charts_resident().collect(),
+            charts: Box::new(st.dataset.charts_resident()),
             chaos_counters: chaosstats::snapshot(),
             wire_counters: wirestats::snapshot(),
             aggregates: &st.aggregates,
-        }
-        .encode()
+        };
+        snapshot.encode()
     }
 
     /// Steps 1–4 and 6 of one day: campaign starts, organic

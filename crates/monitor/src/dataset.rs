@@ -17,11 +17,22 @@
 //! are resolved back — and sorted lexicographically where output
 //! order demands it — only at the report/CSV boundary, so accessor
 //! signatures and values are unchanged from the string-keyed store.
+//!
+//! The offer log itself is columnar end to end: each observation is a
+//! fixed-size [`OfferRow`] whose package, description, store URL and
+//! affiliate are symbols, so a row costs 56 bytes however long its
+//! strings are. Owned [`ScrapedOffer`]s exist only at the edges —
+//! ingest, iteration, and the spill/snapshot codec, which still writes
+//! the owned row's bytes.
 
 use crate::crawler::{ChartSnapshot, ProfileSnapshot};
-use crate::parsers::ScrapedOffer;
-use crate::spill::{RowLog, RowLogIter, SpillError, SpillManifest, SpillStats};
-use iiscope_types::{IipId, Interner, SimTime, Sym, SymMap, SymSet};
+use crate::parsers::{RewardValue, ScrapedOffer};
+use crate::spill::{
+    OfferFields, Resident, ResidentRows, RowLog, RowLogIter, SpillError, SpillManifest, SpillRow,
+    SpillStats,
+};
+use iiscope_types::frame::Enc;
+use iiscope_types::{Country, IipId, Interner, SimTime, Sym, SymMap, SymSet};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
@@ -96,6 +107,77 @@ pub struct InternStats {
     pub description_slab_bytes: usize,
 }
 
+/// The symbol spaces a [`Dataset`] interns into (opaque: reach them
+/// through the dataset's accessors). Offer rows resolve through all
+/// four; profiles and charts share the package space.
+#[derive(Debug, Default)]
+pub struct SymTables {
+    /// Package symbol space (offers ∪ profiles ∪ charts, plus any seed
+    /// the world handed to [`Dataset::with_interner`]).
+    pkg: Interner,
+    /// Description symbol space — interning *is* the dedup index.
+    desc: Interner,
+    /// Store URLs of offer rows. Never checkpointed: a restore rebuilds
+    /// it while re-indexing the log in arrival order.
+    url: Interner,
+    /// Affiliate apps of offer rows (rebuilt on restore like `url`).
+    affiliate: Interner,
+}
+
+/// One offer observation as a [`Dataset`]'s offer log keeps it: every
+/// string an interned symbol, 56 bytes in all (opaque: the log yields
+/// owned [`ScrapedOffer`]s). It keeps the owned row's
+/// [`SpillRow::approx_bytes`], so segment boundaries, spill files and
+/// snapshots are the same as for a log of owned rows.
+#[derive(Debug, Clone, Copy)]
+pub struct OfferRow {
+    offer_key: u64,
+    seen_at: SimTime,
+    reward: RewardValue,
+    package: Sym,
+    description: Sym,
+    store_url: Sym,
+    affiliate: Sym,
+    accounted: u32,
+    iip: IipId,
+    vantage: Country,
+}
+
+const _: () = assert!(std::mem::size_of::<OfferRow>() <= 56);
+
+impl OfferRow {
+    fn fields<'a>(&self, syms: &'a SymTables) -> OfferFields<'a> {
+        OfferFields {
+            iip: self.iip,
+            offer_key: self.offer_key,
+            description: syms.desc.resolve(self.description),
+            reward: self.reward,
+            package: syms.pkg.resolve(self.package),
+            store_url: syms.url.resolve(self.store_url),
+            seen_at: self.seen_at,
+            affiliate: syms.affiliate.resolve(self.affiliate),
+            vantage: self.vantage,
+        }
+    }
+}
+
+impl Resident for OfferRow {
+    type Row = ScrapedOffer;
+    type Ctx = SymTables;
+
+    fn accounted_bytes(&self) -> usize {
+        self.accounted as usize
+    }
+
+    fn encode(&self, syms: &SymTables, e: &mut Enc) {
+        self.fields(syms).enc(e);
+    }
+
+    fn unpack(&self, syms: &SymTables) -> ScrapedOffer {
+        self.fields(syms).to_offer()
+    }
+}
+
 /// Incremental per-package aggregate behind [`Dataset::observations`].
 #[derive(Debug, Clone)]
 struct ObservationAgg {
@@ -111,38 +193,36 @@ struct ObservationAgg {
 /// The two bulk logs (offer observations, chart snapshots) live in
 /// spill-capable [`RowLog`]s: under a memory budget their cold
 /// segments move to disk and the accessors stream them back through
-/// an LRU — same rows, same order, any budget. Profiles stay fully
-/// resident: they are the random-access query surface
-/// (`profile_series`, `first_profile`) and modest in size. The first
-/// observation of each unique `(iip, key)` is additionally pinned
-/// resident, so the experiment joins over `unique_offers` never touch
-/// disk.
+/// an LRU — same rows, same order, any budget. Offer rows are kept as
+/// interned [`OfferRow`]s. Profiles stay fully resident: they are the
+/// random-access query surface (`profile_series`, `first_profile`).
+/// The first observation of each unique `(iip, key)` is additionally
+/// pinned resident, so the experiment joins over `unique_offers` never
+/// touch disk.
 #[derive(Debug, Default)]
 pub struct Dataset {
-    offers: RowLog<ScrapedOffer>,
+    offers: RowLog<OfferRow>,
     profiles: Vec<ProfileSnapshot>,
     charts: RowLog<ChartSnapshot>,
 
-    /// Package symbol space (offers ∪ profiles ∪ charts, plus any
-    /// seed the world handed to [`Dataset::with_interner`]).
-    pkg_syms: Interner,
-    /// Description symbol space — interning *is* the dedup index.
-    desc_syms: Interner,
-    /// Package symbol of each row in `offers` (columnar).
-    offer_pkg: Vec<Sym>,
-    /// Description symbol of each row in `offers` (columnar).
-    offer_desc: Vec<Sym>,
+    /// The symbol spaces rows and indices point into.
+    syms: SymTables,
+    /// Each package's last store-URL symbol: a package keeps its URL,
+    /// so ingest compares against it before hashing the URL.
+    url_by_pkg: SymMap<Sym>,
+    /// The last affiliate symbol: a milk batch shares one affiliate,
+    /// so ingest compares against it before hashing.
+    last_affiliate: Option<Sym>,
 
     // Incremental indices, maintained by the `add_*` methods.
     /// Dedup set over `(iip, offer_key)`.
     seen_offer_keys: BTreeSet<(IipId, u64)>,
-    /// Rows in `offers` holding the first observation of each key, in
-    /// arrival order.
-    unique_offer_rows: Vec<usize>,
-    /// Pinned-resident clones of those first observations (same order
-    /// as `unique_offer_rows`) — what `unique_offers()` borrows from,
-    /// so deduplicated joins stay off the spill path.
+    /// Pinned-resident clones of the first observation of each key, in
+    /// arrival order — what `unique_offers()` borrows from, so
+    /// deduplicated joins stay off the spill path.
     unique_rows: Vec<ScrapedOffer>,
+    /// Package and description symbols of `unique_rows`, same order.
+    unique_syms: Vec<(Sym, Sym)>,
     /// Distinct advertised packages.
     advertised: SymSet,
     /// Distinct packages per platform, indexed by `iip as usize`.
@@ -172,7 +252,10 @@ impl Dataset {
     /// with world symbols for every pre-planned name.
     pub fn with_interner(seed: Interner) -> Dataset {
         Dataset {
-            pkg_syms: seed,
+            syms: SymTables {
+                pkg: seed,
+                ..SymTables::default()
+            },
             ..Dataset::default()
         }
     }
@@ -180,13 +263,15 @@ impl Dataset {
     /// Rebuilds a dataset from checkpointed parts: both symbol tables
     /// plus the three raw logs in original arrival order.
     ///
-    /// Only the raw logs and interners are persisted — every index is
-    /// a pure function of (interner seed, insertion sequence), so the
-    /// restore *re-ingests* the logs through the normal `add_*` paths
-    /// with the serialized interners pre-seeded. Pre-seeding matters:
-    /// live ingest interleaves offers, profiles and charts across crawl
-    /// days, so symbol numbering cannot be re-derived from any one log
-    /// alone. Returns an error if re-ingest mints a symbol the
+    /// Only the raw logs and the package and description interners are
+    /// persisted — every index is a pure function of (interner seed,
+    /// insertion sequence), so the restore *re-ingests* the logs through
+    /// the normal `add_*` paths with the serialized interners
+    /// pre-seeded. Pre-seeding matters: live ingest interleaves offers,
+    /// profiles and charts across crawl days, so symbol numbering cannot
+    /// be re-derived from any one log alone. The store-URL and
+    /// affiliate tables only the offer log uses are rebuilt in log
+    /// order. Returns an error if re-ingest mints a symbol the
     /// serialized tables did not contain (a corrupt or inconsistent
     /// snapshot), since that would renumber later symbols.
     pub fn from_parts(
@@ -226,20 +311,24 @@ impl Dataset {
             iiscope_types::Error::InvalidState(format!("{what} spill manifest: {e}"))
         };
         let mut d = Dataset {
-            pkg_syms,
-            desc_syms,
+            syms: SymTables {
+                pkg: pkg_syms,
+                desc: desc_syms,
+                ..SymTables::default()
+            },
             ..Dataset::default()
         };
-        let (want_pkg, want_desc) = (d.pkg_syms.len(), d.desc_syms.len());
+        let (want_pkg, want_desc) = (d.syms.pkg.len(), d.syms.desc.len());
         d.offers
             .attach(offers_spill)
             .map_err(|e| spill_err("offers", e))?;
-        // Stream the attached (possibly disk-resident) rows through the
-        // indexing pass; the log is taken out and put back because the
-        // indices borrow `self` mutably.
+        // Stream the attached (disk-resident) rows through the indexing
+        // pass; the log is taken out and put back because the indices
+        // borrow `self` mutably. An attached log holds only spilled
+        // rows, which decode without the symbol tables.
         let log = std::mem::take(&mut d.offers);
-        for (row, o) in log.iter().enumerate() {
-            d.index_offer(row, &o);
+        for o in log.iter(&SymTables::default()) {
+            d.index_offer(&o);
         }
         d.offers = log;
         d.add_offers(offers_suffix);
@@ -250,35 +339,43 @@ impl Dataset {
             .attach(charts_spill)
             .map_err(|e| spill_err("charts", e))?;
         let log = std::mem::take(&mut d.charts);
-        for c in log.iter() {
+        for c in log.iter(&()) {
             d.index_chart(&c);
         }
         d.charts = log;
         for c in charts_suffix {
             d.add_chart(c);
         }
-        if d.pkg_syms.len() != want_pkg || d.desc_syms.len() != want_desc {
+        if d.syms.pkg.len() != want_pkg || d.syms.desc.len() != want_desc {
             return Err(iiscope_types::Error::InvalidState(format!(
                 "dataset restore minted new symbols: {} -> {} packages, {} -> {} descriptions",
                 want_pkg,
-                d.pkg_syms.len(),
+                d.syms.pkg.len(),
                 want_desc,
-                d.desc_syms.len()
+                d.syms.desc.len()
             )));
         }
         Ok(d)
     }
 
-    /// Sets the resident-memory budget for the spillable logs (split
-    /// evenly between offers and charts) and where their spill files
-    /// live. `None` keeps everything resident. Spilling never changes
-    /// a query result — only where cold rows wait.
+    /// Sets the memory budget for the spillable logs (split evenly
+    /// between offers and charts) and where their spill files live.
+    /// The budget bounds accounted bytes ([`SpillRow::approx_bytes`]),
+    /// an upper bound on what the interned offer rows really hold.
+    /// `None` keeps everything resident. Spilling never changes a
+    /// query result — only where cold rows wait.
     pub fn set_memory_budget(&mut self, budget: Option<u64>, spill_dir: &Path, label: &str) {
         let per_log = budget.map(|b| (b / 2).max(4096));
-        self.offers
-            .configure(per_log, spill_dir.join(format!("{label}-offers.spill")));
-        self.charts
-            .configure(per_log, spill_dir.join(format!("{label}-charts.spill")));
+        self.offers.configure(
+            per_log,
+            spill_dir.join(format!("{label}-offers.spill")),
+            &self.syms,
+        );
+        self.charts.configure(
+            per_log,
+            spill_dir.join(format!("{label}-charts.spill")),
+            &(),
+        );
     }
 
     /// Combined spill counters of the offer and chart logs.
@@ -298,9 +395,10 @@ impl Dataset {
     }
 
     /// Offer rows not covered by [`Dataset::offers_spill`], borrowed
-    /// in arrival order one contiguous chunk at a time.
-    pub fn offers_resident(&self) -> impl Iterator<Item = &[ScrapedOffer]> + '_ {
-        self.offers.resident_chunks()
+    /// in arrival order with the symbol tables they resolve through —
+    /// the snapshot encodes them without building owned rows.
+    pub fn offers_resident(&self) -> ResidentRows<'_, OfferRow> {
+        self.offers.resident(&self.syms)
     }
 
     /// Spill manifest of the chart log (for checkpointing).
@@ -310,19 +408,19 @@ impl Dataset {
 
     /// Chart rows not covered by [`Dataset::charts_spill`], borrowed
     /// like [`Dataset::offers_resident`].
-    pub fn charts_resident(&self) -> impl Iterator<Item = &[ChartSnapshot]> + '_ {
-        self.charts.resident_chunks()
+    pub fn charts_resident(&self) -> ResidentRows<'_, ChartSnapshot> {
+        self.charts.resident(&())
     }
 
-    /// Index maintenance for one appended offer row (shared by live
-    /// ingest and the restore re-ingest).
-    fn index_offer(&mut self, row: usize, o: &ScrapedOffer) {
+    /// Index maintenance for one offer observation (shared by live
+    /// ingest and the restore re-ingest); returns the interned row.
+    fn index_offer(&mut self, o: &ScrapedOffer) -> OfferRow {
+        let desc = self.syms.desc.intern(&o.raw.description);
+        let pkg = self.syms.pkg.intern(&o.raw.package);
         if self.seen_offer_keys.insert((o.iip, o.raw.offer_key)) {
-            self.unique_offer_rows.push(row);
             self.unique_rows.push(o.clone());
+            self.unique_syms.push((pkg, desc));
         }
-        let desc = self.desc_syms.intern(&o.raw.description);
-        let pkg = self.pkg_syms.intern(&o.raw.package);
         self.advertised.insert(pkg);
         self.by_iip[o.iip as usize].insert(pkg);
         self.by_class[usize::from(o.iip.is_vetted())].insert(pkg);
@@ -338,17 +436,52 @@ impl Dataset {
         agg.first_seen = agg.first_seen.min(o.seen_at);
         agg.last_seen = agg.last_seen.max(o.seen_at);
         agg.keys.insert((o.iip, o.raw.offer_key));
-        self.offer_pkg.push(pkg);
-        self.offer_desc.push(desc);
+        OfferRow {
+            offer_key: o.raw.offer_key,
+            seen_at: o.seen_at,
+            reward: o.raw.reward,
+            package: pkg,
+            description: desc,
+            store_url: self.url_sym(pkg, &o.raw.store_url),
+            affiliate: self.affiliate_sym(&o.affiliate),
+            accounted: u32::try_from(o.approx_bytes()).unwrap_or(u32::MAX),
+            iip: o.iip,
+            vantage: o.vantage,
+        }
+    }
+
+    /// Store-URL symbol of an offer of package `pkg`. A package keeps
+    /// its URL, so the package's last URL is compared before hashing.
+    fn url_sym(&mut self, pkg: Sym, url: &str) -> Sym {
+        if let Some(&last) = self.url_by_pkg.get(pkg) {
+            if self.syms.url.resolve(last) == url {
+                return last;
+            }
+        }
+        let sym = self.syms.url.intern(url);
+        self.url_by_pkg.insert(pkg, sym);
+        sym
+    }
+
+    /// Affiliate symbol of an offer. A milk batch shares one affiliate,
+    /// so the previous row's is compared before hashing.
+    fn affiliate_sym(&mut self, affiliate: &str) -> Sym {
+        if let Some(last) = self.last_affiliate {
+            if self.syms.affiliate.resolve(last) == affiliate {
+                return last;
+            }
+        }
+        let sym = self.syms.affiliate.intern(affiliate);
+        self.last_affiliate = Some(sym);
+        sym
     }
 
     /// Appends scraped offers, updating every offer index (including
     /// the `(iip, key)` dedup set — first observation wins).
     pub fn add_offers(&mut self, offers: impl IntoIterator<Item = ScrapedOffer>) {
         for o in offers {
-            let row = self.offers.len();
-            self.index_offer(row, &o);
-            self.offers.push(o);
+            let row = self.index_offer(&o);
+            self.offers.push(row, &self.syms);
         }
     }
 
@@ -356,7 +489,7 @@ impl Dataset {
     /// day-sorted (stable: equal days stay in arrival order).
     pub fn add_profile(&mut self, snap: ProfileSnapshot) {
         let row = self.profiles.len();
-        let pkg = self.pkg_syms.intern(&snap.package);
+        let pkg = self.syms.pkg.intern(&snap.package);
         let rows = self.profile_rows.get_or_insert_with(pkg, Vec::new);
         let at = rows.partition_point(|&r| self.profiles[r].day <= snap.day);
         rows.insert(at, row);
@@ -369,7 +502,7 @@ impl Dataset {
         self.chart_days.insert(snap.day);
         let per_pkg = self.chart_ranks.entry(snap.chart).or_default();
         for (pkg, rank) in &snap.entries {
-            let sym = self.pkg_syms.intern(pkg);
+            let sym = self.syms.pkg.intern(pkg);
             let ranks = per_pkg.get_or_insert_with(sym, Vec::new);
             let at = ranks.partition_point(|&(d, _)| d <= snap.day);
             ranks.insert(at, (snap.day, *rank));
@@ -384,14 +517,15 @@ impl Dataset {
     /// Appends a chart snapshot, updating the presence indices.
     pub fn add_chart(&mut self, snap: ChartSnapshot) {
         self.index_chart(&snap);
-        self.charts.push(snap);
+        self.charts.push(snap, &());
     }
 
     /// All raw offer observations, in arrival order. Streams owned
-    /// rows so spilled segments can be decoded on the fly; the
-    /// iterator is exact-sized (`.len()` is the row count).
-    pub fn offers(&self) -> RowLogIter<'_, ScrapedOffer> {
-        self.offers.iter()
+    /// rows built from the interned log (spilled segments decode on
+    /// the fly); the iterator is exact-sized (`.len()` is the row
+    /// count).
+    pub fn offers(&self) -> RowLogIter<'_, OfferRow> {
+        self.offers.iter(&self.syms)
     }
 
     /// All profile snapshots.
@@ -402,7 +536,7 @@ impl Dataset {
     /// All chart snapshots, in arrival order (streaming, like
     /// [`Dataset::offers`]).
     pub fn charts(&self) -> RowLogIter<'_, ChartSnapshot> {
-        self.charts.iter()
+        self.charts.iter(&())
     }
 
     /// Deduplicated offers: first observation of each `(iip, key)`.
@@ -415,10 +549,7 @@ impl Dataset {
     /// Deduplicated offers with their package and description symbols
     /// — the columnar view the experiment joins run on.
     pub fn unique_offers_with_syms(&self) -> impl Iterator<Item = (&ScrapedOffer, Sym, Sym)> + '_ {
-        self.unique_rows
-            .iter()
-            .zip(&self.unique_offer_rows)
-            .map(|(o, &r)| (o, self.offer_pkg[r], self.offer_desc[r]))
+        self.unique_offers_with_syms_from(0)
     }
 
     /// Number of deduplicated offers ingested so far — the cursor an
@@ -439,8 +570,8 @@ impl Dataset {
         let start = start.min(self.unique_rows.len());
         self.unique_rows[start..]
             .iter()
-            .zip(&self.unique_offer_rows[start..])
-            .map(|(o, &r)| (o, self.offer_pkg[r], self.offer_desc[r]))
+            .zip(&self.unique_syms[start..])
+            .map(|(o, &(pkg, desc))| (o, pkg, desc))
     }
 
     /// Number of chart snapshots ingested so far (the chart-log
@@ -453,12 +584,12 @@ impl Dataset {
     /// `start` and later. A cursor past the spilled prefix streams
     /// straight from resident segments without reloading cold ones.
     pub fn charts_from(&self, start: usize) -> RowLogIter<'_, ChartSnapshot> {
-        self.charts.iter_from(start)
+        self.charts.iter_from(start, &())
     }
 
     /// Unique offer descriptions (the paper counts 1,128).
     pub fn unique_descriptions(&self) -> BTreeSet<&str> {
-        self.desc_syms.iter().map(|(_, s)| s).collect()
+        self.syms.desc.iter().map(|(_, s)| s).collect()
     }
 
     /// Unique advertised packages (the paper counts 922).
@@ -479,28 +610,28 @@ impl Dataset {
     }
 
     fn resolve_set(&self, set: &SymSet) -> BTreeSet<&str> {
-        set.iter().map(|s| self.pkg_syms.resolve(s)).collect()
+        set.iter().map(|s| self.syms.pkg.resolve(s)).collect()
     }
 
     /// The package symbol table (shared with the world's interner when
     /// built via [`Dataset::with_interner`]).
     pub fn package_interner(&self) -> &Interner {
-        &self.pkg_syms
+        &self.syms.pkg
     }
 
     /// The offer-description symbol table.
     pub fn description_interner(&self) -> &Interner {
-        &self.desc_syms
+        &self.syms.desc
     }
 
     /// Symbol of a package name, if it was ever observed or seeded.
     pub fn pkg_sym(&self, package: &str) -> Option<Sym> {
-        self.pkg_syms.get(package)
+        self.syms.pkg.get(package)
     }
 
     /// The package name behind a symbol.
     pub fn pkg_name(&self, sym: Sym) -> &str {
-        self.pkg_syms.resolve(sym)
+        self.syms.pkg.resolve(sym)
     }
 
     /// Advertised packages as a bitset over the symbol space.
@@ -523,7 +654,7 @@ impl Dataset {
         let mut named: Vec<(&str, &ObservationAgg)> = self
             .observations
             .iter()
-            .map(|(sym, agg)| (self.pkg_syms.resolve(sym), agg))
+            .map(|(sym, agg)| (self.syms.pkg.resolve(sym), agg))
             .collect();
         named.sort_unstable_by_key(|(name, _)| *name);
         named
@@ -540,7 +671,7 @@ impl Dataset {
 
     /// Observation for one package.
     pub fn observation(&self, package: &str) -> Option<CampaignObservation> {
-        let sym = self.pkg_syms.get(package)?;
+        let sym = self.syms.pkg.get(package)?;
         self.observations.get(sym).map(|agg| CampaignObservation {
             package: package.to_string(),
             iips: agg.iips.clone(),
@@ -576,7 +707,8 @@ impl Dataset {
 
     /// Profile timeline of one package, day-ascending.
     pub fn profile_series(&self, package: &str) -> Vec<&ProfileSnapshot> {
-        self.pkg_syms
+        self.syms
+            .pkg
             .get(package)
             .map(|sym| self.profile_series_sym(sym))
             .unwrap_or_default()
@@ -600,7 +732,8 @@ impl Dataset {
 
     /// Days on which `package` appeared in `chart`, with its rank.
     pub fn chart_presence(&self, package: &str, chart: &str) -> Vec<(u64, usize)> {
-        self.pkg_syms
+        self.syms
+            .pkg
             .get(package)
             .map(|sym| self.chart_presence_sym(sym, chart).to_vec())
             .unwrap_or_default()
@@ -619,7 +752,8 @@ impl Dataset {
     /// Whether `package` appeared in *any* chart in the day range
     /// `[from, to]`.
     pub fn in_any_chart(&self, package: &str, from: u64, to: u64) -> bool {
-        self.pkg_syms
+        self.syms
+            .pkg
             .get(package)
             .is_some_and(|sym| self.in_any_chart_sym(sym, from, to))
     }
@@ -640,11 +774,22 @@ impl Dataset {
     /// Symbol-table sizes for the bench dumps.
     pub fn intern_stats(&self) -> InternStats {
         InternStats {
-            package_symbols: self.pkg_syms.len(),
-            package_slab_bytes: self.pkg_syms.slab_bytes(),
-            description_symbols: self.desc_syms.len(),
-            description_slab_bytes: self.desc_syms.slab_bytes(),
+            package_symbols: self.syms.pkg.len(),
+            package_slab_bytes: self.syms.pkg.slab_bytes(),
+            description_symbols: self.syms.desc.len(),
+            description_slab_bytes: self.syms.desc.slab_bytes(),
         }
+    }
+
+    /// Bytes the offer log takes when fully resident: rows × row size
+    /// plus the store-URL and affiliate slabs only the log uses
+    /// (`offer_log_bytes` in `BENCH_dataset.json`). The package and
+    /// description slabs are shared with the indices and counted by
+    /// [`Dataset::intern_stats`].
+    pub fn offer_log_bytes(&self) -> usize {
+        self.offers.len() * std::mem::size_of::<OfferRow>()
+            + self.syms.url.slab_bytes()
+            + self.syms.affiliate.slab_bytes()
     }
 }
 
@@ -969,10 +1114,10 @@ mod tests {
             spilled.package_interner().clone(),
             spilled.description_interner().clone(),
             spilled.offers_spill(),
-            spilled.offers_resident().flatten().cloned().collect(),
+            spilled.offers_resident().rows().collect(),
             spilled.profiles().to_vec(),
             spilled.charts_spill(),
-            spilled.charts_resident().flatten().cloned().collect(),
+            spilled.charts_resident().rows().collect(),
         )
         .unwrap();
         assert_eq!(

@@ -4,131 +4,187 @@
 //! Three CSV files, mirroring what the authors could share: the offer
 //! observations, the profile crawl, and the chart crawl. CSV writing
 //! is implemented here (RFC-4180-style quoting) because the offline
-//! dependency set has no csv crate.
+//! dependency set has no csv crate. Rows stream straight into any
+//! [`Write`] sink — a buffered file, an in-memory buffer, a digest —
+//! and each writer returns the data rows it wrote, so a quoted field
+//! holding a line break still counts as one row.
 
 use crate::dataset::Dataset;
+use crate::parsers::RewardValue;
 use iiscope_types::Result;
-use std::fmt::Write as _;
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
-/// Quotes one CSV field if needed.
-fn csv_field(s: &str) -> String {
-    if s.contains([',', '"', '\n', '\r']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
+/// Writes one CSV field, quoted if needed.
+fn write_field(out: &mut impl Write, s: &str) -> io::Result<()> {
+    if !s.contains([',', '"', '\n', '\r']) {
+        return out.write_all(s.as_bytes());
     }
+    out.write_all(b"\"")?;
+    for (i, part) in s.split('"').enumerate() {
+        if i > 0 {
+            out.write_all(b"\"\"")?;
+        }
+        out.write_all(part.as_bytes())?;
+    }
+    out.write_all(b"\"")
 }
 
-fn csv_row(fields: &[&str]) -> String {
-    let mut out = String::new();
+fn write_row(out: &mut impl Write, fields: &[&str]) -> io::Result<()> {
     for (i, f) in fields.iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            out.write_all(b",")?;
         }
-        out.push_str(&csv_field(f));
+        write_field(out, f)?;
     }
-    out.push('\n');
-    out
+    out.write_all(b"\n")
+}
+
+/// Writes the offers CSV (one row per observation); returns the data
+/// rows written.
+pub fn write_offers_csv(ds: &Dataset, out: &mut impl Write) -> io::Result<usize> {
+    write_row(
+        out,
+        &[
+            "iip",
+            "offer_key",
+            "seen_day",
+            "vantage",
+            "affiliate",
+            "package",
+            "description",
+            "reward",
+            "store_url",
+        ],
+    )?;
+    let mut rows = 0;
+    for o in ds.offers() {
+        let reward = match &o.raw.reward {
+            RewardValue::Usd(v) => format!("usd:{v}"),
+            RewardValue::Points(p) => format!("points:{p}"),
+            RewardValue::Cents(c) => format!("cents:{c}"),
+        };
+        write_row(
+            out,
+            &[
+                o.iip.name(),
+                &o.raw.offer_key.to_string(),
+                &o.seen_at.days().to_string(),
+                o.vantage.code(),
+                &o.affiliate,
+                &o.raw.package,
+                &o.raw.description,
+                &reward,
+                &o.raw.store_url,
+            ],
+        )?;
+        rows += 1;
+    }
+    Ok(rows)
+}
+
+/// Writes the profiles CSV (one row per crawl snapshot); returns the
+/// data rows written.
+pub fn write_profiles_csv(ds: &Dataset, out: &mut impl Write) -> io::Result<usize> {
+    write_row(
+        out,
+        &[
+            "day",
+            "package",
+            "title",
+            "genre",
+            "released_day",
+            "min_installs",
+            "developer_id",
+            "developer_name",
+            "developer_country",
+            "developer_website",
+            "rating",
+            "rating_count",
+        ],
+    )?;
+    for p in ds.profiles() {
+        write_row(
+            out,
+            &[
+                &p.day.to_string(),
+                &p.package,
+                &p.title,
+                &p.genre_id,
+                &p.released_day.to_string(),
+                &p.min_installs.to_string(),
+                &p.developer_id.to_string(),
+                &p.developer_name,
+                &p.developer_country,
+                &p.developer_website,
+                &format!("{:.1}", p.rating),
+                &p.rating_count.to_string(),
+            ],
+        )?;
+    }
+    Ok(ds.profiles().len())
+}
+
+/// Writes the charts CSV (one row per chart entry per crawl); returns
+/// the data rows written.
+pub fn write_charts_csv(ds: &Dataset, out: &mut impl Write) -> io::Result<usize> {
+    write_row(out, &["day", "chart", "rank", "package"])?;
+    let mut rows = 0;
+    for c in ds.charts() {
+        for (pkg, rank) in &c.entries {
+            write!(out, "{},{},{rank},", c.day, c.chart)?;
+            write_field(out, pkg)?;
+            out.write_all(b"\n")?;
+        }
+        rows += c.entries.len();
+    }
+    Ok(rows)
+}
+
+/// Renders one CSV into a `String` (tests and small datasets; the
+/// export streams instead).
+fn render(write: impl FnOnce(&mut Vec<u8>) -> io::Result<usize>) -> String {
+    let mut out = Vec::new();
+    write(&mut out).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("CSV fields are UTF-8")
 }
 
 /// Renders the offers CSV (one row per observation).
 pub fn offers_csv(ds: &Dataset) -> String {
-    let mut out = csv_row(&[
-        "iip",
-        "offer_key",
-        "seen_day",
-        "vantage",
-        "affiliate",
-        "package",
-        "description",
-        "reward",
-        "store_url",
-    ]);
-    for o in ds.offers() {
-        let reward = match &o.raw.reward {
-            crate::parsers::RewardValue::Usd(v) => format!("usd:{v}"),
-            crate::parsers::RewardValue::Points(p) => format!("points:{p}"),
-            crate::parsers::RewardValue::Cents(c) => format!("cents:{c}"),
-        };
-        out.push_str(&csv_row(&[
-            o.iip.name(),
-            &o.raw.offer_key.to_string(),
-            &o.seen_at.days().to_string(),
-            o.vantage.code(),
-            &o.affiliate,
-            &o.raw.package,
-            &o.raw.description,
-            &reward,
-            &o.raw.store_url,
-        ]));
-    }
-    out
+    render(|out| write_offers_csv(ds, out))
 }
 
 /// Renders the profiles CSV (one row per crawl snapshot).
 pub fn profiles_csv(ds: &Dataset) -> String {
-    let mut out = csv_row(&[
-        "day",
-        "package",
-        "title",
-        "genre",
-        "released_day",
-        "min_installs",
-        "developer_id",
-        "developer_name",
-        "developer_country",
-        "developer_website",
-        "rating",
-        "rating_count",
-    ]);
-    for p in ds.profiles() {
-        out.push_str(&csv_row(&[
-            &p.day.to_string(),
-            &p.package,
-            &p.title,
-            &p.genre_id,
-            &p.released_day.to_string(),
-            &p.min_installs.to_string(),
-            &p.developer_id.to_string(),
-            &p.developer_name,
-            &p.developer_country,
-            &p.developer_website,
-            &format!("{:.1}", p.rating),
-            &p.rating_count.to_string(),
-        ]));
-    }
-    out
+    render(|out| write_profiles_csv(ds, out))
 }
 
 /// Renders the charts CSV (one row per chart entry per crawl).
 pub fn charts_csv(ds: &Dataset) -> String {
-    let mut out = csv_row(&["day", "chart", "rank", "package"]);
-    for c in ds.charts() {
-        for (pkg, rank) in &c.entries {
-            let mut row = String::new();
-            let _ = write!(row, "{},{},{rank},", c.day, c.chart);
-            row.push_str(&csv_field(pkg));
-            row.push('\n');
-            out.push_str(&row);
-        }
-    }
-    out
+    render(|out| write_charts_csv(ds, out))
 }
 
 /// Writes `offers.csv`, `profiles.csv` and `charts.csv` into `dir`
-/// (created if missing). Returns the number of data rows written.
+/// (created if missing), streaming each through a buffered file.
+/// Returns the number of data rows written.
 pub fn export_csv(ds: &Dataset, dir: &Path) -> Result<usize> {
+    type Writer = fn(&Dataset, &mut BufWriter<std::fs::File>) -> io::Result<usize>;
     std::fs::create_dir_all(dir)
         .map_err(|e| iiscope_types::Error::InvalidState(format!("mkdir {dir:?}: {e}")))?;
     let mut rows = 0;
-    for (name, content) in [
-        ("offers.csv", offers_csv(ds)),
-        ("profiles.csv", profiles_csv(ds)),
-        ("charts.csv", charts_csv(ds)),
-    ] {
-        rows += content.lines().count().saturating_sub(1);
-        std::fs::write(dir.join(name), content)
+    let files: [(&str, Writer); 3] = [
+        ("offers.csv", write_offers_csv),
+        ("profiles.csv", write_profiles_csv),
+        ("charts.csv", write_charts_csv),
+    ];
+    for (name, write) in files {
+        let written = std::fs::File::create(dir.join(name)).and_then(|f| {
+            let mut out = BufWriter::new(f);
+            let n = write(ds, &mut out)?;
+            out.flush()?;
+            Ok(n)
+        });
+        rows += written
             .map_err(|e| iiscope_types::Error::InvalidState(format!("write {name}: {e}")))?;
     }
     Ok(rows)
@@ -202,6 +258,22 @@ mod tests {
             let content = std::fs::read_to_string(dir.join(f)).unwrap();
             assert!(content.lines().count() >= 2, "{f} missing rows");
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn export_counts_rows_not_lines() {
+        // Quoted line breaks inside a field are one CSV row, not two.
+        let mut ds = dataset();
+        let mut multi = ds.offers().next().unwrap();
+        multi.raw.description = "Install\nthen register\r\nand play".into();
+        ds.add_offers([multi]);
+        let dir = std::env::temp_dir().join(format!("iiscope-export-nl-{}", std::process::id()));
+        let rows = export_csv(&ds, &dir).unwrap();
+        assert_eq!(rows, 4, "two offers, one profile, one chart entry");
+        let offers = std::fs::read_to_string(dir.join("offers.csv")).unwrap();
+        assert_eq!(offers, offers_csv(&ds), "file and String renders agree");
+        assert!(offers.contains("\"Install\nthen register\r\nand play\""));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -41,10 +41,13 @@ pub mod parsers;
 pub mod spill;
 
 pub use crawler::{ChartSnapshot, Crawler, ProfileSnapshot};
-pub use dataset::{CampaignObservation, CampaignRef, Dataset, InternStats};
+pub use dataset::{CampaignObservation, CampaignRef, Dataset, InternStats, OfferRow};
 pub use export::export_csv;
 pub use fuzzer::{FuzzerConfig, UiFuzzer};
 pub use infra::MonitoringInfra;
 pub use normalize::RateBook;
 pub use parsers::{parse_wall, probe_wall, PageFill, RawOffer, RewardValue, ScrapedOffer};
-pub use spill::{RowLog, SegRef, SpillError, SpillManifest, SpillRow, SpillStats};
+pub use spill::{
+    Resident, ResidentRows, RowLog, RowSection, SegRef, SpillError, SpillManifest, SpillRow,
+    SpillStats,
+};

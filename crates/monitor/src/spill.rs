@@ -3,11 +3,13 @@
 //! The paper-scale dataset fits in memory; a 100×-scale run does not.
 //! [`RowLog`] keeps each append-only row log (offer observations,
 //! chart timelines) as a resident *tail* plus closed *segments*; when
-//! a resident-memory budget is set and exceeded, the oldest closed
-//! segments spill to disk through the CRC-framed [`iiscope_types::frame`]
-//! codec already proven by checkpointing. Spilled segments decode back
+//! a memory budget is set and exceeded, the oldest closed segments
+//! spill to disk through the CRC-framed [`iiscope_types::frame`] codec
+//! already proven by checkpointing. Spilled segments decode back
 //! through a small LRU cache, so a scan touches disk once per segment
-//! per pass, not once per row.
+//! per pass, not once per row. Resident rows may be held in a compact
+//! [`Resident`] form; the budget counts every row at its owned size
+//! ([`SpillRow::approx_bytes`]) either way.
 //!
 //! Invariants the rest of the workspace leans on:
 //!
@@ -45,9 +47,108 @@ pub trait SpillRow: Clone + std::fmt::Debug {
     fn enc_row(&self, e: &mut Enc);
     /// Deserializes one row.
     fn dec_row(d: &mut Dec) -> Result<Self, FrameError>;
-    /// Rough resident footprint in bytes (struct + owned heap), used
-    /// only for budget accounting — never for layout.
+    /// Accounted bytes of the row: the struct plus its owned heap
+    /// strings. Budget enforcement, segment boundaries and the LRU cap
+    /// count these, never allocator truth. A log that holds the row in
+    /// a more compact [`Resident`] form still counts this figure, so
+    /// its accounted bytes are an upper bound on what it keeps.
     fn approx_bytes(&self) -> usize;
+}
+
+/// The form a [`RowLog`] keeps its resident rows in. A self-contained
+/// [`SpillRow`] is its own resident form. A compact form (the
+/// dataset's interned offer row) resolves its strings through tables
+/// the log's owner keeps and passes in as `Ctx`. Either way the bytes
+/// written and the bytes accounted are those of the persisted row.
+pub trait Resident: std::fmt::Debug {
+    /// The persisted row: spill segments and snapshot sections hold its
+    /// codec, and iteration yields it.
+    type Row: SpillRow;
+    /// Tables the resident form resolves through (`()` for a
+    /// self-contained row).
+    type Ctx;
+    /// [`SpillRow::approx_bytes`] of the persisted row.
+    fn accounted_bytes(&self) -> usize;
+    /// Writes the persisted row's codec bytes.
+    fn encode(&self, ctx: &Self::Ctx, e: &mut Enc);
+    /// Builds the persisted row.
+    fn unpack(&self, ctx: &Self::Ctx) -> Self::Row;
+}
+
+impl<T: SpillRow> Resident for T {
+    type Row = T;
+    type Ctx = ();
+
+    fn accounted_bytes(&self) -> usize {
+        self.approx_bytes()
+    }
+
+    fn encode(&self, _: &(), e: &mut Enc) {
+        self.enc_row(e);
+    }
+
+    fn unpack(&self, _: &()) -> T {
+        self.clone()
+    }
+}
+
+/// Rows a snapshot section serializes inline: a count, then each
+/// row's codec bytes. Object-safe, so one snapshot encoder takes a
+/// live log's compact rows and a decoded snapshot's owned rows alike.
+pub trait RowSection: std::fmt::Debug {
+    /// Rows in the section.
+    fn row_count(&self) -> usize;
+    /// Appends every row's codec bytes, in order.
+    fn enc_rows(&self, e: &mut Enc);
+}
+
+/// A log's rows after its spilled prefix (see [`RowLog::resident`]),
+/// borrowed one contiguous chunk at a time with the tables they
+/// resolve through.
+pub struct ResidentRows<'a, R: Resident> {
+    chunks: Vec<&'a [R]>,
+    ctx: &'a R::Ctx,
+}
+
+impl<'a, T: SpillRow> ResidentRows<'a, T> {
+    /// Owned rows as one chunk (a decoded snapshot's suffix).
+    pub fn of(rows: &'a [T]) -> ResidentRows<'a, T> {
+        ResidentRows {
+            chunks: vec![rows],
+            ctx: &(),
+        }
+    }
+}
+
+impl<R: Resident> ResidentRows<'_, R> {
+    /// The persisted rows, in log order.
+    pub fn rows(&self) -> impl Iterator<Item = R::Row> + '_ {
+        self.chunks
+            .iter()
+            .flat_map(|c| c.iter())
+            .map(|r| r.unpack(self.ctx))
+    }
+}
+
+impl<R: Resident> RowSection for ResidentRows<'_, R> {
+    fn row_count(&self) -> usize {
+        self.chunks.iter().map(|c| c.len()).sum()
+    }
+
+    fn enc_rows(&self, e: &mut Enc) {
+        for r in self.chunks.iter().flat_map(|c| c.iter()) {
+            r.encode(self.ctx, e);
+        }
+    }
+}
+
+impl<R: Resident> std::fmt::Debug for ResidentRows<'_, R> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ResidentRows")
+            .field("chunks", &self.chunks.len())
+            .field("rows", &self.row_count())
+            .finish()
+    }
 }
 
 /// Location of one spilled segment inside a spill file.
@@ -87,7 +188,9 @@ pub struct SpillStats {
     pub spilled_bytes: u64,
     /// Segment loads that missed the LRU cache and hit disk.
     pub reloads: u64,
-    /// Current resident footprint (tail + resident segments + cache).
+    /// Accounted bytes ([`SpillRow::approx_bytes`]) of the rows held in
+    /// memory: tail, resident segments and reload cache. An upper bound
+    /// on their real footprint when the log keeps a compact form.
     pub resident_bytes: u64,
 }
 
@@ -162,15 +265,18 @@ const DEFAULT_SEG_BYTES: usize = 1 << 20;
 ///
 /// In log order a log is its spilled segments (`spilled`), then its
 /// resident closed segments (`warm`), then the open `tail`; segment
-/// indices count across `spilled` and `warm`.
+/// indices count across `spilled` and `warm`. Resident rows are kept in
+/// their [`Resident`] form; spilled segments reload as persisted rows.
+/// Every method that may encode or unpack a resident row takes the
+/// tables it resolves through (`&()` for self-contained rows).
 #[derive(Debug)]
-pub struct RowLog<T: SpillRow> {
-    tail: Vec<T>,
+pub struct RowLog<R: Resident> {
+    tail: Vec<R>,
     tail_bytes: usize,
     /// The spilled prefix: the spill file and its segments, oldest
     /// first — exactly what a checkpoint references.
     spilled: SpillManifest,
-    warm: VecDeque<Warm<T>>,
+    warm: VecDeque<Warm<R>>,
     len: usize,
     warm_bytes: usize,
     /// Resident budget in bytes; `None` disables spilling.
@@ -181,11 +287,11 @@ pub struct RowLog<T: SpillRow> {
     spilled_bytes: u64,
     /// First spill write failure; set once, spilling stops after it.
     failed: Option<SpillError>,
-    cold: Mutex<Cold<T>>,
+    cold: Mutex<Cold<R::Row>>,
 }
 
-impl<T: SpillRow> Default for RowLog<T> {
-    fn default() -> RowLog<T> {
+impl<R: Resident> Default for RowLog<R> {
+    fn default() -> RowLog<R> {
         RowLog {
             tail: Vec::new(),
             tail_bytes: 0,
@@ -203,19 +309,19 @@ impl<T: SpillRow> Default for RowLog<T> {
     }
 }
 
-impl<T: SpillRow> RowLog<T> {
+impl<R: Resident> RowLog<R> {
     /// An empty, fully-resident log.
-    pub fn new() -> RowLog<T> {
+    pub fn new() -> RowLog<R> {
         RowLog::default()
     }
 
     /// Sets the resident budget and the spill file path. May be called
     /// before any row or after ingest started; enforcement happens on
     /// the next push (and immediately, for already-closed segments).
-    pub fn configure(&mut self, budget: Option<u64>, spill_file: PathBuf) {
+    pub fn configure(&mut self, budget: Option<u64>, spill_file: PathBuf, ctx: &R::Ctx) {
         self.budget = budget.map(|b| b as usize);
         self.spill_target = Some(spill_file);
-        self.enforce();
+        self.enforce(ctx);
     }
 
     /// Number of rows ever appended.
@@ -240,29 +346,33 @@ impl<T: SpillRow> RowLog<T> {
 
     /// Appends a row, closing the tail into a segment and spilling
     /// cold segments as the budget demands.
-    pub fn push(&mut self, row: T) {
-        self.tail_bytes += row.approx_bytes();
+    pub fn push(&mut self, row: R, ctx: &R::Ctx) {
+        self.tail_bytes += row.accounted_bytes();
         self.tail.push(row);
         self.len += 1;
         if self.tail_bytes >= self.seg_bytes_threshold() {
-            let rows = std::mem::take(&mut self.tail);
+            // A closed segment never grows: drop its doubling slack and
+            // size the next tail like it.
+            let mut rows = std::mem::take(&mut self.tail);
+            rows.shrink_to_fit();
+            self.tail = Vec::with_capacity(rows.len());
             let bytes = std::mem::take(&mut self.tail_bytes);
             self.warm.push_back(Warm { rows, bytes });
             self.warm_bytes += bytes;
-            self.enforce();
+            self.enforce(ctx);
         }
     }
 
-    /// Spills oldest resident segments until the resident footprint
-    /// fits the budget (or nothing closed remains resident). After a
-    /// failed spill write it does nothing: rows stay resident.
-    fn enforce(&mut self) {
+    /// Spills oldest resident segments until the accounted resident
+    /// bytes fit the budget (or nothing closed remains resident). After
+    /// a failed spill write it does nothing: rows stay resident.
+    fn enforce(&mut self, ctx: &R::Ctx) {
         let Some(budget) = self.budget else { return };
         while self.failed.is_none()
             && self.resident_bytes() > budget as u64
             && !self.warm.is_empty()
         {
-            if let Err(e) = self.spill_oldest() {
+            if let Err(e) = self.spill_oldest(ctx) {
                 self.failed = Some(e);
             }
         }
@@ -270,7 +380,7 @@ impl<T: SpillRow> RowLog<T> {
 
     /// Writes the oldest warm segment to the spill file and moves it to
     /// the spilled prefix. On an I/O error the segment stays warm.
-    fn spill_oldest(&mut self) -> Result<(), SpillError> {
+    fn spill_oldest(&mut self, ctx: &R::Ctx) -> Result<(), SpillError> {
         let path = self
             .spill_target
             .clone()
@@ -283,7 +393,7 @@ impl<T: SpillRow> RowLog<T> {
         let mut enc = Enc::new();
         enc.u64(seg.rows.len() as u64);
         for r in &seg.rows {
-            r.enc_row(&mut enc);
+            r.encode(ctx, &mut enc);
         }
         let mut w = FrameWriter::new();
         w.record(enc.bytes());
@@ -335,7 +445,7 @@ impl<T: SpillRow> RowLog<T> {
     }
 
     /// Loads a spilled segment through the LRU cache.
-    fn load(&self, seg_idx: usize, seg: SegRef) -> Arc<Vec<T>> {
+    fn load(&self, seg_idx: usize, seg: SegRef) -> Arc<Vec<R::Row>> {
         let mut cold = self.cold.lock();
         if let Some(pos) = cold.cache.iter().position(|(i, _, _)| *i == seg_idx) {
             let hit = cold.cache.remove(pos);
@@ -352,9 +462,9 @@ impl<T: SpillRow> RowLog<T> {
         file.seek(SeekFrom::Start(seg.offset))
             .expect("seek spill file");
         file.read_exact(&mut blob).expect("read spill segment");
-        let rows = decode_segment::<T>(&blob, seg)
+        let rows = decode_segment::<R::Row>(&blob, seg)
             .unwrap_or_else(|e| panic!("spill segment corrupt at offset {}: {e}", seg.offset));
-        let bytes: usize = rows.iter().map(T::approx_bytes).sum();
+        let bytes: usize = rows.iter().map(SpillRow::approx_bytes).sum();
         let rows = Arc::new(rows);
         cold.cache.insert(0, (seg_idx, rows.clone(), bytes));
         cold.cache_bytes += bytes;
@@ -382,7 +492,7 @@ impl<T: SpillRow> RowLog<T> {
     }
 
     /// The rows of closed segment `idx`, reloading a spilled one.
-    fn seg_cur(&self, idx: usize) -> Cur<'_, T> {
+    fn seg_cur(&self, idx: usize) -> Cur<'_, R> {
         match self.spilled.segments.get(idx) {
             Some(r) => Cur::Loaded(self.load(idx, *r)),
             None => Cur::Slice(&self.warm[idx - self.spilled.segments.len()].rows),
@@ -390,11 +500,12 @@ impl<T: SpillRow> RowLog<T> {
     }
 
     /// Iterates every row in append order, transparently reloading
-    /// spilled segments. Yields owned rows (clones of resident rows,
-    /// decoded copies of spilled ones).
-    pub fn iter(&self) -> RowLogIter<'_, T> {
+    /// spilled segments. Yields owned persisted rows (unpacked resident
+    /// rows, clones of decoded spilled ones).
+    pub fn iter<'a>(&'a self, ctx: &'a R::Ctx) -> RowLogIter<'a, R> {
         RowLogIter {
             log: self,
+            ctx,
             seg: 0,
             cur: None,
             at: 0,
@@ -407,11 +518,12 @@ impl<T: SpillRow> RowLog<T> {
     /// containing segment. A delta cursor that starts past the spilled
     /// prefix therefore never reloads a cold segment, which is what
     /// lets per-day incremental folds read only the day's new rows.
-    pub fn iter_from(&self, start_row: usize) -> RowLogIter<'_, T> {
+    pub fn iter_from<'a>(&'a self, start_row: usize, ctx: &'a R::Ctx) -> RowLogIter<'a, R> {
         let past_end = self.closed_len() + 1;
         if start_row >= self.len {
             return RowLogIter {
                 log: self,
+                ctx,
                 seg: past_end,
                 cur: None,
                 at: 0,
@@ -424,6 +536,7 @@ impl<T: SpillRow> RowLog<T> {
             if start_row < before + rows {
                 return RowLogIter {
                     log: self,
+                    ctx,
                     seg: idx + 1,
                     cur: Some(self.seg_cur(idx)),
                     at: start_row - before,
@@ -434,6 +547,7 @@ impl<T: SpillRow> RowLog<T> {
         }
         RowLogIter {
             log: self,
+            ctx,
             seg: past_end,
             cur: Some(Cur::Slice(&self.tail)),
             at: start_row - before,
@@ -442,20 +556,23 @@ impl<T: SpillRow> RowLog<T> {
     }
 
     /// Spill-file reference for the spilled prefix (empty manifest when
-    /// nothing spilled). Together with [`RowLog::resident_chunks`] this
-    /// is the complete persistent form of the log.
+    /// nothing spilled). Together with [`RowLog::resident`] this is the
+    /// complete persistent form of the log.
     pub fn manifest(&self) -> &SpillManifest {
         &self.spilled
     }
 
     /// The rows *after* the spilled prefix (warm segments, then the
-    /// tail), borrowed in log order one contiguous chunk at a time —
-    /// what a checkpoint serializes inline.
-    pub fn resident_chunks(&self) -> impl Iterator<Item = &[T]> + '_ {
-        self.warm
+    /// tail), borrowed in log order with the tables they resolve
+    /// through — what a checkpoint serializes inline.
+    pub fn resident<'a>(&'a self, ctx: &'a R::Ctx) -> ResidentRows<'a, R> {
+        let chunks = self
+            .warm
             .iter()
             .map(|w| w.rows.as_slice())
             .chain(std::iter::once(self.tail.as_slice()))
+            .collect();
+        ResidentRows { chunks, ctx }
     }
 
     /// Reattaches a spilled prefix on restore: opens the manifest's
@@ -490,7 +607,7 @@ impl<T: SpillRow> RowLog<T> {
                 .map_err(|e| format!("seek spill file: {e}"))?;
             file.read_exact(&mut blob)
                 .map_err(|e| format!("read spill segment at {}: {e}", seg.offset))?;
-            decode_segment::<T>(&blob, *seg)
+            decode_segment::<R::Row>(&blob, *seg)
                 .map_err(|e| format!("spill segment at {} invalid: {e}", seg.offset))?;
             end = seg.offset + seg.len;
         }
@@ -553,36 +670,37 @@ fn decode_segment<T: SpillRow>(blob: &[u8], seg: SegRef) -> Result<Vec<T>, Frame
     Ok(rows)
 }
 
-enum Cur<'a, T> {
-    Slice(&'a [T]),
-    Loaded(Arc<Vec<T>>),
+enum Cur<'a, R: Resident> {
+    Slice(&'a [R]),
+    Loaded(Arc<Vec<R::Row>>),
 }
 
-/// Iterator over a [`RowLog`], yielding owned rows in append order.
-pub struct RowLogIter<'a, T: SpillRow> {
-    log: &'a RowLog<T>,
+/// Iterator over a [`RowLog`], yielding owned persisted rows in append
+/// order.
+pub struct RowLogIter<'a, R: Resident> {
+    log: &'a RowLog<R>,
+    ctx: &'a R::Ctx,
     /// Next closed-segment index to enter (`closed_len()` = tail).
     seg: usize,
-    cur: Option<Cur<'a, T>>,
+    cur: Option<Cur<'a, R>>,
     at: usize,
     remaining: usize,
 }
 
-impl<T: SpillRow> Iterator for RowLogIter<'_, T> {
-    type Item = T;
+impl<R: Resident> Iterator for RowLogIter<'_, R> {
+    type Item = R::Row;
 
-    fn next(&mut self) -> Option<T> {
+    fn next(&mut self) -> Option<R::Row> {
         loop {
             if let Some(cur) = &self.cur {
-                let rows: &[T] = match cur {
-                    Cur::Slice(s) => s,
-                    Cur::Loaded(a) => a.as_slice(),
+                let row = match cur {
+                    Cur::Slice(s) => s.get(self.at).map(|r| r.unpack(self.ctx)),
+                    Cur::Loaded(a) => a.get(self.at).cloned(),
                 };
-                if let Some(row) = rows.get(self.at) {
-                    let row = row.clone();
+                if row.is_some() {
                     self.at += 1;
                     self.remaining -= 1;
-                    return Some(row);
+                    return row;
                 }
                 self.cur = None;
             }
@@ -605,7 +723,7 @@ impl<T: SpillRow> Iterator for RowLogIter<'_, T> {
     }
 }
 
-impl<T: SpillRow> ExactSizeIterator for RowLogIter<'_, T> {}
+impl<R: Resident> ExactSizeIterator for RowLogIter<'_, R> {}
 
 // --- Row codecs -----------------------------------------------------
 //
@@ -613,56 +731,115 @@ impl<T: SpillRow> ExactSizeIterator for RowLogIter<'_, T> {}
 // logs — shared by spill segments and checkpoint snapshots (the
 // checkpoint module encodes its inline rows through the same impls).
 
-impl SpillRow for ScrapedOffer {
-    fn enc_row(&self, e: &mut Enc) {
-        e.u8(self.iip as u8).u64(self.raw.offer_key);
-        e.str(&self.raw.description);
-        match self.raw.reward {
+/// An offer observation with borrowed strings: the one offer codec.
+/// `SpillRow for ScrapedOffer` encodes through it, and so does the
+/// dataset's interned offer row, so spill segments and snapshot
+/// sections carry the same bytes whichever form the row was held in.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct OfferFields<'a> {
+    pub iip: IipId,
+    pub offer_key: u64,
+    pub description: &'a str,
+    pub reward: RewardValue,
+    pub package: &'a str,
+    pub store_url: &'a str,
+    pub seen_at: SimTime,
+    pub affiliate: &'a str,
+    pub vantage: Country,
+}
+
+impl OfferFields<'_> {
+    pub(crate) fn enc(self, e: &mut Enc) {
+        e.u8(self.iip as u8).u64(self.offer_key);
+        e.str(self.description);
+        match self.reward {
             RewardValue::Usd(v) => e.u8(0).f64(v),
             RewardValue::Points(v) => e.u8(1).i64(v),
             RewardValue::Cents(v) => e.u8(2).i64(v),
         };
-        e.str(&self.raw.package).str(&self.raw.store_url);
+        e.str(self.package).str(self.store_url);
         e.u64(self.seen_at.secs());
-        e.str(&self.affiliate).str(self.vantage.code());
+        e.str(self.affiliate).str(self.vantage.code());
+    }
+
+    /// [`SpillRow::approx_bytes`] of the owned observation.
+    pub(crate) fn approx_bytes(self) -> usize {
+        std::mem::size_of::<ScrapedOffer>()
+            + self.description.len()
+            + self.package.len()
+            + self.store_url.len()
+            + self.affiliate.len()
+    }
+
+    pub(crate) fn to_offer(self) -> ScrapedOffer {
+        ScrapedOffer {
+            iip: self.iip,
+            raw: RawOffer {
+                offer_key: self.offer_key,
+                description: self.description.to_string(),
+                reward: self.reward,
+                package: self.package.to_string(),
+                store_url: self.store_url.to_string(),
+            },
+            seen_at: self.seen_at,
+            affiliate: self.affiliate.to_string(),
+            vantage: self.vantage,
+        }
+    }
+}
+
+impl ScrapedOffer {
+    pub(crate) fn fields(&self) -> OfferFields<'_> {
+        OfferFields {
+            iip: self.iip,
+            offer_key: self.raw.offer_key,
+            description: &self.raw.description,
+            reward: self.raw.reward,
+            package: &self.raw.package,
+            store_url: &self.raw.store_url,
+            seen_at: self.seen_at,
+            affiliate: &self.affiliate,
+            vantage: self.vantage,
+        }
+    }
+}
+
+impl SpillRow for ScrapedOffer {
+    fn enc_row(&self, e: &mut Enc) {
+        self.fields().enc(e);
     }
 
     fn dec_row(d: &mut Dec) -> Result<ScrapedOffer, FrameError> {
         let iip = iip_from_index(d.u8()?)?;
         let offer_key = d.u64()?;
-        let description = d.str()?.to_string();
+        let description = d.str()?;
         let reward = match d.u8()? {
             0 => RewardValue::Usd(d.f64()?),
             1 => RewardValue::Points(d.i64()?),
             2 => RewardValue::Cents(d.i64()?),
             _ => return Err(FrameError::Codec("unknown reward tag")),
         };
-        let package = d.str()?.to_string();
-        let store_url = d.str()?.to_string();
+        let package = d.str()?;
+        let store_url = d.str()?;
         let seen_at = SimTime::from_secs(d.u64()?);
-        let affiliate = d.str()?.to_string();
+        let affiliate = d.str()?;
         let vantage = country_from_code(d.str()?)?;
-        Ok(ScrapedOffer {
+        Ok(OfferFields {
             iip,
-            raw: RawOffer {
-                offer_key,
-                description,
-                reward,
-                package,
-                store_url,
-            },
+            offer_key,
+            description,
+            reward,
+            package,
+            store_url,
             seen_at,
             affiliate,
             vantage,
-        })
+        }
+        .to_offer())
     }
 
     fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<ScrapedOffer>()
-            + self.raw.description.len()
-            + self.raw.package.len()
-            + self.raw.store_url.len()
-            + self.affiliate.len()
+        self.fields().approx_bytes()
     }
 }
 
@@ -790,7 +967,7 @@ mod tests {
     }
 
     fn resident_rows(log: &RowLog<ScrapedOffer>) -> Vec<ScrapedOffer> {
-        log.resident_chunks().flatten().cloned().collect()
+        log.resident(&()).rows().collect()
     }
 
     fn tmpfile(tag: &str) -> PathBuf {
@@ -805,10 +982,10 @@ mod tests {
     fn resident_log_round_trips_without_a_file() {
         let mut log: RowLog<ScrapedOffer> = RowLog::new();
         for k in 0..100 {
-            log.push(offer(k, k));
+            log.push(offer(k, k), &());
         }
         assert_eq!(log.len(), 100);
-        let back: Vec<ScrapedOffer> = log.iter().collect();
+        let back: Vec<ScrapedOffer> = log.iter(&()).collect();
         assert_eq!(back.len(), 100);
         assert_eq!(back[7], offer(7, 7));
         assert_eq!(log.stats().spilled_segments, 0);
@@ -820,21 +997,21 @@ mod tests {
     fn tiny_budget_spills_and_iteration_is_unchanged() {
         let path = tmpfile("budget");
         let mut log: RowLog<ScrapedOffer> = RowLog::new();
-        log.configure(Some(16 * 1024), path.clone());
+        log.configure(Some(16 * 1024), path.clone(), &());
         let want: Vec<ScrapedOffer> = (0..2_000).map(|k| offer(k, k % 90)).collect();
         for o in &want {
-            log.push(o.clone());
+            log.push(o.clone(), &());
         }
         let stats = log.stats();
         assert!(stats.spilled_segments > 0, "budget must force spilling");
         assert!(stats.spilled_rows > 0);
         assert!(stats.resident_bytes < stats.spilled_bytes + stats.resident_bytes);
         // Byte-invariance: same rows, same order.
-        let back: Vec<ScrapedOffer> = log.iter().collect();
+        let back: Vec<ScrapedOffer> = log.iter(&()).collect();
         assert_eq!(back, want);
         // A second pass reloads through the LRU (some hits, maybe some
         // misses — but never a different answer).
-        let again: Vec<ScrapedOffer> = log.iter().collect();
+        let again: Vec<ScrapedOffer> = log.iter(&()).collect();
         assert_eq!(again, want);
         assert!(log.stats().reloads >= stats.spilled_segments);
         // Manifest + suffix partition the log.
@@ -851,16 +1028,16 @@ mod tests {
         let blocker = tmpfile("blocker");
         std::fs::write(&blocker, b"not a directory").unwrap();
         let mut log: RowLog<ScrapedOffer> = RowLog::new();
-        log.configure(Some(8 * 1024), blocker.join("spill").join("x.spill"));
+        log.configure(Some(8 * 1024), blocker.join("spill").join("x.spill"), &());
         let want: Vec<ScrapedOffer> = (0..500).map(|k| offer(k, k % 90)).collect();
         for o in &want {
-            log.push(o.clone());
+            log.push(o.clone(), &());
         }
         let err = log.spill_error().expect("the spill write must fail");
         assert!(err.to_string().starts_with("spill to "), "{err}");
         assert_eq!(log.stats().spilled_segments, 0);
         assert!(log.manifest().segments.is_empty() && log.manifest().file.is_none());
-        assert_eq!(log.iter().collect::<Vec<_>>(), want);
+        assert_eq!(log.iter(&()).collect::<Vec<_>>(), want);
         assert_eq!(resident_rows(&log), want);
         let _ = std::fs::remove_file(&blocker);
     }
@@ -869,10 +1046,10 @@ mod tests {
     fn attach_restores_and_rejects_corruption() {
         let path = tmpfile("attach");
         let mut log: RowLog<ScrapedOffer> = RowLog::new();
-        log.configure(Some(8 * 1024), path.clone());
+        log.configure(Some(8 * 1024), path.clone(), &());
         let want: Vec<ScrapedOffer> = (0..1_500).map(|k| offer(k, k % 90)).collect();
         for o in &want {
-            log.push(o.clone());
+            log.push(o.clone(), &());
         }
         let manifest = log.manifest().clone();
         let suffix = resident_rows(&log);
@@ -891,9 +1068,9 @@ mod tests {
             .attach(&manifest)
             .expect("attach verified manifest");
         for o in &suffix {
-            restored.push(o.clone());
+            restored.push(o.clone(), &());
         }
-        let back: Vec<ScrapedOffer> = restored.iter().collect();
+        let back: Vec<ScrapedOffer> = restored.iter(&()).collect();
         assert_eq!(back, want);
         // The stale bytes were truncated away.
         let end: u64 = manifest
@@ -918,10 +1095,10 @@ mod tests {
     fn iter_from_matches_skip_at_every_position() {
         let path = tmpfile("iter-from");
         let mut log: RowLog<ScrapedOffer> = RowLog::new();
-        log.configure(Some(16 * 1024), path.clone());
+        log.configure(Some(16 * 1024), path.clone(), &());
         let want: Vec<ScrapedOffer> = (0..1_200).map(|k| offer(k, k / 40)).collect();
         for o in &want {
-            log.push(o.clone());
+            log.push(o.clone(), &());
         }
         assert!(log.stats().spilled_segments > 0);
         // Positions chosen to land inside spilled segments, resident
@@ -936,7 +1113,7 @@ mod tests {
             want.len(),
             want.len() + 5,
         ] {
-            let got: Vec<ScrapedOffer> = log.iter_from(start).collect();
+            let got: Vec<ScrapedOffer> = log.iter_from(start, &()).collect();
             let expect: Vec<ScrapedOffer> = want.iter().skip(start).cloned().collect();
             assert_eq!(got, expect, "iter_from({start})");
         }
@@ -947,15 +1124,15 @@ mod tests {
     fn iter_from_past_spilled_prefix_never_touches_disk() {
         let path = tmpfile("iter-cold");
         let mut log: RowLog<ScrapedOffer> = RowLog::new();
-        log.configure(Some(16 * 1024), path.clone());
+        log.configure(Some(16 * 1024), path.clone(), &());
         for k in 0..2_000 {
-            log.push(offer(k, k % 90));
+            log.push(offer(k, k % 90), &());
         }
         let stats = log.stats();
         assert!(stats.spilled_rows > 0);
         let first_resident = stats.spilled_rows as usize;
         let reloads_before = log.stats().reloads;
-        let n = log.iter_from(first_resident).count();
+        let n = log.iter_from(first_resident, &()).count();
         assert_eq!(n, log.len() - first_resident);
         assert_eq!(
             log.stats().reloads,
@@ -981,14 +1158,14 @@ mod tests {
             // otherwise budgets from 4 KiB up sweep the spill/resident
             // boundary across the log.
             if budget_kib >= 4 {
-                log.configure(Some(budget_kib * 1024), path.clone());
+                log.configure(Some(budget_kib * 1024), path.clone(), &());
             }
             // Rows arrive in day order (the append-only crawl pattern),
             // ~30 rows per day.
             let want: Vec<ScrapedOffer> =
                 (0..n_rows as u64).map(|k| offer(k, k / 30)).collect();
             for o in &want {
-                log.push(o.clone());
+                log.push(o.clone(), &());
             }
             // The cursor for "since day d" is the count of rows strictly
             // before that day — exactly what a per-day fold records.
@@ -996,8 +1173,8 @@ mod tests {
                 .iter()
                 .position(|o| o.seen_at.days() >= since_day)
                 .unwrap_or(want.len());
-            let got: Vec<ScrapedOffer> = log.iter_from(start).collect();
-            let full: Vec<ScrapedOffer> = log.iter().collect();
+            let got: Vec<ScrapedOffer> = log.iter_from(start, &()).collect();
+            let full: Vec<ScrapedOffer> = log.iter(&()).collect();
             proptest::prop_assert_eq!(&got[..], &full[start..]);
             let _ = std::fs::remove_file(&path);
         }

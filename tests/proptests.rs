@@ -767,6 +767,171 @@ proptest! {
     }
 }
 
+use iiscope::aggregates::ReportAggregates;
+use iiscope::checkpoint::{Snapshot, SnapshotRef};
+use iiscope::subsystems::monitor::spill::{RowLog, SpillRow};
+use iiscope::subsystems::types::frame::Enc;
+use iiscope::subsystems::wire::ClientState;
+use proptest::test_runner::TestCaseError;
+
+/// One generated observation: `(iip, key)`, `(package, description,
+/// store-URL shape)`, `(affiliate, vantage, day)`, `(reward tag,
+/// value)`. Few keys, so `(iip, key)` repeats.
+type ObservationSpec = (
+    (usize, u64),
+    (String, String, usize),
+    (String, usize, u64),
+    (u8, i64),
+);
+
+fn arb_observation() -> impl Strategy<Value = ObservationSpec> {
+    (
+        (0usize..7, 0u64..5),
+        ("[ab\u{e9}]{0,3}", "\\PC{0,10}", 0usize..4),
+        ("[xy\u{20ac}]{0,2}", 0usize..6, 0u64..40),
+        (0u8..3, any::<i64>()),
+    )
+}
+
+/// The observation a spec stands for. Store URLs take four shapes: the
+/// canonical one, two non-canonical spellings of it, and one unrelated
+/// to the package, so a package's URL changes between rows.
+fn observation(spec: ObservationSpec) -> ScrapedOffer {
+    let ((iip, offer_key), (package, description, url_shape), (affiliate, vantage, day), reward) =
+        spec;
+    let store_url = match url_shape {
+        0 => format!("https://play.iiscope/store/apps/details?id={package}"),
+        1 => format!("https://play.iiscope/store/apps/details?id={package}&hl=de"),
+        2 => format!("HTTP://Play.IIScope/store/apps/details?id={package}#"),
+        _ => description.chars().rev().collect(),
+    };
+    let reward = match reward {
+        (0, v) => RewardValue::Usd(v as f64 / 100.0),
+        (1, v) => RewardValue::Points(v),
+        (_, v) => RewardValue::Cents(v),
+    };
+    ScrapedOffer {
+        iip: IipId::ALL[iip % IipId::ALL.len()],
+        raw: RawOffer {
+            offer_key,
+            description,
+            reward,
+            package,
+            store_url,
+        },
+        seen_at: SimTime::from_days(day),
+        affiliate,
+        vantage: Country::ALL[vantage % Country::ALL.len()],
+    }
+}
+
+/// A snapshot of `ds`'s logs; every other section is a fixed stand-in.
+fn snapshot_of(ds: &Dataset, aggregates: &ReportAggregates) -> Vec<u8> {
+    let snapshot = SnapshotRef {
+        day: 0,
+        seed: 7,
+        fingerprint: 0,
+        sim_bytes: &[],
+        crawler: ClientState {
+            rng: rand::rngs::RngState {
+                key: [0; 8],
+                counter: 0,
+                index: 0,
+            },
+            conn_seq: 0,
+        },
+        pkg_syms: ds.package_interner(),
+        desc_syms: ds.description_interner(),
+        offers_spill: ds.offers_spill(),
+        offers: Box::new(ds.offers_resident()),
+        profiles: ds.profiles(),
+        charts_spill: ds.charts_spill(),
+        charts: Box::new(ds.charts_resident()),
+        chaos_counters: vec![],
+        wire_counters: vec![],
+        aggregates,
+    };
+    snapshot.encode()
+}
+
+/// `ds` holds exactly `oracle`: iteration rebuilds every observation,
+/// and its snapshot's OFFERS section is the owned-row codec over the
+/// oracle rows past the spilled prefix. Returns the snapshot.
+fn check_offer_log(ds: &Dataset, oracle: &[ScrapedOffer]) -> Result<Vec<u8>, TestCaseError> {
+    prop_assert_eq!(ds.offers().len(), oracle.len());
+    prop_assert_eq!(ds.offers().collect::<Vec<_>>(), oracle.to_vec());
+    let spilled: u64 = ds.offers_spill().segments.iter().map(|s| s.rows).sum();
+    let suffix = &oracle[spilled as usize..];
+    let mut section = Enc::new();
+    section.u64(suffix.len() as u64);
+    for o in suffix {
+        o.enc_row(&mut section);
+    }
+    let bytes = snapshot_of(ds, &ReportAggregates::new());
+    let mut reader = FrameReader::new(&bytes).expect("fresh snapshot frames");
+    let mut found = false;
+    while let Some(record) = reader.next_record().expect("fresh snapshot records") {
+        // A section is its tag byte, then its body.
+        found |= record.get(1..) == Some(section.bytes());
+    }
+    prop_assert!(found, "no snapshot section holds the oracle's offer rows");
+    Ok(bytes)
+}
+
+static PARITY_RUN: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
+proptest! {
+    /// The interned offer log against a plain `Vec<ScrapedOffer>`
+    /// oracle. Fully resident, under a 4 KiB budget, and restored from
+    /// each one's own snapshot, every dataset iterates the input back
+    /// unchanged and snapshots it with the owned-row codec.
+    #[test]
+    fn interned_offer_log_matches_a_vec_oracle(
+        specs in prop::collection::vec(arb_observation(), 0..160),
+        batch in 1usize..12,
+    ) {
+        let oracle: Vec<ScrapedOffer> = specs.into_iter().map(observation).collect();
+        let run = PARITY_RUN.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir()
+            .join(format!("iiscope-offer-parity-{}-{run}", std::process::id()));
+        let mut resident = Dataset::new();
+        let mut budgeted = Dataset::new();
+        budgeted.set_memory_budget(Some(4096), &dir, "parity");
+        for milk in oracle.chunks(batch) {
+            resident.add_offers(milk.to_vec());
+            budgeted.add_offers(milk.to_vec());
+        }
+        prop_assert!(budgeted.spill_error().is_none());
+        if oracle.len() >= 100 {
+            prop_assert!(budgeted.spill_stats().spilled_segments > 0, "4 KiB must spill");
+        }
+        // Same segments on disk (rows, offsets, lengths, blob CRCs) as
+        // a log of owned rows under the same budget.
+        let mut owned: RowLog<ScrapedOffer> = RowLog::new();
+        owned.configure(Some(4096), dir.join("owned-offers.spill"), &());
+        for o in &oracle {
+            owned.push(o.clone(), &());
+        }
+        prop_assert_eq!(&owned.manifest().segments, &budgeted.offers_spill().segments);
+        for ds in [&resident, &budgeted] {
+            let bytes = check_offer_log(ds, &oracle)?;
+            let snap = Snapshot::decode(&bytes).expect("own snapshot decodes");
+            let restored = Dataset::from_parts_with_spill(
+                snap.pkg_syms,
+                snap.desc_syms,
+                &snap.offers_spill,
+                snap.offers,
+                snap.profiles,
+                &snap.charts_spill,
+                snap.charts,
+            )
+            .expect("own snapshot restores");
+            check_offer_log(&restored, &oracle)?;
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 use iiscope::subsystems::netsim::{DropReason, FaultPlan, GilbertElliott, OutageWindow, Verdict};
 use iiscope::subsystems::types::{SimDuration, SimTime as ChaosTime};
 
