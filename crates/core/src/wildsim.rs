@@ -340,7 +340,12 @@ impl World {
                         snap.sim_bytes.len()
                     )));
                 }
-                st.dataset = Dataset::from_parts_with_spill(
+                // The budget comes first, so the restore leaves the
+                // spilled history on disk and re-adds the suffix rows
+                // into the same segments the interrupted run had.
+                let mut dataset = Dataset::new();
+                self.set_memory_budget(&mut dataset, &opts);
+                st.dataset = dataset.restored(
                     snap.pkg_syms,
                     snap.desc_syms,
                     &snap.offers_spill,
@@ -359,22 +364,13 @@ impl World {
                 stats.replay_secs = t.elapsed().as_secs_f64();
                 (st, snap.day + 1)
             }
-            None => (self.fresh_sim_state(), 0),
+            None => {
+                let mut st = self.fresh_sim_state();
+                self.set_memory_budget(&mut st.dataset, &opts);
+                (st, 0)
+            }
         };
-
-        // Out-of-core budget for the dataset's spillable columns.
-        // Byte-invariant (any budget yields identical results), so it
-        // applies identically to fresh and resumed runs; resume keeps
-        // appending to the spill file the snapshot references.
-        if self.cfg.memory_budget.is_some() {
-            let dir = self.resolve_spill_dir(&opts);
-            st.dataset.set_memory_budget(
-                self.cfg.memory_budget,
-                &dir,
-                &format!("iiscope-{}", self.cfg.seed),
-            );
-            check_spill(&st.dataset)?;
-        }
+        check_spill(&st.dataset)?;
 
         for day in start_day..=self.cfg.monitoring_days {
             if let Some(crash) = &opts.crash {
@@ -454,6 +450,20 @@ impl World {
             checkpoints: stats,
             aggregates: st.aggregates,
         })
+    }
+
+    /// Out-of-core budget for the dataset's spillable columns.
+    /// Byte-invariant (any budget yields identical results), so it
+    /// applies identically to fresh and resumed runs; resume keeps
+    /// appending to the spill file the snapshot references.
+    fn set_memory_budget(&self, dataset: &mut Dataset, opts: &WildRunOptions) {
+        if self.cfg.memory_budget.is_some() {
+            dataset.set_memory_budget(
+                self.cfg.memory_budget,
+                &self.resolve_spill_dir(opts),
+                &format!("iiscope-{}", self.cfg.seed),
+            );
+        }
     }
 
     /// Where spill files live: the configured directory, else a

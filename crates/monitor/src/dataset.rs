@@ -307,55 +307,83 @@ impl Dataset {
         charts_spill: &SpillManifest,
         charts_suffix: Vec<ChartSnapshot>,
     ) -> iiscope_types::Result<Dataset> {
+        Dataset::new().restored(
+            pkg_syms,
+            desc_syms,
+            offers_spill,
+            offers_suffix,
+            profiles,
+            charts_spill,
+            charts_suffix,
+        )
+    }
+
+    /// [`Dataset::from_parts_with_spill`] into this empty dataset,
+    /// under the memory budget already set on it
+    /// ([`Dataset::set_memory_budget`]). The spilled segments are read
+    /// once each, straight from disk and past the reload cache, so the
+    /// restored history stays on disk. The suffix rows are re-added
+    /// under the budget. Segments therefore close and spill exactly as
+    /// they did in the run that wrote the snapshot.
+    #[allow(clippy::too_many_arguments)]
+    pub fn restored(
+        mut self,
+        pkg_syms: Interner,
+        desc_syms: Interner,
+        offers_spill: &SpillManifest,
+        offers_suffix: Vec<ScrapedOffer>,
+        profiles: Vec<ProfileSnapshot>,
+        charts_spill: &SpillManifest,
+        charts_suffix: Vec<ChartSnapshot>,
+    ) -> iiscope_types::Result<Dataset> {
+        assert!(
+            self.offers.is_empty() && self.profiles.is_empty() && self.charts.is_empty(),
+            "restore into an empty dataset only"
+        );
         let spill_err = |what: &str, e: String| {
             iiscope_types::Error::InvalidState(format!("{what} spill manifest: {e}"))
         };
-        let mut d = Dataset {
-            syms: SymTables {
-                pkg: pkg_syms,
-                desc: desc_syms,
-                ..SymTables::default()
-            },
-            ..Dataset::default()
+        self.syms = SymTables {
+            pkg: pkg_syms,
+            desc: desc_syms,
+            ..SymTables::default()
         };
-        let (want_pkg, want_desc) = (d.syms.pkg.len(), d.syms.desc.len());
-        d.offers
+        let (want_pkg, want_desc) = (self.syms.pkg.len(), self.syms.desc.len());
+        self.offers
             .attach(offers_spill)
             .map_err(|e| spill_err("offers", e))?;
         // Stream the attached (disk-resident) rows through the indexing
         // pass; the log is taken out and put back because the indices
-        // borrow `self` mutably. An attached log holds only spilled
-        // rows, which decode without the symbol tables.
-        let log = std::mem::take(&mut d.offers);
-        for o in log.iter(&SymTables::default()) {
-            d.index_offer(&o);
-        }
-        d.offers = log;
-        d.add_offers(offers_suffix);
+        // borrow `self` mutably. Spilled rows decode without the symbol
+        // tables.
+        let log = std::mem::take(&mut self.offers);
+        log.for_each_spilled(|o| {
+            self.index_offer(&o);
+        });
+        self.offers = log;
+        self.add_offers(offers_suffix);
         for p in profiles {
-            d.add_profile(p);
+            self.add_profile(p);
         }
-        d.charts
+        self.charts
             .attach(charts_spill)
             .map_err(|e| spill_err("charts", e))?;
-        let log = std::mem::take(&mut d.charts);
-        for c in log.iter(&()) {
-            d.index_chart(&c);
-        }
-        d.charts = log;
+        let log = std::mem::take(&mut self.charts);
+        log.for_each_spilled(|c| self.index_chart(&c));
+        self.charts = log;
         for c in charts_suffix {
-            d.add_chart(c);
+            self.add_chart(c);
         }
-        if d.syms.pkg.len() != want_pkg || d.syms.desc.len() != want_desc {
+        if self.syms.pkg.len() != want_pkg || self.syms.desc.len() != want_desc {
             return Err(iiscope_types::Error::InvalidState(format!(
                 "dataset restore minted new symbols: {} -> {} packages, {} -> {} descriptions",
                 want_pkg,
-                d.syms.pkg.len(),
+                self.syms.pkg.len(),
                 want_desc,
-                d.syms.desc.len()
+                self.syms.desc.len()
             )));
         }
-        Ok(d)
+        Ok(self)
     }
 
     /// Sets the memory budget for the spillable logs (split evenly

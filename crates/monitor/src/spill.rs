@@ -453,17 +453,7 @@ impl<R: Resident> RowLog<R> {
             cold.cache.insert(0, hit);
             return rows;
         }
-        cold.reloads += 1;
-        let file = cold
-            .file
-            .as_mut()
-            .expect("spilled segment without a spill file");
-        let mut blob = vec![0u8; seg.len as usize];
-        file.seek(SeekFrom::Start(seg.offset))
-            .expect("seek spill file");
-        file.read_exact(&mut blob).expect("read spill segment");
-        let rows = decode_segment::<R::Row>(&blob, seg)
-            .unwrap_or_else(|e| panic!("spill segment corrupt at offset {}: {e}", seg.offset));
+        let rows = read_segment::<R::Row>(&mut cold, seg);
         let bytes: usize = rows.iter().map(SpillRow::approx_bytes).sum();
         let rows = Arc::new(rows);
         cold.cache.insert(0, (seg_idx, rows.clone(), bytes));
@@ -476,6 +466,17 @@ impl<R: Resident> RowLog<R> {
             cold.cache_bytes -= b;
         }
         rows
+    }
+
+    /// Calls `f` on every spilled row, in log order, reading each
+    /// segment once straight from the spill file. The reload cache is
+    /// left as it was: a one-pass scan (a restore's indexing pass) must
+    /// not pin the spilled history in memory.
+    pub(crate) fn for_each_spilled(&self, mut f: impl FnMut(R::Row)) {
+        for seg in &self.spilled.segments {
+            let rows = read_segment::<R::Row>(&mut self.cold.lock(), *seg);
+            rows.into_iter().for_each(&mut f);
+        }
     }
 
     /// Closed segments, spilled and warm.
@@ -644,6 +645,21 @@ impl<R: Resident> RowLog<R> {
                 + cold.cache_bytes as u64,
         }
     }
+}
+
+/// Reads and decodes one spilled segment from disk, counting a reload.
+fn read_segment<T: SpillRow>(cold: &mut Cold<T>, seg: SegRef) -> Vec<T> {
+    cold.reloads += 1;
+    let file = cold
+        .file
+        .as_mut()
+        .expect("spilled segment without a spill file");
+    let mut blob = vec![0u8; seg.len as usize];
+    file.seek(SeekFrom::Start(seg.offset))
+        .expect("seek spill file");
+    file.read_exact(&mut blob).expect("read spill segment");
+    decode_segment(&blob, seg)
+        .unwrap_or_else(|e| panic!("spill segment corrupt at offset {}: {e}", seg.offset))
 }
 
 fn decode_segment<T: SpillRow>(blob: &[u8], seg: SegRef) -> Result<Vec<T>, FrameError> {

@@ -50,4 +50,4 @@ pub use clock::Clock;
 pub use conn::{ClientConn, PeerInfo, ServerIo, Session, SessionFactory, TIMEOUT};
 pub use fault::{DropReason, FaultPlan, GilbertElliott, OutageWindow, Verdict};
 pub use frame::{encode_frame, FrameDecoder, FrameError};
-pub use network::{Network, ServiceBinding};
+pub use network::{Network, ServiceBinding, WeakNetwork};

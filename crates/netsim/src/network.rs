@@ -18,7 +18,7 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// A bound service endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -56,7 +56,30 @@ pub struct Network {
     inner: Arc<Inner>,
 }
 
+/// A handle to a [`Network`] that does not keep it alive. A service the
+/// network owns (the MITM proxy dials upstream through it) holds this,
+/// not a [`Network`]: a strong handle would be a reference cycle, and
+/// the world would never be freed.
+#[derive(Clone)]
+pub struct WeakNetwork {
+    inner: Weak<Inner>,
+}
+
+impl WeakNetwork {
+    /// The network, unless every [`Network`] handle has been dropped.
+    pub fn upgrade(&self) -> Option<Network> {
+        self.inner.upgrade().map(|inner| Network { inner })
+    }
+}
+
 impl Network {
+    /// A handle that does not keep the network alive.
+    pub fn downgrade(&self) -> WeakNetwork {
+        WeakNetwork {
+            inner: Arc::downgrade(&self.inner),
+        }
+    }
+
     /// Creates a network with its own clock, capture log and a perfect
     /// default link.
     pub fn new(seed: SeedFork) -> Network {

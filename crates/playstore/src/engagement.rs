@@ -13,9 +13,15 @@
 //! [`EngagementLedger::record_install`] and
 //! [`EngagementLedger::filter_installs`], so a daily sweep that does
 //! not fire reads a few counters instead of the app's whole history.
+//!
+//! Install events are the ledger's bulk: millions per study, one per
+//! tagged install. Each is stored as a 16-byte [`PackedInstall`] in
+//! fixed-capacity chunks of `CHUNK_ROWS`, so a ledger never copies its
+//! history to grow and its slack is at most one chunk. Readers see
+//! decoded [`InstallEvent`] values through [`InstallEvents`].
 
 use iiscope_types::{SimTime, Usd};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashSet};
 
 /// Device-quality signals attached to one install event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,7 +54,7 @@ impl InstallSignals {
 }
 
 /// One recorded install.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InstallEvent {
     /// When the install happened.
     pub at: SimTime,
@@ -66,6 +72,167 @@ pub struct InstallEvent {
 
 /// [`InstallEvent::tag`] of an install without an attribution tag.
 pub const ORGANIC_TAG: u32 = 0;
+
+/// Rows in a full chunk of a ledger's install log (4 KiB). The first
+/// chunk grows geometrically up to this; every later one is allocated
+/// at exactly this capacity and never reallocated.
+const CHUNK_ROWS: usize = 256;
+
+/// Flag bits of [`PackedInstall`]'s `bits` word; the tag id sits above
+/// them.
+const EMULATOR: u32 = 1;
+const ROOTED: u32 = 1 << 1;
+const DATACENTER: u32 = 1 << 2;
+const FILTERED: u32 = 1 << 3;
+const TAG_SHIFT: u32 = 4;
+
+/// The largest [`InstallEvent::tag`] a [`PackedInstall`] holds.
+pub const MAX_TAG: u32 = u32::MAX >> TAG_SHIFT;
+
+/// An [`InstallEvent`] as the ledger stores it: the time in seconds,
+/// the /24, and one word holding the tag id above the emulator, rooted,
+/// datacenter-ASN and filtered flags.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PackedInstall {
+    at: u64,
+    block24: u32,
+    /// `tag << TAG_SHIFT | FILTERED | DATACENTER | ROOTED | EMULATOR`.
+    bits: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<PackedInstall>() == 16);
+
+impl PackedInstall {
+    /// Packs `ev`.
+    ///
+    /// # Panics
+    /// If `ev.tag` exceeds [`MAX_TAG`]: a tag id is never truncated.
+    pub fn pack(ev: &InstallEvent) -> PackedInstall {
+        assert!(
+            ev.tag <= MAX_TAG,
+            "install tag id {} does not fit a packed install row (max {MAX_TAG})",
+            ev.tag
+        );
+        let s = ev.signals;
+        let flag = |on: bool, bit: u32| if on { bit } else { 0 };
+        PackedInstall {
+            at: ev.at.secs(),
+            block24: s.block24,
+            bits: ev.tag << TAG_SHIFT
+                | flag(s.emulator, EMULATOR)
+                | flag(s.rooted, ROOTED)
+                | flag(s.datacenter_asn, DATACENTER)
+                | flag(ev.filtered, FILTERED),
+        }
+    }
+
+    /// The event this row packs.
+    pub fn unpack(self) -> InstallEvent {
+        InstallEvent {
+            at: SimTime::from_secs(self.at),
+            signals: InstallSignals {
+                emulator: self.bits & EMULATOR != 0,
+                rooted: self.bits & ROOTED != 0,
+                datacenter_asn: self.bits & DATACENTER != 0,
+                block24: self.block24,
+            },
+            tag: self.bits >> TAG_SHIFT,
+            filtered: self.bits & FILTERED != 0,
+        }
+    }
+
+    fn filtered(self) -> bool {
+        self.bits & FILTERED != 0
+    }
+}
+
+/// Unfiltered event installs per /24, split by how many a block holds.
+/// Almost every block a campaign touches holds one install; a map
+/// entry per block would cost a key and a count for each of them. Only
+/// blocks holding two or more carry a count, and those are the only
+/// candidates for a lockstep burst at any threshold above one.
+#[derive(Debug, Default)]
+struct BlockCounts {
+    /// Blocks holding exactly one unfiltered install.
+    single: HashSet<u32>,
+    /// Blocks holding two or more, with their count, ascending.
+    shared: BTreeMap<u32, u32>,
+}
+
+impl BlockCounts {
+    fn add(&mut self, block: u32) {
+        if let Some(n) = self.shared.get_mut(&block) {
+            *n += 1;
+        } else if !self.single.insert(block) {
+            self.single.remove(&block);
+            self.shared.insert(block, 2);
+        }
+    }
+
+    fn remove(&mut self, block: u32) {
+        match self.shared.get_mut(&block) {
+            Some(n) if *n > 2 => *n -= 1,
+            Some(_) => {
+                self.shared.remove(&block);
+                self.single.insert(block);
+            }
+            None => assert!(self.single.remove(&block), "unfiltered install is counted"),
+        }
+    }
+
+    fn get(&self, block: u32) -> u64 {
+        match self.shared.get(&block) {
+            Some(n) => u64::from(*n),
+            None => u64::from(self.single.contains(&block)),
+        }
+    }
+
+    /// Heap bytes, estimated from capacities: a SwissTable spends a
+    /// key and a control byte per bucket at a load of at most 7/8, and
+    /// a B-tree leaf of up to eleven `u32` pairs is about 100 bytes, so
+    /// a shared block is charged 24.
+    fn heap_bytes(&self) -> usize {
+        let cap = self.single.capacity();
+        let single = if cap == 0 {
+            0
+        } else {
+            (cap * 8 / 7).next_power_of_two() * (std::mem::size_of::<u32>() + 1) + 16
+        };
+        single + self.shared.len() * 24
+    }
+}
+
+/// The decoded install events of a ledger, in record order (see
+/// [`EngagementLedger::install_events`]).
+#[derive(Debug, Clone)]
+pub struct InstallEvents<'a> {
+    rows: std::iter::Flatten<std::slice::Iter<'a, Vec<PackedInstall>>>,
+    left: usize,
+}
+
+impl Iterator for InstallEvents<'_> {
+    type Item = InstallEvent;
+
+    fn next(&mut self) -> Option<InstallEvent> {
+        let row = self.rows.next()?;
+        self.left -= 1;
+        Some(row.unpack())
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl DoubleEndedIterator for InstallEvents<'_> {
+    fn next_back(&mut self) -> Option<InstallEvent> {
+        let row = self.rows.next_back()?;
+        self.left -= 1;
+        Some(row.unpack())
+    }
+}
+
+impl ExactSizeIterator for InstallEvents<'_> {}
 
 /// Aggregates for one simulated day.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -87,17 +254,16 @@ pub struct DayStats {
 /// The per-app ledger.
 #[derive(Debug, Default)]
 pub struct EngagementLedger {
-    installs: Vec<InstallEvent>,
+    /// Install events in record order: full chunks of `CHUNK_ROWS`,
+    /// then at most one partial chunk.
+    chunks: Vec<Vec<PackedInstall>>,
     /// Distinct attribution tags; [`InstallEvent::tag`] `i` names
     /// `tags[i - 1]`.
     tags: Vec<Box<str>>,
     /// Unfiltered event installs with a hard fraud signal.
     suspicious: u64,
     /// Unfiltered event installs per /24 (blocks with none are absent).
-    blocks: HashMap<u32, u32>,
-    /// The blocks of `blocks` holding at least two installs — the only
-    /// candidates for a lockstep burst at any threshold above one.
-    shared_blocks: BTreeSet<u32>,
+    blocks: BlockCounts,
     /// Aggregate organic installs recorded in bulk (no per-event
     /// record; organic traffic of a 100M-install app cannot be
     /// materialized event by event).
@@ -121,18 +287,23 @@ impl EngagementLedger {
     /// Records an install. `source_tag` is empty for organic installs.
     pub fn record_install(&mut self, at: SimTime, signals: InstallSignals, source_tag: &str) {
         let tag = self.intern_tag(source_tag);
-        self.installs.push(InstallEvent {
+        let row = PackedInstall::pack(&InstallEvent {
             at,
             signals,
             tag,
             filtered: false,
         });
-        self.suspicious += u64::from(signals.is_suspicious());
-        let n = self.blocks.entry(signals.block24).or_default();
-        *n += 1;
-        if *n == 2 {
-            self.shared_blocks.insert(signals.block24);
+        match self.chunks.last_mut() {
+            Some(chunk) if chunk.len() < CHUNK_ROWS => chunk.push(row),
+            last => {
+                let cap = if last.is_some() { CHUNK_ROWS } else { 0 };
+                let mut chunk = Vec::with_capacity(cap);
+                chunk.push(row);
+                self.chunks.push(chunk);
+            }
         }
+        self.suspicious += u64::from(signals.is_suspicious());
+        self.blocks.add(signals.block24);
         self.days.entry(at.days()).or_default().installs += 1;
     }
 
@@ -240,12 +411,12 @@ impl EngagementLedger {
     /// Exact lifetime installs minus enforcement-filtered ones — the
     /// number the public bin is derived from.
     pub fn public_installs(&self) -> u64 {
-        self.installs.len() as u64 + self.bulk_installs - self.filtered
+        self.event_installs() + self.bulk_installs - self.filtered
     }
 
     /// Exact lifetime installs including filtered ones.
     pub fn gross_installs(&self) -> u64 {
-        self.installs.len() as u64 + self.bulk_installs
+        self.event_installs() + self.bulk_installs
     }
 
     /// Number of installs removed by enforcement so far.
@@ -253,14 +424,35 @@ impl EngagementLedger {
         self.filtered
     }
 
-    /// All install events (enforcement and forensics iterate these).
-    pub fn install_events(&self) -> &[InstallEvent] {
-        &self.installs
+    /// Installs with per-event records, filtered or not.
+    pub fn event_installs(&self) -> u64 {
+        match self.chunks.last() {
+            Some(last) => ((self.chunks.len() - 1) * CHUNK_ROWS + last.len()) as u64,
+            None => 0,
+        }
+    }
+
+    /// All install events in record order, decoded (enforcement and
+    /// forensics iterate these).
+    pub fn install_events(&self) -> InstallEvents<'_> {
+        InstallEvents {
+            rows: self.chunks.iter().flatten(),
+            left: self.event_installs() as usize,
+        }
+    }
+
+    /// Heap bytes behind the install events: the chunks at their
+    /// capacity and the per-/24 counts (estimated from capacities).
+    pub fn install_heap_bytes(&self) -> usize {
+        let rows: usize = self.chunks.iter().map(Vec::capacity).sum();
+        rows * std::mem::size_of::<PackedInstall>()
+            + self.chunks.capacity() * std::mem::size_of::<Vec<PackedInstall>>()
+            + self.blocks.heap_bytes()
     }
 
     /// Installs with per-event records not yet filtered.
     pub fn unfiltered_installs(&self) -> u64 {
-        self.installs.len() as u64 - self.filtered
+        self.event_installs() - self.filtered
     }
 
     /// Unfiltered installs carrying a hard fraud signal
@@ -271,42 +463,30 @@ impl EngagementLedger {
 
     /// Unfiltered installs from `block24`.
     pub fn unfiltered_in_block(&self, block24: u32) -> u64 {
-        self.blocks.get(&block24).map_or(0, |n| u64::from(*n))
+        self.blocks.get(block24)
     }
 
     /// The /24 blocks holding at least two unfiltered installs, in
     /// ascending order.
     pub fn shared_blocks(&self) -> impl Iterator<Item = u32> + '_ {
-        self.shared_blocks.iter().copied()
+        self.blocks.shared.keys().copied()
     }
 
-    /// Marks `n` not-yet-filtered installs matching `pred` as filtered;
-    /// returns how many were actually removed.
+    /// Marks `n` not-yet-filtered installs matching `pred` as filtered,
+    /// in record order; returns how many were actually removed.
     pub fn filter_installs(&mut self, n: u64, mut pred: impl FnMut(&InstallEvent) -> bool) -> u64 {
         let mut removed = 0;
-        for ev in self.installs.iter_mut() {
+        let rows = self.chunks.iter_mut().flat_map(|c| c.iter_mut());
+        for row in rows.filter(|r| !r.filtered()) {
             if removed == n {
                 break;
             }
-            if !ev.filtered && pred(ev) {
-                ev.filtered = true;
+            let ev = row.unpack();
+            if pred(&ev) {
+                row.bits |= FILTERED;
                 removed += 1;
                 self.suspicious -= u64::from(ev.signals.is_suspicious());
-                let block = ev.signals.block24;
-                let left = self
-                    .blocks
-                    .get_mut(&block)
-                    .expect("unfiltered install is counted");
-                *left -= 1;
-                match *left {
-                    0 => {
-                        self.blocks.remove(&block);
-                    }
-                    1 => {
-                        self.shared_blocks.remove(&block);
-                    }
-                    _ => {}
-                }
+                self.blocks.remove(ev.signals.block24);
             }
         }
         self.filtered += removed;

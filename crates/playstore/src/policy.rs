@@ -144,7 +144,6 @@ pub fn sweep(ledger: &mut EngagementLedger, cfg: &EnforcementConfig, rng: &mut i
     let mut tag_counts = vec![0u64; ledger.tag_count() as usize + 1];
     for e in ledger
         .install_events()
-        .iter()
         .filter(|e| !e.filtered && e.tag != ORGANIC_TAG && flagged_install(e))
     {
         tag_counts[e.tag as usize] += 1;
@@ -159,7 +158,6 @@ pub fn sweep(ledger: &mut EngagementLedger, cfg: &EnforcementConfig, rng: &mut i
     let in_scope = |e: &InstallEvent| flagged_install(e) || implicated[e.tag as usize];
     let to_remove = (ledger
         .install_events()
-        .iter()
         .filter(|e| !e.filtered && in_scope(e))
         .count() as f64
         * cfg.detection_rate)

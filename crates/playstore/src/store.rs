@@ -279,6 +279,15 @@ impl PlayStore {
             .map_or(0, |l| l.public_installs())
     }
 
+    /// Install events across every ledger, and the heap bytes behind
+    /// them ([`EngagementLedger::install_heap_bytes`]).
+    pub fn install_ledger_footprint(&self) -> (u64, u64) {
+        let inner = self.inner.read();
+        inner.ledgers.values().fold((0, 0), |(n, b), l| {
+            (n + l.event_installs(), b + l.install_heap_bytes() as u64)
+        })
+    }
+
     /// Current chart ranking for `kind` at time `now`.
     pub fn chart(&self, kind: ChartKind, now: SimTime) -> Vec<ChartEntry> {
         let inner = self.inner.read();
@@ -366,41 +375,7 @@ impl PlayStore {
     /// campaign ground truth.
     pub fn detector_snapshot(&self, app: AppId) -> Option<DetectorSnapshot> {
         let inner = self.inner.read();
-        let ledger = inner.ledgers.get(&app)?;
-        let events = ledger.install_events();
-        let mut per_block: BTreeMap<u32, u64> = BTreeMap::new();
-        let mut suspicious = 0u64;
-        for e in events {
-            *per_block.entry(e.signals.block24).or_default() += 1;
-            suspicious += u64::from(e.signals.is_suspicious());
-        }
-        let event_installs = events.len() as u64;
-        let max_block = per_block.values().copied().max().unwrap_or(0);
-        // Daily install/session series over the ledger's lifetime.
-        let mut daily_installs = Vec::new();
-        let mut sessions = 0u64;
-        let mut session_secs = 0u64;
-        if let (Some(first), Some(last)) = (
-            events.first().map(|e| e.at.days()),
-            events.last().map(|e| e.at.days()),
-        ) {
-            for day in first..=last.min(first + 400) {
-                let d = ledger.day(day);
-                daily_installs.push(d.installs);
-                sessions += d.sessions;
-                session_secs += d.session_secs;
-            }
-        }
-        Some(DetectorSnapshot {
-            total_installs: ledger.public_installs(),
-            event_installs,
-            suspicious_installs: suspicious,
-            max_block_installs: max_block,
-            distinct_blocks: per_block.len() as u64,
-            daily_installs,
-            sessions,
-            session_secs,
-        })
+        inner.ledgers.get(&app).map(detector_snapshot)
     }
 
     /// Runs one enforcement sweep over every app; returns total
@@ -419,6 +394,53 @@ impl PlayStore {
             removed += policy::sweep(ledger, enforcement, &mut rng);
         }
         removed
+    }
+}
+
+/// [`PlayStore::detector_snapshot`] of one ledger. Blocks are counted
+/// by sorting the block column of every event, filtered or not, and
+/// measuring its runs.
+fn detector_snapshot(ledger: &EngagementLedger) -> DetectorSnapshot {
+    let events = ledger.install_events();
+    let (first, last) = (events.clone().next(), events.clone().next_back());
+    let mut blocks = Vec::with_capacity(events.len());
+    let mut suspicious = 0u64;
+    for e in events {
+        blocks.push(e.signals.block24);
+        suspicious += u64::from(e.signals.is_suspicious());
+    }
+    blocks.sort_unstable();
+    let (mut distinct_blocks, mut max_block, mut run) = (0u64, 0u64, 0u64);
+    for (i, b) in blocks.iter().enumerate() {
+        if i == 0 || blocks[i - 1] != *b {
+            distinct_blocks += 1;
+            run = 0;
+        }
+        run += 1;
+        max_block = max_block.max(run);
+    }
+    // Daily install/session series over the ledger's lifetime.
+    let mut daily_installs = Vec::new();
+    let mut sessions = 0u64;
+    let mut session_secs = 0u64;
+    if let (Some(first), Some(last)) = (first, last) {
+        let (first, last) = (first.at.days(), last.at.days());
+        for day in first..=last.min(first + 400) {
+            let d = ledger.day(day);
+            daily_installs.push(d.installs);
+            sessions += d.sessions;
+            session_secs += d.session_secs;
+        }
+    }
+    DetectorSnapshot {
+        total_installs: ledger.public_installs(),
+        event_installs: blocks.len() as u64,
+        suspicious_installs: suspicious,
+        max_block_installs: max_block,
+        distinct_blocks,
+        daily_installs,
+        sessions,
+        session_secs,
     }
 }
 
@@ -555,6 +577,82 @@ mod tests {
         assert_eq!(removed, 600);
         // 1,300 → 700: the bin visibly dropped, §5.2's signal.
         assert_eq!(store.profile(&pkg).unwrap().installs.lower_bound(), 500);
+    }
+
+    /// The per-event `BTreeMap` count `detector_snapshot` used before
+    /// it sorted the block column: the oracle for the sort.
+    fn detector_snapshot_by_map(ledger: &EngagementLedger) -> DetectorSnapshot {
+        let events: Vec<_> = ledger.install_events().collect();
+        let mut per_block: BTreeMap<u32, u64> = BTreeMap::new();
+        let mut suspicious = 0u64;
+        for e in &events {
+            *per_block.entry(e.signals.block24).or_default() += 1;
+            suspicious += u64::from(e.signals.is_suspicious());
+        }
+        let mut daily_installs = Vec::new();
+        let mut sessions = 0u64;
+        let mut session_secs = 0u64;
+        if let (Some(first), Some(last)) = (
+            events.first().map(|e| e.at.days()),
+            events.last().map(|e| e.at.days()),
+        ) {
+            for day in first..=last.min(first + 400) {
+                let d = ledger.day(day);
+                daily_installs.push(d.installs);
+                sessions += d.sessions;
+                session_secs += d.session_secs;
+            }
+        }
+        DetectorSnapshot {
+            total_installs: ledger.public_installs(),
+            event_installs: events.len() as u64,
+            suspicious_installs: suspicious,
+            max_block_installs: per_block.values().copied().max().unwrap_or(0),
+            distinct_blocks: per_block.len() as u64,
+            daily_installs,
+            sessions,
+            session_secs,
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Random ledgers — colliding, extreme and one-off /24s, bulk
+        /// organic installs, sessions, and filters by block, signal or
+        /// tag — snapshot the same by sort as by map.
+        #[test]
+        fn detector_snapshot_matches_the_map_oracle(
+            installs in prop::collection::vec(
+                (0u64..500, any::<u32>(), (any::<bool>(), any::<bool>()), 0usize..3),
+                0..600,
+            ),
+            filters in prop::collection::vec((0u8..3, 0u64..80, 0u32..8), 0..4),
+            bulk in 0u64..300,
+            sessions in 0u64..20,
+        ) {
+            const TAGS: [&str; 3] = ["", "fyber-c1", "adgem-c2"];
+            let mut l = EngagementLedger::new();
+            for (day, sel, (emulator, datacenter_asn), tag) in installs {
+                let block24 = match sel % 3 {
+                    0 => sel % 8,
+                    1 => [0, u32::MAX][(sel / 3 % 2) as usize],
+                    _ => sel,
+                };
+                let signals = InstallSignals { emulator, rooted: false, datacenter_asn, block24 };
+                l.record_install(SimTime::from_days(day), signals, TAGS[tag]);
+                l.record_session(SimTime::from_days(day), sessions);
+            }
+            l.record_installs_bulk(SimTime::from_days(3), bulk);
+            for (kind, n, block) in filters {
+                match kind {
+                    0 => l.filter_installs(n, |e| e.signals.block24 == block),
+                    1 => l.filter_installs(n, |e| e.signals.is_suspicious()),
+                    _ => l.filter_installs(n, |e| e.tag == block % 3),
+                };
+            }
+            prop_assert_eq!(detector_snapshot(&l), detector_snapshot_by_map(&l));
+        }
     }
 
     #[test]

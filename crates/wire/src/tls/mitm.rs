@@ -24,7 +24,7 @@ use super::session::{IdentityProvider, PlainService, ServerIdentity, TlsClient, 
 use bytes::Bytes;
 #[cfg(test)]
 use iiscope_netsim::HostAddr;
-use iiscope_netsim::{Direction, Network, PeerInfo, Session, SessionFactory};
+use iiscope_netsim::{Direction, Network, PeerInfo, Session, SessionFactory, WeakNetwork};
 use iiscope_types::{SeedFork, SimTime};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -186,7 +186,7 @@ impl IdentityProvider for ForgingProvider {
 /// Per-connection plaintext forwarder: device-side plaintext in,
 /// upstream TLS request out, response plaintext back.
 struct Forwarder {
-    net: Network,
+    net: WeakNetwork,
     upstream_roots: TrustStore,
     upstream_port: u16,
     log: InterceptLog,
@@ -227,10 +227,10 @@ impl PlainService for Forwarder {
         if self.upstream.is_none() {
             let link = peer.link.fork_idx("mitm-upstream", self.dial_seq);
             self.dial_seq += 1;
-            let conn = match self
-                .net
-                .connect_host_seeded(peer.addr, &sni, self.upstream_port, link)
-            {
+            let Some(net) = self.net.upgrade() else {
+                return Bytes::new(); // the network is gone: stall
+            };
+            let conn = match net.connect_host_seeded(peer.addr, &sni, self.upstream_port, link) {
                 Ok(c) => c,
                 Err(_) => return Bytes::new(), // upstream unreachable: stall
             };
@@ -261,7 +261,8 @@ impl PlainService for Forwarder {
 /// device HTTP clients at it (see `HttpClient::via_proxy`).
 pub struct MitmProxy {
     provider: Arc<dyn IdentityProvider>,
-    net: Network,
+    /// Weak: the network owns the proxy once it is bound.
+    net: WeakNetwork,
     upstream_roots: TrustStore,
     upstream_port: u16,
     log: InterceptLog,
@@ -273,7 +274,9 @@ pub struct MitmProxy {
 impl MitmProxy {
     /// Creates a proxy with its own forging CA.
     ///
-    /// * `net` — the network used for upstream dials.
+    /// * `net` — the network used for upstream dials. The proxy keeps
+    ///   only a [`WeakNetwork`] to it, so binding the proxy on that
+    ///   network makes no reference cycle.
     /// * `upstream_roots` — genuine roots for validating real services.
     pub fn new(
         net: Network,
@@ -288,7 +291,7 @@ impl MitmProxy {
                 ca: Mutex::new(ca),
                 seed: seed.fork("forge"),
             }),
-            net,
+            net: net.downgrade(),
             upstream_roots,
             upstream_port,
             log: InterceptLog::new(),

@@ -27,7 +27,6 @@ fn full_scan_sweep(
     // Hard signals.
     let mut flagged: u64 = ledger
         .install_events()
-        .iter()
         .filter(|e| !e.filtered && e.signals.is_suspicious())
         .count() as u64;
 
@@ -36,7 +35,7 @@ fn full_scan_sweep(
     let mut lockstep_blocks: Vec<u32> = Vec::new();
     if cfg.detect_lockstep {
         let mut per_block: BTreeMap<u32, u64> = BTreeMap::new();
-        for e in ledger.install_events().iter().filter(|e| !e.filtered) {
+        for e in ledger.install_events().filter(|e| !e.filtered) {
             *per_block.entry(e.signals.block24).or_default() += 1;
         }
         for (block, n) in per_block {
@@ -57,7 +56,7 @@ fn full_scan_sweep(
         .map(|t| ledger.tag_name(t).to_string())
         .collect();
     let mut tag_counts: BTreeMap<&str, u64> = BTreeMap::new();
-    for e in ledger.install_events().iter().filter(|e| {
+    for e in ledger.install_events().filter(|e| {
         !e.filtered
             && !names[e.tag as usize].is_empty()
             && (e.signals.is_suspicious() || lockstep_blocks.contains(&e.signals.block24))
@@ -76,7 +75,6 @@ fn full_scan_sweep(
     // hard signal is in scope; remove `detection_rate` of it.
     let in_scope = ledger
         .install_events()
-        .iter()
         .filter(|e| {
             let tag = &names[e.tag as usize];
             !e.filtered
@@ -148,7 +146,6 @@ fn step(
         6 | 7 => {
             let tag_id = fast
                 .install_events()
-                .iter()
                 .find(|e| fast.tag_name(e.tag) == TAGS[tag])
                 .map(|e| e.tag);
             let pred = |e: &InstallEvent| match seed % 4 {
@@ -179,7 +176,6 @@ fn step(
     prop_assert_eq!(fast.filtered_installs(), oracle.filtered_installs());
     let recount = fast
         .install_events()
-        .iter()
         .filter(|e| !e.filtered && e.signals.is_suspicious())
         .count() as u64;
     prop_assert_eq!(fast.unfiltered_suspicious(), recount);
@@ -187,7 +183,7 @@ fn step(
 }
 
 fn filtered_flags(l: &EngagementLedger) -> Vec<bool> {
-    l.install_events().iter().map(|e| e.filtered).collect()
+    l.install_events().map(|e| e.filtered).collect()
 }
 
 proptest! {

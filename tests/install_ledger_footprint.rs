@@ -1,0 +1,119 @@
+//! Live-heap footprint of the Play Store's install ledger.
+//!
+//! A counting global allocator measures how much the heap grows while
+//! about a million install events land in a few ledgers: mostly one-off
+//! /24s, as campaign traffic from real phones is, plus device-farm
+//! bursts that pile onto a handful of blocks. Packed 16-byte rows in
+//! fixed chunks and the split per-/24 counts must keep that growth
+//! within 32 bytes per install; 24-byte events in a doubling `Vec` plus
+//! a `HashMap<u32, u32>` entry per block need at least 34.
+
+use iiscope::subsystems::playstore::engagement::{EngagementLedger, InstallSignals};
+use iiscope::subsystems::types::{SeedFork, SimTime};
+use rand::Rng;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicIsize, Ordering};
+
+/// Bytes currently allocated through [`Counting`].
+static LIVE: AtomicIsize = AtomicIsize::new(0);
+
+/// The system allocator, keeping a running total of live bytes.
+struct Counting;
+
+// SAFETY: every call forwards to `System` unchanged; the counter only
+// observes sizes.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc_zeroed(layout);
+        if !p.is_null() {
+            LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+        LIVE.fetch_sub(layout.size() as isize, Ordering::Relaxed);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let p = System.realloc(ptr, layout, new_size);
+        if !p.is_null() {
+            LIVE.fetch_add(
+                new_size as isize - layout.size() as isize,
+                Ordering::Relaxed,
+            );
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const LEDGERS: usize = 4;
+const INSTALLS_PER_LEDGER: usize = 250_000;
+/// One install in this many comes from a device farm.
+const FARM_ONE_IN: u32 = 8;
+/// /24 blocks each ledger's farms install from.
+const FARM_BLOCKS: u32 = 64;
+const TAGS: [&str; 4] = ["", "fyber-c1", "rankapp-c2", "adgem-c3"];
+
+#[test]
+fn install_ledger_heap_growth_stays_within_32_bytes_per_install() {
+    let mut rng = SeedFork::new(23).rng();
+    let before = LIVE.load(Ordering::SeqCst);
+    let mut ledgers: Vec<EngagementLedger> =
+        (0..LEDGERS).map(|_| EngagementLedger::new()).collect();
+    for (l, ledger) in ledgers.iter_mut().enumerate() {
+        for i in 0..INSTALLS_PER_LEDGER {
+            let farm = rng.gen_range(0..FARM_ONE_IN) == 0;
+            let signals = if farm {
+                InstallSignals {
+                    emulator: rng.gen(),
+                    rooted: true,
+                    datacenter_asn: rng.gen_range(0..4) == 0,
+                    block24: 0x0A00_0000 | (l as u32) << 16 | rng.gen_range(0..FARM_BLOCKS) << 8,
+                }
+            } else {
+                InstallSignals::clean(rng.gen::<u32>() & 0xFFFF_FF00)
+            };
+            let at = SimTime::from_secs((i as u64 * 92 * 86_400) / INSTALLS_PER_LEDGER as u64);
+            ledger.record_install(at, signals, TAGS[rng.gen_range(0..TAGS.len())]);
+        }
+    }
+    let grown = LIVE.load(Ordering::SeqCst) - before;
+
+    let installs = (LEDGERS * INSTALLS_PER_LEDGER) as u64;
+    let events: u64 = ledgers.iter().map(|l| l.event_installs()).sum();
+    assert_eq!(events, installs);
+    for l in &ledgers {
+        assert_eq!(l.install_events().len() as u64, l.event_installs());
+        assert!(l.shared_blocks().count() >= FARM_BLOCKS as usize);
+    }
+    let per_install = grown as f64 / installs as f64;
+    eprintln!("install ledger: {per_install:.1} live-heap bytes per install");
+    assert!(
+        per_install <= 32.0,
+        "install ledger grew the heap by {per_install:.1} B per install (limit 32)"
+    );
+
+    // `install_heap_bytes` is what `BENCH_scale.json` reports; it must
+    // account for the rows and block counts the allocator saw (the rest
+    // is day buckets and tag names).
+    let accounted: usize = ledgers.iter().map(|l| l.install_heap_bytes()).sum();
+    let ratio = accounted as f64 / grown as f64;
+    eprintln!("install_heap_bytes: {accounted} of {grown} live bytes ({ratio:.3})");
+    assert!(
+        (0.9..=1.05).contains(&ratio),
+        "install_heap_bytes accounts {accounted} B of {grown} B grown"
+    );
+}

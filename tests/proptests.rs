@@ -657,7 +657,9 @@ use iiscope::subsystems::monitor::crawler::ProfileSnapshot;
 use iiscope::subsystems::monitor::export::{charts_csv, offers_csv, profiles_csv};
 use iiscope::subsystems::monitor::parsers::{RawOffer, RewardValue, ScrapedOffer};
 use iiscope::subsystems::monitor::Dataset;
-use iiscope::subsystems::playstore::engagement::{EngagementLedger, InstallSignals};
+use iiscope::subsystems::playstore::engagement::{
+    EngagementLedger, InstallEvent, InstallSignals, PackedInstall, MAX_TAG,
+};
 use iiscope::subsystems::types::{Country, IipId, SimTime};
 
 proptest! {
@@ -751,6 +753,38 @@ proptest! {
         // The all-days trailing window agrees with the event count.
         let w = l.trailing(SimTime::from_days(100), 100);
         prop_assert_eq!(w.installs, gross, "day buckets count every install once");
+    }
+
+    /// An install event packs into its 16-byte row and back unchanged:
+    /// every flag combination, /24s 0 and `u32::MAX`, tag ids 0 and
+    /// [`MAX_TAG`], times 0 and `u64::MAX` seconds, and random values
+    /// of each.
+    #[test]
+    fn packed_install_rows_round_trip(
+        block in any::<u32>(),
+        tag in any::<u32>(),
+        at in any::<u64>(),
+    ) {
+        for flags in 0u8..16 {
+            for block24 in [0, u32::MAX, block] {
+                for tag in [0, MAX_TAG, tag % (MAX_TAG + 1)] {
+                    for at in [0, u64::MAX, at] {
+                        let ev = InstallEvent {
+                            at: SimTime::from_secs(at),
+                            signals: InstallSignals {
+                                emulator: flags & 1 != 0,
+                                rooted: flags & 2 != 0,
+                                datacenter_asn: flags & 4 != 0,
+                                block24,
+                            },
+                            tag,
+                            filtered: flags & 8 != 0,
+                        };
+                        prop_assert_eq!(PackedInstall::pack(&ev).unpack(), ev);
+                    }
+                }
+            }
+        }
     }
 
     /// Ratings clamp to 1..=5 stars, so the average always lies in
@@ -1149,4 +1183,17 @@ proptest! {
         };
         while let Ok(Some(_)) = reader.next_record() {}
     }
+}
+
+/// A tag id past [`MAX_TAG`] has no room in a packed row; packing it
+/// panics instead of truncating it into another campaign's id.
+#[test]
+#[should_panic(expected = "does not fit a packed install row")]
+fn packing_refuses_a_tag_id_past_max_tag() {
+    PackedInstall::pack(&InstallEvent {
+        at: SimTime::EPOCH,
+        signals: InstallSignals::clean(0),
+        tag: MAX_TAG + 1,
+        filtered: false,
+    });
 }
