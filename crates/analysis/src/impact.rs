@@ -5,7 +5,7 @@
 //! ground-truth store internals, mirroring the paper's observational
 //! position.
 
-use iiscope_monitor::{Dataset, ProfileSnapshot};
+use iiscope_monitor::{Dataset, ProfileFields};
 use iiscope_types::Sym;
 
 /// Whether an app's public install count increased between the first
@@ -15,13 +15,12 @@ use iiscope_types::Sym;
 /// by the end of the incentivized install campaign as compared to the
 /// start of the campaign." With binned counts, "increase" means a bin
 /// boundary was crossed upward.
-pub fn install_increased(series: &[&ProfileSnapshot], from_day: u64, to_day: u64) -> Option<bool> {
-    let window: Vec<&&ProfileSnapshot> = series
+pub fn install_increased(series: &[ProfileFields<'_>], from_day: u64, to_day: u64) -> Option<bool> {
+    let mut window = series
         .iter()
-        .filter(|p| p.day >= from_day && p.day <= to_day)
-        .collect();
-    let first = window.first()?;
-    let last = window.last()?;
+        .filter(|p| p.day >= from_day && p.day <= to_day);
+    let first = window.next()?;
+    let last = window.next_back().unwrap_or(first);
     Some(last.min_installs > first.min_installs)
 }
 
@@ -29,7 +28,7 @@ pub fn install_increased(series: &[&ProfileSnapshot], from_day: u64, to_day: u64
 /// the series — §5.2's enforcement signal ("a decrease would be an
 /// indicator that Google Play Store has identified and removed
 /// incentivized installs").
-pub fn install_decreased(series: &[&ProfileSnapshot]) -> bool {
+pub fn install_decreased(series: &[ProfileFields<'_>]) -> bool {
     series
         .windows(2)
         .any(|w| w[1].min_installs < w[0].min_installs)
@@ -74,7 +73,7 @@ pub fn chart_appearance_sym(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iiscope_monitor::ChartSnapshot;
+    use iiscope_monitor::{ChartSnapshot, ProfileSnapshot};
 
     fn snap(day: u64, installs: u64) -> ProfileSnapshot {
         ProfileSnapshot {
@@ -97,7 +96,7 @@ mod tests {
     #[test]
     fn increase_detection_respects_window() {
         let s = [snap(10, 100), snap(12, 100), snap(14, 500), snap(30, 1000)];
-        let refs: Vec<&ProfileSnapshot> = s.iter().collect();
+        let refs: Vec<ProfileFields> = s.iter().map(ProfileSnapshot::fields).collect();
         assert_eq!(install_increased(&refs, 10, 14), Some(true));
         assert_eq!(install_increased(&refs, 10, 12), Some(false));
         assert_eq!(install_increased(&refs, 50, 60), None, "empty window");
@@ -106,10 +105,10 @@ mod tests {
     #[test]
     fn decrease_detection() {
         let s = [snap(10, 1000), snap(12, 1000), snap(14, 500)];
-        let refs: Vec<&ProfileSnapshot> = s.iter().collect();
+        let refs: Vec<ProfileFields> = s.iter().map(ProfileSnapshot::fields).collect();
         assert!(install_decreased(&refs));
         let s = [snap(10, 100), snap(12, 500)];
-        let refs: Vec<&ProfileSnapshot> = s.iter().collect();
+        let refs: Vec<ProfileFields> = s.iter().map(ProfileSnapshot::fields).collect();
         assert!(!install_decreased(&refs));
     }
 

@@ -655,6 +655,11 @@ fn timed_report(
                     "offer_log_bytes",
                     artifacts.dataset.offer_log_bytes().into(),
                 ),
+                ("profile_rows", artifacts.dataset.profiles().len().into()),
+                (
+                    "profile_log_bytes",
+                    artifacts.dataset.profile_log_bytes().into(),
+                ),
             ],
         ),
         (

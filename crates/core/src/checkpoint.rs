@@ -32,7 +32,7 @@ use crate::chaos::fnv64;
 use crate::config::WorldConfig;
 use iiscope_monitor::parsers::ScrapedOffer;
 use iiscope_monitor::spill::{ResidentRows, RowSection, SegRef, SpillManifest, SpillRow};
-use iiscope_monitor::{ChartSnapshot, ProfileSnapshot};
+use iiscope_monitor::{ChartSnapshot, ProfileLog};
 use iiscope_types::frame::{Dec, Enc, FrameError, FrameReader, FrameWriter};
 use iiscope_types::Interner;
 use iiscope_wire::ClientState;
@@ -94,8 +94,9 @@ pub struct Snapshot {
     /// Resident suffix of the offer log (rows not covered by
     /// `offers_spill`), arrival order.
     pub offers: Vec<ScrapedOffer>,
-    /// Raw profile log, arrival order.
-    pub profiles: Vec<ProfileSnapshot>,
+    /// Raw profile log, arrival order, decoded straight into interned
+    /// rows; its packages are symbols of `pkg_syms`.
+    pub profiles: ProfileLog,
     /// Spilled prefix of the chart log, by reference.
     pub charts_spill: SpillManifest,
     /// Resident suffix of the chart log, arrival order.
@@ -134,8 +135,10 @@ pub struct SnapshotRef<'a> {
     /// dataset's interned rows or a decoded snapshot's owned rows,
     /// encoded with the same row codec either way.
     pub offers: Box<dyn RowSection + 'a>,
-    /// Raw profile log, arrival order.
-    pub profiles: &'a [ProfileSnapshot],
+    /// Raw profile log, arrival order: a live dataset's or a decoded
+    /// snapshot's interned rows, encoded with the owned snapshot's row
+    /// codec.
+    pub profiles: Box<dyn RowSection + 'a>,
     /// Spilled prefix of the chart log, by reference.
     pub charts_spill: &'a SpillManifest,
     /// Resident suffix of the chart log, arrival order.
@@ -178,7 +181,7 @@ impl SnapshotRef<'_> {
         w.record(spill.bytes());
 
         w.record(&enc_rows(SEC_OFFERS, &*self.offers));
-        w.record(&enc_rows(SEC_PROFILES, &ResidentRows::of(self.profiles)));
+        w.record(&enc_rows(SEC_PROFILES, &*self.profiles));
         w.record(&enc_rows(SEC_CHARTS, &*self.charts));
 
         let mut crawler = Enc::new();
@@ -296,7 +299,7 @@ impl Snapshot {
             desc_syms: &self.desc_syms,
             offers_spill: &self.offers_spill,
             offers: Box::new(ResidentRows::of(&self.offers)),
-            profiles: &self.profiles,
+            profiles: Box::new(self.profiles.iter(&self.pkg_syms)),
             charts_spill: &self.charts_spill,
             charts: Box::new(ResidentRows::of(&self.charts)),
             chaos_counters: ledger(&self.chaos_counters),
@@ -319,7 +322,7 @@ impl Snapshot {
         let mut sim_bytes: Option<Vec<u8>> = None;
         let mut syms: Option<(Interner, Interner)> = None;
         let mut offers: Option<Vec<ScrapedOffer>> = None;
-        let mut profiles: Option<Vec<ProfileSnapshot>> = None;
+        let mut profiles: Option<ProfileLog> = None;
         let mut charts: Option<Vec<ChartSnapshot>> = None;
         let mut crawler: Option<ClientState> = None;
         let mut counters: Option<(Ledger, Ledger)> = None;
@@ -362,13 +365,13 @@ impl Snapshot {
                     offers = Some(v);
                 }
                 SEC_PROFILES => {
-                    let n = d.u64()?;
-                    let mut v = Vec::new();
-                    for _ in 0..n {
-                        v.push(ProfileSnapshot::dec_row(&mut d)?);
-                    }
+                    // Rows name packages by symbol, so the package
+                    // table (written first) must already be decoded.
+                    let (pkg, _) = syms
+                        .as_ref()
+                        .ok_or(FrameError::Codec("PROFILES section before SYMS"))?;
+                    profiles = Some(ProfileLog::decode(&mut d, pkg)?);
                     d.finish()?;
-                    profiles = Some(v);
                 }
                 SEC_CHARTS => {
                     let n = d.u64()?;
@@ -647,15 +650,33 @@ pub fn load_latest(dir: &Path) -> Result<Scan, ScanError> {
 mod tests {
     use super::*;
     use iiscope_monitor::parsers::{RawOffer, RewardValue};
+    use iiscope_monitor::ProfileSnapshot;
     use iiscope_playstore::ChartKind;
     use iiscope_types::{Country, IipId, SimTime};
 
     fn sample_snapshot() -> Snapshot {
         let mut pkg_syms = Interner::new();
-        pkg_syms.intern("com.a.one");
+        let one = pkg_syms.intern("com.a.one");
         pkg_syms.intern("com.b.two");
         let mut desc_syms = Interner::new();
         desc_syms.intern("Install and Register");
+        let mut profiles = ProfileLog::new();
+        let profile = ProfileSnapshot {
+            day: 1502,
+            package: "com.a.one".into(),
+            title: "One".into(),
+            genre_id: "TOOLS".into(),
+            released_day: 1400,
+            min_installs: 1000,
+            developer_id: 7,
+            developer_name: "Acme".into(),
+            developer_country: "US".into(),
+            developer_email: "a@acme.us".into(),
+            developer_website: String::new(),
+            rating: 4.25,
+            rating_count: 31,
+        };
+        profiles.push(one, profile.fields());
         Snapshot {
             day: 6,
             seed: 42,
@@ -701,21 +722,7 @@ mod tests {
                 affiliate: "com.cash.app".into(),
                 vantage: Country::Us,
             }],
-            profiles: vec![ProfileSnapshot {
-                day: 1502,
-                package: "com.a.one".into(),
-                title: "One".into(),
-                genre_id: "TOOLS".into(),
-                released_day: 1400,
-                min_installs: 1000,
-                developer_id: 7,
-                developer_name: "Acme".into(),
-                developer_country: "US".into(),
-                developer_email: "a@acme.us".into(),
-                developer_website: String::new(),
-                rating: 4.25,
-                rating_count: 31,
-            }],
+            profiles,
             charts_spill: SpillManifest::default(),
             charts: vec![ChartSnapshot {
                 day: 1502,
@@ -819,6 +826,27 @@ mod tests {
         assert!(no_aggs.len() < bytes.len());
         let got = err(&no_aggs).expect("a v3 frame without AGGS decoded");
         assert!(got.contains("missing AGGS section"), "{got}");
+    }
+
+    #[test]
+    fn profiles_decode_only_after_syms() {
+        // Profile rows name packages by symbol, so a PROFILES section
+        // ahead of SYMS is refused rather than resolved against nothing.
+        let bytes = sample_snapshot().encode();
+        let mut reader = FrameReader::new(&bytes).unwrap();
+        let mut records = Vec::new();
+        while let Some(p) = reader.next_record().unwrap() {
+            records.push(p.to_vec());
+        }
+        let at = |tag| records.iter().position(|p| p[0] == tag).unwrap();
+        let (syms, profiles) = (at(SEC_SYMS), at(SEC_PROFILES));
+        records.swap(syms, profiles);
+        let mut w = FrameWriter::new();
+        for p in &records {
+            w.record(p);
+        }
+        let err = Snapshot::decode(&w.finish()).unwrap_err().to_string();
+        assert!(err.contains("PROFILES section before SYMS"), "{err}");
     }
 
     #[test]

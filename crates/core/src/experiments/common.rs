@@ -2,18 +2,13 @@
 //! shared test world (building a world and running both studies once
 //! per test binary keeps the experiment tests fast).
 
-use iiscope_monitor::{Dataset, ProfileSnapshot, RateBook, ScrapedOffer};
+use iiscope_monitor::{Dataset, RateBook, ScrapedOffer};
 use iiscope_types::Usd;
 
 /// Normalizes one scraped offer's displayed reward to USD using the
 /// affiliate rate book. `None` for unknown affiliates or garbage.
 pub fn offer_usd(book: &RateBook, offer: &ScrapedOffer) -> Option<Usd> {
     book.to_usd(offer.raw.reward, &offer.affiliate)
-}
-
-/// First profile snapshot of a package (crawl-day order).
-pub fn first_profile<'a>(ds: &'a Dataset, package: &str) -> Option<&'a ProfileSnapshot> {
-    ds.profile_series(package).into_iter().next()
 }
 
 /// The average campaign duration observed in the dataset, in days —
@@ -50,7 +45,7 @@ pub fn avg_campaign_days_sym(ds: &Dataset) -> u64 {
 /// Callers compute `avg_days` once via [`avg_campaign_days`] — it is
 /// O(dataset) and must not be recomputed per app.
 pub fn baseline_window(ds: &Dataset, package: &str, avg_days: u64) -> Option<(u64, u64)> {
-    let first = first_profile(ds, package)?.day;
+    let first = ds.first_profile(package)?.day;
     let mut chart_days = ds.chart_days().iter().copied();
     let (d0, d1) = (chart_days.next(), chart_days.next());
     let start = match (d0, d1) {

@@ -13,7 +13,6 @@
 //! was created by a third-party marketer responds (when they respond
 //! at all) that they never bought incentivized installs.
 
-use crate::experiments::common::first_profile;
 use crate::report::TextTable;
 use crate::world::World;
 use crate::WildArtifacts;
@@ -54,7 +53,7 @@ impl Disclosure {
         let mut rng = world.seed.fork("disclosure").rng();
         let mut contacts = Vec::new();
         for pkg in ds.advertised_packages() {
-            let Some(profile) = first_profile(ds, pkg) else {
+            let Some(profile) = ds.first_profile(pkg) else {
                 continue;
             };
             if profile.min_installs < POPULAR_FLOOR {
@@ -88,7 +87,7 @@ impl Disclosure {
             };
             contacts.push(Contact {
                 package: pkg.to_string(),
-                email: profile.developer_email.clone(),
+                email: profile.developer_email.to_string(),
                 responded,
                 aware,
                 blames_marketer,

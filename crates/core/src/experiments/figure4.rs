@@ -3,7 +3,6 @@
 //! 1000M installs. Computed from the baseline apps' first crawled
 //! profiles (public binned counts, as the paper had).
 
-use crate::experiments::common::first_profile;
 use crate::report::TextTable;
 use crate::world::World;
 use crate::WildArtifacts;
@@ -26,7 +25,7 @@ impl Figure4 {
         let mut counts = [0u64; 8];
         let mut total = 0;
         for b in &world.plan.baseline {
-            let Some(profile) = first_profile(ds, b.package.as_str()) else {
+            let Some(profile) = ds.first_profile(b.package.as_str()) else {
                 continue;
             };
             counts[InstallBin::figure4_bucket(profile.min_installs)] += 1;

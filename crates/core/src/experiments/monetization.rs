@@ -104,11 +104,11 @@ impl Monetization {
             let website = if profile.developer_website.is_empty() {
                 None
             } else {
-                Some(profile.developer_website.as_str())
+                Some(profile.developer_website)
             };
             if let Some(company) = world
                 .crunchbase
-                .match_developer(&profile.developer_name, website)
+                .match_developer(profile.developer_name, website)
             {
                 if company.is_public {
                     public_companies += 1;
@@ -119,7 +119,7 @@ impl Monetization {
                         .iter()
                         .any(|a| a.package.as_str() == pkg && a.brand.is_some())
                     {
-                        public_brands.push(profile.title.clone());
+                        public_brands.push(profile.title.to_string());
                     }
                 }
             }

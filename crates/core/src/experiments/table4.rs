@@ -121,8 +121,8 @@ impl Table4 {
                         continue;
                     };
                     developers.insert(profile.developer_id);
-                    countries.insert(profile.developer_country.as_str());
-                    genres.insert(profile.genre_id.as_str());
+                    countries.insert(profile.developer_country);
+                    genres.insert(profile.genre_id);
                     installs.push(profile.min_installs);
                     if let Some(obs) = ds.campaign(sym) {
                         let start_day = obs.first_seen.days();

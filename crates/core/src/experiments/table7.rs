@@ -96,11 +96,11 @@ impl Table7 {
             let website = if profile.developer_website.is_empty() {
                 None
             } else {
-                Some(profile.developer_website.as_str())
+                Some(profile.developer_website)
             };
             let company = world
                 .crunchbase
-                .match_developer(&profile.developer_name, website)?;
+                .match_developer(profile.developer_name, website)?;
             Some(
                 company.raised_between(after, after + SimDuration::from_days(FUNDING_HORIZON_DAYS)),
             )

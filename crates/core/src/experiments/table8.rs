@@ -115,11 +115,11 @@ impl Table8 {
             let website = if profile.developer_website.is_empty() {
                 None
             } else {
-                Some(profile.developer_website.as_str())
+                Some(profile.developer_website)
             };
             let Some(company) = world
                 .crunchbase
-                .match_developer(&profile.developer_name, website)
+                .match_developer(profile.developer_name, website)
             else {
                 continue;
             };

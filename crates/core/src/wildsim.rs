@@ -632,7 +632,7 @@ impl World {
             desc_syms: st.dataset.description_interner(),
             offers_spill: st.dataset.offers_spill(),
             offers: Box::new(st.dataset.offers_resident()),
-            profiles: st.dataset.profiles(),
+            profiles: Box::new(st.dataset.profiles()),
             charts_spill: st.dataset.charts_spill(),
             charts: Box::new(st.dataset.charts_resident()),
             chaos_counters: chaosstats::snapshot(),
@@ -1224,7 +1224,6 @@ mod tests {
         // Popular apps accumulate public star ratings over the window.
         let rated = ds
             .profiles()
-            .iter()
             .filter(|p| p.rating_count > 0 && p.rating >= 1.0 && p.rating <= 5.0)
             .count();
         assert!(rated > 50, "rated profile snapshots: {rated}");

@@ -23,13 +23,16 @@
 //! affiliate are symbols, so a row costs 56 bytes however long its
 //! strings are. Owned [`ScrapedOffer`]s exist only at the edges —
 //! ingest, iteration, and the spill/snapshot codec, which still writes
-//! the owned row's bytes.
+//! the owned row's bytes. The profile log is interned the same way
+//! ([`ProfileLog`], 80-byte rows); its readers yield borrowed
+//! [`ProfileFields`], never owned snapshots.
 
 use crate::crawler::{ChartSnapshot, ProfileSnapshot};
 use crate::parsers::{RewardValue, ScrapedOffer};
+use crate::profiles::{ProfileLog, Profiles};
 use crate::spill::{
-    OfferFields, Resident, ResidentRows, RowLog, RowLogIter, SpillError, SpillManifest, SpillRow,
-    SpillStats,
+    OfferFields, ProfileFields, Resident, ResidentRows, RowLog, RowLogIter, SpillError,
+    SpillManifest, SpillRow, SpillStats,
 };
 use iiscope_types::frame::Enc;
 use iiscope_types::{Country, IipId, Interner, SimTime, Sym, SymMap, SymSet};
@@ -109,7 +112,8 @@ pub struct InternStats {
 
 /// The symbol spaces a [`Dataset`] interns into (opaque: reach them
 /// through the dataset's accessors). Offer rows resolve through all
-/// four; profiles and charts share the package space.
+/// four; profiles and charts share the package space (the profile
+/// log keeps its other strings in its own table).
 #[derive(Debug, Default)]
 pub struct SymTables {
     /// Package symbol space (offers ∪ profiles ∪ charts, plus any seed
@@ -194,15 +198,16 @@ struct ObservationAgg {
 /// spill-capable [`RowLog`]s: under a memory budget their cold
 /// segments move to disk and the accessors stream them back through
 /// an LRU — same rows, same order, any budget. Offer rows are kept as
-/// interned [`OfferRow`]s. Profiles stay fully resident: they are the
-/// random-access query surface (`profile_series`, `first_profile`).
+/// interned [`OfferRow`]s. Profiles stay fully resident, as interned
+/// rows in a [`ProfileLog`]: they are the random-access query surface
+/// (`profile_series`, `first_profile`).
 /// The first observation of each unique `(iip, key)` is additionally
 /// pinned resident, so the experiment joins over `unique_offers` never
 /// touch disk.
 #[derive(Debug, Default)]
 pub struct Dataset {
     offers: RowLog<OfferRow>,
-    profiles: Vec<ProfileSnapshot>,
+    profiles: ProfileLog,
     charts: RowLog<ChartSnapshot>,
 
     /// The symbol spaces rows and indices point into.
@@ -231,8 +236,6 @@ pub struct Dataset {
     by_class: [SymSet; 2],
     /// Per-package campaign aggregates.
     observations: SymMap<ObservationAgg>,
-    /// Rows in `profiles` per package, day-ascending (stable).
-    profile_rows: SymMap<Vec<usize>>,
     /// `(day, rank)` per chart, per package.
     chart_ranks: BTreeMap<&'static str, SymMap<Vec<(u64, usize)>>>,
     /// Days each package appeared in any chart, ascending.
@@ -260,25 +263,28 @@ impl Dataset {
         }
     }
 
-    /// Rebuilds a dataset from checkpointed parts: both symbol tables
-    /// plus the three raw logs in original arrival order.
+    /// Rebuilds a dataset from checkpointed parts: both symbol tables,
+    /// the offer and chart logs in original arrival order, and the
+    /// profile log (whose packages are symbols of `pkg_syms`).
     ///
     /// Only the raw logs and the package and description interners are
     /// persisted — every index is a pure function of (interner seed,
-    /// insertion sequence), so the restore *re-ingests* the logs through
-    /// the normal `add_*` paths with the serialized interners
-    /// pre-seeded. Pre-seeding matters: live ingest interleaves offers,
-    /// profiles and charts across crawl days, so symbol numbering cannot
-    /// be re-derived from any one log alone. The store-URL and
-    /// affiliate tables only the offer log uses are rebuilt in log
-    /// order. Returns an error if re-ingest mints a symbol the
-    /// serialized tables did not contain (a corrupt or inconsistent
+    /// insertion sequence), so the restore *re-ingests* the offer and
+    /// chart logs through the normal `add_*` paths with the serialized
+    /// interners pre-seeded. Pre-seeding matters: live ingest
+    /// interleaves offers, profiles and charts across crawl days, so
+    /// symbol numbering cannot be re-derived from any one log alone.
+    /// The store-URL and affiliate tables only the offer log uses are
+    /// rebuilt in log order (the profile log's table was rebuilt the
+    /// same way when it was decoded). Returns an error if re-ingest
+    /// mints a symbol the serialized tables did not contain, or the
+    /// profile log names a package they lack (a corrupt or inconsistent
     /// snapshot), since that would renumber later symbols.
     pub fn from_parts(
         pkg_syms: Interner,
         desc_syms: Interner,
         offers: Vec<ScrapedOffer>,
-        profiles: Vec<ProfileSnapshot>,
+        profiles: ProfileLog,
         charts: Vec<ChartSnapshot>,
     ) -> iiscope_types::Result<Dataset> {
         Dataset::from_parts_with_spill(
@@ -303,7 +309,7 @@ impl Dataset {
         desc_syms: Interner,
         offers_spill: &SpillManifest,
         offers_suffix: Vec<ScrapedOffer>,
-        profiles: Vec<ProfileSnapshot>,
+        profiles: ProfileLog,
         charts_spill: &SpillManifest,
         charts_suffix: Vec<ChartSnapshot>,
     ) -> iiscope_types::Result<Dataset> {
@@ -332,7 +338,7 @@ impl Dataset {
         desc_syms: Interner,
         offers_spill: &SpillManifest,
         offers_suffix: Vec<ScrapedOffer>,
-        profiles: Vec<ProfileSnapshot>,
+        profiles: ProfileLog,
         charts_spill: &SpillManifest,
         charts_suffix: Vec<ChartSnapshot>,
     ) -> iiscope_types::Result<Dataset> {
@@ -362,9 +368,14 @@ impl Dataset {
         });
         self.offers = log;
         self.add_offers(offers_suffix);
-        for p in profiles {
-            self.add_profile(p);
+        if profiles.package_span() > self.syms.pkg.len() {
+            return Err(iiscope_types::Error::InvalidState(format!(
+                "profile log names package symbols up to {} of a {}-symbol table",
+                profiles.package_span(),
+                self.syms.pkg.len()
+            )));
         }
+        self.profiles = profiles;
         self.charts
             .attach(charts_spill)
             .map_err(|e| spill_err("charts", e))?;
@@ -516,12 +527,8 @@ impl Dataset {
     /// Appends a profile snapshot, keeping the per-package timeline
     /// day-sorted (stable: equal days stay in arrival order).
     pub fn add_profile(&mut self, snap: ProfileSnapshot) {
-        let row = self.profiles.len();
         let pkg = self.syms.pkg.intern(&snap.package);
-        let rows = self.profile_rows.get_or_insert_with(pkg, Vec::new);
-        let at = rows.partition_point(|&r| self.profiles[r].day <= snap.day);
-        rows.insert(at, row);
-        self.profiles.push(snap);
+        self.profiles.push(pkg, snap.fields());
     }
 
     /// Index maintenance for one chart snapshot (shared by live ingest
@@ -556,9 +563,10 @@ impl Dataset {
         self.offers.iter(&self.syms)
     }
 
-    /// All profile snapshots.
-    pub fn profiles(&self) -> &[ProfileSnapshot] {
-        &self.profiles
+    /// All profile crawls in arrival order, decoded (exact-sized). It
+    /// doubles as the snapshot PROFILES section.
+    pub fn profiles(&self) -> Profiles<'_> {
+        self.profiles.iter(&self.syms.pkg)
     }
 
     /// All chart snapshots, in arrival order (streaming, like
@@ -733,8 +741,9 @@ impl Dataset {
         })
     }
 
-    /// Profile timeline of one package, day-ascending.
-    pub fn profile_series(&self, package: &str) -> Vec<&ProfileSnapshot> {
+    /// Profile timeline of one package, day-ascending (equal days in
+    /// arrival order).
+    pub fn profile_series(&self, package: &str) -> Vec<ProfileFields<'_>> {
         self.syms
             .pkg
             .get(package)
@@ -743,19 +752,18 @@ impl Dataset {
     }
 
     /// Profile timeline of one package symbol, day-ascending.
-    pub fn profile_series_sym(&self, sym: Sym) -> Vec<&ProfileSnapshot> {
-        self.profile_rows
-            .get(sym)
-            .map(|rows| rows.iter().map(|&r| &self.profiles[r]).collect())
-            .unwrap_or_default()
+    pub fn profile_series_sym(&self, sym: Sym) -> Vec<ProfileFields<'_>> {
+        self.profiles.series(sym, &self.syms.pkg)
     }
 
-    /// First profile snapshot of one package symbol (crawl-day order).
-    pub fn first_profile_sym(&self, sym: Sym) -> Option<&ProfileSnapshot> {
-        self.profile_rows
-            .get(sym)
-            .and_then(|rows| rows.first())
-            .map(|&r| &self.profiles[r])
+    /// First profile crawl of one package (crawl-day order).
+    pub fn first_profile(&self, package: &str) -> Option<ProfileFields<'_>> {
+        self.first_profile_sym(self.syms.pkg.get(package)?)
+    }
+
+    /// First profile crawl of one package symbol (crawl-day order).
+    pub fn first_profile_sym(&self, sym: Sym) -> Option<ProfileFields<'_>> {
+        self.profiles.first(sym, &self.syms.pkg)
     }
 
     /// Days on which `package` appeared in `chart`, with its rank.
@@ -818,6 +826,14 @@ impl Dataset {
         self.offers.len() * std::mem::size_of::<OfferRow>()
             + self.syms.url.slab_bytes()
             + self.syms.affiliate.slab_bytes()
+    }
+
+    /// Heap bytes of the profile log (`profile_log_bytes` in
+    /// `BENCH_dataset.json`): its row chunks at their capacity × row
+    /// size, plus its string table and per-package chain ends. The
+    /// package slab is shared and counted by [`Dataset::intern_stats`].
+    pub fn profile_log_bytes(&self) -> usize {
+        self.profiles.heap_bytes()
     }
 }
 
@@ -1035,7 +1051,7 @@ mod tests {
             live.package_interner().clone(),
             live.description_interner().clone(),
             live.offers().collect(),
-            live.profiles().to_vec(),
+            live.profiles.clone(),
             live.charts().collect(),
         )
         .unwrap();
@@ -1046,7 +1062,10 @@ mod tests {
             restored.offers().collect::<Vec<_>>(),
             live.offers().collect::<Vec<_>>()
         );
-        assert_eq!(restored.profiles(), live.profiles());
+        assert_eq!(
+            restored.profiles().collect::<Vec<_>>(),
+            live.profiles().collect::<Vec<_>>()
+        );
         assert_eq!(
             restored.charts().collect::<Vec<_>>(),
             live.charts().collect::<Vec<_>>()
@@ -1069,7 +1088,16 @@ mod tests {
             Interner::new(),
             live.description_interner().clone(),
             live.offers().collect(),
+            ProfileLog::new(),
             vec![],
+        );
+        assert!(bad.is_err());
+        // So is a profile log naming packages the table lacks.
+        let bad = Dataset::from_parts(
+            Interner::new(),
+            live.description_interner().clone(),
+            vec![],
+            live.profiles.clone(),
             vec![],
         );
         assert!(bad.is_err());
@@ -1143,7 +1171,7 @@ mod tests {
             spilled.description_interner().clone(),
             spilled.offers_spill(),
             spilled.offers_resident().rows().collect(),
-            spilled.profiles().to_vec(),
+            spilled.profiles.clone(),
             spilled.charts_spill(),
             spilled.charts_resident().rows().collect(),
         )

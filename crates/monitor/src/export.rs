@@ -108,15 +108,15 @@ pub fn write_profiles_csv(ds: &Dataset, out: &mut impl Write) -> io::Result<usiz
             out,
             &[
                 &p.day.to_string(),
-                &p.package,
-                &p.title,
-                &p.genre_id,
+                p.package,
+                p.title,
+                p.genre_id,
                 &p.released_day.to_string(),
                 &p.min_installs.to_string(),
                 &p.developer_id.to_string(),
-                &p.developer_name,
-                &p.developer_country,
-                &p.developer_website,
+                p.developer_name,
+                p.developer_country,
+                p.developer_website,
                 &format!("{:.1}", p.rating),
                 &p.rating_count.to_string(),
             ],

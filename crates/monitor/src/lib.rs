@@ -25,6 +25,7 @@
 //! * [`dataset`] — the assembled longitudinal dataset with the query
 //!   surface the analyses consume (campaign windows, per-IIP app sets,
 //!   profile/chart timelines).
+//! * [`profiles`] — the profile crawl log as interned fixed-size rows.
 //! * [`export`] — CSV export of the dataset, mirroring the paper's
 //!   public data release.
 
@@ -38,6 +39,7 @@ pub mod fuzzer;
 pub mod infra;
 pub mod normalize;
 pub mod parsers;
+pub mod profiles;
 pub mod spill;
 
 pub use crawler::{ChartSnapshot, Crawler, ProfileSnapshot};
@@ -47,7 +49,8 @@ pub use fuzzer::{FuzzerConfig, UiFuzzer};
 pub use infra::MonitoringInfra;
 pub use normalize::RateBook;
 pub use parsers::{parse_wall, probe_wall, PageFill, RawOffer, RewardValue, ScrapedOffer};
+pub use profiles::{ProfileLog, Profiles};
 pub use spill::{
-    Resident, ResidentRows, RowLog, RowSection, SegRef, SpillError, SpillManifest, SpillRow,
-    SpillStats,
+    ProfileFields, Resident, ResidentRows, RowLog, RowSection, SegRef, SpillError, SpillManifest,
+    SpillRow, SpillStats,
 };

@@ -170,7 +170,9 @@ pub struct SegRef {
 /// in log order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpillManifest {
-    /// Absolute path of the spill file; `None` when nothing spilled.
+    /// Absolute path of the spill file (a relative spill path is
+    /// resolved against the working directory of the first spill);
+    /// `None` when nothing spilled.
     pub file: Option<PathBuf>,
     /// Spilled segments, oldest first.
     pub segments: Vec<SegRef>,
@@ -402,6 +404,10 @@ impl<R: Resident> RowLog<R> {
 
         let mut cold = self.cold.lock();
         if cold.file.is_none() {
+            // The manifest names the file absolutely, so a checkpoint
+            // written under a relative spill dir resumes from any
+            // working directory.
+            let absolute = std::path::absolute(&path).map_err(fail)?;
             if let Some(parent) = path.parent() {
                 std::fs::create_dir_all(parent).map_err(fail)?;
             }
@@ -414,7 +420,7 @@ impl<R: Resident> RowLog<R> {
                 .map_err(fail)?;
             cold.file = Some(file);
             cold.file_end = 0;
-            self.spilled.file = Some(path.clone());
+            self.spilled.file = Some(absolute);
         }
         let offset = cold.file_end;
         let file = cold.file.as_mut().expect("just opened");
@@ -859,36 +865,124 @@ impl SpillRow for ScrapedOffer {
     }
 }
 
-impl SpillRow for ProfileSnapshot {
-    fn enc_row(&self, e: &mut Enc) {
+/// A profile crawl with borrowed strings: the one profile codec.
+/// `SpillRow for ProfileSnapshot` encodes through it, and so do the
+/// dataset's interned profile rows and the snapshot PROFILES section,
+/// so every form of a profile writes the same bytes. It is also what
+/// the dataset's profile readers yield: a decoded crawl whose strings
+/// borrow the dataset's symbol tables.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ProfileFields<'a> {
+    /// Crawl day (simulated).
+    pub day: u64,
+    /// Package name.
+    pub package: &'a str,
+    /// Title.
+    pub title: &'a str,
+    /// Play genre id.
+    pub genre_id: &'a str,
+    /// Release day on the simulated timeline.
+    pub released_day: u64,
+    /// Public lower-bound install count.
+    pub min_installs: u64,
+    /// Developer id.
+    pub developer_id: u64,
+    /// Developer name.
+    pub developer_name: &'a str,
+    /// Developer country code.
+    pub developer_country: &'a str,
+    /// Developer contact email.
+    pub developer_email: &'a str,
+    /// Developer website (empty when not listed).
+    pub developer_website: &'a str,
+    /// Average star rating (0.0 when unrated).
+    pub rating: f64,
+    /// Number of ratings behind the average.
+    pub rating_count: u64,
+}
+
+impl<'a> ProfileFields<'a> {
+    /// Writes the crawl's codec bytes.
+    pub(crate) fn enc(self, e: &mut Enc) {
         e.u64(self.day);
-        e.str(&self.package).str(&self.title).str(&self.genre_id);
+        e.str(self.package).str(self.title).str(self.genre_id);
         e.u64(self.released_day)
             .u64(self.min_installs)
             .u64(self.developer_id);
-        e.str(&self.developer_name)
-            .str(&self.developer_country)
-            .str(&self.developer_email)
-            .str(&self.developer_website);
+        e.str(self.developer_name)
+            .str(self.developer_country)
+            .str(self.developer_email)
+            .str(self.developer_website);
         e.f64(self.rating).u64(self.rating_count);
     }
 
-    fn dec_row(d: &mut Dec) -> Result<ProfileSnapshot, FrameError> {
-        Ok(ProfileSnapshot {
+    /// Reads one crawl, borrowing its strings from the payload.
+    pub(crate) fn dec(d: &mut Dec<'a>) -> Result<ProfileFields<'a>, FrameError> {
+        Ok(ProfileFields {
             day: d.u64()?,
-            package: d.str()?.to_string(),
-            title: d.str()?.to_string(),
-            genre_id: d.str()?.to_string(),
+            package: d.str()?,
+            title: d.str()?,
+            genre_id: d.str()?,
             released_day: d.u64()?,
             min_installs: d.u64()?,
             developer_id: d.u64()?,
-            developer_name: d.str()?.to_string(),
-            developer_country: d.str()?.to_string(),
-            developer_email: d.str()?.to_string(),
-            developer_website: d.str()?.to_string(),
+            developer_name: d.str()?,
+            developer_country: d.str()?,
+            developer_email: d.str()?,
+            developer_website: d.str()?,
             rating: d.f64()?,
             rating_count: d.u64()?,
         })
+    }
+
+    /// The owned snapshot.
+    pub fn to_snapshot(self) -> ProfileSnapshot {
+        ProfileSnapshot {
+            day: self.day,
+            package: self.package.to_string(),
+            title: self.title.to_string(),
+            genre_id: self.genre_id.to_string(),
+            released_day: self.released_day,
+            min_installs: self.min_installs,
+            developer_id: self.developer_id,
+            developer_name: self.developer_name.to_string(),
+            developer_country: self.developer_country.to_string(),
+            developer_email: self.developer_email.to_string(),
+            developer_website: self.developer_website.to_string(),
+            rating: self.rating,
+            rating_count: self.rating_count,
+        }
+    }
+}
+
+impl ProfileSnapshot {
+    /// The snapshot's fields, borrowed.
+    pub fn fields(&self) -> ProfileFields<'_> {
+        ProfileFields {
+            day: self.day,
+            package: &self.package,
+            title: &self.title,
+            genre_id: &self.genre_id,
+            released_day: self.released_day,
+            min_installs: self.min_installs,
+            developer_id: self.developer_id,
+            developer_name: &self.developer_name,
+            developer_country: &self.developer_country,
+            developer_email: &self.developer_email,
+            developer_website: &self.developer_website,
+            rating: self.rating,
+            rating_count: self.rating_count,
+        }
+    }
+}
+
+impl SpillRow for ProfileSnapshot {
+    fn enc_row(&self, e: &mut Enc) {
+        self.fields().enc(e);
+    }
+
+    fn dec_row(d: &mut Dec) -> Result<ProfileSnapshot, FrameError> {
+        Ok(ProfileFields::dec(d)?.to_snapshot())
     }
 
     fn approx_bytes(&self) -> usize {
@@ -1056,6 +1150,25 @@ mod tests {
         assert_eq!(log.iter(&()).collect::<Vec<_>>(), want);
         assert_eq!(resident_rows(&log), want);
         let _ = std::fs::remove_file(&blocker);
+    }
+
+    #[test]
+    fn a_relative_spill_path_is_recorded_absolute() {
+        // A relative path from the working directory down into the temp
+        // dir. The test reads the working directory and never changes it.
+        let cwd = std::env::current_dir().unwrap();
+        let target = tmpfile("relative");
+        let up: PathBuf = cwd.components().skip(1).map(|_| "..").collect();
+        let relative = up.join(target.strip_prefix("/").unwrap());
+        assert!(relative.is_relative());
+        let mut log: RowLog<ScrapedOffer> = RowLog::new();
+        log.configure(Some(8 * 1024), relative.clone(), &());
+        for k in 0..500 {
+            log.push(offer(k, k % 90), &());
+        }
+        assert!(log.stats().spilled_segments > 0);
+        assert_eq!(log.manifest().file, Some(cwd.join(&relative)));
+        let _ = std::fs::remove_file(&target);
     }
 
     #[test]

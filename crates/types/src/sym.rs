@@ -211,6 +211,14 @@ impl Interner {
         self.slab.len()
     }
 
+    /// Heap bytes behind the table: the slab, the offset table and the
+    /// dedup index, at their capacities.
+    pub fn heap_bytes(&self) -> usize {
+        self.slab.capacity()
+            + self.spans.capacity() * std::mem::size_of::<(u32, u32)>()
+            + self.index.capacity() * std::mem::size_of::<u32>()
+    }
+
     /// All symbols in insertion order, with their strings.
     pub fn iter(&self) -> impl Iterator<Item = (Sym, &str)> + '_ {
         (0..self.spans.len() as u32).map(move |i| (Sym(i), self.resolve(Sym(i))))
@@ -391,6 +399,12 @@ impl<V> SymMap<V> {
     /// `slot_count() == highest_index + 1` regardless of occupancy.
     pub fn slot_count(&self) -> usize {
         self.slots.len()
+    }
+
+    /// Heap bytes behind the slots, at their capacity (a value's own
+    /// heap is not counted).
+    pub fn heap_bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<Option<V>>()
     }
 
     /// Occupied `(sym, value)` pairs in ascending symbol order.

@@ -878,7 +878,7 @@ fn snapshot_of(ds: &Dataset, aggregates: &ReportAggregates) -> Vec<u8> {
         desc_syms: ds.description_interner(),
         offers_spill: ds.offers_spill(),
         offers: Box::new(ds.offers_resident()),
-        profiles: ds.profiles(),
+        profiles: Box::new(ds.profiles()),
         charts_spill: ds.charts_spill(),
         charts: Box::new(ds.charts_resident()),
         chaos_counters: vec![],
@@ -961,6 +961,152 @@ proptest! {
             )
             .expect("own snapshot restores");
             check_offer_log(&restored, &oracle)?;
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+use iiscope::subsystems::monitor::ProfileFields;
+
+/// One generated profile crawl: `(package, day)`, `(title, genre,
+/// developer name)`, `(developer country, email, website)`, `(released
+/// day, installs, developer id)`, `(rating, rating count)`. Few
+/// packages, days and strings, so equal days and repeated strings are
+/// common, and a package's strings change between some crawls.
+type ProfileSpec = (
+    (String, u64),
+    (String, String, String),
+    (String, String, String),
+    (u64, u64, u64),
+    (f64, u64),
+);
+
+fn arb_profile() -> impl Strategy<Value = ProfileSpec> {
+    (
+        ("[ab\u{e9}]{0,3}", 0u64..6),
+        ("[xy\u{20ac}]{0,2}", "[A-C]{1}", "\\PC{0,6}"),
+        ("[A-Z]{2}", "[de\u{fc}]{0,2}", "[w ]{0,2}"),
+        (any::<u64>(), any::<u64>(), any::<u64>()),
+        (-1e12f64..1e12, any::<u64>()),
+    )
+}
+
+fn profile(spec: ProfileSpec) -> ProfileSnapshot {
+    let (
+        (package, day),
+        (title, genre_id, developer_name),
+        (developer_country, developer_email, developer_website),
+        (released_day, min_installs, developer_id),
+        (rating, rating_count),
+    ) = spec;
+    ProfileSnapshot {
+        day,
+        package,
+        title,
+        genre_id,
+        released_day,
+        min_installs,
+        developer_id,
+        developer_name,
+        developer_country,
+        developer_email,
+        developer_website,
+        rating,
+        rating_count,
+    }
+}
+
+/// `ds` holds exactly the crawls of `oracle`: `profiles()` yields them
+/// in arrival order, each package's series is the oracle's rows of that
+/// package stably sorted by day (by name and by symbol), its first
+/// crawl is the series head, and the snapshot's PROFILES section is
+/// the owned-snapshot codec over the oracle.
+fn check_profile_log(ds: &Dataset, oracle: &[ProfileSnapshot]) -> Result<(), TestCaseError> {
+    prop_assert_eq!(ds.profiles().len(), oracle.len());
+    let all: Vec<ProfileSnapshot> = ds.profiles().map(ProfileFields::to_snapshot).collect();
+    prop_assert_eq!(&all[..], oracle);
+    let names: std::collections::BTreeSet<&str> =
+        oracle.iter().map(|p| p.package.as_str()).collect();
+    for name in names {
+        let mut want: Vec<ProfileFields> = oracle
+            .iter()
+            .filter(|p| p.package == name)
+            .map(ProfileSnapshot::fields)
+            .collect();
+        want.sort_by_key(|p| p.day);
+        let sym = ds.pkg_sym(name).expect("crawled package is interned");
+        prop_assert_eq!(&ds.profile_series(name), &want);
+        prop_assert_eq!(&ds.profile_series_sym(sym), &want);
+        prop_assert_eq!(ds.first_profile(name), want.first().copied());
+        prop_assert_eq!(ds.first_profile_sym(sym), want.first().copied());
+    }
+    prop_assert!(ds.profile_series("never.crawled").is_empty());
+    prop_assert!(ds.first_profile("never.crawled").is_none());
+
+    let mut section = Enc::new();
+    section.u64(oracle.len() as u64);
+    for p in oracle {
+        p.enc_row(&mut section);
+    }
+    let bytes = snapshot_of(ds, &ReportAggregates::new());
+    let mut reader = FrameReader::new(&bytes).expect("fresh snapshot frames");
+    let mut found = false;
+    while let Some(record) = reader.next_record().expect("fresh snapshot records") {
+        found |= record.get(1..) == Some(section.bytes());
+    }
+    prop_assert!(found, "no snapshot section holds the oracle's profile rows");
+    Ok(())
+}
+
+proptest! {
+    /// The interned profile log against a plain `Vec<ProfileSnapshot>`
+    /// oracle. Crawls interleave with offer observations (so package
+    /// symbols interleave too) into a resident dataset and one under a
+    /// 4 KiB budget; both, and each restored from its own snapshot,
+    /// answer every profile query as the oracle does.
+    #[test]
+    fn interned_profile_log_matches_a_vec_oracle(
+        crawls in prop::collection::vec(arb_profile(), 0..120),
+        specs in prop::collection::vec(arb_observation(), 0..120),
+    ) {
+        let oracle: Vec<ProfileSnapshot> = crawls.into_iter().map(profile).collect();
+        let offers: Vec<ScrapedOffer> = specs.into_iter().map(observation).collect();
+        let run = PARITY_RUN.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir()
+            .join(format!("iiscope-profile-parity-{}-{run}", std::process::id()));
+        let mut resident = Dataset::new();
+        let mut budgeted = Dataset::new();
+        budgeted.set_memory_budget(Some(4096), &dir, "parity");
+        for i in 0..oracle.len().max(offers.len()) {
+            for ds in [&mut resident, &mut budgeted] {
+                if let Some(o) = offers.get(i) {
+                    ds.add_offers([o.clone()]);
+                }
+                if let Some(p) = oracle.get(i) {
+                    ds.add_profile(p.clone());
+                }
+            }
+        }
+        prop_assert!(budgeted.spill_error().is_none());
+        if offers.len() >= 100 {
+            prop_assert!(budgeted.spill_stats().spilled_segments > 0, "4 KiB must spill");
+        }
+        for ds in [&resident, &budgeted] {
+            check_profile_log(ds, &oracle)?;
+            let snap = Snapshot::decode(&snapshot_of(ds, &ReportAggregates::new()))
+                .expect("own snapshot decodes");
+            let restored = Dataset::from_parts_with_spill(
+                snap.pkg_syms,
+                snap.desc_syms,
+                &snap.offers_spill,
+                snap.offers,
+                snap.profiles,
+                &snap.charts_spill,
+                snap.charts,
+            )
+            .expect("own snapshot restores");
+            prop_assert_eq!(restored.package_interner(), ds.package_interner());
+            check_profile_log(&restored, &oracle)?;
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
