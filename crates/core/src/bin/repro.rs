@@ -95,7 +95,7 @@ use iiscope_core::wildsim::{CheckpointPolicy, WildRunOptions};
 use iiscope_core::{checkpoint, HoneyStudy, WildArtifacts, World, WorldConfig};
 use iiscope_load::{LoadStage, MixEntry};
 use iiscope_serve::{AdminHandler, ServeConfig, Server, ShedConfig, ShutdownFlag};
-use iiscope_types::{chaosstats, servestats, wirestats, IipId};
+use iiscope_types::{chaosstats::CHAOS, wirestats::WIRE, IipId};
 use iiscope_wire::Json;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -342,11 +342,10 @@ fn main() {
     let Args { scale, cfg, mode } =
         parse_args(std::env::args().skip(1)).unwrap_or_else(|msg| usage(&msg));
 
-    // Start the wire-, chaos- and serve-layer counters from zero so
-    // the dumps reflect this run only (process-global atomics).
-    wirestats::reset();
-    chaosstats::reset();
-    servestats::reset();
+    // Start the wire- and chaos-layer counters from zero so the dumps
+    // reflect this run only (process-global atomics).
+    WIRE.reset();
+    CHAOS.reset();
 
     eprintln!(
         "building world: {} advertised apps, {} baseline apps, {} days, seed {}, \
@@ -373,6 +372,7 @@ fn main() {
 /// A bound socket server over the world's router.
 struct Serving {
     server: Server,
+    router: Arc<iiscope_core::servefront::WorldRouter>,
     flag: ShutdownFlag,
 }
 
@@ -388,18 +388,25 @@ impl Serving {
         } else {
             world.serve_router_uncached()
         };
-        let handler = Arc::new(AdminHandler::new(router, flag.clone()));
+        let handler = Arc::new(AdminHandler::new(router.clone(), flag.clone()));
         let server = Server::start(s.addr.as_str(), cfg, handler)
             .unwrap_or_else(|e| die(1, format!("cannot bind {}: {e}", s.addr)));
         eprintln!("serving on {}", server.local_addr());
-        Serving { server, flag }
+        Serving {
+            server,
+            router,
+            flag,
+        }
     }
 
-    /// Drains the server and prints the serve-layer counters.
+    /// Drains the server and prints the serve-layer counters: the
+    /// server's book, then the router's cache book.
     fn stop(self) {
         self.flag.trigger();
         self.server.stop();
-        counters("serve-layer counters:", servestats::snapshot());
+        let mut book = self.server.counters().snapshot();
+        book.extend(self.router.cache_stats().snapshot());
+        counters("serve-layer counters:", book);
     }
 }
 
@@ -604,10 +611,10 @@ fn timed_report(
     for t in &timings {
         eprintln!("  {:<14} {:>8.3}s", t.label, t.seconds);
     }
-    let wire = counters("wire-layer counters:", wirestats::snapshot());
+    let wire = counters("wire-layer counters:", WIRE.snapshot());
     let chaos = counters(
         "chaos-layer counters (all zero on a clean network):",
-        chaosstats::snapshot(),
+        CHAOS.snapshot(),
     );
     eprintln!("report pass: {report_secs:.3}s ({report_reloads} spill reload(s))");
 

@@ -30,7 +30,7 @@ use iiscope_monitor::Dataset;
 use iiscope_netsim::{AsnId, AsnKind, FaultPlan, GilbertElliott, HostAddr, Network, OutageWindow};
 use iiscope_types::time::study;
 use iiscope_types::{
-    chaosstats, wirestats, Country, DeviceId, Error, Result, SeedFork, SimDuration,
+    chaosstats::CHAOS, wirestats::WIRE, Country, DeviceId, Error, Result, SeedFork, SimDuration,
 };
 use iiscope_wire::server::HttpsFactory;
 use iiscope_wire::tls::{CertAuthority, ServerIdentity, TrustStore};
@@ -161,8 +161,8 @@ pub struct RunDigest {
 }
 
 fn reset_counters() {
-    chaosstats::reset();
-    wirestats::reset();
+    CHAOS.reset();
+    WIRE.reset();
 }
 
 impl RunDigest {

@@ -62,7 +62,7 @@ const SEC_COUNTERS: u8 = 8;
 const SEC_SPILL: u8 = 9;
 const SEC_AGGS: u8 = 10;
 
-/// A named counter ledger (`chaosstats`/`wirestats` snapshot form).
+/// A named counter ledger (the `CHAOS`/`WIRE` snapshot form).
 pub type Ledger = Vec<(String, u64)>;
 
 /// A decoded checkpoint snapshot: the measurement-side state restored

@@ -21,7 +21,7 @@
 
 use iiscope_iip::{OfferWallHandler, OFFERS_PATH};
 use iiscope_playstore::frontend::{StoreFrontend, APK_PATH};
-use iiscope_types::{servestats, Country, IipId, SimTime};
+use iiscope_types::{Country, IipId, SimTime};
 use iiscope_wire::http::{Method, RequestCtx};
 use iiscope_wire::{Handler, Request, Response};
 use parking_lot::RwLock;
@@ -54,31 +54,17 @@ impl WorldVersion {
     }
 }
 
-/// Per-router cache counters — instance-local (unlike the process-wide
-/// [`servestats`] mirror) so tests can assert on one router's behavior
-/// without cross-test pollution.
-#[derive(Default)]
-pub struct CacheStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    invalidations: AtomicU64,
-}
-
-impl CacheStats {
+iiscope_types::counters! {
+    /// One router's response-cache book, kept per instance so tests
+    /// can assert on one router's behavior without cross-test
+    /// pollution.
+    pub struct CacheStats;
     /// Responses answered from cache.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
+    hits / add_hits / "cache_hits";
     /// Cacheable requests that rendered fresh.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
+    misses / add_misses / "cache_misses";
     /// Times the cache dropped its map on a version change.
-    pub fn invalidations(&self) -> u64 {
-        self.invalidations.load(Ordering::Relaxed)
-    }
+    invalidations / add_invalidations / "cache_invalidations";
 }
 
 /// Everything a response can depend on besides world state: the full
@@ -120,7 +106,7 @@ impl WorldRouter {
             walls,
             cache: None,
             version: WorldVersion::new(),
-            stats: CacheStats::default(),
+            stats: CacheStats::new(),
         }
     }
 
@@ -141,7 +127,7 @@ impl WorldRouter {
                 map: HashMap::new(),
             })),
             version,
-            stats: CacheStats::default(),
+            stats: CacheStats::new(),
         }
     }
 
@@ -207,22 +193,19 @@ impl Handler for WorldRouter {
             let st = cache.read();
             if st.as_of == v {
                 if let Some(resp) = st.map.get(&key) {
-                    self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                    servestats::add_cache_hits(1);
+                    self.stats.add_hits(1);
                     return resp.clone();
                 }
             }
         }
-        self.stats.misses.fetch_add(1, Ordering::Relaxed);
-        servestats::add_cache_misses(1);
+        self.stats.add_misses(1);
         let resp = self.route(req, ctx);
         let mut st = cache.write();
         let cur = self.version.get();
         if st.as_of != cur {
             st.map.clear();
             st.as_of = cur;
-            self.stats.invalidations.fetch_add(1, Ordering::Relaxed);
-            servestats::add_cache_invalidations(1);
+            self.stats.add_invalidations(1);
         }
         if cur == v && st.map.len() < CACHE_CAP {
             st.map.insert(key, resp.clone());
@@ -244,8 +227,7 @@ impl Handler for WorldRouter {
         let st = cache.read();
         if st.as_of == v {
             if let Some(resp) = st.map.get(&key) {
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                servestats::add_cache_hits(1);
+                self.stats.add_hits(1);
                 return Some(resp.clone());
             }
         }
@@ -378,6 +360,21 @@ mod tests {
         assert_eq!(cached.cache_stats().hits(), targets.len() as u64);
         assert_eq!(cached.cache_stats().misses(), 2 * targets.len() as u64);
         assert_eq!(cached.cache_stats().invalidations(), 1);
+    }
+
+    #[test]
+    fn cache_book_snapshots_under_the_serve_key_names() {
+        let c = CacheStats::new();
+        c.add_hits(4);
+        c.add_invalidations(1);
+        assert_eq!(
+            c.snapshot(),
+            vec![
+                ("cache_hits", 4),
+                ("cache_misses", 0),
+                ("cache_invalidations", 1)
+            ]
+        );
     }
 
     #[test]

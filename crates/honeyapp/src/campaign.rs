@@ -28,8 +28,8 @@ use iiscope_netsim::Network;
 use iiscope_playstore::{InstallSource, PlayStore};
 use iiscope_types::rng::exponential;
 use iiscope_types::{
-    chaosstats, AppId, DeveloperId, Error, IipId, PackageName, Result, SeedFork, SimDuration,
-    SimTime, Usd,
+    chaosstats::CHAOS, AppId, DeveloperId, Error, IipId, PackageName, Result, SeedFork,
+    SimDuration, SimTime, Usd,
 };
 use iiscope_wire::tls::TrustStore;
 use iiscope_wire::HttpClient;
@@ -348,7 +348,7 @@ impl CampaignDriver {
     fn try_upload(&self, device: &Device, event: TelemetryEvent, at: SimTime) -> Result<()> {
         match self.upload(device, event, at) {
             Err(Error::Network(_)) => {
-                chaosstats::add_uploads_abandoned(1);
+                CHAOS.add_uploads_abandoned(1);
                 Ok(())
             }
             other => other,

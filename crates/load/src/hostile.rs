@@ -64,7 +64,7 @@ impl HostilePlan {
 
 /// What the hostile clients observed, merged across threads. These are
 /// the attacker's books — the soak cross-checks them against the
-/// server's `servestats` side.
+/// server's own counter book.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct HostileStats {
     /// Requests sent whole and abandoned unread.

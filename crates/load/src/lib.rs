@@ -24,8 +24,10 @@
 #![warn(missing_docs)]
 
 pub mod hostile;
+mod stats;
 
-use iiscope_serve::stats::{LatencyLog, StatusTally};
+pub use stats::{LatencyLog, StatusTally};
+
 use iiscope_types::SeedFork;
 use iiscope_wire::{Json, Request, Response};
 use rand::Rng;

@@ -1,8 +1,7 @@
-//! Latency bookkeeping for the soak harness.
-//!
-//! The soak test records one wall-clock duration per request and
-//! reduces them to the percentiles reported in `BENCH_serve.json`.
-//! Nothing here is used by the server's hot path.
+//! Client-side books for the load harness and the soak test: one
+//! wall-clock duration per request, reduced to the percentiles
+//! reported in `BENCH_load.json` and `BENCH_serve.json`, and a tally of
+//! response statuses.
 
 /// Microsecond latencies collected by a soak run.
 #[derive(Debug, Default)]
@@ -51,9 +50,9 @@ impl LatencyLog {
 
 /// Client-side tally of response status codes, bucketed the way the
 /// regression gate reads them: successes, not-founds, the reject
-/// statuses (408/413/431) individually, and everything else. Lives
-/// here (not in the process-wide `servestats`) so concurrent soak and
-/// load runs in one test binary can each keep their own books.
+/// statuses (408/413/431) individually, and everything else. Each
+/// client run keeps its own, so concurrent soak and load runs in one
+/// test binary never mix their books.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct StatusTally {
     /// 2xx responses.

@@ -13,7 +13,7 @@
 use crate::parsers::{parse_wall, ScrapedOffer};
 use iiscope_devices::AffiliateApp;
 use iiscope_netsim::{Direction, HostAddr, Network};
-use iiscope_types::chaosstats;
+use iiscope_types::chaosstats::CHAOS;
 use iiscope_types::{Country, IipId, Result, SeedFork};
 use iiscope_wire::tls::{InterceptLog, TrustStore};
 use iiscope_wire::{HttpClient, RequestView, ResponseView, RetryPolicy};
@@ -138,18 +138,18 @@ pub fn parse_intercepts(
                 // that is not the expected JSON — is counted as a
                 // partial wall so chaos sweeps can see the damage.
                 let Ok(Some((resp, _))) = ResponseView::parse(&i.plaintext) else {
-                    chaosstats::add_walls_partial(1);
+                    CHAOS.add_walls_partial(1);
                     continue;
                 };
                 if !resp.is_success() {
                     continue;
                 }
                 let Ok(body) = resp.body_str() else {
-                    chaosstats::add_walls_partial(1);
+                    CHAOS.add_walls_partial(1);
                     continue; // non-UTF-8 body cannot be a wall page
                 };
                 let Ok(page) = parse_wall(iip, body) else {
-                    chaosstats::add_walls_partial(1);
+                    CHAOS.add_walls_partial(1);
                     continue;
                 };
                 let affiliate = last_affiliate.get(&i.sni).cloned().unwrap_or_default();

@@ -23,7 +23,7 @@
 //! and it leaves the proxy-side [`parse_wall`] as the only full parse
 //! of a page.
 
-use iiscope_types::{wirestats, Country, IipId, SimTime};
+use iiscope_types::{wirestats::WIRE, Country, IipId, SimTime};
 use iiscope_wire::json::{Event, ParseError, Scanner};
 
 /// The reward currency as displayed by a wall.
@@ -121,8 +121,8 @@ pub fn parse_wall(iip: IipId, body: &str) -> iiscope_types::Result<PageParse> {
     let mut sc = Scanner::new(body);
     match stream_document(&mut sc, &sch) {
         Ok(Some((offers, skipped))) => {
-            wirestats::add_walls_streamed(1);
-            wirestats::add_offers_streamed(offers.len() as u64);
+            WIRE.add_walls_streamed(1);
+            WIRE.add_offers_streamed(offers.len() as u64);
             Ok(PageParse { offers, skipped })
         }
         Ok(None) => Err(bad_envelope(iip)),

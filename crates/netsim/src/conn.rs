@@ -30,7 +30,7 @@ use crate::clock::Clock;
 use crate::fault::{FaultPlan, Verdict};
 use crate::HostAddr;
 use bytes::{Bytes, BytesMut};
-use iiscope_types::{wirestats, Error, Result, SeedFork, SimDuration, SimTime};
+use iiscope_types::{wirestats::WIRE, Error, Result, SeedFork, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
@@ -82,11 +82,11 @@ impl RecvBuf {
         match self.segs.len() {
             0 => Bytes::new(),
             1 => {
-                wirestats::add_buffers_reused(1);
+                WIRE.add_buffers_reused(1);
                 self.segs.pop_front().unwrap()
             }
             _ => {
-                wirestats::add_buffers_coalesced(1);
+                WIRE.add_buffers_coalesced(1);
                 let mut joined = Vec::with_capacity(self.len());
                 for seg in self.segs.drain(..) {
                     joined.extend_from_slice(&seg);
@@ -261,7 +261,7 @@ impl ClientConn {
             }
         };
         let request = request.freeze();
-        wirestats::add_bytes_delivered(request.len() as u64);
+        WIRE.add_bytes_delivered(request.len() as u64);
         self.record(Direction::ToServer, request.clone(), false);
 
         // Deliver to the server session: the capture record and the
@@ -311,7 +311,7 @@ impl ClientConn {
             Verdict::Delivered { latency, .. } => {
                 self.skew = self.skew + latency;
                 let reply = reply.freeze();
-                wirestats::add_bytes_delivered(reply.len() as u64);
+                WIRE.add_bytes_delivered(reply.len() as u64);
                 self.record(Direction::ToClient, reply.clone(), false);
                 Ok(reply)
             }

@@ -24,7 +24,7 @@
 //! records, so injected damage surfaces exactly like real-world
 //! tampering — as a MAC failure — which the pipeline must tolerate.
 
-use iiscope_types::{chaosstats, SimDuration, SimTime};
+use iiscope_types::{chaosstats::CHAOS, SimDuration, SimTime};
 use rand::Rng;
 
 /// Two-state Gilbert–Elliott loss channel: a `good` state with low
@@ -245,22 +245,22 @@ impl FaultPlan {
         payload: &mut bytes::BytesMut,
     ) -> Verdict {
         if self.outages.iter().any(|w| w.contains(now)) {
-            chaosstats::add_drops_outage(1);
+            CHAOS.add_drops_outage(1);
             return Verdict::Dropped(DropReason::Outage);
         }
         if let Some(limit) = self.size_limit {
             if payload.len() > limit {
-                chaosstats::add_drops_oversize(1);
+                CHAOS.add_drops_oversize(1);
                 return Verdict::Dropped(DropReason::TooLarge);
             }
         }
         if iiscope_types::rng::chance(rng, self.drop_chance) {
-            chaosstats::add_drops_random(1);
+            CHAOS.add_drops_random(1);
             return Verdict::Dropped(DropReason::Random);
         }
         if let Some(burst) = &mut self.burst {
             if burst.step(rng) {
-                chaosstats::add_drops_burst(1);
+                CHAOS.add_drops_burst(1);
                 return Verdict::Dropped(DropReason::Burst);
             }
         }
@@ -270,7 +270,7 @@ impl FaultPlan {
             let bit = 1u8 << rng.gen_range(0..8);
             payload[idx] ^= bit;
             corrupted = true;
-            chaosstats::add_corruptions(1);
+            CHAOS.add_corruptions(1);
         }
         if self.truncate_chance > 0.0
             && payload.len() > 1
@@ -279,7 +279,7 @@ impl FaultPlan {
             let keep = rng.gen_range(1..payload.len());
             payload.truncate(keep);
             corrupted = true;
-            chaosstats::add_truncations(1);
+            CHAOS.add_truncations(1);
         }
         if self.garbage_chance > 0.0
             && !payload.is_empty()
@@ -287,10 +287,10 @@ impl FaultPlan {
         {
             rng.fill(&mut payload[..]);
             corrupted = true;
-            chaosstats::add_garbage(1);
+            CHAOS.add_garbage(1);
         }
         if self.stall_chance > 0.0 && iiscope_types::rng::chance(rng, self.stall_chance) {
-            chaosstats::add_stalls(1);
+            CHAOS.add_stalls(1);
             return Verdict::Stalled;
         }
         let latency = self.delivery_latency(rng, payload.len());

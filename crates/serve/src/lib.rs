@@ -42,14 +42,13 @@
 //!   to zero.
 //!
 //! Nothing here touches the simulation: handlers are pure reads over
-//! world state, counters are relaxed write-only atomics
-//! ([`iiscope_types::servestats`]), and connection seed lineages fork
+//! world state, counters are relaxed write-only atomics in the server's
+//! own book ([`ServeCounters`]), and connection seed lineages fork
 //! from connection ids, not from world RNG streams — seed-42 output
 //! stays byte-identical with a client hammering the endpoints mid-run.
 
 use bytes::BytesMut;
 use iiscope_netsim::{AsnId, AsnKind, HostAddr, PeerInfo};
-use iiscope_types::servestats;
 use iiscope_types::{Country, SeedFork, SimTime};
 use iiscope_wire::http::{shed_503, RequestCtx, SHED_503_WIRE};
 use iiscope_wire::server::HttpEngine;
@@ -62,8 +61,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-
-pub mod stats;
 
 /// Server tuning knobs. [`ServeConfig::default`] matches the `repro`
 /// CLI defaults.
@@ -241,22 +238,76 @@ fn route_class(path: &str) -> RouteClass {
     }
 }
 
-/// Shared admission state: live render counts the watermarks read,
-/// plus per-instance overload books (mirrored into the process-wide
-/// [`servestats`]) so tests and the bench can assert on one server
-/// without cross-test pollution.
+iiscope_types::counters! {
+    /// One server's book: what its accept loop and connection workers
+    /// did, dumped by `repro --serve` on shutdown. Each [`Server`] owns
+    /// its own, so servers sharing a process never mix their counts.
+    pub struct ServeCounters;
+    /// Connections accepted by the listener workers.
+    conns_accepted / add_conns_accepted / "conns_accepted";
+    /// Connections fully closed (handler thread exited).
+    conns_closed / add_conns_closed / "conns_closed";
+    /// Times an accept worker paused because the in-flight connection
+    /// count sat at the cap (backpressure events, not wait duration).
+    accept_backpressure / add_accept_backpressure / "accept_backpressure_waits";
+    /// Requests answered over real sockets.
+    requests_served / add_requests_served / "requests_served";
+    /// Request bytes read off sockets.
+    bytes_read / add_bytes_read / "bytes_read";
+    /// Response bytes written to sockets.
+    bytes_written / add_bytes_written / "bytes_written";
+    /// Connections that served more than one request (keep-alive paid
+    /// off at least once).
+    keepalive_conns / add_keepalive_conns / "keepalive_conns";
+    /// Connections closed for exceeding the idle timeout.
+    idle_timeouts / add_idle_timeouts / "idle_timeouts";
+    /// Connections poisoned by a parse reject (400/413/431) and closed
+    /// after the mapped status was flushed.
+    parse_rejects / add_parse_rejects / "parse_rejects";
+    /// Connections closed for blowing a per-connection read or write
+    /// budget.
+    budget_closes / add_budget_closes / "budget_closes";
+    /// Connections still open when shutdown began and drained cleanly.
+    drained_conns / add_drained_conns / "drained_conns";
+    /// Connection buffers checked out of the per-server pool.
+    pool_hits / add_pool_hits / "pool_hits";
+    /// Connections that had to allocate fresh buffers (pool empty).
+    pool_misses / add_pool_misses / "pool_misses";
+    /// Connections dropped on a peer reset/abort mid-read (routine
+    /// under hostile churn; never a worker death).
+    read_resets / add_read_resets / "read_resets";
+    /// Connections dropped on any other unexpected read error.
+    read_errors / add_read_errors / "read_errors";
+    /// Connections answered a pre-encoded 503 and closed before any
+    /// parse (accept-queue age past its watermark).
+    sheds_preparse / add_sheds_preparse / "sheds_preparse";
+    /// Requests shed with 503 at the in-flight-renders watermark.
+    sheds_inflight / add_sheds_inflight / "sheds_inflight";
+    /// Requests shed with 503 at the per-route concurrency watermark.
+    sheds_route / add_sheds_route / "sheds_route";
+    /// Requests shed with 503 after outliving their deadline budget
+    /// before rendering began.
+    sheds_deadline / add_sheds_deadline / "sheds_deadline";
+    /// Requests a shed gate would have turned away but answered from
+    /// the render cache instead (hits are too cheap to shed).
+    shed_cache_exempt / add_shed_cache_exempt / "shed_cache_exempt";
+    /// Partial requests answered 408 and closed because they were
+    /// still incomplete past the deadline budget (byte-drip clients).
+    deadline_408s / add_deadline_408s / "deadline_408s";
+    /// Connection-thread panics caught and converted to closes.
+    conn_panics / add_conn_panics / "conn_panics";
+    /// Accept workers respawned by the supervisor after dying outside
+    /// shutdown.
+    worker_respawns / add_worker_respawns / "worker_respawns";
+}
+
+/// Live render counts the admission watermarks read.
 #[derive(Default)]
 struct OverloadState {
     /// Renders in flight, all routes.
     inflight: AtomicUsize,
     /// Renders in flight per non-ops route class.
     route: [AtomicUsize; 3],
-    /// 503s shed by any gate of this server.
-    sheds_503: AtomicU64,
-    /// Connection-thread panics caught by this server.
-    conn_panics: AtomicU64,
-    /// Accept workers this server's supervisor respawned.
-    worker_respawns: AtomicU64,
 }
 
 /// RAII render slot: holds one global and one per-class count for the
@@ -296,6 +347,7 @@ enum ShedReason {
 struct GatedHandler {
     inner: Arc<dyn Handler>,
     ovl: Arc<OverloadState>,
+    counters: Arc<ServeCounters>,
     shed: ShedConfig,
     /// The server's clock origin; `arrival_us` is measured against it.
     epoch: Instant,
@@ -338,15 +390,14 @@ impl Handler for GatedHandler {
             // Exemption before the 503: a cache hit is a pointer clone
             // — cheaper to serve than to shed.
             if let Some(resp) = self.inner.cached(req, ctx) {
-                servestats::add_shed_cache_exempt(1);
+                self.counters.add_shed_cache_exempt(1);
                 return resp;
             }
             match reason {
-                ShedReason::Deadline => servestats::add_sheds_deadline(1),
-                ShedReason::Inflight => servestats::add_sheds_inflight(1),
-                ShedReason::Route => servestats::add_sheds_route(1),
+                ShedReason::Deadline => self.counters.add_sheds_deadline(1),
+                ShedReason::Inflight => self.counters.add_sheds_inflight(1),
+                ShedReason::Route => self.counters.add_sheds_route(1),
             }
-            self.ovl.sheds_503.fetch_add(1, Ordering::Relaxed);
             return shed_503();
         }
         let _slot = RenderGuard::enter(&self.ovl, class);
@@ -407,8 +458,10 @@ struct Shared {
     next_conn: AtomicU64,
     /// Returned connection buffers, ready for the next accept.
     pool: Mutex<Vec<ConnBuffers>>,
-    /// Admission watermark state and per-instance overload books.
+    /// Admission watermark state.
     ovl: Arc<OverloadState>,
+    /// This server's counter book.
+    counters: Arc<ServeCounters>,
     /// Clock origin for deadline arithmetic (monotonic, per server).
     epoch: Instant,
     /// One-shot latch for the injected accept-worker fault.
@@ -431,11 +484,11 @@ impl Shared {
         let popped = self.pool.lock().unwrap().pop();
         match popped {
             Some(b) => {
-                servestats::add_pool_hits(1);
+                self.counters.add_pool_hits(1);
                 b
             }
             None => {
-                servestats::add_pool_misses(1);
+                self.counters.add_pool_misses(1);
                 ConnBuffers::fresh()
             }
         }
@@ -484,6 +537,7 @@ impl Server {
             next_conn: AtomicU64::new(0),
             pool: Mutex::new(Vec::new()),
             ovl: Arc::new(OverloadState::default()),
+            counters: Arc::new(ServeCounters::new()),
             epoch: Instant::now(),
             fault_fired: AtomicBool::new(false),
         });
@@ -517,19 +571,13 @@ impl Server {
     /// 503s this server shed, across every gate (pre-parse and
     /// pre-render).
     pub fn sheds(&self) -> u64 {
-        self.shared.ovl.sheds_503.load(Ordering::Relaxed)
+        let c = self.counters();
+        c.sheds_preparse() + c.sheds_inflight() + c.sheds_route() + c.sheds_deadline()
     }
 
-    /// Connection-thread panics this server caught and converted to
-    /// closes (the permit was released; the pool never shrank).
-    pub fn conn_panics(&self) -> u64 {
-        self.shared.ovl.conn_panics.load(Ordering::Relaxed)
-    }
-
-    /// Accept workers the supervisor respawned after a death outside
-    /// shutdown. Nonzero means the pool-size invariant did its job.
-    pub fn worker_respawns(&self) -> u64 {
-        self.shared.ovl.worker_respawns.load(Ordering::Relaxed)
+    /// This server's counter book.
+    pub fn counters(&self) -> &ServeCounters {
+        &self.shared.counters
     }
 
     /// Stops accepting, nudges live connections, and blocks until
@@ -579,8 +627,7 @@ fn supervise(
                 let fresh = spawn_acceptor(&shared, &listener, &accept_mx);
                 let dead = std::mem::replace(slot, fresh);
                 let _ = dead.join(); // reap; the payload already printed
-                servestats::add_worker_respawns(1);
-                shared.ovl.worker_respawns.fetch_add(1, Ordering::Relaxed);
+                shared.counters.add_worker_respawns(1);
             }
         }
     }
@@ -616,7 +663,7 @@ fn accept_loop(shared: Arc<Shared>, listener: Arc<TcpListener>, accept_mx: Arc<M
             let mut waited = false;
             while *inflight >= shared.cfg.conn_cap && !shared.stopping() {
                 if !waited {
-                    servestats::add_accept_backpressure(1);
+                    shared.counters.add_accept_backpressure(1);
                     waited = true;
                 }
                 let (guard, _) = shared.gate_cv.wait_timeout(inflight, READ_TICK).unwrap();
@@ -660,9 +707,8 @@ fn accept_loop(shared: Arc<Shared>, listener: Arc<TcpListener>, accept_mx: Arc<M
                 serve_conn(&shared2, stream, peer_addr, conn_id, queue_wait);
             }));
             if outcome.is_err() {
-                servestats::add_conn_panics(1);
-                shared2.ovl.conn_panics.fetch_add(1, Ordering::Relaxed);
-                servestats::add_conns_closed(1);
+                shared2.counters.add_conn_panics(1);
+                shared2.counters.add_conns_closed(1);
             }
             shared2.conns.lock().unwrap().remove(&conn_id);
             shared2.release_permit();
@@ -676,6 +722,7 @@ fn accept_loop(shared: Arc<Shared>, listener: Arc<TcpListener>, accept_mx: Arc<M
 /// byte-drip slowloris — each dripped byte resets the idle clock, but
 /// nothing resets the request's arrival.
 fn partial_deadline_expired(
+    counters: &ServeCounters,
     stream: &mut TcpStream,
     since: Option<Instant>,
     budget: Option<Duration>,
@@ -686,7 +733,7 @@ fn partial_deadline_expired(
     if since.elapsed() < budget {
         return false;
     }
-    servestats::add_deadline_408s(1);
+    counters.add_deadline_408s(1);
     let mut t = BytesMut::new();
     Response::status(408).encode_into(&mut t);
     let _ = stream.write_all(&t);
@@ -721,20 +768,20 @@ fn serve_conn(
     conn_id: u64,
     queue_wait: Duration,
 ) {
-    servestats::add_conns_accepted(1);
+    let counters = &*shared.counters;
+    counters.add_conns_accepted(1);
     let cfg = &shared.cfg;
     // Pre-parse admission: a connection that aged past the watermark
     // waiting in the accept queue is turned away for the cost of one
     // pre-encoded write — no parse, no render, no buffers.
     if let Some(q) = cfg.shed.accept_queue_ms {
         if queue_wait >= Duration::from_millis(q) {
-            servestats::add_sheds_preparse(1);
-            shared.ovl.sheds_503.fetch_add(1, Ordering::Relaxed);
+            shared.counters.add_sheds_preparse(1);
             let _ = stream.set_nodelay(true);
             let _ = stream.write_all(SHED_503_WIRE);
-            servestats::add_bytes_written(SHED_503_WIRE.len() as u64);
+            counters.add_bytes_written(SHED_503_WIRE.len() as u64);
             let _ = stream.shutdown(Shutdown::Both);
-            servestats::add_conns_closed(1);
+            counters.add_conns_closed(1);
             return;
         }
     }
@@ -753,6 +800,7 @@ fn serve_conn(
         Arc::new(GatedHandler {
             inner: Arc::clone(&shared.handler),
             ovl: Arc::clone(&shared.ovl),
+            counters: Arc::clone(&shared.counters),
             shed: cfg.shed.clone(),
             epoch: shared.epoch,
             arrival_us: Arc::clone(&arrival_us),
@@ -785,29 +833,29 @@ fn serve_conn(
                     arrival_us.store(shared.epoch.elapsed().as_micros() as u64, Ordering::Relaxed);
                 }
                 read_total += n as u64;
-                servestats::add_bytes_read(n as u64);
+                counters.add_bytes_read(n as u64);
                 if read_total > cfg.read_budget {
-                    servestats::add_budget_closes(1);
+                    counters.add_budget_closes(1);
                     break;
                 }
                 let report = engine.feed_slice(&rbuf[..n], peer, cfg.sim_now, &mut out);
                 if !out.is_empty() {
                     served += u64::from(report.responses);
-                    servestats::add_requests_served(u64::from(report.responses));
+                    counters.add_requests_served(u64::from(report.responses));
                     write_total += out.len() as u64;
-                    servestats::add_bytes_written(out.len() as u64);
+                    counters.add_bytes_written(out.len() as u64);
                     let ok = stream.write_all(&out).is_ok();
                     out.clear();
                     if !ok {
                         break;
                     }
                     if write_total > cfg.write_budget {
-                        servestats::add_budget_closes(1);
+                        counters.add_budget_closes(1);
                         break;
                     }
                 }
                 if report.close.is_some() {
-                    servestats::add_parse_rejects(1);
+                    counters.add_parse_rejects(1);
                     break;
                 }
                 partial_since = if engine.has_partial() {
@@ -815,17 +863,19 @@ fn serve_conn(
                 } else {
                     None
                 };
-                if partial_deadline_expired(&mut stream, partial_since, cfg.shed.deadline) {
+                if partial_deadline_expired(counters, &mut stream, partial_since, cfg.shed.deadline)
+                {
                     break;
                 }
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                 idle += tick;
-                if partial_deadline_expired(&mut stream, partial_since, cfg.shed.deadline) {
+                if partial_deadline_expired(counters, &mut stream, partial_since, cfg.shed.deadline)
+                {
                     break;
                 }
                 if idle >= cfg.idle_timeout {
-                    servestats::add_idle_timeouts(1);
+                    counters.add_idle_timeouts(1);
                     if engine.has_partial() {
                         // Slowloris: the request never completed.
                         let mut t = BytesMut::new();
@@ -844,8 +894,8 @@ fn serve_conn(
                 match e.kind() {
                     ErrorKind::ConnectionReset
                     | ErrorKind::ConnectionAborted
-                    | ErrorKind::BrokenPipe => servestats::add_read_resets(1),
-                    _ => servestats::add_read_errors(1),
+                    | ErrorKind::BrokenPipe => counters.add_read_resets(1),
+                    _ => counters.add_read_errors(1),
                 }
                 break;
             }
@@ -854,12 +904,12 @@ fn serve_conn(
     let _ = stream.shutdown(Shutdown::Both);
     shared.return_buffers(ConnBuffers { rbuf, out });
     if served > 1 {
-        servestats::add_keepalive_conns(1);
+        counters.add_keepalive_conns(1);
     }
     if shared.stopping() {
-        servestats::add_drained_conns(1);
+        counters.add_drained_conns(1);
     }
-    servestats::add_conns_closed(1);
+    counters.add_conns_closed(1);
 }
 
 #[cfg(test)]
@@ -1117,7 +1167,7 @@ mod tests {
         assert_eq!(get(&mut next, "/ping").status, 200);
         server.stop();
         assert_eq!(server.inflight(), 0);
-        assert_eq!(server.conn_panics(), 1);
+        assert_eq!(server.counters().conn_panics(), 1);
     }
 
     #[test]
@@ -1131,10 +1181,14 @@ mod tests {
         // The lone accept worker now dies at its loop top; the
         // supervisor must notice and replace it.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while server.worker_respawns() == 0 && std::time::Instant::now() < deadline {
+        while server.counters().worker_respawns() == 0 && std::time::Instant::now() < deadline {
             thread::sleep(Duration::from_millis(10));
         }
-        assert_eq!(server.worker_respawns(), 1, "worker never respawned");
+        assert_eq!(
+            server.counters().worker_respawns(),
+            1,
+            "worker never respawned"
+        );
         let mut next = TcpStream::connect(server.local_addr()).unwrap();
         assert_eq!(get(&mut next, "/ping").status, 200);
         server.stop();
@@ -1143,8 +1197,6 @@ mod tests {
 
     #[test]
     fn peer_reset_is_a_counted_close_not_a_worker_death() {
-        let before = servestats::READ_RESETS.load(Ordering::Relaxed)
-            + servestats::READ_ERRORS.load(Ordering::Relaxed);
         let server = Server::start("127.0.0.1:0", tiny_cfg(), echo_handler()).unwrap();
         {
             let mut conn = TcpStream::connect(server.local_addr()).unwrap();
@@ -1155,12 +1207,9 @@ mod tests {
             // the server must book as a close, not die on.
             thread::sleep(Duration::from_millis(100));
         }
+        let dropped = |c: &ServeCounters| c.read_resets() + c.read_errors();
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while servestats::READ_RESETS.load(Ordering::Relaxed)
-            + servestats::READ_ERRORS.load(Ordering::Relaxed)
-            == before
-            && std::time::Instant::now() < deadline
-        {
+        while dropped(server.counters()) == 0 && std::time::Instant::now() < deadline {
             thread::sleep(Duration::from_millis(10));
         }
         // The pool survived the abuse: a fresh client is still served.
@@ -1168,12 +1217,51 @@ mod tests {
         assert_eq!(get(&mut conn, "/ping").status, 200);
         server.stop();
         assert_eq!(server.inflight(), 0);
+        assert_eq!(dropped(server.counters()), 1, "reset was not counted once");
+    }
+
+    #[test]
+    fn each_server_keeps_its_own_book() {
+        const CONNS: u64 = 3;
+        const REQUESTS: u64 = 4;
+        let busy = Server::start("127.0.0.1:0", tiny_cfg(), echo_handler()).unwrap();
+        let quiet = Server::start("127.0.0.1:0", tiny_cfg(), echo_handler()).unwrap();
+        for _ in 0..CONNS {
+            let mut conn = TcpStream::connect(busy.local_addr()).unwrap();
+            for _ in 0..REQUESTS {
+                assert_eq!(get(&mut conn, "/ping").status, 200);
+            }
+        }
+        busy.stop();
+        quiet.stop();
+        let c = busy.counters();
+        assert_eq!(c.conns_accepted(), CONNS);
+        assert_eq!(c.requests_served(), CONNS * REQUESTS);
+        assert_eq!(c.keepalive_conns(), CONNS);
+        assert_eq!(c.conns_closed(), CONNS);
         assert!(
-            servestats::READ_RESETS.load(Ordering::Relaxed)
-                + servestats::READ_ERRORS.load(Ordering::Relaxed)
-                > before,
-            "reset was not counted"
+            quiet.counters().snapshot().iter().all(|&(_, v)| v == 0),
+            "{:?}",
+            quiet.counters().snapshot()
         );
+    }
+
+    #[test]
+    fn snapshot_reports_increments_in_order() {
+        let c = ServeCounters::new();
+        c.add_conns_accepted(3);
+        c.add_requests_served(9);
+        c.add_drained_conns(1);
+        c.add_pool_misses(2);
+        c.add_read_resets(5);
+        let snap = c.snapshot();
+        assert_eq!(snap[0], ("conns_accepted", 3));
+        assert_eq!(snap[3], ("requests_served", 9));
+        assert_eq!(snap[10], ("drained_conns", 1));
+        assert_eq!(snap[12], ("pool_misses", 2));
+        assert_eq!(snap[13], ("read_resets", 5));
+        c.reset();
+        assert!(c.snapshot().iter().all(|&(_, v)| v == 0));
     }
 
     #[test]

@@ -13,40 +13,45 @@
 //! stack (`iiscope-netsim`'s fault injector) can report without
 //! depending on the crates above it.
 
-counters! {
+crate::counters! {
+    /// The chaos-layer counter book.
+    pub struct ChaosCounters;
     /// Deliveries dropped by the memoryless loss coin.
-    DROPS_RANDOM / add_drops_random / "drops_random";
+    drops_random / add_drops_random / "drops_random";
     /// Deliveries dropped while a Gilbert–Elliott burst was active.
-    DROPS_BURST / add_drops_burst / "drops_burst";
+    drops_burst / add_drops_burst / "drops_burst";
     /// Deliveries dropped inside a scheduled outage window.
-    DROPS_OUTAGE / add_drops_outage / "drops_outage";
+    drops_outage / add_drops_outage / "drops_outage";
     /// Deliveries dropped for exceeding the link size limit.
-    DROPS_OVERSIZE / add_drops_oversize / "drops_oversize";
+    drops_oversize / add_drops_oversize / "drops_oversize";
     /// Exchanges accepted by the link but never answered (stalls).
-    STALLS / add_stalls / "stalls";
+    stalls / add_stalls / "stalls";
     /// Delivered payloads with an injected bit flip.
-    CORRUPTIONS / add_corruptions / "corruptions";
+    corruptions / add_corruptions / "corruptions";
     /// Delivered payloads truncated mid-stream.
-    TRUNCATIONS / add_truncations / "truncations";
+    truncations / add_truncations / "truncations";
     /// Delivered payloads overwritten with garbage bytes.
-    GARBAGE / add_garbage / "garbage_payloads";
+    garbage / add_garbage / "garbage_payloads";
     /// HTTP exchanges re-attempted after a transport failure.
-    RETRIES / add_retries / "retries";
+    retries / add_retries / "retries";
     /// HTTP exchanges abandoned after the retry policy gave up.
-    GIVE_UPS / add_give_ups / "give_ups";
+    give_ups / add_give_ups / "give_ups";
     /// Simulated seconds spent backing off between attempts.
-    BACKOFF_SECS / add_backoff_secs / "backoff_secs";
+    backoff_secs / add_backoff_secs / "backoff_secs";
     /// Exchanges abandoned because the per-exchange deadline passed.
-    DEADLINE_EXCEEDED / add_deadline_exceeded / "deadline_exceeded";
+    deadline_exceeded / add_deadline_exceeded / "deadline_exceeded";
     /// Offer-wall milking sessions abandoned on network failure.
-    MILKS_ABANDONED / add_milks_abandoned / "milks_abandoned";
+    milks_abandoned / add_milks_abandoned / "milks_abandoned";
     /// Play crawls (profile/chart/APK) abandoned on network failure.
-    CRAWLS_ABANDONED / add_crawls_abandoned / "crawls_abandoned";
+    crawls_abandoned / add_crawls_abandoned / "crawls_abandoned";
     /// Intercepted offer walls that arrived damaged or incomplete.
-    WALLS_PARTIAL / add_walls_partial / "walls_partial";
+    walls_partial / add_walls_partial / "walls_partial";
     /// Telemetry uploads abandoned after retries (collector unreachable).
-    UPLOADS_ABANDONED / add_uploads_abandoned / "uploads_abandoned";
+    uploads_abandoned / add_uploads_abandoned / "uploads_abandoned";
 }
+
+/// The process-wide instance every layer reports into.
+pub static CHAOS: ChaosCounters = ChaosCounters::new();
 
 #[cfg(test)]
 mod tests {
@@ -54,15 +59,36 @@ mod tests {
 
     #[test]
     fn snapshot_reports_increments_in_order() {
-        reset();
-        add_drops_random(3);
-        add_stalls(2);
-        add_uploads_abandoned(5);
-        let snap = snapshot();
+        let c = ChaosCounters::new();
+        c.add_drops_random(3);
+        c.add_stalls(2);
+        c.add_uploads_abandoned(5);
+        let snap = c.snapshot();
         assert_eq!(snap[0], ("drops_random", 3));
         assert!(snap.contains(&("stalls", 2)));
         assert_eq!(snap.last().unwrap(), &("uploads_abandoned", 5));
-        reset();
-        assert!(snapshot().iter().all(|&(_, v)| v == 0));
+        c.reset();
+        assert!(c.snapshot().iter().all(|&(_, v)| v == 0));
+    }
+
+    #[test]
+    fn restore_ignores_unknown_keys_and_keeps_missing_ones() {
+        let c = ChaosCounters::new();
+        c.add_retries(4);
+        c.add_stalls(1);
+        c.restore(&[
+            ("stalls".to_string(), 9),
+            ("no_such_counter".to_string(), 7),
+            ("garbage_payloads".to_string(), 3),
+        ]);
+        assert_eq!(c.stalls(), 9);
+        assert_eq!(c.garbage(), 3);
+        assert_eq!(
+            c.retries(),
+            4,
+            "a key missing from the ledger keeps its value"
+        );
+        let total: u64 = c.snapshot().iter().map(|&(_, v)| v).sum();
+        assert_eq!(total, 9 + 3 + 4, "the unknown key landed nowhere");
     }
 }

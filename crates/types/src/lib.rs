@@ -29,61 +29,78 @@
 //!   containers ([`sym::SymSet`], [`sym::SymMap`]) the analytics join
 //!   paths run on. Symbol numbers are first-insertion ranks, never
 //!   hash-dependent, so interned pipelines stay seed-deterministic.
-//! * [`wirestats`] — relaxed process-wide counters for the zero-copy
-//!   wire path (buffer reuse, streaming-parse volume); reporting only,
-//!   never read by the simulation.
+//! * [`wirestats`] — [`wirestats::WIRE`], a process-wide `static`
+//!   [`counters!`] book for the zero-copy wire path (buffer reuse,
+//!   streaming-parse volume); reporting only, never read by the
+//!   simulation.
 //! * [`rss`] — best-effort peak-RSS sampling (`VmHWM` on Linux) for
 //!   the `BENCH_*.json` emitters; telemetry only, never simulation
 //!   input.
-//! * [`chaosstats`] — the same pattern for the chaos subsystem: fault
-//!   injections and graceful-degradation events (retries, give-ups,
-//!   abandoned milkings), dumped as `BENCH_chaos.json`.
+//! * [`chaosstats`] — [`chaosstats::CHAOS`], the same for the chaos
+//!   subsystem: fault injections and graceful-degradation events
+//!   (retries, give-ups, abandoned milkings), dumped as
+//!   `BENCH_chaos.json`.
 //! * [`error`] — the shared error type.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Declares a family of relaxed, write-only `AtomicU64` counters in
-/// the invoking module ([`chaosstats`], [`wirestats`], [`servestats`]):
-/// one `static` and one `add_*` incrementer per entry, plus
-/// `snapshot` (every counter as `(json_key, value)`, in declaration
-/// order), `reset` and `restore`.
+/// Declares a counter family as a type: relaxed, write-only `AtomicU64`
+/// fields with a `const fn new()`, one `add_*` incrementer and one
+/// getter per entry, plus `snapshot` (every counter as
+/// `(json_key, value)`, in declaration order), `reset` and `restore`.
+/// [`wirestats`] and [`chaosstats`] are `static` instances; a server or
+/// a cache router owns its own book.
+#[macro_export]
 macro_rules! counters {
-    ($($(#[$doc:meta])* $name:ident / $inc:ident / $key:literal;)*) => {
-        $(
-            $(#[$doc])*
-            pub static $name: ::std::sync::atomic::AtomicU64 =
-                ::std::sync::atomic::AtomicU64::new(0);
-        )*
+    ($(#[$tdoc:meta])* $vis:vis struct $ty:ident;
+     $($(#[$doc:meta])* $name:ident / $inc:ident / $key:literal;)*) => {
+        $(#[$tdoc])*
+        #[derive(Debug, Default)]
+        $vis struct $ty {
+            $($name: ::std::sync::atomic::AtomicU64,)*
+        }
 
-        $(
-            $(#[$doc])*
-            #[inline]
-            pub fn $inc(n: u64) {
-                $name.fetch_add(n, ::std::sync::atomic::Ordering::Relaxed);
+        impl $ty {
+            /// Every counter at zero.
+            pub const fn new() -> $ty {
+                $ty { $($name: ::std::sync::atomic::AtomicU64::new(0),)* }
             }
-        )*
 
-        /// Snapshot of every counter, in declaration order, as
-        /// `(json_key, value)` pairs.
-        pub fn snapshot() -> Vec<(&'static str, u64)> {
-            vec![$( ($key, $name.load(::std::sync::atomic::Ordering::Relaxed)), )*]
-        }
+            $(
+                $(#[$doc])*
+                #[inline]
+                pub fn $inc(&self, n: u64) {
+                    self.$name.fetch_add(n, ::std::sync::atomic::Ordering::Relaxed);
+                }
 
-        /// Resets every counter to zero (tests and `--timing` runs).
-        pub fn reset() {
-            $( $name.store(0, ::std::sync::atomic::Ordering::Relaxed); )*
-        }
+                $(#[$doc])*
+                pub fn $name(&self) -> u64 {
+                    self.$name.load(::std::sync::atomic::Ordering::Relaxed)
+                }
+            )*
 
-        /// Restores counters from a checkpoint ledger keyed by the
-        /// snapshot keys. Unknown keys are ignored and missing keys
-        /// stay at their current value, so ledgers survive counter
-        /// additions across versions.
-        pub fn restore(ledger: &[(String, u64)]) {
-            for (key, value) in ledger {
-                match key.as_str() {
-                    $( $key => $name.store(*value, ::std::sync::atomic::Ordering::Relaxed), )*
-                    _ => {}
+            /// Snapshot of every counter, in declaration order, as
+            /// `(json_key, value)` pairs.
+            pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
+                vec![$(($key, self.$name())),*]
+            }
+
+            /// Resets every counter to zero.
+            pub fn reset(&self) {
+                $(self.$name.store(0, ::std::sync::atomic::Ordering::Relaxed);)*
+            }
+
+            /// Restores counters from a checkpoint ledger keyed by the
+            /// snapshot keys. Unknown keys are ignored and missing keys
+            /// stay at their current value, so ledgers survive counter
+            /// additions across versions.
+            pub fn restore(&self, ledger: &[(String, u64)]) {
+                for (key, value) in ledger {
+                    match key.as_str() {
+                        $($key => self.$name.store(*value, ::std::sync::atomic::Ordering::Relaxed),)*
+                        _ => {}
+                    }
                 }
             }
         }
@@ -99,7 +116,6 @@ pub mod ids;
 pub mod money;
 pub mod rng;
 pub mod rss;
-pub mod servestats;
 pub mod sym;
 pub mod time;
 pub mod wirestats;

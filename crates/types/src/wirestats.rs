@@ -11,35 +11,40 @@
 //! bottom of the stack (`iiscope-netsim`) reports delivery-buffer reuse
 //! and must not depend on the protocol crates above it.
 
-counters! {
+crate::counters! {
+    /// The wire-path counter book.
+    pub struct WireCounters;
     /// Payload bytes moved through netsim connection delivery.
-    BYTES_DELIVERED / add_bytes_delivered / "bytes_delivered";
+    bytes_delivered / add_bytes_delivered / "bytes_delivered";
     /// Delivery buffers handed to a session as a single shared slab
     /// (zero-copy: the receiver reuses the sender's allocation).
-    BUFFERS_REUSED / add_buffers_reused / "delivery_buffers_reused";
+    buffers_reused / add_buffers_reused / "delivery_buffers_reused";
     /// Delivery buffers that had to be coalesced from multiple
     /// segments (one copy to linearize residue + new bytes).
-    BUFFERS_COALESCED / add_buffers_coalesced / "delivery_buffers_coalesced";
+    buffers_coalesced / add_buffers_coalesced / "delivery_buffers_coalesced";
     /// TLS records sealed (client→wire and server→wire).
-    RECORDS_SEALED / add_records_sealed / "tls_records_sealed";
+    records_sealed / add_records_sealed / "tls_records_sealed";
     /// TLS records opened (wire→plaintext).
-    RECORDS_OPENED / add_records_opened / "tls_records_opened";
+    records_opened / add_records_opened / "tls_records_opened";
     /// Plaintext bytes framed into TLS records.
-    BYTES_SEALED / add_bytes_sealed / "tls_bytes_sealed";
+    bytes_sealed / add_bytes_sealed / "tls_bytes_sealed";
     /// Plaintext record payloads passed through without coalescing
     /// (single-record turns: the decrypt buffer IS the app payload).
-    RECORD_PASSTHROUGH / add_record_passthrough / "tls_single_record_passthrough";
+    record_passthrough / add_record_passthrough / "tls_single_record_passthrough";
     /// HTTP messages parsed through the borrowed-view fast path
     /// (no per-header `String`, body stays a slice of the delivery
     /// buffer).
-    HTTP_VIEW_PARSES / add_http_view_parses / "http_view_parses";
+    http_view_parses / add_http_view_parses / "http_view_parses";
     /// JSON events yielded by the streaming scanner.
-    JSON_EVENTS / add_json_events / "json_scanner_events";
+    json_events / add_json_events / "json_scanner_events";
     /// Offer-wall pages parsed via the streaming scanner.
-    WALLS_STREAMED / add_walls_streamed / "walls_streamed";
+    walls_streamed / add_walls_streamed / "walls_streamed";
     /// Offers extracted by the streaming wall parser.
-    OFFERS_STREAMED / add_offers_streamed / "offers_streamed";
+    offers_streamed / add_offers_streamed / "offers_streamed";
 }
+
+/// The process-wide instance every layer reports into.
+pub static WIRE: WireCounters = WireCounters::new();
 
 #[cfg(test)]
 mod tests {
@@ -47,15 +52,15 @@ mod tests {
 
     #[test]
     fn snapshot_reports_increments_in_order() {
-        reset();
-        add_bytes_delivered(10);
-        add_buffers_reused(2);
-        add_offers_streamed(7);
-        let snap = snapshot();
+        let c = WireCounters::new();
+        c.add_bytes_delivered(10);
+        c.add_buffers_reused(2);
+        c.add_offers_streamed(7);
+        let snap = c.snapshot();
         assert_eq!(snap[0], ("bytes_delivered", 10));
         assert_eq!(snap[1], ("delivery_buffers_reused", 2));
         assert_eq!(snap.last().unwrap(), &("offers_streamed", 7));
-        reset();
-        assert!(snapshot().iter().all(|&(_, v)| v == 0));
+        c.reset();
+        assert!(c.snapshot().iter().all(|&(_, v)| v == 0));
     }
 }

@@ -22,7 +22,7 @@ use crate::tls::{TlsClient, TrustStore};
 use crate::url::Url;
 use crate::Json;
 use iiscope_netsim::{ClientConn, HostAddr, Network, TIMEOUT};
-use iiscope_types::{chaosstats, Error, Result, SeedFork, SimDuration};
+use iiscope_types::{chaosstats::CHAOS, Error, Result, SeedFork, SimDuration};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::HashMap;
@@ -34,7 +34,7 @@ use std::net::Ipv4Addr;
 /// matter how many faults fire inside it (a corrupted handshake *and*
 /// a dropped reply in one attempt still cost one unit). Backoff time
 /// is accounted against the per-exchange deadline and the
-/// [`chaosstats`] counters rather than advancing any clock: the
+/// [`CHAOS`] counters rather than advancing any clock: the
 /// turn-based simulation has no idle waiting, so backoff exists to
 /// bound an exchange, not to reschedule it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -303,15 +303,15 @@ impl HttpClient {
         let mut last_err = Error::Network("no attempt made".into());
         for attempt in 0..=policy.budget {
             if attempt > 0 {
-                chaosstats::add_retries(1);
+                CHAOS.add_retries(1);
                 let backoff = policy.backoff_step(attempt, &mut self.rng);
                 if backoff > SimDuration::ZERO {
-                    chaosstats::add_backoff_secs(backoff.secs());
+                    CHAOS.add_backoff_secs(backoff.secs());
                     elapsed = elapsed + backoff;
                 }
                 if let Some(deadline) = policy.deadline {
                     if elapsed >= deadline {
-                        chaosstats::add_deadline_exceeded(1);
+                        CHAOS.add_deadline_exceeded(1);
                         return Err(last_err);
                     }
                 }
@@ -330,7 +330,7 @@ impl HttpClient {
                 Err(e) => return Err(e),
             }
         }
-        chaosstats::add_give_ups(1);
+        CHAOS.add_give_ups(1);
         Err(last_err)
     }
 

@@ -24,7 +24,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use iiscope_netsim::PeerInfo;
-use iiscope_types::{wirestats, Error, Result, SimTime};
+use iiscope_types::{wirestats::WIRE, Error, Result, SimTime};
 use std::fmt;
 
 /// Maximum accepted header block (16 KiB).
@@ -412,7 +412,7 @@ impl<'a> RequestView<'a> {
     pub fn parse(buf: &'a [u8]) -> Result<Option<(RequestView<'a>, usize)>> {
         let parsed = parse_request_view(buf)?;
         if parsed.is_some() {
-            wirestats::add_http_view_parses(1);
+            WIRE.add_http_view_parses(1);
         }
         Ok(parsed)
     }
@@ -454,7 +454,7 @@ impl<'a> ResponseView<'a> {
     pub fn parse(buf: &'a [u8]) -> Result<Option<(ResponseView<'a>, usize)>> {
         let parsed = parse_response_view(buf)?;
         if parsed.is_some() {
-            wirestats::add_http_view_parses(1);
+            WIRE.add_http_view_parses(1);
         }
         Ok(parsed)
     }

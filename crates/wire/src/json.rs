@@ -24,7 +24,7 @@
 //!   harness asserts the two agree on accepts, rejects, and values.
 
 use bytes::{Bytes, BytesMut};
-use iiscope_types::wirestats;
+use iiscope_types::wirestats::WIRE;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -697,7 +697,7 @@ pub struct Scanner<'a> {
 
 impl Drop for Scanner<'_> {
     fn drop(&mut self) {
-        wirestats::add_json_events(self.events);
+        WIRE.add_json_events(self.events);
     }
 }
 

@@ -28,7 +28,7 @@
 
 use super::cert::mix;
 use bytes::{BufMut, Bytes, BytesMut};
-use iiscope_types::{wirestats, Error, Result};
+use iiscope_types::{wirestats::WIRE, Error, Result};
 
 /// Maximum plaintext bytes carried by one record.
 pub const MAX_RECORD_PLAINTEXT: usize = 16 * 1024 - 64;
@@ -134,9 +134,9 @@ pub fn seal_records_into(
         keystream_xor(key, *seq, &mut out[body_start..]);
         out.put_u64(record_mac);
         *seq += 1;
-        wirestats::add_records_sealed(1);
+        WIRE.add_records_sealed(1);
     }
-    wirestats::add_bytes_sealed(plaintext.len() as u64);
+    WIRE.add_bytes_sealed(plaintext.len() as u64);
 }
 
 /// Seals `plaintext` into one or more records, advancing `*seq` once
@@ -203,7 +203,7 @@ impl RecordDecoder {
             return Err(Error::Network("bad record MAC".into()));
         }
         *seq += 1;
-        wirestats::add_records_opened(1);
+        WIRE.add_records_opened(1);
         Ok(Some(Record {
             rtype,
             plaintext: body.freeze(),
@@ -257,7 +257,7 @@ pub fn open_records(key: u64, seq: &mut u64, bytes: &[u8]) -> Result<Bytes> {
             return Err(Error::Network("bad record MAC".into()));
         }
         *seq += 1;
-        wirestats::add_records_opened(1);
+        WIRE.add_records_opened(1);
         match rtype {
             RecordType::AppData => parts.push(Bytes::from(body)),
             RecordType::Alert => {
@@ -277,7 +277,7 @@ pub fn open_records(key: u64, seq: &mut u64, bytes: &[u8]) -> Result<Bytes> {
     Ok(match parts.len() {
         0 => Bytes::new(),
         1 => {
-            wirestats::add_record_passthrough(1);
+            WIRE.add_record_passthrough(1);
             parts.pop().expect("one part")
         }
         _ => {

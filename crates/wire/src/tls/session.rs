@@ -22,7 +22,7 @@ use super::record::{seal_records, seal_records_into, RecordDecoder, RecordType};
 use crate::Json;
 use bytes::Bytes;
 use iiscope_netsim::{ClientConn, PeerInfo, ServerIo, Session};
-use iiscope_types::{wirestats, Error, Result, SimTime};
+use iiscope_types::{wirestats::WIRE, Error, Result, SimTime};
 use rand::Rng;
 
 /// Derives the shared session key from both randoms and the leaf key.
@@ -383,7 +383,7 @@ impl Session for TlsServerSession {
                 let plaintext = match parts.len() {
                     0 => Bytes::new(),
                     1 => {
-                        wirestats::add_record_passthrough(1);
+                        WIRE.add_record_passthrough(1);
                         parts.pop().expect("one part")
                     }
                     _ => {

@@ -3,15 +3,14 @@
 //! drops. The counter is process-global, so this file is a test binary
 //! of its own with a single test — nothing else scans JSON here.
 
-use iiscope_types::wirestats;
+use iiscope_types::wirestats::WIRE;
 use iiscope_wire::JsonScanner;
-use std::sync::atomic::Ordering;
 
 /// 12 events: `{ "offers" [ { "payout" 0.06 } 7 ] "ok" true }`.
 const DOC: &str = r#"{"offers":[{"payout":0.06},7],"ok":true}"#;
 
 fn counted() -> u64 {
-    wirestats::JSON_EVENTS.load(Ordering::Relaxed)
+    WIRE.json_events()
 }
 
 fn drain(doc: &str) -> u64 {

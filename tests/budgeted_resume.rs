@@ -18,7 +18,7 @@ mod common;
 use common::TempDir;
 use iiscope::chaos::{chaos_config, CrashPlan};
 use iiscope::checkpoint::{load_latest, snapshot_path};
-use iiscope::subsystems::types::{chaosstats, wirestats, Error};
+use iiscope::subsystems::types::{chaosstats::CHAOS, wirestats::WIRE, Error};
 use iiscope::wildsim::{CheckpointPolicy, WildRunOptions};
 use iiscope::{World, WorldConfig};
 use std::path::Path;
@@ -33,8 +33,8 @@ fn life(
     resume: bool,
     crash: Option<CrashPlan>,
 ) -> Result<(), Error> {
-    chaosstats::reset();
-    wirestats::reset();
+    CHAOS.reset();
+    WIRE.reset();
     let world = World::build(cfg.clone())?;
     world.run_honey_study(world.study_start())?;
     let snaps = dir.join("snap");

@@ -123,8 +123,8 @@ fn hostile_mix_degrades_but_does_not_starve_honest_clients() {
     let server = Server::start("127.0.0.1:0", cfg.clone(), world.serve_router()).unwrap();
     let clean = summarize(&load::run(server.local_addr(), &spec).unwrap());
     assert_eq!(clean.errors, 0, "clean run must be error-free");
-    assert_eq!(server.worker_respawns(), 0);
-    assert_eq!(server.conn_panics(), 0);
+    assert_eq!(server.counters().worker_respawns(), 0);
+    assert_eq!(server.counters().conn_panics(), 0);
     server.stop();
 
     // Same server config, same honest load, hostile mix alongside.
@@ -158,8 +158,12 @@ fn hostile_mix_degrades_but_does_not_starve_honest_clients() {
     );
 
     // The pool survived the abuse: nothing died, nothing respawned.
-    assert_eq!(server.worker_respawns(), 0, "a worker died under load");
-    assert_eq!(server.conn_panics(), 0);
+    assert_eq!(
+        server.counters().worker_respawns(),
+        0,
+        "a worker died under load"
+    );
+    assert_eq!(server.counters().conn_panics(), 0);
     server.stop();
     assert_eq!(server.inflight(), 0);
 }
@@ -189,10 +193,14 @@ fn injected_worker_death_heals_under_live_traffic() {
     // The fault fires once traffic crosses the threshold; give the
     // supervisor its tick to replace the dead worker.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while server.worker_respawns() == 0 && std::time::Instant::now() < deadline {
+    while server.counters().worker_respawns() == 0 && std::time::Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));
     }
-    assert_eq!(server.worker_respawns(), 1, "supervisor never respawned");
+    assert_eq!(
+        server.counters().worker_respawns(),
+        1,
+        "supervisor never respawned"
+    );
     assert_eq!(summary.errors, 0, "the worker death surfaced to clients");
     assert!(summary.goodput_rps > 0.0);
     // The restored pool still accepts fresh connections.
@@ -239,7 +247,7 @@ fn overload_soak_emits_bench_json() {
     let clean_results = load::run(server.local_addr(), &spec).unwrap();
     let clean = summarize(&clean_results);
     let clean_sheds_server = server.sheds();
-    assert_eq!(server.worker_respawns(), 0);
+    assert_eq!(server.counters().worker_respawns(), 0);
     server.stop();
 
     let server = Server::start("127.0.0.1:0", cfg, world.serve_router_uncached()).unwrap();
@@ -248,8 +256,8 @@ fn overload_soak_emits_bench_json() {
     let hstats = mix.stop();
     let hostile = summarize(&hostile_results);
     let hostile_sheds_server = server.sheds();
-    let respawns = server.worker_respawns();
-    let panics = server.conn_panics();
+    let respawns = server.counters().worker_respawns();
+    let panics = server.counters().conn_panics();
     server.stop();
 
     // Sheds are visible as 503 counts — on the server's books and in

@@ -15,9 +15,9 @@ mod common;
 
 use common::reduced;
 use iiscope::experiments;
+use iiscope::subsystems::load::{LatencyLog, StatusTally};
 use iiscope::subsystems::monitor::export;
 use iiscope::subsystems::netsim::{AsnId, AsnKind, HostAddr, PeerInfo};
-use iiscope::subsystems::serve::stats::{LatencyLog, StatusTally};
 use iiscope::subsystems::serve::{AdminHandler, ServeConfig, Server, ShutdownFlag};
 use iiscope::subsystems::types::{Country, SeedFork, SimTime};
 use iiscope::subsystems::wire::http::{Method, RequestCtx};
