@@ -9,11 +9,11 @@
 //! title, genre and developer strings are symbols of the log's own
 //! table. Numeric fields keep their full `u64`/`f64` values.
 //!
-//! Rows live in fixed-capacity chunks of `CHUNK_ROWS`, so the log
-//! never copies its history to grow and its slack is at most one
-//! chunk. Each package's crawls form a day-ordered chain through the
-//! rows (the `next` link fills the row's alignment padding), so a
-//! package's series costs no index beyond its first and last row.
+//! Rows live in a [`Chunked`] store, so the log never copies its
+//! history to grow and its slack is at most one chunk. Each package's
+//! crawls form a day-ordered chain through the rows (the `next` link
+//! fills the row's alignment padding), so a package's series costs no
+//! index beyond its first and last row.
 //!
 //! Readers get [`ProfileFields`]: decoded crawls whose strings borrow
 //! the symbol tables. The same fields are the profile codec, so a
@@ -22,11 +22,7 @@
 
 use crate::spill::{ProfileFields, RowSection};
 use iiscope_types::frame::{Dec, Enc, FrameError};
-use iiscope_types::{Interner, Sym, SymMap};
-
-/// Rows in a full chunk (10 KiB). The first chunk grows geometrically
-/// up to this; every later one is allocated at it.
-const CHUNK_ROWS: usize = 128;
+use iiscope_types::{chunked, Chunked, Interner, Sym, SymMap};
 
 /// The `next` link of a package's latest crawl.
 const END: u32 = u32::MAX;
@@ -60,10 +56,8 @@ const _: () = assert!(std::mem::size_of::<ProfileRow>() <= 80);
 /// through the log's own string table.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProfileLog {
-    /// Rows in arrival order: full chunks of `CHUNK_ROWS`, then at most
-    /// one partial chunk.
-    chunks: Vec<Vec<ProfileRow>>,
-    len: usize,
+    /// Rows in arrival order.
+    rows: Chunked<ProfileRow>,
     /// Title, genre and developer strings. Never checkpointed: pushing
     /// the rows in log order rebuilds it.
     strings: Interner,
@@ -79,33 +73,28 @@ impl ProfileLog {
 
     /// Number of crawls in the log.
     pub fn len(&self) -> usize {
-        self.len
+        self.rows.len()
     }
 
     /// True when no crawl was added.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    fn row(&self, i: u32) -> &ProfileRow {
-        &self.chunks[i as usize / CHUNK_ROWS][i as usize % CHUNK_ROWS]
-    }
-
-    fn row_mut(&mut self, i: u32) -> &mut ProfileRow {
-        &mut self.chunks[i as usize / CHUNK_ROWS][i as usize % CHUNK_ROWS]
+        self.rows.is_empty()
     }
 
     /// Appends one crawl of `package`, a symbol of the package table
     /// the readers are given. The package's series stays day-sorted;
     /// equal days keep arrival order.
     pub fn push(&mut self, package: Sym, p: ProfileFields<'_>) {
-        let idx = u32::try_from(self.len)
+        let idx = u32::try_from(self.rows.len())
             .ok()
             .filter(|&i| i != END)
             .expect("profile log overflow");
         // A package's strings rarely change between crawls, so each is
         // compared with the package's latest row before it is hashed.
-        let last = self.series.get(package).map(|&(_, tail)| *self.row(tail));
+        let last = self
+            .series
+            .get(package)
+            .map(|&(_, tail)| self.rows[tail as usize]);
         let strings = &mut self.strings;
         let mut sym = |prev: Option<Sym>, s: &str| match prev {
             Some(prev) if strings.resolve(prev) == s => prev,
@@ -127,16 +116,7 @@ impl ProfileLog {
             developer_website: sym(last.map(|r| r.developer_website), p.developer_website),
             next: END,
         };
-        match self.chunks.last_mut() {
-            Some(chunk) if chunk.len() < CHUNK_ROWS => chunk.push(row),
-            last => {
-                let cap = if last.is_some() { CHUNK_ROWS } else { 0 };
-                let mut chunk = Vec::with_capacity(cap);
-                chunk.push(row);
-                self.chunks.push(chunk);
-            }
-        }
-        self.len += 1;
+        self.rows.push(row);
         self.link(package, idx, p.day);
     }
 
@@ -147,22 +127,23 @@ impl ProfileLog {
             self.series.insert(package, (idx, idx));
             return;
         };
-        if self.row(tail).day <= day {
+        let rows = &mut self.rows;
+        if rows[tail as usize].day <= day {
             // Crawl days arrive in order: the common case.
-            self.row_mut(tail).next = idx;
+            rows[tail as usize].next = idx;
             self.series.insert(package, (head, idx));
-        } else if day < self.row(head).day {
-            self.row_mut(idx).next = head;
+        } else if day < rows[head as usize].day {
+            rows[idx as usize].next = head;
             self.series.insert(package, (idx, tail));
         } else {
             // head.day <= day < tail.day, so the walk stops before the
             // tail.
-            let mut at = head;
-            while self.row(self.row(at).next).day <= day {
-                at = self.row(at).next;
+            let mut at = head as usize;
+            while rows[rows[at].next as usize].day <= day {
+                at = rows[at].next as usize;
             }
-            self.row_mut(idx).next = self.row(at).next;
-            self.row_mut(at).next = idx;
+            rows[idx as usize].next = rows[at].next;
+            rows[at].next = idx;
         }
     }
 
@@ -191,8 +172,7 @@ impl ProfileLog {
         Profiles {
             log: self,
             packages,
-            rows: self.chunks.iter().flatten(),
-            left: self.len,
+            rows: self.rows.iter(),
         }
     }
 
@@ -205,7 +185,7 @@ impl ProfileLog {
         let mut out = Vec::new();
         let mut at = self.series.get(package).map_or(END, |&(head, _)| head);
         while at != END {
-            let r = self.row(at);
+            let r = &self.rows[at as usize];
             out.push(self.fields(r, packages));
             at = r.next;
         }
@@ -219,7 +199,7 @@ impl ProfileLog {
         packages: &'a Interner,
     ) -> Option<ProfileFields<'a>> {
         let &(head, _) = self.series.get(package)?;
-        Some(self.fields(self.row(head), packages))
+        Some(self.fields(&self.rows[head as usize], packages))
     }
 
     /// One past the highest package symbol the log names: a package
@@ -244,14 +224,10 @@ impl ProfileLog {
         Ok(log)
     }
 
-    /// Heap bytes behind the log: row chunks at their capacity, the
-    /// string table and the per-package chain ends.
+    /// Heap bytes behind the log: the row store, the string table and
+    /// the per-package chain ends.
     pub(crate) fn heap_bytes(&self) -> usize {
-        let rows: usize = self.chunks.iter().map(Vec::capacity).sum();
-        rows * std::mem::size_of::<ProfileRow>()
-            + self.chunks.capacity() * std::mem::size_of::<Vec<ProfileRow>>()
-            + self.strings.heap_bytes()
-            + self.series.heap_bytes()
+        self.rows.heap_bytes() + self.strings.heap_bytes() + self.series.heap_bytes()
     }
 }
 
@@ -262,21 +238,18 @@ impl ProfileLog {
 pub struct Profiles<'a> {
     log: &'a ProfileLog,
     packages: &'a Interner,
-    rows: std::iter::Flatten<std::slice::Iter<'a, Vec<ProfileRow>>>,
-    left: usize,
+    rows: chunked::Iter<'a, ProfileRow>,
 }
 
 impl<'a> Iterator for Profiles<'a> {
     type Item = ProfileFields<'a>;
 
     fn next(&mut self) -> Option<ProfileFields<'a>> {
-        let r = self.rows.next()?;
-        self.left -= 1;
-        Some(self.log.fields(r, self.packages))
+        self.rows.next().map(|r| self.log.fields(r, self.packages))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.left, Some(self.left))
+        self.rows.size_hint()
     }
 }
 
@@ -284,7 +257,7 @@ impl ExactSizeIterator for Profiles<'_> {}
 
 impl RowSection for Profiles<'_> {
     fn row_count(&self) -> usize {
-        self.left
+        self.rows.len()
     }
 
     fn enc_rows(&self, e: &mut Enc) {
@@ -354,7 +327,7 @@ mod tests {
     #[test]
     fn rows_span_chunks_and_decode_back() {
         let mut packages = Interner::new();
-        let want: Vec<ProfileSnapshot> = (0..CHUNK_ROWS as u64 * 3 + 7)
+        let want: Vec<ProfileSnapshot> = (0..Chunked::<ProfileRow>::ROWS as u64 * 3 + 7)
             .map(|k| {
                 let mut s = snap(k / 40, &format!("com.app{}", k % 40), k);
                 s.developer_website = format!("https://dev{}.example", k % 3);
@@ -367,8 +340,6 @@ mod tests {
         }
         let got: Vec<ProfileSnapshot> = log.iter(&packages).map(|f| f.to_snapshot()).collect();
         assert_eq!(got, want);
-        assert_eq!(log.chunks.len(), 4);
-        assert!(log.chunks[1..].iter().all(|c| c.capacity() == CHUNK_ROWS));
 
         let mut e = Enc::new();
         let rows = log.iter(&packages);

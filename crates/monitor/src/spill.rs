@@ -31,7 +31,7 @@ use crate::crawler::{ChartSnapshot, ProfileSnapshot};
 use crate::parsers::{RawOffer, RewardValue, ScrapedOffer};
 use iiscope_playstore::ChartKind;
 use iiscope_types::frame::{crc32, Dec, Enc, FrameError, FrameReader, FrameWriter};
-use iiscope_types::{Country, IipId, SimTime};
+use iiscope_types::{Chunked, Country, IipId, SimTime};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
@@ -212,7 +212,7 @@ impl SpillStats {
 /// A closed segment still in memory.
 #[derive(Debug)]
 struct Warm<T> {
-    rows: Vec<T>,
+    rows: Chunked<T>,
     bytes: usize,
 }
 
@@ -248,18 +248,6 @@ struct Cold<T> {
     reloads: u64,
 }
 
-impl<T> Default for Cold<T> {
-    fn default() -> Cold<T> {
-        Cold {
-            file: None,
-            file_end: 0,
-            cache: Vec::new(),
-            cache_bytes: 0,
-            reloads: 0,
-        }
-    }
-}
-
 /// Default segment-close threshold when no budget is set.
 const DEFAULT_SEG_BYTES: usize = 1 << 20;
 
@@ -273,20 +261,17 @@ const DEFAULT_SEG_BYTES: usize = 1 << 20;
 /// tables it resolves through (`&()` for self-contained rows).
 #[derive(Debug)]
 pub struct RowLog<R: Resident> {
-    tail: Vec<R>,
+    tail: Chunked<R>,
     tail_bytes: usize,
     /// The spilled prefix: the spill file and its segments, oldest
     /// first — exactly what a checkpoint references.
     spilled: SpillManifest,
     warm: VecDeque<Warm<R>>,
     len: usize,
-    warm_bytes: usize,
     /// Resident budget in bytes; `None` disables spilling.
     budget: Option<usize>,
     /// Where to create the spill file on first spill.
     spill_target: Option<PathBuf>,
-    spilled_rows: u64,
-    spilled_bytes: u64,
     /// First spill write failure; set once, spilling stops after it.
     failed: Option<SpillError>,
     cold: Mutex<Cold<R::Row>>,
@@ -295,18 +280,21 @@ pub struct RowLog<R: Resident> {
 impl<R: Resident> Default for RowLog<R> {
     fn default() -> RowLog<R> {
         RowLog {
-            tail: Vec::new(),
+            tail: Chunked::default(),
             tail_bytes: 0,
             spilled: SpillManifest::default(),
             warm: VecDeque::new(),
             len: 0,
-            warm_bytes: 0,
             budget: None,
             spill_target: None,
-            spilled_rows: 0,
-            spilled_bytes: 0,
             failed: None,
-            cold: Mutex::new(Cold::default()),
+            cold: Mutex::new(Cold {
+                file: None,
+                file_end: 0,
+                cache: Vec::new(),
+                cache_bytes: 0,
+                reloads: 0,
+            }),
         }
     }
 }
@@ -353,14 +341,11 @@ impl<R: Resident> RowLog<R> {
         self.tail.push(row);
         self.len += 1;
         if self.tail_bytes >= self.seg_bytes_threshold() {
-            // A closed segment never grows: drop its doubling slack and
-            // size the next tail like it.
+            // A closed segment never grows: drop its last chunk's slack.
             let mut rows = std::mem::take(&mut self.tail);
             rows.shrink_to_fit();
-            self.tail = Vec::with_capacity(rows.len());
             let bytes = std::mem::take(&mut self.tail_bytes);
             self.warm.push_back(Warm { rows, bytes });
-            self.warm_bytes += bytes;
             self.enforce(ctx);
         }
     }
@@ -394,7 +379,7 @@ impl<R: Resident> RowLog<R> {
         let seg = self.warm.front().expect("enforce checks a warm segment");
         let mut enc = Enc::new();
         enc.u64(seg.rows.len() as u64);
-        for r in &seg.rows {
+        for r in seg.rows.iter() {
             r.encode(ctx, &mut enc);
         }
         let mut w = FrameWriter::new();
@@ -430,16 +415,12 @@ impl<R: Resident> RowLog<R> {
         drop(cold);
 
         let seg = self.warm.pop_front().expect("checked above");
-        let r = SegRef {
+        self.spilled.segments.push(SegRef {
             rows: seg.rows.len() as u64,
             offset,
             len: blob.len() as u64,
             crc,
-        };
-        self.spilled.segments.push(r);
-        self.warm_bytes -= seg.bytes;
-        self.spilled_rows += r.rows;
-        self.spilled_bytes += r.len;
+        });
         Ok(())
     }
 
@@ -485,11 +466,6 @@ impl<R: Resident> RowLog<R> {
         }
     }
 
-    /// Closed segments, spilled and warm.
-    fn closed_len(&self) -> usize {
-        self.spilled.segments.len() + self.warm.len()
-    }
-
     /// Rows in closed segment `idx`.
     fn seg_rows(&self, idx: usize) -> usize {
         match self.spilled.segments.get(idx) {
@@ -498,11 +474,16 @@ impl<R: Resident> RowLog<R> {
         }
     }
 
-    /// The rows of closed segment `idx`, reloading a spilled one.
+    /// The rows of segment `idx`, reloading a spilled one; the index
+    /// past the closed segments is the tail.
     fn seg_cur(&self, idx: usize) -> Cur<'_, R> {
         match self.spilled.segments.get(idx) {
             Some(r) => Cur::Loaded(self.load(idx, *r)),
-            None => Cur::Slice(&self.warm[idx - self.spilled.segments.len()].rows),
+            None => Cur::Rows(
+                self.warm
+                    .get(idx - self.spilled.segments.len())
+                    .map_or(&self.tail, |w| &w.rows),
+            ),
         }
     }
 
@@ -510,14 +491,7 @@ impl<R: Resident> RowLog<R> {
     /// spilled segments. Yields owned persisted rows (unpacked resident
     /// rows, clones of decoded spilled ones).
     pub fn iter<'a>(&'a self, ctx: &'a R::Ctx) -> RowLogIter<'a, R> {
-        RowLogIter {
-            log: self,
-            ctx,
-            seg: 0,
-            cur: None,
-            at: 0,
-            remaining: self.len,
-        }
+        self.iter_from(0, ctx)
     }
 
     /// Iterates rows starting at append index `start_row` — the suffix
@@ -526,39 +500,19 @@ impl<R: Resident> RowLog<R> {
     /// prefix therefore never reloads a cold segment, which is what
     /// lets per-day incremental folds read only the day's new rows.
     pub fn iter_from<'a>(&'a self, start_row: usize, ctx: &'a R::Ctx) -> RowLogIter<'a, R> {
-        let past_end = self.closed_len() + 1;
-        if start_row >= self.len {
-            return RowLogIter {
-                log: self,
-                ctx,
-                seg: past_end,
-                cur: None,
-                at: 0,
-                remaining: 0,
-            };
-        }
-        let mut before = 0usize;
-        for idx in 0..self.closed_len() {
-            let rows = self.seg_rows(idx);
-            if start_row < before + rows {
-                return RowLogIter {
-                    log: self,
-                    ctx,
-                    seg: idx + 1,
-                    cur: Some(self.seg_cur(idx)),
-                    at: start_row - before,
-                    remaining: self.len - start_row,
-                };
-            }
-            before += rows;
+        let closed = self.spilled.segments.len() + self.warm.len();
+        let (mut seg, mut at) = (0, start_row.min(self.len));
+        while seg < closed && at >= self.seg_rows(seg) {
+            at -= self.seg_rows(seg);
+            seg += 1;
         }
         RowLogIter {
             log: self,
             ctx,
-            seg: past_end,
-            cur: Some(Cur::Slice(&self.tail)),
-            at: start_row - before,
-            remaining: self.len - start_row,
+            seg,
+            cur: None,
+            at,
+            remaining: self.len.saturating_sub(start_row),
         }
     }
 
@@ -573,13 +527,11 @@ impl<R: Resident> RowLog<R> {
     /// tail), borrowed in log order with the tables they resolve
     /// through — what a checkpoint serializes inline.
     pub fn resident<'a>(&'a self, ctx: &'a R::Ctx) -> ResidentRows<'a, R> {
-        let chunks = self
-            .warm
-            .iter()
-            .map(|w| w.rows.as_slice())
-            .chain(std::iter::once(self.tail.as_slice()))
-            .collect();
-        ResidentRows { chunks, ctx }
+        let warm = self.warm.iter().flat_map(|w| w.rows.chunks());
+        ResidentRows {
+            chunks: warm.chain(self.tail.chunks()).collect(),
+            ctx,
+        }
     }
 
     /// Reattaches a spilled prefix on restore: opens the manifest's
@@ -620,11 +572,7 @@ impl<R: Resident> RowLog<R> {
         }
         file.set_len(end)
             .map_err(|e| format!("truncate spill file: {e}"))?;
-        for seg in &manifest.segments {
-            self.len += seg.rows as usize;
-            self.spilled_rows += seg.rows;
-            self.spilled_bytes += seg.len;
-        }
+        self.len = manifest.segments.iter().map(|s| s.rows as usize).sum();
         self.spilled = manifest.clone();
         self.spill_target = Some(path.clone());
         let mut cold = self.cold.lock();
@@ -634,21 +582,20 @@ impl<R: Resident> RowLog<R> {
     }
 
     fn resident_bytes(&self) -> u64 {
-        let cache = self.cold.lock().cache_bytes as u64;
-        self.tail_bytes as u64 + self.warm_bytes as u64 + cache
+        let warm: usize = self.warm.iter().map(|w| w.bytes).sum();
+        (self.tail_bytes + warm + self.cold.lock().cache_bytes) as u64
     }
 
     /// Spill activity counters.
     pub fn stats(&self) -> SpillStats {
-        let cold = self.cold.lock();
+        let segments = &self.spilled.segments;
+        let reloads = self.cold.lock().reloads;
         SpillStats {
-            spilled_segments: self.spilled.segments.len() as u64,
-            spilled_rows: self.spilled_rows,
-            spilled_bytes: self.spilled_bytes,
-            reloads: cold.reloads,
-            resident_bytes: self.tail_bytes as u64
-                + self.warm_bytes as u64
-                + cold.cache_bytes as u64,
+            spilled_segments: segments.len() as u64,
+            spilled_rows: segments.iter().map(|s| s.rows).sum(),
+            spilled_bytes: segments.iter().map(|s| s.len).sum(),
+            reloads,
+            resident_bytes: self.resident_bytes(),
         }
     }
 }
@@ -693,7 +640,7 @@ fn decode_segment<T: SpillRow>(blob: &[u8], seg: SegRef) -> Result<Vec<T>, Frame
 }
 
 enum Cur<'a, R: Resident> {
-    Slice(&'a [R]),
+    Rows(&'a Chunked<R>),
     Loaded(Arc<Vec<R::Row>>),
 }
 
@@ -702,9 +649,11 @@ enum Cur<'a, R: Resident> {
 pub struct RowLogIter<'a, R: Resident> {
     log: &'a RowLog<R>,
     ctx: &'a R::Ctx,
-    /// Next closed-segment index to enter (`closed_len()` = tail).
+    /// Segment the cursor is in (spilled, then warm, then the tail),
+    /// entered on the first row read from it.
     seg: usize,
     cur: Option<Cur<'a, R>>,
+    /// Row within `seg`.
     at: usize,
     remaining: usize,
 }
@@ -713,31 +662,22 @@ impl<R: Resident> Iterator for RowLogIter<'_, R> {
     type Item = R::Row;
 
     fn next(&mut self) -> Option<R::Row> {
-        loop {
-            if let Some(cur) = &self.cur {
-                let row = match cur {
-                    Cur::Slice(s) => s.get(self.at).map(|r| r.unpack(self.ctx)),
-                    Cur::Loaded(a) => a.get(self.at).cloned(),
-                };
-                if row.is_some() {
-                    self.at += 1;
-                    self.remaining -= 1;
-                    return row;
-                }
-                self.cur = None;
+        while self.remaining > 0 {
+            let cur = self.cur.get_or_insert_with(|| self.log.seg_cur(self.seg));
+            let row = match cur {
+                Cur::Rows(c) => (self.at < c.len()).then(|| c[self.at].unpack(self.ctx)),
+                Cur::Loaded(a) => a.get(self.at).cloned(),
+            };
+            if row.is_some() {
+                self.at += 1;
+                self.remaining -= 1;
+                return row;
             }
+            self.cur = None;
             self.at = 0;
-            let closed = self.log.closed_len();
-            if self.seg < closed {
-                self.cur = Some(self.log.seg_cur(self.seg));
-                self.seg += 1;
-            } else if self.seg == closed {
-                self.seg += 1;
-                self.cur = Some(Cur::Slice(&self.log.tail));
-            } else {
-                return None;
-            }
+            self.seg += 1;
         }
+        None
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {

@@ -15,12 +15,12 @@
 //! not fire reads a few counters instead of the app's whole history.
 //!
 //! Install events are the ledger's bulk: millions per study, one per
-//! tagged install. Each is stored as a 16-byte [`PackedInstall`] in
-//! fixed-capacity chunks of `CHUNK_ROWS`, so a ledger never copies its
-//! history to grow and its slack is at most one chunk. Readers see
-//! decoded [`InstallEvent`] values through [`InstallEvents`].
+//! tagged install. Each is stored as a 16-byte [`PackedInstall`] in a
+//! [`Chunked`] store, so a ledger never copies its history to grow and
+//! its slack is at most one chunk. Readers see decoded
+//! [`InstallEvent`] values through [`InstallEvents`].
 
-use iiscope_types::{SimTime, Usd};
+use iiscope_types::{chunked, Chunked, SimTime, Usd};
 use std::collections::{BTreeMap, HashSet};
 
 /// Device-quality signals attached to one install event.
@@ -72,11 +72,6 @@ pub struct InstallEvent {
 
 /// [`InstallEvent::tag`] of an install without an attribution tag.
 pub const ORGANIC_TAG: u32 = 0;
-
-/// Rows in a full chunk of a ledger's install log (4 KiB). The first
-/// chunk grows geometrically up to this; every later one is allocated
-/// at exactly this capacity and never reallocated.
-const CHUNK_ROWS: usize = 256;
 
 /// Flag bits of [`PackedInstall`]'s `bits` word; the tag id sits above
 /// them.
@@ -140,10 +135,6 @@ impl PackedInstall {
             filtered: self.bits & FILTERED != 0,
         }
     }
-
-    fn filtered(self) -> bool {
-        self.bits & FILTERED != 0
-    }
 }
 
 /// Unfiltered event installs per /24, split by how many a block holds.
@@ -202,37 +193,10 @@ impl BlockCounts {
     }
 }
 
-/// The decoded install events of a ledger, in record order (see
-/// [`EngagementLedger::install_events`]).
-#[derive(Debug, Clone)]
-pub struct InstallEvents<'a> {
-    rows: std::iter::Flatten<std::slice::Iter<'a, Vec<PackedInstall>>>,
-    left: usize,
-}
-
-impl Iterator for InstallEvents<'_> {
-    type Item = InstallEvent;
-
-    fn next(&mut self) -> Option<InstallEvent> {
-        let row = self.rows.next()?;
-        self.left -= 1;
-        Some(row.unpack())
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.left, Some(self.left))
-    }
-}
-
-impl DoubleEndedIterator for InstallEvents<'_> {
-    fn next_back(&mut self) -> Option<InstallEvent> {
-        let row = self.rows.next_back()?;
-        self.left -= 1;
-        Some(row.unpack())
-    }
-}
-
-impl ExactSizeIterator for InstallEvents<'_> {}
+/// The decoded install events of a ledger, in record order
+/// (exact-size, double-ended; see [`EngagementLedger::install_events`]).
+pub type InstallEvents<'a> =
+    std::iter::Map<chunked::Iter<'a, PackedInstall>, fn(&PackedInstall) -> InstallEvent>;
 
 /// Aggregates for one simulated day.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -254,9 +218,8 @@ pub struct DayStats {
 /// The per-app ledger.
 #[derive(Debug, Default)]
 pub struct EngagementLedger {
-    /// Install events in record order: full chunks of `CHUNK_ROWS`,
-    /// then at most one partial chunk.
-    chunks: Vec<Vec<PackedInstall>>,
+    /// Install events in record order.
+    events: Chunked<PackedInstall>,
     /// Distinct attribution tags; [`InstallEvent::tag`] `i` names
     /// `tags[i - 1]`.
     tags: Vec<Box<str>>,
@@ -293,15 +256,7 @@ impl EngagementLedger {
             tag,
             filtered: false,
         });
-        match self.chunks.last_mut() {
-            Some(chunk) if chunk.len() < CHUNK_ROWS => chunk.push(row),
-            last => {
-                let cap = if last.is_some() { CHUNK_ROWS } else { 0 };
-                let mut chunk = Vec::with_capacity(cap);
-                chunk.push(row);
-                self.chunks.push(chunk);
-            }
-        }
+        self.events.push(row);
         self.suspicious += u64::from(signals.is_suspicious());
         self.blocks.add(signals.block24);
         self.days.entry(at.days()).or_default().installs += 1;
@@ -426,28 +381,19 @@ impl EngagementLedger {
 
     /// Installs with per-event records, filtered or not.
     pub fn event_installs(&self) -> u64 {
-        match self.chunks.last() {
-            Some(last) => ((self.chunks.len() - 1) * CHUNK_ROWS + last.len()) as u64,
-            None => 0,
-        }
+        self.events.len() as u64
     }
 
     /// All install events in record order, decoded (enforcement and
     /// forensics iterate these).
     pub fn install_events(&self) -> InstallEvents<'_> {
-        InstallEvents {
-            rows: self.chunks.iter().flatten(),
-            left: self.event_installs() as usize,
-        }
+        self.events.iter().map(|row| row.unpack())
     }
 
-    /// Heap bytes behind the install events: the chunks at their
-    /// capacity and the per-/24 counts (estimated from capacities).
+    /// Heap bytes behind the install events: the row store and the
+    /// per-/24 counts (estimated from capacities).
     pub fn install_heap_bytes(&self) -> usize {
-        let rows: usize = self.chunks.iter().map(Vec::capacity).sum();
-        rows * std::mem::size_of::<PackedInstall>()
-            + self.chunks.capacity() * std::mem::size_of::<Vec<PackedInstall>>()
-            + self.blocks.heap_bytes()
+        self.events.heap_bytes() + self.blocks.heap_bytes()
     }
 
     /// Installs with per-event records not yet filtered.
@@ -476,8 +422,7 @@ impl EngagementLedger {
     /// in record order; returns how many were actually removed.
     pub fn filter_installs(&mut self, n: u64, mut pred: impl FnMut(&InstallEvent) -> bool) -> u64 {
         let mut removed = 0;
-        let rows = self.chunks.iter_mut().flat_map(|c| c.iter_mut());
-        for row in rows.filter(|r| !r.filtered()) {
+        for row in self.events.iter_mut().filter(|r| r.bits & FILTERED == 0) {
             if removed == n {
                 break;
             }

@@ -40,6 +40,9 @@
 //!   subsystem: fault injections and graceful-degradation events
 //!   (retries, give-ups, abandoned milkings), dumped as
 //!   `BENCH_chaos.json`.
+//! * [`chunked`] — [`chunked::Chunked`], the one append-only row store
+//!   in fixed-capacity chunks under the install ledger, the profile log
+//!   and the resident part of every spillable row log.
 //! * [`error`] — the shared error type.
 
 #![forbid(unsafe_code)]
@@ -108,6 +111,7 @@ macro_rules! counters {
 }
 
 pub mod chaosstats;
+pub mod chunked;
 pub mod country;
 pub mod error;
 pub mod frame;
@@ -120,6 +124,7 @@ pub mod sym;
 pub mod time;
 pub mod wirestats;
 
+pub use chunked::Chunked;
 pub use country::Country;
 pub use error::{Error, Result};
 pub use genre::Genre;

@@ -18,25 +18,16 @@
 
 mod common;
 
-use common::TempDir;
+use common::{run_study, TempDir};
 use iiscope::chaos::{chaos_config, CrashPlan};
 use iiscope::checkpoint::load_latest;
 use iiscope::experiments;
 use iiscope::wildsim::{CheckpointPolicy, WildRunOptions};
-use iiscope::{HoneyStudy, WildArtifacts, World, WorldConfig};
+use iiscope::{HoneyStudy, WildArtifacts, World};
 
 /// The batch oracle's report text.
 fn batch_report(world: &World, artifacts: &WildArtifacts, honey: HoneyStudy) -> String {
     experiments::full_report_timed(world, artifacts, honey).0
-}
-
-fn run(cfg: WorldConfig) -> (World, WildArtifacts, HoneyStudy) {
-    let world = World::build(cfg).expect("build");
-    let honey = world
-        .run_honey_study(world.study_start())
-        .expect("honey study");
-    let artifacts = world.run_wild_study().expect("wild study");
-    (world, artifacts, honey)
 }
 
 #[test]
@@ -56,7 +47,7 @@ fn incremental_report_matches_batch_at_every_run_shape() {
                 if budget.is_some() {
                     cfg.spill_dir = Some(dir.0.clone());
                 }
-                let (world, artifacts, honey) = run(cfg);
+                let (world, artifacts, honey) = run_study(cfg);
                 assert!(
                     artifacts.aggregates.covers(&artifacts.dataset),
                     "{tag}: wild-study aggregates must cover the final dataset"
@@ -76,7 +67,7 @@ fn incremental_report_matches_batch_at_every_run_shape() {
 fn incremental_report_survives_kill_and_resume() {
     // Straight-through batch baseline.
     let cfg = chaos_config(10_600);
-    let (world, artifacts, honey) = run(cfg.clone());
+    let (world, artifacts, honey) = run_study(cfg.clone());
     let straight_batch = batch_report(&world, &artifacts, honey);
 
     // First life: checkpoint every crawl, die at day 5 (a snapshot
@@ -149,7 +140,7 @@ fn incremental_render_reloads_fewer_spilled_segments() {
         cfg.baseline_apps = 10;
         cfg.memory_budget = Some(4 * 1024);
         cfg.spill_dir = Some(dir.0.clone());
-        let (world, artifacts, honey) = run(cfg);
+        let (world, artifacts, honey) = run_study(cfg);
         let stats0 = artifacts.dataset.spill_stats();
         assert!(
             stats0.spilled_segments > 0,

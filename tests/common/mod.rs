@@ -3,7 +3,7 @@
 
 #![allow(dead_code)]
 
-use iiscope::WorldConfig;
+use iiscope::{HoneyStudy, WildArtifacts, World, WorldConfig};
 use std::path::PathBuf;
 
 /// A reduced small world: every mechanism exercised (two crawl days,
@@ -17,6 +17,16 @@ pub fn reduced(seed: u64, parallelism: usize) -> WorldConfig {
     cfg.honey_purchase = 60;
     cfg.parallelism = parallelism;
     cfg
+}
+
+/// Builds the world and runs the honey study, then the wild study.
+pub fn run_study(cfg: WorldConfig) -> (World, WildArtifacts, HoneyStudy) {
+    let world = World::build(cfg).expect("build");
+    let honey = world
+        .run_honey_study(world.study_start())
+        .expect("honey study");
+    let artifacts = world.run_wild_study().expect("wild study");
+    (world, artifacts, honey)
 }
 
 /// A unique, self-cleaning scratch directory per test case.

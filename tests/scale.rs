@@ -16,7 +16,7 @@
 
 mod common;
 
-use common::reduced;
+use common::{reduced, run_study};
 use iiscope::chaos::{chaos_config, crash_resume_digest, straight_digest};
 use iiscope::experiments;
 use iiscope::subsystems::monitor::export;
@@ -32,11 +32,7 @@ struct RunOut {
 }
 
 fn run(cfg: WorldConfig) -> RunOut {
-    let world = World::build(cfg).expect("build");
-    let honey = world
-        .run_honey_study(world.study_start())
-        .expect("honey study");
-    let artifacts = world.run_wild_study().expect("wild study");
+    let (world, artifacts, honey) = run_study(cfg);
     let report = experiments::full_report_incremental(&world, &artifacts, honey);
     let csv = [
         export::offers_csv(&artifacts.dataset),
