@@ -37,7 +37,8 @@ use iiscope_types::frame::{Dec, Enc, FrameError, FrameReader, FrameWriter};
 use iiscope_types::Interner;
 use iiscope_wire::ClientState;
 use rand::rngs::RngState;
-use std::io::Write as _;
+use std::fs::File;
+use std::io::{self, Cursor, Seek, Write};
 use std::path::{Path, PathBuf};
 
 /// Payload schema revision carried in the META section. Bump on any
@@ -112,7 +113,7 @@ pub struct Snapshot {
 /// A snapshot as the encoder reads it: every bulk part borrowed, so
 /// the live study encodes straight from its own state without cloning
 /// it. [`Snapshot::view`] borrows a decoded snapshot the same way;
-/// [`SnapshotRef::encode`] is the only snapshot encoder.
+/// [`SnapshotRef::write_to`] is the only snapshot encoder.
 #[derive(Debug)]
 pub struct SnapshotRef<'a> {
     /// Last fully completed sim day.
@@ -152,65 +153,67 @@ pub struct SnapshotRef<'a> {
 }
 
 impl SnapshotRef<'_> {
-    /// Serializes the snapshot into a frame file.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = FrameWriter::new();
-
-        let mut meta = Enc::new();
-        meta.u8(SEC_META)
-            .u32(SNAPSHOT_VERSION)
-            .u64(self.seed)
-            .u64(self.fingerprint)
-            .u64(self.day);
-        w.record(meta.bytes());
-
-        let mut sim = Enc::new();
-        sim.u8(SEC_SIM).bytes_field(self.sim_bytes);
-        w.record(sim.bytes());
-
-        let mut syms = Enc::new();
-        syms.u8(SEC_SYMS);
-        enc_interner(&mut syms, self.pkg_syms);
-        enc_interner(&mut syms, self.desc_syms);
-        w.record(syms.bytes());
-
-        let mut spill = Enc::new();
-        spill.u8(SEC_SPILL);
-        enc_manifest(&mut spill, self.offers_spill);
-        enc_manifest(&mut spill, self.charts_spill);
-        w.record(spill.bytes());
-
-        w.record(&enc_rows(SEC_OFFERS, &*self.offers));
-        w.record(&enc_rows(SEC_PROFILES, &*self.profiles));
-        w.record(&enc_rows(SEC_CHARTS, &*self.charts));
-
-        let mut crawler = Enc::new();
-        crawler.u8(SEC_CRAWLER);
-        enc_rng(&mut crawler, &self.crawler.rng);
-        crawler.u64(self.crawler.conn_seq);
-        w.record(crawler.bytes());
-
-        let mut counters = Enc::new();
-        counters.u8(SEC_COUNTERS);
-        enc_ledger(&mut counters, &self.chaos_counters);
-        enc_ledger(&mut counters, &self.wire_counters);
-        w.record(counters.bytes());
-
-        let mut aggs = Enc::new();
-        aggs.u8(SEC_AGGS);
-        self.aggregates.encode(&mut aggs);
-        w.record(aggs.bytes());
-
+    /// Writes the snapshot as a frame file to `out`, each section
+    /// streaming through one [`WINDOW`](iiscope_types::frame::WINDOW):
+    /// the bytes are the same whatever the sink, and no section is
+    /// ever held whole.
+    pub fn write_to<W: Write + Seek>(&self, out: W) -> io::Result<W> {
+        let mut w = FrameWriter::new(out)?;
+        w.record_with(|e| {
+            e.u8(SEC_META)
+                .u32(SNAPSHOT_VERSION)
+                .u64(self.seed)
+                .u64(self.fingerprint)
+                .u64(self.day);
+        })?;
+        w.record_with(|e| {
+            e.u8(SEC_SIM).bytes_field(self.sim_bytes);
+        })?;
+        w.record_with(|e| {
+            e.u8(SEC_SYMS);
+            enc_interner(e, self.pkg_syms);
+            enc_interner(e, self.desc_syms);
+        })?;
+        w.record_with(|e| {
+            e.u8(SEC_SPILL);
+            enc_manifest(e, self.offers_spill);
+            enc_manifest(e, self.charts_spill);
+        })?;
+        for (section, rows) in [
+            (SEC_OFFERS, &self.offers),
+            (SEC_PROFILES, &self.profiles),
+            (SEC_CHARTS, &self.charts),
+        ] {
+            // A row section: tag, row count, then every row in order.
+            w.record_with(|e| {
+                e.u8(section).u64(rows.row_count() as u64);
+                rows.enc_rows(e);
+            })?;
+        }
+        w.record_with(|e| {
+            e.u8(SEC_CRAWLER);
+            enc_rng(e, &self.crawler.rng);
+            e.u64(self.crawler.conn_seq);
+        })?;
+        w.record_with(|e| {
+            e.u8(SEC_COUNTERS);
+            enc_ledger(e, &self.chaos_counters);
+            enc_ledger(e, &self.wire_counters);
+        })?;
+        w.record_with(|e| {
+            e.u8(SEC_AGGS);
+            self.aggregates.encode(e);
+        })?;
         w.finish()
     }
-}
 
-/// A row section: tag, row count, then every row in order.
-fn enc_rows(section: u8, rows: &dyn RowSection) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u8(section).u64(rows.row_count() as u64);
-    rows.enc_rows(&mut e);
-    e.into_bytes()
+    /// The snapshot's frame file in memory: [`SnapshotRef::write_to`]
+    /// over a `Cursor`.
+    pub fn encode(&self) -> Vec<u8> {
+        self.write_to(Cursor::new(Vec::new()))
+            .expect("writing to memory cannot fail")
+            .into_inner()
+    }
 }
 
 /// Cumulative cost of checkpoint writes (and the resume replay) over a
@@ -537,29 +540,43 @@ fn day_from_path(path: &Path) -> Option<u64> {
     digits.parse().ok()
 }
 
-/// Durably writes `bytes` as the day-`day` snapshot in `dir`:
-/// write-to-temp + fsync + atomic rename + directory fsync, so a crash
-/// mid-write can only lose the snapshot being written, never damage an
-/// existing one.
-pub fn write_durable(dir: &Path, day: u64, bytes: &[u8]) -> std::io::Result<PathBuf> {
+/// Durably writes the day-`day` snapshot in `dir`: `write` fills a
+/// temp file, which is fsynced, atomically renamed into place, and the
+/// directory fsynced, so a crash mid-write can only lose the snapshot
+/// being written, never damage an existing one. A failed `write`
+/// removes the temp file and renames nothing. Returns the bytes
+/// written.
+pub fn write_durable(
+    dir: &Path,
+    day: u64,
+    write: impl FnOnce(&mut File) -> io::Result<()>,
+) -> io::Result<u64> {
     std::fs::create_dir_all(dir)?;
     let finals = snapshot_path(dir, day);
     let tmp = dir.join(format!("snap-{day:06}.ckpt.tmp"));
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
+    let written = File::create(&tmp).and_then(|mut f| {
+        write(&mut f)?;
+        let len = f.stream_position()?;
         f.sync_all()?;
-    }
+        Ok(len)
+    });
+    let len = match written {
+        Ok(len) => len,
+        Err(e) => {
+            let _ = std::fs::remove_file(&tmp);
+            return Err(e);
+        }
+    };
     std::fs::rename(&tmp, &finals)?;
     // Persist the rename itself. Directory fsync is POSIX-only; other
     // platforms settle for the file fsync above.
     #[cfg(unix)]
     {
-        if let Ok(d) = std::fs::File::open(dir) {
+        if let Ok(d) = File::open(dir) {
             let _ = d.sync_all();
         }
     }
-    Ok(finals)
+    Ok(len)
 }
 
 /// What a checkpoint-directory scan found.
@@ -791,13 +808,90 @@ mod tests {
     /// its replacement, or drops it with `None`.
     fn reframe(bytes: &[u8], edit: impl Fn(&[u8]) -> Option<Vec<u8>>) -> Vec<u8> {
         let mut reader = FrameReader::new(bytes).unwrap();
-        let mut w = FrameWriter::new();
+        let mut w = FrameWriter::new(Cursor::new(Vec::new())).unwrap();
         while let Some(payload) = reader.next_record().unwrap() {
             if let Some(p) = edit(payload) {
-                w.record(&p);
+                w.record(&p).unwrap();
             }
         }
-        w.finish()
+        w.finish().unwrap().into_inner()
+    }
+
+    /// A row section of `len` bytes, written one byte at a time.
+    #[derive(Debug)]
+    struct Filler(usize);
+
+    impl RowSection for Filler {
+        fn row_count(&self) -> usize {
+            self.0
+        }
+
+        fn enc_rows(&self, e: &mut Enc) {
+            for i in 0..self.0 {
+                e.u8(i as u8 ^ 0x5A);
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_row_sections_match_the_reference_layout_at_window_edges() {
+        use iiscope_types::frame::{crc32, MAGIC, WINDOW};
+        let snap = sample_snapshot();
+        let path = std::env::temp_dir().join(format!(
+            "iiscope-ckpt-edges-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let w = WINDOW;
+        for len in [
+            0,
+            1,
+            w - 10,
+            w - 9,
+            w - 8,
+            w - 1,
+            w,
+            w + 1,
+            3 * w,
+            3 * w + 1,
+        ] {
+            let mut view = snap.view();
+            view.offers = Box::new(Filler(len));
+            view.write_to(File::create(&path).unwrap()).unwrap();
+            let streamed = std::fs::read(&path).unwrap();
+            assert!(
+                streamed == view.encode(),
+                "len {len}: file and memory differ"
+            );
+
+            // The OFFERS payload as one in-memory buffer, and every
+            // record framed by hand around its payload.
+            let mut offers = Enc::new();
+            offers.u8(SEC_OFFERS).u64(len as u64);
+            Filler(len).enc_rows(&mut offers);
+            let mut reader = FrameReader::new(&streamed).unwrap();
+            let mut want = MAGIC.to_vec();
+            let mut records = 0u64;
+            let mut frame = |ty: u8, payload: &[u8]| {
+                let mut head = vec![ty];
+                head.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+                want.extend_from_slice(&head);
+                want.extend_from_slice(&crc32(&[&head[..], payload].concat()).to_le_bytes());
+                want.extend_from_slice(payload);
+            };
+            while let Some(p) = reader.next_record().unwrap() {
+                let p = if p[0] == SEC_OFFERS {
+                    offers.bytes()
+                } else {
+                    p
+                };
+                frame(0, p);
+                records += 1;
+            }
+            frame(1, &records.to_le_bytes());
+            assert!(streamed == want, "len {len}: streamed frame differs");
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -841,11 +935,12 @@ mod tests {
         let at = |tag| records.iter().position(|p| p[0] == tag).unwrap();
         let (syms, profiles) = (at(SEC_SYMS), at(SEC_PROFILES));
         records.swap(syms, profiles);
-        let mut w = FrameWriter::new();
+        let mut w = FrameWriter::new(Cursor::new(Vec::new())).unwrap();
         for p in &records {
-            w.record(p);
+            w.record(p).unwrap();
         }
-        let err = Snapshot::decode(&w.finish()).unwrap_err().to_string();
+        let bytes = w.finish().unwrap().into_inner();
+        let err = Snapshot::decode(&bytes).unwrap_err().to_string();
         assert!(err.contains("PROFILES section before SYMS"), "{err}");
     }
 
@@ -911,9 +1006,12 @@ mod tests {
         assert_eq!(scan.candidates, 0);
 
         let mut snap = sample_snapshot();
-        write_durable(&dir, snap.day, &snap.encode()).unwrap();
+        write_durable(&dir, snap.day, |f| snap.view().write_to(f).map(drop)).unwrap();
         snap.day = 8;
-        let newest = write_durable(&dir, snap.day, &snap.encode()).unwrap();
+        let len = write_durable(&dir, snap.day, |f| snap.view().write_to(f).map(drop)).unwrap();
+        let newest = snapshot_path(&dir, snap.day);
+        assert_eq!(std::fs::read(&newest).unwrap(), snap.encode());
+        assert_eq!(len, snap.encode().len() as u64);
 
         let scan = load_latest(&dir).unwrap();
         assert_eq!(scan.snapshot.as_ref().unwrap().0.day, 8);

@@ -52,6 +52,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::BTreeMap;
+use std::fs::File;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -400,18 +401,26 @@ impl World {
             self.day_version.bump();
             if let Some(cp) = &opts.checkpoint {
                 if day % cp.every_days.max(1) == 0 {
+                    // Encoding and writing interleave: the encode
+                    // part ends when the temp file holds its last
+                    // byte, the rest is fsync and rename.
                     let t = std::time::Instant::now();
-                    let bytes = self.encode_snapshot(&st, day);
-                    stats.encode_secs += t.elapsed().as_secs_f64();
-                    checkpoint::write_durable(&cp.dir, day, &bytes).map_err(|e| {
+                    let mut encoded = 0.0;
+                    let bytes = checkpoint::write_durable(&cp.dir, day, |f| {
+                        self.write_snapshot(&st, day, f)?;
+                        encoded = t.elapsed().as_secs_f64();
+                        Ok(())
+                    })
+                    .map_err(|e| {
                         Error::InvalidState(format!(
                             "checkpoint write to {} failed: {e}",
                             cp.dir.display()
                         ))
                     })?;
+                    stats.encode_secs += encoded;
                     stats.snapshots_written += 1;
-                    stats.last_bytes = bytes.len() as u64;
-                    stats.total_bytes += bytes.len() as u64;
+                    stats.last_bytes = bytes;
+                    stats.total_bytes += bytes;
                     stats.total_write_secs += t.elapsed().as_secs_f64();
                 }
             }
@@ -617,10 +626,11 @@ impl World {
         e.into_bytes()
     }
 
-    /// Encodes the durable snapshot for a completed day straight from
-    /// the live state: the dataset, interners and aggregates are
-    /// borrowed, not cloned.
-    fn encode_snapshot(&self, st: &SimState, day: u64) -> Vec<u8> {
+    /// Writes the durable snapshot for a completed day to `out`
+    /// straight from the live state: the dataset, interners and
+    /// aggregates are borrowed, not cloned, and the bytes stream out
+    /// through one window.
+    fn write_snapshot(&self, st: &SimState, day: u64, out: &mut File) -> std::io::Result<()> {
         let sim_bytes = self.encode_sim(st, day);
         let snapshot = SnapshotRef {
             day,
@@ -639,7 +649,7 @@ impl World {
             wire_counters: WIRE.snapshot(),
             aggregates: &st.aggregates,
         };
-        snapshot.encode()
+        snapshot.write_to(out).map(drop)
     }
 
     /// Steps 1–4 and 6 of one day: campaign starts, organic

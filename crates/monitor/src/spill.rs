@@ -35,7 +35,7 @@ use iiscope_types::{Chunked, Country, IipId, SimTime};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
-use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
+use std::io::{Cursor, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -377,14 +377,15 @@ impl<R: Resident> RowLog<R> {
             error,
         };
         let seg = self.warm.front().expect("enforce checks a warm segment");
-        let mut enc = Enc::new();
-        enc.u64(seg.rows.len() as u64);
-        for r in seg.rows.iter() {
-            r.encode(ctx, &mut enc);
-        }
-        let mut w = FrameWriter::new();
-        w.record(enc.bytes());
-        let blob = w.finish();
+        let mut w = FrameWriter::new(Cursor::new(Vec::new())).map_err(fail)?;
+        w.record_with(|e| {
+            e.u64(seg.rows.len() as u64);
+            for r in seg.rows.iter() {
+                r.encode(ctx, e);
+            }
+        })
+        .map_err(fail)?;
+        let blob = w.finish().map_err(fail)?.into_inner();
         let crc = crc32(&blob);
 
         let mut cold = self.cold.lock();

@@ -22,6 +22,7 @@
 
 use iiscope_types::{chunked, Chunked, SimTime, Usd};
 use std::collections::{BTreeMap, HashSet};
+use std::hash::{BuildHasherDefault, DefaultHasher};
 
 /// Device-quality signals attached to one install event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,8 +145,11 @@ impl PackedInstall {
 /// candidates for a lockstep burst at any threshold above one.
 #[derive(Debug, Default)]
 struct BlockCounts {
-    /// Blocks holding exactly one unfiltered install.
-    single: HashSet<u32>,
+    /// Blocks holding exactly one unfiltered install. A fixed-key
+    /// hasher: the set's capacity after removals depends on where its
+    /// keys hash, and [`BlockCounts::heap_bytes`] reads it, so random
+    /// keys would make the ledger's reported bytes vary run to run.
+    single: HashSet<u32, BuildHasherDefault<DefaultHasher>>,
     /// Blocks holding two or more, with their count, ascending.
     shared: BTreeMap<u32, u32>,
 }
@@ -503,6 +507,39 @@ mod tests {
         assert_eq!(l.filtered_installs(), 5);
         // Only 5 more emulator installs remain to filter.
         assert_eq!(l.filter_installs(100, |e| e.signals.emulator), 5);
+    }
+
+    #[test]
+    fn heap_bytes_repeat_for_the_same_installs_and_filters() {
+        // Single-install blocks are charged by their set's capacity.
+        // After removals that depends on where the keys hash, so two
+        // ledgers fed the same input agree only under a fixed-key
+        // hasher. Each step opens five blocks and gives the four
+        // oldest single blocks a second install (a removal from the
+        // set); the set's growth then crosses a resize whose timing
+        // depends on the hash, around step 3,050.
+        let fill = || {
+            let mut l = EngagementLedger::new();
+            let mut heap = Vec::new();
+            let (mut opened, mut shared) = (0u32, 0u32);
+            for _ in 0..3_200 {
+                for _ in 0..5 {
+                    l.record_install(SimTime::EPOCH, InstallSignals::clean(opened), "");
+                    opened += 1;
+                }
+                for _ in 0..4 {
+                    l.record_install(SimTime::EPOCH, InstallSignals::clean(shared), "");
+                    shared += 1;
+                }
+                heap.push(l.install_heap_bytes());
+            }
+            l.filter_installs(1_000, |e| e.signals.block24 % 3 == 0);
+            heap.push(l.install_heap_bytes());
+            heap
+        };
+        let (a, b) = (fill(), fill());
+        let differs = a.iter().zip(&b).position(|(x, y)| x != y);
+        assert_eq!(differs, None, "heap bytes first differ at step {differs:?}");
     }
 
     #[test]

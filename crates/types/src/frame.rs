@@ -20,6 +20,8 @@
 //! records: fixed-width integers, bit-exact `f64` (via `to_bits`), and
 //! length-prefixed strings/bytes, all bounds-checked on read.
 
+use std::io::{self, Seek, SeekFrom, Write};
+
 /// File magic: identifies an iiscope snapshot frame file, revision 01
 /// of the *framing* layer (payload schema versions live in records).
 pub const MAGIC: [u8; 8] = *b"IISNAP01";
@@ -170,6 +172,47 @@ pub fn crc_update(mut crc: u32, bytes: &[u8]) -> u32 {
     crc
 }
 
+/// Advances a raw CRC-32 register through `len` zero bytes in
+/// `O(log len)`: `crc_shift(s, n) == crc_update(s, &[0; n])`. A raw
+/// register is linear in its start and its input, so
+/// `crc_update(s, p) == crc_shift(s, p.len()) ^ crc_update(0, p)`: a
+/// payload's CRC can be taken before the header in front of it is
+/// known, and combined with the header's afterwards (zlib's
+/// `crc32_combine`).
+pub fn crc_shift(crc: u32, len: u64) -> u32 {
+    // Zero bytes multiply the register by x^8 each, modulo the
+    // polynomial: square-and-multiply over the bits of `len`.
+    let mut out = crc;
+    let mut power = 1u32 << (31 - 8); // x^8, reflected
+    let mut n = len;
+    while n != 0 {
+        if n & 1 != 0 {
+            out = mul_mod_poly(power, out);
+        }
+        power = mul_mod_poly(power, power);
+        n >>= 1;
+    }
+    out
+}
+
+/// `a·b` modulo the CRC-32 polynomial, both in the reflected form the
+/// register uses (bit 31 is `x^0`).
+fn mul_mod_poly(a: u32, mut b: u32) -> u32 {
+    let mut p = 0;
+    for i in 0..32 {
+        if a & (1 << (31 - i)) != 0 {
+            p ^= b;
+        }
+        // b·x
+        b = if b & 1 != 0 {
+            (b >> 1) ^ 0xEDB8_8320
+        } else {
+            b >> 1
+        };
+    }
+    p
+}
+
 /// `CRC_TABLES[0]` is the classic bytewise table; `CRC_TABLES[k]`
 /// extends it by `k` zero bytes.
 static CRC_TABLES: [[u32; 256]; 16] = build_crc_tables();
@@ -204,55 +247,113 @@ const fn build_crc_tables() -> [[u32; 256]; 16] {
     tables
 }
 
-/// Builds a frame file in memory. [`FrameWriter::finish`] appends the
-/// END record; a file without one never validates.
+/// Bytes a streaming [`Enc`] holds before it hands them to its sink:
+/// the whole buffer a [`FrameWriter`] record costs, however long the
+/// record.
+pub const WINDOW: usize = 64 << 10;
+
+/// Bytes in a record header: type, `len`, CRC.
+const HEADER: usize = 1 + 4 + 4;
+
+/// Writes a frame file to any seekable sink: a file on disk, or a
+/// `Cursor<Vec<u8>>` for a frame file held in memory. Each record's
+/// payload streams through one [`WINDOW`]-sized buffer behind a
+/// placeholder header; when the payload ends, the writer seeks back
+/// and patches the header's `len` and CRC, so no record is ever held
+/// whole. [`FrameWriter::finish`] appends the END record; a file
+/// without one never validates.
 #[derive(Debug)]
-pub struct FrameWriter {
-    buf: Vec<u8>,
+pub struct FrameWriter<W> {
+    out: W,
     records: u64,
 }
 
-impl Default for FrameWriter {
-    fn default() -> Self {
-        FrameWriter::new()
+impl<W: Write + Seek> FrameWriter<W> {
+    /// Starts a frame file (writes the magic).
+    pub fn new(mut out: W) -> io::Result<FrameWriter<W>> {
+        out.write_all(&MAGIC)?;
+        Ok(FrameWriter { out, records: 0 })
+    }
+
+    /// Appends one data record whose payload is already in hand.
+    pub fn record(&mut self, payload: &[u8]) -> io::Result<()> {
+        self.record_with(|e| e.put(payload))
+    }
+
+    /// Appends one data record whose payload `fill` encodes, streaming
+    /// it to the sink a window at a time.
+    ///
+    /// A payload over [`MAX_RECORD`] is an `InvalidInput` error. On
+    /// that or any error of the sink the file is left torn: it never
+    /// validates.
+    pub fn record_with(&mut self, fill: impl FnOnce(&mut Enc)) -> io::Result<()> {
+        self.push(TYPE_DATA, fill)?;
+        self.records += 1;
+        Ok(())
+    }
+
+    /// Seals the file with the END record and returns the sink.
+    pub fn finish(mut self) -> io::Result<W> {
+        let count = self.records;
+        self.push(TYPE_END, |e| {
+            e.u64(count);
+        })?;
+        self.out.flush()?;
+        Ok(self.out)
+    }
+
+    fn push(&mut self, ty: u8, fill: impl FnOnce(&mut Enc)) -> io::Result<()> {
+        let start = self.out.stream_position()?;
+        self.out.write_all(&[0; HEADER])?;
+        let mut body = CrcWriter {
+            out: &mut self.out,
+            crc: 0,
+            len: 0,
+        };
+        let mut e = Enc::streaming(&mut body);
+        fill(&mut e);
+        e.drain()?;
+        let (crc, len) = (body.crc, body.len);
+        if len > MAX_RECORD as u64 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "record exceeds MAX_RECORD",
+            ));
+        }
+        let mut head = [0u8; HEADER];
+        head[0] = ty;
+        head[1..5].copy_from_slice(&(len as u32).to_le_bytes());
+        // The payload's CRC was taken from a zero register; shifting
+        // the header's register past `len` bytes and adding it gives
+        // the CRC over header and payload (see `crc_shift`).
+        let crc = crc_shift(crc_update(!0, &head[..5]), len) ^ crc;
+        head[5..].copy_from_slice(&(!crc).to_le_bytes());
+        self.out.seek(SeekFrom::Start(start))?;
+        self.out.write_all(&head)?;
+        self.out
+            .seek(SeekFrom::Start(start + (HEADER as u64) + len))?;
+        Ok(())
     }
 }
 
-impl FrameWriter {
-    /// Starts a frame file (writes the magic).
-    pub fn new() -> FrameWriter {
-        FrameWriter {
-            buf: MAGIC.to_vec(),
-            records: 0,
-        }
+/// Passes bytes through to `out`, keeping a zero-started raw CRC
+/// register and a count of what went through.
+struct CrcWriter<'a, W> {
+    out: &'a mut W,
+    crc: u32,
+    len: u64,
+}
+
+impl<W: Write> Write for CrcWriter<'_, W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.out.write(buf)?;
+        self.crc = crc_update(self.crc, &buf[..n]);
+        self.len += n as u64;
+        Ok(n)
     }
 
-    fn push_record(&mut self, ty: u8, payload: &[u8]) {
-        let start = self.buf.len();
-        self.buf.push(ty);
-        self.buf
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        let crc = crc_update(crc_update(!0, &self.buf[start..]), payload);
-        self.buf.extend_from_slice(&(!crc).to_le_bytes());
-        self.buf.extend_from_slice(payload);
-    }
-
-    /// Appends one data record.
-    ///
-    /// # Panics
-    /// Panics if `payload` exceeds [`MAX_RECORD`] — a caller bug, not
-    /// an input condition.
-    pub fn record(&mut self, payload: &[u8]) {
-        assert!(payload.len() <= MAX_RECORD, "record exceeds MAX_RECORD");
-        self.push_record(TYPE_DATA, payload);
-        self.records += 1;
-    }
-
-    /// Seals the file with the END record and returns the bytes.
-    pub fn finish(mut self) -> Vec<u8> {
-        let count = self.records;
-        self.push_record(TYPE_END, &count.to_le_bytes());
-        self.buf
+    fn flush(&mut self) -> io::Result<()> {
+        self.out.flush()
     }
 }
 
@@ -356,18 +457,72 @@ pub fn read_all(buf: &[u8]) -> Result<Vec<&[u8]>, FrameError> {
 }
 
 /// Little-endian payload encoder for record contents.
-#[derive(Debug, Default)]
-pub struct Enc {
+///
+/// [`Enc::new`] grows one buffer holding the whole payload. Inside
+/// [`FrameWriter::record_with`] the encoder streams instead: it holds
+/// at most [`WINDOW`] bytes and hands them to the frame's sink each
+/// time the window fills. A sink error is kept, later bytes are
+/// dropped, and the record returns the error.
+#[derive(Default)]
+pub struct Enc<'s> {
     buf: Vec<u8>,
+    sink: Sink<'s>,
 }
 
-impl Enc {
-    /// Empty encoder.
-    pub fn new() -> Enc {
+/// Where an [`Enc`]'s bytes go once its buffer is full.
+#[derive(Default)]
+enum Sink<'s> {
+    /// Nowhere: the buffer grows.
+    #[default]
+    Memory,
+    /// Out through the writer, a window at a time.
+    Stream(&'s mut dyn Write),
+    /// The writer failed: bytes are dropped.
+    Failed(io::Error),
+}
+
+impl std::fmt::Debug for Enc<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let sink = match self.sink {
+            Sink::Memory => "memory",
+            Sink::Stream(_) => "stream",
+            Sink::Failed(_) => "failed",
+        };
+        f.debug_struct("Enc")
+            .field("buffered", &self.buf.len())
+            .field("sink", &sink)
+            .finish()
+    }
+}
+
+impl Enc<'static> {
+    /// Empty encoder that keeps its whole payload in memory.
+    pub fn new() -> Enc<'static> {
         Enc::default()
     }
+}
 
-    /// The encoded bytes so far.
+impl<'s> Enc<'s> {
+    /// Encoder streaming to `out` through one [`WINDOW`].
+    fn streaming(out: &'s mut dyn Write) -> Enc<'s> {
+        Enc {
+            buf: Vec::with_capacity(WINDOW),
+            sink: Sink::Stream(out),
+        }
+    }
+
+    /// Writes out what the window still holds; the sink's first
+    /// error, if any.
+    fn drain(mut self) -> io::Result<()> {
+        self.flush_window();
+        match self.sink {
+            Sink::Failed(e) => Err(e),
+            _ => Ok(()),
+        }
+    }
+
+    /// The encoded bytes so far (of a streaming encoder: those still
+    /// in its window).
     pub fn bytes(&self) -> &[u8] {
         &self.buf
     }
@@ -377,49 +532,89 @@ impl Enc {
         self.buf
     }
 
+    /// Appends raw bytes. Small appends that fit the buffer's spare
+    /// capacity never reach the sink.
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        if bytes.len() <= self.buf.capacity() - self.buf.len() {
+            self.buf.extend_from_slice(bytes);
+        } else {
+            self.overflow(bytes);
+        }
+    }
+
+    #[cold]
+    fn overflow(&mut self, bytes: &[u8]) {
+        if let Sink::Memory = self.sink {
+            self.buf.extend_from_slice(bytes);
+            return;
+        }
+        self.flush_window();
+        if bytes.len() <= self.buf.capacity() {
+            self.buf.extend_from_slice(bytes);
+        } else if let Sink::Stream(out) = &mut self.sink {
+            // Longer than the window: straight through.
+            if let Err(e) = out.write_all(bytes) {
+                self.sink = Sink::Failed(e);
+            }
+        }
+    }
+
+    /// Hands the window to a streaming sink and empties it.
+    fn flush_window(&mut self) {
+        if let Sink::Stream(out) = &mut self.sink {
+            if let Err(e) = out.write_all(&self.buf) {
+                self.sink = Sink::Failed(e);
+            }
+        }
+        if !matches!(self.sink, Sink::Memory) {
+            self.buf.clear();
+        }
+    }
+
     /// Appends a `u8`.
-    pub fn u8(&mut self, v: u8) -> &mut Enc {
-        self.buf.push(v);
+    pub fn u8(&mut self, v: u8) -> &mut Self {
+        self.put(&[v]);
         self
     }
 
     /// Appends a `bool` as `0`/`1`.
-    pub fn bool(&mut self, v: bool) -> &mut Enc {
+    pub fn bool(&mut self, v: bool) -> &mut Self {
         self.u8(u8::from(v))
     }
 
     /// Appends a little-endian `u32`.
-    pub fn u32(&mut self, v: u32) -> &mut Enc {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+    pub fn u32(&mut self, v: u32) -> &mut Self {
+        self.put(&v.to_le_bytes());
         self
     }
 
     /// Appends a little-endian `u64`.
-    pub fn u64(&mut self, v: u64) -> &mut Enc {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+    pub fn u64(&mut self, v: u64) -> &mut Self {
+        self.put(&v.to_le_bytes());
         self
     }
 
     /// Appends a little-endian `i64`.
-    pub fn i64(&mut self, v: i64) -> &mut Enc {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+    pub fn i64(&mut self, v: i64) -> &mut Self {
+        self.put(&v.to_le_bytes());
         self
     }
 
     /// Appends an `f64` bit-exactly (`to_bits`).
-    pub fn f64(&mut self, v: f64) -> &mut Enc {
+    pub fn f64(&mut self, v: f64) -> &mut Self {
         self.u64(v.to_bits())
     }
 
     /// Appends a length-prefixed UTF-8 string.
-    pub fn str(&mut self, v: &str) -> &mut Enc {
+    pub fn str(&mut self, v: &str) -> &mut Self {
         self.bytes_field(v.as_bytes())
     }
 
     /// Appends a length-prefixed byte string.
-    pub fn bytes_field(&mut self, v: &[u8]) -> &mut Enc {
+    pub fn bytes_field(&mut self, v: &[u8]) -> &mut Self {
         self.u32(v.len() as u32);
-        self.buf.extend_from_slice(v);
+        self.put(v);
         self
     }
 }
@@ -572,12 +767,174 @@ mod tests {
         }
     }
 
+    fn in_memory() -> FrameWriter<io::Cursor<Vec<u8>>> {
+        FrameWriter::new(io::Cursor::new(Vec::new())).unwrap()
+    }
+
+    #[test]
+    fn crc_shift_matches_a_zero_byte_pass() {
+        // Every length 0..=300 from several registers, and 1 MiB: the
+        // shifted header register plus a zero-started payload CRC is
+        // the CRC over both.
+        let buf = seeded_bytes(300, 4);
+        for len in 0..=300 {
+            let payload = &buf[..len];
+            for state in [!0u32, 0, 0x1234_5678] {
+                assert_eq!(
+                    crc_shift(state, len as u64),
+                    crc_update(state, &vec![0; len]),
+                    "len {len} state {state:#x}"
+                );
+                assert_eq!(
+                    crc_shift(state, len as u64) ^ crc_update(0, payload),
+                    crc_update(state, payload),
+                    "len {len} state {state:#x}"
+                );
+            }
+        }
+        let big = seeded_bytes(1 << 20, 5);
+        let head = crc_update(!0, b"\x00\x00\x00\x10\x00");
+        assert_eq!(
+            crc_shift(head, big.len() as u64) ^ crc_update(0, &big),
+            crc_update(head, &big)
+        );
+    }
+
+    #[test]
+    fn streamed_records_match_the_reference_layout_at_window_edges() {
+        let w = WINDOW;
+        let lens = [0, 1, 9, w - 1, w, w + 1, 2 * w, 3 * w + 5];
+        let payloads: Vec<Vec<u8>> = lens
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| seeded_bytes(n, 10 + i as u64))
+            .collect();
+        let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
+        let want = reference_file(&refs);
+        // The same payloads handed over in different pieces: whole,
+        // byte by byte, and in 1000-byte and window-plus-one slices.
+        for piece in [usize::MAX, 1, 1000, w + 1] {
+            let mut fw = in_memory();
+            for p in &payloads {
+                fw.record_with(|e| {
+                    for part in p.chunks(piece.min(p.len().max(1))) {
+                        e.put(part);
+                    }
+                })
+                .unwrap();
+            }
+            let got = fw.finish().unwrap().into_inner();
+            assert!(got == want, "piece {piece}: streamed bytes differ");
+            assert_eq!(read_all(&got).unwrap(), refs);
+        }
+    }
+
+    #[test]
+    fn a_streaming_encoder_never_outgrows_its_window() {
+        let mut sink = Vec::new();
+        let mut e = Enc::streaming(&mut sink);
+        for i in 0..(3 * WINDOW as u64) {
+            e.u64(i);
+            assert!(e.buf.capacity() == WINDOW && e.buf.len() <= WINDOW);
+        }
+        e.bytes_field(&vec![7; 2 * WINDOW]);
+        assert!(e.buf.capacity() == WINDOW);
+        e.drain().unwrap();
+        assert_eq!(sink.len(), 3 * WINDOW * 8 + 4 + 2 * WINDOW);
+    }
+
+    /// A sink that takes `left` bytes and then fails: every later
+    /// write, or with `once` only the next one.
+    struct FailAfter {
+        inner: io::Cursor<Vec<u8>>,
+        left: usize,
+        once: bool,
+    }
+
+    impl Write for FailAfter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.left == 0 {
+                if self.once {
+                    self.left = usize::MAX;
+                }
+                return Err(io::Error::other("disk full"));
+            }
+            let n = buf.len().min(self.left);
+            self.left -= n;
+            self.inner.write(&buf[..n])
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Seek for FailAfter {
+        fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
+            self.inner.seek(pos)
+        }
+    }
+
+    #[test]
+    fn a_failing_sink_is_an_error_at_every_byte() {
+        // A sink that fails once and then recovers must fail the
+        // record too: the encoder keeps the error it met mid-payload.
+        let payloads = [seeded_bytes(2 * WINDOW + 3, 20), b"tail".to_vec()];
+        let write = |left: usize, once: bool| -> io::Result<Vec<u8>> {
+            let sink = FailAfter {
+                inner: io::Cursor::new(Vec::new()),
+                left,
+                once,
+            };
+            let mut w = FrameWriter::new(sink)?;
+            for p in &payloads {
+                w.record_with(|e| {
+                    for part in p.chunks(100) {
+                        e.put(part);
+                    }
+                })?;
+            }
+            Ok(w.finish()?.inner.into_inner())
+        };
+        let whole = write(usize::MAX, false).unwrap();
+        let mut cuts: Vec<usize> = (0..64).collect();
+        cuts.extend((64..whole.len()).step_by(997));
+        cuts.extend(whole.len() - 40..whole.len());
+        for k in cuts {
+            for once in [false, true] {
+                assert!(
+                    write(k, once).is_err(),
+                    "a sink failing at byte {k} (once: {once}) went unnoticed"
+                );
+            }
+        }
+    }
+
     fn sample_file() -> Vec<u8> {
-        let mut w = FrameWriter::new();
-        w.record(b"first record");
-        w.record(b"");
-        w.record(&[0xFFu8; 300]);
-        w.finish()
+        let mut w = in_memory();
+        w.record(b"first record").unwrap();
+        w.record(b"").unwrap();
+        w.record(&[0xFFu8; 300]).unwrap();
+        w.finish().unwrap().into_inner()
+    }
+
+    /// The frame layout written out by hand, each record whole: the
+    /// definition the streaming writer must reproduce.
+    fn reference_file(records: &[&[u8]]) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        let mut push = |ty: u8, payload: &[u8]| {
+            let mut head = vec![ty];
+            head.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            let crc = crc32(&[&head[..], payload].concat());
+            out.extend_from_slice(&head);
+            out.extend_from_slice(&crc.to_le_bytes());
+            out.extend_from_slice(payload);
+        };
+        for r in records {
+            push(TYPE_DATA, r);
+        }
+        push(TYPE_END, &(records.len() as u64).to_le_bytes());
+        out
     }
 
     #[test]
@@ -618,12 +975,12 @@ mod tests {
 
     #[test]
     fn missing_end_record_is_detected() {
-        let mut w = FrameWriter::new();
-        w.record(b"data");
-        // Steal the buffer without finish(): a file torn between
-        // records — every record individually valid, END absent.
+        let mut w = in_memory();
+        w.record(b"data").unwrap();
+        // Drop the END record: a file torn between records — every
+        // record individually valid, END absent.
         let mut torn = MAGIC.to_vec();
-        let finished = w.finish();
+        let finished = w.finish().unwrap().into_inner();
         torn.extend_from_slice(&finished[MAGIC.len()..finished.len() - (1 + 4 + 4 + 8)]);
         assert_eq!(read_all(&torn), Err(FrameError::MissingEnd));
     }

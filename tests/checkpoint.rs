@@ -231,9 +231,10 @@ fn incompatible_snapshots_are_refused_not_resumed() {
 
 #[test]
 fn every_written_snapshot_is_its_own_decode_reencode() {
-    // The live study encodes from borrowed state and a decoded
+    // The live study streams from borrowed state and a decoded
     // snapshot encodes through the same view: the bytes on disk must
-    // be exactly what decoding and re-encoding them gives. A budgeted,
+    // be exactly what decoding and re-encoding them gives, and the
+    // run's reported snapshot bytes must be the files' lengths. A budgeted,
     // sharded world, so the SPILL manifests and chunked resident
     // suffixes are both exercised.
     let dir = TempDir::new("one-encoder");
@@ -258,8 +259,13 @@ fn every_written_snapshot_is_its_own_decode_reencode() {
     let written = artifacts.checkpoints.snapshots_written;
     assert_eq!(written, world.cfg.monitoring_days + 1);
     let mut spilled_refs = 0;
+    let mut file_bytes = 0;
     for day in 0..written {
         let bytes = std::fs::read(snapshot_path(&snaps, day)).unwrap();
+        file_bytes += bytes.len() as u64;
+        if day + 1 == written {
+            assert_eq!(artifacts.checkpoints.last_bytes, bytes.len() as u64);
+        }
         let snap = Snapshot::decode(&bytes).unwrap();
         spilled_refs += snap.offers_spill.segments.len() + snap.charts_spill.segments.len();
         assert!(
@@ -271,6 +277,10 @@ fn every_written_snapshot_is_its_own_decode_reencode() {
         spilled_refs > 0,
         "some snapshot references spilled segments"
     );
+    // The byte counts are those written: the files' lengths.
+    assert_eq!(artifacts.checkpoints.total_bytes, file_bytes);
+    let stats = artifacts.checkpoints;
+    assert!(stats.encode_secs > 0.0 && stats.encode_secs <= stats.total_write_secs);
 }
 
 #[test]

@@ -859,7 +859,11 @@ fn observation(spec: ObservationSpec) -> ScrapedOffer {
     }
 }
 
+static SNAPSHOT_FILES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
 /// A snapshot of `ds`'s logs; every other section is a fixed stand-in.
+/// Written to a file through the streaming writer, its bytes must be
+/// exactly its in-memory encoding.
 fn snapshot_of(ds: &Dataset, aggregates: &ReportAggregates) -> Vec<u8> {
     let snapshot = SnapshotRef {
         day: 0,
@@ -885,7 +889,19 @@ fn snapshot_of(ds: &Dataset, aggregates: &ReportAggregates) -> Vec<u8> {
         wire_counters: vec![],
         aggregates,
     };
-    snapshot.encode()
+    let bytes = snapshot.encode();
+    let n = SNAPSHOT_FILES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let path = std::env::temp_dir().join(format!("iiscope-snapshot-{}-{n}", std::process::id()));
+    snapshot
+        .write_to(std::fs::File::create(&path).expect("temp file"))
+        .expect("snapshot streams to a file");
+    let streamed = std::fs::read(&path).expect("streamed snapshot");
+    let _ = std::fs::remove_file(&path);
+    assert!(
+        streamed == bytes,
+        "streamed snapshot differs from its encoding"
+    );
+    bytes
 }
 
 /// `ds` holds exactly `oracle`: iteration rebuilds every observation,
@@ -1259,6 +1275,15 @@ proptest! {
 
 use iiscope::subsystems::types::frame::{read_all, FrameReader, FrameWriter};
 
+/// The frame file holding `records`, written in memory.
+fn frame_file(records: &[Vec<u8>]) -> Vec<u8> {
+    let mut w = FrameWriter::new(std::io::Cursor::new(Vec::new())).expect("in memory");
+    for r in records {
+        w.record(r).expect("in memory");
+    }
+    w.finish().expect("in memory").into_inner()
+}
+
 /// Arbitrary record payloads for a frame file (including empty records
 /// and an empty file).
 fn arb_records() -> impl Strategy<Value = Vec<Vec<u8>>> {
@@ -1270,11 +1295,7 @@ proptest! {
     /// byte-exactly, in order.
     #[test]
     fn frame_codec_round_trips(records in arb_records()) {
-        let mut w = FrameWriter::new();
-        for r in &records {
-            w.record(r);
-        }
-        let bytes = w.finish();
+        let bytes = frame_file(&records);
         let back = read_all(&bytes).expect("clean file decodes");
         prop_assert_eq!(back.len(), records.len());
         for (got, want) in back.iter().zip(&records) {
@@ -1290,11 +1311,7 @@ proptest! {
         pos in any::<prop::sample::Index>(),
         bit in 0u8..8,
     ) {
-        let mut w = FrameWriter::new();
-        for r in &records {
-            w.record(r);
-        }
-        let mut bytes = w.finish();
+        let mut bytes = frame_file(&records);
         let at = pos.index(bytes.len());
         bytes[at] ^= 1 << bit;
         prop_assert!(
@@ -1309,11 +1326,7 @@ proptest! {
         records in arb_records(),
         cut in any::<prop::sample::Index>(),
     ) {
-        let mut w = FrameWriter::new();
-        for r in &records {
-            w.record(r);
-        }
-        let bytes = w.finish();
+        let bytes = frame_file(&records);
         let at = cut.index(bytes.len()); // 0..len: always a strict prefix
         prop_assert!(read_all(&bytes[..at]).is_err(), "cut at {at} undetected");
     }
