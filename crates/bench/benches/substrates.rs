@@ -54,12 +54,19 @@ fn sample_offer_wall_body() -> String {
     .to_string()
 }
 
+/// `parse_offer_wall_page` is `Json::parse` on the streaming scanner;
+/// `parse_offer_wall_page_reference` is the recursive-descent parser it
+/// replaced (`oracles::parse_json_tree`), on the same page.
 fn bench_json(c: &mut Criterion) {
+    use iiscope_bench::oracles::parse_json_tree;
     let body = sample_offer_wall_body();
     let mut g = c.benchmark_group("json");
     g.throughput(Throughput::Bytes(body.len() as u64));
     g.bench_function("parse_offer_wall_page", |b| {
         b.iter(|| black_box(Json::parse(&body).unwrap()))
+    });
+    g.bench_function("parse_offer_wall_page_reference", |b| {
+        b.iter(|| black_box(parse_json_tree(&body).unwrap()))
     });
     let value = Json::parse(&body).unwrap();
     g.bench_function("serialize_offer_wall_page", |b| {

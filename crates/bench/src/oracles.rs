@@ -2,8 +2,14 @@
 //! test oracles and benchmark baselines. Nothing in the pipeline calls
 //! them.
 //!
-//! * [`parse_wall_tree`] — the `Json::parse`-then-navigate wall
-//!   parser. `tests/proptests.rs` holds the streaming
+//! * [`parse_json_tree`] — the recursive-descent JSON parser that
+//!   `Json::parse` was before it ran on the streaming
+//!   [`Scanner`](iiscope_wire::JsonScanner). It shares no lexer with
+//!   the scanner, so `tests/proptests.rs` holds `Json::parse` to it on
+//!   values, error text and byte offsets, and the `json` criterion
+//!   group prices the production parse against it.
+//! * [`parse_wall_tree`] — the parse-then-navigate wall parser, built
+//!   on [`parse_json_tree`]. `tests/proptests.rs` holds the streaming
 //!   [`iiscope_monitor::parse_wall`] to it on values and error text;
 //!   the `wire_milking` criterion group prices the streaming walk
 //!   against it.
@@ -14,15 +20,278 @@
 
 use iiscope_monitor::parsers::{PageParse, RawOffer, RewardValue, ScrapedOffer};
 use iiscope_types::{IipId, SimTime};
+use iiscope_wire::json::{ParseError, MAX_DEPTH};
 use iiscope_wire::Json;
 use std::collections::{BTreeMap, BTreeSet};
 
+/// Parses a complete JSON document (rejecting trailing garbage) with
+/// the recursive-descent reference lexer. Returns exactly what
+/// [`Json::parse`] returns, values and errors.
+pub fn parse_json_tree(input: &str) -> Result<Json, ParseError> {
+    let mut p = Parser {
+        bytes: input.as_bytes(),
+        pos: 0,
+    };
+    p.skip_ws();
+    let value = p.value(0)?;
+    p.skip_ws();
+    if p.pos != p.bytes.len() {
+        return Err(p.err("trailing characters"));
+    }
+    Ok(value)
+}
+
+struct Parser<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl Parser<'_> {
+    fn err(&self, msg: impl Into<String>) -> ParseError {
+        ParseError {
+            at: self.pos,
+            msg: msg.into(),
+        }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn bump(&mut self) -> Option<u8> {
+        let b = self.peek()?;
+        self.pos += 1;
+        Some(b)
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), ParseError> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.err(format!("expected {:?}", b as char)))
+        }
+    }
+
+    fn literal(&mut self, lit: &str, value: Json) -> Result<Json, ParseError> {
+        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(value)
+        } else {
+            Err(self.err(format!("invalid literal, expected {lit}")))
+        }
+    }
+
+    fn value(&mut self, depth: usize) -> Result<Json, ParseError> {
+        if depth > MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        match self.peek() {
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'[') => self.array(depth),
+            Some(b'{') => self.object(depth),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(c) => Err(self.err(format!("unexpected {:?}", c as char))),
+            None => Err(self.err("unexpected end of input")),
+        }
+    }
+
+    fn array(&mut self, depth: usize) -> Result<Json, ParseError> {
+        self.expect(b'[')?;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Json::Array(items));
+        }
+        loop {
+            self.skip_ws();
+            items.push(self.value(depth + 1)?);
+            self.skip_ws();
+            match self.bump() {
+                Some(b',') => continue,
+                Some(b']') => return Ok(Json::Array(items)),
+                _ => return Err(self.err("expected ',' or ']'")),
+            }
+        }
+    }
+
+    fn object(&mut self, depth: usize) -> Result<Json, ParseError> {
+        self.expect(b'{')?;
+        let mut map = BTreeMap::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Json::Object(map));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            self.skip_ws();
+            let value = self.value(depth + 1)?;
+            map.insert(key, value);
+            self.skip_ws();
+            match self.bump() {
+                Some(b',') => continue,
+                Some(b'}') => return Ok(Json::Object(map)),
+                _ => return Err(self.err("expected ',' or '}'")),
+            }
+        }
+    }
+
+    fn string(&mut self) -> Result<String, ParseError> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            match self.bump() {
+                None => return Err(self.err("unterminated string")),
+                Some(b'"') => return Ok(out),
+                Some(b'\\') => match self.bump() {
+                    Some(b'"') => out.push('"'),
+                    Some(b'\\') => out.push('\\'),
+                    Some(b'/') => out.push('/'),
+                    Some(b'n') => out.push('\n'),
+                    Some(b'r') => out.push('\r'),
+                    Some(b't') => out.push('\t'),
+                    Some(b'b') => out.push('\u{08}'),
+                    Some(b'f') => out.push('\u{0C}'),
+                    Some(b'u') => {
+                        let hi = self.hex4()?;
+                        let c = if (0xD800..0xDC00).contains(&hi) {
+                            // Surrogate pair.
+                            if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
+                                return Err(self.err("lone high surrogate"));
+                            }
+                            let lo = self.hex4()?;
+                            if !(0xDC00..0xE000).contains(&lo) {
+                                return Err(self.err("invalid low surrogate"));
+                            }
+                            let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                            char::from_u32(code).ok_or_else(|| self.err("bad surrogate pair"))?
+                        } else if (0xDC00..0xE000).contains(&hi) {
+                            return Err(self.err("lone low surrogate"));
+                        } else {
+                            char::from_u32(hi).ok_or_else(|| self.err("bad codepoint"))?
+                        };
+                        out.push(c);
+                    }
+                    _ => return Err(self.err("invalid escape")),
+                },
+                Some(c) if c < 0x20 => return Err(self.err("raw control char in string")),
+                Some(c) => {
+                    // Reassemble UTF-8 multibyte sequences: we're
+                    // iterating bytes of a str, so this is always valid.
+                    if c < 0x80 {
+                        out.push(c as char);
+                    } else {
+                        let start = self.pos - 1;
+                        let width = utf8_width(c);
+                        let end = start + width;
+                        if end > self.bytes.len() {
+                            return Err(self.err("truncated utf-8"));
+                        }
+                        let s = std::str::from_utf8(&self.bytes[start..end])
+                            .map_err(|_| self.err("invalid utf-8"))?;
+                        out.push_str(s);
+                        self.pos = end;
+                    }
+                }
+            }
+        }
+    }
+
+    fn hex4(&mut self) -> Result<u32, ParseError> {
+        let mut v = 0u32;
+        for _ in 0..4 {
+            let c = self
+                .bump()
+                .ok_or_else(|| self.err("truncated \\u escape"))?;
+            let d = (c as char)
+                .to_digit(16)
+                .ok_or_else(|| self.err("invalid hex digit"))?;
+            v = v * 16 + d;
+        }
+        Ok(v)
+    }
+
+    fn number(&mut self) -> Result<Json, ParseError> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        // Integer part.
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => {
+                while matches!(self.peek(), Some(b'0'..=b'9')) {
+                    self.pos += 1;
+                }
+            }
+            _ => return Err(self.err("invalid number")),
+        }
+        let mut is_float = false;
+        if self.peek() == Some(b'.') {
+            is_float = true;
+            self.pos += 1;
+            if !matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(self.err("digit required after '.'"));
+            }
+            while matches!(self.peek(), Some(b'0'..=b'9')) {
+                self.pos += 1;
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            is_float = true;
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if !matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(self.err("digit required in exponent"));
+            }
+            while matches!(self.peek(), Some(b'0'..=b'9')) {
+                self.pos += 1;
+            }
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        if !is_float {
+            if let Ok(i) = text.parse::<i64>() {
+                return Ok(Json::Int(i));
+            }
+        }
+        text.parse::<f64>()
+            .map(Json::Float)
+            .map_err(|_| self.err("number out of range"))
+    }
+}
+
+fn utf8_width(first: u8) -> usize {
+    if first >= 0xF0 {
+        4
+    } else if first >= 0xE0 {
+        3
+    } else {
+        2
+    }
+}
+
 /// The tree-building wall parser: parse the whole body with
-/// [`Json::parse`], then navigate the envelope. Returns exactly what
-/// [`iiscope_monitor::parse_wall`] returns, values and error text.
+/// [`parse_json_tree`], then navigate the envelope. Returns exactly
+/// what [`iiscope_monitor::parse_wall`] returns, values and error text.
 pub fn parse_wall_tree(iip: IipId, body: &str) -> iiscope_types::Result<PageParse> {
-    let json =
-        Json::parse(body).map_err(|e| iiscope_types::Error::Decode(format!("{iip} wall: {e}")))?;
+    let json = parse_json_tree(body)
+        .map_err(|e| iiscope_types::Error::Decode(format!("{iip} wall: {e}")))?;
     let entries: &[Json] = match iip {
         IipId::Fyber => json
             .get("ofw")

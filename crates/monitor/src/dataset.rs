@@ -263,9 +263,10 @@ impl Dataset {
         }
     }
 
-    /// Rebuilds a dataset from checkpointed parts: both symbol tables,
-    /// the offer and chart logs in original arrival order, and the
-    /// profile log (whose packages are symbols of `pkg_syms`).
+    /// Rebuilds this empty dataset from checkpointed parts: both
+    /// symbol tables, the offer and chart logs in original arrival
+    /// order, and the profile log (whose packages are symbols of
+    /// `pkg_syms`).
     ///
     /// Only the raw logs and the package and description interners are
     /// persisted — every index is a pure function of (interner seed,
@@ -280,57 +281,18 @@ impl Dataset {
     /// mints a symbol the serialized tables did not contain, or the
     /// profile log names a package they lack (a corrupt or inconsistent
     /// snapshot), since that would renumber later symbols.
-    pub fn from_parts(
-        pkg_syms: Interner,
-        desc_syms: Interner,
-        offers: Vec<ScrapedOffer>,
-        profiles: ProfileLog,
-        charts: Vec<ChartSnapshot>,
-    ) -> iiscope_types::Result<Dataset> {
-        Dataset::from_parts_with_spill(
-            pkg_syms,
-            desc_syms,
-            &SpillManifest::default(),
-            offers,
-            profiles,
-            &SpillManifest::default(),
-            charts,
-        )
-    }
-
-    /// [`Dataset::from_parts`] for snapshots whose bulk logs were
-    /// partially spilled at checkpoint time: each log is a spill
-    /// manifest (segments already on disk, verified and reattached —
-    /// not re-serialized in the snapshot) plus the resident suffix
-    /// rows. Spilled rows are streamed back through the indexing pass
-    /// and stay spilled afterwards.
-    pub fn from_parts_with_spill(
-        pkg_syms: Interner,
-        desc_syms: Interner,
-        offers_spill: &SpillManifest,
-        offers_suffix: Vec<ScrapedOffer>,
-        profiles: ProfileLog,
-        charts_spill: &SpillManifest,
-        charts_suffix: Vec<ChartSnapshot>,
-    ) -> iiscope_types::Result<Dataset> {
-        Dataset::new().restored(
-            pkg_syms,
-            desc_syms,
-            offers_spill,
-            offers_suffix,
-            profiles,
-            charts_spill,
-            charts_suffix,
-        )
-    }
-
-    /// [`Dataset::from_parts_with_spill`] into this empty dataset,
-    /// under the memory budget already set on it
-    /// ([`Dataset::set_memory_budget`]). The spilled segments are read
-    /// once each, straight from disk and past the reload cache, so the
-    /// restored history stays on disk. The suffix rows are re-added
-    /// under the budget. Segments therefore close and spill exactly as
-    /// they did in the run that wrote the snapshot.
+    ///
+    /// The offer and chart logs may have been partially spilled at
+    /// checkpoint time: each is a spill manifest (segments already on
+    /// disk, verified and reattached — not re-serialized in the
+    /// snapshot) plus the resident suffix rows; pass an empty manifest
+    /// for a log that never spilled. The spilled segments are read once
+    /// each, straight from disk and past the reload cache, streamed
+    /// through the indexing pass, and stay spilled afterwards. The
+    /// suffix rows are re-added under the memory budget already set on
+    /// this dataset ([`Dataset::set_memory_budget`]), so segments close
+    /// and spill exactly as they did in the run that wrote the
+    /// snapshot.
     #[allow(clippy::too_many_arguments)]
     pub fn restored(
         mut self,
@@ -870,6 +832,20 @@ mod tests {
         d
     }
 
+    /// A fully resident checkpoint's restore: no log spilled.
+    fn from_parts(
+        pkg_syms: Interner,
+        desc_syms: Interner,
+        offers: Vec<ScrapedOffer>,
+        profiles: ProfileLog,
+        charts: Vec<ChartSnapshot>,
+    ) -> iiscope_types::Result<Dataset> {
+        let resident = SpillManifest::default();
+        Dataset::new().restored(
+            pkg_syms, desc_syms, &resident, offers, profiles, &resident, charts,
+        )
+    }
+
     #[test]
     fn dedup_and_counts() {
         let d = dataset();
@@ -1047,7 +1023,7 @@ mod tests {
         });
         live.add_offers([offer(IipId::AdGem, 30, "com.c.three", 12, "Install")]);
 
-        let restored = Dataset::from_parts(
+        let restored = from_parts(
             live.package_interner().clone(),
             live.description_interner().clone(),
             live.offers().collect(),
@@ -1084,7 +1060,7 @@ mod tests {
 
         // A snapshot whose interner is missing an ingested string is
         // rejected (it would renumber symbols), never silently used.
-        let bad = Dataset::from_parts(
+        let bad = from_parts(
             Interner::new(),
             live.description_interner().clone(),
             live.offers().collect(),
@@ -1093,7 +1069,7 @@ mod tests {
         );
         assert!(bad.is_err());
         // So is a profile log naming packages the table lacks.
-        let bad = Dataset::from_parts(
+        let bad = from_parts(
             Interner::new(),
             live.description_interner().clone(),
             vec![],
@@ -1166,16 +1142,17 @@ mod tests {
 
         // A spilled dataset restores from (manifest, suffix) without
         // re-serializing the cold segments.
-        let restored = Dataset::from_parts_with_spill(
-            spilled.package_interner().clone(),
-            spilled.description_interner().clone(),
-            spilled.offers_spill(),
-            spilled.offers_resident().rows().collect(),
-            spilled.profiles.clone(),
-            spilled.charts_spill(),
-            spilled.charts_resident().rows().collect(),
-        )
-        .unwrap();
+        let restored = Dataset::new()
+            .restored(
+                spilled.package_interner().clone(),
+                spilled.description_interner().clone(),
+                spilled.offers_spill(),
+                spilled.offers_resident().rows().collect(),
+                spilled.profiles.clone(),
+                spilled.charts_spill(),
+                spilled.charts_resident().rows().collect(),
+            )
+            .unwrap();
         assert_eq!(
             restored.offers().collect::<Vec<_>>(),
             resident.offers().collect::<Vec<_>>()

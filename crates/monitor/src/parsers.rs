@@ -101,8 +101,7 @@ pub enum PageFill {
 pub fn probe_wall(iip: IipId, body: &str) -> iiscope_types::Result<PageFill> {
     let mut sch = schema(iip);
     sch.halt_at_first_entry = true;
-    let mut sc = Scanner::new(body);
-    match stream_document(&mut sc, &sch) {
+    match walk(body, &sch) {
         Err(Halt::FirstEntry) => Ok(PageFill::HasEntries),
         Ok(Some(_)) => Ok(PageFill::Empty),
         Ok(None) => Err(bad_envelope(iip)),
@@ -117,9 +116,7 @@ pub fn probe_wall(iip: IipId, body: &str) -> iiscope_types::Result<PageFill> {
 ///
 /// This is the streaming walk; it never builds a JSON tree.
 pub fn parse_wall(iip: IipId, body: &str) -> iiscope_types::Result<PageParse> {
-    let sch = schema(iip);
-    let mut sc = Scanner::new(body);
-    match stream_document(&mut sc, &sch) {
+    match walk(body, &schema(iip)) {
         Ok(Some((offers, skipped))) => {
             WIRE.add_walls_streamed(1);
             WIRE.add_offers_streamed(offers.len() as u64);
@@ -312,6 +309,15 @@ impl EntryAcc {
 }
 
 type Entries = (Vec<RawOffer>, usize);
+
+/// Runs [`stream_document`] over `body` on a fresh scanner and adds the
+/// events it yielded to `json_scanner_events`, whatever the outcome.
+fn walk(body: &str, sch: &Schema) -> Result<Option<Entries>, Halt> {
+    let mut sc = Scanner::new(body);
+    let walked = stream_document(&mut sc, sch);
+    WIRE.add_json_events(sc.events());
+    walked
+}
 
 /// Walks the whole document (every byte is validated, matching
 /// `Json::parse`'s strictness); `Ok(None)` means valid JSON with the

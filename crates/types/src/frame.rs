@@ -446,16 +446,6 @@ impl<'a> FrameReader<'a> {
     }
 }
 
-/// Reads and validates every record of a frame file.
-pub fn read_all(buf: &[u8]) -> Result<Vec<&[u8]>, FrameError> {
-    let mut reader = FrameReader::new(buf)?;
-    let mut out = Vec::new();
-    while let Some(payload) = reader.next_record()? {
-        out.push(payload);
-    }
-    Ok(out)
-}
-
 /// Little-endian payload encoder for record contents.
 ///
 /// [`Enc::new`] grows one buffer holding the whole payload. Inside
@@ -706,6 +696,16 @@ impl<'a> Dec<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reads and validates every record of a frame file.
+    fn read_all(buf: &[u8]) -> Result<Vec<&[u8]>, FrameError> {
+        let mut reader = FrameReader::new(buf)?;
+        let mut out = Vec::new();
+        while let Some(payload) = reader.next_record()? {
+            out.push(payload);
+        }
+        Ok(out)
+    }
 
     /// The bytewise table loop: the definition the sliced kernel must
     /// reproduce.

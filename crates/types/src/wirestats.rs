@@ -35,7 +35,10 @@ crate::counters! {
     /// (no per-header `String`, body stays a slice of the delivery
     /// buffer).
     http_view_parses / add_http_view_parses / "http_view_parses";
-    /// JSON events yielded by the streaming scanner.
+    /// JSON events the offer-wall parsers (`parse_wall`, `probe_wall`)
+    /// pulled from their scanner, added once per call from the
+    /// scanner's tally. `Json::parse` runs on the same scanner but
+    /// counts nothing here.
     json_events / add_json_events / "json_scanner_events";
     /// Offer-wall pages parsed via the streaming scanner.
     walls_streamed / add_walls_streamed / "walls_streamed";

@@ -1,4 +1,4 @@
-//! JSON: value model, parser, serializer.
+//! JSON: value model, lexer, serializer.
 //!
 //! Offer walls answer the milkers with JSON bodies ("These responses
 //! typically include offer details in JSON format containing offer
@@ -10,21 +10,25 @@
 //! * [`Json`] — the value tree. Objects use [`BTreeMap`] so
 //!   serialization order is deterministic, which keeps golden tests and
 //!   capture logs stable across runs.
-//! * [`Json::parse`] — a recursive-descent parser with a nesting-depth
-//!   limit, full string escapes (including `\uXXXX` surrogate pairs),
-//!   and strict trailing-garbage detection.
+//! * [`Scanner`] — the one lexer: a streaming pull tokenizer with a
+//!   nesting-depth limit, full string escapes (including `\uXXXX`
+//!   surrogate pairs) and strict trailing-garbage detection. It yields
+//!   [`Event`]s (strings borrowed from the input when they contain no
+//!   escapes) without building the value tree, which is what the
+//!   monitor's offer-wall parsers use on the milking hot path.
+//! * [`Json::parse`] — the scanner's tree for one value
+//!   ([`Scanner::parse_value`]) plus one more pull for the
+//!   trailing-garbage check.
 //! * `Json::to_string` (via `Display`) / [`Json::pretty`] /
 //!   [`Json::to_bytes`] — serializers whose output re-parses to the
 //!   same value (property-tested).
-//! * [`Scanner`] — a streaming pull tokenizer over the same grammar.
-//!   It yields [`Event`]s (strings borrowed from the input when they
-//!   contain no escapes) without building the value tree, which is what
-//!   the monitor's offer-wall parsers use on the milking hot path.
-//!   `Json::parse` remains the reference implementation; a proptest
-//!   harness asserts the two agree on accepts, rejects, and values.
+//!
+//! The recursive-descent parser the scanner replaced is kept only as a
+//! test oracle (`iiscope_bench::oracles::parse_json_tree`);
+//! `tests/proptests.rs` holds `Json::parse` to it on values, error text
+//! and byte offsets.
 
 use bytes::{Bytes, BytesMut};
-use iiscope_types::wirestats::WIRE;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -215,16 +219,11 @@ impl Json {
 
     /// Parses a complete JSON document (rejecting trailing garbage).
     pub fn parse(input: &str) -> Result<Json, ParseError> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let value = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters"));
-        }
+        let mut sc = Scanner::new(input);
+        let value = sc.parse_value()?;
+        // The document is complete, so this pull yields no event: it is
+        // `Ok(None)` or the trailing-garbage error.
+        sc.next_event()?;
         Ok(value)
     }
 
@@ -386,241 +385,6 @@ pub fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
     out.write_char('"')
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn err(&self, msg: impl Into<String>) -> ParseError {
-        ParseError {
-            at: self.pos,
-            msg: msg.into(),
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), ParseError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(format!("expected {:?}", b as char)))
-        }
-    }
-
-    fn literal(&mut self, lit: &str, value: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(value)
-        } else {
-            Err(self.err(format!("invalid literal, expected {lit}")))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Json, ParseError> {
-        if depth > MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
-        }
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(c) => Err(self.err(format!("unexpected {:?}", c as char))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<Json, ParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(Json::Array(items)),
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Json, ParseError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value(depth + 1)?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(Json::Object(map)),
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{08}'),
-                    Some(b'f') => out.push('\u{0C}'),
-                    Some(b'u') => {
-                        let hi = self.hex4()?;
-                        let c = if (0xD800..0xDC00).contains(&hi) {
-                            // Surrogate pair.
-                            if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
-                                return Err(self.err("lone high surrogate"));
-                            }
-                            let lo = self.hex4()?;
-                            if !(0xDC00..0xE000).contains(&lo) {
-                                return Err(self.err("invalid low surrogate"));
-                            }
-                            let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                            char::from_u32(code).ok_or_else(|| self.err("bad surrogate pair"))?
-                        } else if (0xDC00..0xE000).contains(&hi) {
-                            return Err(self.err("lone low surrogate"));
-                        } else {
-                            char::from_u32(hi).ok_or_else(|| self.err("bad codepoint"))?
-                        };
-                        out.push(c);
-                    }
-                    _ => return Err(self.err("invalid escape")),
-                },
-                Some(c) if c < 0x20 => return Err(self.err("raw control char in string")),
-                Some(c) => {
-                    // Reassemble UTF-8 multibyte sequences: we're
-                    // iterating bytes of a str, so this is always valid.
-                    if c < 0x80 {
-                        out.push(c as char);
-                    } else {
-                        let start = self.pos - 1;
-                        let width = utf8_width(c);
-                        let end = start + width;
-                        if end > self.bytes.len() {
-                            return Err(self.err("truncated utf-8"));
-                        }
-                        let s = std::str::from_utf8(&self.bytes[start..end])
-                            .map_err(|_| self.err("invalid utf-8"))?;
-                        out.push_str(s);
-                        self.pos = end;
-                    }
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, ParseError> {
-        let mut v = 0u32;
-        for _ in 0..4 {
-            let c = self
-                .bump()
-                .ok_or_else(|| self.err("truncated \\u escape"))?;
-            let d = (c as char)
-                .to_digit(16)
-                .ok_or_else(|| self.err("invalid hex digit"))?;
-            v = v * 16 + d;
-        }
-        Ok(v)
-    }
-
-    fn number(&mut self) -> Result<Json, ParseError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        // Integer part.
-        match self.peek() {
-            Some(b'0') => self.pos += 1,
-            Some(b'1'..=b'9') => {
-                while matches!(self.peek(), Some(b'0'..=b'9')) {
-                    self.pos += 1;
-                }
-            }
-            _ => return Err(self.err("invalid number")),
-        }
-        let mut is_float = false;
-        if self.peek() == Some(b'.') {
-            is_float = true;
-            self.pos += 1;
-            if !matches!(self.peek(), Some(b'0'..=b'9')) {
-                return Err(self.err("digit required after '.'"));
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            is_float = true;
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            if !matches!(self.peek(), Some(b'0'..=b'9')) {
-                return Err(self.err("digit required in exponent"));
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        if !is_float {
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Json::Int(i));
-            }
-        }
-        text.parse::<f64>()
-            .map(Json::Float)
-            .map_err(|_| self.err("number out of range"))
-    }
-}
-
 fn utf8_width(first: u8) -> usize {
     if first >= 0xF0 {
         4
@@ -673,9 +437,9 @@ enum Frame {
     Object { first: bool, awaiting_value: bool },
 }
 
-/// A pull tokenizer over the same strict grammar as [`Json::parse`]:
-/// identical depth cap, number rules, escape handling, control-char
-/// rejection, and trailing-garbage detection — but it never builds the
+/// The pull tokenizer behind [`Json::parse`] and the monitor's wall
+/// parsers: depth cap, number rules, escape handling, control-char
+/// rejection and trailing-garbage detection, without building the
 /// value tree.
 ///
 /// Call [`Scanner::next_event`] until it returns `Ok(None)` (end of a
@@ -683,9 +447,8 @@ enum Frame {
 /// *after* the document's last event, so consumers must drain to `None`
 /// to get full validation.
 ///
-/// Events are tallied in the scanner and added to the process-wide
-/// `json_scanner_events` counter once, when it drops, so scanners on
-/// different threads never contend on the counter per token.
+/// The scanner tallies the events it yields ([`Scanner::events`]) and
+/// reports them nowhere: a caller that counts them adds the tally once.
 #[derive(Debug)]
 pub struct Scanner<'a> {
     input: &'a str,
@@ -693,12 +456,6 @@ pub struct Scanner<'a> {
     stack: Vec<Frame>,
     done: bool,
     events: u64,
-}
-
-impl Drop for Scanner<'_> {
-    fn drop(&mut self) {
-        WIRE.add_json_events(self.events);
-    }
 }
 
 impl<'a> Scanner<'a> {
@@ -716,6 +473,11 @@ impl<'a> Scanner<'a> {
     /// Byte offset of the scan cursor (for error reporting by callers).
     pub fn pos(&self) -> usize {
         self.pos
+    }
+
+    /// Events yielded so far.
+    pub fn events(&self) -> u64 {
+        self.events
     }
 
     /// Pulls the next token, `Ok(None)` once a complete document has
@@ -803,7 +565,8 @@ impl<'a> Scanner<'a> {
     /// Consumes the next complete value — a scalar, or a whole
     /// container including everything nested inside it. Used by the
     /// schema-directed wall parsers to step over fields they don't
-    /// extract.
+    /// extract. A closing bracket where a value should start is an
+    /// error at the cursor.
     pub fn skip_value(&mut self) -> Result<(), ParseError> {
         let mut depth = 0usize;
         loop {
@@ -811,7 +574,9 @@ impl<'a> Scanner<'a> {
                 None => return Err(self.err("unexpected end of input")),
                 Some(Event::StartArray | Event::StartObject) => depth += 1,
                 Some(Event::EndArray | Event::EndObject) => {
-                    depth -= 1;
+                    depth = depth
+                        .checked_sub(1)
+                        .ok_or_else(|| self.err("expected a value"))?;
                     if depth == 0 {
                         return Ok(());
                     }
@@ -827,10 +592,11 @@ impl<'a> Scanner<'a> {
     }
 
     /// Builds the [`Json`] tree for the next complete value from the
-    /// event stream (duplicate object keys last-wins, matching
-    /// `Json::parse`). Draining a fresh scanner with this plus a final
-    /// `next_event` reproduces `Json::parse` exactly — the equivalence
-    /// proptests lean on that.
+    /// event stream (duplicate object keys last-wins). On a fresh
+    /// scanner this plus a final `next_event` is [`Json::parse`].
+    ///
+    /// Where the next event does not start a value (a closing bracket,
+    /// or an object key), it is an error at the cursor.
     pub fn parse_value(&mut self) -> Result<Json, ParseError> {
         let ev = self
             .next_event()?
@@ -846,7 +612,7 @@ impl<'a> Scanner<'a> {
             Event::Float(f) => Json::Float(f),
             Event::Str(s) => Json::Str(s.into_owned()),
             Event::Key(_) | Event::EndArray | Event::EndObject => {
-                unreachable!("scanner never starts a value with {ev:?}")
+                return Err(self.err("expected a value"));
             }
             Event::StartArray => {
                 let mut items = Vec::new();
@@ -870,7 +636,7 @@ impl<'a> Scanner<'a> {
                     {
                         Event::EndObject => break,
                         Event::Key(k) => {
-                            let v = self.parse_inner_value()?;
+                            let v = self.parse_value()?;
                             map.insert(k.into_owned(), v);
                         }
                         _ => unreachable!("scanner yields Key/End inside objects"),
@@ -881,14 +647,7 @@ impl<'a> Scanner<'a> {
         })
     }
 
-    fn parse_inner_value(&mut self) -> Result<Json, ParseError> {
-        let ev = self
-            .next_event()?
-            .ok_or_else(|| self.err("unexpected end of input"))?;
-        self.finish_value(ev)
-    }
-
-    // -- lexer internals: byte-identical behavior to `Parser` ----------
+    // -- lexer internals ------------------------------------------------
 
     fn bytes(&self) -> &'a [u8] {
         self.input.as_bytes()
@@ -936,8 +695,8 @@ impl<'a> Scanner<'a> {
     }
 
     fn value_event(&mut self) -> Result<Event<'a>, ParseError> {
-        // Same cap as `Parser::value`: a value nested inside more than
-        // MAX_DEPTH containers is rejected.
+        // A value nested inside more than MAX_DEPTH containers is
+        // rejected.
         if self.stack.len() > MAX_DEPTH {
             return Err(self.err("nesting too deep"));
         }
@@ -987,8 +746,9 @@ impl<'a> Scanner<'a> {
     }
 
     /// Escape-free strings come back borrowed; the first backslash
-    /// falls over to an owned buffer with `Parser::string`'s exact
-    /// escape/surrogate/control-char rules.
+    /// falls over to an owned buffer that decodes escapes (surrogate
+    /// pairs joined, lone surrogates rejected) and rejects raw control
+    /// characters.
     fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
         self.expect(b'"')?;
         let start = self.pos;
@@ -1259,17 +1019,6 @@ mod tests {
         assert_eq!(Json::parse(&s).unwrap(), v);
     }
 
-    fn drain(input: &str) -> Result<(Vec<String>, Json), ParseError> {
-        let mut sc = Scanner::new(input);
-        let value = sc.parse_value()?;
-        let mut labels = Vec::new();
-        labels.push("drained".to_string());
-        match sc.next_event()? {
-            None => Ok((labels, value)),
-            Some(ev) => panic!("extra event after document: {ev:?}"),
-        }
-    }
-
     #[test]
     fn scanner_yields_expected_events() {
         let mut sc = Scanner::new(r#"{"offers":[{"payout":0.06},7],"ok":true}"#);
@@ -1312,51 +1061,88 @@ mod tests {
     }
 
     #[test]
-    fn scanner_agrees_with_tree_parser() {
-        for input in [
-            "null",
-            " 42 ",
-            r#"{"a":1,"a":2}"#,
-            r#"{"b":{"c":[1,2.5,"x"],"d":null},"a":[[]]}"#,
-            r#"[{"k":"v\u0041"},true,false,-0.5e2]"#,
-            "\"héllo 😀\"",
-        ] {
-            let (_, streamed) = drain(input).unwrap();
-            assert_eq!(streamed, Json::parse(input).unwrap(), "input {input:?}");
+    fn scanner_counts_the_events_it_yields() {
+        // 12 events: `{ "offers" [ { "payout" 0.06 } 7 ] "ok" true }`.
+        const DOC: &str = r#"{"offers":[{"payout":0.06},7],"ok":true}"#;
+        let mut sc = Scanner::new(DOC);
+        assert_eq!(sc.events(), 0);
+        let mut n = 0;
+        while sc.next_event().unwrap().is_some() {
+            n += 1;
+            assert_eq!(sc.events(), n);
         }
+        assert_eq!(n, 12);
+        // The trailing-garbage pull yields nothing and counts nothing.
+        assert_eq!(sc.events(), 12);
+
+        // A scanner that stops at an error counts what it yielded:
+        // `[`, 1, 2.
+        let mut sc = Scanner::new("[1,2,x]");
+        while let Ok(Some(_)) = sc.next_event() {}
+        assert_eq!(sc.events(), 3);
+
+        // Building a value through the scanner counts its events too.
+        let mut sc = Scanner::new(DOC);
+        sc.parse_value().unwrap();
+        assert_eq!(sc.events(), 12);
     }
 
     #[test]
-    fn scanner_rejects_what_tree_parser_rejects() {
-        for bad in [
-            "",
-            "tru",
-            "01",
-            "1.",
-            "{",
-            "[1,",
-            "[1 2]",
-            "{\"a\"}",
-            "\"\\x\"",
-            "\"\\ud800\"",
-            "nulll",
-            "1 2",
-            "{\"a\":1,}",
-            "+1",
-            "\u{01}",
-        ] {
-            assert!(Json::parse(bad).is_err(), "{bad:?} should fail tree parse");
-            assert!(drain(bad).is_err(), "{bad:?} should fail streaming parse");
-        }
+    fn skip_value_before_a_closing_token_is_an_error() {
+        let mut sc = Scanner::new("[ ]");
+        assert_eq!(sc.next_event().unwrap(), Some(Event::StartArray));
+        assert_eq!(
+            sc.skip_value(),
+            Err(ParseError {
+                at: 3,
+                msg: "expected a value".into(),
+            })
+        );
+        let mut sc = Scanner::new(r#"{"a":[1]}"#);
+        assert_eq!(sc.next_event().unwrap(), Some(Event::StartObject));
+        assert_eq!(sc.next_event().unwrap(), Some(Event::Key("a".into())));
+        assert_eq!(sc.skip_value(), Ok(()));
+        assert_eq!(
+            sc.skip_value(),
+            Err(ParseError {
+                at: 9,
+                msg: "expected a value".into(),
+            })
+        );
     }
 
     #[test]
-    fn scanner_depth_cap_matches_parser() {
-        let too_deep = "[".repeat(MAX_DEPTH + 2) + &"]".repeat(MAX_DEPTH + 2);
-        assert!(Json::parse(&too_deep).is_err());
-        assert!(drain(&too_deep).is_err());
-        let ok = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
-        assert_eq!(Json::parse(&ok).is_ok(), drain(&ok).is_ok());
+    fn parse_value_before_a_closing_token_is_an_error() {
+        let expected = |at| {
+            Err(ParseError {
+                at,
+                msg: "expected a value".into(),
+            })
+        };
+        // An empty array's `]`.
+        let mut sc = Scanner::new("[ ]");
+        assert_eq!(sc.next_event().unwrap(), Some(Event::StartArray));
+        assert_eq!(sc.parse_value(), expected(3));
+        // An object's `}` after its last value.
+        let mut sc = Scanner::new(r#"{"a":1}"#);
+        assert_eq!(sc.next_event().unwrap(), Some(Event::StartObject));
+        assert_eq!(sc.next_event().unwrap(), Some(Event::Key("a".into())));
+        assert_eq!(sc.parse_value(), Ok(Json::Int(1)));
+        assert_eq!(sc.parse_value(), expected(7));
+        // An object's key.
+        let mut sc = Scanner::new(r#"{"a":1}"#);
+        assert_eq!(sc.next_event().unwrap(), Some(Event::StartObject));
+        assert_eq!(sc.parse_value(), expected(5));
+        // Past the end of a complete document.
+        let mut sc = Scanner::new("[]");
+        assert_eq!(sc.parse_value(), Ok(Json::Array(vec![])));
+        assert_eq!(
+            sc.parse_value(),
+            Err(ParseError {
+                at: 2,
+                msg: "unexpected end of input".into(),
+            })
+        );
     }
 
     #[test]

@@ -34,9 +34,11 @@ proptest! {
         let compact = value.to_string();
         let reparsed = Json::parse(&compact).expect("compact reparse");
         prop_assert!(json_eq(&value, &reparsed), "{compact}");
+        prop_assert_eq!(parse_json_tree(&compact), Ok(reparsed));
         let pretty = value.pretty();
         let reparsed = Json::parse(&pretty).expect("pretty reparse");
         prop_assert!(json_eq(&value, &reparsed));
+        prop_assert_eq!(parse_json_tree(&pretty), Ok(reparsed));
     }
 
     #[test]
@@ -155,30 +157,19 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming scanner vs the tree-building reference parser.
+// `Json::parse` (the streaming scanner) vs the reference parser.
 //
-// `JsonScanner` is an independent reimplementation of the grammar (it
-// shares no lexer with `Json::parse`), so agreement here is meaningful:
-// both parsers must accept the same documents, build the same trees,
-// and reject the same garbage with the *same* error text and offset.
+// `Json::parse` runs on `JsonScanner`, the one production lexer. The
+// reference, `iiscope_bench::oracles::parse_json_tree`, is the
+// recursive-descent parser it replaced, and shares no lexer with the
+// scanner, so agreement here is meaningful: both must accept the same
+// documents, build the same trees, and reject the same garbage with
+// the *same* error text and offset.
 // ---------------------------------------------------------------------------
 
 use iiscope::subsystems::monitor::parsers::parse_wall;
-use iiscope::subsystems::wire::json::{ParseError, MAX_DEPTH};
-use iiscope::subsystems::wire::JsonScanner;
-use iiscope_bench::oracles::parse_wall_tree;
-
-/// Parses one document with the streaming scanner, including the
-/// trailing-garbage check (which fires on the event pull *after* the
-/// document completes).
-fn scan_parse(input: &str) -> Result<Json, ParseError> {
-    let mut sc = JsonScanner::new(input);
-    let value = sc.parse_value()?;
-    match sc.next_event()? {
-        None => Ok(value),
-        Some(ev) => panic!("event {ev:?} after a complete document"),
-    }
-}
+use iiscope::subsystems::wire::json::MAX_DEPTH;
+use iiscope_bench::oracles::{parse_json_tree, parse_wall_tree};
 
 /// Longest prefix of `s` up to `idx` that ends on a char boundary.
 fn truncate_at_char(s: &str, idx: &prop::sample::Index) -> usize {
@@ -381,8 +372,8 @@ proptest! {
     #[test]
     fn scanner_matches_reference_on_round_trips(value in arb_json()) {
         for text in [value.to_string(), value.pretty()] {
-            let reference = Json::parse(&text).expect("reference parse");
-            let streamed = scan_parse(&text).expect("scanner parse");
+            let reference = parse_json_tree(&text).expect("reference parse");
+            let streamed = Json::parse(&text).expect("scanner parse");
             prop_assert_eq!(&streamed, &reference, "{}", text);
         }
     }
@@ -392,7 +383,30 @@ proptest! {
     /// (message and byte offset) — and neither panics.
     #[test]
     fn scanner_matches_reference_on_arbitrary_input(input in "\\PC{0,200}") {
-        prop_assert_eq!(scan_parse(&input), Json::parse(&input), "{:?}", input);
+        prop_assert_eq!(Json::parse(&input), parse_json_tree(&input), "{:?}", input);
+    }
+
+    /// Near-valid input: every char-boundary truncation of a document,
+    /// compact and pretty, and the document with each of its
+    /// characters in turn replaced by one grammar character, parse to
+    /// the reference's value or error, message and offset alike.
+    #[test]
+    fn scanner_matches_reference_on_near_valid_json(
+        value in arb_json(),
+        grammar in any::<prop::sample::Index>(),
+    ) {
+        const GRAMMAR: [char; 9] = ['"', '\\', ',', ':', ']', '}', 'e', '-', '\u{01}'];
+        let g = GRAMMAR[grammar.index(GRAMMAR.len())];
+        for text in [value.to_string(), value.pretty()] {
+            for cut in (0..=text.len()).filter(|&i| text.is_char_boundary(i)) {
+                let s = &text[..cut];
+                prop_assert_eq!(Json::parse(s), parse_json_tree(s), "{:?}", s);
+            }
+            for (i, c) in text.char_indices() {
+                let s = format!("{}{g}{}", &text[..i], &text[i + c.len_utf8()..]);
+                prop_assert_eq!(Json::parse(&s), parse_json_tree(&s), "{:?}", s);
+            }
+        }
     }
 
     /// The depth cap is honored identically: deep-nested bodies are
@@ -400,14 +414,14 @@ proptest! {
     #[test]
     fn scanner_depth_cap_matches_reference(depth in 1usize..300) {
         let input = "[".repeat(depth) + &"]".repeat(depth);
-        let reference = Json::parse(&input);
-        prop_assert_eq!(&scan_parse(&input), &reference);
-        if depth > iiscope::subsystems::wire::json::MAX_DEPTH + 1 {
+        let reference = parse_json_tree(&input);
+        prop_assert_eq!(&Json::parse(&input), &reference);
+        if depth > MAX_DEPTH + 1 {
             prop_assert!(reference.is_err(), "depth {depth} must trip the cap");
         }
         // Truncated deep nesting (all-open, no close) errors cleanly too.
         let open_only = "[".repeat(depth);
-        prop_assert_eq!(scan_parse(&open_only), Json::parse(&open_only));
+        prop_assert_eq!(Json::parse(&open_only), parse_json_tree(&open_only));
     }
 
     /// The schema-directed streaming `parse_wall` against the
@@ -448,6 +462,62 @@ proptest! {
             }
         }
     }
+}
+
+/// Fixed documents: `Json::parse` builds the reference's tree.
+#[test]
+fn parse_matches_reference_on_fixed_documents() {
+    for input in [
+        "null",
+        " 42 ",
+        r#"{"a":1,"a":2}"#,
+        r#"{"b":{"c":[1,2.5,"x"],"d":null},"a":[[]]}"#,
+        r#"[{"k":"v\u0041"},true,false,-0.5e2]"#,
+        "\"héllo 😀\"",
+    ] {
+        let reference = parse_json_tree(input);
+        assert!(reference.is_ok(), "{input:?} should parse");
+        assert_eq!(Json::parse(input), reference, "input {input:?}");
+    }
+}
+
+/// Fixed garbage: `Json::parse` rejects what the reference rejects,
+/// with the same message and offset.
+#[test]
+fn parse_rejects_what_reference_rejects() {
+    for bad in [
+        "",
+        "tru",
+        "01",
+        "1.",
+        "{",
+        "[1,",
+        "[1 2]",
+        "{\"a\"}",
+        "\"\\x\"",
+        "\"\\ud800\"",
+        "nulll",
+        "1 2",
+        "{\"a\":1,}",
+        "+1",
+        "\u{01}",
+    ] {
+        let reference = parse_json_tree(bad);
+        assert!(reference.is_err(), "{bad:?} should fail the reference");
+        assert_eq!(Json::parse(bad), reference, "input {bad:?}");
+    }
+}
+
+/// Either side of the depth cap: `Json::parse` accepts and rejects
+/// exactly what the reference does.
+#[test]
+fn parse_depth_cap_matches_reference_at_the_edge() {
+    let too_deep = "[".repeat(MAX_DEPTH + 2) + &"]".repeat(MAX_DEPTH + 2);
+    assert!(parse_json_tree(&too_deep).is_err());
+    assert_eq!(Json::parse(&too_deep), parse_json_tree(&too_deep));
+    let ok = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+    assert!(parse_json_tree(&ok).is_ok());
+    assert_eq!(Json::parse(&ok), parse_json_tree(&ok));
 }
 
 // ---------------------------------------------------------------------------
@@ -966,7 +1036,7 @@ proptest! {
         for ds in [&resident, &budgeted] {
             let bytes = check_offer_log(ds, &oracle)?;
             let snap = Snapshot::decode(&bytes).expect("own snapshot decodes");
-            let restored = Dataset::from_parts_with_spill(
+            let restored = Dataset::new().restored(
                 snap.pkg_syms,
                 snap.desc_syms,
                 &snap.offers_spill,
@@ -1111,7 +1181,7 @@ proptest! {
             check_profile_log(ds, &oracle)?;
             let snap = Snapshot::decode(&snapshot_of(ds, &ReportAggregates::new()))
                 .expect("own snapshot decodes");
-            let restored = Dataset::from_parts_with_spill(
+            let restored = Dataset::new().restored(
                 snap.pkg_syms,
                 snap.desc_syms,
                 &snap.offers_spill,
@@ -1273,7 +1343,17 @@ proptest! {
 // Snapshot frame codec (checkpointing): round-trips, corruption
 // detection, decoding totality.
 
-use iiscope::subsystems::types::frame::{read_all, FrameReader, FrameWriter};
+use iiscope::subsystems::types::frame::{FrameError, FrameReader, FrameWriter};
+
+/// Every record of a frame file, validated.
+fn read_all(buf: &[u8]) -> Result<Vec<&[u8]>, FrameError> {
+    let mut reader = FrameReader::new(buf)?;
+    let mut out = Vec::new();
+    while let Some(payload) = reader.next_record()? {
+        out.push(payload);
+    }
+    Ok(out)
+}
 
 /// The frame file holding `records`, written in memory.
 fn frame_file(records: &[Vec<u8>]) -> Vec<u8> {
