@@ -153,8 +153,10 @@ fn large_offer_wall_body(n: i64) -> String {
 fn bench_wire_milking(c: &mut Criterion) {
     use iiscope_bench::oracles::parse_wall_tree;
     use iiscope_monitor::{parse_wall, probe_wall};
+    use iiscope_types::wirestats::WireCounters;
     use iiscope_wire::{JsonScanner, ResponseView};
 
+    let book = WireCounters::new();
     let mut g = c.benchmark_group("wire_milking");
     // One 10-offer Fyber page. The direct path is the whole handler
     // call (query parsing and the affiliate lookup included); the tree
@@ -185,13 +187,13 @@ fn bench_wire_milking(c: &mut Criterion) {
     let body = large_offer_wall_body(100);
     g.throughput(Throughput::Bytes(body.len() as u64));
     g.bench_function("parse_wall_streaming_100", |b| {
-        b.iter(|| black_box(parse_wall(IipId::Fyber, &body).unwrap()))
+        b.iter(|| black_box(parse_wall(IipId::Fyber, &body, &book).unwrap()))
     });
     g.bench_function("parse_wall_tree_100", |b| {
         b.iter(|| black_box(parse_wall_tree(IipId::Fyber, &body).unwrap()))
     });
     g.bench_function("probe_wall_100", |b| {
-        b.iter(|| black_box(probe_wall(IipId::Fyber, &body).unwrap()))
+        b.iter(|| black_box(probe_wall(IipId::Fyber, &body, &book).unwrap()))
     });
     g.bench_function("scan_events_100", |b| {
         b.iter(|| {
@@ -213,7 +215,7 @@ fn bench_wire_milking(c: &mut Criterion) {
             let mut recv = 0;
             let plain = open_records(7, &mut recv, &wire).unwrap();
             let (view, _) = ResponseView::parse(&plain).unwrap().unwrap();
-            black_box(parse_wall(IipId::Fyber, view.body_str().unwrap()).unwrap())
+            black_box(parse_wall(IipId::Fyber, view.body_str().unwrap(), &book).unwrap())
         })
     });
     // The whole path a crawl day pays per tab: the phone's TLS to the

@@ -1,16 +1,8 @@
 //! `repro` — regenerates every table and figure of the paper.
 //!
-//! ```text
-//! repro [--scale small|paper|N|small:N|paper:N] [--seed N] [--parallel N]
-//!       [--shards N] [--memory-budget BYTES] [--spill-dir DIR]
-//!       [--export DIR] [--timing]
-//!       [--checkpoint-dir DIR] [--checkpoint-every N] [--resume]
-//!       [--serve ADDR] [--serve-workers N] [--conn-cap N] [--idle-timeout MS]
-//!       [--serve-cache on|off] [--shed-inflight N] [--shed-route N]
-//!       [--shed-queue-ms MS] [--shed-deadline-ms MS]
-//!       [--load] [--load-stages SPEC] [--load-conns N] [--load-mix SPEC]
-//!       [--load-baseline PATH] [--load-tolerance PCT] [--load-out PATH]
-//! ```
+//! `repro [FLAG]...`: `repro --help` prints every flag with its value,
+//! the flag it needs and whether it runs with the study only, from the
+//! one flag table (`FLAGS`) the parser checks the command line against.
 //!
 //! Builds the world, runs the §3 honey study and the §4 wild study,
 //! and prints the full report (the measured side of `EXPERIMENTS.md`).
@@ -84,7 +76,7 @@
 //!
 //! Exit codes: `0` success, `1` study/pipeline or I/O error, `2` usage
 //! error (including a flag given without its group's anchor, or a
-//! study-only flag with `--load`; `--help` lists the groups), `3`
+//! study-only flag with `--load`; `--help` names both), `3`
 //! checkpoint directory unreadable, `4` snapshots present but none
 //! valid, `5` a valid snapshot exists but its seed/config does not
 //! match this run, `6` the load harness measured a regression beyond
@@ -95,7 +87,7 @@ use iiscope_core::wildsim::{CheckpointPolicy, WildRunOptions};
 use iiscope_core::{checkpoint, HoneyStudy, WildArtifacts, World, WorldConfig};
 use iiscope_load::{LoadStage, MixEntry};
 use iiscope_serve::{AdminHandler, ServeConfig, Server, ShedConfig, ShutdownFlag};
-use iiscope_types::{chaosstats::CHAOS, wirestats::WIRE, IipId};
+use iiscope_types::IipId;
 use iiscope_wire::Json;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -147,30 +139,48 @@ struct LoadArgs {
     out: PathBuf,
 }
 
-/// Flags that take no value.
-const SWITCHES: &str = "--timing --resume --load";
-
-/// Flags that take one value.
-const VALUED: &str = "--scale --seed --parallel --shards --memory-budget --spill-dir --export \
-    --checkpoint-dir --checkpoint-every --serve --serve-workers --conn-cap --idle-timeout \
-    --serve-cache --shed-inflight --shed-route --shed-queue-ms --shed-deadline-ms \
-    --load-stages --load-conns --load-mix --load-baseline --load-tolerance --load-out";
-
-/// Flags that run with the study: a usage error together with `--load`.
-const STUDY_ONLY: &str = "--export --timing --checkpoint-dir --checkpoint-every --resume";
-
-/// The anchor of `flag`'s group: given without it, `flag` is a usage
-/// error. (`--load` needs `--serve` too; `parse_args` checks that as it
-/// builds `Mode::Load`.)
-fn anchor(flag: &str) -> Option<&'static str> {
-    match flag {
-        "--checkpoint-every" | "--resume" => Some("--checkpoint-dir"),
-        "--serve-workers" | "--conn-cap" | "--idle-timeout" => Some("--serve"),
-        f if f.starts_with("--shed-") => Some("--serve"),
-        f if f.starts_with("--load-") => Some("--load"),
-        _ => None,
-    }
-}
+/// Every flag, once: its name, its value's placeholder (empty for a
+/// switch), the anchor it needs (empty for none; given without it, the
+/// flag is a usage error), whether it runs with the study only (a usage
+/// error with `--load`), and its help text. `parse_args` checks the
+/// command line against it and `usage` prints it.
+#[rustfmt::skip]
+const FLAGS: [(&str, &str, &str, bool, &str); 27] = [
+    ("--scale", "PROFILE[:N]", "", false,
+        "world profile and campaign-volume multiplier (bare N = paper:N)"),
+    ("--seed", "N", "", false, "world seed (default 42)"),
+    ("--parallel", "N", "", false, "worker threads; never changes a byte (default 1)"),
+    ("--shards", "N", "", false, "split population + sim state into N shards"),
+    ("--memory-budget", "BYTES", "", false, "resident-dataset cap; k/m/g suffixes accepted"),
+    ("--spill-dir", "DIR", "", false, "where cold column segments spill (default: temp)"),
+    ("--export", "DIR", "", true, "write the dataset as CSV files into DIR"),
+    ("--timing", "", "", true, "time the report; write the BENCH_*.json dumps"),
+    ("--checkpoint-dir", "DIR", "", true, "durably snapshot the wild study into DIR"),
+    ("--checkpoint-every", "N", "--checkpoint-dir", true,
+        "snapshot every N sim days (default: crawl cadence)"),
+    ("--resume", "", "--checkpoint-dir", true, "restore the newest valid snapshot from DIR"),
+    ("--serve", "ADDR", "", false,
+        "expose the world's HTTP surface on a real TCP listener (port 0 = ephemeral)"),
+    ("--serve-workers", "N", "--serve", false, "accept workers (default 2)"),
+    ("--conn-cap", "N", "--serve", false, "in-flight connection cap (default 256)"),
+    ("--idle-timeout", "MS", "--serve", false, "per-connection idle timeout (default 10000)"),
+    ("--serve-cache", "on|off", "", false, "day-versioned response cache (default on)"),
+    ("--shed-inflight", "N", "--serve", false, "503-shed renders past N concurrent (default: off)"),
+    ("--shed-route", "N", "--serve", false, "503-shed past N concurrent renders per route"),
+    ("--shed-queue-ms", "MS", "--serve", false,
+        "503 before parsing when the accept queue is staler than MS"),
+    ("--shed-deadline-ms", "MS", "--serve", false,
+        "shed renders (503) and kill partial reads (408) older than MS"),
+    ("--load", "", "--serve", false, "drive the workload generator; skips the studies"),
+    ("--load-stages", "SPEC", "--load", false,
+        "ramp stages QPSxSECS,... (0xN = closed loop; default 500x2,2000x2,0x5)"),
+    ("--load-conns", "N", "--load", false, "keep-alive connections (default 4)"),
+    ("--load-mix", "SPEC", "--load", false, "wall=W,store=W,apk=W weights (default 8,3,1)"),
+    ("--load-baseline", "PATH", "--load", false,
+        "compare against a committed BENCH_load.json; exit 6 on regression"),
+    ("--load-tolerance", "PCT", "--load", false, "allowed regression band (default 20)"),
+    ("--load-out", "PATH", "--load", false, "where results go (default BENCH_load.json)"),
+];
 
 /// The raw flag → value map (the last occurrence wins; switches map to
 /// an empty value).
@@ -207,24 +217,26 @@ type Parsed<T> = Result<Option<T>, String>;
 fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut flags = Flags(BTreeMap::new());
     let mut args = args.into_iter();
+    let spec = |arg: &str| FLAGS.into_iter().find(|f| f.0 == arg);
     while let Some(arg) = args.next() {
-        let value = if SWITCHES.split_whitespace().any(|f| f == arg) {
-            String::new()
-        } else if VALUED.split_whitespace().any(|f| f == arg) {
-            args.next().ok_or_else(|| format!("{arg} needs a value"))?
-        } else if arg == "--help" || arg == "-h" {
+        if arg == "--help" || arg == "-h" {
             return Err(String::new());
-        } else {
+        }
+        let Some((_, value, ..)) = spec(&arg) else {
             return Err(format!("unknown argument {arg:?}"));
+        };
+        let value = match value {
+            "" => String::new(),
+            _ => args.next().ok_or_else(|| format!("{arg} needs a value"))?,
         };
         flags.0.insert(arg, value);
     }
     for flag in flags.0.keys() {
-        match anchor(flag) {
-            Some(anchor) if !flags.has(anchor) => return Err(format!("{flag} requires {anchor}")),
-            _ => {}
+        let (_, _, anchor, study_only, _) = spec(flag).expect("only known flags are kept");
+        if !anchor.is_empty() && !flags.has(anchor) {
+            return Err(format!("{flag} requires {anchor}"));
         }
-        if flags.has("--load") && STUDY_ONLY.split_whitespace().any(|f| f == flag) {
+        if study_only && flags.has("--load") {
             return Err(format!(
                 "{flag} runs with the study; it cannot be combined with --load"
             ));
@@ -341,11 +353,6 @@ fn counters(title: &str, snapshot: Vec<(&'static str, u64)>) -> Json {
 fn main() {
     let Args { scale, cfg, mode } =
         parse_args(std::env::args().skip(1)).unwrap_or_else(|msg| usage(&msg));
-
-    // Start the wire- and chaos-layer counters from zero so the dumps
-    // reflect this run only (process-global atomics).
-    WIRE.reset();
-    CHAOS.reset();
 
     eprintln!(
         "building world: {} advertised apps, {} baseline apps, {} days, seed {}, \
@@ -611,10 +618,10 @@ fn timed_report(
     for t in &timings {
         eprintln!("  {:<14} {:>8.3}s", t.label, t.seconds);
     }
-    let wire = counters("wire-layer counters:", WIRE.snapshot());
+    let wire = counters("wire-layer counters:", world.net.wire().snapshot());
     let chaos = counters(
         "chaos-layer counters (all zero on a clean network):",
-        CHAOS.snapshot(),
+        world.net.chaos().snapshot(),
     );
     eprintln!("report pass: {report_secs:.3}s ({report_reloads} spill reload(s))");
 
@@ -803,59 +810,24 @@ fn exact_bytes(b: u64) -> String {
     format!("{n} {unit}")
 }
 
-/// Prints `repro: <msg>` (unless empty) and the usage text, and exits 2.
+/// Prints `repro: <msg>` (unless empty) and the flag table, and exits 2.
 fn usage(msg: &str) -> ! {
     if !msg.is_empty() {
         eprintln!("repro: {msg}");
     }
+    eprintln!("usage: repro [FLAG]...\n");
+    for (name, value, anchor, study_only, help) in FLAGS {
+        let mut line = format!("  {:<26}{help}", format!("{name} {value}"));
+        if !anchor.is_empty() {
+            line += &format!("; needs {anchor}");
+        }
+        if study_only {
+            line += "; not with --load";
+        }
+        eprintln!("{line}");
+    }
     eprintln!(
-        "usage: repro [--scale small|paper|N|small:N|paper:N] [--seed N] [--parallel N]\n\
-         \x20            [--shards N] [--memory-budget BYTES] [--spill-dir DIR]\n\
-         \x20            [--export DIR] [--timing]\n\
-         \x20            [--checkpoint-dir DIR] [--checkpoint-every N] [--resume]\n\
-         \x20            [--serve ADDR] [--serve-workers N] [--conn-cap N] [--idle-timeout MS]\n\
-         \x20            [--serve-cache on|off] [--shed-inflight N] [--shed-route N]\n\
-         \x20            [--shed-queue-ms MS] [--shed-deadline-ms MS]\n\
-         \x20            [--load] [--load-stages SPEC] [--load-conns N] [--load-mix SPEC]\n\
-         \x20            [--load-baseline PATH] [--load-tolerance PCT] [--load-out PATH]\n\
-         \n\
-         --scale PROFILE[:N]    world profile and campaign-volume multiplier\n\
-         \x20                      (bare N = paper profile at N x volume)\n\
-         --shards N             split population + sim state into N shards\n\
-         --memory-budget BYTES  resident-dataset cap; k/m/g suffixes accepted\n\
-         --spill-dir DIR        where cold column segments spill (default: temp)\n\
-         --checkpoint-dir DIR   durably snapshot the wild study into DIR\n\
-         --checkpoint-every N   snapshot every N sim days (default: crawl cadence)\n\
-         --resume               restore the newest valid snapshot from DIR\n\
-         --serve ADDR           expose the world's HTTP surface on a real TCP\n\
-         \x20                      listener (port 0 = ephemeral; addr on stderr)\n\
-         --serve-workers N      accept workers (default 2)\n\
-         --conn-cap N           in-flight connection cap (default 256)\n\
-         --idle-timeout MS      per-connection idle timeout (default 10000)\n\
-         --serve-cache on|off   day-versioned response cache (default on)\n\
-         --shed-inflight N      503-shed renders past N concurrent (default: off)\n\
-         --shed-route N         503-shed past N concurrent renders per route\n\
-         --shed-queue-ms MS     503 before parsing when the accept queue is\n\
-         \x20                      staler than MS (cheap pre-parse gate)\n\
-         --shed-deadline-ms MS  request deadline budget: shed renders (503) and\n\
-         \x20                      kill partial reads (408) older than MS\n\
-         --load                 drive the workload generator against --serve\n\
-         \x20                      (skips the studies; serves the fresh world)\n\
-         --load-stages SPEC     ramp stages QPSxSECS,… (0xN = closed-loop\n\
-         \x20                      ceiling; default 500x2,2000x2,0x5)\n\
-         --load-conns N         keep-alive connections (default 4)\n\
-         --load-mix SPEC        wall=W,store=W,apk=W weights (default 8,3,1)\n\
-         --load-baseline PATH   compare the gate against a committed\n\
-         \x20                      BENCH_load.json; exit 6 on regression\n\
-         --load-tolerance PCT   allowed regression band (default 20)\n\
-         --load-out PATH        where results go (default BENCH_load.json)\n\
-         \n\
-         --checkpoint-every and --resume need --checkpoint-dir; --serve-workers,\n\
-         --conn-cap, --idle-timeout, --shed-* and --load need --serve; --load-*\n\
-         need --load; --export, --timing, --checkpoint-* and --resume are\n\
-         study-only and cannot be combined with --load.\n\
-         \n\
-         exit codes: 0 ok, 1 study or I/O error, 2 usage, 3 checkpoint dir unreadable,\n\
+        "\nexit codes: 0 ok, 1 study or I/O error, 2 usage, 3 checkpoint dir unreadable,\n\
          \x20           4 snapshots present but none valid, 5 snapshot/config mismatch,\n\
          \x20           6 load gate regression beyond the baseline band"
     );

@@ -29,9 +29,7 @@ use iiscope_monitor::export::{write_charts_csv, write_offers_csv, write_profiles
 use iiscope_monitor::Dataset;
 use iiscope_netsim::{AsnId, AsnKind, FaultPlan, GilbertElliott, HostAddr, Network, OutageWindow};
 use iiscope_types::time::study;
-use iiscope_types::{
-    chaosstats::CHAOS, wirestats::WIRE, Country, DeviceId, Error, Result, SeedFork, SimDuration,
-};
+use iiscope_types::{Country, DeviceId, Error, Result, SeedFork, SimDuration};
 use iiscope_wire::server::HttpsFactory;
 use iiscope_wire::tls::{CertAuthority, ServerIdentity, TrustStore};
 use iiscope_wire::HttpClient;
@@ -63,6 +61,11 @@ pub struct ChaosOutcome {
     /// connection-local skew, so this is bounded by the schedule, not
     /// by the fault plan.
     pub end_clock_days: u64,
+    /// The world's chaos book at the end of the run: the faults it
+    /// absorbed and how the pipeline degraded.
+    pub chaos_counters: Vec<(&'static str, u64)>,
+    /// The world's wire book at the end of the run.
+    pub wire_counters: Vec<(&'static str, u64)>,
 }
 
 /// The world configuration chaos sweeps run under: the `small` preset
@@ -130,6 +133,8 @@ pub fn run_chaos(seed: u64, plan: &FaultPlan, parallelism: usize) -> Result<Chao
         apks: artifacts.apks.len(),
         report_digest: fnv64(report.as_bytes()),
         end_clock_days: world.net.clock().now().days(),
+        chaos_counters: world.net.chaos().snapshot(),
+        wire_counters: world.net.wire().snapshot(),
     })
 }
 
@@ -160,11 +165,6 @@ pub struct RunDigest {
     pub charts_csv: u64,
 }
 
-fn reset_counters() {
-    CHAOS.reset();
-    WIRE.reset();
-}
-
 impl RunDigest {
     /// Digests what a finished run publishes: the printed report and
     /// the three CSVs.
@@ -189,7 +189,6 @@ impl RunDigest {
 /// checkpointing) and digests its published output. The baseline every
 /// crash-resume run is compared against.
 pub fn straight_digest(cfg: WorldConfig) -> Result<RunDigest> {
-    reset_counters();
     let world = World::build(cfg)?;
     let honey = world.run_honey_study(world.study_start())?;
     let artifacts = world.run_wild_study()?;
@@ -210,7 +209,6 @@ pub fn crash_resume_digest(cfg: WorldConfig, kill_day: u64, dir: &Path) -> Resul
         .map_err(|e| Error::InvalidState(format!("checkpoint dir {}: {e}", dir.display())))?;
 
     // First life: run with checkpointing armed until the kill-point.
-    reset_counters();
     {
         let world = World::build(cfg.clone())?;
         let _honey = world.run_honey_study(world.study_start())?;
@@ -235,7 +233,6 @@ pub fn crash_resume_digest(cfg: WorldConfig, kill_day: u64, dir: &Path) -> Resul
 
     // Second life: fresh process semantics — nothing survives but the
     // config, the seed and the checkpoint directory.
-    reset_counters();
     let world = World::build(cfg)?;
     let honey = world.run_honey_study(world.study_start())?;
     let scan = checkpoint::load_latest(dir).map_err(|e| Error::InvalidState(e.to_string()))?;

@@ -63,7 +63,8 @@ const SEC_COUNTERS: u8 = 8;
 const SEC_SPILL: u8 = 9;
 const SEC_AGGS: u8 = 10;
 
-/// A named counter ledger (the `CHAOS`/`WIRE` snapshot form).
+/// A named counter ledger (the snapshot form of a world's wire and
+/// chaos books).
 pub type Ledger = Vec<(String, u64)>;
 
 /// A decoded checkpoint snapshot: the measurement-side state restored

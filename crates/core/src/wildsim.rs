@@ -45,8 +45,8 @@ use iiscope_monitor::{Crawler, Dataset, ProfileSnapshot, RateBook, UiFuzzer};
 use iiscope_playstore::{InstallSignals, InstallSource};
 use iiscope_types::rng::chance;
 use iiscope_types::{
-    chaosstats::CHAOS, shard_of, wirestats::WIRE, AppId, CampaignId, DeviceId, Error, IipId,
-    Result, SeedFork, SimDuration, SimTime, Sym, Usd,
+    shard_of, AppId, CampaignId, DeviceId, Error, IipId, Result, SeedFork, SimDuration, SimTime,
+    Sym, Usd,
 };
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -359,8 +359,8 @@ impl World {
                 // The snapshot was taken after the day's fold, so its
                 // aggregates already cover the restored dataset.
                 st.aggregates = snap.aggregates;
-                CHAOS.restore(&snap.chaos_counters);
-                WIRE.restore(&snap.wire_counters);
+                self.net.chaos().restore(&snap.chaos_counters);
+                self.net.wire().restore(&snap.wire_counters);
                 stats.resumed_from_day = Some(snap.day);
                 stats.replay_secs = t.elapsed().as_secs_f64();
                 (st, snap.day + 1)
@@ -445,7 +445,7 @@ impl World {
                     apks.insert(pkg.to_string(), bytes);
                 }
                 Ok(None) => {}
-                Err(_) => CHAOS.add_crawls_abandoned(1),
+                Err(_) => self.net.chaos().add_crawls_abandoned(1),
             }
         }
 
@@ -645,8 +645,8 @@ impl World {
             profiles: Box::new(st.dataset.profiles()),
             charts_spill: st.dataset.charts_spill(),
             charts: Box::new(st.dataset.charts_resident()),
-            chaos_counters: CHAOS.snapshot(),
-            wire_counters: WIRE.snapshot(),
+            chaos_counters: self.net.chaos().snapshot(),
+            wire_counters: self.net.wire().snapshot(),
             aggregates: &st.aggregates,
         };
         snapshot.write_to(out).map(drop)
@@ -908,7 +908,7 @@ impl World {
             let offers = match slot? {
                 Ok(offers) => offers,
                 Err(Error::Network(_)) => {
-                    CHAOS.add_milks_abandoned(1);
+                    self.net.chaos().add_milks_abandoned(1);
                     continue;
                 }
                 Err(e) => return Err(e),
@@ -934,13 +934,13 @@ impl World {
             match slot {
                 Ok(Some(snap)) => st.dataset.add_profile(snap),
                 Ok(None) => {}
-                Err(_) => CHAOS.add_crawls_abandoned(1),
+                Err(_) => self.net.chaos().add_crawls_abandoned(1),
             }
         }
         for kind in iiscope_playstore::ChartKind::ALL {
             match st.crawler.chart(kind, self.cfg.chart_size, t0) {
                 Ok(snap) => st.dataset.add_chart(snap),
-                Err(_) => CHAOS.add_crawls_abandoned(1),
+                Err(_) => self.net.chaos().add_crawls_abandoned(1),
             }
         }
         check_spill(&st.dataset)?;

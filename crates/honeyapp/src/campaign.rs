@@ -28,8 +28,7 @@ use iiscope_netsim::Network;
 use iiscope_playstore::{InstallSource, PlayStore};
 use iiscope_types::rng::exponential;
 use iiscope_types::{
-    chaosstats::CHAOS, AppId, DeveloperId, Error, IipId, PackageName, Result, SeedFork,
-    SimDuration, SimTime, Usd,
+    AppId, DeveloperId, Error, IipId, PackageName, Result, SeedFork, SimDuration, SimTime, Usd,
 };
 use iiscope_wire::tls::TrustStore;
 use iiscope_wire::HttpClient;
@@ -348,7 +347,7 @@ impl CampaignDriver {
     fn try_upload(&self, device: &Device, event: TelemetryEvent, at: SimTime) -> Result<()> {
         match self.upload(device, event, at) {
             Err(Error::Network(_)) => {
-                CHAOS.add_uploads_abandoned(1);
+                self.net.chaos().add_uploads_abandoned(1);
                 Ok(())
             }
             other => other,

@@ -83,7 +83,8 @@ impl UiFuzzer {
                 // Scroll detection: stop when the page shows nothing.
                 // The body is probed in place (a borrowed slice of the
                 // response slab) — no copy per page.
-                match resp.body_str().and_then(|b| probe_wall(tab.iip, b)) {
+                let wire = client.network().wire();
+                match resp.body_str().and_then(|b| probe_wall(tab.iip, b, wire)) {
                     Ok(PageFill::Empty) => break,
                     Ok(PageFill::HasEntries) => {}
                     Err(_) => {

@@ -13,7 +13,7 @@
 use crate::parsers::{parse_wall, ScrapedOffer};
 use iiscope_devices::AffiliateApp;
 use iiscope_netsim::{Direction, HostAddr, Network};
-use iiscope_types::chaosstats::CHAOS;
+use iiscope_types::{chaosstats::ChaosCounters, wirestats::WireCounters};
 use iiscope_types::{Country, IipId, Result, SeedFork};
 use iiscope_wire::tls::{InterceptLog, TrustStore};
 use iiscope_wire::{HttpClient, RequestView, ResponseView, RetryPolicy};
@@ -92,7 +92,8 @@ impl MonitoringInfra {
         let mut client = self.phone_client(country, day)?;
         let (run, intercepts) = self.intercepts.tap_scope(|| fuzzer.drive(app, &mut client));
         run?;
-        Ok(parse_intercepts(&intercepts, country))
+        let (wire, chaos) = (self.net.wire(), self.net.chaos());
+        Ok(parse_intercepts(&intercepts, country, wire, chaos))
     }
 }
 
@@ -114,9 +115,14 @@ fn iip_for_sni(sni: &str) -> Option<IipId> {
 /// refcounted buffers, and the wall body is handed to [`parse_wall`]
 /// as `&str` without the old `body_text()` copy. `Content-Length` is
 /// validated once, inside the view parser; nothing here re-derives it.
+///
+/// The view parses and wall parses count into `wire`, and each wall
+/// that arrived damaged counts into `chaos` as a partial wall.
 pub fn parse_intercepts(
     intercepts: &[iiscope_wire::tls::Intercept],
     vantage: Country,
+    wire: &WireCounters,
+    chaos: &ChaosCounters,
 ) -> Vec<ScrapedOffer> {
     let mut last_affiliate: BTreeMap<String, String> = BTreeMap::new();
     let mut scraped = Vec::new();
@@ -127,6 +133,7 @@ pub fn parse_intercepts(
         match i.dir {
             Direction::ToServer => {
                 if let Ok(Some((req, _))) = RequestView::parse(&i.plaintext) {
+                    wire.add_http_view_parses(1);
                     if let Some(aff) = req.query_param("affiliate") {
                         last_affiliate.insert(i.sni.clone(), aff);
                     }
@@ -138,18 +145,19 @@ pub fn parse_intercepts(
                 // that is not the expected JSON — is counted as a
                 // partial wall so chaos sweeps can see the damage.
                 let Ok(Some((resp, _))) = ResponseView::parse(&i.plaintext) else {
-                    CHAOS.add_walls_partial(1);
+                    chaos.add_walls_partial(1);
                     continue;
                 };
+                wire.add_http_view_parses(1);
                 if !resp.is_success() {
                     continue;
                 }
                 let Ok(body) = resp.body_str() else {
-                    CHAOS.add_walls_partial(1);
+                    chaos.add_walls_partial(1);
                     continue; // non-UTF-8 body cannot be a wall page
                 };
-                let Ok(page) = parse_wall(iip, body) else {
-                    CHAOS.add_walls_partial(1);
+                let Ok(page) = parse_wall(iip, body, wire) else {
+                    chaos.add_walls_partial(1);
                     continue;
                 };
                 let affiliate = last_affiliate.get(&i.sni).cloned().unwrap_or_default();

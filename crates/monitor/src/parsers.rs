@@ -22,8 +22,11 @@
 //! entry: it is all the UI fuzzer needs to decide whether to scroll on,
 //! and it leaves the proxy-side [`parse_wall`] as the only full parse
 //! of a page.
+//!
+//! Both count into the caller's wire book — the world's, reached
+//! through the network the caller holds — and touch no other state.
 
-use iiscope_types::{wirestats::WIRE, Country, IipId, SimTime};
+use iiscope_types::{wirestats::WireCounters, Country, IipId, SimTime};
 use iiscope_wire::json::{Event, ParseError, Scanner};
 
 /// The reward currency as displayed by a wall.
@@ -98,10 +101,12 @@ pub enum PageFill {
 /// * An error whenever [`parse_wall`] errs on the prefix the probe
 ///   reads. An error past the first entry (a truncated tail, a bad
 ///   envelope key after the entries) is the proxy-side parse's to find.
-pub fn probe_wall(iip: IipId, body: &str) -> iiscope_types::Result<PageFill> {
+///
+/// The events the probe read are added to `wire`.
+pub fn probe_wall(iip: IipId, body: &str, wire: &WireCounters) -> iiscope_types::Result<PageFill> {
     let mut sch = schema(iip);
     sch.halt_at_first_entry = true;
-    match walk(body, &sch) {
+    match walk(body, &sch, wire) {
         Err(Halt::FirstEntry) => Ok(PageFill::HasEntries),
         Ok(Some(_)) => Ok(PageFill::Empty),
         Ok(None) => Err(bad_envelope(iip)),
@@ -114,12 +119,14 @@ pub fn probe_wall(iip: IipId, body: &str) -> iiscope_types::Result<PageFill> {
 /// Returns an error only when the page as a whole is unusable (not
 /// JSON / wrong envelope); individual bad entries are skipped.
 ///
-/// This is the streaming walk; it never builds a JSON tree.
-pub fn parse_wall(iip: IipId, body: &str) -> iiscope_types::Result<PageParse> {
-    match walk(body, &schema(iip)) {
+/// This is the streaming walk; it never builds a JSON tree. The events
+/// it read, and on success the page and its offers, are added to
+/// `wire`.
+pub fn parse_wall(iip: IipId, body: &str, wire: &WireCounters) -> iiscope_types::Result<PageParse> {
+    match walk(body, &schema(iip), wire) {
         Ok(Some((offers, skipped))) => {
-            WIRE.add_walls_streamed(1);
-            WIRE.add_offers_streamed(offers.len() as u64);
+            wire.add_walls_streamed(1);
+            wire.add_offers_streamed(offers.len() as u64);
             Ok(PageParse { offers, skipped })
         }
         Ok(None) => Err(bad_envelope(iip)),
@@ -311,11 +318,12 @@ impl EntryAcc {
 type Entries = (Vec<RawOffer>, usize);
 
 /// Runs [`stream_document`] over `body` on a fresh scanner and adds the
-/// events it yielded to `json_scanner_events`, whatever the outcome.
-fn walk(body: &str, sch: &Schema) -> Result<Option<Entries>, Halt> {
+/// events it yielded to `wire`'s `json_scanner_events`, whatever the
+/// outcome.
+fn walk(body: &str, sch: &Schema, wire: &WireCounters) -> Result<Option<Entries>, Halt> {
     let mut sc = Scanner::new(body);
     let walked = stream_document(&mut sc, sch);
-    WIRE.add_json_events(sc.events());
+    wire.add_json_events(sc.events());
     walked
 }
 
@@ -619,7 +627,7 @@ mod tests {
             {"offer_id":2,"title":"Install and Register","payout_usd":0.26,
              "package":"com.c.d","play_url":"https://play.iiscope/y"}
         ]}}"#;
-        let page = parse_wall(IipId::Fyber, body).unwrap();
+        let page = parse_wall(IipId::Fyber, body, &WireCounters::new()).unwrap();
         assert_eq!(page.offers.len(), 2);
         assert_eq!(page.skipped, 0);
         assert_eq!(page.offers[0].reward, RewardValue::Usd(0.03));
@@ -630,7 +638,7 @@ mod tests {
     fn rankapp_top_level_array() {
         let body = r#"[{"rid":9,"task":"Install and run the application",
             "price_cents":1,"gp_link":"https://play.iiscope/z","app":"com.x.y"}]"#;
-        let page = parse_wall(IipId::RankApp, body).unwrap();
+        let page = parse_wall(IipId::RankApp, body, &WireCounters::new()).unwrap();
         assert_eq!(page.offers.len(), 1);
         assert_eq!(page.offers[0].reward, RewardValue::Cents(1));
     }
@@ -639,11 +647,11 @@ mod tests {
     fn nested_schemas_parse() {
         let adscend = r#"{"adscend":{"entries":[{"uid":3,"description":"Install, sign up with email",
             "currency_count":120,"app":{"bundle":"com.q.r","market_url":"https://play.iiscope/q"}}]}}"#;
-        let page = parse_wall(IipId::AdscendMedia, adscend).unwrap();
+        let page = parse_wall(IipId::AdscendMedia, adscend, &WireCounters::new()).unwrap();
         assert_eq!(page.offers[0].package, "com.q.r");
         let adgem = r#"{"data":{"wall":[{"id":4,"text":"Install & complete level 5",
             "reward":{"points":900},"bundle_id":"com.g.h","store_link":"https://play.iiscope/g"}]}}"#;
-        let page = parse_wall(IipId::AdGem, adgem).unwrap();
+        let page = parse_wall(IipId::AdGem, adgem, &WireCounters::new()).unwrap();
         assert_eq!(page.offers[0].reward, RewardValue::Points(900));
     }
 
@@ -653,34 +661,134 @@ mod tests {
             {"offer_id":1,"title":"ok","payout_usd":0.1,"package":"a.b","play_url":"u"},
             {"title":"missing id and payout"}
         ]}}"#;
-        let page = parse_wall(IipId::Fyber, body).unwrap();
+        let page = parse_wall(IipId::Fyber, body, &WireCounters::new()).unwrap();
         assert_eq!(page.offers.len(), 1);
         assert_eq!(page.skipped, 1);
     }
 
     #[test]
     fn wrong_envelope_is_fatal() {
-        assert!(parse_wall(IipId::Fyber, "{}").is_err());
-        assert!(parse_wall(IipId::RankApp, "{}").is_err());
-        assert!(parse_wall(IipId::AyetStudios, r#"{"status":"error","offers":[]}"#).is_err());
-        assert!(parse_wall(IipId::AyetStudios, r#"{"status":"OK","offers":[]}"#).is_err());
+        assert!(parse_wall(IipId::Fyber, "{}", &WireCounters::new()).is_err());
+        assert!(parse_wall(IipId::RankApp, "{}", &WireCounters::new()).is_err());
+        assert!(parse_wall(
+            IipId::AyetStudios,
+            r#"{"status":"error","offers":[]}"#,
+            &WireCounters::new()
+        )
+        .is_err());
+        assert!(parse_wall(
+            IipId::AyetStudios,
+            r#"{"status":"OK","offers":[]}"#,
+            &WireCounters::new()
+        )
+        .is_err());
         // A repeated key wins with its last value, as in `Json::parse`.
-        assert!(parse_wall(IipId::Fyber, r#"{"ofw":{"offers":[]},"ofw":5}"#).is_err());
-        assert!(parse_wall(IipId::Fyber, r#"{"ofw":5,"ofw":{"offers":[]}}"#).is_ok());
-        assert!(parse_wall(IipId::Fyber, "not json at all").is_err());
+        assert!(parse_wall(
+            IipId::Fyber,
+            r#"{"ofw":{"offers":[]},"ofw":5}"#,
+            &WireCounters::new()
+        )
+        .is_err());
+        assert!(parse_wall(
+            IipId::Fyber,
+            r#"{"ofw":5,"ofw":{"offers":[]}}"#,
+            &WireCounters::new()
+        )
+        .is_ok());
+        assert!(parse_wall(IipId::Fyber, "not json at all", &WireCounters::new()).is_err());
     }
 
     #[test]
     fn ayet_requires_ok_status() {
         let body = r#"{"status":"ok","offers":[{"offer_key":5,"name":"Install and Launch",
             "payout":44,"package_id":"com.m.n","tracking_link":"t"}]}"#;
-        let page = parse_wall(IipId::AyetStudios, body).unwrap();
+        let page = parse_wall(IipId::AyetStudios, body, &WireCounters::new()).unwrap();
         assert_eq!(page.offers[0].offer_key, 5);
+    }
+
+    /// 12 events: `{ "offers" [ { "payout" 0.06 } 7 ] "ok" true }`. No
+    /// `"status": "ok"`, so it is the wrong envelope for AyetStudios.
+    const DOC: &str = r#"{"offers":[{"payout":0.06},7],"ok":true}"#;
+
+    /// A two-offer Fyber page, 32 events: `{ "ofw" { "offers" [`, two
+    /// entries of 12 (`{`, five keys and values, `}`), then `] } }`. The
+    /// probe halts at the first entry's `{`, after 6 events.
+    const PAGE: &str = r#"{"ofw":{"offers":[
+        {"offer_id":1,"title":"Install","payout_usd":0.03,"package":"com.a.b","play_url":"u1"},
+        {"offer_id":2,"title":"Register","payout_usd":0.26,"package":"com.c.d","play_url":"u2"}
+    ]}}"#;
+
+    /// A Fyber page with no entries, 8 events, read to its end by the
+    /// probe.
+    const EMPTY_PAGE: &str = r#"{"ofw":{"offers":[]}}"#;
+
+    /// Events a plain drain of `body` yields before it ends or errs.
+    fn drained(body: &str) -> u64 {
+        let mut sc = Scanner::new(body);
+        while let Ok(Some(_)) = sc.next_event() {}
+        sc.events()
+    }
+
+    /// The growth of `book`'s `json_scanner_events` across `f`.
+    fn added(book: &WireCounters, f: impl FnOnce(&WireCounters)) -> u64 {
+        let start = book.json_events();
+        f(book);
+        book.json_events() - start
+    }
+
+    /// Each `parse_wall` and `probe_wall` call adds the events its
+    /// scanner yielded to the caller's book, once, on success and on
+    /// error alike; a scanner by itself and `Json::parse` (TLS hellos,
+    /// telemetry bodies) have no book to count into.
+    #[test]
+    fn scanner_events_reach_the_counter_once_per_scanner() {
+        assert_eq!(drained(DOC), 12);
+        assert_eq!(drained(PAGE), 32);
+        assert_eq!(drained(EMPTY_PAGE), 8);
+        let book = WireCounters::new();
+
+        // A full parse adds every event of the page it read.
+        let full = |b: &WireCounters| {
+            assert_eq!(parse_wall(IipId::Fyber, PAGE, b).unwrap().offers.len(), 2)
+        };
+        assert_eq!(added(&book, full), 32);
+        // A wrong envelope is read to its end and errs: all 12 events.
+        let envelope = |b: &WireCounters| assert!(parse_wall(IipId::AyetStudios, DOC, b).is_err());
+        assert_eq!(added(&book, envelope), 12);
+        // A page that stops at a syntax error counts what it yielded:
+        // `[`, 1, 2.
+        let syntax = |b: &WireCounters| assert!(parse_wall(IipId::RankApp, "[1,2,x]", b).is_err());
+        assert_eq!(added(&book, syntax), 3);
+        assert_eq!(book.walls_streamed(), 1, "only the page that parsed");
+        assert_eq!(book.offers_streamed(), 2);
+
+        // The probe adds what it read: up to the first entry, the whole
+        // of an empty page, or up to the error.
+        let probe = |body: &'static str, want: Option<PageFill>| {
+            move |b: &WireCounters| assert_eq!(probe_wall(IipId::Fyber, body, b).ok(), want)
+        };
+        assert_eq!(added(&book, probe(PAGE, Some(PageFill::HasEntries))), 6);
+        assert_eq!(added(&book, probe(EMPTY_PAGE, Some(PageFill::Empty))), 8);
+        assert_eq!(added(&book, probe("[1,2,x]", None)), 3);
+
+        // Parses on concurrent threads lose no event.
+        let shared = WireCounters::new();
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..250 {
+                        full(&shared);
+                        syntax(&shared);
+                    }
+                });
+            }
+        });
+        assert_eq!(shared.json_events(), 4 * 250 * (32 + 3));
     }
 
     #[test]
     fn empty_pages_are_fine() {
-        let page = parse_wall(IipId::HangMyAds, r#"{"result":[]}"#).unwrap();
+        let page = parse_wall(IipId::HangMyAds, r#"{"result":[]}"#, &WireCounters::new()).unwrap();
         assert!(page.offers.is_empty());
         assert_eq!(page.skipped, 0);
     }

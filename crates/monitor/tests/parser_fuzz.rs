@@ -3,7 +3,7 @@
 //! never panic and must only yield structurally-complete offers.
 
 use iiscope_monitor::parsers::{parse_wall, RewardValue};
-use iiscope_types::IipId;
+use iiscope_types::{wirestats::WireCounters, IipId};
 use proptest::prelude::*;
 
 proptest! {
@@ -11,7 +11,7 @@ proptest! {
     #[test]
     fn arbitrary_text_never_panics(iip_idx in 0usize..7, body in "\\PC{0,400}") {
         let iip = IipId::ALL[iip_idx];
-        let _ = parse_wall(iip, &body);
+        let _ = parse_wall(iip, &body, &WireCounters::new());
     }
 
     /// Arbitrary *valid JSON* (wrong shapes included) never panics and
@@ -32,7 +32,7 @@ proptest! {
             "{}".to_string(),
             "[]".to_string(),
         ] {
-            let _ = parse_wall(iip, &body);
+            let _ = parse_wall(iip, &body, &WireCounters::new());
         }
     }
 
@@ -58,7 +58,7 @@ proptest! {
             offers.join(","),
             ids.len()
         );
-        let page = parse_wall(IipId::Fyber, &body).unwrap();
+        let page = parse_wall(IipId::Fyber, &body, &WireCounters::new()).unwrap();
         prop_assert_eq!(page.offers.len(), ids.len());
         prop_assert_eq!(page.skipped, 0);
         for (offer, id) in page.offers.iter().zip(&ids) {
@@ -82,7 +82,7 @@ proptest! {
             entries.push(format!("{{\"rid\":\"not-a-number-{i}\"}}"));
         }
         let body = format!("[{}]", entries.join(","));
-        let page = parse_wall(IipId::RankApp, &body).unwrap();
+        let page = parse_wall(IipId::RankApp, &body, &WireCounters::new()).unwrap();
         prop_assert_eq!(page.offers.len(), good);
         prop_assert_eq!(page.skipped, bad);
     }

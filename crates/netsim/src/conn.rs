@@ -30,10 +30,12 @@ use crate::clock::Clock;
 use crate::fault::{FaultPlan, Verdict};
 use crate::HostAddr;
 use bytes::{Bytes, BytesMut};
-use iiscope_types::{wirestats::WIRE, Error, Result, SeedFork, SimDuration, SimTime};
+use iiscope_types::chaosstats::ChaosCounters;
+use iiscope_types::{wirestats::WireCounters, Error, Result, SeedFork, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// What a server learns about the connecting client.
 ///
@@ -78,15 +80,15 @@ impl RecvBuf {
     /// Takes everything buffered as one contiguous [`Bytes`]. With a
     /// single segment queued — the overwhelmingly common case of one
     /// request per turn — this is the sender's own slab, refcounted.
-    fn take_all(&mut self) -> Bytes {
+    fn take_all(&mut self, wire: &WireCounters) -> Bytes {
         match self.segs.len() {
             0 => Bytes::new(),
             1 => {
-                WIRE.add_buffers_reused(1);
+                wire.add_buffers_reused(1);
                 self.segs.pop_front().unwrap()
             }
             _ => {
-                WIRE.add_buffers_coalesced(1);
+                wire.add_buffers_coalesced(1);
                 let mut joined = Vec::with_capacity(self.len());
                 for seg in self.segs.drain(..) {
                     joined.extend_from_slice(&seg);
@@ -97,9 +99,9 @@ impl RecvBuf {
     }
 
     /// Linearizes the queue (if needed) and returns a view of it.
-    fn contiguous(&mut self) -> &[u8] {
+    fn contiguous(&mut self, wire: &WireCounters) -> &[u8] {
         if self.segs.len() > 1 {
-            let all = self.take_all();
+            let all = self.take_all(wire);
             self.segs.push_back(all);
         }
         self.segs.front().map(|b| &b[..]).unwrap_or(&[])
@@ -112,21 +114,22 @@ pub struct ServerIo<'a> {
     outgoing: &'a mut BytesMut,
     peer: PeerInfo,
     now: SimTime,
+    wire: &'a WireCounters,
 }
 
-impl ServerIo<'_> {
+impl<'a> ServerIo<'a> {
     /// Takes every byte delivered so far and not yet consumed, as one
     /// shared slab (zero-copy when the turn delivered a single
     /// segment).
     pub fn recv_all(&mut self) -> Bytes {
-        self.incoming.take_all()
+        self.incoming.take_all(self.wire)
     }
 
     /// Peeks at the delivered-but-unconsumed bytes. Takes `&mut self`
     /// because multiple residue segments must be linearized to present
     /// one slice.
     pub fn peek(&mut self) -> &[u8] {
-        self.incoming.contiguous()
+        self.incoming.contiguous(self.wire)
     }
 
     /// Queues reply bytes for the client.
@@ -150,6 +153,11 @@ impl ServerIo<'_> {
     /// Current simulated time as observed by the server.
     pub fn now(&self) -> SimTime {
         self.now
+    }
+
+    /// The world's wire-path book, for the session's own counts.
+    pub fn wire(&self) -> &'a WireCounters {
+        self.wire
     }
 }
 
@@ -196,6 +204,8 @@ pub struct ClientConn {
     pub(crate) clock: Clock,
     pub(crate) skew: SimDuration,
     pub(crate) capture: CaptureLog,
+    pub(crate) wire: Arc<WireCounters>,
+    pub(crate) chaos: Arc<ChaosCounters>,
     pub(crate) peer: PeerInfo,
     pub(crate) out_buf: BytesMut,
     pub(crate) server_residue: RecvBuf,
@@ -223,6 +233,11 @@ impl ClientConn {
         self.conn_id
     }
 
+    /// The world's wire-path book this connection counts into.
+    pub fn wire(&self) -> &WireCounters {
+        &self.wire
+    }
+
     /// The connection's local time: the shared clock plus whatever
     /// latency and timeout skew this link has accumulated. Zero skew
     /// (and thus `== clock.now()`) on a clean link.
@@ -244,7 +259,9 @@ impl ClientConn {
     pub fn roundtrip(&mut self) -> Result<Bytes> {
         let mut request = self.out_buf.split();
         let now = self.local_now();
-        let verdict = self.fault.apply(&mut self.rng, now, &mut request);
+        let verdict = self
+            .fault
+            .apply(&mut self.rng, now, &mut request, &self.chaos);
         let request_stalled = match verdict {
             Verdict::Dropped(reason) => {
                 self.skew = self.skew + TIMEOUT;
@@ -261,7 +278,7 @@ impl ClientConn {
             }
         };
         let request = request.freeze();
-        WIRE.add_bytes_delivered(request.len() as u64);
+        self.wire.add_bytes_delivered(request.len() as u64);
         self.record(Direction::ToServer, request.clone(), false);
 
         // Deliver to the server session: the capture record and the
@@ -274,6 +291,7 @@ impl ClientConn {
             outgoing: &mut outgoing,
             peer: self.peer,
             now: server_now,
+            wire: &self.wire,
         };
         self.session.on_turn(&mut io);
 
@@ -290,7 +308,9 @@ impl ClientConn {
 
         let mut reply = outgoing;
         let now = self.local_now();
-        let verdict = self.fault.apply(&mut self.rng, now, &mut reply);
+        let verdict = self
+            .fault
+            .apply(&mut self.rng, now, &mut reply, &self.chaos);
         match verdict {
             Verdict::Dropped(reason) => {
                 self.skew = self.skew + TIMEOUT;
@@ -311,7 +331,7 @@ impl ClientConn {
             Verdict::Delivered { latency, .. } => {
                 self.skew = self.skew + latency;
                 let reply = reply.freeze();
-                WIRE.add_bytes_delivered(reply.len() as u64);
+                self.wire.add_bytes_delivered(reply.len() as u64);
                 self.record(Direction::ToClient, reply.clone(), false);
                 Ok(reply)
             }
@@ -366,6 +386,8 @@ mod tests {
             clock: Clock::new(),
             skew: SimDuration::ZERO,
             capture: CaptureLog::new(),
+            wire: Arc::default(),
+            chaos: Arc::default(),
             peer: PeerInfo {
                 addr,
                 opened_at: SimTime::EPOCH,
@@ -487,6 +509,28 @@ mod tests {
         assert_eq!(c.roundtrip().unwrap(), b"");
         c.send(b"cd");
         assert_eq!(c.roundtrip().unwrap(), b"abcd");
+    }
+
+    #[test]
+    fn deliveries_and_fates_count_into_the_connection_books() {
+        let mut c = conn(FaultPlan::perfect());
+        c.session = Box::new(Accumulate);
+        c.send(b"ab");
+        c.roundtrip().unwrap();
+        c.send(b"cd");
+        c.roundtrip().unwrap();
+        // Two requests of 2 bytes, replies of 0 and 4 bytes; the second
+        // turn joined two segments for `peek`, then took them whole.
+        assert_eq!(c.wire().bytes_delivered(), 8);
+        assert_eq!(c.wire().buffers_coalesced(), 1);
+        assert_eq!(c.wire().buffers_reused(), 1);
+        assert!(c.chaos.snapshot().iter().all(|&(_, v)| v == 0));
+
+        let mut lossy = conn(FaultPlan::lossy(1.0, 0.0));
+        lossy.send(b"x");
+        assert!(lossy.roundtrip().is_err());
+        assert_eq!(lossy.chaos.drops_random(), 1);
+        assert_eq!(lossy.wire().bytes_delivered(), 0);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! records, so injected damage surfaces exactly like real-world
 //! tampering — as a MAC failure — which the pipeline must tolerate.
 
-use iiscope_types::{chaosstats::CHAOS, SimDuration, SimTime};
+use iiscope_types::{chaosstats::ChaosCounters, SimDuration, SimTime};
 use rand::Rng;
 
 /// Two-state Gilbert–Elliott loss channel: a `good` state with low
@@ -71,11 +71,6 @@ impl GilbertElliott {
     /// Loss rate while in the burst state.
     pub fn loss_bad(&self) -> f64 {
         self.loss_bad
-    }
-
-    /// Whether the channel is currently bursting.
-    pub fn is_bursting(&self) -> bool {
-        self.bad
     }
 
     /// Advances the channel one delivery and returns whether that
@@ -232,7 +227,9 @@ impl FaultPlan {
     }
 
     /// Decides the fate of one delivery at link-local time `now`.
-    /// Mutates `payload` in place on damage and returns the verdict.
+    /// Mutates `payload` in place on damage, counts each fault that
+    /// fired into `chaos` (the connection's book) and returns the
+    /// verdict.
     ///
     /// `&mut self` because the burst channel carries state between
     /// deliveries; each connection owns a clone of the plan, so burst
@@ -243,24 +240,25 @@ impl FaultPlan {
         rng: &mut impl Rng,
         now: SimTime,
         payload: &mut bytes::BytesMut,
+        chaos: &ChaosCounters,
     ) -> Verdict {
         if self.outages.iter().any(|w| w.contains(now)) {
-            CHAOS.add_drops_outage(1);
+            chaos.add_drops_outage(1);
             return Verdict::Dropped(DropReason::Outage);
         }
         if let Some(limit) = self.size_limit {
             if payload.len() > limit {
-                CHAOS.add_drops_oversize(1);
+                chaos.add_drops_oversize(1);
                 return Verdict::Dropped(DropReason::TooLarge);
             }
         }
         if iiscope_types::rng::chance(rng, self.drop_chance) {
-            CHAOS.add_drops_random(1);
+            chaos.add_drops_random(1);
             return Verdict::Dropped(DropReason::Random);
         }
         if let Some(burst) = &mut self.burst {
             if burst.step(rng) {
-                CHAOS.add_drops_burst(1);
+                chaos.add_drops_burst(1);
                 return Verdict::Dropped(DropReason::Burst);
             }
         }
@@ -270,7 +268,7 @@ impl FaultPlan {
             let bit = 1u8 << rng.gen_range(0..8);
             payload[idx] ^= bit;
             corrupted = true;
-            CHAOS.add_corruptions(1);
+            chaos.add_corruptions(1);
         }
         if self.truncate_chance > 0.0
             && payload.len() > 1
@@ -279,7 +277,7 @@ impl FaultPlan {
             let keep = rng.gen_range(1..payload.len());
             payload.truncate(keep);
             corrupted = true;
-            CHAOS.add_truncations(1);
+            chaos.add_truncations(1);
         }
         if self.garbage_chance > 0.0
             && !payload.is_empty()
@@ -287,10 +285,10 @@ impl FaultPlan {
         {
             rng.fill(&mut payload[..]);
             corrupted = true;
-            CHAOS.add_garbage(1);
+            chaos.add_garbage(1);
         }
         if self.stall_chance > 0.0 && iiscope_types::rng::chance(rng, self.stall_chance) {
-            CHAOS.add_stalls(1);
+            chaos.add_stalls(1);
             return Verdict::Stalled;
         }
         let latency = self.delivery_latency(rng, payload.len());
@@ -368,9 +366,10 @@ mod tests {
     fn perfect_link_never_mutates() {
         let mut plan = FaultPlan::perfect();
         let mut rng = SeedFork::new(1).rng();
+        let book = ChaosCounters::new();
         for _ in 0..100 {
             let mut payload = buf(&[1, 2, 3]);
-            match plan.apply(&mut rng, NOW, &mut payload) {
+            match plan.apply(&mut rng, NOW, &mut payload, &book) {
                 Verdict::Delivered { corrupted, latency } => {
                     assert!(!corrupted);
                     assert_eq!(latency, SimDuration::ZERO);
@@ -379,6 +378,10 @@ mod tests {
                 v => panic!("unexpected {v:?}"),
             }
         }
+        assert!(
+            book.snapshot().iter().all(|&(_, v)| v == 0),
+            "nothing fired"
+        );
     }
 
     #[test]
@@ -388,10 +391,11 @@ mod tests {
         // delivery. Verified by checking the rng positions directly.
         let mut plan = FaultPlan::lossy(0.25, 0.25);
         let mut rng = SeedFork::new(9).rng();
+        let book = ChaosCounters::new();
         let mut reference = SeedFork::new(9).rng();
         for _ in 0..200 {
             let mut payload = buf(&[7u8; 5]);
-            let verdict = plan.apply(&mut rng, NOW, &mut payload);
+            let verdict = plan.apply(&mut rng, NOW, &mut payload, &book);
             // Reference replays the legacy logic with its own rng.
             let dropped = iiscope_types::rng::chance(&mut reference, 0.25);
             if dropped {
@@ -414,26 +418,29 @@ mod tests {
     fn drop_chance_roughly_honoured() {
         let mut plan = FaultPlan::lossy(0.3, 0.0);
         let mut rng = SeedFork::new(2).rng();
+        let book = ChaosCounters::new();
         let n = 10_000;
         let drops = (0..n)
             .filter(|_| {
                 matches!(
-                    plan.apply(&mut rng, NOW, &mut buf(&[0u8; 4])),
+                    plan.apply(&mut rng, NOW, &mut buf(&[0u8; 4]), &book),
                     Verdict::Dropped(DropReason::Random)
                 )
             })
             .count();
         let rate = drops as f64 / n as f64;
         assert!((rate - 0.3).abs() < 0.03, "rate {rate}");
+        assert_eq!(book.drops_random(), drops as u64, "every drop is counted");
     }
 
     #[test]
     fn corruption_flips_exactly_one_bit() {
         let mut plan = FaultPlan::lossy(0.0, 1.0);
         let mut rng = SeedFork::new(3).rng();
+        let book = ChaosCounters::new();
         let original = vec![0xAAu8; 16];
         let mut payload = buf(&original);
-        match plan.apply(&mut rng, NOW, &mut payload) {
+        match plan.apply(&mut rng, NOW, &mut payload, &book) {
             Verdict::Delivered { corrupted, .. } => assert!(corrupted),
             v => panic!("unexpected {v:?}"),
         }
@@ -443,20 +450,23 @@ mod tests {
             .map(|(a, b)| (a ^ b).count_ones())
             .sum();
         assert_eq!(flipped_bits, 1);
+        assert_eq!(book.corruptions(), 1);
     }
 
     #[test]
     fn size_limit_drops_large_payloads() {
         let mut plan = FaultPlan::perfect().with_size_limit(8);
         let mut rng = SeedFork::new(4).rng();
+        let book = ChaosCounters::new();
         assert!(matches!(
-            plan.apply(&mut rng, NOW, &mut buf(&[0u8; 8])),
+            plan.apply(&mut rng, NOW, &mut buf(&[0u8; 8]), &book),
             Verdict::Delivered { .. }
         ));
         assert_eq!(
-            plan.apply(&mut rng, NOW, &mut buf(&[0u8; 9])),
+            plan.apply(&mut rng, NOW, &mut buf(&[0u8; 9]), &book),
             Verdict::Dropped(DropReason::TooLarge)
         );
+        assert_eq!(book.drops_oversize(), 1);
     }
 
     #[test]
@@ -474,8 +484,9 @@ mod tests {
     fn empty_payload_never_corrupts() {
         let mut plan = FaultPlan::lossy(0.0, 1.0);
         let mut rng = SeedFork::new(6).rng();
+        let book = ChaosCounters::new();
         let mut payload = BytesMut::new();
-        match plan.apply(&mut rng, NOW, &mut payload) {
+        match plan.apply(&mut rng, NOW, &mut payload, &book) {
             Verdict::Delivered { corrupted, .. } => assert!(!corrupted),
             v => panic!("unexpected {v:?}"),
         }
@@ -487,16 +498,18 @@ mod tests {
         // bad. Losses must arrive in runs, not scattered singles.
         let mut plan = FaultPlan::perfect().with_burst(GilbertElliott::new(0.05, 0.25, 0.0, 1.0));
         let mut rng = SeedFork::new(7).rng();
+        let book = ChaosCounters::new();
         let outcomes: Vec<bool> = (0..4000)
             .map(|_| {
                 matches!(
-                    plan.apply(&mut rng, NOW, &mut buf(&[0u8; 4])),
+                    plan.apply(&mut rng, NOW, &mut buf(&[0u8; 4]), &book),
                     Verdict::Dropped(DropReason::Burst)
                 )
             })
             .collect();
         let losses = outcomes.iter().filter(|&&l| l).count();
         assert!(losses > 200, "bursts never fired ({losses})");
+        assert_eq!(book.drops_burst(), losses as u64);
         // Count loss runs: correlated loss means far fewer runs than
         // losses (mean burst length 1/p_exit = 4).
         let runs = outcomes.windows(2).filter(|w| !w[0] && w[1]).count().max(1);
@@ -518,39 +531,44 @@ mod tests {
         let window = OutageWindow::new(SimTime::from_secs(100), SimTime::from_secs(200));
         let mut plan = FaultPlan::perfect().with_outage(window);
         let mut rng = SeedFork::new(8).rng();
+        let book = ChaosCounters::new();
         assert!(matches!(
-            plan.apply(&mut rng, SimTime::from_secs(99), &mut buf(b"x")),
+            plan.apply(&mut rng, SimTime::from_secs(99), &mut buf(b"x"), &book),
             Verdict::Delivered { .. }
         ));
         for t in [100u64, 150, 199] {
             assert_eq!(
-                plan.apply(&mut rng, SimTime::from_secs(t), &mut buf(b"x")),
+                plan.apply(&mut rng, SimTime::from_secs(t), &mut buf(b"x"), &book),
                 Verdict::Dropped(DropReason::Outage)
             );
         }
         assert!(matches!(
-            plan.apply(&mut rng, SimTime::from_secs(200), &mut buf(b"x")),
+            plan.apply(&mut rng, SimTime::from_secs(200), &mut buf(b"x"), &book),
             Verdict::Delivered { .. }
         ));
+        assert_eq!(book.drops_outage(), 3);
     }
 
     #[test]
     fn stall_returns_stalled() {
         let mut plan = FaultPlan::perfect().with_stall(1.0);
         let mut rng = SeedFork::new(10).rng();
+        let book = ChaosCounters::new();
         assert_eq!(
-            plan.apply(&mut rng, NOW, &mut buf(b"req")),
+            plan.apply(&mut rng, NOW, &mut buf(b"req"), &book),
             Verdict::Stalled
         );
+        assert_eq!(book.stalls(), 1);
     }
 
     #[test]
     fn truncation_shortens_but_keeps_a_prefix() {
         let mut plan = FaultPlan::perfect().with_truncation(1.0);
         let mut rng = SeedFork::new(11).rng();
+        let book = ChaosCounters::new();
         let original = vec![0x55u8; 64];
         let mut payload = buf(&original);
-        match plan.apply(&mut rng, NOW, &mut payload) {
+        match plan.apply(&mut rng, NOW, &mut payload, &book) {
             Verdict::Delivered { corrupted, .. } => assert!(corrupted),
             v => panic!("unexpected {v:?}"),
         }
@@ -560,26 +578,30 @@ mod tests {
             payload.len()
         );
         assert_eq!(&payload[..], &original[..payload.len()]);
+        assert_eq!(book.truncations(), 1);
     }
 
     #[test]
     fn garbage_rewrites_payload() {
         let mut plan = FaultPlan::perfect().with_garbage(1.0);
         let mut rng = SeedFork::new(12).rng();
+        let book = ChaosCounters::new();
         let mut payload = buf(&[0u8; 32]);
-        match plan.apply(&mut rng, NOW, &mut payload) {
+        match plan.apply(&mut rng, NOW, &mut payload, &book) {
             Verdict::Delivered { corrupted, .. } => assert!(corrupted),
             v => panic!("unexpected {v:?}"),
         }
         assert_eq!(payload.len(), 32);
         assert!(payload.iter().any(|&b| b != 0), "garbage left zeros intact");
+        assert_eq!(book.garbage(), 1);
     }
 
     #[test]
     fn bandwidth_cap_adds_transfer_time() {
         let mut plan = FaultPlan::perfect().with_bandwidth(10);
         let mut rng = SeedFork::new(13).rng();
-        match plan.apply(&mut rng, NOW, &mut buf(&[0u8; 25])) {
+        let book = ChaosCounters::new();
+        match plan.apply(&mut rng, NOW, &mut buf(&[0u8; 25]), &book) {
             Verdict::Delivered { latency, .. } => {
                 assert_eq!(latency, SimDuration::from_secs(3)); // ceil(25/10)
             }
@@ -596,8 +618,9 @@ mod tests {
         let run = |seed: u64| -> Vec<Verdict> {
             let mut plan = plan.clone();
             let mut rng = SeedFork::new(seed).rng();
+            let book = ChaosCounters::new();
             (0..500)
-                .map(|i| plan.apply(&mut rng, SimTime::from_secs(i), &mut buf(&[3u8; 10])))
+                .map(|i| plan.apply(&mut rng, SimTime::from_secs(i), &mut buf(&[3u8; 10]), &book))
                 .collect()
         };
         assert_eq!(run(1234), run(1234));

@@ -26,8 +26,9 @@
 //!   consumes them and writes a reply. Request/response protocols map
 //!   onto this 1:1 while staying single-threaded and deterministic.
 //! * [`network`] — the service registry (hostname → IP, (IP, port) →
-//!   service factory), connection establishment with [`PeerInfo`], and
-//!   the packet [`capture`] log.
+//!   service factory), connection establishment with [`PeerInfo`], the
+//!   packet [`capture`] log, and the world's counter books (connection,
+//!   wire-path and chaos), which every connection counts into.
 //!
 //! Following the guidance for CPU-bound simulation work, everything is
 //! synchronous; parallel fan-out (when used by upper layers) goes
@@ -50,4 +51,4 @@ pub use clock::Clock;
 pub use conn::{ClientConn, PeerInfo, ServerIo, Session, SessionFactory, TIMEOUT};
 pub use fault::{DropReason, FaultPlan, GilbertElliott, OutageWindow, Verdict};
 pub use frame::{encode_frame, FrameDecoder, FrameError};
-pub use network::{Network, ServiceBinding, WeakNetwork};
+pub use network::{NetCounters, Network, ServiceBinding, WeakNetwork};

@@ -1,11 +1,15 @@
 //! The network: name resolution, service bindings, connection
-//! establishment, metrics.
+//! establishment, counter books.
 //!
 //! One [`Network`] per world. Services (the Play Store frontend, each
 //! IIP's offer wall, the honey-app telemetry collector, the monitor's
 //! MITM proxy) bind a `(ip, port)`; hostnames resolve to IPs; clients
 //! connect with their own [`HostAddr`] so servers observe realistic
 //! peer info (the geo/ASN signals that §3.2 and §4.1 rely on).
+//!
+//! The network owns the world's counter books ([`NetCounters`],
+//! [`WireCounters`], [`ChaosCounters`]); every connection carries the
+//! last two, so each layer counts into its own world's books.
 
 use crate::addr::HostAddr;
 use crate::capture::CaptureLog;
@@ -13,7 +17,9 @@ use crate::clock::Clock;
 use crate::conn::{ClientConn, PeerInfo, RecvBuf, SessionFactory};
 use crate::fault::FaultPlan;
 use bytes::BytesMut;
-use iiscope_types::{Error, Result, SeedFork, SimDuration};
+use iiscope_types::{
+    chaosstats::ChaosCounters, wirestats::WireCounters, Error, Result, SeedFork, SimDuration,
+};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -29,13 +35,13 @@ pub struct ServiceBinding {
     pub port: u16,
 }
 
-/// Aggregate network counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetMetrics {
+iiscope_types::counters! {
+    /// The network's connection book.
+    pub struct NetCounters;
     /// Connections opened.
-    pub connections: u64,
+    connections / add_connections / "connections";
     /// Connection attempts refused (no listener).
-    pub refused: u64,
+    refused / add_refused / "refused";
 }
 
 struct Inner {
@@ -47,7 +53,9 @@ struct Inner {
     default_fault: Mutex<FaultPlan>,
     service_fault: Mutex<HashMap<ServiceBinding, FaultPlan>>,
     next_conn_id: AtomicU64,
-    metrics: Mutex<NetMetrics>,
+    metrics: NetCounters,
+    wire: Arc<WireCounters>,
+    chaos: Arc<ChaosCounters>,
 }
 
 /// Cloneable handle to the world's network.
@@ -80,8 +88,8 @@ impl Network {
         }
     }
 
-    /// Creates a network with its own clock, capture log and a perfect
-    /// default link.
+    /// Creates a network with its own clock, capture log, counter books
+    /// and a perfect default link.
     pub fn new(seed: SeedFork) -> Network {
         Network {
             inner: Arc::new(Inner {
@@ -93,7 +101,9 @@ impl Network {
                 default_fault: Mutex::new(FaultPlan::perfect()),
                 service_fault: Mutex::new(HashMap::new()),
                 next_conn_id: AtomicU64::new(1),
-                metrics: Mutex::new(NetMetrics::default()),
+                metrics: NetCounters::new(),
+                wire: Arc::new(WireCounters::new()),
+                chaos: Arc::new(ChaosCounters::new()),
             }),
         }
     }
@@ -106,6 +116,21 @@ impl Network {
     /// The shared capture log.
     pub fn capture(&self) -> CaptureLog {
         self.inner.capture.clone()
+    }
+
+    /// The world's wire-path book.
+    pub fn wire(&self) -> &WireCounters {
+        &self.inner.wire
+    }
+
+    /// The world's chaos book.
+    pub fn chaos(&self) -> &ChaosCounters {
+        &self.inner.chaos
+    }
+
+    /// The network's connection book.
+    pub fn metrics(&self) -> &NetCounters {
+        &self.inner.metrics
     }
 
     /// Binds a service factory at `(ip, port)`. Rebinding an occupied
@@ -214,7 +239,7 @@ impl Network {
             match services.get(&binding) {
                 Some(f) => Arc::clone(f),
                 None => {
-                    self.inner.metrics.lock().refused += 1;
+                    self.inner.metrics.add_refused(1);
                     return Err(Error::Network(format!("connection refused {ip}:{port}")));
                 }
             }
@@ -234,7 +259,7 @@ impl Network {
             .get(&binding)
             .cloned()
             .unwrap_or_else(|| self.inner.default_fault.lock().clone());
-        self.inner.metrics.lock().connections += 1;
+        self.inner.metrics.add_connections(1);
         Ok(ClientConn {
             conn_id,
             client_ip: client.ip,
@@ -246,15 +271,12 @@ impl Network {
             clock: self.inner.clock.clone(),
             skew: SimDuration::ZERO,
             capture: self.inner.capture.clone(),
+            wire: Arc::clone(&self.inner.wire),
+            chaos: Arc::clone(&self.inner.chaos),
             peer,
             out_buf: BytesMut::new(),
             server_residue: RecvBuf::new(),
         })
-    }
-
-    /// Counter snapshot.
-    pub fn metrics(&self) -> NetMetrics {
-        *self.inner.metrics.lock()
     }
 }
 
@@ -295,7 +317,7 @@ mod tests {
         let mut conn = net.connect_host(client(), "api.fyber.com", 443).unwrap();
         conn.send(b"offers");
         assert_eq!(conn.roundtrip().unwrap(), b"OFFERS");
-        assert_eq!(net.metrics().connections, 1);
+        assert_eq!(net.metrics().connections(), 1);
     }
 
     #[test]
@@ -305,7 +327,7 @@ mod tests {
             .connect(client(), Ipv4Addr::new(10, 0, 0, 99), 80)
             .unwrap_err();
         assert_eq!(err.kind(), "network");
-        assert_eq!(net.metrics().refused, 1);
+        assert_eq!(net.metrics().refused(), 1);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Process-wide chaos/degradation counters.
+//! Chaos/degradation counters.
 //!
 //! The chaos subsystem injects adversarial faults (bursty loss, outage
 //! windows, stalls, truncation, garbage) below the TLS layer and the
@@ -7,11 +7,10 @@
 //! a run absorbed — the observability half of the chaos harness,
 //! surfaced by `repro --timing` as `BENCH_chaos.json`.
 //!
-//! Like [`crate::wirestats`], they are relaxed write-only atomics:
-//! nothing in the simulation ever reads them, so they cannot perturb
-//! determinism, and they live in `iiscope-types` so the bottom of the
-//! stack (`iiscope-netsim`'s fault injector) can report without
-//! depending on the crates above it.
+//! Like [`crate::wirestats`], each world's network owns one book
+//! (`Network::chaos`) that every layer counts into, and the counters
+//! are relaxed write-only atomics that nothing in the simulation reads,
+//! so they cannot perturb determinism.
 
 crate::counters! {
     /// The chaos-layer counter book.
@@ -50,9 +49,6 @@ crate::counters! {
     uploads_abandoned / add_uploads_abandoned / "uploads_abandoned";
 }
 
-/// The process-wide instance every layer reports into.
-pub static CHAOS: ChaosCounters = ChaosCounters::new();
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,8 +63,6 @@ mod tests {
         assert_eq!(snap[0], ("drops_random", 3));
         assert!(snap.contains(&("stalls", 2)));
         assert_eq!(snap.last().unwrap(), &("uploads_abandoned", 5));
-        c.reset();
-        assert!(c.snapshot().iter().all(|&(_, v)| v == 0));
     }
 
     #[test]

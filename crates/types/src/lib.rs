@@ -29,15 +29,15 @@
 //!   containers ([`sym::SymSet`], [`sym::SymMap`]) the analytics join
 //!   paths run on. Symbol numbers are first-insertion ranks, never
 //!   hash-dependent, so interned pipelines stay seed-deterministic.
-//! * [`wirestats`] — [`wirestats::WIRE`], a process-wide `static`
-//!   [`counters!`] book for the zero-copy wire path (buffer reuse,
-//!   streaming-parse volume); reporting only, never read by the
-//!   simulation.
+//! * [`wirestats`] — [`wirestats::WireCounters`], the [`counters!`]
+//!   book for the zero-copy wire path (buffer reuse, streaming-parse
+//!   volume); each world's network owns one. Reporting only, never
+//!   read by the simulation.
 //! * [`rss`] — best-effort peak-RSS sampling (`VmHWM` on Linux) for
 //!   the `BENCH_*.json` emitters; telemetry only, never simulation
 //!   input.
-//! * [`chaosstats`] — [`chaosstats::CHAOS`], the same for the chaos
-//!   subsystem: fault injections and graceful-degradation events
+//! * [`chaosstats`] — [`chaosstats::ChaosCounters`], the same for the
+//!   chaos subsystem: fault injections and graceful-degradation events
 //!   (retries, give-ups, abandoned milkings), dumped as
 //!   `BENCH_chaos.json`.
 //! * [`chunked`] — [`chunked::Chunked`], the one append-only row store
@@ -51,9 +51,9 @@
 /// Declares a counter family as a type: relaxed, write-only `AtomicU64`
 /// fields with a `const fn new()`, one `add_*` incrementer and one
 /// getter per entry, plus `snapshot` (every counter as
-/// `(json_key, value)`, in declaration order), `reset` and `restore`.
-/// [`wirestats`] and [`chaosstats`] are `static` instances; a server or
-/// a cache router owns its own book.
+/// `(json_key, value)`, in declaration order) and `restore`. Every book
+/// has one owner — a world's network, a server, a cache router — and
+/// no instance is process-global.
 #[macro_export]
 macro_rules! counters {
     ($(#[$tdoc:meta])* $vis:vis struct $ty:ident;
@@ -87,11 +87,6 @@ macro_rules! counters {
             /// `(json_key, value)` pairs.
             pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
                 vec![$(($key, self.$name())),*]
-            }
-
-            /// Resets every counter to zero.
-            pub fn reset(&self) {
-                $(self.$name.store(0, ::std::sync::atomic::Ordering::Relaxed);)*
             }
 
             /// Restores counters from a checkpoint ledger keyed by the

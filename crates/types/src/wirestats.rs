@@ -1,15 +1,16 @@
-//! Process-wide wire-path counters.
+//! Wire-path counters.
 //!
 //! The zero-copy fast path (netsim delivery → TLS records → HTTP views
 //! → streaming JSON) is justified by *measured* allocation behaviour,
-//! so every layer reports what it did with its buffers here. Counters
-//! are relaxed atomics: they never synchronize the simulation (ordering
-//! between workers is irrelevant — only totals are reported) and they
-//! cannot perturb determinism because no simulated decision reads them.
+//! so every layer reports what it did with its buffers here, into the
+//! book its world's network owns (`Network::wire`). Counters are
+//! relaxed atomics: they never synchronize the simulation (only totals
+//! are reported) and cannot perturb determinism because no simulated
+//! decision reads them.
 //!
-//! They sit in `iiscope-types` rather than `iiscope-wire` because the
-//! bottom of the stack (`iiscope-netsim`) reports delivery-buffer reuse
-//! and must not depend on the protocol crates above it.
+//! The type sits in `iiscope-types` because the bottom of the stack
+//! (`iiscope-netsim`) owns the book and must not depend on the protocol
+//! crates above it.
 
 crate::counters! {
     /// The wire-path counter book.
@@ -46,9 +47,6 @@ crate::counters! {
     offers_streamed / add_offers_streamed / "offers_streamed";
 }
 
-/// The process-wide instance every layer reports into.
-pub static WIRE: WireCounters = WireCounters::new();
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -63,7 +61,5 @@ mod tests {
         assert_eq!(snap[0], ("bytes_delivered", 10));
         assert_eq!(snap[1], ("delivery_buffers_reused", 2));
         assert_eq!(snap.last().unwrap(), &("offers_streamed", 7));
-        c.reset();
-        assert!(c.snapshot().iter().all(|&(_, v)| v == 0));
     }
 }

@@ -22,7 +22,7 @@ use crate::tls::{TlsClient, TrustStore};
 use crate::url::Url;
 use crate::Json;
 use iiscope_netsim::{ClientConn, HostAddr, Network, TIMEOUT};
-use iiscope_types::{chaosstats::CHAOS, Error, Result, SeedFork, SimDuration};
+use iiscope_types::{Error, Result, SeedFork, SimDuration};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::HashMap;
@@ -33,8 +33,8 @@ use std::net::Ipv4Addr;
 /// The budget is charged **exactly once per exchange attempt**, no
 /// matter how many faults fire inside it (a corrupted handshake *and*
 /// a dropped reply in one attempt still cost one unit). Backoff time
-/// is accounted against the per-exchange deadline and the
-/// [`CHAOS`] counters rather than advancing any clock: the
+/// is accounted against the per-exchange deadline and the network's
+/// chaos book ([`Network::chaos`]) rather than advancing any clock: the
 /// turn-based simulation has no idle waiting, so backoff exists to
 /// bound an exchange, not to reschedule it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -220,9 +220,9 @@ impl HttpClient {
         self
     }
 
-    /// The client's own network location.
-    pub fn from_addr(&self) -> HostAddr {
-        self.from
+    /// The network the client dials through (and counts into).
+    pub fn network(&self) -> &Network {
+        &self.net
     }
 
     /// Captures the client's mutable state for checkpointing: the
@@ -270,19 +270,6 @@ impl HttpClient {
         self.dispatch(req, &url)
     }
 
-    /// POST raw bytes to `url`.
-    pub fn post_bytes(
-        &mut self,
-        url: &str,
-        body: impl Into<bytes::Bytes>,
-        content_type: &str,
-    ) -> Result<Response> {
-        let url = Url::parse(url)?;
-        let mut req = Request::post(url.target.clone(), body);
-        req.headers.set("Content-Type", content_type);
-        self.dispatch(req, &url)
-    }
-
     /// Sends a prepared request to a parsed URL, governed by the
     /// client's [`RetryPolicy`].
     ///
@@ -303,15 +290,16 @@ impl HttpClient {
         let mut last_err = Error::Network("no attempt made".into());
         for attempt in 0..=policy.budget {
             if attempt > 0 {
-                CHAOS.add_retries(1);
+                let chaos = self.net.chaos();
+                chaos.add_retries(1);
                 let backoff = policy.backoff_step(attempt, &mut self.rng);
                 if backoff > SimDuration::ZERO {
-                    CHAOS.add_backoff_secs(backoff.secs());
+                    chaos.add_backoff_secs(backoff.secs());
                     elapsed = elapsed + backoff;
                 }
                 if let Some(deadline) = policy.deadline {
                     if elapsed >= deadline {
-                        CHAOS.add_deadline_exceeded(1);
+                        chaos.add_deadline_exceeded(1);
                         return Err(last_err);
                     }
                 }
@@ -330,7 +318,7 @@ impl HttpClient {
                 Err(e) => return Err(e),
             }
         }
-        CHAOS.add_give_ups(1);
+        self.net.chaos().add_give_ups(1);
         Err(last_err)
     }
 
@@ -536,12 +524,12 @@ mod tests {
         // never 2 or 3 (double-charging), never 5+ (free retries).
         let r = rig();
         r.net.set_default_fault(FaultPlan::lossy(0.0, 1.0));
-        let before = r.net.metrics().connections;
+        let before = r.net.metrics().connections();
         let mut c = HttpClient::new(r.net.clone(), client_addr(), r.roots, SeedFork::new(8))
             .with_retries(3);
         let err = c.get("https://secure.test/json").unwrap_err();
         assert_eq!(err.kind(), "network");
-        assert_eq!(r.net.metrics().connections - before, 4);
+        assert_eq!(r.net.metrics().connections() - before, 4);
     }
 
     #[test]
@@ -551,11 +539,11 @@ mod tests {
         // count still equals budget + 1.
         let r = rig();
         r.net.set_default_fault(FaultPlan::lossy(0.5, 1.0));
-        let before = r.net.metrics().connections;
+        let before = r.net.metrics().connections();
         let mut c = HttpClient::new(r.net.clone(), client_addr(), r.roots, SeedFork::new(9))
             .with_retries(5);
         assert!(c.get("https://secure.test/json").is_err());
-        assert_eq!(r.net.metrics().connections - before, 6);
+        assert_eq!(r.net.metrics().connections() - before, 6);
     }
 
     #[test]
@@ -569,13 +557,13 @@ mod tests {
             jitter: false,
             deadline: Some(SimDuration::from_secs(300)),
         };
-        let before = r.net.metrics().connections;
+        let before = r.net.metrics().connections();
         let mut c = HttpClient::new(r.net.clone(), client_addr(), r.roots, SeedFork::new(10))
             .with_retry_policy(policy);
         assert!(c.get("http://plain.test/hello").is_err());
         // Each failed attempt accounts TIMEOUT (30 s) plus a 60 s
         // backoff; the 300 s deadline allows exactly 4 attempts.
-        assert_eq!(r.net.metrics().connections - before, 4);
+        assert_eq!(r.net.metrics().connections() - before, 4);
     }
 
     #[test]

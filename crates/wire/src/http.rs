@@ -24,7 +24,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use iiscope_netsim::PeerInfo;
-use iiscope_types::{wirestats::WIRE, Error, Result, SimTime};
+use iiscope_types::{Error, Result, SimTime};
 use std::fmt;
 
 /// Maximum accepted header block (16 KiB).
@@ -185,22 +185,18 @@ impl Request {
     /// copied out of `buf`; prefer [`Request::parse_bytes`] when the
     /// input is already a shared slab.
     pub fn parse(buf: &[u8]) -> Result<Option<(Request, usize)>> {
-        match parse_request_view(buf)? {
-            Some((view, consumed)) => Ok(Some((view.to_owned(Bytes::copy_from_slice), consumed))),
-            None => Ok(None),
-        }
+        let parsed = RequestView::parse(buf)?;
+        Ok(parsed.map(|(view, consumed)| (view.to_owned(Bytes::copy_from_slice), consumed)))
     }
 
     /// Like [`Request::parse`], but the parsed body is a zero-copy
     /// slice of `buf`'s allocation.
     pub fn parse_bytes(buf: &Bytes) -> Result<Option<(Request, usize)>> {
-        match parse_request_view(buf)? {
-            Some((view, consumed)) => {
-                let body = buf.slice(consumed - view.body.len()..consumed);
-                Ok(Some((view.to_owned(move |_| body), consumed)))
-            }
-            None => Ok(None),
-        }
+        let parsed = RequestView::parse(buf)?;
+        Ok(parsed.map(|(view, consumed)| {
+            let body = buf.slice(consumed - view.body.len()..consumed);
+            (view.to_owned(move |_| body), consumed)
+        }))
     }
 }
 
@@ -331,22 +327,18 @@ impl Response {
     /// Attempts to parse one response from the front of `buf`
     /// (same contract as [`Request::parse`]).
     pub fn parse(buf: &[u8]) -> Result<Option<(Response, usize)>> {
-        match parse_response_view(buf)? {
-            Some((view, consumed)) => Ok(Some((view.to_owned(Bytes::copy_from_slice), consumed))),
-            None => Ok(None),
-        }
+        let parsed = ResponseView::parse(buf)?;
+        Ok(parsed.map(|(view, consumed)| (view.to_owned(Bytes::copy_from_slice), consumed)))
     }
 
     /// Like [`Response::parse`], but the parsed body is a zero-copy
     /// slice of `buf`'s allocation.
     pub fn parse_bytes(buf: &Bytes) -> Result<Option<(Response, usize)>> {
-        match parse_response_view(buf)? {
-            Some((view, consumed)) => {
-                let body = buf.slice(consumed - view.body.len()..consumed);
-                Ok(Some((view.to_owned(move |_| body), consumed)))
-            }
-            None => Ok(None),
-        }
+        let parsed = ResponseView::parse(buf)?;
+        Ok(parsed.map(|(view, consumed)| {
+            let body = buf.slice(consumed - view.body.len()..consumed);
+            (view.to_owned(move |_| body), consumed)
+        }))
     }
 }
 
@@ -410,11 +402,33 @@ impl<'a> RequestView<'a> {
     /// Parses one request from the front of `buf` without copying any
     /// of it (same completeness contract as [`Request::parse`]).
     pub fn parse(buf: &'a [u8]) -> Result<Option<(RequestView<'a>, usize)>> {
-        let parsed = parse_request_view(buf)?;
-        if parsed.is_some() {
-            WIRE.add_http_view_parses(1);
+        let Some((head, body_start)) = split_head(buf)? else {
+            return Ok(None);
+        };
+        let mut lines = head.split("\r\n");
+        let request_line = lines.next().unwrap_or("");
+        let mut parts = request_line.split(' ');
+        let method = Method::parse(parts.next().unwrap_or(""))?;
+        let target = parts
+            .next()
+            .filter(|t| !t.is_empty())
+            .ok_or_else(|| Error::Decode("missing request target".into()))?;
+        if parts.next() != Some("HTTP/1.1") {
+            return Err(Error::Decode("bad HTTP version".into()));
         }
-        Ok(parsed)
+        let headers = parse_header_views(lines)?;
+        match read_body_range(buf, body_start, &headers)? {
+            Some(consumed) => Ok(Some((
+                RequestView {
+                    method,
+                    target,
+                    headers,
+                    body: &buf[body_start..consumed],
+                },
+                consumed,
+            ))),
+            None => Ok(None),
+        }
     }
 
     /// The path component (target up to `?`).
@@ -452,11 +466,31 @@ impl<'a> ResponseView<'a> {
     /// Parses one response from the front of `buf` without copying any
     /// of it (same completeness contract as [`Response::parse`]).
     pub fn parse(buf: &'a [u8]) -> Result<Option<(ResponseView<'a>, usize)>> {
-        let parsed = parse_response_view(buf)?;
-        if parsed.is_some() {
-            WIRE.add_http_view_parses(1);
+        let Some((head, body_start)) = split_head(buf)? else {
+            return Ok(None);
+        };
+        let mut lines = head.split("\r\n");
+        let status_line = lines.next().unwrap_or("");
+        let mut parts = status_line.splitn(3, ' ');
+        if parts.next() != Some("HTTP/1.1") {
+            return Err(Error::Decode("bad HTTP version".into()));
         }
-        Ok(parsed)
+        let status: u16 = parts
+            .next()
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| Error::Decode("bad status code".into()))?;
+        let headers = parse_header_views(lines)?;
+        match read_body_range(buf, body_start, &headers)? {
+            Some(consumed) => Ok(Some((
+                ResponseView {
+                    status,
+                    headers,
+                    body: &buf[body_start..consumed],
+                },
+                consumed,
+            ))),
+            None => Ok(None),
+        }
     }
 
     /// True for 2xx.
@@ -650,64 +684,6 @@ fn encode_headers(out: &mut BytesMut, headers: &Headers, body_len: usize) {
     }
     out.put_slice(&digits[i..]);
     out.put_slice(b"\r\n\r\n");
-}
-
-fn parse_request_view(buf: &[u8]) -> Result<Option<(RequestView<'_>, usize)>> {
-    let Some((head, body_start)) = split_head(buf)? else {
-        return Ok(None);
-    };
-    let mut lines = head.split("\r\n");
-    let request_line = lines.next().unwrap_or("");
-    let mut parts = request_line.split(' ');
-    let method = Method::parse(parts.next().unwrap_or(""))?;
-    let target = parts
-        .next()
-        .filter(|t| !t.is_empty())
-        .ok_or_else(|| Error::Decode("missing request target".into()))?;
-    if parts.next() != Some("HTTP/1.1") {
-        return Err(Error::Decode("bad HTTP version".into()));
-    }
-    let headers = parse_header_views(lines)?;
-    match read_body_range(buf, body_start, &headers)? {
-        Some(consumed) => Ok(Some((
-            RequestView {
-                method,
-                target,
-                headers,
-                body: &buf[body_start..consumed],
-            },
-            consumed,
-        ))),
-        None => Ok(None),
-    }
-}
-
-fn parse_response_view(buf: &[u8]) -> Result<Option<(ResponseView<'_>, usize)>> {
-    let Some((head, body_start)) = split_head(buf)? else {
-        return Ok(None);
-    };
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().unwrap_or("");
-    let mut parts = status_line.splitn(3, ' ');
-    if parts.next() != Some("HTTP/1.1") {
-        return Err(Error::Decode("bad HTTP version".into()));
-    }
-    let status: u16 = parts
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| Error::Decode("bad status code".into()))?;
-    let headers = parse_header_views(lines)?;
-    match read_body_range(buf, body_start, &headers)? {
-        Some(consumed) => Ok(Some((
-            ResponseView {
-                status,
-                headers,
-                body: &buf[body_start..consumed],
-            },
-            consumed,
-        ))),
-        None => Ok(None),
-    }
 }
 
 /// Finds the end of the header block. Returns the head as UTF-8 text

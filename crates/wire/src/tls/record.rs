@@ -19,16 +19,20 @@
 //!   [`MAX_RECORD_PLAINTEXT`] bytes, like real TLS fragmentation.
 //!
 //! Buffer discipline: sealing encrypts in place inside the output
-//! buffer (one XOR pass, a `u64` word at a time), and the decoder
-//! makes exactly one copy per record — ciphertext into the buffer that
-//! decryption mutates and that is then frozen into the record's shared
-//! plaintext slab. Consumed wire bytes are dropped by advancing an
-//! offset, not by a `drain` memmove. The MAC digests the plaintext a
-//! word at a time too.
+//! buffer (one XOR pass, a `u64` word at a time), and both openers —
+//! the streaming [`RecordDecoder`] and the one-shot [`open_records`] —
+//! run one routine that makes exactly one copy per record: ciphertext
+//! into the buffer that decryption mutates and that is then frozen into
+//! the record's shared plaintext slab. Consumed wire bytes are dropped
+//! by advancing an offset, not by a `drain` memmove. The MAC digests
+//! the plaintext a word at a time too.
+//!
+//! These functions count nothing: a caller that keeps a wire book
+//! counts the records a call framed or opened from its `seq` delta.
 
 use super::cert::mix;
 use bytes::{BufMut, Bytes, BytesMut};
-use iiscope_types::{wirestats::WIRE, Error, Result};
+use iiscope_types::{Error, Result};
 
 /// Maximum plaintext bytes carried by one record.
 pub const MAX_RECORD_PLAINTEXT: usize = 16 * 1024 - 64;
@@ -134,9 +138,7 @@ pub fn seal_records_into(
         keystream_xor(key, *seq, &mut out[body_start..]);
         out.put_u64(record_mac);
         *seq += 1;
-        WIRE.add_records_sealed(1);
     }
-    WIRE.add_bytes_sealed(plaintext.len() as u64);
 }
 
 /// Seals `plaintext` into one or more records, advancing `*seq` once
@@ -180,49 +182,51 @@ impl RecordDecoder {
     /// connection (as in TLS).
     pub fn next_record(&mut self, key: u64, seq: &mut u64) -> Result<Option<Record>> {
         use bytes::Buf;
-        if self.buf.len() < 3 {
+        let Some((record, spanned)) = open_front(&self.buf, key, seq)? else {
             return Ok(None);
-        }
-        let rtype = RecordType::from_byte(self.buf[0])?;
-        let len = u16::from_be_bytes([self.buf[1], self.buf[2]]) as usize;
-        if len < 8 {
-            return Err(Error::Network("record shorter than its MAC".into()));
-        }
-        if self.buf.len() < 3 + len {
-            return Ok(None);
-        }
-        let wire_mac =
-            u64::from_be_bytes(self.buf[3 + len - 8..3 + len].try_into().expect("8 bytes"));
-        self.buf.advance(3);
-        // The one copy of the decode path: ciphertext moves into the
-        // buffer that decryption mutates and the record then owns.
-        let mut body = self.buf.split_to(len - 8);
-        self.buf.advance(8);
-        keystream_xor(key, *seq, &mut body);
-        if mac(key, *seq, rtype, &body) != wire_mac {
-            return Err(Error::Network("bad record MAC".into()));
-        }
-        *seq += 1;
-        WIRE.add_records_opened(1);
-        Ok(Some(Record {
-            rtype,
-            plaintext: body.freeze(),
-        }))
-    }
-
-    /// Drains all currently-complete records.
-    pub fn drain(&mut self, key: u64, seq: &mut u64) -> Result<Vec<Record>> {
-        let mut records = Vec::new();
-        while let Some(r) = self.next_record(key, seq)? {
-            records.push(r);
-        }
-        Ok(records)
+        };
+        self.buf.advance(spanned);
+        Ok(Some(record))
     }
 
     /// Buffered byte count.
     pub fn pending(&self) -> usize {
         self.buf.len()
     }
+}
+
+/// The record at the front of `wire` and the wire bytes it spans, or
+/// `None` while it is incomplete: parses the header, rejects a length
+/// shorter than the MAC, decrypts and authenticates the body and
+/// advances `*seq`.
+fn open_front(wire: &[u8], key: u64, seq: &mut u64) -> Result<Option<(Record, usize)>> {
+    if wire.len() < 3 {
+        return Ok(None);
+    }
+    let rtype = RecordType::from_byte(wire[0])?;
+    let len = u16::from_be_bytes([wire[1], wire[2]]) as usize;
+    if len < 8 {
+        return Err(Error::Network("record shorter than its MAC".into()));
+    }
+    let Some(body) = wire.get(3..3 + len) else {
+        return Ok(None);
+    };
+    let (ciphertext, wire_mac) = body.split_at(len - 8);
+    // The record's one copy: ciphertext moves into the buffer that
+    // decryption mutates and the record then owns.
+    let mut plaintext = ciphertext.to_vec();
+    keystream_xor(key, *seq, &mut plaintext);
+    if mac(key, *seq, rtype, &plaintext)
+        != u64::from_be_bytes(wire_mac.try_into().expect("8 bytes"))
+    {
+        return Err(Error::Network("bad record MAC".into()));
+    }
+    *seq += 1;
+    let record = Record {
+        rtype,
+        plaintext: Bytes::from(plaintext),
+    };
+    Ok(Some((record, 3 + len)))
 }
 
 /// One-shot helper: decodes a complete byte run into records,
@@ -232,38 +236,17 @@ impl RecordDecoder {
 pub fn open_records(key: u64, seq: &mut u64, bytes: &[u8]) -> Result<Bytes> {
     // Decoded in place over `bytes` rather than through a
     // `RecordDecoder`: the input is already complete, so the wire run
-    // never needs to be staged in a stream buffer — each record costs
-    // exactly one copy (ciphertext into the buffer decryption mutates).
+    // never needs to be staged in a stream buffer.
     let mut parts: Vec<Bytes> = Vec::new();
-    let mut pos = 0;
-    while bytes.len() - pos >= 3 {
-        let rtype = RecordType::from_byte(bytes[pos])?;
-        let len = u16::from_be_bytes([bytes[pos + 1], bytes[pos + 2]]) as usize;
-        if len < 8 {
-            return Err(Error::Network("record shorter than its MAC".into()));
-        }
-        if bytes.len() - pos < 3 + len {
-            break; // trailing partial record
-        }
-        let wire_mac = u64::from_be_bytes(
-            bytes[pos + 3 + len - 8..pos + 3 + len]
-                .try_into()
-                .expect("8 bytes"),
-        );
-        let mut body = bytes[pos + 3..pos + 3 + len - 8].to_vec();
-        pos += 3 + len;
-        keystream_xor(key, *seq, &mut body);
-        if mac(key, *seq, rtype, &body) != wire_mac {
-            return Err(Error::Network("bad record MAC".into()));
-        }
-        *seq += 1;
-        WIRE.add_records_opened(1);
-        match rtype {
-            RecordType::AppData => parts.push(Bytes::from(body)),
+    let mut rest = bytes;
+    while let Some((record, spanned)) = open_front(rest, key, seq)? {
+        rest = &rest[spanned..];
+        match record.rtype {
+            RecordType::AppData => parts.push(record.plaintext),
             RecordType::Alert => {
                 return Err(Error::Network(format!(
                     "tls alert: {}",
-                    String::from_utf8_lossy(&body)
+                    String::from_utf8_lossy(&record.plaintext)
                 )))
             }
             RecordType::Handshake => {
@@ -271,15 +254,19 @@ pub fn open_records(key: u64, seq: &mut u64, bytes: &[u8]) -> Result<Bytes> {
             }
         }
     }
-    if pos != bytes.len() {
+    if !rest.is_empty() {
         return Err(Error::Network("trailing partial record".into()));
     }
-    Ok(match parts.len() {
+    Ok(concat(parts))
+}
+
+/// Joins the plaintext of one turn's records. A single record — every
+/// offer-wall-sized exchange — is passed through as its own decrypt
+/// buffer, uncopied.
+pub(crate) fn concat(mut parts: Vec<Bytes>) -> Bytes {
+    match parts.len() {
         0 => Bytes::new(),
-        1 => {
-            WIRE.add_record_passthrough(1);
-            parts.pop().expect("one part")
-        }
+        1 => parts.pop().expect("one part"),
         _ => {
             let mut joined = Vec::with_capacity(parts.iter().map(Bytes::len).sum());
             for p in &parts {
@@ -287,7 +274,7 @@ pub fn open_records(key: u64, seq: &mut u64, bytes: &[u8]) -> Result<Bytes> {
             }
             Bytes::from(joined)
         }
-    })
+    }
 }
 
 #[cfg(test)]

@@ -18,16 +18,40 @@
 //! asked for, which is precisely the §4.1 interception trick.
 
 use super::cert::{mix, Certificate, KeyPair, TrustStore};
-use super::record::{seal_records, seal_records_into, RecordDecoder, RecordType};
+use super::record::{concat, open_records, seal_records_into, Record, RecordDecoder, RecordType};
 use crate::Json;
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use iiscope_netsim::{ClientConn, PeerInfo, ServerIo, Session};
-use iiscope_types::{wirestats::WIRE, Error, Result, SimTime};
+use iiscope_types::{wirestats::WireCounters, Error, Result, SimTime};
 use rand::Rng;
 
 /// Derives the shared session key from both randoms and the leaf key.
 fn derive_key(client_random: u64, server_random: u64, leaf_public: u64) -> u64 {
     mix(client_random ^ mix(server_random) ^ leaf_public.rotate_left(17))
+}
+
+/// Seals `plaintext` into `out` and counts what it framed into `wire`:
+/// the records (the `seq` delta) and the plaintext bytes.
+fn seal(
+    wire: &WireCounters,
+    out: &mut BytesMut,
+    key: u64,
+    seq: &mut u64,
+    rtype: RecordType,
+    plaintext: &[u8],
+) {
+    let first = *seq;
+    seal_records_into(out, key, seq, rtype, plaintext);
+    wire.add_records_sealed(*seq - first);
+    wire.add_bytes_sealed(plaintext.len() as u64);
+}
+
+/// Counts a record `RecordDecoder::next_record` opened into `wire`.
+fn opened(wire: &WireCounters, next: Result<Option<Record>>) -> Result<Option<Record>> {
+    if let Ok(Some(_)) = next {
+        wire.add_records_opened(1);
+    }
+    next
 }
 
 /// A server's certificate chain plus its private key.
@@ -134,20 +158,22 @@ impl TlsClient {
             ("random", Json::str(format!("{client_random:016x}"))),
         ]);
         let mut hs_send = 0u64;
-        let wire = seal_records(
+        let mut out = BytesMut::new();
+        seal(
+            conn.wire(),
+            &mut out,
             0,
             &mut hs_send,
             RecordType::Handshake,
             hello.to_string().as_bytes(),
         );
-        conn.send(&wire);
+        conn.send(&out);
         let reply = conn.roundtrip()?;
 
         let mut decoder = RecordDecoder::new();
         decoder.extend(&reply);
         let mut hs_recv = 0u64;
-        let record = decoder
-            .next_record(0, &mut hs_recv)?
+        let record = opened(conn.wire(), decoder.next_record(0, &mut hs_recv))?
             .ok_or_else(|| Error::Network("truncated server hello".into()))?;
         match record.rtype {
             RecordType::Alert => {
@@ -201,10 +227,18 @@ impl TlsClient {
     /// Sends application bytes and returns the decrypted reply bytes of
     /// the same turn.
     pub fn request(&mut self, plaintext: &[u8]) -> Result<Bytes> {
-        let wire = seal_records(self.key, &mut self.send_seq, RecordType::AppData, plaintext);
-        self.conn.send(&wire);
+        let mut out = BytesMut::new();
+        let (wire, key, seq) = (self.conn.wire(), self.key, &mut self.send_seq);
+        seal(wire, &mut out, key, seq, RecordType::AppData, plaintext);
+        self.conn.send(&out);
         let reply = self.conn.roundtrip()?;
-        super::record::open_records(self.key, &mut self.recv_seq, &reply)
+        let first = self.recv_seq;
+        let opened = open_records(self.key, &mut self.recv_seq, &reply);
+        let (records, wire) = (self.recv_seq - first, self.conn.wire());
+        wire.add_records_opened(records);
+        // An `Ok` run holds app data only: one record is one part.
+        wire.add_record_passthrough((opened.is_ok() && records == 1).into());
+        opened
     }
 
     /// The underlying connection id (for capture correlation).
@@ -264,7 +298,8 @@ impl TlsServerSession {
     }
 
     fn fatal(&mut self, io: &mut ServerIo<'_>, key: u64, send_seq: &mut u64, reason: &str) {
-        seal_records_into(
+        seal(
+            io.wire(),
             io.outgoing(),
             key,
             send_seq,
@@ -287,7 +322,7 @@ impl Session for TlsServerSession {
                 mut recv_seq,
                 mut send_seq,
             } => {
-                let record = match self.decoder.next_record(0, &mut recv_seq) {
+                let record = match opened(io.wire(), self.decoder.next_record(0, &mut recv_seq)) {
                     Ok(Some(r)) => r,
                     Ok(None) => {
                         // Wait for more bytes.
@@ -341,7 +376,8 @@ impl Session for TlsServerSession {
                         Json::arr(identity.chain.iter().map(Certificate::to_json)),
                     ),
                 ]);
-                seal_records_into(
+                seal(
+                    io.wire(),
                     io.outgoing(),
                     0,
                     &mut send_seq,
@@ -363,7 +399,7 @@ impl Session for TlsServerSession {
             } => {
                 let mut parts: Vec<Bytes> = Vec::new();
                 loop {
-                    match self.decoder.next_record(key, &mut recv_seq) {
+                    match opened(io.wire(), self.decoder.next_record(key, &mut recv_seq)) {
                         Ok(Some(r)) if r.rtype == RecordType::AppData => {
                             parts.push(r.plaintext);
                         }
@@ -380,22 +416,11 @@ impl Session for TlsServerSession {
                 }
                 // Single-record turns — every offer-wall-sized exchange
                 // — hand the decrypt buffer straight to the service.
-                let plaintext = match parts.len() {
-                    0 => Bytes::new(),
-                    1 => {
-                        WIRE.add_record_passthrough(1);
-                        parts.pop().expect("one part")
-                    }
-                    _ => {
-                        let mut joined = Vec::with_capacity(parts.iter().map(Bytes::len).sum());
-                        for p in &parts {
-                            joined.extend_from_slice(p);
-                        }
-                        Bytes::from(joined)
-                    }
-                };
-                let reply = self.service.on_data(plaintext, io.peer(), io.now());
-                seal_records_into(
+                let wire = io.wire();
+                wire.add_record_passthrough((parts.len() == 1).into());
+                let reply = self.service.on_data(concat(parts), io.peer(), io.now());
+                seal(
+                    wire,
                     io.outgoing(),
                     key,
                     &mut send_seq,

@@ -15,10 +15,16 @@
 //! 5. **report computability** — the full experiment report renders at
 //!    every grid point (that is what `run_chaos` digests).
 //!
+//! Each run also reports its own world's chaos and wire books, so the
+//! outcomes compared above include every counter, and two worlds
+//! studied at once on two threads must each end with the books of
+//! their solo runs.
+//!
 //! The in-suite sweep covers the first three grid plans; the full
 //! grid runs behind `--ignored` (CI's nightly profile).
 
 use iiscope::chaos::{fault_grid, run_chaos, telemetry_survival, ChaosOutcome};
+use iiscope::subsystems::netsim::FaultPlan;
 use iiscope::subsystems::types::time::study;
 
 /// Sim-time budget (in days past the study start) no chaos run may
@@ -59,11 +65,33 @@ fn smoke_grid_upholds_all_invariants() {
     }
 }
 
+/// The value of `key` in a counter book.
+fn counter(book: &[(&'static str, u64)], key: &str) -> u64 {
+    book.iter()
+        .find(|(k, _)| *k == key)
+        .unwrap_or_else(|| panic!("no counter {key}"))
+        .1
+}
+
+#[test]
+fn a_perfect_network_books_no_chaos() {
+    let outcome = run_chaos(42, &FaultPlan::perfect(), 1).expect("clean run");
+    check_invariants("perfect", 42, &outcome);
+    for &(key, value) in &outcome.chaos_counters {
+        assert_eq!(value, 0, "{key} on a perfect network");
+    }
+    assert!(counter(&outcome.wire_counters, "walls_streamed") > 0);
+}
+
 #[test]
 fn light_loss_still_measures_the_ecosystem() {
     let (name, plan) = &fault_grid()[0];
     let outcome = run_chaos(42, plan, 1).expect("drop-light run");
     check_invariants(name, 42, &outcome);
+    assert!(
+        counter(&outcome.chaos_counters, "drops_random") > 0,
+        "the lossy plan dropped deliveries"
+    );
     assert!(outcome.honey_delivered > 0, "honey campaigns delivered");
     assert!(
         outcome.telemetry_installs > 0,
@@ -82,6 +110,33 @@ fn parallel_study_matches_sequential_under_faults() {
         seq, par,
         "worker scheduling must be invisible even with faults armed"
     );
+}
+
+/// Two worlds with different seeds run both studies at the same time
+/// on two threads, and each ends with exactly the books (and report)
+/// of its solo run: no count of one world lands in the other's book.
+#[test]
+fn concurrent_worlds_keep_their_own_books() {
+    let (_, plan) = &fault_grid()[0];
+    let seeds = [42u64, 1337];
+    let solo: Vec<ChaosOutcome> = seeds
+        .iter()
+        .map(|&seed| run_chaos(seed, plan, 1).expect("solo run"))
+        .collect();
+    let together: Vec<ChaosOutcome> = std::thread::scope(|s| {
+        let runs: Vec<_> = seeds
+            .iter()
+            .map(|&seed| s.spawn(move || run_chaos(seed, plan, 1).expect("concurrent run")))
+            .collect();
+        runs.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    assert_ne!(solo[0].wire_counters, solo[1].wire_counters);
+    for (seed, (alone, beside)) in seeds.iter().zip(solo.iter().zip(&together)) {
+        assert_eq!(
+            alone, beside,
+            "seed {seed}: a concurrent world moved this world's books"
+        );
+    }
 }
 
 #[test]

@@ -147,7 +147,7 @@ impl Rig {
     }
 
     fn connections(&self) -> u64 {
-        self.net.metrics().connections
+        self.net.metrics().connections()
     }
 
     /// GETs `url` and returns the body plus the connections it opened.
@@ -194,9 +194,9 @@ fn one_milk_opens_one_phone_and_one_upstream_connection_per_tab() {
     }
     let day = world.net.clock().now().days();
     let mut phone = world.infra.phone_client(Country::Us, day).unwrap();
-    let before = world.net.metrics().connections;
+    let before = world.net.metrics().connections();
     let run = UiFuzzer::default().drive(&app, &mut phone).unwrap();
-    let opened = world.net.metrics().connections - before;
+    let opened = world.net.metrics().connections() - before;
     assert_eq!(run.failed_requests, 0);
     assert_eq!(run.tabs, app.tabs.len());
     assert_eq!(run.pages, 5 * run.tabs, "4 pages with offers + 1 empty");
@@ -245,9 +245,9 @@ fn a_crawl_day_opens_one_store_connection_per_chunk() {
             .flat_map(|(a, b)| [a, b.as_str()])
             .take(n)
             .collect();
-        let before = world.net.metrics().connections;
+        let before = world.net.metrics().connections();
         let crawled = world.crawl_profiles(&plan, world.study_start()).unwrap();
-        let opened = world.net.metrics().connections - before;
+        let opened = world.net.metrics().connections() - before;
         assert_eq!(crawled.len(), n);
         let found = crawled.iter().filter(|r| matches!(r, Ok(Some(_)))).count();
         assert_eq!(found, n.div_ceil(2), "every listed profile, in plan order");

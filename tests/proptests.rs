@@ -168,6 +168,7 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 use iiscope::subsystems::monitor::parsers::parse_wall;
+use iiscope::subsystems::types::wirestats::WireCounters;
 use iiscope::subsystems::wire::json::MAX_DEPTH;
 use iiscope_bench::oracles::{parse_json_tree, parse_wall_tree};
 
@@ -448,7 +449,7 @@ proptest! {
         let iip = IipId::ALL[iip_idx];
         let cut = truncate_at_char(&body, &cut);
         for s in [body.as_str(), &body[..cut]] {
-            let fast = parse_wall(iip, s);
+            let fast = parse_wall(iip, s, &WireCounters::new());
             let reference = parse_wall_tree(iip, s);
             match (&fast, &reference) {
                 (Ok(x), Ok(y)) => prop_assert_eq!(x, y, "{:?}", s),
@@ -588,13 +589,15 @@ fn rendered_wall_page(iip: IipId, n: usize, payout_micros: i64, page: usize) -> 
 /// The verdict the probe must give, derived from the full parse:
 /// `None` when `parse_wall` errs.
 fn verdict_of_parse(iip: IipId, body: &str) -> Option<PageFill> {
-    parse_wall(iip, body).ok().map(|page| {
-        if page.offers.is_empty() && page.skipped == 0 {
-            PageFill::Empty
-        } else {
-            PageFill::HasEntries
-        }
-    })
+    parse_wall(iip, body, &WireCounters::new())
+        .ok()
+        .map(|page| {
+            if page.offers.is_empty() && page.skipped == 0 {
+                PageFill::Empty
+            } else {
+                PageFill::HasEntries
+            }
+        })
 }
 
 proptest! {
@@ -612,7 +615,7 @@ proptest! {
     ) {
         let iip = IipId::ALL[iip_idx];
         let body = rendered_wall_page(iip, n, payout_micros, page);
-        let probed = probe_wall(iip, &body).ok();
+        let probed = probe_wall(iip, &body, &WireCounters::new()).ok();
         prop_assert_eq!(probed, verdict_of_parse(iip, &body), "{}", body);
         prop_assert_eq!(probed, Some(if n > page * 10 {
             PageFill::HasEntries
@@ -628,7 +631,7 @@ proptest! {
             _ if cut == body.len() => probed,
             _ => None,
         };
-        prop_assert_eq!(probe_wall(iip, prefix).ok(), want, "{:?}", prefix);
+        prop_assert_eq!(probe_wall(iip, prefix, &WireCounters::new()).ok(), want, "{:?}", prefix);
     }
 
     /// On the adversarial generators of `wall_parsers_agree_everywhere`
@@ -648,7 +651,7 @@ proptest! {
         let cut = truncate_at_char(&body, &cut);
         for s in [body.as_str(), &body[..cut]] {
             let full = verdict_of_parse(iip, s);
-            match probe_wall(iip, s) {
+            match probe_wall(iip, s, &WireCounters::new()) {
                 Ok(PageFill::Empty) => prop_assert_eq!(full, Some(PageFill::Empty), "{:?}", s),
                 Ok(PageFill::HasEntries) => {
                     prop_assert_ne!(full, Some(PageFill::Empty), "{:?}", s)
@@ -1199,7 +1202,7 @@ proptest! {
 }
 
 use iiscope::subsystems::netsim::{DropReason, FaultPlan, GilbertElliott, OutageWindow, Verdict};
-use iiscope::subsystems::types::{SimDuration, SimTime as ChaosTime};
+use iiscope::subsystems::types::{chaosstats::ChaosCounters, SimDuration, SimTime as ChaosTime};
 
 proptest! {
     /// The Gilbert–Elliott constructor must clamp arbitrary rates into
@@ -1237,7 +1240,7 @@ proptest! {
         payload.extend_from_slice(&vec![7u8; len]);
         let now = from + SimDuration::from_secs(offset_secs);
         prop_assert_eq!(
-            plan.apply(&mut rng, now, &mut payload),
+            plan.apply(&mut rng, now, &mut payload, &ChaosCounters::new()),
             Verdict::Dropped(DropReason::Outage)
         );
     }
@@ -1262,7 +1265,7 @@ proptest! {
                 .map(|i| {
                     let mut payload = bytes::BytesMut::new();
                     payload.extend_from_slice(&[i as u8; 16]);
-                    plan.apply(&mut rng, ChaosTime::from_secs(i), &mut payload)
+                    plan.apply(&mut rng, ChaosTime::from_secs(i), &mut payload, &ChaosCounters::new())
                 })
                 .collect()
         };
