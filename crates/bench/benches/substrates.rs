@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use iiscope_analysis::libradar::count_libraries;
 use iiscope_analysis::stats::{chi2_2x2, chi2_sf};
 use iiscope_attribution::ConversionGoal;
-use iiscope_core::checkpoint::{self, Snapshot};
+use iiscope_core::checkpoint::{self, Snapshot, SnapshotRef};
 use iiscope_core::wildsim::{CheckpointPolicy, WildRunOptions, CRAWL_CHUNK};
 use iiscope_core::{World, WorldConfig};
 use iiscope_devices::AffiliateApp;
@@ -14,7 +14,7 @@ use iiscope_iip::wall::PAGE_SIZE;
 use iiscope_iip::{
     CampaignSpec, DeveloperApplication, IipPlatform, Offer, OfferWallHandler, PayoutSplit,
 };
-use iiscope_monitor::UiFuzzer;
+use iiscope_monitor::{Dataset, UiFuzzer};
 use iiscope_netsim::{encode_frame, AsnId, AsnKind, FrameDecoder, HostAddr, PeerInfo};
 use iiscope_playstore::apk::{AdLibrary, ApkInfo};
 use iiscope_playstore::charts;
@@ -27,6 +27,7 @@ use iiscope_wire::tls::{open_records, seal_records, RecordType};
 use iiscope_wire::Handler;
 use iiscope_wire::Json;
 use std::hint::black_box;
+use std::io::Cursor;
 use std::sync::Arc;
 
 fn sample_offer_wall_body() -> String {
@@ -413,13 +414,35 @@ fn bench_framing(c: &mut Criterion) {
     g.bench_function("crc32_1m", |b| b.iter(|| black_box(crc32(black_box(&mib)))));
     g.finish();
 
-    // One snapshot of a small world's last study day, encoded through
-    // the same view the live study encodes from.
+    // One snapshot of a small world's last study day, restored into a
+    // dataset and encoded from it, as the live study encodes.
+    fn ledger(l: &[(String, u64)]) -> Vec<(&str, u64)> {
+        l.iter().map(|(k, v)| (k.as_str(), *v)).collect()
+    }
     let snap = last_day_snapshot();
-    let bytes = snap.encode().len();
+    let dataset = Dataset::new()
+        .restored(snap.dataset)
+        .expect("the snapshot restores");
+    let view = SnapshotRef {
+        day: snap.day,
+        seed: snap.seed,
+        fingerprint: snap.fingerprint,
+        sim_bytes: &snap.sim_bytes,
+        crawler: snap.crawler,
+        dataset: &dataset,
+        chaos_counters: ledger(&snap.chaos_counters),
+        wire_counters: ledger(&snap.wire_counters),
+        aggregates: &snap.aggregates,
+    };
+    let encode = || {
+        view.write_to(Cursor::new(Vec::new()))
+            .expect("in memory")
+            .into_inner()
+    };
+    let bytes = encode().len();
     let mut g = c.benchmark_group("framing");
     g.throughput(Throughput::Bytes(bytes as u64));
-    g.bench_function("encode_snapshot", |b| b.iter(|| black_box(snap.encode())));
+    g.bench_function("encode_snapshot", |b| b.iter(|| black_box(encode())));
     g.finish();
 }
 

@@ -20,6 +20,12 @@
 //! doubles as a verification oracle: the replayed sim state must match
 //! it byte-for-byte or the resume is refused.
 //!
+//! The dataset has one snapshot shape. [`SnapshotRef`] borrows the live
+//! [`Dataset`] and streams its sections out; [`Snapshot::decode`]
+//! checks every row and keeps the dataset sections as one
+//! [`SavedDataset`], its offer and chart rows still encoded, which
+//! [`Dataset::restored`] turns back into a dataset one row at a time.
+//!
 //! Durability: snapshots are written to a temp file, fsynced, atomically
 //! renamed into place, and the directory fsynced — a torn write leaves
 //! either the previous snapshot set intact or a partial temp file that
@@ -30,15 +36,14 @@
 use crate::aggregates::ReportAggregates;
 use crate::chaos::fnv64;
 use crate::config::WorldConfig;
-use iiscope_monitor::parsers::ScrapedOffer;
-use iiscope_monitor::spill::{ResidentRows, RowSection, SegRef, SpillManifest, SpillRow};
-use iiscope_monitor::{ChartSnapshot, ProfileLog};
+use iiscope_monitor::spill::{SavedRows, SegRef, SpillManifest};
+use iiscope_monitor::{Dataset, ProfileLog, SavedDataset};
 use iiscope_types::frame::{Dec, Enc, FrameError, FrameReader, FrameWriter};
 use iiscope_types::Interner;
 use iiscope_wire::ClientState;
 use rand::rngs::RngState;
 use std::fs::File;
-use std::io::{self, Cursor, Seek, Write};
+use std::io::{self, Seek, Write};
 use std::path::{Path, PathBuf};
 
 /// Payload schema revision carried in the META section. Bump on any
@@ -84,25 +89,9 @@ pub struct Snapshot {
     pub sim_bytes: Vec<u8>,
     /// Chart crawler HTTP-client state (RNG + connection lineage).
     pub crawler: ClientState,
-    /// Package symbol table at snapshot time, rank order.
-    pub pkg_syms: Interner,
-    /// Description symbol table at snapshot time, rank order.
-    pub desc_syms: Interner,
-    /// Spilled prefix of the offer log, by reference: the spill file
-    /// plus one CRC-checked [`SegRef`] per disk segment. Restore
-    /// re-attaches and validates the file instead of re-reading rows
-    /// out of the snapshot.
-    pub offers_spill: SpillManifest,
-    /// Resident suffix of the offer log (rows not covered by
-    /// `offers_spill`), arrival order.
-    pub offers: Vec<ScrapedOffer>,
-    /// Raw profile log, arrival order, decoded straight into interned
-    /// rows; its packages are symbols of `pkg_syms`.
-    pub profiles: ProfileLog,
-    /// Spilled prefix of the chart log, by reference.
-    pub charts_spill: SpillManifest,
-    /// Resident suffix of the chart log, arrival order.
-    pub charts: Vec<ChartSnapshot>,
+    /// The dataset's five sections (SYMS, SPILL, OFFERS, PROFILES,
+    /// CHARTS), checked: what [`Dataset::restored`] rebuilds from.
+    pub dataset: SavedDataset,
     /// Chaos counter ledger at snapshot time.
     pub chaos_counters: Ledger,
     /// Wire counter ledger at snapshot time.
@@ -113,8 +102,7 @@ pub struct Snapshot {
 
 /// A snapshot as the encoder reads it: every bulk part borrowed, so
 /// the live study encodes straight from its own state without cloning
-/// it. [`Snapshot::view`] borrows a decoded snapshot the same way;
-/// [`SnapshotRef::write_to`] is the only snapshot encoder.
+/// it. [`SnapshotRef::write_to`] is the only snapshot encoder.
 #[derive(Debug)]
 pub struct SnapshotRef<'a> {
     /// Last fully completed sim day.
@@ -127,24 +115,9 @@ pub struct SnapshotRef<'a> {
     pub sim_bytes: &'a [u8],
     /// Chart crawler HTTP-client state.
     pub crawler: ClientState,
-    /// Package symbol table, rank order.
-    pub pkg_syms: &'a Interner,
-    /// Description symbol table, rank order.
-    pub desc_syms: &'a Interner,
-    /// Spilled prefix of the offer log, by reference.
-    pub offers_spill: &'a SpillManifest,
-    /// Resident suffix of the offer log, arrival order: the live
-    /// dataset's interned rows or a decoded snapshot's owned rows,
-    /// encoded with the same row codec either way.
-    pub offers: Box<dyn RowSection + 'a>,
-    /// Raw profile log, arrival order: a live dataset's or a decoded
-    /// snapshot's interned rows, encoded with the owned snapshot's row
-    /// codec.
-    pub profiles: Box<dyn RowSection + 'a>,
-    /// Spilled prefix of the chart log, by reference.
-    pub charts_spill: &'a SpillManifest,
-    /// Resident suffix of the chart log, arrival order.
-    pub charts: Box<dyn RowSection + 'a>,
+    /// The dataset: its symbol tables, its logs' spill manifests and
+    /// their resident rows.
+    pub dataset: &'a Dataset,
     /// Chaos counter ledger.
     pub chaos_counters: Vec<(&'a str, u64)>,
     /// Wire counter ledger.
@@ -159,6 +132,7 @@ impl SnapshotRef<'_> {
     /// the bytes are the same whatever the sink, and no section is
     /// ever held whole.
     pub fn write_to<W: Write + Seek>(&self, out: W) -> io::Result<W> {
+        let ds = self.dataset;
         let mut w = FrameWriter::new(out)?;
         w.record_with(|e| {
             e.u8(SEC_META)
@@ -172,25 +146,18 @@ impl SnapshotRef<'_> {
         })?;
         w.record_with(|e| {
             e.u8(SEC_SYMS);
-            enc_interner(e, self.pkg_syms);
-            enc_interner(e, self.desc_syms);
+            enc_interner(e, ds.package_interner());
+            enc_interner(e, ds.description_interner());
         })?;
         w.record_with(|e| {
             e.u8(SEC_SPILL);
-            enc_manifest(e, self.offers_spill);
-            enc_manifest(e, self.charts_spill);
+            enc_manifest(e, ds.offers_spill());
+            enc_manifest(e, ds.charts_spill());
         })?;
-        for (section, rows) in [
-            (SEC_OFFERS, &self.offers),
-            (SEC_PROFILES, &self.profiles),
-            (SEC_CHARTS, &self.charts),
-        ] {
-            // A row section: tag, row count, then every row in order.
-            w.record_with(|e| {
-                e.u8(section).u64(rows.row_count() as u64);
-                rows.enc_rows(e);
-            })?;
-        }
+        // A row section: tag, row count, then every row in order.
+        w.record_with(|e| ds.enc_offers(e.u8(SEC_OFFERS)))?;
+        w.record_with(|e| ds.enc_profiles(e.u8(SEC_PROFILES)))?;
+        w.record_with(|e| ds.enc_charts(e.u8(SEC_CHARTS)))?;
         w.record_with(|e| {
             e.u8(SEC_CRAWLER);
             enc_rng(e, &self.crawler.rng);
@@ -206,14 +173,6 @@ impl SnapshotRef<'_> {
             self.aggregates.encode(e);
         })?;
         w.finish()
-    }
-
-    /// The snapshot's frame file in memory: [`SnapshotRef::write_to`]
-    /// over a `Cursor`.
-    pub fn encode(&self) -> Vec<u8> {
-        self.write_to(Cursor::new(Vec::new()))
-            .expect("writing to memory cannot fail")
-            .into_inner()
     }
 }
 
@@ -288,36 +247,6 @@ impl Snapshot {
         Ok(())
     }
 
-    /// Borrows the snapshot as the view the encoder reads.
-    pub fn view(&self) -> SnapshotRef<'_> {
-        fn ledger(l: &Ledger) -> Vec<(&str, u64)> {
-            l.iter().map(|(k, v)| (k.as_str(), *v)).collect()
-        }
-        SnapshotRef {
-            day: self.day,
-            seed: self.seed,
-            fingerprint: self.fingerprint,
-            sim_bytes: &self.sim_bytes,
-            crawler: self.crawler,
-            pkg_syms: &self.pkg_syms,
-            desc_syms: &self.desc_syms,
-            offers_spill: &self.offers_spill,
-            offers: Box::new(ResidentRows::of(&self.offers)),
-            profiles: Box::new(self.profiles.iter(&self.pkg_syms)),
-            charts_spill: &self.charts_spill,
-            charts: Box::new(ResidentRows::of(&self.charts)),
-            chaos_counters: ledger(&self.chaos_counters),
-            wire_counters: ledger(&self.wire_counters),
-            aggregates: &self.aggregates,
-        }
-    }
-
-    /// Serializes the snapshot into a frame file (through
-    /// [`Snapshot::view`]: there is one encoder).
-    pub fn encode(&self) -> Vec<u8> {
-        self.view().encode()
-    }
-
     /// Deserializes and fully validates a frame file. Total: corrupt or
     /// adversarial bytes return `Err`, never panic, never wrong data.
     pub fn decode(bytes: &[u8]) -> Result<Snapshot, FrameError> {
@@ -325,9 +254,9 @@ impl Snapshot {
         let mut meta: Option<(u64, u64, u64)> = None;
         let mut sim_bytes: Option<Vec<u8>> = None;
         let mut syms: Option<(Interner, Interner)> = None;
-        let mut offers: Option<Vec<ScrapedOffer>> = None;
+        let mut offers: Option<SavedRows> = None;
         let mut profiles: Option<ProfileLog> = None;
-        let mut charts: Option<Vec<ChartSnapshot>> = None;
+        let mut charts: Option<SavedRows> = None;
         let mut crawler: Option<ClientState> = None;
         let mut counters: Option<(Ledger, Ledger)> = None;
         let mut spill: Option<(SpillManifest, SpillManifest)> = None;
@@ -359,15 +288,9 @@ impl Snapshot {
                     d.finish()?;
                     spill = Some((o, c));
                 }
-                SEC_OFFERS => {
-                    let n = d.u64()?;
-                    let mut v = Vec::new();
-                    for _ in 0..n {
-                        v.push(ScrapedOffer::dec_row(&mut d)?);
-                    }
-                    d.finish()?;
-                    offers = Some(v);
-                }
+                // Row sections: every row is checked, and the rows are
+                // kept as the section's bytes.
+                SEC_OFFERS => offers = Some(SavedRows::offers(&payload[1..])?),
                 SEC_PROFILES => {
                     // Rows name packages by symbol, so the package
                     // table (written first) must already be decoded.
@@ -377,15 +300,7 @@ impl Snapshot {
                     profiles = Some(ProfileLog::decode(&mut d, pkg)?);
                     d.finish()?;
                 }
-                SEC_CHARTS => {
-                    let n = d.u64()?;
-                    let mut v = Vec::new();
-                    for _ in 0..n {
-                        v.push(ChartSnapshot::dec_row(&mut d)?);
-                    }
-                    d.finish()?;
-                    charts = Some(v);
-                }
+                SEC_CHARTS => charts = Some(SavedRows::charts(&payload[1..])?),
                 SEC_CRAWLER => {
                     let rng = dec_rng(&mut d)?;
                     let conn_seq = d.u64()?;
@@ -419,13 +334,15 @@ impl Snapshot {
             fingerprint,
             sim_bytes: sim_bytes.ok_or(FrameError::Codec("missing SIM section"))?,
             crawler: crawler.ok_or(FrameError::Codec("missing CRAWLER section"))?,
-            pkg_syms,
-            desc_syms,
-            offers_spill,
-            offers: offers.ok_or(FrameError::Codec("missing OFFERS section"))?,
-            profiles: profiles.ok_or(FrameError::Codec("missing PROFILES section"))?,
-            charts_spill,
-            charts: charts.ok_or(FrameError::Codec("missing CHARTS section"))?,
+            dataset: SavedDataset {
+                pkg_syms,
+                desc_syms,
+                offers_spill,
+                offers: offers.ok_or(FrameError::Codec("missing OFFERS section"))?,
+                profiles: profiles.ok_or(FrameError::Codec("missing PROFILES section"))?,
+                charts_spill,
+                charts: charts.ok_or(FrameError::Codec("missing CHARTS section"))?,
+            },
             chaos_counters,
             wire_counters,
             aggregates: aggregates.ok_or(FrameError::Codec("missing AGGS section"))?,
@@ -667,21 +584,63 @@ pub fn load_latest(dir: &Path) -> Result<Scan, ScanError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iiscope_monitor::parsers::{RawOffer, RewardValue};
-    use iiscope_monitor::ProfileSnapshot;
+    use iiscope_monitor::parsers::{RawOffer, RewardValue, ScrapedOffer};
+    use iiscope_monitor::{ChartSnapshot, ProfileSnapshot};
     use iiscope_playstore::ChartKind;
     use iiscope_types::{Country, IipId, SimTime};
+    use std::io::Cursor;
 
-    fn sample_snapshot() -> Snapshot {
-        let mut pkg_syms = Interner::new();
-        let one = pkg_syms.intern("com.a.one");
-        pkg_syms.intern("com.b.two");
-        let mut desc_syms = Interner::new();
-        desc_syms.intern("Install and Register");
-        let mut profiles = ProfileLog::new();
-        let profile = ProfileSnapshot {
+    /// A fresh directory under the system temp dir, removed on drop.
+    struct TempDir(PathBuf);
+
+    impl TempDir {
+        fn new(tag: &str) -> TempDir {
+            let dir = std::env::temp_dir().join(format!(
+                "iiscope-ckpt-{tag}-{}-{:?}",
+                std::process::id(),
+                std::thread::current().id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            TempDir(dir)
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn offer(key: u64) -> ScrapedOffer {
+        let package = format!("com.app.n{}", key % 7);
+        ScrapedOffer {
+            iip: IipId::ALL[key as usize % IipId::ALL.len()],
+            raw: RawOffer {
+                offer_key: key,
+                description: format!("Install and reach level {}", key % 3),
+                reward: RewardValue::Usd(0.25),
+                store_url: format!("https://play.iiscope/store/apps/details?id={package}"),
+                package,
+            },
+            seen_at: SimTime::from_days(1500 + key / 10),
+            affiliate: "com.cash.app".into(),
+            vantage: Country::Us,
+        }
+    }
+
+    /// Offers, a profile crawl and a chart, ingested interleaved. Given
+    /// a directory, the dataset runs under an 8 KiB budget and spills
+    /// its oldest offer segments there.
+    fn sample_dataset(spill: Option<&Path>) -> Dataset {
+        let mut ds = Dataset::new();
+        if let Some(dir) = spill {
+            ds.set_memory_budget(Some(8 << 10), dir, "sample");
+        }
+        ds.add_offers((0..30).map(offer));
+        ds.add_profile(ProfileSnapshot {
             day: 1502,
-            package: "com.a.one".into(),
+            package: "com.app.n1".into(),
             title: "One".into(),
             genre_id: "TOOLS".into(),
             released_day: 1400,
@@ -693,13 +652,34 @@ mod tests {
             developer_website: String::new(),
             rating: 4.25,
             rating_count: 31,
-        };
-        profiles.push(one, profile.fields());
-        Snapshot {
+        });
+        ds.add_chart(ChartSnapshot {
+            day: 1502,
+            chart: ChartKind::ALL[0].id(),
+            entries: vec![("com.chart.only".into(), 1), ("com.app.n1".into(), 2)],
+        });
+        ds.add_offers((30..60).map(offer));
+        ds
+    }
+
+    /// A genuinely folded aggregate state (not a hand-built one), so
+    /// the snapshot round-trip exercises the real digest layout.
+    fn aggregates_of(ds: &Dataset) -> ReportAggregates {
+        let book = iiscope_monitor::RateBook::from_catalog(
+            &iiscope_devices::AffiliateApp::table2_catalog(),
+        );
+        let mut aggs = ReportAggregates::new();
+        aggs.fold_day(ds, &book);
+        aggs
+    }
+
+    /// A day-6 snapshot of `ds`, every other section a fixed stand-in.
+    fn sample<'a>(ds: &'a Dataset, aggregates: &'a ReportAggregates) -> SnapshotRef<'a> {
+        SnapshotRef {
             day: 6,
             seed: 42,
             fingerprint: 0xABCD,
-            sim_bytes: vec![1, 2, 3, 4, 5],
+            sim_bytes: &[1, 2, 3, 4, 5],
             crawler: ClientState {
                 rng: RngState {
                     key: [9; 8],
@@ -708,101 +688,71 @@ mod tests {
                 },
                 conn_seq: 77,
             },
-            pkg_syms,
-            desc_syms,
-            offers_spill: SpillManifest {
-                file: Some(PathBuf::from("/tmp/iiscope-spill/run-offers.spill")),
-                segments: vec![
-                    SegRef {
-                        rows: 128,
-                        offset: 0,
-                        len: 9_001,
-                        crc: 0xDEAD_BEEF,
-                    },
-                    SegRef {
-                        rows: 64,
-                        offset: 9_001,
-                        len: 4_400,
-                        crc: 0x1234_5678,
-                    },
-                ],
-            },
-            offers: vec![ScrapedOffer {
-                iip: IipId::Fyber,
-                raw: RawOffer {
-                    offer_key: 11,
-                    description: "Install and Register".into(),
-                    reward: RewardValue::Usd(0.25),
-                    package: "com.a.one".into(),
-                    store_url: "https://play.iiscope/store/apps/details?id=com.a.one".into(),
-                },
-                seen_at: SimTime::from_days(1502),
-                affiliate: "com.cash.app".into(),
-                vantage: Country::Us,
-            }],
-            profiles,
-            charts_spill: SpillManifest::default(),
-            charts: vec![ChartSnapshot {
-                day: 1502,
-                chart: ChartKind::ALL[0].id(),
-                entries: vec![("com.a.one".into(), 1)],
-            }],
-            chaos_counters: vec![("retries".into(), 3)],
-            wire_counters: vec![("bytes_delivered".into(), 912)],
-            aggregates: sample_aggregates(),
+            dataset: ds,
+            chaos_counters: vec![("retries", 3)],
+            wire_counters: vec![("bytes_delivered", 912)],
+            aggregates,
         }
     }
 
-    /// A genuinely folded aggregate state (not a hand-built one), so
-    /// the snapshot round-trip exercises the real digest layout.
-    fn sample_aggregates() -> ReportAggregates {
-        let mut ds = iiscope_monitor::Dataset::new();
-        ds.add_offers([ScrapedOffer {
-            iip: IipId::Fyber,
-            raw: RawOffer {
-                offer_key: 11,
-                description: "Install and Register".into(),
-                reward: RewardValue::Usd(0.25),
-                package: "com.a.one".into(),
-                store_url: "https://play.iiscope/store/apps/details?id=com.a.one".into(),
-            },
-            seen_at: SimTime::from_days(1502),
-            affiliate: "com.cash.app".into(),
-            vantage: Country::Us,
-        }]);
-        ds.add_chart(ChartSnapshot {
-            day: 1502,
-            chart: ChartKind::ALL[0].id(),
-            entries: vec![("com.a.one".into(), 1)],
-        });
-        let book = iiscope_monitor::RateBook::from_catalog(
-            &iiscope_devices::AffiliateApp::table2_catalog(),
-        );
-        let mut aggs = ReportAggregates::new();
-        aggs.fold_day(&ds, &book);
-        aggs
+    /// The snapshot's frame file in memory.
+    fn encode(snap: &SnapshotRef) -> Vec<u8> {
+        snap.write_to(Cursor::new(Vec::new())).unwrap().into_inner()
+    }
+
+    fn sample_bytes() -> Vec<u8> {
+        let ds = sample_dataset(None);
+        encode(&sample(&ds, &aggregates_of(&ds)))
     }
 
     #[test]
     fn snapshot_round_trips() {
-        let snap = sample_snapshot();
-        let bytes = snap.encode();
+        let dir = TempDir::new("round-trip");
+        let ds = sample_dataset(Some(&dir.0));
+        assert!(ds.offers_spill().segments.len() > 1, "the offer log spills");
+        let aggs = aggregates_of(&ds);
+        let snap = sample(&ds, &aggs);
+        let bytes = encode(&snap);
         let back = Snapshot::decode(&bytes).unwrap();
         assert_eq!(back.day, snap.day);
         assert_eq!(back.seed, snap.seed);
         assert_eq!(back.fingerprint, snap.fingerprint);
         assert_eq!(back.sim_bytes, snap.sim_bytes);
         assert_eq!(back.crawler, snap.crawler);
-        assert_eq!(back.pkg_syms, snap.pkg_syms);
-        assert_eq!(back.desc_syms, snap.desc_syms);
-        assert_eq!(back.offers_spill, snap.offers_spill);
-        assert_eq!(back.offers, snap.offers);
-        assert_eq!(back.profiles, snap.profiles);
-        assert_eq!(back.charts_spill, snap.charts_spill);
-        assert_eq!(back.charts, snap.charts);
-        assert_eq!(back.chaos_counters, snap.chaos_counters);
-        assert_eq!(back.wire_counters, snap.wire_counters);
-        assert_eq!(back.aggregates, snap.aggregates);
+        assert_eq!(back.chaos_counters, [("retries".to_string(), 3)]);
+        assert_eq!(back.wire_counters, [("bytes_delivered".to_string(), 912)]);
+        assert_eq!(back.aggregates, aggs);
+        let saved = &back.dataset;
+        assert_eq!(&saved.pkg_syms, ds.package_interner());
+        assert_eq!(&saved.desc_syms, ds.description_interner());
+        assert_eq!(&saved.offers_spill, ds.offers_spill());
+        assert_eq!(&saved.charts_spill, ds.charts_spill());
+
+        // The restored dataset holds the same rows and writes the same
+        // bytes.
+        let restored = Dataset::new().restored(back.dataset).unwrap();
+        assert_eq!(restored.package_interner(), ds.package_interner());
+        assert_eq!(restored.description_interner(), ds.description_interner());
+        assert_eq!(
+            restored.offers().collect::<Vec<_>>(),
+            ds.offers().collect::<Vec<_>>()
+        );
+        assert_eq!(
+            restored.profiles().collect::<Vec<_>>(),
+            ds.profiles().collect::<Vec<_>>()
+        );
+        assert_eq!(
+            restored.charts().collect::<Vec<_>>(),
+            ds.charts().collect::<Vec<_>>()
+        );
+        let again = SnapshotRef {
+            dataset: &restored,
+            ..sample(&ds, &aggs)
+        };
+        assert!(
+            encode(&again) == bytes,
+            "the restore re-encodes differently"
+        );
     }
 
     /// Re-frames `bytes` record by record: `edit` maps each payload to
@@ -818,32 +768,16 @@ mod tests {
         w.finish().unwrap().into_inner()
     }
 
-    /// A row section of `len` bytes, written one byte at a time.
-    #[derive(Debug)]
-    struct Filler(usize);
-
-    impl RowSection for Filler {
-        fn row_count(&self) -> usize {
-            self.0
-        }
-
-        fn enc_rows(&self, e: &mut Enc) {
-            for i in 0..self.0 {
-                e.u8(i as u8 ^ 0x5A);
-            }
-        }
-    }
-
     #[test]
-    fn streamed_row_sections_match_the_reference_layout_at_window_edges() {
+    fn streamed_sections_match_the_reference_layout_at_window_edges() {
         use iiscope_types::frame::{crc32, MAGIC, WINDOW};
-        let snap = sample_snapshot();
-        let path = std::env::temp_dir().join(format!(
-            "iiscope-ckpt-edges-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
+        let ds = sample_dataset(None);
+        let aggs = ReportAggregates::new();
+        let dir = TempDir::new("edges");
+        let path = dir.0.join("snap");
         let w = WINDOW;
+        // The SIM record's payload is a tag, a 4-byte length and the
+        // sim bytes: `len + 9` bytes, on each side of the window edges.
         for len in [
             0,
             1,
@@ -856,20 +790,23 @@ mod tests {
             3 * w,
             3 * w + 1,
         ] {
-            let mut view = snap.view();
-            view.offers = Box::new(Filler(len));
-            view.write_to(File::create(&path).unwrap()).unwrap();
+            let sim: Vec<u8> = (0..len + 4).map(|i| i as u8 ^ 0x5A).collect();
+            let snap = SnapshotRef {
+                sim_bytes: &sim,
+                ..sample(&ds, &aggs)
+            };
+            snap.write_to(File::create(&path).unwrap()).unwrap();
             let streamed = std::fs::read(&path).unwrap();
             assert!(
-                streamed == view.encode(),
+                streamed == encode(&snap),
                 "len {len}: file and memory differ"
             );
 
-            // The OFFERS payload as one in-memory buffer, and every
-            // record framed by hand around its payload.
-            let mut offers = Enc::new();
-            offers.u8(SEC_OFFERS).u64(len as u64);
-            Filler(len).enc_rows(&mut offers);
+            // The SIM payload as one in-memory buffer, and every record
+            // framed by hand around its payload.
+            let mut sim_record = Enc::new();
+            sim_record.u8(SEC_SIM).bytes_field(&sim);
+            assert_eq!(sim_record.bytes().len(), len + 9);
             let mut reader = FrameReader::new(&streamed).unwrap();
             let mut want = MAGIC.to_vec();
             let mut records = 0u64;
@@ -881,8 +818,8 @@ mod tests {
                 want.extend_from_slice(payload);
             };
             while let Some(p) = reader.next_record().unwrap() {
-                let p = if p[0] == SEC_OFFERS {
-                    offers.bytes()
+                let p = if p[0] == SEC_SIM {
+                    sim_record.bytes()
                 } else {
                     p
                 };
@@ -892,12 +829,11 @@ mod tests {
             frame(1, &records.to_le_bytes());
             assert!(streamed == want, "len {len}: streamed frame differs");
         }
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn only_version_3_snapshots_with_aggs_decode() {
-        let bytes = sample_snapshot().encode();
+        let bytes = sample_bytes();
         assert_eq!(reframe(&bytes, |p| Some(p.to_vec())), bytes);
         let err = |bytes: &[u8]| Snapshot::decode(bytes).err().map(|e| e.to_string());
         // v2 (the pre-AGGS layout) and an unknown future version are
@@ -927,7 +863,7 @@ mod tests {
     fn profiles_decode_only_after_syms() {
         // Profile rows name packages by symbol, so a PROFILES section
         // ahead of SYMS is refused rather than resolved against nothing.
-        let bytes = sample_snapshot().encode();
+        let bytes = sample_bytes();
         let mut reader = FrameReader::new(&bytes).unwrap();
         let mut records = Vec::new();
         while let Some(p) = reader.next_record().unwrap() {
@@ -947,7 +883,7 @@ mod tests {
 
     #[test]
     fn every_bit_flip_in_a_snapshot_is_rejected() {
-        let bytes = sample_snapshot().encode();
+        let bytes = sample_bytes();
         // Sampled sweep (full sweep is the frame codec's own test).
         for byte in (0..bytes.len()).step_by(7) {
             for bit in 0..8 {
@@ -981,7 +917,7 @@ mod tests {
         cfg.shards = 1;
         cfg.monitoring_days += 1;
         assert_ne!(a, config_fingerprint(&cfg));
-        let snap = sample_snapshot();
+        let snap = Snapshot::decode(&sample_bytes()).unwrap();
         let mut cfg = WorldConfig::small(42);
         cfg.seed = 42;
         assert!(snap.check_compatible(&cfg).is_err(), "fingerprint differs");
@@ -1006,13 +942,15 @@ mod tests {
         assert!(scan.snapshot.is_none());
         assert_eq!(scan.candidates, 0);
 
-        let mut snap = sample_snapshot();
-        write_durable(&dir, snap.day, |f| snap.view().write_to(f).map(drop)).unwrap();
+        let ds = sample_dataset(None);
+        let aggs = ReportAggregates::new();
+        let mut snap = sample(&ds, &aggs);
+        write_durable(&dir, snap.day, |f| snap.write_to(f).map(drop)).unwrap();
         snap.day = 8;
-        let len = write_durable(&dir, snap.day, |f| snap.view().write_to(f).map(drop)).unwrap();
+        let len = write_durable(&dir, snap.day, |f| snap.write_to(f).map(drop)).unwrap();
         let newest = snapshot_path(&dir, snap.day);
-        assert_eq!(std::fs::read(&newest).unwrap(), snap.encode());
-        assert_eq!(len, snap.encode().len() as u64);
+        assert_eq!(std::fs::read(&newest).unwrap(), encode(&snap));
+        assert_eq!(len, encode(&snap).len() as u64);
 
         let scan = load_latest(&dir).unwrap();
         assert_eq!(scan.snapshot.as_ref().unwrap().0.day, 8);

@@ -346,15 +346,7 @@ impl World {
                 // into the same segments the interrupted run had.
                 let mut dataset = Dataset::new();
                 self.set_memory_budget(&mut dataset, &opts);
-                st.dataset = dataset.restored(
-                    snap.pkg_syms,
-                    snap.desc_syms,
-                    &snap.offers_spill,
-                    snap.offers,
-                    snap.profiles,
-                    &snap.charts_spill,
-                    snap.charts,
-                )?;
+                st.dataset = dataset.restored(snap.dataset)?;
                 st.crawler.restore(&snap.crawler);
                 // The snapshot was taken after the day's fold, so its
                 // aggregates already cover the restored dataset.
@@ -627,9 +619,9 @@ impl World {
     }
 
     /// Writes the durable snapshot for a completed day to `out`
-    /// straight from the live state: the dataset, interners and
-    /// aggregates are borrowed, not cloned, and the bytes stream out
-    /// through one window.
+    /// straight from the live state: the dataset and aggregates are
+    /// borrowed, not cloned, and the bytes stream out through one
+    /// window.
     fn write_snapshot(&self, st: &SimState, day: u64, out: &mut File) -> std::io::Result<()> {
         let sim_bytes = self.encode_sim(st, day);
         let snapshot = SnapshotRef {
@@ -638,13 +630,7 @@ impl World {
             fingerprint: checkpoint::config_fingerprint(&self.cfg),
             sim_bytes: &sim_bytes,
             crawler: st.crawler.checkpoint(),
-            pkg_syms: st.dataset.package_interner(),
-            desc_syms: st.dataset.description_interner(),
-            offers_spill: st.dataset.offers_spill(),
-            offers: Box::new(st.dataset.offers_resident()),
-            profiles: Box::new(st.dataset.profiles()),
-            charts_spill: st.dataset.charts_spill(),
-            charts: Box::new(st.dataset.charts_resident()),
+            dataset: &st.dataset,
             chaos_counters: self.net.chaos().snapshot(),
             wire_counters: self.net.wire().snapshot(),
             aggregates: &st.aggregates,

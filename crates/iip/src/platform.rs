@@ -251,24 +251,9 @@ impl IipPlatform {
         f(&page)
     }
 
-    /// All offers ever published (for analysis ground truth).
-    pub fn all_offers(&self) -> Vec<Offer> {
-        self.inner.lock().offers.values().cloned().collect()
-    }
-
     /// Campaign accessor.
     pub fn campaign(&self, id: CampaignId) -> Option<Campaign> {
         self.inner.lock().campaigns.get(&id).cloned()
-    }
-
-    /// Campaign by attribution tag.
-    pub fn campaign_by_tag(&self, tag: &str) -> Option<Campaign> {
-        let inner = self.inner.lock();
-        inner
-            .by_tag
-            .get(tag)
-            .and_then(|id| inner.campaigns.get(id))
-            .cloned()
     }
 
     /// Processes one mediator postback: settle the payout chain or

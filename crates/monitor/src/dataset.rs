@@ -22,17 +22,18 @@
 //! fixed-size [`OfferRow`] whose package, description, store URL and
 //! affiliate are symbols, so a row costs 56 bytes however long its
 //! strings are. Owned [`ScrapedOffer`]s exist only at the edges —
-//! ingest, iteration, and the spill/snapshot codec, which still writes
-//! the owned row's bytes. The profile log is interned the same way
-//! ([`ProfileLog`], 80-byte rows); its readers yield borrowed
-//! [`ProfileFields`], never owned snapshots.
+//! ingest, iteration and spill reloads; the spill/snapshot codec
+//! writes the owned row's bytes from the interned row, and a restore
+//! indexes snapshot rows from borrowed fields. The profile log is
+//! interned the same way ([`ProfileLog`], 80-byte rows); its readers
+//! yield borrowed [`ProfileFields`], never owned snapshots.
 
 use crate::crawler::{ChartSnapshot, ProfileSnapshot};
 use crate::parsers::{RewardValue, ScrapedOffer};
 use crate::profiles::{ProfileLog, Profiles};
 use crate::spill::{
-    OfferFields, ProfileFields, Resident, ResidentRows, RowLog, RowLogIter, SpillError,
-    SpillManifest, SpillRow, SpillStats,
+    OfferFields, ProfileFields, Resident, RowLog, RowLogIter, SavedRows, SpillError, SpillManifest,
+    SpillRow, SpillStats,
 };
 use iiscope_types::frame::Enc;
 use iiscope_types::{Country, IipId, Interner, SimTime, Sym, SymMap, SymSet};
@@ -182,6 +183,29 @@ impl Resident for OfferRow {
     }
 }
 
+/// A [`Dataset`] as a checkpoint carries it, which is all
+/// [`Dataset::restored`] needs: both symbol tables, the profile log,
+/// and for the offer and chart logs the spilled prefix by reference
+/// plus the resident suffix as checked section bytes.
+#[derive(Debug, Clone)]
+pub struct SavedDataset {
+    /// Package symbol table, rank order.
+    pub pkg_syms: Interner,
+    /// Description symbol table, rank order.
+    pub desc_syms: Interner,
+    /// Spilled prefix of the offer log: the spill file plus one
+    /// CRC-checked segment reference per disk segment.
+    pub offers_spill: SpillManifest,
+    /// Resident suffix of the offer log, arrival order.
+    pub offers: SavedRows,
+    /// The profile log; its packages are symbols of `pkg_syms`.
+    pub profiles: ProfileLog,
+    /// Spilled prefix of the chart log.
+    pub charts_spill: SpillManifest,
+    /// Resident suffix of the chart log, arrival order.
+    pub charts: SavedRows,
+}
+
 /// Incremental per-package aggregate behind [`Dataset::observations`].
 #[derive(Debug, Clone)]
 struct ObservationAgg {
@@ -263,90 +287,78 @@ impl Dataset {
         }
     }
 
-    /// Rebuilds this empty dataset from checkpointed parts: both
-    /// symbol tables, the offer and chart logs in original arrival
-    /// order, and the profile log (whose packages are symbols of
-    /// `pkg_syms`).
+    /// Rebuilds this empty dataset from its checkpointed form.
     ///
     /// Only the raw logs and the package and description interners are
     /// persisted — every index is a pure function of (interner seed,
     /// insertion sequence), so the restore *re-ingests* the offer and
-    /// chart logs through the normal `add_*` paths with the serialized
-    /// interners pre-seeded. Pre-seeding matters: live ingest
-    /// interleaves offers, profiles and charts across crawl days, so
-    /// symbol numbering cannot be re-derived from any one log alone.
-    /// The store-URL and affiliate tables only the offer log uses are
-    /// rebuilt in log order (the profile log's table was rebuilt the
-    /// same way when it was decoded). Returns an error if re-ingest
-    /// mints a symbol the serialized tables did not contain, or the
-    /// profile log names a package they lack (a corrupt or inconsistent
-    /// snapshot), since that would renumber later symbols.
+    /// chart logs one row at a time through the live indexing paths,
+    /// with the saved interners pre-seeded. Pre-seeding matters: live
+    /// ingest interleaves offers, profiles and charts across crawl
+    /// days, so symbol numbering cannot be re-derived from any one log
+    /// alone. The store-URL and affiliate tables only the offer log
+    /// uses are rebuilt in log order (the profile log's table was
+    /// rebuilt the same way when it was decoded). Returns an error if
+    /// re-ingest mints a symbol the saved tables did not contain, or
+    /// the profile log names a package they lack (a corrupt or
+    /// inconsistent snapshot), since that would renumber later symbols.
     ///
-    /// The offer and chart logs may have been partially spilled at
-    /// checkpoint time: each is a spill manifest (segments already on
-    /// disk, verified and reattached — not re-serialized in the
-    /// snapshot) plus the resident suffix rows; pass an empty manifest
-    /// for a log that never spilled. The spilled segments are read once
-    /// each, straight from disk and past the reload cache, streamed
-    /// through the indexing pass, and stay spilled afterwards. The
-    /// suffix rows are re-added under the memory budget already set on
-    /// this dataset ([`Dataset::set_memory_budget`]), so segments close
-    /// and spill exactly as they did in the run that wrote the
-    /// snapshot.
-    #[allow(clippy::too_many_arguments)]
-    pub fn restored(
-        mut self,
-        pkg_syms: Interner,
-        desc_syms: Interner,
-        offers_spill: &SpillManifest,
-        offers_suffix: Vec<ScrapedOffer>,
-        profiles: ProfileLog,
-        charts_spill: &SpillManifest,
-        charts_suffix: Vec<ChartSnapshot>,
-    ) -> iiscope_types::Result<Dataset> {
+    /// A log's spilled segments are verified and reattached, not read
+    /// from the snapshot: each is read once, straight from disk and
+    /// past the reload cache, streamed through the indexing pass, and
+    /// stays spilled afterwards. The suffix rows decode from their
+    /// section bytes and are re-added under the memory budget already
+    /// set on this dataset ([`Dataset::set_memory_budget`]), so
+    /// segments close and spill exactly as they did in the run that
+    /// wrote the snapshot.
+    pub fn restored(mut self, saved: SavedDataset) -> iiscope_types::Result<Dataset> {
         assert!(
             self.offers.is_empty() && self.profiles.is_empty() && self.charts.is_empty(),
             "restore into an empty dataset only"
         );
-        let spill_err = |what: &str, e: String| {
-            iiscope_types::Error::InvalidState(format!("{what} spill manifest: {e}"))
+        let invalid = |what: &str, e: &dyn std::fmt::Display| {
+            iiscope_types::Error::InvalidState(format!("{what}: {e}"))
         };
         self.syms = SymTables {
-            pkg: pkg_syms,
-            desc: desc_syms,
+            pkg: saved.pkg_syms,
+            desc: saved.desc_syms,
             ..SymTables::default()
         };
         let (want_pkg, want_desc) = (self.syms.pkg.len(), self.syms.desc.len());
         self.offers
-            .attach(offers_spill)
-            .map_err(|e| spill_err("offers", e))?;
+            .attach(&saved.offers_spill)
+            .map_err(|e| invalid("offers spill manifest", &e))?;
         // Stream the attached (disk-resident) rows through the indexing
         // pass; the log is taken out and put back because the indices
         // borrow `self` mutably. Spilled rows decode without the symbol
         // tables.
         let log = std::mem::take(&mut self.offers);
         log.for_each_spilled(|o| {
-            self.index_offer(&o);
+            self.index_offer(o.fields());
         });
         self.offers = log;
-        self.add_offers(offers_suffix);
-        if profiles.package_span() > self.syms.pkg.len() {
+        saved
+            .offers
+            .read(OfferFields::dec, |o| self.push_offer(o))
+            .map_err(|e| invalid("offer rows", &e))?;
+        if saved.profiles.package_span() > self.syms.pkg.len() {
             return Err(iiscope_types::Error::InvalidState(format!(
                 "profile log names package symbols up to {} of a {}-symbol table",
-                profiles.package_span(),
+                saved.profiles.package_span(),
                 self.syms.pkg.len()
             )));
         }
-        self.profiles = profiles;
+        self.profiles = saved.profiles;
         self.charts
-            .attach(charts_spill)
-            .map_err(|e| spill_err("charts", e))?;
+            .attach(&saved.charts_spill)
+            .map_err(|e| invalid("charts spill manifest", &e))?;
         let log = std::mem::take(&mut self.charts);
         log.for_each_spilled(|c| self.index_chart(&c));
         self.charts = log;
-        for c in charts_suffix {
-            self.add_chart(c);
-        }
+        saved
+            .charts
+            .read(ChartSnapshot::dec_row, |c| self.add_chart(c))
+            .map_err(|e| invalid("chart rows", &e))?;
         if self.syms.pkg.len() != want_pkg || self.syms.desc.len() != want_desc {
             return Err(iiscope_types::Error::InvalidState(format!(
                 "dataset restore minted new symbols: {} -> {} packages, {} -> {} descriptions",
@@ -395,11 +407,16 @@ impl Dataset {
         self.offers.manifest()
     }
 
-    /// Offer rows not covered by [`Dataset::offers_spill`], borrowed
-    /// in arrival order with the symbol tables they resolve through —
-    /// the snapshot encodes them without building owned rows.
-    pub fn offers_resident(&self) -> ResidentRows<'_, OfferRow> {
-        self.offers.resident(&self.syms)
+    /// Writes the offer rows not covered by [`Dataset::offers_spill`]
+    /// as a snapshot section body (their count, then each row's codec
+    /// bytes in arrival order), straight from the interned rows.
+    pub fn enc_offers(&self, e: &mut Enc) {
+        self.offers.enc_resident(&self.syms, e);
+    }
+
+    /// Writes the whole profile log as a snapshot section body.
+    pub fn enc_profiles(&self, e: &mut Enc) {
+        self.profiles.encode(&self.syms.pkg, e);
     }
 
     /// Spill manifest of the chart log (for checkpointing).
@@ -407,19 +424,19 @@ impl Dataset {
         self.charts.manifest()
     }
 
-    /// Chart rows not covered by [`Dataset::charts_spill`], borrowed
-    /// like [`Dataset::offers_resident`].
-    pub fn charts_resident(&self) -> ResidentRows<'_, ChartSnapshot> {
-        self.charts.resident(&())
+    /// Writes the chart rows not covered by [`Dataset::charts_spill`]
+    /// like [`Dataset::enc_offers`].
+    pub fn enc_charts(&self, e: &mut Enc) {
+        self.charts.enc_resident(&(), e);
     }
 
     /// Index maintenance for one offer observation (shared by live
     /// ingest and the restore re-ingest); returns the interned row.
-    fn index_offer(&mut self, o: &ScrapedOffer) -> OfferRow {
-        let desc = self.syms.desc.intern(&o.raw.description);
-        let pkg = self.syms.pkg.intern(&o.raw.package);
-        if self.seen_offer_keys.insert((o.iip, o.raw.offer_key)) {
-            self.unique_rows.push(o.clone());
+    fn index_offer(&mut self, o: OfferFields<'_>) -> OfferRow {
+        let desc = self.syms.desc.intern(o.description);
+        let pkg = self.syms.pkg.intern(o.package);
+        if self.seen_offer_keys.insert((o.iip, o.offer_key)) {
+            self.unique_rows.push(o.to_offer());
             self.unique_syms.push((pkg, desc));
         }
         self.advertised.insert(pkg);
@@ -436,15 +453,15 @@ impl Dataset {
         agg.iips.insert(o.iip);
         agg.first_seen = agg.first_seen.min(o.seen_at);
         agg.last_seen = agg.last_seen.max(o.seen_at);
-        agg.keys.insert((o.iip, o.raw.offer_key));
+        agg.keys.insert((o.iip, o.offer_key));
         OfferRow {
-            offer_key: o.raw.offer_key,
+            offer_key: o.offer_key,
             seen_at: o.seen_at,
-            reward: o.raw.reward,
+            reward: o.reward,
             package: pkg,
             description: desc,
-            store_url: self.url_sym(pkg, &o.raw.store_url),
-            affiliate: self.affiliate_sym(&o.affiliate),
+            store_url: self.url_sym(pkg, o.store_url),
+            affiliate: self.affiliate_sym(o.affiliate),
             accounted: u32::try_from(o.approx_bytes()).unwrap_or(u32::MAX),
             iip: o.iip,
             vantage: o.vantage,
@@ -481,9 +498,14 @@ impl Dataset {
     /// the `(iip, key)` dedup set — first observation wins).
     pub fn add_offers(&mut self, offers: impl IntoIterator<Item = ScrapedOffer>) {
         for o in offers {
-            let row = self.index_offer(&o);
-            self.offers.push(row, &self.syms);
+            self.push_offer(o.fields());
         }
+    }
+
+    /// Indexes one observation and appends its interned row.
+    fn push_offer(&mut self, o: OfferFields<'_>) {
+        let row = self.index_offer(o);
+        self.offers.push(row, &self.syms);
     }
 
     /// Appends a profile snapshot, keeping the per-package timeline
@@ -525,8 +547,7 @@ impl Dataset {
         self.offers.iter(&self.syms)
     }
 
-    /// All profile crawls in arrival order, decoded (exact-sized). It
-    /// doubles as the snapshot PROFILES section.
+    /// All profile crawls in arrival order, decoded (exact-sized).
     pub fn profiles(&self) -> Profiles<'_> {
         self.profiles.iter(&self.syms.pkg)
     }
@@ -832,18 +853,22 @@ mod tests {
         d
     }
 
-    /// A fully resident checkpoint's restore: no log spilled.
-    fn from_parts(
-        pkg_syms: Interner,
-        desc_syms: Interner,
-        offers: Vec<ScrapedOffer>,
-        profiles: ProfileLog,
-        charts: Vec<ChartSnapshot>,
-    ) -> iiscope_types::Result<Dataset> {
-        let resident = SpillManifest::default();
-        Dataset::new().restored(
-            pkg_syms, desc_syms, &resident, offers, profiles, &resident, charts,
-        )
+    /// The dataset's checkpointed form, as a snapshot carries it.
+    fn saved(ds: &Dataset) -> SavedDataset {
+        let body = |enc: &dyn Fn(&mut Enc)| {
+            let mut e = Enc::new();
+            enc(&mut e);
+            e.into_bytes()
+        };
+        SavedDataset {
+            pkg_syms: ds.package_interner().clone(),
+            desc_syms: ds.description_interner().clone(),
+            offers_spill: ds.offers_spill().clone(),
+            offers: SavedRows::offers(&body(&|e| ds.enc_offers(e))).unwrap(),
+            profiles: ds.profiles.clone(),
+            charts_spill: ds.charts_spill().clone(),
+            charts: SavedRows::charts(&body(&|e| ds.enc_charts(e))).unwrap(),
+        }
     }
 
     #[test]
@@ -1023,14 +1048,7 @@ mod tests {
         });
         live.add_offers([offer(IipId::AdGem, 30, "com.c.three", 12, "Install")]);
 
-        let restored = from_parts(
-            live.package_interner().clone(),
-            live.description_interner().clone(),
-            live.offers().collect(),
-            live.profiles.clone(),
-            live.charts().collect(),
-        )
-        .unwrap();
+        let restored = Dataset::new().restored(saved(&live)).unwrap();
 
         assert_eq!(restored.package_interner(), live.package_interner());
         assert_eq!(restored.description_interner(), live.description_interner());
@@ -1060,23 +1078,29 @@ mod tests {
 
         // A snapshot whose interner is missing an ingested string is
         // rejected (it would renumber symbols), never silently used.
-        let bad = from_parts(
-            Interner::new(),
-            live.description_interner().clone(),
-            live.offers().collect(),
-            ProfileLog::new(),
-            vec![],
-        );
-        assert!(bad.is_err());
+        let err = |saved| Dataset::new().restored(saved).unwrap_err().to_string();
+        let no_rows = || SavedRows::offers(&0u64.to_le_bytes()).unwrap();
+        let bad = err(SavedDataset {
+            pkg_syms: Interner::new(),
+            profiles: ProfileLog::new(),
+            charts: no_rows(),
+            ..saved(&live)
+        });
+        assert!(bad.contains("minted new symbols"), "{bad}");
         // So is a profile log naming packages the table lacks.
-        let bad = from_parts(
-            Interner::new(),
-            live.description_interner().clone(),
-            vec![],
-            live.profiles.clone(),
-            vec![],
-        );
-        assert!(bad.is_err());
+        let bad = err(SavedDataset {
+            pkg_syms: Interner::new(),
+            offers: no_rows(),
+            charts: no_rows(),
+            ..saved(&live)
+        });
+        assert!(bad.contains("profile log names package symbols"), "{bad}");
+        // And rows that do not decode.
+        let bad = err(SavedDataset {
+            offers: saved(&live).charts,
+            ..saved(&live)
+        });
+        assert!(bad.contains("offer rows"), "{bad}");
     }
 
     #[test]
@@ -1142,17 +1166,7 @@ mod tests {
 
         // A spilled dataset restores from (manifest, suffix) without
         // re-serializing the cold segments.
-        let restored = Dataset::new()
-            .restored(
-                spilled.package_interner().clone(),
-                spilled.description_interner().clone(),
-                spilled.offers_spill(),
-                spilled.offers_resident().rows().collect(),
-                spilled.profiles.clone(),
-                spilled.charts_spill(),
-                spilled.charts_resident().rows().collect(),
-            )
-            .unwrap();
+        let restored = Dataset::new().restored(saved(&spilled)).unwrap();
         assert_eq!(
             restored.offers().collect::<Vec<_>>(),
             resident.offers().collect::<Vec<_>>()

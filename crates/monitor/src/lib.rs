@@ -43,7 +43,7 @@ pub mod profiles;
 pub mod spill;
 
 pub use crawler::{ChartSnapshot, Crawler, ProfileSnapshot};
-pub use dataset::{CampaignObservation, CampaignRef, Dataset, InternStats, OfferRow};
+pub use dataset::{CampaignObservation, CampaignRef, Dataset, InternStats, OfferRow, SavedDataset};
 pub use export::export_csv;
 pub use fuzzer::{FuzzerConfig, UiFuzzer};
 pub use infra::MonitoringInfra;
@@ -51,6 +51,6 @@ pub use normalize::RateBook;
 pub use parsers::{parse_wall, probe_wall, PageFill, RawOffer, RewardValue, ScrapedOffer};
 pub use profiles::{ProfileLog, Profiles};
 pub use spill::{
-    ProfileFields, Resident, ResidentRows, RowLog, RowSection, SegRef, SpillError, SpillManifest,
-    SpillRow, SpillStats,
+    ProfileFields, Resident, RowLog, SavedRows, SegRef, SpillError, SpillManifest, SpillRow,
+    SpillStats,
 };

@@ -20,7 +20,7 @@
 //! snapshot's PROFILES section holds the bytes owned
 //! [`ProfileSnapshot`](crate::ProfileSnapshot)s would have written.
 
-use crate::spill::{ProfileFields, RowSection};
+use crate::spill::ProfileFields;
 use iiscope_types::frame::{Dec, Enc, FrameError};
 use iiscope_types::{chunked, Chunked, Interner, Sym, SymMap};
 
@@ -208,9 +208,17 @@ impl ProfileLog {
         self.series.slot_count()
     }
 
-    /// Decodes a PROFILES section body (row count, then each row's
-    /// codec bytes) straight into rows, looking each package up in
-    /// `packages` and rebuilding the string table in log order.
+    /// Writes the log as a snapshot section body: the row count, then
+    /// each crawl's codec bytes in arrival order, packages resolved
+    /// through `packages`.
+    pub(crate) fn encode(&self, packages: &Interner, e: &mut Enc) {
+        e.u64(self.len() as u64);
+        self.iter(packages).for_each(|p| p.enc(e));
+    }
+
+    /// Decodes a section body written by [`ProfileLog::encode`]
+    /// straight into rows, looking each package up in `packages` and
+    /// rebuilding the string table in log order.
     pub fn decode(d: &mut Dec<'_>, packages: &Interner) -> Result<ProfileLog, FrameError> {
         let n = d.u64()?;
         let mut log = ProfileLog::new();
@@ -232,8 +240,7 @@ impl ProfileLog {
 }
 
 /// The crawls of a [`ProfileLog`] in arrival order, decoded
-/// (exact-sized). It is also a snapshot's PROFILES [`RowSection`]; its
-/// `Debug` lists the crawls it has left.
+/// (exact-sized). Its `Debug` lists the crawls it has left.
 #[derive(Clone)]
 pub struct Profiles<'a> {
     log: &'a ProfileLog,
@@ -254,16 +261,6 @@ impl<'a> Iterator for Profiles<'a> {
 }
 
 impl ExactSizeIterator for Profiles<'_> {}
-
-impl RowSection for Profiles<'_> {
-    fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
-    fn enc_rows(&self, e: &mut Enc) {
-        self.clone().for_each(|p| p.enc(e));
-    }
-}
 
 impl std::fmt::Debug for Profiles<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -342,9 +339,7 @@ mod tests {
         assert_eq!(got, want);
 
         let mut e = Enc::new();
-        let rows = log.iter(&packages);
-        e.u64(rows.row_count() as u64);
-        rows.enc_rows(&mut e);
+        log.encode(&packages, &mut e);
         let bytes = e.into_bytes();
         let back = ProfileLog::decode(&mut Dec::new(&bytes), &packages).unwrap();
         assert_eq!(back, log);

@@ -40,8 +40,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 /// A row type the log knows how to persist: the exact field-by-field
-/// codec the checkpoint module uses for the same rows (it imports
-/// these impls), so spill files and snapshots stay one format.
+/// codec snapshot sections use for the same rows, so spill files and
+/// snapshots stay one format.
 pub trait SpillRow: Clone + std::fmt::Debug {
     /// Serializes the row.
     fn enc_row(&self, e: &mut Enc);
@@ -89,65 +89,6 @@ impl<T: SpillRow> Resident for T {
 
     fn unpack(&self, _: &()) -> T {
         self.clone()
-    }
-}
-
-/// Rows a snapshot section serializes inline: a count, then each
-/// row's codec bytes. Object-safe, so one snapshot encoder takes a
-/// live log's compact rows and a decoded snapshot's owned rows alike.
-pub trait RowSection: std::fmt::Debug {
-    /// Rows in the section.
-    fn row_count(&self) -> usize;
-    /// Appends every row's codec bytes, in order.
-    fn enc_rows(&self, e: &mut Enc);
-}
-
-/// A log's rows after its spilled prefix (see [`RowLog::resident`]),
-/// borrowed one contiguous chunk at a time with the tables they
-/// resolve through.
-pub struct ResidentRows<'a, R: Resident> {
-    chunks: Vec<&'a [R]>,
-    ctx: &'a R::Ctx,
-}
-
-impl<'a, T: SpillRow> ResidentRows<'a, T> {
-    /// Owned rows as one chunk (a decoded snapshot's suffix).
-    pub fn of(rows: &'a [T]) -> ResidentRows<'a, T> {
-        ResidentRows {
-            chunks: vec![rows],
-            ctx: &(),
-        }
-    }
-}
-
-impl<R: Resident> ResidentRows<'_, R> {
-    /// The persisted rows, in log order.
-    pub fn rows(&self) -> impl Iterator<Item = R::Row> + '_ {
-        self.chunks
-            .iter()
-            .flat_map(|c| c.iter())
-            .map(|r| r.unpack(self.ctx))
-    }
-}
-
-impl<R: Resident> RowSection for ResidentRows<'_, R> {
-    fn row_count(&self) -> usize {
-        self.chunks.iter().map(|c| c.len()).sum()
-    }
-
-    fn enc_rows(&self, e: &mut Enc) {
-        for r in self.chunks.iter().flat_map(|c| c.iter()) {
-            r.encode(self.ctx, e);
-        }
-    }
-}
-
-impl<R: Resident> std::fmt::Debug for ResidentRows<'_, R> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ResidentRows")
-            .field("chunks", &self.chunks.len())
-            .field("rows", &self.row_count())
-            .finish()
     }
 }
 
@@ -518,21 +459,20 @@ impl<R: Resident> RowLog<R> {
     }
 
     /// Spill-file reference for the spilled prefix (empty manifest when
-    /// nothing spilled). Together with [`RowLog::resident`] this is the
-    /// complete persistent form of the log.
+    /// nothing spilled). Together with [`RowLog::enc_resident`] this is
+    /// the complete persistent form of the log.
     pub fn manifest(&self) -> &SpillManifest {
         &self.spilled
     }
 
-    /// The rows *after* the spilled prefix (warm segments, then the
-    /// tail), borrowed in log order with the tables they resolve
-    /// through — what a checkpoint serializes inline.
-    pub fn resident<'a>(&'a self, ctx: &'a R::Ctx) -> ResidentRows<'a, R> {
-        let warm = self.warm.iter().flat_map(|w| w.rows.chunks());
-        ResidentRows {
-            chunks: warm.chain(self.tail.chunks()).collect(),
-            ctx,
-        }
+    /// Writes the rows *after* the spilled prefix (warm segments, then
+    /// the tail) as a snapshot section body: their count, then each
+    /// row's codec bytes in log order, resolved through `ctx`.
+    pub(crate) fn enc_resident(&self, ctx: &R::Ctx, e: &mut Enc) {
+        let spilled: u64 = self.spilled.segments.iter().map(|s| s.rows).sum();
+        e.u64(self.len as u64 - spilled);
+        let warm = self.warm.iter().flat_map(|w| w.rows.iter());
+        warm.chain(self.tail.iter()).for_each(|r| r.encode(ctx, e));
     }
 
     /// Reattaches a spilled prefix on restore: opens the manifest's
@@ -691,12 +631,12 @@ impl<R: Resident> ExactSizeIterator for RowLogIter<'_, R> {}
 // --- Row codecs -----------------------------------------------------
 //
 // These are the persistent field-by-field formats for the three crawl
-// logs — shared by spill segments and checkpoint snapshots (the
-// checkpoint module encodes its inline rows through the same impls).
+// logs, shared by spill segments and checkpoint snapshots.
 
 /// An offer observation with borrowed strings: the one offer codec.
-/// `SpillRow for ScrapedOffer` encodes through it, and so does the
-/// dataset's interned offer row, so spill segments and snapshot
+/// `SpillRow for ScrapedOffer` encodes and decodes through it, the
+/// dataset's interned offer row encodes through it, and a restore
+/// decodes snapshot rows through it, so spill segments and snapshot
 /// sections carry the same bytes whichever form the row was held in.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct OfferFields<'a> {
@@ -711,7 +651,7 @@ pub(crate) struct OfferFields<'a> {
     pub vantage: Country,
 }
 
-impl OfferFields<'_> {
+impl<'a> OfferFields<'a> {
     pub(crate) fn enc(self, e: &mut Enc) {
         e.u8(self.iip as u8).u64(self.offer_key);
         e.str(self.description);
@@ -723,6 +663,26 @@ impl OfferFields<'_> {
         e.str(self.package).str(self.store_url);
         e.u64(self.seen_at.secs());
         e.str(self.affiliate).str(self.vantage.code());
+    }
+
+    /// Reads one observation, borrowing its strings from the payload.
+    pub(crate) fn dec(d: &mut Dec<'a>) -> Result<OfferFields<'a>, FrameError> {
+        Ok(OfferFields {
+            iip: iip_from_index(d.u8()?)?,
+            offer_key: d.u64()?,
+            description: d.str()?,
+            reward: match d.u8()? {
+                0 => RewardValue::Usd(d.f64()?),
+                1 => RewardValue::Points(d.i64()?),
+                2 => RewardValue::Cents(d.i64()?),
+                _ => return Err(FrameError::Codec("unknown reward tag")),
+            },
+            package: d.str()?,
+            store_url: d.str()?,
+            seen_at: SimTime::from_secs(d.u64()?),
+            affiliate: d.str()?,
+            vantage: country_from_code(d.str()?)?,
+        })
     }
 
     /// [`SpillRow::approx_bytes`] of the owned observation.
@@ -773,32 +733,7 @@ impl SpillRow for ScrapedOffer {
     }
 
     fn dec_row(d: &mut Dec) -> Result<ScrapedOffer, FrameError> {
-        let iip = iip_from_index(d.u8()?)?;
-        let offer_key = d.u64()?;
-        let description = d.str()?;
-        let reward = match d.u8()? {
-            0 => RewardValue::Usd(d.f64()?),
-            1 => RewardValue::Points(d.i64()?),
-            2 => RewardValue::Cents(d.i64()?),
-            _ => return Err(FrameError::Codec("unknown reward tag")),
-        };
-        let package = d.str()?;
-        let store_url = d.str()?;
-        let seen_at = SimTime::from_secs(d.u64()?);
-        let affiliate = d.str()?;
-        let vantage = country_from_code(d.str()?)?;
-        Ok(OfferFields {
-            iip,
-            offer_key,
-            description,
-            reward,
-            package,
-            store_url,
-            seen_at,
-            affiliate,
-            vantage,
-        }
-        .to_offer())
+        Ok(OfferFields::dec(d)?.to_offer())
     }
 
     fn approx_bytes(&self) -> usize {
@@ -974,6 +909,43 @@ impl SpillRow for ChartSnapshot {
     }
 }
 
+/// A log's resident suffix as a snapshot section carries it: the
+/// section body (row count, then each row's codec bytes), copied out of
+/// the snapshot and checked to decode row by row. A restore decodes it
+/// again one row at a time, so the rows are never held owned side by
+/// side.
+#[derive(Debug, Clone)]
+pub struct SavedRows(Vec<u8>);
+
+impl SavedRows {
+    /// Checks an offer section body and keeps it.
+    pub fn offers(body: &[u8]) -> Result<SavedRows, FrameError> {
+        let rows = SavedRows(body.to_vec());
+        rows.read(OfferFields::dec, drop)?;
+        Ok(rows)
+    }
+
+    /// Checks a chart section body and keeps it.
+    pub fn charts(body: &[u8]) -> Result<SavedRows, FrameError> {
+        let rows = SavedRows(body.to_vec());
+        rows.read(ChartSnapshot::dec_row, drop)?;
+        Ok(rows)
+    }
+
+    /// Decodes every row with `row` and hands it to `f`, in order.
+    pub(crate) fn read<'a, T>(
+        &'a self,
+        mut row: impl FnMut(&mut Dec<'a>) -> Result<T, FrameError>,
+        mut f: impl FnMut(T),
+    ) -> Result<(), FrameError> {
+        let mut d = Dec::new(&self.0);
+        for _ in 0..d.u64()? {
+            f(row(&mut d)?);
+        }
+        d.finish()
+    }
+}
+
 fn iip_from_index(idx: u8) -> Result<IipId, FrameError> {
     IipId::ALL
         .get(idx as usize)
@@ -1017,8 +989,14 @@ mod tests {
         }
     }
 
+    /// The log's resident suffix, decoded back from its section body.
     fn resident_rows(log: &RowLog<ScrapedOffer>) -> Vec<ScrapedOffer> {
-        log.resident(&()).rows().collect()
+        let mut e = Enc::new();
+        log.enc_resident(&(), &mut e);
+        let mut rows = Vec::new();
+        let saved = SavedRows(e.into_bytes());
+        saved.read(ScrapedOffer::dec_row, |o| rows.push(o)).unwrap();
+        rows
     }
 
     fn tmpfile(tag: &str) -> PathBuf {

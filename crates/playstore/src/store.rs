@@ -315,25 +315,6 @@ impl PlayStore {
         Some(app.apk.render(self.seed.fork("apk").fork(package.as_str())))
     }
 
-    /// The app's APK metadata (ground truth; analysis code must use
-    /// [`PlayStore::apk_bytes`] instead to stay honest).
-    pub fn apk_info(&self, package: &PackageName) -> Option<ApkInfo> {
-        let inner = self.inner.read();
-        inner.catalog.app_by_package(package).map(|a| a.apk.clone())
-    }
-
-    /// Genre of an app.
-    pub fn genre_of(&self, app: AppId) -> Option<Genre> {
-        self.inner.read().catalog.app(app).map(|a| a.genre)
-    }
-
-    /// Developer record of an app.
-    pub fn developer_of(&self, app: AppId) -> Option<DeveloperRecord> {
-        let inner = self.inner.read();
-        let a = inner.catalog.app(app)?;
-        inner.catalog.developer(a.developer).cloned()
-    }
-
     /// All published package names (world-building iterates these).
     pub fn packages(&self) -> Vec<PackageName> {
         self.inner

@@ -68,12 +68,6 @@ impl<T> Chunked<T> {
         self.chunks.iter_mut().flatten()
     }
 
-    /// The rows as contiguous slices in push order; only the last may
-    /// be shorter than `ROWS`.
-    pub fn chunks(&self) -> impl Iterator<Item = &[T]> + '_ {
-        self.chunks.iter().map(Vec::as_slice)
-    }
-
     /// Drops the slack of the last chunk and of the chunk headers, for a
     /// store that is done growing. Copies at most one chunk.
     pub fn shrink_to_fit(&mut self) {
@@ -284,7 +278,6 @@ mod tests {
             prop_assert!(c.iter().eq(oracle.iter()));
             prop_assert!(c.iter().rev().eq(oracle.iter().rev()));
             prop_assert_eq!(c.iter().len(), n);
-            prop_assert_eq!(c.chunks().collect::<Vec<_>>().concat(), oracle);
 
             let row = size_of::<Row>();
             let headers = c.chunks.capacity() * size_of::<Vec<Row>>();

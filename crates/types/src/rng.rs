@@ -85,13 +85,6 @@ pub fn log_normal(rng: &mut impl Rng, mu: f64, sigma: f64) -> f64 {
     normal(rng, mu, sigma).exp()
 }
 
-/// Samples a rank from a Zipf distribution over `{0, .., n-1}` with
-/// exponent `s` (> 0), by inverse-CDF over precomputable weights. O(n);
-/// for hot paths build a [`ZipfTable`] once instead.
-pub fn zipf_once(rng: &mut impl Rng, n: usize, s: f64) -> usize {
-    ZipfTable::new(n, s).sample(rng)
-}
-
 /// Precomputed Zipf sampler (popularity of apps inside affiliate-app
 /// usage lists, offer-selection bias toward high payouts, …).
 #[derive(Debug, Clone)]

@@ -19,10 +19,12 @@ mod common;
 
 use common::TempDir;
 use iiscope::chaos::{chaos_config, crash_resume_digest, straight_digest, CrashPlan, RunDigest};
-use iiscope::checkpoint::{load_latest, snapshot_path, Snapshot};
+use iiscope::checkpoint::{load_latest, snapshot_path, Snapshot, SnapshotRef};
+use iiscope::subsystems::monitor::Dataset;
 use iiscope::subsystems::types::Error;
 use iiscope::wildsim::{CheckpointPolicy, WildRunOptions};
 use iiscope::{World, WorldConfig};
+use std::io::Cursor;
 use std::path::Path;
 
 /// Sweep kill days for one config, comparing each crash-and-resume
@@ -234,12 +236,12 @@ fn incompatible_snapshots_are_refused_not_resumed() {
 
 #[test]
 fn every_written_snapshot_is_its_own_decode_reencode() {
-    // The live study streams from borrowed state and a decoded
-    // snapshot encodes through the same view: the bytes on disk must
-    // be exactly what decoding and re-encoding them gives, and the
-    // run's reported snapshot bytes must be the files' lengths. A budgeted,
-    // sharded world, so the SPILL manifests and chunked resident
-    // suffixes are both exercised.
+    // The live study streams each snapshot from its dataset, and a
+    // resume restores a dataset from it: decoding a snapshot, restoring
+    // its dataset and writing a snapshot of that must give back exactly
+    // the bytes on disk, and the run's reported snapshot bytes must be
+    // the files' lengths. A budgeted, sharded world, so the SPILL
+    // manifests and chunked resident suffixes are both exercised.
     let dir = TempDir::new("one-encoder");
     let mut cfg = chaos_config(42);
     cfg.shards = 2;
@@ -263,17 +265,42 @@ fn every_written_snapshot_is_its_own_decode_reencode() {
     assert_eq!(written, world.cfg.monitoring_days + 1);
     let mut spilled_refs = 0;
     let mut file_bytes = 0;
-    for day in 0..written {
+    // Newest first: a restore cuts the spill files back to its own
+    // manifest, and every older manifest references a prefix of it.
+    for day in (0..written).rev() {
         let bytes = std::fs::read(snapshot_path(&snaps, day)).unwrap();
         file_bytes += bytes.len() as u64;
         if day + 1 == written {
             assert_eq!(artifacts.checkpoints.last_bytes, bytes.len() as u64);
         }
         let snap = Snapshot::decode(&bytes).unwrap();
-        spilled_refs += snap.offers_spill.segments.len() + snap.charts_spill.segments.len();
+        let saved = &snap.dataset;
+        spilled_refs += saved.offers_spill.segments.len() + saved.charts_spill.segments.len();
+        // Unbudgeted, so the restore spills nothing again.
+        let dataset = Dataset::new()
+            .restored(snap.dataset)
+            .unwrap_or_else(|e| panic!("day {day}: restore failed: {e}"));
+        fn ledger(l: &[(String, u64)]) -> Vec<(&str, u64)> {
+            l.iter().map(|(k, v)| (k.as_str(), *v)).collect()
+        }
+        let again = SnapshotRef {
+            day: snap.day,
+            seed: snap.seed,
+            fingerprint: snap.fingerprint,
+            sim_bytes: &snap.sim_bytes,
+            crawler: snap.crawler,
+            dataset: &dataset,
+            chaos_counters: ledger(&snap.chaos_counters),
+            wire_counters: ledger(&snap.wire_counters),
+            aggregates: &snap.aggregates,
+        };
+        let reencoded = again
+            .write_to(Cursor::new(Vec::new()))
+            .unwrap()
+            .into_inner();
         assert!(
-            snap.encode() == bytes,
-            "day {day}: decode + encode changed the snapshot's bytes"
+            reencoded == bytes,
+            "day {day}: decode + restore + encode changed the snapshot's bytes"
         );
     }
     assert!(

@@ -141,6 +141,10 @@ fn hostile_mix_degrades_but_does_not_starve_honest_clients() {
 
     // Honest clients stay whole: bounded goodput and latency cost,
     // no responses outside the 2xx/404/503 envelope.
+    eprintln!(
+        "honest p99: clean {}us, hostile {}us; goodput: clean {:.0} rps, hostile {:.0} rps",
+        clean.p99_us, hostile.p99_us, clean.goodput_rps, hostile.goodput_rps
+    );
     assert_eq!(hostile.errors, 0, "honest clients saw hard errors");
     assert!(
         hostile.goodput_rps >= 0.70 * clean.goodput_rps,
@@ -148,7 +152,11 @@ fn hostile_mix_degrades_but_does_not_starve_honest_clients() {
         hostile.goodput_rps,
         clean.goodput_rps
     );
-    let p99_ceiling = (3 * clean.p99_us).max(30_000);
+    // The floor is twice the largest hostile p99 of twenty full debug
+    // `cargo test -q` runs on a 2-vCPU VM (49.6 ms; the median was
+    // 10.3 ms): below it an unoptimized build sharing two cores sets
+    // the tail, not the hostile mix.
+    let p99_ceiling = (3 * clean.p99_us).max(100_000);
     assert!(
         hostile.p99_us <= p99_ceiling,
         "honest p99 blew out: {}us vs ceiling {}us (clean {}us)",

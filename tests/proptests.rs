@@ -951,18 +951,15 @@ fn snapshot_of(ds: &Dataset, aggregates: &ReportAggregates) -> Vec<u8> {
             },
             conn_seq: 0,
         },
-        pkg_syms: ds.package_interner(),
-        desc_syms: ds.description_interner(),
-        offers_spill: ds.offers_spill(),
-        offers: Box::new(ds.offers_resident()),
-        profiles: Box::new(ds.profiles()),
-        charts_spill: ds.charts_spill(),
-        charts: Box::new(ds.charts_resident()),
+        dataset: ds,
         chaos_counters: vec![],
         wire_counters: vec![],
         aggregates,
     };
-    let bytes = snapshot.encode();
+    let bytes = snapshot
+        .write_to(std::io::Cursor::new(Vec::new()))
+        .expect("in memory")
+        .into_inner();
     let n = SNAPSHOT_FILES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let path = std::env::temp_dir().join(format!("iiscope-snapshot-{}-{n}", std::process::id()));
     snapshot
@@ -1039,16 +1036,9 @@ proptest! {
         for ds in [&resident, &budgeted] {
             let bytes = check_offer_log(ds, &oracle)?;
             let snap = Snapshot::decode(&bytes).expect("own snapshot decodes");
-            let restored = Dataset::new().restored(
-                snap.pkg_syms,
-                snap.desc_syms,
-                &snap.offers_spill,
-                snap.offers,
-                snap.profiles,
-                &snap.charts_spill,
-                snap.charts,
-            )
-            .expect("own snapshot restores");
+            let restored = Dataset::new()
+                .restored(snap.dataset)
+                .expect("own snapshot restores");
             check_offer_log(&restored, &oracle)?;
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -1184,16 +1174,9 @@ proptest! {
             check_profile_log(ds, &oracle)?;
             let snap = Snapshot::decode(&snapshot_of(ds, &ReportAggregates::new()))
                 .expect("own snapshot decodes");
-            let restored = Dataset::new().restored(
-                snap.pkg_syms,
-                snap.desc_syms,
-                &snap.offers_spill,
-                snap.offers,
-                snap.profiles,
-                &snap.charts_spill,
-                snap.charts,
-            )
-            .expect("own snapshot restores");
+            let restored = Dataset::new()
+                .restored(snap.dataset)
+                .expect("own snapshot restores");
             prop_assert_eq!(restored.package_interner(), ds.package_interner());
             check_profile_log(&restored, &oracle)?;
         }

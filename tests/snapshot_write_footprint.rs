@@ -1,17 +1,19 @@
-//! Live-heap cost of writing a checkpoint snapshot, and what a write
-//! that fails leaves behind.
+//! Live-heap cost of writing and of reading a checkpoint snapshot,
+//! and what a write that fails leaves behind.
 //!
 //! A counting global allocator tracks the heap's high-water mark while
-//! a snapshot holding over 8 MB of offer rows is written to its file.
-//! Each section streams through one 64 KiB window, so the heap may
-//! grow by at most 1 MiB however large the file; building the file in
-//! memory first costs at least its whole size.
+//! a snapshot of a dataset holding over 8 MB of offer rows is written
+//! to its file, and while that file is decoded. Each section streams
+//! out through one 64 KiB window, so writing may grow the heap by at
+//! most 1 MiB however large the file; building the file in memory
+//! first costs at least its whole size. Decoding keeps the offer rows
+//! as their checked section bytes, so it may grow the heap by at most
+//! the file's length plus 1 MiB; owned rows would cost far more.
 
 use iiscope::aggregates::ReportAggregates;
-use iiscope::checkpoint::{load_latest, snapshot_path, write_durable, Snapshot};
-use iiscope::subsystems::monitor::spill::SpillManifest;
-use iiscope::subsystems::monitor::{ProfileLog, RawOffer, RewardValue, ScrapedOffer};
-use iiscope::subsystems::types::{Country, IipId, Interner, SimTime};
+use iiscope::checkpoint::{load_latest, snapshot_path, write_durable, Snapshot, SnapshotRef};
+use iiscope::subsystems::monitor::{Dataset, RawOffer, RewardValue, ScrapedOffer};
+use iiscope::subsystems::types::{Country, IipId, SimTime};
 use iiscope::subsystems::wire::ClientState;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::{self, Cursor, Seek, SeekFrom, Write};
@@ -80,34 +82,38 @@ fn peak_growth(f: impl FnOnce()) -> isize {
 
 static MEASURE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-/// A snapshot whose OFFERS section holds `rows` observations of ~130
-/// encoded bytes each; every other section is small.
-fn snapshot_with_offers(rows: usize) -> Snapshot {
-    let offers = (0..rows)
-        .map(|n| {
-            let package = format!("com.vendor{}.app{}", n % 37, n % 5_000);
-            ScrapedOffer {
-                iip: IipId::ALL[n % IipId::ALL.len()],
-                raw: RawOffer {
-                    offer_key: n as u64,
-                    description: format!("Install {package} and reach level {}", n % 5),
-                    reward: RewardValue::Points((n % 900) as i64),
-                    store_url: format!("https://play.iiscope/store/apps/details?id={package}"),
-                    package,
-                },
-                seen_at: SimTime::from_days((n / 1_000) as u64),
-                affiliate: format!("com.rewards.cashapp{}", n % 12),
-                vantage: Country::ALL[n % 4],
-            }
-        })
-        .collect();
-    let mut pkg_syms = Interner::new();
-    pkg_syms.intern("com.vendor0.app0");
-    Snapshot {
+/// A dataset of `rows` offer observations of ~190 encoded bytes each,
+/// over 2,000 packages with one description each, so its symbol
+/// tables stay small beside its offer rows.
+fn dataset_with_offers(rows: usize) -> Dataset {
+    let mut ds = Dataset::new();
+    ds.add_offers((0..rows).map(|n| {
+        let app = n % 2_000;
+        let package = format!("com.vendor{}.app{app}", app % 37);
+        ScrapedOffer {
+            iip: IipId::ALL[n % IipId::ALL.len()],
+            raw: RawOffer {
+                offer_key: (n % 1_000) as u64,
+                description: format!("Install {package} and reach level {}", app % 5),
+                reward: RewardValue::Points((n % 900) as i64),
+                store_url: format!("https://play.iiscope/store/apps/details?id={package}"),
+                package,
+            },
+            seen_at: SimTime::from_days((n / 1_000) as u64),
+            affiliate: format!("com.rewards.cashapp{}", n % 12),
+            vantage: Country::ALL[n % 4],
+        }
+    }));
+    ds
+}
+
+/// A day-6 snapshot of `ds`; every other section is small.
+fn snapshot<'a>(ds: &'a Dataset, aggregates: &'a ReportAggregates) -> SnapshotRef<'a> {
+    SnapshotRef {
         day: 6,
         seed: 42,
         fingerprint: 0xABCD,
-        sim_bytes: vec![7; 300],
+        sim_bytes: &[7; 300],
         crawler: ClientState {
             rng: rand::rngs::RngState {
                 key: [9; 8],
@@ -116,17 +122,18 @@ fn snapshot_with_offers(rows: usize) -> Snapshot {
             },
             conn_seq: 77,
         },
-        pkg_syms,
-        desc_syms: Interner::new(),
-        offers_spill: SpillManifest::default(),
-        offers,
-        profiles: ProfileLog::new(),
-        charts_spill: SpillManifest::default(),
-        charts: vec![],
-        chaos_counters: vec![("retries".into(), 3)],
-        wire_counters: vec![("bytes_delivered".into(), 912)],
-        aggregates: ReportAggregates::new(),
+        dataset: ds,
+        chaos_counters: vec![("retries", 3)],
+        wire_counters: vec![("bytes_delivered", 912)],
+        aggregates,
     }
+}
+
+/// The snapshot's frame file in memory.
+fn encode(snap: &SnapshotRef) -> Vec<u8> {
+    snap.write_to(Cursor::new(Vec::new()))
+        .expect("writing to memory cannot fail")
+        .into_inner()
 }
 
 /// A fresh, empty directory under the system temp dir, removed on drop.
@@ -151,12 +158,13 @@ impl Drop for TempDir {
 #[test]
 fn writing_a_snapshot_grows_the_heap_by_at_most_one_mebibyte() {
     let _serial = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
-    let snap = snapshot_with_offers(70_000);
+    let ds = dataset_with_offers(70_000);
+    let aggs = ReportAggregates::new();
+    let snap = snapshot(&ds, &aggs);
     let dir = TempDir::new("footprint");
-    let view = snap.view();
     let mut written = 0;
     let streamed = peak_growth(|| {
-        written = write_durable(&dir.0, snap.day, |f| view.write_to(f).map(drop)).unwrap();
+        written = write_durable(&dir.0, snap.day, |f| snap.write_to(f).map(drop)).unwrap();
     });
     let file = std::fs::read(snapshot_path(&dir.0, snap.day)).unwrap();
     assert_eq!(written, file.len() as u64, "reported bytes are the file's");
@@ -173,10 +181,33 @@ fn writing_a_snapshot_grows_the_heap_by_at_most_one_mebibyte() {
 
     // The same writer over memory holds the file: the counter sees it.
     let mut encoded = Vec::new();
-    let in_memory = peak_growth(|| encoded = view.encode());
+    let in_memory = peak_growth(|| encoded = encode(&snap));
     assert!(encoded == file, "file and in-memory encoding differ");
     assert!(in_memory >= file.len() as isize, "in memory: {in_memory} B");
-    assert_eq!(Snapshot::decode(&file).unwrap().offers, snap.offers);
+    let back = Snapshot::decode(&file).unwrap();
+    let restored = Dataset::new().restored(back.dataset).unwrap();
+    assert!(restored.offers().eq(ds.offers()), "restored offers differ");
+}
+
+#[test]
+fn decoding_a_snapshot_grows_the_heap_by_at_most_its_length_and_one_mebibyte() {
+    let _serial = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
+    let ds = dataset_with_offers(70_000);
+    let aggs = ReportAggregates::new();
+    let file = encode(&snapshot(&ds, &aggs));
+    assert!(file.len() > 8_000_000, "only {} B of snapshot", file.len());
+    let mut decoded = None;
+    let grown = peak_growth(|| decoded = Some(Snapshot::decode(&file).unwrap()));
+    eprintln!(
+        "snapshot of {} B: heap grew {grown} B while it was decoded",
+        file.len()
+    );
+    assert!(
+        grown <= file.len() as isize + (1 << 20),
+        "decoding a {} B snapshot grew the heap by {grown} B (limit: its length + 1 MiB)",
+        file.len()
+    );
+    assert_eq!(decoded.unwrap().day, 6);
 }
 
 /// A seekable sink that accepts `left` more bytes, then fails every
@@ -212,8 +243,10 @@ fn a_sink_failing_at_any_byte_is_an_error_never_a_panic() {
     let _serial = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     // Three windows of offer rows, so failures land in the middle of
     // streamed payloads, on window edges and in header patches.
-    let snap = snapshot_with_offers(1_500);
-    let whole = snap.encode();
+    let ds = dataset_with_offers(1_500);
+    let aggs = ReportAggregates::new();
+    let snap = snapshot(&ds, &aggs);
+    let whole = encode(&snap);
     assert!(whole.len() > 3 * (64 << 10));
     let mut cuts: Vec<usize> = (0..200).collect();
     cuts.extend((200..whole.len()).step_by(499));
@@ -224,7 +257,9 @@ fn a_sink_failing_at_any_byte_is_an_error_never_a_panic() {
             inner: Cursor::new(Vec::new()),
             left: k,
         };
-        let got = std::panic::catch_unwind(|| snap.view().write_to(sink).map(drop));
+        // A panic leaves nothing the loop reads again.
+        let write = std::panic::AssertUnwindSafe(|| snap.write_to(sink).map(drop));
+        let got = std::panic::catch_unwind(write);
         match got {
             Ok(Err(_)) => {}
             Ok(Ok(())) => panic!("a sink failing after {k} B reported success"),
@@ -237,15 +272,15 @@ fn a_sink_failing_at_any_byte_is_an_error_never_a_panic() {
 fn a_failed_write_leaves_the_previous_snapshot_newest() {
     let _serial = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     let dir = TempDir::new("failed");
-    let mut snap = snapshot_with_offers(200);
-    write_durable(&dir.0, snap.day, |f| snap.view().write_to(f).map(drop)).unwrap();
+    let ds = dataset_with_offers(200);
+    let aggs = ReportAggregates::new();
+    let mut snap = snapshot(&ds, &aggs);
+    write_durable(&dir.0, snap.day, |f| snap.write_to(f).map(drop)).unwrap();
     snap.day = 8;
-    let size = snap.encode().len();
+    let size = encode(&snap).len();
     for k in [0, 9, size / 2, size - 1] {
         let err = write_durable(&dir.0, snap.day, |f| {
-            snap.view()
-                .write_to(FailAfter { inner: f, left: k })
-                .map(drop)
+            snap.write_to(FailAfter { inner: f, left: k }).map(drop)
         });
         assert!(err.is_err(), "a write failing after {k} B succeeded");
         // Neither the snapshot nor its temp file is left behind.
