@@ -646,7 +646,7 @@ fn timed_report(
         ("reloads", spill.reloads.into()),
         ("resident_bytes", spill.resident_bytes.into()),
     ]);
-    let (install_events, install_ledger_bytes) = world.store.install_ledger_footprint();
+    let ledger = world.store.install_ledger_footprint();
     let (cfg, ckpt) = (&world.cfg, &artifacts.checkpoints);
     let dumps: [(&str, Vec<(&str, Json)>); 7] = [
         (
@@ -696,8 +696,13 @@ fn timed_report(
                 ("memory_budget_bytes", cfg.memory_budget.into()),
                 ("wild_study_seconds", wild_secs.into()),
                 ("tagged_installs", artifacts.tagged_installs.into()),
-                ("install_events", install_events.into()),
-                ("install_ledger_bytes", install_ledger_bytes.into()),
+                ("install_events", ledger.events.into()),
+                ("install_ledger_bytes", ledger.heap_bytes.into()),
+                ("install_ledger_spilled_bytes", ledger.spilled_bytes.into()),
+                (
+                    "install_ledger_spilled_chunks",
+                    ledger.spilled_chunks.into(),
+                ),
                 (
                     "devices_per_second",
                     (artifacts.tagged_installs as f64 / wild_secs.max(1e-9)).into(),

@@ -42,7 +42,7 @@ use iiscope_attribution::{Conversion, ConversionGoal, Postback};
 use iiscope_devices::behavior::plan_for;
 use iiscope_devices::{IipBehaviorProfile, WorkerKind};
 use iiscope_monitor::{Crawler, Dataset, ProfileSnapshot, RateBook, UiFuzzer};
-use iiscope_playstore::{InstallSignals, InstallSource};
+use iiscope_playstore::{InstallSignals, InstallSource, PlayStore};
 use iiscope_types::rng::chance;
 use iiscope_types::{
     shard_of, AppId, CampaignId, DeviceId, Error, IipId, Result, SeedFork, SimDuration, SimTime,
@@ -121,10 +121,15 @@ pub(crate) fn pool_size(workers: usize, n_jobs: usize) -> usize {
     workers.max(1).min(n_jobs.max(1))
 }
 
-/// A failed spill write ends the study: the dataset kept every row
-/// resident, but the memory budget no longer holds.
-fn check_spill(dataset: &Dataset) -> Result<()> {
-    match dataset.spill_error() {
+/// A failed spill write ends the study: the dataset or the install
+/// ledger kept every row resident, but the memory budget no longer
+/// holds. The dataset is asked first, and the store only when given
+/// (see the day loop).
+fn check_spill(dataset: &Dataset, store: Option<&PlayStore>) -> Result<()> {
+    if let Some(e) = dataset.spill_error() {
+        return Err(Error::InvalidState(e.to_string()));
+    }
+    match store.and_then(PlayStore::install_spill_error) {
         Some(e) => Err(Error::InvalidState(e.to_string())),
         None => Ok(()),
     }
@@ -324,6 +329,12 @@ impl World {
         // normalization is bit-identical to the oracle's.
         let book = RateBook::from_catalog(&self.affiliate_apps);
 
+        // Before any sim day runs, replayed or not, so a resume seals
+        // its install rows as the run it resumes did.
+        if self.cfg.memory_budget.is_some() {
+            self.store
+                .seal_installs_to(&self.resolve_spill_dir(&opts), &self.spill_label());
+        }
         let (mut st, start_day) = match opts.resume.take() {
             Some(snap) => {
                 snap.check_compatible(&self.cfg)
@@ -363,7 +374,7 @@ impl World {
                 (st, 0)
             }
         };
-        check_spill(&st.dataset)?;
+        check_spill(&st.dataset, None)?;
 
         for day in start_day..=self.cfg.monitoring_days {
             if let Some(crash) = &opts.crash {
@@ -391,6 +402,14 @@ impl World {
             // the aggregate state rides the same durability boundary.
             st.aggregates.fold_day(&st.dataset, &book);
             self.day_version.bump();
+            // The ledger's file opens with its first full chunk, often
+            // days before the dataset first spills. Asking the store
+            // only once the dataset has spilled, or the days are over,
+            // leaves a spill dir that fails both to the dataset's
+            // message.
+            let ledger_due =
+                day == self.cfg.monitoring_days || st.dataset.spill_stats().spilled_segments > 0;
+            check_spill(&st.dataset, ledger_due.then_some(self.store.as_ref()))?;
             if let Some(cp) = &opts.checkpoint {
                 if day % cp.every_days.max(1) == 0 {
                     // Encoding and writing interleave: the encode
@@ -462,9 +481,14 @@ impl World {
             dataset.set_memory_budget(
                 self.cfg.memory_budget,
                 &self.resolve_spill_dir(opts),
-                &format!("iiscope-{}", self.cfg.seed),
+                &self.spill_label(),
             );
         }
+    }
+
+    /// The prefix of every spill file name the study writes.
+    fn spill_label(&self) -> String {
+        format!("iiscope-{}", self.cfg.seed)
     }
 
     /// Where spill files live: the configured directory, else a
@@ -900,7 +924,7 @@ impl World {
                 Err(e) => return Err(e),
             };
             st.dataset.add_offers(offers);
-            check_spill(&st.dataset)?;
+            check_spill(&st.dataset, None)?;
         }
         // The dataset's advertised index *is* the discovery set (every
         // milked offer lands there), in lexicographic order, so the
@@ -929,7 +953,7 @@ impl World {
                 Err(_) => self.net.chaos().add_crawls_abandoned(1),
             }
         }
-        check_spill(&st.dataset)?;
+        check_spill(&st.dataset, None)?;
         // No session outlives its crawl day, so a snapshot's
         // `ClientState` describes the crawler completely.
         st.crawler.close_idle();

@@ -15,14 +15,34 @@
 //! not fire reads a few counters instead of the app's whole history.
 //!
 //! Install events are the ledger's bulk: millions per study, one per
-//! tagged install. Each is stored as a 16-byte [`PackedInstall`] in a
-//! [`Chunked`] store, so a ledger never copies its history to grow and
-//! its slack is at most one chunk. Readers see decoded
-//! [`InstallEvent`] values through [`InstallEvents`].
+//! tagged install. Each is stored as a 16-byte [`PackedInstall`] in
+//! chunks of [`CHUNK_ROWS`] (4 KiB), so a ledger never copies its
+//! history to grow and its slack is at most one chunk. Readers see
+//! decoded [`InstallEvent`] values through [`InstallEvents`].
+//!
+//! Under a memory budget the ledgers of a store seal each chunk to a
+//! [`SealFile`] as soon as it fills: one append-only scratch file per
+//! store, created on the first seal and unlinked as soon as it is
+//! open. Only the open chunk, the per-/24 counts and the day buckets
+//! stay in memory, plus each sealed chunk's offset and CRC-32. Sealed
+//! rows come back through positioned reads on a shared `&File`, so
+//! readers under the store's read lock stay parallel; the only writer
+//! of a sealed row is [`EngagementLedger::filter_installs`], which
+//! rewrites in place just the chunks whose rows it filtered. A ledger
+//! without a file keeps every chunk in memory, and a chunk whose seal
+//! fails stays there too (the file records the first error).
 
-use iiscope_types::{chunked, Chunked, SimTime, Usd};
+use iiscope_types::frame::crc32;
+use iiscope_types::{SimTime, Usd};
+use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet};
+use std::fs::{File, OpenOptions};
 use std::hash::{BuildHasherDefault, DefaultHasher};
+use std::os::unix::fs::FileExt;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Device-quality signals attached to one install event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,6 +156,26 @@ impl PackedInstall {
             filtered: self.bits & FILTERED != 0,
         }
     }
+
+    /// The row as a sealed chunk stores it, little-endian.
+    fn to_le_bytes(self) -> [u8; 16] {
+        let mut b = [0; 16];
+        b[..8].copy_from_slice(&self.at.to_le_bytes());
+        b[8..12].copy_from_slice(&self.block24.to_le_bytes());
+        b[12..].copy_from_slice(&self.bits.to_le_bytes());
+        b
+    }
+
+    /// The row `to_le_bytes` wrote into the 16 bytes of `b`.
+    fn from_le_bytes(b: &[u8]) -> PackedInstall {
+        let word =
+            |r: std::ops::Range<usize>| u32::from_le_bytes(b[r].try_into().expect("4 bytes"));
+        PackedInstall {
+            at: u64::from_le_bytes(b[..8].try_into().expect("8 bytes")),
+            block24: word(8..12),
+            bits: word(12..16),
+        }
+    }
 }
 
 /// Unfiltered event installs per /24, split by how many a block holds.
@@ -197,10 +237,344 @@ impl BlockCounts {
     }
 }
 
+/// Rows in a chunk of a ledger's row store: 4 KiB of 16-byte rows.
+pub const CHUNK_ROWS: usize = 256;
+
+/// Bytes of a sealed chunk.
+const CHUNK_BYTES: usize = CHUNK_ROWS * std::mem::size_of::<PackedInstall>();
+
+const _: () = assert!(CHUNK_BYTES == 4096);
+
+/// One chunk of a ledger's rows.
+#[derive(Debug)]
+enum Chunk {
+    /// In memory: the open chunk, every chunk of a ledger without a
+    /// [`SealFile`], and a full chunk whose seal failed.
+    Resident(Vec<PackedInstall>),
+    /// [`CHUNK_ROWS`] rows in the ledger's file at `offset`, whose
+    /// bytes have CRC-32 `crc`.
+    Sealed { offset: u64, crc: u32 },
+}
+
+/// A ledger's install rows in record order, in chunks of
+/// [`CHUNK_ROWS`]. The first chunk grows like any `Vec`, its doubling
+/// landing on `CHUNK_ROWS`; later chunks are allocated whole. With a
+/// file, each chunk is sealed to it as soon as it fills.
+#[derive(Debug, Default)]
+struct InstallRows {
+    chunks: Vec<Chunk>,
+    len: usize,
+    file: Option<Arc<SealFile>>,
+}
+
+impl InstallRows {
+    fn push(&mut self, row: PackedInstall) {
+        if self.len.is_multiple_of(CHUNK_ROWS) {
+            let cap = if self.chunks.is_empty() {
+                0
+            } else {
+                CHUNK_ROWS
+            };
+            self.chunks.push(Chunk::Resident(Vec::with_capacity(cap)));
+        }
+        let Some(Chunk::Resident(open)) = self.chunks.last_mut() else {
+            unreachable!("the open chunk is resident")
+        };
+        open.push(row);
+        self.len += 1;
+        if open.len() == CHUNK_ROWS {
+            self.seal(self.chunks.len() - 1);
+        }
+    }
+
+    /// Writes chunk `c` to the file if it is full and resident; on a
+    /// failed write it stays resident.
+    fn seal(&mut self, c: usize) {
+        let (Some(file), Chunk::Resident(rows)) = (&self.file, &self.chunks[c]) else {
+            return;
+        };
+        if rows.len() == CHUNK_ROWS {
+            if let Some(sealed) = file.write(None, rows) {
+                self.chunks[c] = sealed;
+            }
+        }
+    }
+
+    /// Points `window` at the rows of chunk `c`: borrowed when
+    /// resident, read into the window's own buffer when sealed.
+    fn load<'a>(&'a self, c: usize, window: &mut Cow<'a, [PackedInstall]>) {
+        match self.chunks[c] {
+            Chunk::Resident(ref rows) => *window = Cow::Borrowed(rows),
+            Chunk::Sealed { offset, crc } => {
+                let mut buf = match std::mem::take(window) {
+                    Cow::Owned(buf) => buf,
+                    Cow::Borrowed(_) => Vec::with_capacity(CHUNK_ROWS),
+                };
+                self.sealed_file().read(offset, crc, &mut buf);
+                *window = Cow::Owned(buf);
+            }
+        }
+    }
+
+    /// The rows of chunk `c` for editing: in place when resident, else
+    /// read into `buf` (hand them to [`InstallRows::rewrite`] after).
+    fn rows_mut<'s>(
+        &'s mut self,
+        c: usize,
+        buf: &'s mut Vec<PackedInstall>,
+    ) -> &'s mut [PackedInstall] {
+        match self.chunks[c] {
+            Chunk::Resident(ref mut rows) => rows,
+            Chunk::Sealed { offset, crc } => {
+                let file = self.file.as_ref().expect("a sealed chunk has a file");
+                file.read(offset, crc, buf);
+                buf
+            }
+        }
+    }
+
+    /// Writes edited `rows` of chunk `c` back over its sealed bytes; a
+    /// resident chunk was edited in place. On a failed write the chunk
+    /// comes back into memory with its edits.
+    fn rewrite(&mut self, c: usize, rows: &[PackedInstall]) {
+        if let Chunk::Sealed { offset, .. } = self.chunks[c] {
+            self.chunks[c] = self
+                .sealed_file()
+                .write(Some(offset), rows)
+                .unwrap_or_else(|| Chunk::Resident(rows.to_vec()));
+        }
+    }
+
+    fn sealed_file(&self) -> &SealFile {
+        self.file.as_ref().expect("a sealed chunk has a file")
+    }
+
+    fn sealed_chunks(&self) -> usize {
+        self.chunks
+            .iter()
+            .filter(|c| matches!(c, Chunk::Sealed { .. }))
+            .count()
+    }
+
+    /// Heap bytes: resident chunks at their capacity, plus the chunk
+    /// index.
+    fn heap_bytes(&self) -> usize {
+        let rows: usize = self
+            .chunks
+            .iter()
+            .map(|c| match c {
+                Chunk::Resident(rows) => rows.capacity(),
+                Chunk::Sealed { .. } => 0,
+            })
+            .sum();
+        rows * std::mem::size_of::<PackedInstall>()
+            + self.chunks.capacity() * std::mem::size_of::<Chunk>()
+    }
+}
+
 /// The decoded install events of a ledger, in record order
 /// (exact-size, double-ended; see [`EngagementLedger::install_events`]).
-pub type InstallEvents<'a> =
-    std::iter::Map<chunked::Iter<'a, PackedInstall>, fn(&PackedInstall) -> InstallEvent>;
+/// Each end holds one chunk at a time, so walking a sealed history
+/// reads each chunk once per end that passes it.
+#[derive(Debug, Clone)]
+pub struct InstallEvents<'a> {
+    rows: &'a InstallRows,
+    at: std::ops::Range<usize>,
+    front: Window<'a>,
+    back: Window<'a>,
+}
+
+/// The chunk one end of an [`InstallEvents`] is in.
+#[derive(Debug, Clone)]
+struct Window<'a> {
+    /// Chunk index; `usize::MAX` before the first row.
+    chunk: usize,
+    rows: Cow<'a, [PackedInstall]>,
+}
+
+impl<'a> Window<'a> {
+    fn new() -> Window<'a> {
+        Window {
+            chunk: usize::MAX,
+            rows: Cow::Borrowed(&[]),
+        }
+    }
+
+    fn event(&mut self, rows: &'a InstallRows, i: usize) -> InstallEvent {
+        let c = i / CHUNK_ROWS;
+        if self.chunk != c {
+            rows.load(c, &mut self.rows);
+            self.chunk = c;
+        }
+        self.rows[i % CHUNK_ROWS].unpack()
+    }
+}
+
+impl Iterator for InstallEvents<'_> {
+    type Item = InstallEvent;
+
+    fn next(&mut self) -> Option<InstallEvent> {
+        let i = self.at.next()?;
+        Some(self.front.event(self.rows, i))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.at.size_hint()
+    }
+}
+
+impl DoubleEndedIterator for InstallEvents<'_> {
+    fn next_back(&mut self) -> Option<InstallEvent> {
+        let i = self.at.next_back()?;
+        Some(self.back.event(self.rows, i))
+    }
+}
+
+impl ExactSizeIterator for InstallEvents<'_> {}
+
+/// The first failed create or write of a [`SealFile`]. The file seals
+/// nothing after it, so every later chunk stays in memory.
+#[derive(Debug)]
+pub struct SealError {
+    /// The file the ledgers were sealing into.
+    pub path: PathBuf,
+    /// What the filesystem said.
+    pub error: std::io::Error,
+}
+
+impl std::fmt::Display for SealError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "install ledger spill to {} failed: {}",
+            self.path.display(),
+            self.error
+        )
+    }
+}
+
+impl std::error::Error for SealError {}
+
+/// The append-only scratch file the ledgers of one store seal their
+/// full chunks into. Nothing touches the disk until the first seal,
+/// which creates the file and unlinks it at once, so it never outlives
+/// its handle and a crash leaves nothing behind. Appends and in-place
+/// rewrites serialize on a mutex; reads are positioned reads on the
+/// shared handle and take no lock.
+#[derive(Debug)]
+pub struct SealFile {
+    path: PathBuf,
+    file: OnceLock<File>,
+    /// Bytes appended so far: the next chunk's offset.
+    end: Mutex<u64>,
+    failed: OnceLock<SealError>,
+}
+
+impl SealFile {
+    /// A file to be created in `dir` on the first seal, named after
+    /// `label`, the process and a per-process counter, so two stores
+    /// never share one.
+    pub fn new(dir: &Path, label: &str) -> SealFile {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        SealFile {
+            path: dir.join(format!("{label}-installs-{}-{n}.spill", std::process::id())),
+            file: OnceLock::new(),
+            end: Mutex::new(0),
+            failed: OnceLock::new(),
+        }
+    }
+
+    /// Where the file is (briefly) created.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// Bytes appended to the file.
+    pub fn bytes(&self) -> u64 {
+        *self.end.lock()
+    }
+
+    /// The first failed create or write, if any.
+    pub fn error(&self) -> Option<&SealError> {
+        self.failed.get()
+    }
+
+    fn open(&self) -> std::io::Result<File> {
+        if let Some(dir) = self.path.parent() {
+            std::fs::create_dir_all(dir)?;
+        }
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create_new(true)
+            .open(&self.path)?;
+        std::fs::remove_file(&self.path)?;
+        Ok(file)
+    }
+
+    /// Writes a full chunk's `rows` at `at`, or appends them when `at`
+    /// is `None`; returns the sealed chunk. After the first failure it
+    /// writes nothing and returns `None`.
+    fn write(&self, at: Option<u64>, rows: &[PackedInstall]) -> Option<Chunk> {
+        debug_assert_eq!(rows.len(), CHUNK_ROWS);
+        if self.failed.get().is_some() {
+            return None;
+        }
+        let mut bytes = [0; CHUNK_BYTES];
+        for (out, row) in bytes.chunks_exact_mut(16).zip(rows) {
+            out.copy_from_slice(&row.to_le_bytes());
+        }
+        let mut end = self.end.lock();
+        let offset = at.unwrap_or(*end);
+        let file = match self.file.get() {
+            Some(file) => Ok(file),
+            None => self.open().map(|file| self.file.get_or_init(|| file)),
+        };
+        match file.and_then(|file| file.write_all_at(&bytes, offset)) {
+            Ok(()) => {
+                if at.is_none() {
+                    *end += CHUNK_BYTES as u64;
+                }
+                Some(Chunk::Sealed {
+                    offset,
+                    crc: crc32(&bytes),
+                })
+            }
+            Err(error) => {
+                let _ = self.failed.set(SealError {
+                    path: self.path.clone(),
+                    error,
+                });
+                None
+            }
+        }
+    }
+
+    /// Reads the sealed chunk at `offset` into `out`.
+    ///
+    /// # Panics
+    /// If the read fails or the bytes do not match `crc`: the file is
+    /// this process's own unlinked scratch, so either is a fault below
+    /// the program.
+    fn read(&self, offset: u64, crc: u32, out: &mut Vec<PackedInstall>) {
+        let mut bytes = [0; CHUNK_BYTES];
+        let file = self.file.get().expect("a sealed chunk's file is open");
+        if let Err(e) = file.read_exact_at(&mut bytes, offset) {
+            panic!(
+                "install ledger chunk at {offset} of {} is unreadable: {e}",
+                self.path.display()
+            );
+        }
+        assert!(
+            crc32(&bytes) == crc,
+            "install ledger chunk at {offset} of {} fails its CRC",
+            self.path.display()
+        );
+        out.clear();
+        out.extend(bytes.chunks_exact(16).map(PackedInstall::from_le_bytes));
+    }
+}
 
 /// Aggregates for one simulated day.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -223,7 +597,7 @@ pub struct DayStats {
 #[derive(Debug, Default)]
 pub struct EngagementLedger {
     /// Install events in record order.
-    events: Chunked<PackedInstall>,
+    events: InstallRows,
     /// Distinct attribution tags; [`InstallEvent::tag`] `i` names
     /// `tags[i - 1]`.
     tags: Vec<Box<str>>,
@@ -385,19 +759,43 @@ impl EngagementLedger {
 
     /// Installs with per-event records, filtered or not.
     pub fn event_installs(&self) -> u64 {
-        self.events.len() as u64
+        self.events.len as u64
     }
 
     /// All install events in record order, decoded (enforcement and
     /// forensics iterate these).
     pub fn install_events(&self) -> InstallEvents<'_> {
-        self.events.iter().map(|row| row.unpack())
+        InstallEvents {
+            rows: &self.events,
+            at: 0..self.events.len,
+            front: Window::new(),
+            back: Window::new(),
+        }
     }
 
-    /// Heap bytes behind the install events: the row store and the
-    /// per-/24 counts (estimated from capacities).
+    /// Heap bytes behind the install events: the resident chunks, the
+    /// chunk index and the per-/24 counts (estimated from capacities).
+    /// Sealed chunks are on disk and not counted.
     pub fn install_heap_bytes(&self) -> usize {
         self.events.heap_bytes() + self.blocks.heap_bytes()
+    }
+
+    /// Seals this ledger's full chunks into `file`, those already
+    /// recorded first, then each as it fills. A ledger seals into one
+    /// file for its life: a later call changes nothing.
+    pub fn seal_into(&mut self, file: &Arc<SealFile>) {
+        if self.events.file.is_some() {
+            return;
+        }
+        self.events.file = Some(file.clone());
+        for c in 0..self.events.chunks.len() {
+            self.events.seal(c);
+        }
+    }
+
+    /// Chunks of [`CHUNK_ROWS`] install rows sealed to disk.
+    pub fn sealed_chunks(&self) -> u64 {
+        self.events.sealed_chunks() as u64
     }
 
     /// Installs with per-event records not yet filtered.
@@ -423,19 +821,32 @@ impl EngagementLedger {
     }
 
     /// Marks `n` not-yet-filtered installs matching `pred` as filtered,
-    /// in record order; returns how many were actually removed.
+    /// in record order; returns how many were actually removed. Sealed
+    /// chunks are read in turn until `n` are removed, and only those
+    /// with a newly filtered row are written back.
     pub fn filter_installs(&mut self, n: u64, mut pred: impl FnMut(&InstallEvent) -> bool) -> u64 {
         let mut removed = 0;
-        for row in self.events.iter_mut().filter(|r| r.bits & FILTERED == 0) {
+        let mut buf = Vec::new();
+        for c in 0..self.events.chunks.len() {
             if removed == n {
                 break;
             }
-            let ev = row.unpack();
-            if pred(&ev) {
-                row.bits |= FILTERED;
-                removed += 1;
-                self.suspicious -= u64::from(ev.signals.is_suspicious());
-                self.blocks.remove(ev.signals.block24);
+            let before = removed;
+            let rows = self.events.rows_mut(c, &mut buf);
+            for row in rows.iter_mut().filter(|r| r.bits & FILTERED == 0) {
+                if removed == n {
+                    break;
+                }
+                let ev = row.unpack();
+                if pred(&ev) {
+                    row.bits |= FILTERED;
+                    removed += 1;
+                    self.suspicious -= u64::from(ev.signals.is_suspicious());
+                    self.blocks.remove(ev.signals.block24);
+                }
+            }
+            if removed > before {
+                self.events.rewrite(c, &buf);
             }
         }
         self.filtered += removed;
@@ -566,6 +977,101 @@ mod tests {
         assert_eq!(l.day(1).registrations, 1);
         let w = l.trailing(SimTime::from_days(2), 7);
         assert_eq!(w.revenue_micros, Usd::from_cents(598).micros());
+    }
+
+    /// A scratch directory of this test's own.
+    fn scratch(name: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("iiscope-ledger-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// `n` installs over a few /24s and tags, some with fraud signals.
+    fn fill(l: &mut EngagementLedger, n: u32) {
+        for i in 0..n {
+            let s = InstallSignals {
+                emulator: i % 5 == 0,
+                rooted: i % 3 == 0,
+                datacenter_asn: i % 7 == 0,
+                block24: i % 40,
+            };
+            l.record_install(
+                SimTime::from_secs(u64::from(i) * 60),
+                s,
+                ["", "a", "b"][i as usize % 3],
+            );
+        }
+    }
+
+    #[test]
+    fn a_sealing_ledger_keeps_only_its_open_chunk_in_memory() {
+        let dir = scratch("seal");
+        let file = Arc::new(SealFile::new(&dir, "t"));
+        let (mut sealed, mut resident) = (EngagementLedger::new(), EngagementLedger::new());
+        // Chunks recorded before the file is set are sealed by it.
+        fill(&mut sealed, 300);
+        sealed.seal_into(&file);
+        assert_eq!(sealed.sealed_chunks(), 1);
+        fill(&mut sealed, 3 * CHUNK_ROWS as u32 - 300 + 7);
+        fill(&mut resident, 300);
+        fill(&mut resident, 3 * CHUNK_ROWS as u32 - 300 + 7);
+        assert_eq!(sealed.sealed_chunks(), 3);
+        assert_eq!(resident.sealed_chunks(), 0);
+        assert_eq!(file.bytes(), 3 * CHUNK_BYTES as u64);
+        assert!(file.error().is_none());
+        // The open chunk (7 rows in a whole chunk), the chunk index and
+        // the block counts.
+        assert!(sealed.install_heap_bytes() < resident.install_heap_bytes() - 2 * CHUNK_BYTES);
+        // The file was unlinked as soon as it was open.
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+        assert!(sealed.install_events().eq(resident.install_events()));
+        assert!(sealed
+            .install_events()
+            .rev()
+            .eq(resident.install_events().rev()));
+        // Filtering rewrites sealed rows in place; no chunk is appended.
+        let pred = |e: &InstallEvent| e.signals.block24 % 4 == 1;
+        assert_eq!(
+            sealed.filter_installs(500, pred),
+            resident.filter_installs(500, pred)
+        );
+        assert_eq!(file.bytes(), 3 * CHUNK_BYTES as u64);
+        assert!(sealed.install_events().eq(resident.install_events()));
+        assert_eq!(sealed.public_installs(), resident.public_installs());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_seal_keeps_chunks_in_memory_and_records_the_error() {
+        // A directory under a regular file: creating it fails even as
+        // root.
+        let blocker = scratch("blocker");
+        std::fs::write(&blocker, b"not a directory").unwrap();
+        let file = Arc::new(SealFile::new(&blocker.join("spill"), "t"));
+        let (mut sealed, mut resident) = (EngagementLedger::new(), EngagementLedger::new());
+        sealed.seal_into(&file);
+        fill(&mut sealed, 2 * CHUNK_ROWS as u32 + 1);
+        fill(&mut resident, 2 * CHUNK_ROWS as u32 + 1);
+        let err = file.error().expect("the seal must fail");
+        assert_eq!(err.path, file.path());
+        assert!(
+            err.to_string()
+                .starts_with(&format!("install ledger spill to {}", blocker.display())),
+            "{err}"
+        );
+        assert_eq!((sealed.sealed_chunks(), file.bytes()), (0, 0));
+        assert_eq!(sealed.install_heap_bytes(), resident.install_heap_bytes());
+        assert!(sealed.install_events().eq(resident.install_events()));
+        let _ = std::fs::remove_file(&blocker);
+    }
+
+    #[test]
+    fn two_files_never_share_a_path() {
+        let dir = scratch("paths");
+        let (a, b) = (SealFile::new(&dir, "t"), SealFile::new(&dir, "t"));
+        assert_ne!(a.path(), b.path());
+        assert!(a.path().starts_with(&dir));
     }
 
     #[test]

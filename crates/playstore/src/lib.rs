@@ -43,4 +43,4 @@ pub use charts::{ChartKind, ChartRanking};
 pub use console::AcquisitionReport;
 pub use engagement::InstallSignals;
 pub use policy::EnforcementConfig;
-pub use store::{DetectorSnapshot, InstallSource, PlayStore};
+pub use store::{DetectorSnapshot, InstallSource, LedgerFootprint, PlayStore};

@@ -5,14 +5,15 @@ use crate::apk::ApkInfo;
 use crate::catalog::{AppProfile, AppRecord, Catalog, DeveloperRecord};
 use crate::charts::{self, ChartEntry, ChartKind, ChartRanking};
 use crate::console::{acquisition_report, AcquisitionReport};
-use crate::engagement::{EngagementLedger, InstallSignals};
+use crate::engagement::{EngagementLedger, InstallSignals, SealError, SealFile};
 use crate::policy::{self, EnforcementConfig};
 use iiscope_types::{
     AppId, Country, DeveloperId, Error, Genre, PackageName, Result, SeedFork, SimTime, Usd,
 };
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::path::Path;
+use std::sync::{Arc, OnceLock};
 
 /// Where an install came from, as seen by attribution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,6 +59,21 @@ pub struct DetectorSnapshot {
     pub session_secs: u64,
 }
 
+/// The install events of a store's ledgers and where they live (see
+/// [`PlayStore::install_ledger_footprint`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LedgerFootprint {
+    /// Install events across every ledger.
+    pub events: u64,
+    /// Heap bytes behind them
+    /// ([`EngagementLedger::install_heap_bytes`]).
+    pub heap_bytes: u64,
+    /// Chunks of install rows sealed to the store's [`SealFile`].
+    pub spilled_chunks: u64,
+    /// Bytes written to that file.
+    pub spilled_bytes: u64,
+}
+
 struct Inner {
     catalog: Catalog,
     ledgers: BTreeMap<AppId, EngagementLedger>,
@@ -71,6 +87,9 @@ struct Inner {
 pub struct PlayStore {
     inner: RwLock<Inner>,
     seed: SeedFork,
+    /// Where the ledgers seal full chunks of install rows; unset, they
+    /// keep every chunk in memory.
+    seal: OnceLock<Arc<SealFile>>,
 }
 
 impl PlayStore {
@@ -86,7 +105,28 @@ impl PlayStore {
                 next_dev: 1,
             }),
             seed,
+            seal: OnceLock::new(),
         }
+    }
+
+    /// Seals every ledger's full chunks of install rows into one
+    /// scratch file in `dir` (see [`SealFile`]), those already recorded
+    /// first, then each as it fills, so only open chunks stay in
+    /// memory. The file is created by the first seal. A store seals
+    /// into one file for its life: a later call changes nothing.
+    pub fn seal_installs_to(&self, dir: &Path, label: &str) {
+        let file = self
+            .seal
+            .get_or_init(|| Arc::new(SealFile::new(dir, label)));
+        for ledger in self.inner.write().ledgers.values_mut() {
+            ledger.seal_into(file);
+        }
+    }
+
+    /// The first failed create or write of the store's install-row
+    /// file, if any. Every chunk it could not take stays in memory.
+    pub fn install_spill_error(&self) -> Option<&SealError> {
+        self.seal.get()?.error()
     }
 
     // -----------------------------------------------------------------
@@ -139,7 +179,11 @@ impl PlayStore {
             apk,
         })?;
         inner.next_app += 1;
-        inner.ledgers.insert(id, EngagementLedger::new());
+        let mut ledger = EngagementLedger::new();
+        if let Some(file) = self.seal.get() {
+            ledger.seal_into(file);
+        }
+        inner.ledgers.insert(id, ledger);
         Ok(id)
     }
 
@@ -279,13 +323,22 @@ impl PlayStore {
             .map_or(0, |l| l.public_installs())
     }
 
-    /// Install events across every ledger, and the heap bytes behind
-    /// them ([`EngagementLedger::install_heap_bytes`]).
-    pub fn install_ledger_footprint(&self) -> (u64, u64) {
+    /// Install events across every ledger, the heap bytes behind them
+    /// and what is sealed to disk.
+    pub fn install_ledger_footprint(&self) -> LedgerFootprint {
         let inner = self.inner.read();
-        inner.ledgers.values().fold((0, 0), |(n, b), l| {
-            (n + l.event_installs(), b + l.install_heap_bytes() as u64)
-        })
+        let mut f = LedgerFootprint {
+            events: 0,
+            heap_bytes: 0,
+            spilled_chunks: 0,
+            spilled_bytes: self.seal.get().map_or(0, |file| file.bytes()),
+        };
+        for l in inner.ledgers.values() {
+            f.events += l.event_installs();
+            f.heap_bytes += l.install_heap_bytes() as u64;
+            f.spilled_chunks += l.sealed_chunks();
+        }
+        f
     }
 
     /// Current chart ranking for `kind` at time `now`.
@@ -381,7 +434,7 @@ impl PlayStore {
 /// [`PlayStore::detector_snapshot`] of one ledger. Blocks are counted
 /// by sorting the block column of every event, filtered or not, and
 /// measuring its runs.
-fn detector_snapshot(ledger: &EngagementLedger) -> DetectorSnapshot {
+pub fn detector_snapshot(ledger: &EngagementLedger) -> DetectorSnapshot {
     let events = ledger.install_events();
     let (first, last) = (events.clone().next(), events.clone().next_back());
     let mut blocks = Vec::with_capacity(events.len());

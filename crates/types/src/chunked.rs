@@ -1,6 +1,7 @@
 //! Append-only rows in fixed-capacity chunks: the one storage rule
-//! under the install ledger, the profile log and the resident rows of
-//! every spillable row log.
+//! under the profile log and the resident rows of every spillable row
+//! log. The install ledger keeps the same rule in a store of its own,
+//! whose full chunks can be sealed to disk.
 //!
 //! A full chunk holds [`Chunked::ROWS`] rows, about 4 KiB rounded up to
 //! a power of two, so an index splits with a shift and a mask. The

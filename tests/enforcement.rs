@@ -4,14 +4,23 @@
 //! sequences of installs, filters and sweeps must leave both ledgers
 //! with the same removals, public counts, per-event `filtered` flags
 //! and RNG state under every enforcement profile.
+//!
+//! The same sequences drive a ledger that seals its full chunks to disk
+//! beside one that keeps them in memory: every reader must see the same
+//! installs, and every filter and sweep must decide the same way.
 
-use iiscope::subsystems::playstore::engagement::{EngagementLedger, InstallEvent, InstallSignals};
+use iiscope::subsystems::playstore::console::acquisition_report;
+use iiscope::subsystems::playstore::engagement::{
+    EngagementLedger, InstallEvent, InstallSignals, SealFile, CHUNK_ROWS,
+};
 use iiscope::subsystems::playstore::policy::{sweep, EnforcementConfig};
+use iiscope::subsystems::playstore::store::detector_snapshot;
 use iiscope::subsystems::types::rng::chance;
 use iiscope::subsystems::types::{SeedFork, SimTime};
 use proptest::prelude::*;
 use rand::Rng;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The full-scan sweep: every call recounts flagged installs and /24
 /// blocks over the app's whole install history, then draws the action
@@ -247,6 +256,179 @@ fn every_profile_agrees_on_a_farm_campaign() {
                     );
                 }
             }
+        }
+    }
+}
+
+/// Ledger lengths the spill parity test reaches before its random
+/// steps: empty, and on and around the chunk edges.
+const EDGES: [usize; 5] = [
+    0,
+    CHUNK_ROWS - 1,
+    CHUNK_ROWS,
+    CHUNK_ROWS + 1,
+    2 * CHUNK_ROWS,
+];
+
+/// A ledger sealing into a fresh file of its own, and an in-memory one.
+/// The file is unlinked as soon as it is open, so it leaves nothing in
+/// the temp dir.
+fn sealed_and_resident() -> (EngagementLedger, EngagementLedger) {
+    let file = SealFile::new(&std::env::temp_dir(), "iiscope-seal-parity");
+    let mut sealed = EngagementLedger::new();
+    sealed.seal_into(&Arc::new(file));
+    (sealed, EngagementLedger::new())
+}
+
+/// Applies one generated step to a sealing ledger and an in-memory one
+/// and checks that they decide the same way.
+fn spill_step(
+    sealed: &mut EngagementLedger,
+    resident: &mut EngagementLedger,
+    cfg: &EnforcementConfig,
+    i: usize,
+    (kind, block, (emulator, datacenter), (tag, n), seed): Step,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let block24 = if block < 8 { block } else { 1_000 + i as u32 };
+    match kind {
+        0..=5 => {
+            let signals = InstallSignals {
+                emulator,
+                rooted: emulator,
+                datacenter_asn: datacenter,
+                block24,
+            };
+            let at = SimTime::from_days(i as u64 / 16);
+            sealed.record_install(at, signals, TAGS[tag]);
+            resident.record_install(at, signals, TAGS[tag]);
+        }
+        6 | 7 => {
+            let pred = |e: &InstallEvent| match seed % 4 {
+                0 => e.signals.emulator,
+                1 => e.signals.block24 == block24,
+                2 => e.tag == tag as u32,
+                _ => true,
+            };
+            let a = sealed.filter_installs(n, pred);
+            let b = resident.filter_installs(n, pred);
+            prop_assert_eq!(a, b, "filter_installs removals at step {}", i);
+        }
+        _ => {
+            let mut sealed_rng = SeedFork::new(seed).rng();
+            let mut resident_rng = SeedFork::new(seed).rng();
+            let a = sweep(sealed, cfg, &mut sealed_rng);
+            let b = sweep(resident, cfg, &mut resident_rng);
+            prop_assert_eq!(a, b, "sweep removals at step {}", i);
+            prop_assert_eq!(
+                sealed_rng.gen::<u64>(),
+                resident_rng.gen::<u64>(),
+                "sweep consumed a different number of draws at step {}",
+                i
+            );
+        }
+    }
+    prop_assert_eq!(sealed.public_installs(), resident.public_installs());
+    prop_assert_eq!(
+        sealed.unfiltered_suspicious(),
+        resident.unfiltered_suspicious()
+    );
+    Ok(())
+}
+
+/// Every reader of the two ledgers' installs sees the same: the events
+/// (with their `filtered` flags) forwards, backwards and from both ends
+/// at once, the detector snapshot and acquisition reports.
+fn same_installs(
+    sealed: &EngagementLedger,
+    resident: &EngagementLedger,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let rows = resident.event_installs() as usize;
+    prop_assert_eq!(sealed.sealed_chunks() as usize, rows / CHUNK_ROWS);
+    prop_assert!(sealed.install_events().eq(resident.install_events()));
+    prop_assert!(sealed
+        .install_events()
+        .rev()
+        .eq(resident.install_events().rev()));
+    let (mut a, mut b) = (sealed.install_events(), resident.install_events());
+    for turn in 0..=rows {
+        prop_assert_eq!(a.len(), b.len());
+        let (x, y) = if turn % 3 == 0 {
+            (a.next_back(), b.next_back())
+        } else {
+            (a.next(), b.next())
+        };
+        prop_assert_eq!(x, y, "event {} from the two ends", turn);
+    }
+    prop_assert_eq!(detector_snapshot(sealed), detector_snapshot(resident));
+    for (from, to) in [(0, 400), (3, 9), (8, 8)] {
+        let (from, to) = (SimTime::from_days(from), SimTime::from_days(to));
+        prop_assert_eq!(
+            acquisition_report(sealed, from, to),
+            acquisition_report(resident, from, to)
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    /// A ledger sealing its chunks to disk and an in-memory ledger agree
+    /// on every step of random install / filter / sweep sequences, for
+    /// the default and strict profiles × lockstep threshold {0, 1, 2,
+    /// 12}, starting from lengths on the chunk edges.
+    #[test]
+    fn a_sealing_ledger_matches_an_in_memory_one(
+        base in 0u8..2,
+        threshold in 0usize..4,
+        variant in 0u8..4,
+        edge in 0usize..EDGES.len(),
+        steps in prop::collection::vec(
+            (0u8..10, 0u32..16, (any::<bool>(), any::<bool>()), (0usize..4, 0u64..300), any::<u64>()),
+            0..200,
+        ),
+    ) {
+        let cfg = config(base, threshold, variant);
+        let (mut sealed, mut resident) = sealed_and_resident();
+        for i in 0..EDGES[edge] {
+            let s = (0, (i % 16) as u32, (i % 7 == 0, i % 11 == 0), (i % 4, 0), 0);
+            spill_step(&mut sealed, &mut resident, &cfg, i, s)?;
+        }
+        same_installs(&sealed, &resident)?;
+        let start = EDGES[edge];
+        for (i, s) in steps.into_iter().enumerate() {
+            spill_step(&mut sealed, &mut resident, &cfg, start + i, s)?;
+        }
+        same_installs(&sealed, &resident)?;
+    }
+}
+
+/// Every chunk edge under an always-acting sweep: exactly 255, 256, 257
+/// and 512 rows of farm bursts, filtered, swept and read back.
+#[test]
+fn sealing_agrees_at_every_chunk_edge() {
+    for rows in [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS] {
+        for threshold in 0..THRESHOLDS.len() {
+            let cfg = config(1, threshold, 0);
+            let (mut sealed, mut resident) = sealed_and_resident();
+            for i in 0..rows {
+                let s = (
+                    0,
+                    (i / 15 % 8) as u32,
+                    (i % 9 == 0, i % 13 == 0),
+                    (i % 4, 0),
+                    0,
+                );
+                spill_step(&mut sealed, &mut resident, &cfg, i, s).unwrap();
+            }
+            let filter = (6, 3, (false, false), (1, 40), 1);
+            spill_step(&mut sealed, &mut resident, &cfg, rows, filter).unwrap();
+            let sweep = (9, 0, (false, false), (0, 0), 77);
+            spill_step(&mut sealed, &mut resident, &cfg, rows, sweep).unwrap();
+            same_installs(&sealed, &resident)
+                .unwrap_or_else(|e| panic!("{rows} rows, threshold {threshold}: {e}"));
+            assert!(
+                resident.filtered_installs() > 0,
+                "{rows} rows: the sweep acted"
+            );
         }
     }
 }

@@ -6,13 +6,16 @@
 //! bursts that pile onto a handful of blocks. Packed 16-byte rows in
 //! fixed chunks and the split per-/24 counts must keep that growth
 //! within 32 bytes per install; 24-byte events in a doubling `Vec` plus
-//! a `HashMap<u32, u32>` entry per block need at least 34.
+//! a `HashMap<u32, u32>` entry per block need at least 34. Ledgers that
+//! seal their full chunks to disk keep only the open chunks and the
+//! counts: within 16 bytes per install.
 
-use iiscope::subsystems::playstore::engagement::{EngagementLedger, InstallSignals};
+use iiscope::subsystems::playstore::engagement::{EngagementLedger, InstallSignals, SealFile};
 use iiscope::subsystems::types::{SeedFork, SimTime};
 use rand::Rng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Bytes currently allocated through [`Counting`].
 static LIVE: AtomicIsize = AtomicIsize::new(0);
@@ -67,12 +70,14 @@ const FARM_ONE_IN: u32 = 8;
 const FARM_BLOCKS: u32 = 64;
 const TAGS: [&str; 4] = ["", "fyber-c1", "rankapp-c2", "adgem-c3"];
 
-#[test]
-fn install_ledger_heap_growth_stays_within_32_bytes_per_install() {
+/// The tests share the live-byte counter, so they take turns.
+static TURN: Mutex<()> = Mutex::new(());
+
+/// Records the million installs into `ledgers` and checks the heap
+/// grew by at most `limit` bytes per install, all but day buckets and
+/// tag names accounted by `install_heap_bytes`.
+fn fill_and_measure(mut ledgers: Vec<EngagementLedger>, before: isize, limit: f64) {
     let mut rng = SeedFork::new(23).rng();
-    let before = LIVE.load(Ordering::SeqCst);
-    let mut ledgers: Vec<EngagementLedger> =
-        (0..LEDGERS).map(|_| EngagementLedger::new()).collect();
     for (l, ledger) in ledgers.iter_mut().enumerate() {
         for i in 0..INSTALLS_PER_LEDGER {
             let farm = rng.gen_range(0..FARM_ONE_IN) == 0;
@@ -102,8 +107,8 @@ fn install_ledger_heap_growth_stays_within_32_bytes_per_install() {
     let per_install = grown as f64 / installs as f64;
     eprintln!("install ledger: {per_install:.1} live-heap bytes per install");
     assert!(
-        per_install <= 32.0,
-        "install ledger grew the heap by {per_install:.1} B per install (limit 32)"
+        per_install <= limit,
+        "install ledger grew the heap by {per_install:.1} B per install (limit {limit})"
     );
 
     // `install_heap_bytes` is what `BENCH_scale.json` reports; it must
@@ -116,4 +121,30 @@ fn install_ledger_heap_growth_stays_within_32_bytes_per_install() {
         (0.9..=1.05).contains(&ratio),
         "install_heap_bytes accounts {accounted} B of {grown} B grown"
     );
+}
+
+#[test]
+fn install_ledger_heap_growth_stays_within_32_bytes_per_install() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let before = LIVE.load(Ordering::SeqCst);
+    let ledgers = (0..LEDGERS).map(|_| EngagementLedger::new()).collect();
+    fill_and_measure(ledgers, before, 32.0);
+}
+
+#[test]
+fn sealing_ledger_heap_growth_stays_within_16_bytes_per_install() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = std::env::temp_dir().join(format!("iiscope-ledger-footprint-{}", std::process::id()));
+    let file = Arc::new(SealFile::new(&dir, "footprint"));
+    let before = LIVE.load(Ordering::SeqCst);
+    let ledgers = (0..LEDGERS)
+        .map(|_| {
+            let mut l = EngagementLedger::new();
+            l.seal_into(&file);
+            l
+        })
+        .collect();
+    fill_and_measure(ledgers, before, 16.0);
+    assert!(file.error().is_none(), "{:?}", file.error());
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -29,6 +29,7 @@ struct RunOut {
     tagged_installs: u64,
     spilled_segments: u64,
     reloads: u64,
+    sealed_chunks: u64,
 }
 
 fn run(cfg: WorldConfig) -> RunOut {
@@ -48,6 +49,7 @@ fn run(cfg: WorldConfig) -> RunOut {
         tagged_installs: artifacts.tagged_installs,
         spilled_segments: stats.spilled_segments,
         reloads: stats.reloads,
+        sealed_chunks: world.store.install_ledger_footprint().spilled_chunks,
     }
 }
 
@@ -55,6 +57,7 @@ fn run(cfg: WorldConfig) -> RunOut {
 fn tiny_memory_budget_changes_no_bytes_at_any_worker_count() {
     let resident = run(reduced(5_150, 1));
     assert_eq!(resident.spilled_segments, 0, "no budget, no spilling");
+    assert_eq!(resident.sealed_chunks, 0, "no budget, no sealing");
 
     for parallelism in [1, 8] {
         let dir = std::env::temp_dir().join(format!("iiscope-scale-test-{parallelism}"));
@@ -81,6 +84,24 @@ fn tiny_memory_budget_changes_no_bytes_at_any_worker_count() {
         assert!(
             spilled.reloads > 0,
             "exporting a spilled dataset must reload segments"
+        );
+        // The install ledger sealed its rows too, into a file unlinked
+        // as soon as it was open: only the dataset's files remain.
+        assert!(spilled.sealed_chunks > 0, "the install ledger must seal");
+        let mut left: Vec<String> = std::fs::read_dir(&dir)
+            .expect("spill dir")
+            .map(|e| {
+                e.expect("dir entry")
+                    .file_name()
+                    .to_string_lossy()
+                    .into_owned()
+            })
+            .collect();
+        left.sort();
+        assert_eq!(
+            left,
+            ["iiscope-5150-charts.spill", "iiscope-5150-offers.spill"][2 - left.len()..],
+            "the spill dir holds only the dataset's files"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -183,6 +204,41 @@ fn a_failed_spill_write_ends_the_study_with_an_error_not_a_panic() {
         Error::InvalidState(msg) => {
             let want = format!("spill to {}", blocker.join("spill").display());
             assert!(msg.starts_with(&want), "{msg}");
+        }
+        other => panic!("expected InvalidState, got {other}"),
+    }
+}
+
+#[test]
+fn a_failed_install_ledger_seal_ends_the_study_at_a_day_boundary() {
+    // A budget the dataset never reaches, so only the install ledger
+    // writes to the spill dir, which sits under a regular file. The
+    // study must end with the ledger file's error, not a panic.
+    let blocker = std::env::temp_dir().join(format!("iiscope-seal-blocker-{}", std::process::id()));
+    std::fs::write(&blocker, b"not a directory").expect("create blocker file");
+    let mut cfg = reduced(5_150, 1);
+    cfg.memory_budget = Some(1 << 30);
+    cfg.spill_dir = Some(blocker.join("spill"));
+    let world = World::build(cfg).expect("build");
+    world
+        .run_honey_study(world.study_start())
+        .expect("honey study");
+    let err = world
+        .run_wild_study()
+        .map(|_| ())
+        .expect_err("an unwritable spill dir must fail the study");
+    let _ = std::fs::remove_file(&blocker);
+    match err {
+        Error::InvalidState(msg) => {
+            let want = format!(
+                "install ledger spill to {}",
+                blocker
+                    .join("spill")
+                    .join("iiscope-5150-installs-")
+                    .display()
+            );
+            assert!(msg.starts_with(&want), "{msg}");
+            assert!(!msg.contains('\n'), "one line: {msg}");
         }
         other => panic!("expected InvalidState, got {other}"),
     }

@@ -4,12 +4,16 @@
 //! world is built and after it has run both studies and everything it
 //! returned has been dropped. Services the network owns must not keep
 //! the network alive through a handle of their own: such a cycle keeps
-//! every world a process builds resident until exit.
+//! every world a process builds resident until exit. A world under a
+//! memory budget, whose dataset spills and whose ledgers seal their
+//! install rows to disk, must return its heap as well.
 
 mod common;
 
+use common::TempDir;
 use iiscope::World;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::path::Path;
 use std::sync::atomic::{AtomicIsize, Ordering};
 
 /// Bytes currently allocated through [`Counting`].
@@ -61,26 +65,48 @@ static GLOBAL: Counting = Counting;
 /// process state. A world holds megabytes, so any leak of one shows.
 const SLACK: isize = 16 * 1024;
 
-fn build_run_drop(seed: u64) {
-    let world = World::build(common::reduced(seed, 2)).expect("world builds");
+fn build_run_drop(seed: u64, spill_dir: Option<&Path>) {
+    let mut cfg = common::reduced(seed, 2);
+    if let Some(dir) = spill_dir {
+        cfg.memory_budget = Some(32 * 1024);
+        cfg.spill_dir = Some(dir.to_path_buf());
+    }
+    let world = World::build(cfg).expect("world builds");
     let honey = world
         .run_honey_study(world.study_start())
         .expect("honey study");
     let wild = world.run_wild_study().expect("wild study");
     assert!(wild.tagged_installs > 0);
+    if spill_dir.is_some() {
+        assert!(wild.dataset.spill_stats().spilled_segments > 0);
+        assert!(world.store.install_ledger_footprint().spilled_chunks > 0);
+    }
     drop((honey, wild, world));
 }
 
 #[test]
 fn a_dropped_world_returns_its_heap() {
     let start = LIVE.load(Ordering::SeqCst);
-    build_run_drop(42);
+    build_run_drop(42, None);
     let after_first = LIVE.load(Ordering::SeqCst) - start;
-    build_run_drop(7);
+    build_run_drop(7, None);
     let after_second = LIVE.load(Ordering::SeqCst) - start;
-    eprintln!("live bytes left: {after_first} after one world, {after_second} after two");
+    // The scratch dir's path is allocated before the count and freed
+    // after it.
+    let spill = TempDir::new("teardown");
+    let before_budgeted = LIVE.load(Ordering::SeqCst);
+    build_run_drop(42, Some(&spill.0));
+    let after_budgeted = LIVE.load(Ordering::SeqCst) - before_budgeted;
+    eprintln!(
+        "live bytes left: {after_first} after one world, {after_second} after two, \
+         {after_budgeted} after a budgeted one"
+    );
     assert!(
         after_first <= SLACK && after_second <= SLACK,
         "dropped worlds left {after_first} B, then {after_second} B live (limit {SLACK})"
+    );
+    assert!(
+        after_budgeted <= SLACK,
+        "a dropped budgeted world left {after_budgeted} B live (limit {SLACK})"
     );
 }
