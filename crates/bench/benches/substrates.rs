@@ -670,7 +670,7 @@ fn bench_dataset_intern(c: &mut Criterion) {
         b.iter(|| {
             let mut ds = iiscope_monitor::Dataset::new();
             ds.add_offers(offers.iter().cloned());
-            black_box(ds.unique_offers().len())
+            black_box(ds.unique_offer_count())
         })
     });
     g.bench_function("dataset_intern/ingest_string_baseline", |b| {

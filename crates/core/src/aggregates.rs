@@ -91,9 +91,9 @@ impl ReportAggregates {
             self.pkg.push(pkg);
             self.iip.push(o.iip);
             self.no_activity
-                .push(classify_description(&o.raw.description) == OfferType::NoActivity);
-            self.arbitrage.push(is_arbitrage(&o.raw.description));
-            self.usd.push(book.to_usd(o.raw.reward, &o.affiliate));
+                .push(classify_description(o.description) == OfferType::NoActivity);
+            self.arbitrage.push(is_arbitrage(o.description));
+            self.usd.push(book.to_usd(o.reward, o.affiliate));
         }
         self.unique_cursor = ds.unique_offer_count();
         for snap in ds.charts_from(self.charts_cursor) {
@@ -103,9 +103,9 @@ impl ReportAggregates {
                 .entry(snap.chart)
                 .or_default()
                 .entry(snap.day)
-                .or_insert(snap.entries.len());
+                .or_insert(snap.entries().len());
         }
-        self.charts_cursor = ds.charts_len();
+        self.charts_cursor = ds.charts().len();
     }
 
     /// Number of deduplicated offers folded so far.
@@ -122,7 +122,7 @@ impl ReportAggregates {
     /// holds — what the incremental report asserts before trusting the
     /// digest over a rescan.
     pub fn covers(&self, ds: &Dataset) -> bool {
-        self.unique_cursor == ds.unique_offer_count() && self.charts_cursor == ds.charts_len()
+        self.unique_cursor == ds.unique_offer_count() && self.charts_cursor == ds.charts().len()
     }
 
     /// The folded offer digest, arrival order.
@@ -344,13 +344,13 @@ mod tests {
         aggs.fold_day(&ds, &book);
         let digest: Vec<DigestOffer> = aggs.offers().collect();
         let rescan: Vec<DigestOffer> = ds
-            .unique_offers_with_syms()
+            .unique_offers_with_syms_from(0)
             .map(|(o, pkg, _)| DigestOffer {
                 pkg,
                 iip: o.iip,
-                no_activity: classify_description(&o.raw.description) == OfferType::NoActivity,
-                arbitrage: is_arbitrage(&o.raw.description),
-                usd: book.to_usd(o.raw.reward, &o.affiliate),
+                no_activity: classify_description(o.description) == OfferType::NoActivity,
+                arbitrage: is_arbitrage(o.description),
+                usd: book.to_usd(o.reward, o.affiliate),
             })
             .collect();
         assert_eq!(digest, rescan);

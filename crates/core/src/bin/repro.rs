@@ -674,6 +674,12 @@ fn timed_report(
                     "profile_log_bytes",
                     artifacts.dataset.profile_log_bytes().into(),
                 ),
+                ("chart_rows", artifacts.dataset.charts().len().into()),
+                ("chart_entries", artifacts.dataset.chart_entries().into()),
+                (
+                    "chart_log_bytes",
+                    artifacts.dataset.chart_log_bytes().into(),
+                ),
             ],
         ),
         (

@@ -125,11 +125,12 @@ pub fn run_chaos(seed: u64, plan: &FaultPlan, parallelism: usize) -> Result<Chao
     let artifacts = world.run_wild_study()?;
     let honey_delivered = honey.outcomes.iter().map(|o| o.installs_delivered).sum();
     let report = crate::experiments::full_report_incremental(&world, &artifacts, honey);
+    let profile_snapshots = artifacts.dataset.profiles().len();
     Ok(ChaosOutcome {
         honey_delivered,
         telemetry_installs: world.collector.distinct_installs(),
         offer_observations: artifacts.offer_observations,
-        profile_snapshots: artifacts.dataset.profiles().len(),
+        profile_snapshots,
         apks: artifacts.apks.len(),
         report_digest: fnv64(report.as_bytes()),
         end_clock_days: world.net.clock().now().days(),

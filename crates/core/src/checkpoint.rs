@@ -741,9 +741,10 @@ mod tests {
             restored.profiles().collect::<Vec<_>>(),
             ds.profiles().collect::<Vec<_>>()
         );
+        // Chart views compare by their spelled-out content.
         assert_eq!(
-            restored.charts().collect::<Vec<_>>(),
-            ds.charts().collect::<Vec<_>>()
+            format!("{:?}", restored.charts().collect::<Vec<_>>()),
+            format!("{:?}", ds.charts().collect::<Vec<_>>())
         );
         let again = SnapshotRef {
             dataset: &restored,

@@ -74,10 +74,10 @@ pub struct WorldConfig {
     /// merge in shard-index order — so the result depends on `shards`
     /// but never on worker count. `1` is the unsharded legacy stream.
     pub shards: usize,
-    /// Memory budget in bytes for the monitor dataset's spillable
-    /// columns (offer observations, chart timelines). Rows count at
-    /// their owned size (`SpillRow::approx_bytes`), which for the
-    /// interned offer rows is an upper bound on what they hold. When
+    /// Memory budget in bytes for the monitor dataset's spillable logs
+    /// (offer observations, chart crawls). Rows count at the owned
+    /// crawl's size (`LogRow::accounted_bytes`), an upper bound on
+    /// what the interned rows hold. When
     /// the columns outgrow the budget, cold segments spill to disk via
     /// the CRC-framed snapshot codec and reload through an LRU cache.
     /// `None` keeps everything resident. Byte-invariant: any budget

@@ -2,14 +2,7 @@
 //! shared test world (building a world and running both studies once
 //! per test binary keeps the experiment tests fast).
 
-use iiscope_monitor::{Dataset, RateBook, ScrapedOffer};
-use iiscope_types::Usd;
-
-/// Normalizes one scraped offer's displayed reward to USD using the
-/// affiliate rate book. `None` for unknown affiliates or garbage.
-pub fn offer_usd(book: &RateBook, offer: &ScrapedOffer) -> Option<Usd> {
-    book.to_usd(offer.raw.reward, &offer.affiliate)
-}
+use iiscope_monitor::Dataset;
 
 /// The average campaign duration observed in the dataset, in days —
 /// the paper measured 25 and uses it as the baseline observation
@@ -90,8 +83,9 @@ pub(crate) mod testworld {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iiscope_monitor::parsers::{RawOffer, RewardValue};
-    use iiscope_types::{Country, IipId, SimTime};
+    use iiscope_monitor::parsers::{RawOffer, RewardValue, ScrapedOffer};
+    use iiscope_monitor::RateBook;
+    use iiscope_types::{Country, IipId, SimTime, Usd};
 
     #[test]
     fn offer_usd_normalizes_known_affiliates() {
@@ -110,10 +104,11 @@ mod tests {
             affiliate: "com.ayet.cashpirate".into(),
             vantage: Country::Us,
         };
-        assert_eq!(offer_usd(&book, &offer), Some(Usd::from_dollars(1)));
+        let usd = |o: &ScrapedOffer| book.to_usd(o.raw.reward, &o.affiliate);
+        assert_eq!(usd(&offer), Some(Usd::from_dollars(1)));
         let mut unknown = offer;
         unknown.affiliate = "com.not.registered".into();
-        assert_eq!(offer_usd(&book, &unknown), None);
+        assert_eq!(usd(&unknown), None);
     }
 
     #[test]

@@ -36,7 +36,7 @@ impl CaseStudy {
         CaseStudy::compute_with(ds, package, chart, |day| {
             ds.charts()
                 .find(|c| c.day == day && c.chart == chart)
-                .map_or(0, |c| c.entries.len())
+                .map_or(0, |c| c.entries().len())
         })
     }
 

@@ -56,8 +56,8 @@ impl Figure6 {
         let ds = &artifacts.dataset;
         let mut activity = SymSet::default();
         let mut any_no_activity = SymSet::default();
-        for (o, pkg, _) in ds.unique_offers_with_syms() {
-            if classify_description(&o.raw.description) == OfferType::NoActivity {
+        for (o, pkg, _) in ds.unique_offers_with_syms_from(0) {
+            if classify_description(o.description) == OfferType::NoActivity {
                 any_no_activity.insert(pkg);
             } else {
                 activity.insert(pkg);

@@ -45,11 +45,11 @@ impl Monetization {
         let ds = &artifacts.dataset;
         let mut arbitrage = SymSet::default();
         let mut activity = SymSet::default();
-        for (o, pkg, _) in ds.unique_offers_with_syms() {
-            if is_arbitrage(&o.raw.description) {
+        for (o, pkg, _) in ds.unique_offers_with_syms_from(0) {
+            if is_arbitrage(o.description) {
                 arbitrage.insert(pkg);
             }
-            if iiscope_analysis::classify_description(&o.raw.description).is_activity() {
+            if iiscope_analysis::classify_description(o.description).is_activity() {
                 activity.insert(pkg);
             }
         }

@@ -5,7 +5,6 @@
 //! description (the paper's manual labelling) and their displayed
 //! rewards normalized to USD through the affiliate rate book.
 
-use crate::experiments::common::offer_usd;
 use crate::report::{pct, TextTable};
 use crate::world::World;
 use crate::WildArtifacts;
@@ -44,9 +43,9 @@ impl Table3 {
         let unique = artifacts.dataset.unique_offers();
         let total = unique.len();
         let mut per_class: Vec<(OfferType, Usd)> = Vec::new();
-        for o in &unique {
-            let class = classify_description(&o.raw.description);
-            let usd = offer_usd(&book, o).unwrap_or(Usd::ZERO);
+        for o in unique {
+            let class = classify_description(o.description);
+            let usd = book.to_usd(o.reward, o.affiliate).unwrap_or(Usd::ZERO);
             per_class.push((class, usd));
         }
         let row = |label: &str, pred: &dyn Fn(OfferType) -> bool| -> Table3Row {

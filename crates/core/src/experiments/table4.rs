@@ -5,7 +5,6 @@
 //! difference between campaign start (first offer sighting) and the
 //! profile's release day.
 
-use crate::experiments::common::offer_usd;
 use crate::report::{pct, TextTable};
 use crate::world::World;
 use crate::WildArtifacts;
@@ -52,13 +51,15 @@ impl Table4 {
     pub fn run(world: &World, artifacts: &WildArtifacts) -> Table4 {
         let book = RateBook::from_catalog(&world.affiliate_apps);
         let ds = &artifacts.dataset;
-        let all_unique = ds.unique_offers();
         Table4::with_offer_stats(ds, |iip| {
-            let offers: Vec<_> = all_unique.iter().filter(|o| o.iip == iip).collect();
-            let payouts: Vec<Usd> = offers.iter().filter_map(|o| offer_usd(&book, o)).collect();
+            let offers: Vec<_> = ds.unique_offers().filter(|o| o.iip == iip).collect();
+            let payouts: Vec<Usd> = offers
+                .iter()
+                .filter_map(|o| book.to_usd(o.reward, o.affiliate))
+                .collect();
             let no_activity = offers
                 .iter()
-                .filter(|o| classify_description(&o.raw.description) == OfferType::NoActivity)
+                .filter(|o| classify_description(o.description) == OfferType::NoActivity)
                 .count();
             (payouts, no_activity, offers.len())
         })

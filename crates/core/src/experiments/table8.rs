@@ -6,7 +6,6 @@
 //! raising funding need to aggressively acquire new users, and thus
 //! are willing to pay more").
 
-use crate::experiments::common::offer_usd;
 use crate::report::{pct, TextTable};
 use crate::world::World;
 use crate::WildArtifacts;
@@ -44,12 +43,12 @@ impl Table8 {
         let mut act_seen = SymSet::default();
         let mut no_act_payouts = Vec::new();
         let mut act_payouts = Vec::new();
-        for (o, pkg, _) in ds.unique_offers_with_syms() {
+        for (o, pkg, _) in ds.unique_offers_with_syms_from(0) {
             if !o.iip.is_vetted() || !funded.contains(pkg) {
                 continue;
             }
-            let usd = offer_usd(&book, o).unwrap_or(Usd::ZERO);
-            if classify_description(&o.raw.description) == OfferType::NoActivity {
+            let usd = book.to_usd(o.reward, o.affiliate).unwrap_or(Usd::ZERO);
+            if classify_description(o.description) == OfferType::NoActivity {
                 no_act_seen.insert(pkg);
                 no_act_payouts.push(usd);
             } else {

@@ -1236,7 +1236,7 @@ mod tests {
 
         // Charts were crawled and are populated.
         assert!(!ds.chart_days().is_empty());
-        assert!(ds.charts().any(|c| !c.entries.is_empty()));
+        assert!(ds.charts().any(|c| c.entries().len() > 0));
 
         // APKs downloaded for observed + baseline apps.
         assert!(artifacts.apks.len() >= advertised.len());
@@ -1278,8 +1278,8 @@ mod tests {
             "raw offer stream must be identical"
         );
         assert_eq!(
-            format!("{:?}", seq.dataset.profiles()),
-            format!("{:?}", par.dataset.profiles()),
+            format!("{:?}", seq.dataset.profiles().collect::<Vec<_>>()),
+            format!("{:?}", par.dataset.profiles().collect::<Vec<_>>()),
         );
         assert_eq!(seq.apks, par.apks);
     }
@@ -1289,9 +1289,10 @@ mod tests {
         let run = |seed: u64| {
             let world = World::build(WorldConfig::small(seed)).unwrap();
             let a = world.run_wild_study().unwrap();
+            let ds = &a.dataset;
             (
-                a.dataset.offers().len(),
-                a.dataset.unique_offers().len(),
+                ds.offers().len(),
+                ds.unique_offer_count(),
                 a.enforcement_removed,
             )
         };

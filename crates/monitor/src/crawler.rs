@@ -153,7 +153,8 @@ impl Crawler {
             .filter_map(|e| {
                 Some((
                     e.get("package")?.as_str()?.to_string(),
-                    e.get("rank")?.as_i64()? as usize,
+                    // A rank outside `u32` is dropped like a missing one.
+                    u32::try_from(e.get("rank")?.as_i64()?).ok()? as usize,
                 ))
             })
             .collect();

@@ -18,27 +18,27 @@
 //! order demands it — only at the report/CSV boundary, so accessor
 //! signatures and values are unchanged from the string-keyed store.
 //!
-//! The offer log itself is columnar end to end: each observation is a
-//! fixed-size [`OfferRow`] whose package, description, store URL and
-//! affiliate are symbols, so a row costs 56 bytes however long its
-//! strings are. Owned [`ScrapedOffer`]s exist only at the edges —
-//! ingest, iteration and spill reloads; the spill/snapshot codec
-//! writes the owned row's bytes from the interned row, and a restore
-//! indexes snapshot rows from borrowed fields. The profile log is
-//! interned the same way ([`ProfileLog`], 80-byte rows); its readers
-//! yield borrowed [`ProfileFields`], never owned snapshots.
+//! Every log holds interned rows and its readers yield borrowed views:
+//! 56-byte [`OfferRow`]s read as [`OfferFields`], [`ChartRow`]s of
+//! 8-byte (package, rank) entries read as [`ChartView`]s, and the
+//! [`ProfileLog`]'s 80-byte rows read as [`ProfileFields`]. Owned
+//! crawls ([`ScrapedOffer`], [`ChartSnapshot`], [`ProfileSnapshot`])
+//! are ingest inputs only; the spill and snapshot codecs write their
+//! bytes from the interned rows.
 
 use crate::crawler::{ChartSnapshot, ProfileSnapshot};
 use crate::parsers::{RewardValue, ScrapedOffer};
-use crate::profiles::{ProfileLog, Profiles};
+use crate::profiles::ProfileLog;
 use crate::spill::{
-    OfferFields, ProfileFields, Resident, RowLog, RowLogIter, SavedRows, SpillError, SpillManifest,
-    SpillRow, SpillStats,
+    LogRow, OfferFields, ProfileFields, RowLog, RowLogIter, SavedRows, SpillError, SpillManifest,
+    SpillStats,
 };
-use iiscope_types::frame::Enc;
-use iiscope_types::{Country, IipId, Interner, SimTime, Sym, SymMap, SymSet};
+use iiscope_playstore::ChartKind;
+use iiscope_types::frame::{Dec, Enc, FrameError};
+use iiscope_types::{Chunked, Country, IipId, Interner, SimTime, Sym, SymMap, SymSet};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
+use std::sync::Arc;
 
 /// Per-app summary of everything the monitor saw.
 #[derive(Debug, Clone, PartialEq)]
@@ -129,11 +129,19 @@ pub struct SymTables {
     affiliate: Interner,
 }
 
+/// Looks `s` up in `table` for a decoded row; a string the table lacks
+/// is an error, never a new symbol.
+fn lookup(table: &Interner, s: &str) -> Result<Sym, FrameError> {
+    table
+        .get(s)
+        .ok_or(FrameError::Codec("string missing from its symbol table"))
+}
+
 /// One offer observation as a [`Dataset`]'s offer log keeps it: every
-/// string an interned symbol, 56 bytes in all (opaque: the log yields
-/// owned [`ScrapedOffer`]s). It keeps the owned row's
-/// [`SpillRow::approx_bytes`], so segment boundaries, spill files and
-/// snapshots are the same as for a log of owned rows.
+/// string an interned symbol, 56 bytes in all (opaque: readers get
+/// [`OfferFields`]). It keeps the owned observation's accounted size,
+/// so segment boundaries, spill files and snapshots are the same as for
+/// a log of owned rows.
 #[derive(Debug, Clone, Copy)]
 pub struct OfferRow {
     offer_key: u64,
@@ -151,7 +159,47 @@ pub struct OfferRow {
 const _: () = assert!(std::mem::size_of::<OfferRow>() <= 56);
 
 impl OfferRow {
-    fn fields<'a>(&self, syms: &'a SymTables) -> OfferFields<'a> {
+    /// The row of observation `o`, whose strings have these symbols.
+    fn new(o: OfferFields<'_>, [package, description, store_url, affiliate]: [Sym; 4]) -> OfferRow {
+        OfferRow {
+            offer_key: o.offer_key,
+            seen_at: o.seen_at,
+            reward: o.reward,
+            package,
+            description,
+            store_url,
+            affiliate,
+            accounted: o.accounted_bytes(),
+            iip: o.iip,
+            vantage: o.vantage,
+        }
+    }
+}
+
+impl LogRow for OfferRow {
+    type Ctx = SymTables;
+    type View<'a> = OfferFields<'a>;
+
+    fn accounted_bytes(&self) -> usize {
+        self.accounted as usize
+    }
+
+    fn encode(&self, syms: &SymTables, e: &mut Enc) {
+        self.view(syms).enc(e);
+    }
+
+    fn decode(d: &mut Dec<'_>, syms: &SymTables) -> Result<OfferRow, FrameError> {
+        let o = OfferFields::dec(d)?;
+        let symbols = [
+            lookup(&syms.pkg, o.package)?,
+            lookup(&syms.desc, o.description)?,
+            lookup(&syms.url, o.store_url)?,
+            lookup(&syms.affiliate, o.affiliate)?,
+        ];
+        Ok(OfferRow::new(o, symbols))
+    }
+
+    fn view<'a>(&self, syms: &'a SymTables) -> OfferFields<'a> {
         OfferFields {
             iip: self.iip,
             offer_key: self.offer_key,
@@ -166,20 +214,118 @@ impl OfferRow {
     }
 }
 
-impl Resident for OfferRow {
-    type Row = ScrapedOffer;
+/// One chart entry as a [`ChartRow`] keeps it: package symbol, rank.
+type ChartEntry = (Sym, u32);
+
+/// One chart crawl as a [`Dataset`]'s chart log keeps it: the day, the
+/// chart, and its entries as (package symbol, rank) pairs of 8 bytes in
+/// one shared allocation (opaque: readers get [`ChartView`]s). It keeps
+/// the owned crawl's accounted size, like [`OfferRow`].
+#[derive(Debug)]
+pub struct ChartRow {
+    day: u64,
+    chart: &'static str,
+    entries: Arc<[ChartEntry]>,
+    accounted: u32,
+}
+
+impl LogRow for ChartRow {
     type Ctx = SymTables;
+    type View<'a> = ChartView<'a>;
 
     fn accounted_bytes(&self) -> usize {
         self.accounted as usize
     }
 
     fn encode(&self, syms: &SymTables, e: &mut Enc) {
-        self.fields(syms).enc(e);
+        e.u64(self.day)
+            .str(self.chart)
+            .u64(self.entries.len() as u64);
+        for &(pkg, rank) in self.entries.iter() {
+            e.str(syms.pkg.resolve(pkg)).u64(u64::from(rank));
+        }
     }
 
-    fn unpack(&self, syms: &SymTables) -> ScrapedOffer {
-        self.fields(syms).to_offer()
+    fn decode(d: &mut Dec<'_>, syms: &SymTables) -> Result<ChartRow, FrameError> {
+        let (mut entries, mut package_bytes) = (Vec::new(), 0);
+        let (day, chart) = dec_chart(d, |pkg, rank| {
+            let rank =
+                u32::try_from(rank).map_err(|_| FrameError::Codec("chart rank out of range"))?;
+            entries.push((lookup(&syms.pkg, pkg)?, rank));
+            package_bytes += pkg.len();
+            Ok(())
+        })?;
+        Ok(ChartRow {
+            day,
+            chart,
+            accounted: chart_accounted(entries.len(), package_bytes),
+            entries: entries.into(),
+        })
+    }
+
+    fn view<'a>(&self, syms: &'a SymTables) -> ChartView<'a> {
+        ChartView {
+            day: self.day,
+            chart: self.chart,
+            entries: self.entries.clone(),
+            packages: &syms.pkg,
+        }
+    }
+}
+
+/// Reads one chart crawl's codec bytes (as [`ChartRow`] writes them: the
+/// day, the chart id, the entry count, then each entry's package and
+/// rank), handing each entry to `entry`; returns the day and the chart.
+pub(crate) fn dec_chart<'a>(
+    d: &mut Dec<'a>,
+    mut entry: impl FnMut(&'a str, u64) -> Result<(), FrameError>,
+) -> Result<(u64, &'static str), FrameError> {
+    let day = d.u64()?;
+    let id = d.str()?;
+    let chart = ChartKind::ALL.iter().map(|k| k.id()).find(|&k| k == id);
+    let chart = chart.ok_or(FrameError::Codec("unknown chart id"))?;
+    for _ in 0..d.u64()? {
+        entry(d.str()?, d.u64()?)?;
+    }
+    Ok((day, chart))
+}
+
+/// Accounted bytes of an owned chart crawl of `entries` entries whose
+/// package names total `package_bytes` (the struct, plus each entry and
+/// its string), saturating at `u32::MAX`.
+fn chart_accounted(entries: usize, package_bytes: usize) -> u32 {
+    let entry = std::mem::size_of::<(String, usize)>();
+    let bytes = std::mem::size_of::<ChartSnapshot>() + entries * entry + package_bytes;
+    u32::try_from(bytes).unwrap_or(u32::MAX)
+}
+
+/// One chart crawl as the dataset's readers yield it: its entries are
+/// package symbols that resolve through the dataset's package table.
+/// The view shares the row's entries, so making one never allocates.
+#[derive(Clone)]
+pub struct ChartView<'a> {
+    /// Crawl day.
+    pub day: u64,
+    /// Chart id.
+    pub chart: &'static str,
+    entries: Arc<[ChartEntry]>,
+    packages: &'a Interner,
+}
+
+impl<'a> ChartView<'a> {
+    /// `(package, rank)` entries in crawl order (rank ascending).
+    pub fn entries(&self) -> impl ExactSizeIterator<Item = (&'a str, usize)> + '_ {
+        let packages = self.packages;
+        self.entries
+            .iter()
+            .map(move |&(pkg, rank)| (packages.resolve(pkg), rank as usize))
+    }
+}
+
+impl std::fmt::Debug for ChartView<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let entries: Vec<_> = self.entries().collect();
+        write!(f, "{} {} {entries:?}", self.day, self.chart)
     }
 }
 
@@ -216,23 +362,44 @@ struct ObservationAgg {
     keys: BTreeSet<(IipId, u64)>,
 }
 
+impl ObservationAgg {
+    fn campaign(&self, package: Sym) -> CampaignRef<'_> {
+        CampaignRef {
+            package,
+            iips: &self.iips,
+            first_seen: self.first_seen,
+            last_seen: self.last_seen,
+            offer_count: self.keys.len(),
+        }
+    }
+
+    fn observation(&self, package: &str) -> CampaignObservation {
+        CampaignObservation {
+            package: package.to_string(),
+            iips: self.iips.clone(),
+            first_seen: self.first_seen,
+            last_seen: self.last_seen,
+            offer_count: self.keys.len(),
+        }
+    }
+}
+
 /// The dataset store.
 ///
-/// The two bulk logs (offer observations, chart snapshots) live in
-/// spill-capable [`RowLog`]s: under a memory budget their cold
-/// segments move to disk and the accessors stream them back through
-/// an LRU — same rows, same order, any budget. Offer rows are kept as
-/// interned [`OfferRow`]s. Profiles stay fully resident, as interned
-/// rows in a [`ProfileLog`]: they are the random-access query surface
-/// (`profile_series`, `first_profile`).
+/// The two bulk logs (offer observations, chart crawls) live in
+/// spill-capable [`RowLog`]s of interned rows: under a memory budget
+/// their cold segments move to disk and the accessors stream them back
+/// through an LRU — same rows, same order, any budget. Profiles stay
+/// fully resident, as interned rows in a [`ProfileLog`]: they are the
+/// random-access query surface (`profile_series`, `first_profile`).
 /// The first observation of each unique `(iip, key)` is additionally
-/// pinned resident, so the experiment joins over `unique_offers` never
-/// touch disk.
+/// kept as a resident [`OfferRow`], so the experiment joins over
+/// `unique_offers` never touch disk.
 #[derive(Debug, Default)]
 pub struct Dataset {
     offers: RowLog<OfferRow>,
     profiles: ProfileLog,
-    charts: RowLog<ChartSnapshot>,
+    charts: RowLog<ChartRow>,
 
     /// The symbol spaces rows and indices point into.
     syms: SymTables,
@@ -246,12 +413,10 @@ pub struct Dataset {
     // Incremental indices, maintained by the `add_*` methods.
     /// Dedup set over `(iip, offer_key)`.
     seen_offer_keys: BTreeSet<(IipId, u64)>,
-    /// Pinned-resident clones of the first observation of each key, in
-    /// arrival order — what `unique_offers()` borrows from, so
-    /// deduplicated joins stay off the spill path.
-    unique_rows: Vec<ScrapedOffer>,
-    /// Package and description symbols of `unique_rows`, same order.
-    unique_syms: Vec<(Sym, Sym)>,
+    /// The first observation of each key, in arrival order — what
+    /// `unique_offers()` reads, so deduplicated joins stay off the
+    /// spill path.
+    unique: Chunked<OfferRow>,
     /// Distinct advertised packages.
     advertised: SymSet,
     /// Distinct packages per platform, indexed by `iip as usize`.
@@ -300,13 +465,14 @@ impl Dataset {
     /// uses are rebuilt in log order (the profile log's table was
     /// rebuilt the same way when it was decoded). Returns an error if
     /// re-ingest mints a symbol the saved tables did not contain, or
-    /// the profile log names a package they lack (a corrupt or
-    /// inconsistent snapshot), since that would renumber later symbols.
+    /// the profile or chart log names a package they lack (a corrupt
+    /// or inconsistent snapshot), since that would renumber later
+    /// symbols.
     ///
-    /// A log's spilled segments are verified and reattached, not read
-    /// from the snapshot: each is read once, straight from disk and
-    /// past the reload cache, streamed through the indexing pass, and
-    /// stays spilled afterwards. The suffix rows decode from their
+    /// A log's spilled segments are reattached, not read from the
+    /// snapshot: each is read once, straight from disk and past the
+    /// reload cache, verified and streamed through the indexing pass,
+    /// and stays spilled afterwards. The suffix rows decode from their
     /// section bytes and are re-added under the memory budget already
     /// set on this dataset ([`Dataset::set_memory_budget`]), so
     /// segments close and spill exactly as they did in the run that
@@ -325,21 +491,23 @@ impl Dataset {
             ..SymTables::default()
         };
         let (want_pkg, want_desc) = (self.syms.pkg.len(), self.syms.desc.len());
-        self.offers
-            .attach(&saved.offers_spill)
-            .map_err(|e| invalid("offers spill manifest", &e))?;
-        // Stream the attached (disk-resident) rows through the indexing
-        // pass; the log is taken out and put back because the indices
-        // borrow `self` mutably. Spilled rows decode without the symbol
-        // tables.
-        let log = std::mem::take(&mut self.offers);
-        log.for_each_spilled(|o| {
-            self.index_offer(o.fields());
+        // A log's spilled rows stream through the indexing pass as they
+        // are verified; the log is taken out meanwhile because the
+        // indices borrow `self` mutably. Spilled offers index from their
+        // codec fields, which rebuilds the store-URL and affiliate tables.
+        let mut log = std::mem::take(&mut self.offers);
+        let attached = log.attach(&saved.offers_spill, |d| {
+            self.index_offer(OfferFields::dec(d)?);
+            Ok(())
         });
         self.offers = log;
+        attached.map_err(|e| invalid("offers spill manifest", &e))?;
         saved
             .offers
-            .read(OfferFields::dec, |o| self.push_offer(o))
+            .read(|d| {
+                self.push_offer(OfferFields::dec(d)?);
+                Ok(())
+            })
             .map_err(|e| invalid("offer rows", &e))?;
         if saved.profiles.package_span() > self.syms.pkg.len() {
             return Err(iiscope_types::Error::InvalidState(format!(
@@ -349,15 +517,20 @@ impl Dataset {
             )));
         }
         self.profiles = saved.profiles;
-        self.charts
-            .attach(&saved.charts_spill)
-            .map_err(|e| invalid("charts spill manifest", &e))?;
-        let log = std::mem::take(&mut self.charts);
-        log.for_each_spilled(|c| self.index_chart(&c));
+        let mut log = std::mem::take(&mut self.charts);
+        let attached = log.attach(&saved.charts_spill, |d| {
+            self.index_chart(&ChartRow::decode(d, &self.syms)?);
+            Ok(())
+        });
         self.charts = log;
+        attached.map_err(|e| invalid("charts spill manifest", &e))?;
         saved
             .charts
-            .read(ChartSnapshot::dec_row, |c| self.add_chart(c))
+            .read(|d| {
+                let row = ChartRow::decode(d, &self.syms)?;
+                self.push_chart(row);
+                Ok(())
+            })
             .map_err(|e| invalid("chart rows", &e))?;
         if self.syms.pkg.len() != want_pkg || self.syms.desc.len() != want_desc {
             return Err(iiscope_types::Error::InvalidState(format!(
@@ -373,10 +546,11 @@ impl Dataset {
 
     /// Sets the memory budget for the spillable logs (split evenly
     /// between offers and charts) and where their spill files live.
-    /// The budget bounds accounted bytes ([`SpillRow::approx_bytes`]),
-    /// an upper bound on what the interned offer rows really hold.
-    /// `None` keeps everything resident. Spilling never changes a
-    /// query result — only where cold rows wait.
+    /// The budget bounds accounted bytes ([`LogRow::accounted_bytes`]:
+    /// each row at its owned crawl's size), an upper bound on what the
+    /// interned rows really hold. `None` keeps everything resident.
+    /// Spilling never changes a query result — only where cold rows
+    /// wait.
     pub fn set_memory_budget(&mut self, budget: Option<u64>, spill_dir: &Path, label: &str) {
         let per_log = budget.map(|b| (b / 2).max(4096));
         self.offers.configure(
@@ -387,7 +561,7 @@ impl Dataset {
         self.charts.configure(
             per_log,
             spill_dir.join(format!("{label}-charts.spill")),
-            &(),
+            &self.syms,
         );
     }
 
@@ -427,7 +601,7 @@ impl Dataset {
     /// Writes the chart rows not covered by [`Dataset::charts_spill`]
     /// like [`Dataset::enc_offers`].
     pub fn enc_charts(&self, e: &mut Enc) {
-        self.charts.enc_resident(&(), e);
+        self.charts.enc_resident(&self.syms, e);
     }
 
     /// Index maintenance for one offer observation (shared by live
@@ -435,9 +609,13 @@ impl Dataset {
     fn index_offer(&mut self, o: OfferFields<'_>) -> OfferRow {
         let desc = self.syms.desc.intern(o.description);
         let pkg = self.syms.pkg.intern(o.package);
+        let (url, affiliate) = (
+            self.url_sym(pkg, o.store_url),
+            self.affiliate_sym(o.affiliate),
+        );
+        let row = OfferRow::new(o, [pkg, desc, url, affiliate]);
         if self.seen_offer_keys.insert((o.iip, o.offer_key)) {
-            self.unique_rows.push(o.to_offer());
-            self.unique_syms.push((pkg, desc));
+            self.unique.push(row);
         }
         self.advertised.insert(pkg);
         self.by_iip[o.iip as usize].insert(pkg);
@@ -454,18 +632,7 @@ impl Dataset {
         agg.first_seen = agg.first_seen.min(o.seen_at);
         agg.last_seen = agg.last_seen.max(o.seen_at);
         agg.keys.insert((o.iip, o.offer_key));
-        OfferRow {
-            offer_key: o.offer_key,
-            seen_at: o.seen_at,
-            reward: o.reward,
-            package: pkg,
-            description: desc,
-            store_url: self.url_sym(pkg, o.store_url),
-            affiliate: self.affiliate_sym(o.affiliate),
-            accounted: u32::try_from(o.approx_bytes()).unwrap_or(u32::MAX),
-            iip: o.iip,
-            vantage: o.vantage,
-        }
+        row
     }
 
     /// Store-URL symbol of an offer of package `pkg`. A package keeps
@@ -515,95 +682,101 @@ impl Dataset {
         self.profiles.push(pkg, snap.fields());
     }
 
-    /// Index maintenance for one chart snapshot (shared by live ingest
-    /// and the restore re-ingest).
-    fn index_chart(&mut self, snap: &ChartSnapshot) {
-        self.chart_days.insert(snap.day);
-        let per_pkg = self.chart_ranks.entry(snap.chart).or_default();
-        for (pkg, rank) in &snap.entries {
-            let sym = self.syms.pkg.intern(pkg);
+    /// Index maintenance for one chart crawl (shared by live ingest and
+    /// the restore re-ingest).
+    fn index_chart(&mut self, row: &ChartRow) {
+        self.chart_days.insert(row.day);
+        let per_pkg = self.chart_ranks.entry(row.chart).or_default();
+        for &(sym, rank) in row.entries.iter() {
             let ranks = per_pkg.get_or_insert_with(sym, Vec::new);
-            let at = ranks.partition_point(|&(d, _)| d <= snap.day);
-            ranks.insert(at, (snap.day, *rank));
+            let at = ranks.partition_point(|&(d, _)| d <= row.day);
+            ranks.insert(at, (row.day, rank as usize));
             let days = self.chart_days_by_package.get_or_insert_with(sym, Vec::new);
-            let at = days.partition_point(|&d| d < snap.day);
-            if days.get(at) != Some(&snap.day) {
-                days.insert(at, snap.day);
+            let at = days.partition_point(|&d| d < row.day);
+            if days.get(at) != Some(&row.day) {
+                days.insert(at, row.day);
             }
         }
     }
 
-    /// Appends a chart snapshot, updating the presence indices.
+    /// Appends a chart crawl, interning its packages and updating the
+    /// presence indices.
+    ///
+    /// # Panics
+    /// If a rank does not fit in `u32`; the crawler drops such entries.
     pub fn add_chart(&mut self, snap: ChartSnapshot) {
-        self.index_chart(&snap);
-        self.charts.push(snap, &());
+        let pkg = &mut self.syms.pkg;
+        let entries = snap.entries.iter().map(|(name, rank)| {
+            let rank = u32::try_from(*rank).expect("chart rank fits in u32");
+            (pkg.intern(name), rank)
+        });
+        let names: usize = snap.entries.iter().map(|(name, _)| name.len()).sum();
+        let row = ChartRow {
+            day: snap.day,
+            chart: snap.chart,
+            entries: entries.collect(),
+            accounted: chart_accounted(snap.entries.len(), names),
+        };
+        self.push_chart(row);
     }
 
-    /// All raw offer observations, in arrival order. Streams owned
-    /// rows built from the interned log (spilled segments decode on
-    /// the fly); the iterator is exact-sized (`.len()` is the row
-    /// count).
+    /// Indexes one chart crawl and appends its row.
+    fn push_chart(&mut self, row: ChartRow) {
+        self.index_chart(&row);
+        self.charts.push(row, &self.syms);
+    }
+
+    /// All offer observations, in arrival order, as views into the
+    /// interned log (spilled segments decode on the fly); the iterator
+    /// is exact-sized (`.len()` is the row count).
     pub fn offers(&self) -> RowLogIter<'_, OfferRow> {
         self.offers.iter(&self.syms)
     }
 
     /// All profile crawls in arrival order, decoded (exact-sized).
-    pub fn profiles(&self) -> Profiles<'_> {
+    pub fn profiles(&self) -> impl ExactSizeIterator<Item = ProfileFields<'_>> + '_ {
         self.profiles.iter(&self.syms.pkg)
     }
 
-    /// All chart snapshots, in arrival order (streaming, like
+    /// All chart crawls, in arrival order (streaming, like
     /// [`Dataset::offers`]).
-    pub fn charts(&self) -> RowLogIter<'_, ChartSnapshot> {
-        self.charts.iter(&())
+    pub fn charts(&self) -> RowLogIter<'_, ChartRow> {
+        self.charts.iter(&self.syms)
     }
 
-    /// Deduplicated offers: first observation of each `(iip, key)`.
-    /// Served from the pinned-resident copies — never touches the
+    /// Deduplicated offers: the first observation of each `(iip, key)`,
+    /// in arrival order. Served from resident rows — never touches the
     /// spill path.
-    pub fn unique_offers(&self) -> Vec<&ScrapedOffer> {
-        self.unique_rows.iter().collect()
-    }
-
-    /// Deduplicated offers with their package and description symbols
-    /// — the columnar view the experiment joins run on.
-    pub fn unique_offers_with_syms(&self) -> impl Iterator<Item = (&ScrapedOffer, Sym, Sym)> + '_ {
-        self.unique_offers_with_syms_from(0)
+    pub fn unique_offers(&self) -> impl ExactSizeIterator<Item = OfferFields<'_>> + '_ {
+        self.unique.iter().map(|r| r.view(&self.syms))
     }
 
     /// Number of deduplicated offers ingested so far — the cursor an
-    /// incremental fold records so its next delta pass starts where
-    /// this one ended.
+    /// incremental fold records so its next pass starts where this one
+    /// ended.
     pub fn unique_offer_count(&self) -> usize {
-        self.unique_rows.len()
+        self.unique.len()
     }
 
-    /// Delta view of [`Dataset::unique_offers_with_syms`]: the
-    /// deduplicated offers appended at index `start` and later. Served
-    /// from the pinned-resident copies, so a per-day fold never touches
-    /// the spill path.
+    /// The deduplicated offers appended at index `start` and later,
+    /// with their package and description symbols — the columnar view
+    /// the experiment joins and the per-day fold run on. Served from
+    /// resident rows, so a fold never touches the spill path.
     pub fn unique_offers_with_syms_from(
         &self,
         start: usize,
-    ) -> impl Iterator<Item = (&ScrapedOffer, Sym, Sym)> + '_ {
-        let start = start.min(self.unique_rows.len());
-        self.unique_rows[start..]
-            .iter()
-            .zip(&self.unique_syms[start..])
-            .map(|(o, &(pkg, desc))| (o, pkg, desc))
+    ) -> impl Iterator<Item = (OfferFields<'_>, Sym, Sym)> + '_ {
+        (start.min(self.unique.len())..self.unique.len()).map(|i| {
+            let row = &self.unique[i];
+            (row.view(&self.syms), row.package, row.description)
+        })
     }
 
-    /// Number of chart snapshots ingested so far (the chart-log
-    /// cursor for incremental folds).
-    pub fn charts_len(&self) -> usize {
-        self.charts.len()
-    }
-
-    /// Delta view of [`Dataset::charts`]: snapshots appended at row
+    /// Delta view of [`Dataset::charts`]: crawls appended at row
     /// `start` and later. A cursor past the spilled prefix streams
     /// straight from resident segments without reloading cold ones.
-    pub fn charts_from(&self, start: usize) -> RowLogIter<'_, ChartSnapshot> {
-        self.charts.iter_from(start, &())
+    pub fn charts_from(&self, start: usize) -> RowLogIter<'_, ChartRow> {
+        self.charts.iter_from(start, &self.syms)
     }
 
     /// Unique offer descriptions (the paper counts 1,128).
@@ -678,50 +851,26 @@ impl Dataset {
         named.sort_unstable_by_key(|(name, _)| *name);
         named
             .into_iter()
-            .map(|(name, agg)| CampaignObservation {
-                package: name.to_string(),
-                iips: agg.iips.clone(),
-                first_seen: agg.first_seen,
-                last_seen: agg.last_seen,
-                offer_count: agg.keys.len(),
-            })
+            .map(|(name, agg)| agg.observation(name))
             .collect()
     }
 
     /// Observation for one package.
     pub fn observation(&self, package: &str) -> Option<CampaignObservation> {
         let sym = self.syms.pkg.get(package)?;
-        self.observations.get(sym).map(|agg| CampaignObservation {
-            package: package.to_string(),
-            iips: agg.iips.clone(),
-            first_seen: agg.first_seen,
-            last_seen: agg.last_seen,
-            offer_count: agg.keys.len(),
-        })
+        Some(self.observations.get(sym)?.observation(package))
     }
 
     /// Borrowed observation summary for one package symbol.
     pub fn campaign(&self, sym: Sym) -> Option<CampaignRef<'_>> {
-        self.observations.get(sym).map(|agg| CampaignRef {
-            package: sym,
-            iips: &agg.iips,
-            first_seen: agg.first_seen,
-            last_seen: agg.last_seen,
-            offer_count: agg.keys.len(),
-        })
+        Some(self.observations.get(sym)?.campaign(sym))
     }
 
     /// All borrowed observation summaries, in symbol order. Use for
     /// order-insensitive aggregation; [`Dataset::observations`] is the
     /// lexicographically-sorted report-boundary view.
     pub fn campaigns(&self) -> impl Iterator<Item = CampaignRef<'_>> + '_ {
-        self.observations.iter().map(|(sym, agg)| CampaignRef {
-            package: sym,
-            iips: &agg.iips,
-            first_seen: agg.first_seen,
-            last_seen: agg.last_seen,
-            offer_count: agg.keys.len(),
-        })
+        self.observations.iter().map(|(sym, agg)| agg.campaign(sym))
     }
 
     /// Profile timeline of one package, day-ascending (equal days in
@@ -818,6 +967,22 @@ impl Dataset {
     pub fn profile_log_bytes(&self) -> usize {
         self.profiles.heap_bytes()
     }
+
+    /// Chart entries ingested so far (`chart_entries` in
+    /// `BENCH_dataset.json`), one per `(day, rank)` of the presence index.
+    pub fn chart_entries(&self) -> usize {
+        let per_pkg = self.chart_ranks.values().flat_map(SymMap::iter);
+        per_pkg.map(|(_, ranks)| ranks.len()).sum()
+    }
+
+    /// Bytes the chart log takes when fully resident (`chart_log_bytes`
+    /// in `BENCH_dataset.json`): rows × row size, plus each row's entry
+    /// allocation (two reference counts and 8 bytes per entry).
+    pub fn chart_log_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.charts.len() * (size_of::<ChartRow>() + 2 * size_of::<usize>())
+            + self.chart_entries() * size_of::<ChartEntry>()
+    }
 }
 
 #[cfg(test)]
@@ -851,6 +1016,11 @@ mod tests {
             offer(IipId::RankApp, 8, "com.b.two", 11, "Install and Launch"),
         ]);
         d
+    }
+
+    /// The chart log's views, spelled out (views compare by content).
+    fn chart_log(ds: &Dataset) -> String {
+        format!("{:?}", ds.charts().collect::<Vec<_>>())
     }
 
     /// The dataset's checkpointed form, as a snapshot carries it.
@@ -899,11 +1069,11 @@ mod tests {
         d.add_offers([drifted]);
 
         assert_eq!(d.offers().len(), 2, "raw log keeps both observations");
-        let unique = d.unique_offers();
+        let unique: Vec<OfferFields> = d.unique_offers().collect();
         assert_eq!(unique.len(), 1);
         assert_eq!(unique[0].seen_at, SimTime::from_days(10));
-        assert_eq!(unique[0].raw.reward, RewardValue::Cents(5));
-        assert_eq!(unique[0].raw.description, "Install and Register");
+        assert_eq!(unique[0].reward, RewardValue::Cents(5));
+        assert_eq!(unique[0].description, "Install and Register");
         // The campaign window still spans both sightings.
         let obs = d.observation("com.a.one").unwrap();
         assert_eq!(obs.first_seen, SimTime::from_days(10));
@@ -949,9 +1119,9 @@ mod tests {
         assert!(d.class_syms(true).contains(sym));
         assert!(d.iip_syms(IipId::Fyber).contains(sym));
         // The columnar unique view carries matching symbols.
-        for (o, pkg, desc) in d.unique_offers_with_syms() {
-            assert_eq!(d.pkg_name(pkg), o.raw.package);
-            assert_eq!(d.pkg_sym(&o.raw.package), Some(pkg));
+        for (o, pkg, desc) in d.unique_offers_with_syms_from(0) {
+            assert_eq!(d.pkg_name(pkg), o.package);
+            assert_eq!(d.pkg_sym(o.package), Some(pkg));
             assert!(!d.pkg_name(pkg).is_empty());
             let _ = desc;
         }
@@ -1060,11 +1230,8 @@ mod tests {
             restored.profiles().collect::<Vec<_>>(),
             live.profiles().collect::<Vec<_>>()
         );
-        assert_eq!(
-            restored.charts().collect::<Vec<_>>(),
-            live.charts().collect::<Vec<_>>()
-        );
-        assert_eq!(restored.unique_offers(), live.unique_offers());
+        assert_eq!(chart_log(&restored), chart_log(&live));
+        assert!(restored.unique_offers().eq(live.unique_offers()));
         assert_eq!(restored.advertised_packages(), live.advertised_packages());
         assert_eq!(restored.observations(), live.observations());
         assert_eq!(
@@ -1152,11 +1319,8 @@ mod tests {
             spilled.offers().collect::<Vec<_>>(),
             resident.offers().collect::<Vec<_>>()
         );
-        assert_eq!(
-            spilled.charts().collect::<Vec<_>>(),
-            resident.charts().collect::<Vec<_>>()
-        );
-        assert_eq!(spilled.unique_offers(), resident.unique_offers());
+        assert_eq!(chart_log(&spilled), chart_log(&resident));
+        assert!(spilled.unique_offers().eq(resident.unique_offers()));
         assert_eq!(spilled.observations(), resident.observations());
         assert_eq!(
             spilled.advertised_packages(),
@@ -1171,13 +1335,28 @@ mod tests {
             restored.offers().collect::<Vec<_>>(),
             resident.offers().collect::<Vec<_>>()
         );
-        assert_eq!(
-            restored.charts().collect::<Vec<_>>(),
-            resident.charts().collect::<Vec<_>>()
-        );
+        assert_eq!(chart_log(&restored), chart_log(&resident));
         assert_eq!(restored.observations(), resident.observations());
         assert!(restored.spill_stats().spilled_segments > 0);
         let _ = std::fs::remove_dir_all(&spill_dir);
+    }
+
+    #[test]
+    fn a_reload_missing_a_symbol_names_the_spill_file() {
+        let dir = std::env::temp_dir().join(format!("iiscope-ds-missing-{}", std::process::id()));
+        let mut d = Dataset::new();
+        d.set_memory_budget(Some(8 * 1024), &dir, "test");
+        d.add_offers((0..500).map(|k| offer(IipId::Fyber, k, &format!("com.app.{k}"), 3, "Go")));
+        let file = d.offers_spill().file.clone().expect("the budget spills");
+        // A reload looks strings up and never mints a symbol.
+        d.syms.url = Interner::new();
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| d.offers().count()))
+            .expect_err("a reload that misses a symbol must fail");
+        let msg = panic.downcast_ref::<String>().expect("a formatted message");
+        let want = format!("spill segment at offset 0 of {} is invalid", file.display());
+        assert!(msg.starts_with(&want), "{msg}");
+        assert!(msg.contains("missing from its symbol table"), "{msg}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1191,17 +1370,14 @@ mod tests {
         ]);
 
         let mut seen = BTreeSet::new();
-        let rescan_unique: Vec<ScrapedOffer> = d
+        let rescan_unique: Vec<OfferFields> = d
             .offers()
-            .filter(|o| seen.insert((o.iip, o.raw.offer_key)))
+            .filter(|o| seen.insert((o.iip, o.offer_key)))
             .collect();
-        let indexed = d.unique_offers();
-        assert_eq!(indexed.len(), rescan_unique.len());
-        for (a, b) in indexed.iter().zip(&rescan_unique) {
-            assert_eq!(*a, b, "row value/order drifted");
-        }
+        let indexed: Vec<OfferFields> = d.unique_offers().collect();
+        assert_eq!(indexed, rescan_unique, "row value/order drifted");
 
-        let rescan_packages: BTreeSet<String> = d.offers().map(|o| o.raw.package).collect();
+        let rescan_packages: BTreeSet<String> = d.offers().map(|o| o.package.to_string()).collect();
         let advertised: BTreeSet<String> = d
             .advertised_packages()
             .iter()
@@ -1213,7 +1389,7 @@ mod tests {
             let rescan: BTreeSet<String> = d
                 .offers()
                 .filter(|o| o.iip == iip)
-                .map(|o| o.raw.package)
+                .map(|o| o.package.to_string())
                 .collect();
             let on: BTreeSet<String> = d.packages_on(iip).iter().map(|s| s.to_string()).collect();
             assert_eq!(on, rescan);

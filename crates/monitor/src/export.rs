@@ -59,7 +59,7 @@ pub fn write_offers_csv(ds: &Dataset, out: &mut impl Write) -> io::Result<usize>
     )?;
     let mut rows = 0;
     for o in ds.offers() {
-        let reward = match &o.raw.reward {
+        let reward = match o.reward {
             RewardValue::Usd(v) => format!("usd:{v}"),
             RewardValue::Points(p) => format!("points:{p}"),
             RewardValue::Cents(c) => format!("cents:{c}"),
@@ -68,14 +68,14 @@ pub fn write_offers_csv(ds: &Dataset, out: &mut impl Write) -> io::Result<usize>
             out,
             &[
                 o.iip.name(),
-                &o.raw.offer_key.to_string(),
+                &o.offer_key.to_string(),
                 &o.seen_at.days().to_string(),
                 o.vantage.code(),
-                &o.affiliate,
-                &o.raw.package,
-                &o.raw.description,
+                o.affiliate,
+                o.package,
+                o.description,
                 &reward,
-                &o.raw.store_url,
+                o.store_url,
             ],
         )?;
         rows += 1;
@@ -131,37 +131,14 @@ pub fn write_charts_csv(ds: &Dataset, out: &mut impl Write) -> io::Result<usize>
     write_row(out, &["day", "chart", "rank", "package"])?;
     let mut rows = 0;
     for c in ds.charts() {
-        for (pkg, rank) in &c.entries {
+        for (pkg, rank) in c.entries() {
             write!(out, "{},{},{rank},", c.day, c.chart)?;
             write_field(out, pkg)?;
             out.write_all(b"\n")?;
         }
-        rows += c.entries.len();
+        rows += c.entries().len();
     }
     Ok(rows)
-}
-
-/// Renders one CSV into a `String` (tests and small datasets; the
-/// export streams instead).
-fn render(write: impl FnOnce(&mut Vec<u8>) -> io::Result<usize>) -> String {
-    let mut out = Vec::new();
-    write(&mut out).expect("writing to a Vec cannot fail");
-    String::from_utf8(out).expect("CSV fields are UTF-8")
-}
-
-/// Renders the offers CSV (one row per observation).
-pub fn offers_csv(ds: &Dataset) -> String {
-    render(|out| write_offers_csv(ds, out))
-}
-
-/// Renders the profiles CSV (one row per crawl snapshot).
-pub fn profiles_csv(ds: &Dataset) -> String {
-    render(|out| write_profiles_csv(ds, out))
-}
-
-/// Renders the charts CSV (one row per chart entry per crawl).
-pub fn charts_csv(ds: &Dataset) -> String {
-    render(|out| write_charts_csv(ds, out))
 }
 
 /// Writes `offers.csv`, `profiles.csv` and `charts.csv` into `dir`
@@ -193,13 +170,31 @@ pub fn export_csv(ds: &Dataset, dir: &Path) -> Result<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Renders one CSV into a `String`.
+    fn render(write: fn(&Dataset, &mut Vec<u8>) -> io::Result<usize>, ds: &Dataset) -> String {
+        let mut out = Vec::new();
+        write(ds, &mut out).expect("writing to a Vec cannot fail");
+        String::from_utf8(out).expect("CSV fields are UTF-8")
+    }
+
+    fn offers_csv(ds: &Dataset) -> String {
+        render(write_offers_csv, ds)
+    }
+
+    fn profiles_csv(ds: &Dataset) -> String {
+        render(write_profiles_csv, ds)
+    }
+
+    fn charts_csv(ds: &Dataset) -> String {
+        render(write_charts_csv, ds)
+    }
     use crate::crawler::{ChartSnapshot, ProfileSnapshot};
     use crate::parsers::{RawOffer, RewardValue, ScrapedOffer};
     use iiscope_types::{Country, IipId, SimTime};
 
-    fn dataset() -> Dataset {
-        let mut ds = Dataset::new();
-        ds.add_offers([ScrapedOffer {
+    fn offer() -> ScrapedOffer {
+        ScrapedOffer {
             iip: IipId::Fyber,
             raw: RawOffer {
                 offer_key: 9,
@@ -211,7 +206,12 @@ mod tests {
             seen_at: SimTime::from_days(3),
             affiliate: "com.cash,app".into(), // comma on purpose
             vantage: Country::De,
-        }]);
+        }
+    }
+
+    fn dataset() -> Dataset {
+        let mut ds = Dataset::new();
+        ds.add_offers([offer()]);
         ds.add_profile(ProfileSnapshot {
             day: 3,
             package: "com.a.b".into(),
@@ -265,7 +265,7 @@ mod tests {
     fn export_counts_rows_not_lines() {
         // Quoted line breaks inside a field are one CSV row, not two.
         let mut ds = dataset();
-        let mut multi = ds.offers().next().unwrap();
+        let mut multi = offer();
         multi.raw.description = "Install\nthen register\r\nand play".into();
         ds.add_offers([multi]);
         let dir = std::env::temp_dir().join(format!("iiscope-export-nl-{}", std::process::id()));

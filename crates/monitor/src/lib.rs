@@ -49,8 +49,8 @@ pub use fuzzer::{FuzzerConfig, UiFuzzer};
 pub use infra::MonitoringInfra;
 pub use normalize::RateBook;
 pub use parsers::{parse_wall, probe_wall, PageFill, RawOffer, RewardValue, ScrapedOffer};
-pub use profiles::{ProfileLog, Profiles};
+pub use profiles::ProfileLog;
 pub use spill::{
-    ProfileFields, Resident, RowLog, SavedRows, SegRef, SpillError, SpillManifest, SpillRow,
+    LogRow, OfferFields, ProfileFields, RowLog, SavedRows, SegRef, SpillError, SpillManifest,
     SpillStats,
 };

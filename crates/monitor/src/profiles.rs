@@ -22,7 +22,7 @@
 
 use crate::spill::ProfileFields;
 use iiscope_types::frame::{Dec, Enc, FrameError};
-use iiscope_types::{chunked, Chunked, Interner, Sym, SymMap};
+use iiscope_types::{Chunked, Interner, Sym, SymMap};
 
 /// The `next` link of a package's latest crawl.
 const END: u32 = u32::MAX;
@@ -167,13 +167,12 @@ impl ProfileLog {
     }
 
     /// Every crawl in arrival order, packages resolved through
-    /// `packages`.
-    pub fn iter<'a>(&'a self, packages: &'a Interner) -> Profiles<'a> {
-        Profiles {
-            log: self,
-            packages,
-            rows: self.rows.iter(),
-        }
+    /// `packages` (exact-sized).
+    pub fn iter<'a>(
+        &'a self,
+        packages: &'a Interner,
+    ) -> impl ExactSizeIterator<Item = ProfileFields<'a>> + 'a {
+        self.rows.iter().map(move |r| self.fields(r, packages))
     }
 
     /// `package`'s crawls, day-ascending (equal days in arrival order).
@@ -236,35 +235,6 @@ impl ProfileLog {
     /// the per-package chain ends.
     pub(crate) fn heap_bytes(&self) -> usize {
         self.rows.heap_bytes() + self.strings.heap_bytes() + self.series.heap_bytes()
-    }
-}
-
-/// The crawls of a [`ProfileLog`] in arrival order, decoded
-/// (exact-sized). Its `Debug` lists the crawls it has left.
-#[derive(Clone)]
-pub struct Profiles<'a> {
-    log: &'a ProfileLog,
-    packages: &'a Interner,
-    rows: chunked::Iter<'a, ProfileRow>,
-}
-
-impl<'a> Iterator for Profiles<'a> {
-    type Item = ProfileFields<'a>;
-
-    fn next(&mut self) -> Option<ProfileFields<'a>> {
-        self.rows.next().map(|r| self.log.fields(r, self.packages))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.rows.size_hint()
-    }
-}
-
-impl ExactSizeIterator for Profiles<'_> {}
-
-impl std::fmt::Debug for Profiles<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.clone()).finish()
     }
 }
 
@@ -335,8 +305,11 @@ mod tests {
         for s in &want {
             log.push(packages.intern(&s.package), s.fields());
         }
-        let got: Vec<ProfileSnapshot> = log.iter(&packages).map(|f| f.to_snapshot()).collect();
-        assert_eq!(got, want);
+        let got: Vec<ProfileFields> = log.iter(&packages).collect();
+        assert_eq!(
+            got,
+            want.iter().map(ProfileSnapshot::fields).collect::<Vec<_>>()
+        );
 
         let mut e = Enc::new();
         log.encode(&packages, &mut e);

@@ -2,14 +2,17 @@
 //!
 //! The paper-scale dataset fits in memory; a 100×-scale run does not.
 //! [`RowLog`] keeps each append-only row log (offer observations,
-//! chart timelines) as a resident *tail* plus closed *segments*; when
-//! a memory budget is set and exceeded, the oldest closed segments
-//! spill to disk through the CRC-framed [`iiscope_types::frame`] codec
+//! chart crawls) as a resident *tail* plus closed *segments*; when a
+//! memory budget is set and exceeded, the oldest closed segments spill
+//! to disk through the CRC-framed [`iiscope_types::frame`] codec
 //! already proven by checkpointing. Spilled segments decode back
 //! through a small LRU cache, so a scan touches disk once per segment
-//! per pass, not once per row. Resident rows may be held in a compact
-//! [`Resident`] form; the budget counts every row at its owned size
-//! ([`SpillRow::approx_bytes`]) either way.
+//! per pass, not once per row.
+//!
+//! A log holds one row form, a [`LogRow`]: compact rows whose strings
+//! are symbols of their owner's tables, written and read back as the
+//! owned crawl's codec, viewed in place, and budgeted at the owned
+//! crawl's accounted size.
 //!
 //! Invariants the rest of the workspace leans on:
 //!
@@ -27,69 +30,39 @@
 //!   of the whole blob; [`RowLog::attach`] re-reads and verifies every
 //!   referenced segment before a resume is allowed to proceed.
 
-use crate::crawler::{ChartSnapshot, ProfileSnapshot};
-use crate::parsers::{RawOffer, RewardValue, ScrapedOffer};
-use iiscope_playstore::ChartKind;
+use crate::crawler::ProfileSnapshot;
+use crate::dataset::dec_chart;
+use crate::parsers::{RewardValue, ScrapedOffer};
 use iiscope_types::frame::{crc32, Dec, Enc, FrameError, FrameReader, FrameWriter};
 use iiscope_types::{Chunked, Country, IipId, SimTime};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::{Cursor, Read as _, Seek as _, SeekFrom, Write as _};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// A row type the log knows how to persist: the exact field-by-field
-/// codec snapshot sections use for the same rows, so spill files and
-/// snapshots stay one format.
-pub trait SpillRow: Clone + std::fmt::Debug {
-    /// Serializes the row.
-    fn enc_row(&self, e: &mut Enc);
-    /// Deserializes one row.
-    fn dec_row(d: &mut Dec) -> Result<Self, FrameError>;
-    /// Accounted bytes of the row: the struct plus its owned heap
-    /// strings. Budget enforcement, segment boundaries and the LRU cap
-    /// count these, never allocator truth. A log that holds the row in
-    /// a more compact [`Resident`] form still counts this figure, so
-    /// its accounted bytes are an upper bound on what it keeps.
-    fn approx_bytes(&self) -> usize;
-}
-
-/// The form a [`RowLog`] keeps its resident rows in. A self-contained
-/// [`SpillRow`] is its own resident form. A compact form (the
-/// dataset's interned offer row) resolves its strings through tables
-/// the log's owner keeps and passes in as `Ctx`. Either way the bytes
-/// written and the bytes accounted are those of the persisted row.
-pub trait Resident: std::fmt::Debug {
-    /// The persisted row: spill segments and snapshot sections hold its
-    /// codec, and iteration yields it.
-    type Row: SpillRow;
-    /// Tables the resident form resolves through (`()` for a
-    /// self-contained row).
+/// The one row form a [`RowLog`] keeps: its strings are symbols of the
+/// tables its owner passes in as `Ctx`, and it reads and writes the
+/// owned crawl's codec, so spill segments and snapshot sections hold
+/// the bytes a log of owned rows would.
+pub trait LogRow: Sized + std::fmt::Debug {
+    /// Tables the row's symbols resolve through.
     type Ctx;
-    /// [`SpillRow::approx_bytes`] of the persisted row.
+    /// The borrowed view iteration yields.
+    type View<'a>
+    where
+        Self::Ctx: 'a;
+    /// The owned crawl's struct plus heap bytes: what budgets, segment
+    /// boundaries and the LRU cap count, never allocator truth.
     fn accounted_bytes(&self) -> usize;
-    /// Writes the persisted row's codec bytes.
+    /// Writes the row's codec bytes.
     fn encode(&self, ctx: &Self::Ctx, e: &mut Enc);
-    /// Builds the persisted row.
-    fn unpack(&self, ctx: &Self::Ctx) -> Self::Row;
-}
-
-impl<T: SpillRow> Resident for T {
-    type Row = T;
-    type Ctx = ();
-
-    fn accounted_bytes(&self) -> usize {
-        self.approx_bytes()
-    }
-
-    fn encode(&self, _: &(), e: &mut Enc) {
-        self.enc_row(e);
-    }
-
-    fn unpack(&self, _: &()) -> T {
-        self.clone()
-    }
+    /// Reads one encoded row, looking its strings up in `ctx`; a string
+    /// the tables lack is an error (decoding never mints a symbol).
+    fn decode(d: &mut Dec<'_>, ctx: &Self::Ctx) -> Result<Self, FrameError>;
+    /// The row's view, borrowing `ctx`.
+    fn view<'a>(&self, ctx: &'a Self::Ctx) -> Self::View<'a>;
 }
 
 /// Location of one spilled segment inside a spill file.
@@ -131,9 +104,9 @@ pub struct SpillStats {
     pub spilled_bytes: u64,
     /// Segment loads that missed the LRU cache and hit disk.
     pub reloads: u64,
-    /// Accounted bytes ([`SpillRow::approx_bytes`]) of the rows held in
-    /// memory: tail, resident segments and reload cache. An upper bound
-    /// on their real footprint when the log keeps a compact form.
+    /// Accounted bytes ([`LogRow::accounted_bytes`]) of the rows held
+    /// in memory: tail, resident segments and reload cache. An upper
+    /// bound on their real footprint.
     pub resident_bytes: u64,
 }
 
@@ -179,12 +152,12 @@ impl std::error::Error for SpillError {}
 /// segments. Behind a mutex so read-only dataset accessors (which run
 /// under the experiment fan-out) can load segments from `&self`.
 #[derive(Debug)]
-struct Cold<T> {
+struct Cold<R> {
     file: Option<File>,
     /// End offset of the last written segment (next write position).
     file_end: u64,
     /// Decoded segments, most-recently-used first.
-    cache: Vec<(usize, Arc<Vec<T>>, usize)>,
+    cache: Vec<(usize, Arc<Vec<R>>, usize)>,
     cache_bytes: usize,
     reloads: u64,
 }
@@ -196,12 +169,10 @@ const DEFAULT_SEG_BYTES: usize = 1 << 20;
 ///
 /// In log order a log is its spilled segments (`spilled`), then its
 /// resident closed segments (`warm`), then the open `tail`; segment
-/// indices count across `spilled` and `warm`. Resident rows are kept in
-/// their [`Resident`] form; spilled segments reload as persisted rows.
-/// Every method that may encode or unpack a resident row takes the
-/// tables it resolves through (`&()` for self-contained rows).
+/// indices count across `spilled` and `warm`. Every method that may
+/// encode, decode or view a row takes the tables it resolves through.
 #[derive(Debug)]
-pub struct RowLog<R: Resident> {
+pub struct RowLog<R: LogRow> {
     tail: Chunked<R>,
     tail_bytes: usize,
     /// The spilled prefix: the spill file and its segments, oldest
@@ -215,10 +186,10 @@ pub struct RowLog<R: Resident> {
     spill_target: Option<PathBuf>,
     /// First spill write failure; set once, spilling stops after it.
     failed: Option<SpillError>,
-    cold: Mutex<Cold<R::Row>>,
+    cold: Mutex<Cold<R>>,
 }
 
-impl<R: Resident> Default for RowLog<R> {
+impl<R: LogRow> Default for RowLog<R> {
     fn default() -> RowLog<R> {
         RowLog {
             tail: Chunked::default(),
@@ -240,12 +211,7 @@ impl<R: Resident> Default for RowLog<R> {
     }
 }
 
-impl<R: Resident> RowLog<R> {
-    /// An empty, fully-resident log.
-    pub fn new() -> RowLog<R> {
-        RowLog::default()
-    }
-
+impl<R: LogRow> RowLog<R> {
     /// Sets the resident budget and the spill file path. May be called
     /// before any row or after ingest started; enforcement happens on
     /// the next push (and immediately, for already-closed segments).
@@ -374,7 +340,12 @@ impl<R: Resident> RowLog<R> {
     }
 
     /// Loads a spilled segment through the LRU cache.
-    fn load(&self, seg_idx: usize, seg: SegRef) -> Arc<Vec<R::Row>> {
+    ///
+    /// # Panics
+    /// If the segment cannot be read back or names a string the tables
+    /// lack: the log wrote the file itself, so either is a fault below
+    /// the program. The message names the spill file and the offset.
+    fn load(&self, seg_idx: usize, seg: SegRef, ctx: &R::Ctx) -> Arc<Vec<R>> {
         let mut cold = self.cold.lock();
         if let Some(pos) = cold.cache.iter().position(|(i, _, _)| *i == seg_idx) {
             let hit = cold.cache.remove(pos);
@@ -382,8 +353,20 @@ impl<R: Resident> RowLog<R> {
             cold.cache.insert(0, hit);
             return rows;
         }
-        let rows = read_segment::<R::Row>(&mut cold, seg);
-        let bytes: usize = rows.iter().map(SpillRow::approx_bytes).sum();
+        cold.reloads += 1;
+        let path = self
+            .spilled
+            .file
+            .as_deref()
+            .expect("spilled without a file");
+        let file = cold.file.as_mut().expect("spilled without a file");
+        let mut rows = Vec::with_capacity(seg.rows as usize);
+        read_rows(file, path, seg, |d| {
+            rows.push(R::decode(d, ctx)?);
+            Ok(())
+        })
+        .unwrap_or_else(|e| panic!("{e}"));
+        let bytes: usize = rows.iter().map(R::accounted_bytes).sum();
         let rows = Arc::new(rows);
         cold.cache.insert(0, (seg_idx, rows.clone(), bytes));
         cold.cache_bytes += bytes;
@@ -397,17 +380,6 @@ impl<R: Resident> RowLog<R> {
         rows
     }
 
-    /// Calls `f` on every spilled row, in log order, reading each
-    /// segment once straight from the spill file. The reload cache is
-    /// left as it was: a one-pass scan (a restore's indexing pass) must
-    /// not pin the spilled history in memory.
-    pub(crate) fn for_each_spilled(&self, mut f: impl FnMut(R::Row)) {
-        for seg in &self.spilled.segments {
-            let rows = read_segment::<R::Row>(&mut self.cold.lock(), *seg);
-            rows.into_iter().for_each(&mut f);
-        }
-    }
-
     /// Rows in closed segment `idx`.
     fn seg_rows(&self, idx: usize) -> usize {
         match self.spilled.segments.get(idx) {
@@ -418,9 +390,9 @@ impl<R: Resident> RowLog<R> {
 
     /// The rows of segment `idx`, reloading a spilled one; the index
     /// past the closed segments is the tail.
-    fn seg_cur(&self, idx: usize) -> Cur<'_, R> {
+    fn seg_cur(&self, idx: usize, ctx: &R::Ctx) -> Cur<'_, R> {
         match self.spilled.segments.get(idx) {
-            Some(r) => Cur::Loaded(self.load(idx, *r)),
+            Some(r) => Cur::Loaded(self.load(idx, *r, ctx)),
             None => Cur::Rows(
                 self.warm
                     .get(idx - self.spilled.segments.len())
@@ -429,9 +401,8 @@ impl<R: Resident> RowLog<R> {
         }
     }
 
-    /// Iterates every row in append order, transparently reloading
-    /// spilled segments. Yields owned persisted rows (unpacked resident
-    /// rows, clones of decoded spilled ones).
+    /// Iterates every row's view in append order, transparently
+    /// reloading spilled segments.
     pub fn iter<'a>(&'a self, ctx: &'a R::Ctx) -> RowLogIter<'a, R> {
         self.iter_from(0, ctx)
     }
@@ -476,11 +447,16 @@ impl<R: Resident> RowLog<R> {
     }
 
     /// Reattaches a spilled prefix on restore: opens the manifest's
-    /// spill file, verifies every referenced segment (CRC + row
-    /// count), truncates any stale bytes a crashed run wrote past the
-    /// manifest, and registers the segments. Must be called on an
-    /// empty log, before any push.
-    pub fn attach(&mut self, manifest: &SpillManifest) -> Result<(), String> {
+    /// spill file, reads each referenced segment once (a reload, as in
+    /// any scan), verifies it and hands each row's codec bytes to `row`,
+    /// then truncates any stale bytes a crashed run wrote past the
+    /// manifest and registers the segments, which stay spilled. Must be
+    /// called on an empty log, before any push.
+    pub fn attach(
+        &mut self,
+        manifest: &SpillManifest,
+        mut row: impl FnMut(&mut Dec<'_>) -> Result<(), FrameError>,
+    ) -> Result<(), String> {
         assert!(self.len == 0, "attach on empty log only");
         if manifest.segments.is_empty() {
             return Ok(());
@@ -502,13 +478,7 @@ impl<R: Resident> RowLog<R> {
                     seg.offset
                 ));
             }
-            let mut blob = vec![0u8; seg.len as usize];
-            file.seek(SeekFrom::Start(seg.offset))
-                .map_err(|e| format!("seek spill file: {e}"))?;
-            file.read_exact(&mut blob)
-                .map_err(|e| format!("read spill segment at {}: {e}", seg.offset))?;
-            decode_segment::<R::Row>(&blob, *seg)
-                .map_err(|e| format!("spill segment at {} invalid: {e}", seg.offset))?;
+            read_rows(&mut file, path, *seg, &mut row)?;
             end = seg.offset + seg.len;
         }
         file.set_len(end)
@@ -519,6 +489,7 @@ impl<R: Resident> RowLog<R> {
         let mut cold = self.cold.lock();
         cold.file = Some(file);
         cold.file_end = end;
+        cold.reloads += manifest.segments.len() as u64;
         Ok(())
     }
 
@@ -541,22 +512,35 @@ impl<R: Resident> RowLog<R> {
     }
 }
 
-/// Reads and decodes one spilled segment from disk, counting a reload.
-fn read_segment<T: SpillRow>(cold: &mut Cold<T>, seg: SegRef) -> Vec<T> {
-    cold.reloads += 1;
-    let file = cold
-        .file
-        .as_mut()
-        .expect("spilled segment without a spill file");
+/// Reads segment `seg` of the spill file at `path` and hands each
+/// row's codec bytes to `row`. The error names the file and the offset.
+fn read_rows(
+    file: &mut File,
+    path: &Path,
+    seg: SegRef,
+    row: impl FnMut(&mut Dec<'_>) -> Result<(), FrameError>,
+) -> Result<(), String> {
+    let fail = |what: &str, e: &dyn std::fmt::Display| {
+        let path = path.display();
+        format!(
+            "spill segment at offset {} of {path} is {what}: {e}",
+            seg.offset
+        )
+    };
     let mut blob = vec![0u8; seg.len as usize];
     file.seek(SeekFrom::Start(seg.offset))
-        .expect("seek spill file");
-    file.read_exact(&mut blob).expect("read spill segment");
-    decode_segment(&blob, seg)
-        .unwrap_or_else(|e| panic!("spill segment corrupt at offset {}: {e}", seg.offset))
+        .and_then(|_| file.read_exact(&mut blob))
+        .map_err(|e| fail("unreadable", &e))?;
+    decode_rows(&blob, seg, row).map_err(|e| fail("invalid", &e))
 }
 
-fn decode_segment<T: SpillRow>(blob: &[u8], seg: SegRef) -> Result<Vec<T>, FrameError> {
+/// Checks a segment blob (its CRC, one frame record, its row count) and
+/// hands each row to `row`, in order.
+fn decode_rows(
+    blob: &[u8],
+    seg: SegRef,
+    mut row: impl FnMut(&mut Dec<'_>) -> Result<(), FrameError>,
+) -> Result<(), FrameError> {
     if crc32(blob) != seg.crc {
         return Err(FrameError::Codec("segment blob CRC mismatch"));
     }
@@ -568,26 +552,23 @@ fn decode_segment<T: SpillRow>(blob: &[u8], seg: SegRef) -> Result<Vec<T>, Frame
         return Err(FrameError::Codec("trailing record in segment blob"));
     }
     let mut d = Dec::new(payload);
-    let n = d.u64()?;
-    if n != seg.rows {
+    if d.u64()? != seg.rows {
         return Err(FrameError::Codec("segment row count mismatch"));
     }
-    let mut rows = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        rows.push(T::dec_row(&mut d)?);
+    for _ in 0..seg.rows {
+        row(&mut d)?;
     }
-    d.finish()?;
-    Ok(rows)
+    d.finish()
 }
 
-enum Cur<'a, R: Resident> {
+enum Cur<'a, R> {
     Rows(&'a Chunked<R>),
-    Loaded(Arc<Vec<R::Row>>),
+    Loaded(Arc<Vec<R>>),
 }
 
-/// Iterator over a [`RowLog`], yielding owned persisted rows in append
+/// Iterator over a [`RowLog`], yielding each row's view in append
 /// order.
-pub struct RowLogIter<'a, R: Resident> {
+pub struct RowLogIter<'a, R: LogRow> {
     log: &'a RowLog<R>,
     ctx: &'a R::Ctx,
     /// Segment the cursor is in (spilled, then warm, then the tail),
@@ -599,20 +580,22 @@ pub struct RowLogIter<'a, R: Resident> {
     remaining: usize,
 }
 
-impl<R: Resident> Iterator for RowLogIter<'_, R> {
-    type Item = R::Row;
+impl<'a, R: LogRow> Iterator for RowLogIter<'a, R> {
+    type Item = R::View<'a>;
 
-    fn next(&mut self) -> Option<R::Row> {
+    fn next(&mut self) -> Option<R::View<'a>> {
         while self.remaining > 0 {
-            let cur = self.cur.get_or_insert_with(|| self.log.seg_cur(self.seg));
+            let cur = self
+                .cur
+                .get_or_insert_with(|| self.log.seg_cur(self.seg, self.ctx));
             let row = match cur {
-                Cur::Rows(c) => (self.at < c.len()).then(|| c[self.at].unpack(self.ctx)),
-                Cur::Loaded(a) => a.get(self.at).cloned(),
+                Cur::Rows(c) => (self.at < c.len()).then(|| &c[self.at]),
+                Cur::Loaded(a) => a.get(self.at),
             };
-            if row.is_some() {
+            if let Some(row) = row {
                 self.at += 1;
                 self.remaining -= 1;
-                return row;
+                return Some(row.view(self.ctx));
             }
             self.cur = None;
             self.at = 0;
@@ -626,33 +609,42 @@ impl<R: Resident> Iterator for RowLogIter<'_, R> {
     }
 }
 
-impl<R: Resident> ExactSizeIterator for RowLogIter<'_, R> {}
+impl<R: LogRow> ExactSizeIterator for RowLogIter<'_, R> {}
 
 // --- Row codecs -----------------------------------------------------
 //
 // These are the persistent field-by-field formats for the three crawl
-// logs, shared by spill segments and checkpoint snapshots.
+// logs, shared by spill segments and checkpoint snapshots. Each is the
+// codec of the owned crawl, whatever form a log holds it in.
 
-/// An offer observation with borrowed strings: the one offer codec.
-/// `SpillRow for ScrapedOffer` encodes and decodes through it, the
-/// dataset's interned offer row encodes through it, and a restore
-/// decodes snapshot rows through it, so spill segments and snapshot
-/// sections carry the same bytes whichever form the row was held in.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct OfferFields<'a> {
+/// An offer observation with borrowed strings: the one offer view and
+/// codec. The dataset's readers yield it, and its rows and restores
+/// write and read through it the bytes an owned [`ScrapedOffer`] would.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OfferFields<'a> {
+    /// Which IIP's wall it was seen on.
     pub iip: IipId,
+    /// Wall-scoped offer key.
     pub offer_key: u64,
+    /// Offer description as shown on the wall.
     pub description: &'a str,
+    /// Reward in the wall's currency.
     pub reward: RewardValue,
+    /// Advertised package.
     pub package: &'a str,
+    /// Play Store URL of the advertised app.
     pub store_url: &'a str,
+    /// When it was seen.
     pub seen_at: SimTime,
+    /// Affiliate app whose wall showed it.
     pub affiliate: &'a str,
+    /// Vantage point (VPN exit country) it was seen from.
     pub vantage: Country,
 }
 
 impl<'a> OfferFields<'a> {
-    pub(crate) fn enc(self, e: &mut Enc) {
+    /// Writes the observation's codec bytes.
+    pub fn enc(self, e: &mut Enc) {
         e.u8(self.iip as u8).u64(self.offer_key);
         e.str(self.description);
         match self.reward {
@@ -685,34 +677,24 @@ impl<'a> OfferFields<'a> {
         })
     }
 
-    /// [`SpillRow::approx_bytes`] of the owned observation.
-    pub(crate) fn approx_bytes(self) -> usize {
-        std::mem::size_of::<ScrapedOffer>()
-            + self.description.len()
-            + self.package.len()
-            + self.store_url.len()
-            + self.affiliate.len()
-    }
-
-    pub(crate) fn to_offer(self) -> ScrapedOffer {
-        ScrapedOffer {
-            iip: self.iip,
-            raw: RawOffer {
-                offer_key: self.offer_key,
-                description: self.description.to_string(),
-                reward: self.reward,
-                package: self.package.to_string(),
-                store_url: self.store_url.to_string(),
-            },
-            seen_at: self.seen_at,
-            affiliate: self.affiliate.to_string(),
-            vantage: self.vantage,
-        }
+    /// Accounted bytes of the owned observation, the struct plus its
+    /// four heap strings, as a row keeps them (saturating).
+    pub(crate) fn accounted_bytes(self) -> u32 {
+        let strings = [
+            self.description,
+            self.package,
+            self.store_url,
+            self.affiliate,
+        ];
+        let bytes =
+            std::mem::size_of::<ScrapedOffer>() + strings.map(str::len).iter().sum::<usize>();
+        u32::try_from(bytes).unwrap_or(u32::MAX)
     }
 }
 
 impl ScrapedOffer {
-    pub(crate) fn fields(&self) -> OfferFields<'_> {
+    /// The observation's fields, borrowed.
+    pub fn fields(&self) -> OfferFields<'_> {
         OfferFields {
             iip: self.iip,
             offer_key: self.raw.offer_key,
@@ -727,26 +709,11 @@ impl ScrapedOffer {
     }
 }
 
-impl SpillRow for ScrapedOffer {
-    fn enc_row(&self, e: &mut Enc) {
-        self.fields().enc(e);
-    }
-
-    fn dec_row(d: &mut Dec) -> Result<ScrapedOffer, FrameError> {
-        Ok(OfferFields::dec(d)?.to_offer())
-    }
-
-    fn approx_bytes(&self) -> usize {
-        self.fields().approx_bytes()
-    }
-}
-
-/// A profile crawl with borrowed strings: the one profile codec.
-/// `SpillRow for ProfileSnapshot` encodes through it, and so do the
-/// dataset's interned profile rows and the snapshot PROFILES section,
-/// so every form of a profile writes the same bytes. It is also what
-/// the dataset's profile readers yield: a decoded crawl whose strings
-/// borrow the dataset's symbol tables.
+/// A profile crawl with borrowed strings: the one profile codec. The
+/// dataset's interned profile rows and the snapshot PROFILES section
+/// encode through it, so every form of a profile writes the same bytes.
+/// It is also what the dataset's profile readers yield: a decoded crawl
+/// whose strings borrow the dataset's symbol tables.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProfileFields<'a> {
     /// Crawl day (simulated).
@@ -779,7 +746,7 @@ pub struct ProfileFields<'a> {
 
 impl<'a> ProfileFields<'a> {
     /// Writes the crawl's codec bytes.
-    pub(crate) fn enc(self, e: &mut Enc) {
+    pub fn enc(self, e: &mut Enc) {
         e.u64(self.day);
         e.str(self.package).str(self.title).str(self.genre_id);
         e.u64(self.released_day)
@@ -810,25 +777,6 @@ impl<'a> ProfileFields<'a> {
             rating_count: d.u64()?,
         })
     }
-
-    /// The owned snapshot.
-    pub fn to_snapshot(self) -> ProfileSnapshot {
-        ProfileSnapshot {
-            day: self.day,
-            package: self.package.to_string(),
-            title: self.title.to_string(),
-            genre_id: self.genre_id.to_string(),
-            released_day: self.released_day,
-            min_installs: self.min_installs,
-            developer_id: self.developer_id,
-            developer_name: self.developer_name.to_string(),
-            developer_country: self.developer_country.to_string(),
-            developer_email: self.developer_email.to_string(),
-            developer_website: self.developer_website.to_string(),
-            rating: self.rating,
-            rating_count: self.rating_count,
-        }
-    }
 }
 
 impl ProfileSnapshot {
@@ -852,63 +800,6 @@ impl ProfileSnapshot {
     }
 }
 
-impl SpillRow for ProfileSnapshot {
-    fn enc_row(&self, e: &mut Enc) {
-        self.fields().enc(e);
-    }
-
-    fn dec_row(d: &mut Dec) -> Result<ProfileSnapshot, FrameError> {
-        Ok(ProfileFields::dec(d)?.to_snapshot())
-    }
-
-    fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<ProfileSnapshot>()
-            + self.package.len()
-            + self.title.len()
-            + self.genre_id.len()
-            + self.developer_name.len()
-            + self.developer_country.len()
-            + self.developer_email.len()
-            + self.developer_website.len()
-    }
-}
-
-impl SpillRow for ChartSnapshot {
-    fn enc_row(&self, e: &mut Enc) {
-        e.u64(self.day)
-            .str(self.chart)
-            .u64(self.entries.len() as u64);
-        for (pkg, rank) in &self.entries {
-            e.str(pkg).u64(*rank as u64);
-        }
-    }
-
-    fn dec_row(d: &mut Dec) -> Result<ChartSnapshot, FrameError> {
-        let day = d.u64()?;
-        let chart = chart_id_from_str(d.str()?)?;
-        let n = d.u64()?;
-        let mut entries = Vec::new();
-        for _ in 0..n {
-            let pkg = d.str()?.to_string();
-            entries.push((pkg, d.u64()? as usize));
-        }
-        Ok(ChartSnapshot {
-            day,
-            chart,
-            entries,
-        })
-    }
-
-    fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<ChartSnapshot>()
-            + self
-                .entries
-                .iter()
-                .map(|(pkg, _)| pkg.len() + std::mem::size_of::<(String, usize)>())
-                .sum::<usize>()
-    }
-}
-
 /// A log's resident suffix as a snapshot section carries it: the
 /// section body (row count, then each row's codec bytes), copied out of
 /// the snapshot and checked to decode row by row. A restore decodes it
@@ -921,26 +812,24 @@ impl SavedRows {
     /// Checks an offer section body and keeps it.
     pub fn offers(body: &[u8]) -> Result<SavedRows, FrameError> {
         let rows = SavedRows(body.to_vec());
-        rows.read(OfferFields::dec, drop)?;
-        Ok(rows)
+        rows.read(|d| OfferFields::dec(d).map(drop)).map(|()| rows)
     }
 
     /// Checks a chart section body and keeps it.
     pub fn charts(body: &[u8]) -> Result<SavedRows, FrameError> {
         let rows = SavedRows(body.to_vec());
-        rows.read(ChartSnapshot::dec_row, drop)?;
-        Ok(rows)
+        rows.read(|d| dec_chart(d, |_, _| Ok(())).map(drop))
+            .map(|()| rows)
     }
 
-    /// Decodes every row with `row` and hands it to `f`, in order.
-    pub(crate) fn read<'a, T>(
+    /// Hands each row's codec bytes to `row`, in order.
+    pub(crate) fn read<'a>(
         &'a self,
-        mut row: impl FnMut(&mut Dec<'a>) -> Result<T, FrameError>,
-        mut f: impl FnMut(T),
+        mut row: impl FnMut(&mut Dec<'a>) -> Result<(), FrameError>,
     ) -> Result<(), FrameError> {
         let mut d = Dec::new(&self.0);
         for _ in 0..d.u64()? {
-            f(row(&mut d)?);
+            row(&mut d)?;
         }
         d.finish()
     }
@@ -961,17 +850,51 @@ fn country_from_code(code: &str) -> Result<Country, FrameError> {
         .ok_or(FrameError::Codec("unknown country code"))
 }
 
-fn chart_id_from_str(s: &str) -> Result<&'static str, FrameError> {
-    ChartKind::ALL
-        .iter()
-        .find(|k| k.id() == s)
-        .map(|k| k.id())
-        .ok_or(FrameError::Codec("unknown chart id"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crawler::ChartSnapshot;
+    use crate::parsers::RawOffer;
+    use iiscope_playstore::ChartKind;
+
+    /// The owned observation as its own row form: the oracle the
+    /// interned logs are checked against.
+    impl LogRow for ScrapedOffer {
+        type Ctx = ();
+        type View<'a> = ScrapedOffer;
+
+        fn accounted_bytes(&self) -> usize {
+            self.fields().accounted_bytes() as usize
+        }
+
+        fn encode(&self, _: &(), e: &mut Enc) {
+            self.fields().enc(e);
+        }
+
+        fn decode(d: &mut Dec<'_>, _: &()) -> Result<ScrapedOffer, FrameError> {
+            OfferFields::dec(d).map(owned)
+        }
+
+        fn view(&self, _: &()) -> ScrapedOffer {
+            self.clone()
+        }
+    }
+
+    fn owned(o: OfferFields<'_>) -> ScrapedOffer {
+        ScrapedOffer {
+            iip: o.iip,
+            raw: RawOffer {
+                offer_key: o.offer_key,
+                description: o.description.to_string(),
+                reward: o.reward,
+                package: o.package.to_string(),
+                store_url: o.store_url.to_string(),
+            },
+            seen_at: o.seen_at,
+            affiliate: o.affiliate.to_string(),
+            vantage: o.vantage,
+        }
+    }
 
     fn offer(key: u64, day: u64) -> ScrapedOffer {
         ScrapedOffer {
@@ -995,7 +918,12 @@ mod tests {
         log.enc_resident(&(), &mut e);
         let mut rows = Vec::new();
         let saved = SavedRows(e.into_bytes());
-        saved.read(ScrapedOffer::dec_row, |o| rows.push(o)).unwrap();
+        saved
+            .read(|d| {
+                rows.push(owned(OfferFields::dec(d)?));
+                Ok(())
+            })
+            .unwrap();
         rows
     }
 
@@ -1009,7 +937,7 @@ mod tests {
 
     #[test]
     fn resident_log_round_trips_without_a_file() {
-        let mut log: RowLog<ScrapedOffer> = RowLog::new();
+        let mut log: RowLog<ScrapedOffer> = RowLog::default();
         for k in 0..100 {
             log.push(offer(k, k), &());
         }
@@ -1025,7 +953,7 @@ mod tests {
     #[test]
     fn tiny_budget_spills_and_iteration_is_unchanged() {
         let path = tmpfile("budget");
-        let mut log: RowLog<ScrapedOffer> = RowLog::new();
+        let mut log: RowLog<ScrapedOffer> = RowLog::default();
         log.configure(Some(16 * 1024), path.clone(), &());
         let want: Vec<ScrapedOffer> = (0..2_000).map(|k| offer(k, k % 90)).collect();
         for o in &want {
@@ -1056,7 +984,7 @@ mod tests {
         // fails even as root.
         let blocker = tmpfile("blocker");
         std::fs::write(&blocker, b"not a directory").unwrap();
-        let mut log: RowLog<ScrapedOffer> = RowLog::new();
+        let mut log: RowLog<ScrapedOffer> = RowLog::default();
         log.configure(Some(8 * 1024), blocker.join("spill").join("x.spill"), &());
         let want: Vec<ScrapedOffer> = (0..500).map(|k| offer(k, k % 90)).collect();
         for o in &want {
@@ -1080,7 +1008,7 @@ mod tests {
         let up: PathBuf = cwd.components().skip(1).map(|_| "..").collect();
         let relative = up.join(target.strip_prefix("/").unwrap());
         assert!(relative.is_relative());
-        let mut log: RowLog<ScrapedOffer> = RowLog::new();
+        let mut log: RowLog<ScrapedOffer> = RowLog::default();
         log.configure(Some(8 * 1024), relative.clone(), &());
         for k in 0..500 {
             log.push(offer(k, k % 90), &());
@@ -1093,7 +1021,7 @@ mod tests {
     #[test]
     fn attach_restores_and_rejects_corruption() {
         let path = tmpfile("attach");
-        let mut log: RowLog<ScrapedOffer> = RowLog::new();
+        let mut log: RowLog<ScrapedOffer> = RowLog::default();
         log.configure(Some(8 * 1024), path.clone(), &());
         let want: Vec<ScrapedOffer> = (0..1_500).map(|k| offer(k, k % 90)).collect();
         for o in &want {
@@ -1111,9 +1039,9 @@ mod tests {
                 .unwrap();
         }
 
-        let mut restored: RowLog<ScrapedOffer> = RowLog::new();
+        let mut restored: RowLog<ScrapedOffer> = RowLog::default();
         restored
-            .attach(&manifest)
+            .attach(&manifest, |d| OfferFields::dec(d).map(drop))
             .expect("attach verified manifest");
         for o in &suffix {
             restored.push(o.clone(), &());
@@ -1134,15 +1062,16 @@ mod tests {
         let mid = (manifest.segments[0].offset + manifest.segments[0].len / 2) as usize;
         bytes[mid] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
-        let mut corrupt: RowLog<ScrapedOffer> = RowLog::new();
-        assert!(corrupt.attach(&manifest).is_err());
+        let mut corrupt: RowLog<ScrapedOffer> = RowLog::default();
+        let err = corrupt.attach(&manifest, |d| OfferFields::dec(d).map(drop));
+        assert!(err.unwrap_err().contains("is invalid"));
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn iter_from_matches_skip_at_every_position() {
         let path = tmpfile("iter-from");
-        let mut log: RowLog<ScrapedOffer> = RowLog::new();
+        let mut log: RowLog<ScrapedOffer> = RowLog::default();
         log.configure(Some(16 * 1024), path.clone(), &());
         let want: Vec<ScrapedOffer> = (0..1_200).map(|k| offer(k, k / 40)).collect();
         for o in &want {
@@ -1171,7 +1100,7 @@ mod tests {
     #[test]
     fn iter_from_past_spilled_prefix_never_touches_disk() {
         let path = tmpfile("iter-cold");
-        let mut log: RowLog<ScrapedOffer> = RowLog::new();
+        let mut log: RowLog<ScrapedOffer> = RowLog::default();
         log.configure(Some(16 * 1024), path.clone(), &());
         for k in 0..2_000 {
             log.push(offer(k, k % 90), &());
@@ -1201,7 +1130,7 @@ mod tests {
             since_day in 0u64..32,
         ) {
             let path = tmpfile(&format!("prop-{n_rows}-{budget_kib}-{since_day}"));
-            let mut log: RowLog<ScrapedOffer> = RowLog::new();
+            let mut log: RowLog<ScrapedOffer> = RowLog::default();
             // budget_kib < 4 means "unbounded" (no spilling at all);
             // otherwise budgets from 4 KiB up sweep the spill/resident
             // boundary across the log.
@@ -1236,11 +1165,18 @@ mod tests {
             entries: vec![("com.a".into(), 1), ("com.b".into(), 2)],
         };
         let mut e = Enc::new();
-        chart.enc_row(&mut e);
+        e.u64(chart.day).str(chart.chart).u64(2);
+        e.str("com.a").u64(1).str("com.b").u64(2);
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes);
-        assert_eq!(ChartSnapshot::dec_row(&mut d).unwrap(), chart);
+        let mut back = Vec::new();
+        let (day, id) = dec_chart(&mut d, |p, r| {
+            back.push((p.to_string(), r as usize));
+            Ok(())
+        })
+        .unwrap();
         d.finish().unwrap();
+        assert_eq!((day, id, back), (chart.day, chart.chart, chart.entries));
 
         let profile = ProfileSnapshot {
             day: 3,
@@ -1258,10 +1194,33 @@ mod tests {
             rating_count: 9,
         };
         let mut e = Enc::new();
-        profile.enc_row(&mut e);
+        profile.fields().enc(&mut e);
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes);
-        assert_eq!(ProfileSnapshot::dec_row(&mut d).unwrap(), profile);
+        assert_eq!(ProfileFields::dec(&mut d).unwrap(), profile.fields());
         d.finish().unwrap();
+    }
+
+    #[test]
+    fn a_truncated_spill_file_is_named_on_reload() {
+        let path = tmpfile("truncated");
+        let mut log: RowLog<ScrapedOffer> = RowLog::default();
+        log.configure(Some(8 * 1024), path.clone(), &());
+        for k in 0..500 {
+            log.push(offer(k, k % 90), &());
+        }
+        assert!(log.stats().spilled_segments > 0);
+        let file = OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(0).unwrap();
+        let panic =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| log.iter(&()).count()))
+                .expect_err("reading a truncated spill file must fail");
+        let msg = panic.downcast_ref::<String>().expect("a formatted message");
+        let want = format!(
+            "spill segment at offset 0 of {} is unreadable",
+            path.display()
+        );
+        assert!(msg.starts_with(&want), "{msg}");
+        let _ = std::fs::remove_file(&path);
     }
 }

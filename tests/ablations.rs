@@ -152,8 +152,7 @@ fn ablation_vantage_points_control_geo_coverage() {
         artifacts
             .dataset
             .unique_offers()
-            .into_iter()
-            .map(|o| (o.iip, o.raw.offer_key))
+            .map(|o| (o.iip, o.offer_key))
             .collect::<std::collections::BTreeSet<_>>()
             .len()
     };

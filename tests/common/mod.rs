@@ -3,6 +3,10 @@
 
 #![allow(dead_code)]
 
+use iiscope::subsystems::monitor::export::{
+    write_charts_csv, write_offers_csv, write_profiles_csv,
+};
+use iiscope::subsystems::monitor::Dataset;
 use iiscope::{HoneyStudy, WildArtifacts, World, WorldConfig};
 use std::path::PathBuf;
 
@@ -27,6 +31,20 @@ pub fn run_study(cfg: WorldConfig) -> (World, WildArtifacts, HoneyStudy) {
         .expect("honey study");
     let artifacts = world.run_wild_study().expect("wild study");
     (world, artifacts, honey)
+}
+
+/// The dataset's offers, profiles and charts CSVs, rendered in memory.
+pub fn csvs(ds: &Dataset) -> [String; 3] {
+    let render = |write: fn(&Dataset, &mut Vec<u8>) -> std::io::Result<usize>| {
+        let mut out = Vec::new();
+        write(ds, &mut out).expect("writing to a Vec cannot fail");
+        String::from_utf8(out).expect("CSV fields are UTF-8")
+    };
+    [
+        render(write_offers_csv),
+        render(write_profiles_csv),
+        render(write_charts_csv),
+    ]
 }
 
 /// A unique, self-cleaning scratch directory per test case.

@@ -12,7 +12,6 @@ mod common;
 
 use common::reduced;
 use iiscope::experiments;
-use iiscope::subsystems::monitor::export;
 use iiscope::{World, WorldConfig};
 
 #[test]
@@ -24,11 +23,7 @@ fn parallel_run_matches_sequential_report_and_csv_bytes() {
             .expect("honey study");
         let artifacts = world.run_wild_study().expect("wild study");
         let report = experiments::full_report_incremental(&world, &artifacts, honey);
-        let csv = [
-            export::offers_csv(&artifacts.dataset),
-            export::profiles_csv(&artifacts.dataset),
-            export::charts_csv(&artifacts.dataset),
-        ];
+        let csv = common::csvs(&artifacts.dataset);
         (report, csv, artifacts.dataset.intern_stats())
     };
     let (seq_report, seq_csv, seq_interns) = run(1);

@@ -5,9 +5,11 @@
 //!
 //! Two layers run here:
 //!
-//! * the in-suite **degradation** test — short clean vs hostile runs,
-//!   asserting goodput and p99 bounds plus zero worker deaths — gates
-//!   every PR;
+//! * the in-suite **degradation** tests — short clean vs hostile runs,
+//!   asserting goodput and p99 bounds plus zero worker deaths, and a
+//!   hostile plan that holds every connection permit, which only the
+//!   serve limits that reclaim a held permit or shed a late render
+//!   keep from starving honest clients — gate every PR;
 //! * the `#[ignore]`d **soak** — longer stages, an uncached router so
 //!   renders are expensive enough to trip the watermarks, and a
 //!   `BENCH_overload.json` artifact — runs nightly in CI.
@@ -16,8 +18,11 @@ use iiscope::subsystems::honeyapp::HONEY_PACKAGE;
 use iiscope::subsystems::load::hostile::{HostileMix, HostilePlan};
 use iiscope::subsystems::load::{self, LoadSpec, LoadStage, MixEntry, StageResult};
 use iiscope::subsystems::serve::{ServeConfig, Server, ShedConfig};
+use iiscope::subsystems::wire::http::{Request, Response};
 use iiscope::subsystems::wire::Json;
 use iiscope::{World, WorldConfig};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -172,6 +177,139 @@ fn hostile_mix_degrades_but_does_not_starve_honest_clients() {
         "a worker died under load"
     );
     assert_eq!(server.counters().conn_panics(), 0);
+    server.stop();
+    assert_eq!(server.inflight(), 0);
+}
+
+/// More slowloris and idle connections than the server has permits,
+/// each kind twice `conn_cap`: without a limit that reclaims a held
+/// permit, the pool stays full and honest connections wait in the
+/// listen backlog until they time out.
+fn pool_filling_plan(conn_cap: usize, seed: u64) -> HostilePlan {
+    HostilePlan {
+        aborters: 0,
+        slowloris: 2 * conn_cap,
+        idlers: 2 * conn_cap,
+        flooders: 0,
+        // A whole request takes ~9 s to drip, and every byte renews
+        // the idle clock: only the parse deadline reclaims the permit.
+        drip_ms: 100,
+        seed,
+        targets: vec![format!("/wall/fyber/offers?affiliate={AFFILIATE}")],
+    }
+}
+
+/// Writes `n` APK requests in one write and reads every answer back,
+/// returning the statuses in order (fewer than `n` if the server hung
+/// up or went silent for 10 s).
+fn pipelined_statuses(addr: SocketAddr, n: usize) -> Vec<u16> {
+    let mut conn = TcpStream::connect(addr).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let wire = Request::get(format!("/apk?id={HONEY_PACKAGE}")).encode();
+    conn.write_all(&wire.repeat(n)).unwrap();
+    let (mut buf, mut chunk, mut statuses) = (Vec::new(), [0u8; 16 * 1024], Vec::new());
+    while statuses.len() < n {
+        if let Ok(Some((resp, consumed))) = Response::parse(&buf) {
+            buf.drain(..consumed);
+            statuses.push(resp.status);
+            continue;
+        }
+        match conn.read(&mut chunk) {
+            Ok(n) if n > 0 => buf.extend_from_slice(&chunk[..n]),
+            _ => break,
+        }
+    }
+    statuses
+}
+
+/// The permit-pool gate: a hostile plan holds every connection permit
+/// of a small server, so honest clients get in only because the serve
+/// limits free held permits — the parse deadline 408s a dripping
+/// request, the idle timeout closes a silent connection — and a
+/// pipelined batch's late requests are shed before render (the
+/// pre-render deadline) instead of rendering past their budget.
+/// Disabling any one of those three limits fails this test.
+#[test]
+fn a_plan_holding_every_permit_cannot_starve_honest_clients() {
+    const CONN_CAP: usize = 8;
+    const BATCH: usize = 200;
+    let world = world();
+    let cfg = ServeConfig {
+        workers: 2,
+        conn_cap: CONN_CAP,
+        idle_timeout: Duration::from_millis(300),
+        sim_now: world.study_end(),
+        shed: ShedConfig {
+            // A pipelined batch of uncached renders outlasts this
+            // budget many times over, in debug and release builds; a
+            // single request is parsed and dispatched well within it.
+            deadline: Some(Duration::from_micros(100)),
+            ..ShedConfig::default()
+        },
+        ..ServeConfig::default()
+    };
+    let server = Server::start("127.0.0.1:0", cfg, world.serve_router_uncached()).unwrap();
+    let addr = server.local_addr();
+    let mix = HostileMix::launch(addr, &pool_filling_plan(CONN_CAP, 42));
+    // Let the hostile clients take every permit before honest traffic
+    // queues up behind them.
+    std::thread::sleep(Duration::from_millis(200));
+    let batch = std::thread::spawn(move || pipelined_statuses(addr, BATCH));
+    let spec = LoadSpec {
+        stages: vec![LoadStage { qps: 100, secs: 3 }],
+        conns: 4,
+        mix: honest_mix(),
+        seed: 42,
+    };
+    let honest = summarize(&load::run(addr, &spec).unwrap());
+    let statuses = batch.join().unwrap();
+    let hstats = mix.stop();
+    let c = server.counters();
+    eprintln!(
+        "permit pool: honest goodput {:.0} rps, p99 {}us, {} sheds; batch {} answered, {} shed; \
+         server 408s {}, idle closes {}, deadline sheds {}",
+        honest.goodput_rps,
+        honest.p99_us,
+        honest.sheds,
+        statuses.len(),
+        statuses.iter().filter(|&&s| s == 503).count(),
+        c.deadline_408s(),
+        c.idle_timeouts(),
+        c.sheds_deadline()
+    );
+
+    // Honest clients were served: no hard errors, and at least half the
+    // offered load answered 2xx despite the wait for a first permit.
+    assert_eq!(honest.errors, 0, "honest clients saw hard errors");
+    assert!(
+        honest.goodput_rps >= 50.0,
+        "honest goodput {:.0} rps of 100 offered",
+        honest.goodput_rps
+    );
+    // The pipelined batch was answered in full, its late requests shed
+    // before render rather than rendered past their budget.
+    assert_eq!(statuses.len(), BATCH, "the pipelined batch went unanswered");
+    assert!(
+        statuses.iter().all(|&s| s == 200 || s == 503),
+        "the pipelined batch saw {statuses:?}"
+    );
+    assert!(
+        statuses.contains(&503) && c.sheds_deadline() > 0,
+        "no late pipelined request was shed before render"
+    );
+    // The hostile clients did their jobs, and the limits that reclaim
+    // their permits acted: dripping requests were cut off and silent
+    // connections closed.
+    assert!(hstats.drip_bytes > 0, "slowloris never dripped");
+    assert!(hstats.idle_sessions > 0, "idlers never parked");
+    assert!(
+        c.deadline_408s() > 0,
+        "no dripping request hit the deadline"
+    );
+    assert!(c.idle_timeouts() > 0, "no silent connection timed out");
+    assert_eq!(c.worker_respawns(), 0, "a worker died under load");
+    assert_eq!(c.conn_panics(), 0);
     server.stop();
     assert_eq!(server.inflight(), 0);
 }

@@ -727,7 +727,16 @@ fn parse_csv(input: &str) -> Vec<Vec<String>> {
 }
 
 use iiscope::subsystems::monitor::crawler::ProfileSnapshot;
-use iiscope::subsystems::monitor::export::{charts_csv, offers_csv, profiles_csv};
+use iiscope::subsystems::monitor::export::{
+    write_charts_csv, write_offers_csv, write_profiles_csv,
+};
+
+/// Renders one of the dataset's CSVs into a `String`.
+fn csv(write: fn(&Dataset, &mut Vec<u8>) -> std::io::Result<usize>, ds: &Dataset) -> String {
+    let mut out = Vec::new();
+    write(ds, &mut out).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("CSV fields are UTF-8")
+}
 use iiscope::subsystems::monitor::parsers::{RawOffer, RewardValue, ScrapedOffer};
 use iiscope::subsystems::monitor::Dataset;
 use iiscope::subsystems::playstore::engagement::{
@@ -775,19 +784,19 @@ proptest! {
             rating_count: 12,
         });
 
-        let offers = parse_csv(&offers_csv(&ds));
+        let offers = parse_csv(&csv(write_offers_csv, &ds));
         prop_assert_eq!(offers.len(), 2, "header + 1 data row");
         prop_assert_eq!(offers[0].len(), offers[1].len(), "rectangular");
         prop_assert_eq!(offers[1][4].as_str(), affiliate.as_str());
         prop_assert_eq!(offers[1][6].as_str(), description.as_str());
 
-        let profiles = parse_csv(&profiles_csv(&ds));
+        let profiles = parse_csv(&csv(write_profiles_csv, &ds));
         prop_assert_eq!(profiles.len(), 2);
         prop_assert_eq!(profiles[0].len(), profiles[1].len());
         prop_assert_eq!(profiles[1][2].as_str(), title.as_str());
         prop_assert_eq!(profiles[1][10].as_str(), "4.2", "rating printed to 1 decimal");
 
-        let charts = parse_csv(&charts_csv(&ds));
+        let charts = parse_csv(&csv(write_charts_csv, &ds));
         prop_assert_eq!(charts.len(), 1, "header only — no chart snapshots added");
     }
 
@@ -876,8 +885,8 @@ proptest! {
 
 use iiscope::aggregates::ReportAggregates;
 use iiscope::checkpoint::{Snapshot, SnapshotRef};
-use iiscope::subsystems::monitor::spill::{RowLog, SpillRow};
-use iiscope::subsystems::types::frame::Enc;
+use iiscope::subsystems::monitor::spill::{LogRow, RowLog};
+use iiscope::subsystems::types::frame::{Dec, Enc};
 use iiscope::subsystems::wire::ClientState;
 use proptest::test_runner::TestCaseError;
 
@@ -974,28 +983,69 @@ fn snapshot_of(ds: &Dataset, aggregates: &ReportAggregates) -> Vec<u8> {
     bytes
 }
 
-/// `ds` holds exactly `oracle`: iteration rebuilds every observation,
+/// Whether some section of `snapshot` has exactly `body` as its body.
+fn has_section(snapshot: &[u8], body: &Enc) -> bool {
+    let mut reader = FrameReader::new(snapshot).expect("fresh snapshot frames");
+    let mut found = false;
+    while let Some(record) = reader.next_record().expect("fresh snapshot records") {
+        // A section is its tag byte, then its body.
+        found |= record.get(1..) == Some(body.bytes());
+    }
+    found
+}
+
+/// `ds` holds exactly `oracle`: iteration yields every observation,
 /// and its snapshot's OFFERS section is the owned-row codec over the
 /// oracle rows past the spilled prefix. Returns the snapshot.
 fn check_offer_log(ds: &Dataset, oracle: &[ScrapedOffer]) -> Result<Vec<u8>, TestCaseError> {
     prop_assert_eq!(ds.offers().len(), oracle.len());
-    prop_assert_eq!(ds.offers().collect::<Vec<_>>(), oracle.to_vec());
+    prop_assert_eq!(
+        ds.offers().collect::<Vec<_>>(),
+        oracle.iter().map(ScrapedOffer::fields).collect::<Vec<_>>()
+    );
     let spilled: u64 = ds.offers_spill().segments.iter().map(|s| s.rows).sum();
     let suffix = &oracle[spilled as usize..];
     let mut section = Enc::new();
     section.u64(suffix.len() as u64);
     for o in suffix {
-        o.enc_row(&mut section);
+        o.fields().enc(&mut section);
     }
     let bytes = snapshot_of(ds, &ReportAggregates::new());
-    let mut reader = FrameReader::new(&bytes).expect("fresh snapshot frames");
-    let mut found = false;
-    while let Some(record) = reader.next_record().expect("fresh snapshot records") {
-        // A section is its tag byte, then its body.
-        found |= record.get(1..) == Some(section.bytes());
-    }
-    prop_assert!(found, "no snapshot section holds the oracle's offer rows");
+    prop_assert!(
+        has_section(&bytes, &section),
+        "no snapshot section holds the oracle's offer rows"
+    );
     Ok(bytes)
+}
+
+/// An owned observation as its own log row: the segment-layout oracle.
+/// Its accounted size is the struct plus its four heap strings, as the
+/// interned rows claim to keep.
+#[derive(Debug)]
+struct OwnedOffer(ScrapedOffer);
+
+impl LogRow for OwnedOffer {
+    type Ctx = ();
+    type View<'a> = ();
+
+    fn accounted_bytes(&self) -> usize {
+        let o = &self.0;
+        std::mem::size_of::<ScrapedOffer>()
+            + o.raw.description.len()
+            + o.raw.package.len()
+            + o.raw.store_url.len()
+            + o.affiliate.len()
+    }
+
+    fn encode(&self, _: &(), e: &mut Enc) {
+        self.0.fields().enc(e);
+    }
+
+    fn decode(_: &mut Dec<'_>, _: &()) -> Result<OwnedOffer, FrameError> {
+        Err(FrameError::Codec("the layout oracle is never read back"))
+    }
+
+    fn view(&self, _: &()) {}
 }
 
 static PARITY_RUN: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
@@ -1027,10 +1077,10 @@ proptest! {
         }
         // Same segments on disk (rows, offsets, lengths, blob CRCs) as
         // a log of owned rows under the same budget.
-        let mut owned: RowLog<ScrapedOffer> = RowLog::new();
+        let mut owned: RowLog<OwnedOffer> = RowLog::default();
         owned.configure(Some(4096), dir.join("owned-offers.spill"), &());
         for o in &oracle {
-            owned.push(o.clone(), &());
+            owned.push(OwnedOffer(o.clone()), &());
         }
         prop_assert_eq!(&owned.manifest().segments, &budgeted.offers_spill().segments);
         for ds in [&resident, &budgeted] {
@@ -1102,8 +1152,9 @@ fn profile(spec: ProfileSpec) -> ProfileSnapshot {
 /// the owned-snapshot codec over the oracle.
 fn check_profile_log(ds: &Dataset, oracle: &[ProfileSnapshot]) -> Result<(), TestCaseError> {
     prop_assert_eq!(ds.profiles().len(), oracle.len());
-    let all: Vec<ProfileSnapshot> = ds.profiles().map(ProfileFields::to_snapshot).collect();
-    prop_assert_eq!(&all[..], oracle);
+    let all: Vec<ProfileFields> = ds.profiles().collect();
+    let want: Vec<ProfileFields> = oracle.iter().map(ProfileSnapshot::fields).collect();
+    prop_assert_eq!(all, want);
     let names: std::collections::BTreeSet<&str> =
         oracle.iter().map(|p| p.package.as_str()).collect();
     for name in names {
@@ -1125,15 +1176,13 @@ fn check_profile_log(ds: &Dataset, oracle: &[ProfileSnapshot]) -> Result<(), Tes
     let mut section = Enc::new();
     section.u64(oracle.len() as u64);
     for p in oracle {
-        p.enc_row(&mut section);
+        p.fields().enc(&mut section);
     }
     let bytes = snapshot_of(ds, &ReportAggregates::new());
-    let mut reader = FrameReader::new(&bytes).expect("fresh snapshot frames");
-    let mut found = false;
-    while let Some(record) = reader.next_record().expect("fresh snapshot records") {
-        found |= record.get(1..) == Some(section.bytes());
-    }
-    prop_assert!(found, "no snapshot section holds the oracle's profile rows");
+    prop_assert!(
+        has_section(&bytes, &section),
+        "no snapshot section holds the oracle's profile rows"
+    );
     Ok(())
 }
 
@@ -1179,6 +1228,194 @@ proptest! {
                 .expect("own snapshot restores");
             prop_assert_eq!(restored.package_interner(), ds.package_interner());
             check_profile_log(&restored, &oracle)?;
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+use iiscope::subsystems::monitor::crawler::ChartSnapshot;
+use iiscope::subsystems::monitor::dataset::ChartView;
+use iiscope::subsystems::playstore::ChartKind;
+
+/// One generated chart crawl: `(day, chart)` and its `(package, rank)`
+/// entries. Few days and packages, so days repeat within a chart and
+/// packages repeat across charts; empty charts and non-ASCII packages
+/// are common.
+type ChartSpec = ((u64, usize), Vec<(String, usize)>);
+
+fn arb_chart() -> impl Strategy<Value = ChartSpec> {
+    (
+        (0u64..12, 0usize..ChartKind::ALL.len()),
+        prop::collection::vec(("[ab\u{e9}]{0,3}", 0usize..500), 0..30),
+    )
+}
+
+fn chart((day, kind): (u64, usize), entries: Vec<(String, usize)>) -> ChartSnapshot {
+    ChartSnapshot {
+        day,
+        chart: ChartKind::ALL[kind].id(),
+        entries,
+    }
+}
+
+/// The owned crawl a chart view stands for.
+fn owned_chart(c: ChartView<'_>) -> ChartSnapshot {
+    let entries = c.entries().map(|(p, r)| (p.to_string(), r)).collect();
+    ChartSnapshot {
+        day: c.day,
+        chart: c.chart,
+        entries,
+    }
+}
+
+/// One step of an interleaved ingest: a milk batch or a chart crawl.
+#[derive(Debug, Clone)]
+enum Ingest {
+    Offers(Vec<ObservationSpec>),
+    Chart(ChartSpec),
+}
+
+/// `ds` holds exactly `charts` and the first observations `unique`:
+/// every chart reader, every presence query and every unique-offer
+/// reader answers as the oracle does, and the snapshot's CHARTS section
+/// is the owned-crawl codec over the oracle crawls past the spilled
+/// prefix. Returns the snapshot.
+fn check_charts_and_unique(
+    ds: &Dataset,
+    charts: &[ChartSnapshot],
+    unique: &[ScrapedOffer],
+) -> Result<Vec<u8>, TestCaseError> {
+    prop_assert_eq!(ds.charts().len(), charts.len());
+    prop_assert_eq!(
+        &ds.charts().map(owned_chart).collect::<Vec<_>>()[..],
+        charts
+    );
+    for k in 0..=charts.len() + 1 {
+        let from: Vec<ChartSnapshot> = ds.charts_from(k).map(owned_chart).collect();
+        prop_assert_eq!(
+            &from[..],
+            &charts[k.min(charts.len())..],
+            "charts_from({})",
+            k
+        );
+    }
+    let packages: std::collections::BTreeSet<&str> = charts
+        .iter()
+        .flat_map(|c| c.entries.iter().map(|(p, _)| p.as_str()))
+        .collect();
+    for pkg in packages.iter().copied().chain(["never.charted"]) {
+        for kind in ChartKind::ALL {
+            // Arrival order, then stably by day.
+            let mut want: Vec<(u64, usize)> = charts
+                .iter()
+                .filter(|c| c.chart == kind.id())
+                .flat_map(|c| {
+                    c.entries
+                        .iter()
+                        .filter(|(p, _)| p == pkg)
+                        .map(|&(_, rank)| (c.day, rank))
+                })
+                .collect();
+            want.sort_by_key(|&(day, _)| day);
+            prop_assert_eq!(ds.chart_presence(pkg, kind.id()), want);
+        }
+    }
+    let days: std::collections::BTreeSet<u64> = charts.iter().map(|c| c.day).collect();
+    prop_assert_eq!(ds.chart_days(), &days);
+    let entries: usize = charts.iter().map(|c| c.entries.len()).sum();
+    prop_assert_eq!(ds.chart_entries(), entries);
+
+    prop_assert_eq!(ds.unique_offer_count(), unique.len());
+    prop_assert_eq!(ds.unique_offers().len(), unique.len());
+    let want: Vec<_> = unique.iter().map(ScrapedOffer::fields).collect();
+    prop_assert_eq!(&ds.unique_offers().collect::<Vec<_>>(), &want);
+    for start in 0..=unique.len() + 1 {
+        let from: Vec<_> = ds.unique_offers_with_syms_from(start).collect();
+        prop_assert_eq!(from.len(), unique.len().saturating_sub(start));
+        for (o, pkg, desc) in from {
+            prop_assert_eq!(ds.pkg_name(pkg), o.package);
+            prop_assert_eq!(ds.description_interner().resolve(desc), o.description);
+        }
+    }
+    let with_syms: Vec<_> = ds
+        .unique_offers_with_syms_from(0)
+        .map(|(o, _, _)| o)
+        .collect();
+    prop_assert_eq!(&with_syms, &want);
+
+    let spilled: u64 = ds.charts_spill().segments.iter().map(|s| s.rows).sum();
+    let suffix = &charts[spilled as usize..];
+    let mut section = Enc::new();
+    section.u64(suffix.len() as u64);
+    for c in suffix {
+        section.u64(c.day).str(c.chart).u64(c.entries.len() as u64);
+        for (pkg, rank) in &c.entries {
+            section.str(pkg).u64(*rank as u64);
+        }
+    }
+    let bytes = snapshot_of(ds, &ReportAggregates::new());
+    prop_assert!(
+        has_section(&bytes, &section),
+        "no snapshot section holds the oracle's chart rows"
+    );
+    Ok(bytes)
+}
+
+proptest! {
+    /// The interned chart log and the resident unique offers against a
+    /// `Vec<ChartSnapshot>` and a first-observation `Vec<ScrapedOffer>`
+    /// oracle. Offers and charts interleave into a resident dataset and
+    /// one under a 4 KiB budget; both, and each restored from its own
+    /// snapshot, answer every chart and unique-offer query as the oracle
+    /// does.
+    #[test]
+    fn interned_charts_and_unique_offers_match_vec_oracles(
+        steps in prop::collection::vec(
+            prop_oneof![
+                prop::collection::vec(arb_observation(), 1..8).prop_map(Ingest::Offers),
+                arb_chart().prop_map(Ingest::Chart),
+            ],
+            0..60,
+        ),
+    ) {
+        let run = PARITY_RUN.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir()
+            .join(format!("iiscope-chart-parity-{}-{run}", std::process::id()));
+        let mut resident = Dataset::new();
+        let mut budgeted = Dataset::new();
+        budgeted.set_memory_budget(Some(4096), &dir, "parity");
+        let (mut charts, mut unique, mut seen) = (Vec::new(), Vec::new(), std::collections::BTreeSet::new());
+        for step in steps {
+            match step {
+                Ingest::Offers(specs) => {
+                    let milk: Vec<ScrapedOffer> = specs.into_iter().map(observation).collect();
+                    for o in &milk {
+                        if seen.insert((o.iip, o.raw.offer_key)) {
+                            unique.push(o.clone());
+                        }
+                    }
+                    resident.add_offers(milk.clone());
+                    budgeted.add_offers(milk);
+                }
+                Ingest::Chart((at, entries)) => {
+                    let c = chart(at, entries);
+                    resident.add_chart(c.clone());
+                    budgeted.add_chart(c.clone());
+                    charts.push(c);
+                }
+            }
+        }
+        prop_assert!(budgeted.spill_error().is_none());
+        if charts.iter().map(|c| c.entries.len()).sum::<usize>() >= 400 {
+            prop_assert!(!budgeted.charts_spill().segments.is_empty(), "4 KiB must spill");
+        }
+        for ds in [&resident, &budgeted] {
+            let bytes = check_charts_and_unique(ds, &charts, &unique)?;
+            let snap = Snapshot::decode(&bytes).expect("own snapshot decodes");
+            let restored = Dataset::new()
+                .restored(snap.dataset)
+                .expect("own snapshot restores");
+            check_charts_and_unique(&restored, &charts, &unique)?;
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

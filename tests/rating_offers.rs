@@ -26,7 +26,7 @@ fn rating_offers_flow_end_to_end() {
         .dataset
         .offers()
         .filter(|o| {
-            let d = o.raw.description.to_ascii_lowercase();
+            let d = o.description.to_ascii_lowercase();
             d.contains("star") || d.contains("rate ")
         })
         .collect();
@@ -39,10 +39,10 @@ fn rating_offers_flow_end_to_end() {
     // the paper's taxonomy has no rating class).
     for o in &star_offers {
         assert_eq!(
-            classify_description(&o.raw.description),
+            classify_description(o.description),
             OfferType::Activity(ActivityKind::Usage),
             "{:?}",
-            o.raw.description
+            o.description
         );
     }
 }
@@ -56,11 +56,10 @@ fn default_world_has_no_rating_offers() {
         "the calibrated world must not record incentivized ratings"
     );
     assert!(
-        !artifacts.dataset.offers().any(|o| o
-            .raw
-            .description
-            .to_ascii_lowercase()
-            .contains("star")),
+        !artifacts
+            .dataset
+            .offers()
+            .any(|o| o.description.to_ascii_lowercase().contains("star")),
         "no rating offers on the walls by default"
     );
 }

@@ -220,8 +220,8 @@ fn parallel_fan_out_matches_sequential_under_faults() {
     );
     assert!(seq.dataset.profiles().len() > CRAWL_CHUNK);
     assert_eq!(
-        format!("{:?}", seq.dataset.profiles()),
-        format!("{:?}", par.dataset.profiles()),
+        format!("{:?}", seq.dataset.profiles().collect::<Vec<_>>()),
+        format!("{:?}", par.dataset.profiles().collect::<Vec<_>>()),
         "profile snapshots must not depend on which worker crawled a chunk"
     );
     assert_eq!(seq.apks, par.apks);

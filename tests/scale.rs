@@ -19,7 +19,6 @@ mod common;
 use common::{reduced, run_study};
 use iiscope::chaos::{chaos_config, crash_resume_digest, straight_digest};
 use iiscope::experiments;
-use iiscope::subsystems::monitor::export;
 use iiscope::subsystems::types::Error;
 use iiscope::{World, WorldConfig};
 
@@ -35,11 +34,7 @@ struct RunOut {
 fn run(cfg: WorldConfig) -> RunOut {
     let (world, artifacts, honey) = run_study(cfg);
     let report = experiments::full_report_incremental(&world, &artifacts, honey);
-    let csv = [
-        export::offers_csv(&artifacts.dataset),
-        export::profiles_csv(&artifacts.dataset),
-        export::charts_csv(&artifacts.dataset),
-    ];
+    let csv = common::csvs(&artifacts.dataset);
     // Sampled after the report + export walked the full history, so
     // `reloads` counts the decodes those reads forced.
     let stats = artifacts.dataset.spill_stats();

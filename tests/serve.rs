@@ -16,7 +16,6 @@ mod common;
 use common::reduced;
 use iiscope::experiments;
 use iiscope::subsystems::load::{LatencyLog, StatusTally};
-use iiscope::subsystems::monitor::export;
 use iiscope::subsystems::netsim::{AsnId, AsnKind, HostAddr, PeerInfo};
 use iiscope::subsystems::serve::{AdminHandler, ServeConfig, Server, ShutdownFlag};
 use iiscope::subsystems::types::{Country, SeedFork, SimTime};
@@ -479,11 +478,7 @@ fn run_world(cfg: WorldConfig, serve: bool) -> RunOutput {
     let honey = world.run_honey_study(world.study_start()).unwrap();
     let artifacts = world.run_wild_study().unwrap();
     let report = experiments::full_report_incremental(&world, &artifacts, honey);
-    let csv = [
-        export::offers_csv(&artifacts.dataset),
-        export::profiles_csv(&artifacts.dataset),
-        export::charts_csv(&artifacts.dataset),
-    ];
+    let csv = common::csvs(&artifacts.dataset);
 
     if let Some((server, stop, hammers, router)) = rig {
         stop.store(true, Ordering::Relaxed);
