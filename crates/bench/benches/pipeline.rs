@@ -13,27 +13,27 @@ use std::hint::black_box;
 
 fn bench_milk(c: &mut Criterion) {
     let fx = fixture();
-    let app = &fx.world.affiliate_apps[0];
+    let app = &fx.world().affiliate_apps[0];
     let fuzzer = UiFuzzer::default();
     let mut g = c.benchmark_group("pipeline");
     g.sample_size(20);
     g.bench_function("milk_one_affiliate_app", |b| {
-        b.iter(|| black_box(fx.world.infra.milk(app, Country::Us, &fuzzer).unwrap()))
+        b.iter(|| black_box(fx.world().infra.milk(app, Country::Us, &fuzzer).unwrap()))
     });
     g.finish();
 }
 
 fn bench_crawl(c: &mut Criterion) {
     let fx = fixture();
-    let pkg = fx.world.plan.baseline[0].package.as_str();
+    let pkg = fx.world().plan.baseline[0].package.as_str();
     let mut g = c.benchmark_group("pipeline");
     g.sample_size(20);
     g.bench_function("crawl_one_profile", |b| {
-        let mut crawler = fx.world.crawler();
-        b.iter(|| black_box(crawler.profile(pkg, fx.world.study_start()).unwrap()))
+        let mut crawler = fx.world().crawler();
+        b.iter(|| black_box(crawler.profile(pkg, fx.world().study_start()).unwrap()))
     });
     g.bench_function("crawl_one_apk", |b| {
-        let mut crawler = fx.world.crawler();
+        let mut crawler = fx.world().crawler();
         b.iter(|| black_box(crawler.apk(pkg).unwrap()))
     });
     g.finish();

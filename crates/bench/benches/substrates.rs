@@ -7,8 +7,8 @@ use iiscope_analysis::libradar::count_libraries;
 use iiscope_analysis::stats::{chi2_2x2, chi2_sf};
 use iiscope_attribution::ConversionGoal;
 use iiscope_core::checkpoint::{self, Snapshot, SnapshotRef};
-use iiscope_core::wildsim::{CheckpointPolicy, WildRunOptions, CRAWL_CHUNK};
-use iiscope_core::{World, WorldConfig};
+use iiscope_core::wildsim::{CheckpointPolicy, CRAWL_CHUNK};
+use iiscope_core::{Run, RunOptions, World, WorldConfig};
 use iiscope_devices::AffiliateApp;
 use iiscope_iip::wall::PAGE_SIZE;
 use iiscope_iip::{
@@ -446,24 +446,21 @@ fn bench_framing(c: &mut Criterion) {
     g.finish();
 }
 
-/// Runs the small world's wild study with a snapshot on the last day
+/// Runs the small world's studies with a snapshot on the last day
 /// only, into a temp dir, and returns that snapshot decoded.
 fn last_day_snapshot() -> Snapshot {
     let dir = std::env::temp_dir().join(format!("iiscope-bench-snap-{}", std::process::id()));
-    let world = World::build(WorldConfig::small(31_337)).expect("world build");
-    world
-        .run_honey_study(world.study_start())
-        .expect("honey study");
-    world
-        .run_wild_study_with(WildRunOptions {
-            checkpoint: Some(CheckpointPolicy {
-                dir: dir.clone(),
-                every_days: world.cfg.monitoring_days,
-            }),
-            resume: None,
-            crash: None,
-        })
-        .expect("wild study");
+    let cfg = WorldConfig::small(31_337);
+    let checkpoint = Some(CheckpointPolicy {
+        dir: dir.clone(),
+        every_days: cfg.monitoring_days,
+    });
+    let run = Run::new(cfg).expect("world build");
+    run.study(RunOptions {
+        checkpoint,
+        ..RunOptions::default()
+    })
+    .expect("studies");
     let (snap, _) = checkpoint::load_latest(&dir)
         .expect("scan snapshots")
         .snapshot

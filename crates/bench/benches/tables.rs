@@ -18,28 +18,28 @@ fn bench_tables(c: &mut Criterion) {
     let mut g = c.benchmark_group("tables");
     g.sample_size(20);
     g.bench_function("table1_vetting_probe", |b| {
-        b.iter(|| black_box(Table1::run(&fx.world)))
+        b.iter(|| black_box(Table1::run(fx.world())))
     });
     g.bench_function("table2_integration_matrix", |b| {
-        b.iter(|| black_box(Table2::run(&fx.world, fx.world.cfg.milk_countries[0]).unwrap()))
+        b.iter(|| black_box(Table2::run(fx.world(), fx.world().cfg.milk_countries[0]).unwrap()))
     });
     g.bench_function("table3_offer_types_payouts", |b| {
-        b.iter(|| black_box(Table3::run(&fx.world, &fx.artifacts)))
+        b.iter(|| black_box(Table3::run(fx.world(), &fx.artifacts)))
     });
     g.bench_function("table4_per_iip_summary", |b| {
-        b.iter(|| black_box(Table4::run(&fx.world, &fx.artifacts)))
+        b.iter(|| black_box(Table4::run(fx.world(), &fx.artifacts)))
     });
     g.bench_function("table5_install_increases", |b| {
-        b.iter(|| black_box(Table5::run(&fx.world, &fx.artifacts)))
+        b.iter(|| black_box(Table5::run(fx.world(), &fx.artifacts)))
     });
     g.bench_function("table6_chart_appearances", |b| {
-        b.iter(|| black_box(Table6::run(&fx.world, &fx.artifacts)))
+        b.iter(|| black_box(Table6::run(fx.world(), &fx.artifacts)))
     });
     g.bench_function("table7_funding", |b| {
-        b.iter(|| black_box(Table7::run(&fx.world, &fx.artifacts)))
+        b.iter(|| black_box(Table7::run(fx.world(), &fx.artifacts)))
     });
     g.bench_function("table8_funded_app_offers", |b| {
-        b.iter(|| black_box(Table8::run(&fx.world, &fx.artifacts)))
+        b.iter(|| black_box(Table8::run(fx.world(), &fx.artifacts)))
     });
     g.finish();
 }
@@ -49,13 +49,13 @@ fn bench_figures(c: &mut Criterion) {
     let mut g = c.benchmark_group("figures");
     g.sample_size(20);
     g.bench_function("figure4_baseline_histogram", |b| {
-        b.iter(|| black_box(Figure4::run(&fx.world, &fx.artifacts)))
+        b.iter(|| black_box(Figure4::run(fx.world(), &fx.artifacts)))
     });
     g.bench_function("figure5_case_studies", |b| {
-        b.iter(|| black_box(Figure5::run(&fx.world, &fx.artifacts)))
+        b.iter(|| black_box(Figure5::run(fx.world(), &fx.artifacts)))
     });
     g.bench_function("figure6_ad_library_cdfs", |b| {
-        b.iter(|| black_box(Figure6::run(&fx.world, &fx.artifacts)))
+        b.iter(|| black_box(Figure6::run(fx.world(), &fx.artifacts)))
     });
     g.finish();
 }
@@ -65,10 +65,10 @@ fn bench_sections(c: &mut Criterion) {
     let mut g = c.benchmark_group("sections");
     g.sample_size(20);
     g.bench_function("section3_honey_findings", |b| {
-        b.iter(|| black_box(Section3::run(&fx.world, fx.honey.clone())))
+        b.iter(|| black_box(Section3::run(fx.world(), fx.honey.clone())))
     });
     g.bench_function("section5_enforcement", |b| {
-        b.iter(|| black_box(Section5::run(&fx.world, &fx.artifacts)))
+        b.iter(|| black_box(Section5::run(fx.world(), &fx.artifacts)))
     });
     g.finish();
 }
@@ -78,13 +78,13 @@ fn bench_extensions(c: &mut Criterion) {
     let mut g = c.benchmark_group("extensions");
     g.sample_size(20);
     g.bench_function("monetization_arbitrage", |b| {
-        b.iter(|| black_box(Monetization::run(&fx.world, &fx.artifacts)))
+        b.iter(|| black_box(Monetization::run(fx.world(), &fx.artifacts)))
     });
     g.bench_function("disclosure_round", |b| {
-        b.iter(|| black_box(Disclosure::run(&fx.world, &fx.artifacts)))
+        b.iter(|| black_box(Disclosure::run(fx.world(), &fx.artifacts)))
     });
     g.bench_function("detector_train_eval", |b| {
-        b.iter(|| black_box(DetectorEval::run(&fx.world, &fx.artifacts)))
+        b.iter(|| black_box(DetectorEval::run(fx.world(), &fx.artifacts)))
     });
     g.finish();
 }

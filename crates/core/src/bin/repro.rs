@@ -67,24 +67,17 @@
 //! committed baseline and the run exits `6` on a regression beyond
 //! `--load-tolerance` percent (default 20).
 //!
-//! `--checkpoint-dir DIR` durably snapshots the wild study into `DIR`
-//! every `--checkpoint-every N` sim days (default: the crawl cadence).
-//! `--resume` restores the newest *valid* snapshot from `DIR` —
-//! corrupt or torn snapshots are detected by CRC, logged, and skipped
-//! back to the last good one — and the finished run is byte-identical
-//! to an uninterrupted one, at any worker count.
-//!
-//! Exit codes: `0` success, `1` study/pipeline or I/O error, `2` usage
-//! error (including a flag given without its group's anchor, or a
-//! study-only flag with `--load`; `--help` names both), `3`
-//! checkpoint directory unreadable, `4` snapshots present but none
-//! valid, `5` a valid snapshot exists but its seed/config does not
-//! match this run, `6` the load harness measured a regression beyond
-//! the baseline band.
+//! `--checkpoint-dir DIR` snapshots the wild study into `DIR` every
+//! `--checkpoint-every N` sim days (default: the crawl cadence), and
+//! `--resume` restores the newest valid one; the run
+//! (`iiscope_core::run`, DESIGN.md §19) does both and picks exit codes
+//! 1 and 3–5. `repro` adds `2` for a usage error (including a flag
+//! given without its group's anchor, or a study-only flag with
+//! `--load`; `--help` names both), `1` for an I/O error, and `6` when
+//! the load harness measured a regression beyond the baseline band.
 
-use iiscope_core::experiments;
-use iiscope_core::wildsim::{CheckpointPolicy, WildRunOptions};
-use iiscope_core::{checkpoint, HoneyStudy, WildArtifacts, World, WorldConfig};
+use iiscope_core::wildsim::CheckpointPolicy;
+use iiscope_core::{Outcome, Run, RunOptions, World, WorldConfig};
 use iiscope_load::{LoadStage, MixEntry};
 use iiscope_serve::{AdminHandler, ServeConfig, Server, ShedConfig, ShutdownFlag};
 use iiscope_types::IipId;
@@ -113,13 +106,8 @@ enum Mode {
 struct Study {
     export: Option<PathBuf>,
     timing: bool,
-    checkpoint: Option<CheckpointArgs>,
+    run: RunOptions,
     serve: Option<ServeArgs>,
-}
-
-struct CheckpointArgs {
-    policy: CheckpointPolicy,
-    resume: bool,
 }
 
 struct ServeArgs {
@@ -306,20 +294,22 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     } else {
         let checkpoint = match flags.raw("--checkpoint-dir") {
             None => None,
-            Some(dir) => Some(CheckpointArgs {
-                policy: CheckpointPolicy {
-                    dir: dir.into(),
-                    every_days: flags
-                        .num("--checkpoint-every", 1)?
-                        .unwrap_or(cfg.crawl_cadence_days),
-                },
-                resume: flags.has("--resume"),
+            Some(dir) => Some(CheckpointPolicy {
+                dir: dir.into(),
+                every_days: flags
+                    .num("--checkpoint-every", 1)?
+                    .unwrap_or(cfg.crawl_cadence_days),
             }),
+        };
+        let run = RunOptions {
+            checkpoint,
+            resume: flags.has("--resume"),
+            ..RunOptions::default()
         };
         Mode::Study(Study {
             export: flags.raw("--export").map(PathBuf::from),
             timing: flags.has("--timing"),
-            checkpoint,
+            run,
             serve,
         })
     };
@@ -369,10 +359,37 @@ fn main() {
             None => String::new(),
         }
     );
-    let world = World::build(cfg).unwrap_or_else(|e| die(1, format!("world build failed: {e}")));
-    match mode {
-        Mode::Load(serve, load) => run_load(&world, &scale, serve, load),
-        Mode::Study(study) => run_study(&world, &scale, study),
+    let run = Run::new(cfg).unwrap_or_else(|e| die(e.exit_code(), e));
+    let study = match mode {
+        Mode::Load(serve, load) => return run_load(run.world(), &scale, serve, load),
+        Mode::Study(study) => study,
+    };
+    // Bind before the studies so external clients can hammer the
+    // frontends mid-run — every route is a pure read, so the report
+    // stays byte-identical regardless.
+    let serving = study.serve.map(|s| Serving::bind(run.world(), s));
+    let out = run
+        .study(study.run)
+        .unwrap_or_else(|e| die(e.exit_code(), e));
+    if let Some(dir) = &study.export {
+        let rows = iiscope_monitor::export_csv(&out.artifacts.dataset, dir)
+            .unwrap_or_else(|e| die(1, format!("cannot write {}: {e}", dir.display())));
+        eprintln!("exported {rows} dataset rows to {}/", dir.display());
+    }
+    let report = if study.timing {
+        timed_report(&out, &scale)
+    } else {
+        out.report()
+    };
+    println!("{report}");
+    if let Some(serving) = serving {
+        eprintln!(
+            "report complete; still serving on {} (POST /admin/shutdown to exit)",
+            serving.server.local_addr()
+        );
+        serving.flag.wait();
+        eprintln!("shutdown requested; draining connections…");
+        serving.stop();
     }
 }
 
@@ -472,144 +489,13 @@ fn run_load(world: &World, scale: &str, serve: ServeArgs, load: LoadArgs) {
     }
 }
 
-/// The studies: honey, then wild (checkpointed and resumed as asked),
-/// then the CSV export and the report; a bound server keeps serving
-/// after the report until `POST /admin/shutdown`.
-fn run_study(world: &World, scale: &str, study: Study) {
-    let (policy, resume) = match study.checkpoint {
-        Some(CheckpointArgs { policy, resume }) => {
-            if let Err(e) = std::fs::create_dir_all(&policy.dir) {
-                let dir = policy.dir.display();
-                die(3, format!("checkpoint dir {dir} unusable: {e}"));
-            }
-            (Some(policy), resume)
-        }
-        None => (None, false),
-    };
-    // Bind before the studies so external clients can hammer the
-    // frontends mid-run — every route is a pure read, so the report
-    // stays byte-identical regardless.
-    let serving = study.serve.map(|s| Serving::bind(world, s));
-
-    eprintln!("running the Section 3 honey-app study…");
-    let honey = world
-        .run_honey_study(world.study_start())
-        .unwrap_or_else(|e| die(1, format!("honey study failed: {e}")));
-
-    let snapshot = match &policy {
-        Some(policy) if resume => resume_snapshot(world, &policy.dir),
-        _ => None,
-    };
-
-    eprintln!("running the Section 4 wild study (this is the long part)…");
-    let t = Instant::now();
-    let artifacts = world
-        .run_wild_study_with(WildRunOptions {
-            checkpoint: policy,
-            resume: snapshot,
-            crash: None,
-        })
-        .unwrap_or_else(|e| die(1, format!("wild study failed: {e}")));
-    let wild_secs = t.elapsed().as_secs_f64();
-    let ckpt = &artifacts.checkpoints;
-    if ckpt.snapshots_written > 0 {
-        eprintln!(
-            "wrote {} snapshot(s): last {:.1} KB, {:.1} KB total, \
-             {:.3}s total write time ({:.3}s encoding)",
-            ckpt.snapshots_written,
-            ckpt.last_bytes as f64 / 1e3,
-            ckpt.total_bytes as f64 / 1e3,
-            ckpt.total_write_secs,
-            ckpt.encode_secs
-        );
-    }
-    if let Some(day) = ckpt.resumed_from_day {
-        eprintln!(
-            "resumed from sim day {day}: replay + verification took {:.3}s",
-            ckpt.replay_secs
-        );
-    }
-    eprintln!(
-        "wild study done in {wild_secs:.1}s: {} offer observations, {} unique offers, {} apps observed",
-        artifacts.offer_observations,
-        artifacts.dataset.unique_offers().len(),
-        artifacts.dataset.advertised_packages().len(),
-    );
-
-    if let Some(dir) = &study.export {
-        let rows = iiscope_monitor::export_csv(&artifacts.dataset, dir)
-            .unwrap_or_else(|e| die(1, format!("cannot write {}: {e}", dir.display())));
-        eprintln!("exported {rows} dataset rows to {}/", dir.display());
-    }
-
-    let report = if study.timing {
-        timed_report(world, scale, &artifacts, honey, wild_secs)
-    } else {
-        experiments::full_report_incremental(world, &artifacts, honey)
-    };
-    println!("{report}");
-
-    if let Some(serving) = serving {
-        eprintln!(
-            "report complete; still serving on {} (POST /admin/shutdown to exit)",
-            serving.server.local_addr()
-        );
-        serving.flag.wait();
-        eprintln!("shutdown requested; draining connections…");
-        serving.stop();
-    }
-}
-
-/// Resolves `--resume` into a validated snapshot before the long run
-/// starts: exit 3 if the directory is unreadable, 4 if it holds
-/// snapshots but none is valid, 5 if the newest valid one belongs to
-/// another seed or config.
-fn resume_snapshot(world: &World, dir: &Path) -> Option<checkpoint::Snapshot> {
-    let scan = checkpoint::load_latest(dir).unwrap_or_else(|e| die(3, e));
-    match scan.snapshot {
-        Some((snap, path)) => {
-            if let Err(why) = snap.check_compatible(&world.cfg) {
-                die(5, format!("cannot resume from {}: {why}", path.display()));
-            }
-            eprintln!(
-                "resuming from {} (sim day {}, {} corrupt snapshot(s) skipped)",
-                path.display(),
-                snap.day,
-                scan.skipped.len()
-            );
-            Some(snap)
-        }
-        None if scan.candidates > 0 => die(
-            4,
-            format!(
-                "{} snapshot file(s) in {} but none valid; \
-                 delete the directory or fix the files to proceed",
-                scan.candidates,
-                dir.display()
-            ),
-        ),
-        None => {
-            eprintln!(
-                "no snapshots in {}; starting fresh (first checkpointed run)",
-                dir.display()
-            );
-            None
-        }
-    }
-}
-
 /// `--timing`: renders the report once, timed, prints the timing
 /// tables, writes the seven BENCH dumps, and returns the report.
-fn timed_report(
-    world: &World,
-    scale: &str,
-    artifacts: &WildArtifacts,
-    honey: HoneyStudy,
-    wild_secs: f64,
-) -> String {
+fn timed_report(out: &Outcome, scale: &str) -> String {
+    let (world, artifacts, wild_secs) = (out.world(), &out.artifacts, out.wild_secs);
     let reloads_before = artifacts.dataset.spill_stats().reloads;
     let t = Instant::now();
-    let (report, timings) = experiments::full_report_incremental_timed(world, artifacts, honey);
+    let (report, timings) = out.timed_report();
     let report_secs = t.elapsed().as_secs_f64();
     let report_reloads = artifacts.dataset.spill_stats().reloads - reloads_before;
 
@@ -885,7 +771,10 @@ mod tests {
              --shed-deadline-ms 7",
         );
         assert_eq!((s.export, s.timing), (Some("ex".into()), true));
-        let CheckpointArgs { policy, resume } = s.checkpoint.unwrap();
+        let RunOptions {
+            checkpoint, resume, ..
+        } = s.run;
+        let policy = checkpoint.unwrap();
         let got = (policy.dir, policy.every_days, resume);
         assert_eq!(got, ("ck".into(), 3, true));
         let ServeArgs { addr, cache, cfg } = s.serve.unwrap();
@@ -917,12 +806,13 @@ mod tests {
         let got = (cfg.seed, cfg.scale, cfg.parallelism, cfg.shards);
         assert_eq!((scale.as_str(), got), ("paper", (42, 1, 1, 1)));
         let s = study("");
-        assert!(s.export.is_none() && !s.timing && s.checkpoint.is_none() && s.serve.is_none());
-        let ck = study("--scale small --checkpoint-dir d")
-            .checkpoint
-            .unwrap();
+        assert!(s.export.is_none() && !s.timing && s.run.checkpoint.is_none() && s.serve.is_none());
+        let ck = study("--scale small --checkpoint-dir d").run;
         let cadence = WorldConfig::small(42).crawl_cadence_days;
-        assert_eq!((ck.policy.every_days, ck.resume), (cadence, false));
+        assert_eq!(
+            (ck.checkpoint.unwrap().every_days, ck.resume),
+            (cadence, false)
+        );
 
         let (ServeArgs { cache, cfg, .. }, l) = load("--serve a --load");
         let got = (cfg.workers, cfg.conn_cap, cfg.idle_timeout.as_secs(), cache);

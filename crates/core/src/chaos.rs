@@ -18,24 +18,18 @@
 //! containment, byte-identical reruns at equal seeds, monotone
 //! degradation, and report computability at every grid point.
 
-use crate::checkpoint;
 use crate::config::WorldConfig;
-use crate::wildsim::{CheckpointPolicy, WildRunOptions};
-use crate::world::World;
-use crate::{HoneyStudy, WildArtifacts};
+use crate::run::{Run, RunDigest, RunError, RunOptions};
 use iiscope_honeyapp::app::telemetry_payload;
 use iiscope_honeyapp::{Collector, TelemetryEvent};
-use iiscope_monitor::export::{write_charts_csv, write_offers_csv, write_profiles_csv};
-use iiscope_monitor::Dataset;
 use iiscope_netsim::{AsnId, AsnKind, FaultPlan, GilbertElliott, HostAddr, Network, OutageWindow};
 use iiscope_types::time::study;
-use iiscope_types::{Country, DeviceId, Error, Result, SeedFork, SimDuration};
+use iiscope_types::{Country, DeviceId, SeedFork, SimDuration};
 use iiscope_wire::server::HttpsFactory;
 use iiscope_wire::tls::{CertAuthority, ServerIdentity, TrustStore};
 use iiscope_wire::HttpClient;
 use std::io::Write;
 use std::net::Ipv4Addr;
-use std::path::Path;
 use std::sync::Arc;
 
 /// The condensed result of one chaos run — everything the invariant
@@ -54,9 +48,10 @@ pub struct ChaosOutcome {
     pub profile_snapshots: usize,
     /// APKs downloaded for the static analysis.
     pub apks: usize,
-    /// FNV-1a digest of the full printed report — byte-identity of
-    /// two runs collapses to equality of this (and the counts above).
-    pub report_digest: u64,
+    /// Digest of the printed report and the three CSVs — byte
+    /// identity of two runs collapses to equality of this (and the
+    /// counts above).
+    pub digest: RunDigest,
     /// Shared-clock day the world ended on. Faults consume only
     /// connection-local skew, so this is bounded by the schedule, not
     /// by the fault plan.
@@ -112,27 +107,23 @@ pub fn fault_grid() -> Vec<(&'static str, FaultPlan)> {
     ]
 }
 
-/// Builds a chaos-sized world, arms `plan` on every new connection,
-/// runs both studies and the full report, and condenses the run into a
-/// [`ChaosOutcome`]. The world build itself runs clean — faults start
-/// with the studies, like the robustness suite.
-pub fn run_chaos(seed: u64, plan: &FaultPlan, parallelism: usize) -> Result<ChaosOutcome> {
-    let mut cfg = chaos_config(seed);
-    cfg.parallelism = parallelism;
-    let world = World::build(cfg)?;
-    world.net.set_default_fault(plan.clone());
-    let honey = world.run_honey_study(world.study_start())?;
-    let artifacts = world.run_wild_study()?;
-    let honey_delivered = honey.outcomes.iter().map(|o| o.installs_delivered).sum();
-    let report = crate::experiments::full_report_incremental(&world, &artifacts, honey);
+/// Runs both studies on `cfg` as `opts` asks (a fault plan, a crash,
+/// a checkpointed resume) and condenses the run into a
+/// [`ChaosOutcome`]. A crash-resume is two calls: one whose
+/// [`CrashPlan`] ends it, then one with `resume` set on the same
+/// checkpoint directory.
+pub fn run_chaos(cfg: WorldConfig, opts: RunOptions) -> Result<ChaosOutcome, RunError> {
+    let out = Run::new(cfg)?.study(opts)?;
+    let (world, artifacts) = (out.world(), &out.artifacts);
     let profile_snapshots = artifacts.dataset.profiles().len();
+    let delivered = out.honey.outcomes.iter().map(|o| o.installs_delivered);
     Ok(ChaosOutcome {
-        honey_delivered,
+        honey_delivered: delivered.sum(),
         telemetry_installs: world.collector.distinct_installs(),
         offer_observations: artifacts.offer_observations,
         profile_snapshots,
         apks: artifacts.apks.len(),
-        report_digest: fnv64(report.as_bytes()),
+        digest: out.digest(),
         end_clock_days: world.net.clock().now().days(),
         chaos_counters: world.net.chaos().snapshot(),
         wire_counters: world.net.wire().snapshot(),
@@ -149,100 +140,6 @@ pub fn run_chaos(seed: u64, plan: &FaultPlan, parallelism: usize) -> Result<Chao
 pub struct CrashPlan {
     /// Sim day the process dies at.
     pub kill_day: u64,
-}
-
-/// Digest of everything a run publishes: the rendered report and the
-/// three exported CSVs. Two runs are byte-identical iff their
-/// `RunDigest`s are equal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunDigest {
-    /// FNV-1a of the full printed report.
-    pub report: u64,
-    /// FNV-1a of `offers.csv`.
-    pub offers_csv: u64,
-    /// FNV-1a of `profiles.csv`.
-    pub profiles_csv: u64,
-    /// FNV-1a of `charts.csv`.
-    pub charts_csv: u64,
-}
-
-impl RunDigest {
-    /// Digests what a finished run publishes: the printed report and
-    /// the three CSVs.
-    pub fn of(world: &World, artifacts: &WildArtifacts, honey: HoneyStudy) -> RunDigest {
-        let report = crate::experiments::full_report_incremental(world, artifacts, honey);
-        let ds = &artifacts.dataset;
-        let csv = |write: fn(&Dataset, &mut Fnv64) -> std::io::Result<usize>| {
-            let mut h = Fnv64::new();
-            write(ds, &mut h).expect("hashing cannot fail");
-            h.finish()
-        };
-        RunDigest {
-            report: fnv64(report.as_bytes()),
-            offers_csv: csv(write_offers_csv),
-            profiles_csv: csv(write_profiles_csv),
-            charts_csv: csv(write_charts_csv),
-        }
-    }
-}
-
-/// Runs the full pipeline straight through (no crash, no
-/// checkpointing) and digests its published output. The baseline every
-/// crash-resume run is compared against.
-pub fn straight_digest(cfg: WorldConfig) -> Result<RunDigest> {
-    let world = World::build(cfg)?;
-    let honey = world.run_honey_study(world.study_start())?;
-    let artifacts = world.run_wild_study()?;
-    Ok(RunDigest::of(&world, &artifacts, honey))
-}
-
-/// The crash-resume harness: runs the pipeline with checkpointing
-/// until a simulated process death at `kill_day`, then re-enters like
-/// a fresh process would — rebuild the world from config, rerun the
-/// honey study, load the newest valid snapshot from `dir` (corrupt
-/// ones are skipped), resume the wild study — and digests the output.
-/// A crash at day 0 leaves no snapshot and resumes from scratch.
-///
-/// The hard invariant the test suite sweeps: for every `kill_day`, the
-/// returned digest equals [`straight_digest`] of the same config.
-pub fn crash_resume_digest(cfg: WorldConfig, kill_day: u64, dir: &Path) -> Result<RunDigest> {
-    std::fs::create_dir_all(dir)
-        .map_err(|e| Error::InvalidState(format!("checkpoint dir {}: {e}", dir.display())))?;
-
-    // First life: run with checkpointing armed until the kill-point.
-    {
-        let world = World::build(cfg.clone())?;
-        let _honey = world.run_honey_study(world.study_start())?;
-        let crashed = world.run_wild_study_with(WildRunOptions {
-            checkpoint: Some(CheckpointPolicy {
-                dir: dir.to_path_buf(),
-                every_days: cfg.crawl_cadence_days,
-            }),
-            resume: None,
-            crash: Some(CrashPlan { kill_day }),
-        });
-        match crashed {
-            Err(Error::Interrupted(_)) => {}
-            Ok(_) => {
-                return Err(Error::InvalidState(format!(
-                    "kill day {kill_day} never fired (monitoring window too short?)"
-                )))
-            }
-            Err(e) => return Err(e),
-        }
-    }
-
-    // Second life: fresh process semantics — nothing survives but the
-    // config, the seed and the checkpoint directory.
-    let world = World::build(cfg)?;
-    let honey = world.run_honey_study(world.study_start())?;
-    let scan = checkpoint::load_latest(dir).map_err(|e| Error::InvalidState(e.to_string()))?;
-    let artifacts = world.run_wild_study_with(WildRunOptions {
-        checkpoint: None,
-        resume: scan.snapshot.map(|(snap, _)| snap),
-        crash: None,
-    })?;
-    Ok(RunDigest::of(&world, &artifacts, honey))
 }
 
 /// The monotone-degradation scenario: `devices` fixed clients each
@@ -310,7 +207,7 @@ pub fn telemetry_survival(seed: u64, drop_chance: f64, devices: u64) -> usize {
 /// FNV-1a over a byte slice — the digest two chaos runs are compared
 /// by (the workspace carries no hashing dependency).
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
+    let mut h = Fnv64::default();
     h.fold(bytes);
     h.finish()
 }
@@ -320,12 +217,14 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv64(u64);
 
-impl Fnv64 {
+impl Default for Fnv64 {
     /// The empty digest.
-    pub fn new() -> Fnv64 {
+    fn default() -> Fnv64 {
         Fnv64(0xcbf2_9ce4_8422_2325)
     }
+}
 
+impl Fnv64 {
     fn fold(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
@@ -336,12 +235,6 @@ impl Fnv64 {
     /// The digest of every byte written so far.
     pub fn finish(self) -> u64 {
         self.0
-    }
-}
-
-impl Default for Fnv64 {
-    fn default() -> Fnv64 {
-        Fnv64::new()
     }
 }
 

@@ -509,34 +509,17 @@ pub struct Scan {
     pub candidates: usize,
 }
 
-/// Why a checkpoint directory could not be scanned at all.
-#[derive(Debug)]
-pub enum ScanError {
-    /// The directory could not be read (missing, permissions, not a
-    /// directory).
-    Unreadable(String),
-}
-
-impl std::fmt::Display for ScanError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ScanError::Unreadable(why) => write!(f, "checkpoint dir unreadable: {why}"),
-        }
-    }
-}
-
-impl std::error::Error for ScanError {}
-
 /// Scans `dir` for the newest valid snapshot, skipping (and logging)
 /// corrupt or partial ones. A directory with no snapshot files at all
 /// yields `snapshot: None, candidates: 0` — a fresh start, which is
-/// what a crash-restart loop sees on its very first boot.
-pub fn load_latest(dir: &Path) -> Result<Scan, ScanError> {
-    let entries = std::fs::read_dir(dir)
-        .map_err(|e| ScanError::Unreadable(format!("{}: {e}", dir.display())))?;
+/// what a crash-restart loop sees on its very first boot. `Err` says
+/// why the directory could not be read at all.
+pub fn load_latest(dir: &Path) -> Result<Scan, String> {
+    let unreadable =
+        |e: std::io::Error| format!("checkpoint dir unreadable: {}: {e}", dir.display());
     let mut days: Vec<(u64, PathBuf)> = Vec::new();
-    for entry in entries {
-        let entry = entry.map_err(|e| ScanError::Unreadable(format!("{}: {e}", dir.display())))?;
+    for entry in std::fs::read_dir(dir).map_err(unreadable)? {
+        let entry = entry.map_err(unreadable)?;
         let path = entry.path();
         if let Some(day) = day_from_path(&path) {
             days.push((day, path));
@@ -546,31 +529,25 @@ pub fn load_latest(dir: &Path) -> Result<Scan, ScanError> {
     let candidates = days.len();
     let mut skipped = Vec::new();
     for (_, path) in days {
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!(
-                    "checkpoint: skipping unreadable snapshot {}: {e}",
-                    path.display()
-                );
-                skipped.push((path, e.to_string()));
-                continue;
-            }
+        let decoded = match std::fs::read(&path) {
+            Ok(bytes) => Snapshot::decode(&bytes).map_err(|e| ("corrupt", e.to_string())),
+            Err(e) => Err(("unreadable", e.to_string())),
         };
-        match Snapshot::decode(&bytes) {
+        match decoded {
             Ok(snapshot) => {
+                let snapshot = Some((snapshot, path));
                 return Ok(Scan {
-                    snapshot: Some((snapshot, path)),
+                    snapshot,
                     skipped,
                     candidates,
-                })
+                });
             }
-            Err(e) => {
+            Err((kind, why)) => {
                 eprintln!(
-                    "checkpoint: skipping corrupt snapshot {}: {e}",
+                    "checkpoint: skipping {kind} snapshot {}: {why}",
                     path.display()
                 );
-                skipped.push((path, e.to_string()));
+                skipped.push((path, why));
             }
         }
     }

@@ -1,6 +1,5 @@
-//! Helpers shared by the experiment modules — and the lazily-built
-//! shared test world (building a world and running both studies once
-//! per test binary keeps the experiment tests fast).
+//! Helpers shared by the experiment modules. Their tests share one
+//! finished run, `crate::run::shared`.
 
 use iiscope_monitor::Dataset;
 
@@ -46,38 +45,6 @@ pub fn baseline_window(ds: &Dataset, package: &str, avg_days: u64) -> Option<(u6
         _ => first + 1,
     };
     Some((start, start + avg_days))
-}
-
-#[cfg(test)]
-pub(crate) mod testworld {
-    //! One shared small world with both studies run, built on first
-    //! use.
-
-    use crate::{HoneyStudy, WildArtifacts, World, WorldConfig};
-    use std::sync::OnceLock;
-
-    pub struct Shared {
-        pub world: World,
-        pub artifacts: WildArtifacts,
-        pub honey: HoneyStudy,
-    }
-
-    static SHARED: OnceLock<Shared> = OnceLock::new();
-
-    pub fn shared() -> &'static Shared {
-        SHARED.get_or_init(|| {
-            let world = World::build(WorldConfig::small(1234)).expect("world builds");
-            let honey = world
-                .run_honey_study(world.study_start())
-                .expect("honey study runs");
-            let artifacts = world.run_wild_study().expect("wild study runs");
-            Shared {
-                world,
-                artifacts,
-                honey,
-            }
-        })
-    }
 }
 
 #[cfg(test)]

@@ -99,12 +99,12 @@ fn features_for(world: &World, pkg: &str) -> Option<AppFeatures> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::common::testworld;
+    use crate::run::shared;
 
     #[test]
     fn detector_separates_advertised_from_baseline() {
-        let shared = testworld::shared();
-        let eval = DetectorEval::run(&shared.world, &shared.artifacts).expect("both classes");
+        let shared = shared();
+        let eval = DetectorEval::run(shared.world(), &shared.artifacts).expect("both classes");
         assert!(eval.train_size > 20);
         assert!(eval.test_size > 20);
         // Campaign-shaped install streams are very separable from

@@ -148,13 +148,13 @@ impl Disclosure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::common::testworld;
+    use crate::run::shared;
     use crate::wildgen::BRAND_APPS;
 
     #[test]
     fn popular_apps_get_contacted_and_brands_are_among_them() {
-        let shared = testworld::shared();
-        let d = Disclosure::run(&shared.world, &shared.artifacts);
+        let shared = shared();
+        let d = Disclosure::run(shared.world(), &shared.artifacts);
         assert!(d.contacted() >= 4, "contacted {}", d.contacted());
         // The pinned brand apps are popular and advertised, so they are
         // in the contact list (if observed by the monitor).
@@ -172,10 +172,10 @@ mod tests {
 
     #[test]
     fn brand_campaigns_are_marketer_created() {
-        let shared = testworld::shared();
+        let shared = shared();
         for (pkg, _) in BRAND_APPS {
             let app = shared
-                .world
+                .world()
                 .plan
                 .apps
                 .iter()

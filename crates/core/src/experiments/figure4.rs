@@ -52,14 +52,14 @@ impl Figure4 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::common::testworld;
+    use crate::run::shared;
 
     #[test]
     fn baseline_spans_the_whole_range() {
-        let shared = testworld::shared();
-        let f = Figure4::run(&shared.world, &shared.artifacts);
+        let shared = shared();
+        let f = Figure4::run(shared.world(), &shared.artifacts);
         assert_eq!(f.counts.iter().sum::<u64>(), f.total);
-        assert!(f.total as usize >= shared.world.plan.baseline.len() * 8 / 10);
+        assert!(f.total as usize >= shared.world().plan.baseline.len() * 8 / 10);
         // Apps at both ends of the spectrum (the paper's spread).
         assert!(f.counts[0] + f.counts[1] > 0, "small apps missing");
         assert!(f.counts[6] + f.counts[7] > 0, "mega apps missing");

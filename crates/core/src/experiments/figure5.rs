@@ -159,12 +159,12 @@ impl Figure5 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::common::testworld;
+    use crate::run::shared;
 
     #[test]
     fn case_studies_chart_during_their_campaigns() {
-        let shared = testworld::shared();
-        let f = Figure5::run(&shared.world, &shared.artifacts);
+        let shared = shared();
+        let f = Figure5::run(shared.world(), &shared.artifacts);
 
         for cs in [&f.trebel, &f.wof] {
             assert!(cs.campaign.is_some(), "{} never observed", cs.package);
@@ -188,10 +188,10 @@ mod tests {
 
     #[test]
     fn incremental_matches_batch() {
-        let shared = testworld::shared();
+        let shared = shared();
         assert_eq!(
             Figure5::run_incremental(&shared.artifacts),
-            Figure5::run(&shared.world, &shared.artifacts)
+            Figure5::run(shared.world(), &shared.artifacts)
         );
     }
 }

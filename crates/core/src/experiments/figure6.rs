@@ -148,12 +148,12 @@ impl Figure6 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::common::testworld;
+    use crate::run::shared;
 
     #[test]
     fn activity_apps_carry_more_ad_libraries() {
-        let shared = testworld::shared();
-        let f = Figure6::run(&shared.world, &shared.artifacts);
+        let shared = shared();
+        let f = Figure6::run(shared.world(), &shared.artifacts);
         let [activity, no_activity, baseline] = &f.by_offer_type;
         assert!(!activity.counts.is_empty());
         assert!(!no_activity.counts.is_empty());
@@ -184,10 +184,10 @@ mod tests {
 
     #[test]
     fn incremental_matches_batch() {
-        let shared = testworld::shared();
+        let shared = shared();
         assert_eq!(
-            Figure6::run_incremental(&shared.world, &shared.artifacts),
-            Figure6::run(&shared.world, &shared.artifacts)
+            Figure6::run_incremental(shared.world(), &shared.artifacts),
+            Figure6::run(shared.world(), &shared.artifacts)
         );
     }
 }

@@ -174,12 +174,12 @@ impl Monetization {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::common::testworld;
+    use crate::run::shared;
 
     #[test]
     fn arbitrage_shape_matches_paper() {
-        let shared = testworld::shared();
-        let m = Monetization::run(&shared.world, &shared.artifacts);
+        let shared = shared();
+        let m = Monetization::run(shared.world(), &shared.artifacts);
         // Paper: 3.9% overall, 7% vetted vs 2% unvetted — assert the
         // ordering and a sane band.
         assert!(
@@ -203,10 +203,10 @@ mod tests {
 
     #[test]
     fn incremental_matches_batch() {
-        let shared = testworld::shared();
+        let shared = shared();
         assert_eq!(
-            Monetization::run_incremental(&shared.world, &shared.artifacts),
-            Monetization::run(&shared.world, &shared.artifacts)
+            Monetization::run_incremental(shared.world(), &shared.artifacts),
+            Monetization::run(shared.world(), &shared.artifacts)
         );
     }
 }

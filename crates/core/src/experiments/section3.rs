@@ -98,13 +98,13 @@ impl Section3 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::common::testworld;
+    use crate::run::shared;
 
     #[test]
     fn renders_all_blocks() {
-        let shared = testworld::shared();
-        let s3 = Section3::run(&shared.world, shared.honey.clone());
-        assert!(s3.final_install_bin >= shared.world.cfg.honey_purchase);
+        let shared = shared();
+        let s3 = Section3::run(shared.world(), shared.honey.clone());
+        assert!(s3.final_install_bin >= shared.world().cfg.honey_purchase);
         let rendered = s3.render();
         assert!(rendered.contains("User acquisition"));
         assert!(rendered.contains("RankApp"));

@@ -104,12 +104,12 @@ impl Section5 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::common::testworld;
+    use crate::run::shared;
 
     #[test]
     fn enforcement_is_rare_and_skewed_to_unvetted() {
-        let shared = testworld::shared();
-        let s5 = Section5::run(&shared.world, &shared.artifacts);
+        let shared = shared();
+        let s5 = Section5::run(shared.world(), &shared.artifacts);
         // Baseline apps never decrease (they have no tagged installs).
         assert_eq!(s5.baseline.decreased, 0, "baseline decreases");
         // Decreases are rare overall (the paper: ~2% of unvetted apps,

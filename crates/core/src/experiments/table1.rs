@@ -83,12 +83,12 @@ impl Table1 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::common::testworld;
+    use crate::run::shared;
 
     #[test]
     fn probe_recovers_the_table1_split() {
-        let shared = testworld::shared();
-        let t = Table1::run(&shared.world);
+        let shared = shared();
+        let t = Table1::run(shared.world());
         assert_eq!(t.rows.len(), 7);
         for row in &t.rows {
             assert_eq!(

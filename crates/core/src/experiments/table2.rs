@@ -84,12 +84,12 @@ impl Table2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::common::testworld;
+    use crate::run::shared;
 
     #[test]
     fn matrix_matches_the_catalog() {
-        let shared = testworld::shared();
-        let t = Table2::run(&shared.world, Country::Us).unwrap();
+        let shared = shared();
+        let t = Table2::run(shared.world(), Country::Us).unwrap();
         assert_eq!(t.rows.len(), 8);
         // Every app integrates ≥1 vetted wall; 5 of 8 integrate an
         // unvetted one (the paper's observation).

@@ -115,12 +115,12 @@ impl Table3 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::common::testworld;
+    use crate::run::shared;
 
     #[test]
     fn shape_matches_paper() {
-        let shared = testworld::shared();
-        let t = Table3::run(&shared.world, &shared.artifacts);
+        let shared = shared();
+        let t = Table3::run(shared.world(), &shared.artifacts);
         assert!(t.total_offers > 50, "{}", t.total_offers);
         assert!(t.unique_descriptions > 10);
 

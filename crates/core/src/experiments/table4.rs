@@ -210,12 +210,12 @@ impl Table4 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::common::testworld;
+    use crate::run::shared;
 
     #[test]
     fn shape_matches_paper() {
-        let shared = testworld::shared();
-        let t = Table4::run(&shared.world, &shared.artifacts);
+        let shared = shared();
+        let t = Table4::run(shared.world(), &shared.artifacts);
         assert_eq!(t.rows.len(), 7);
 
         // RankApp: 100% no-activity, the cheapest payouts.
@@ -270,8 +270,8 @@ mod tests {
 
     #[test]
     fn incremental_matches_batch() {
-        let shared = testworld::shared();
-        let batch = Table4::run(&shared.world, &shared.artifacts);
+        let shared = shared();
+        let batch = Table4::run(shared.world(), &shared.artifacts);
         let inc = Table4::run_incremental(&shared.artifacts);
         assert_eq!(inc, batch);
         assert_eq!(inc.render(), batch.render());

@@ -156,12 +156,12 @@ impl Table5 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::common::testworld;
+    use crate::run::shared;
 
     #[test]
     fn shape_matches_paper() {
-        let shared = testworld::shared();
-        let t = Table5::run(&shared.world, &shared.artifacts);
+        let shared = shared();
+        let t = Table5::run(shared.world(), &shared.artifacts);
 
         // All three sets are populated.
         assert!(t.baseline.total() > 10, "baseline N {}", t.baseline.total());
@@ -202,10 +202,10 @@ mod tests {
 
     #[test]
     fn incremental_matches_batch() {
-        let shared = testworld::shared();
+        let shared = shared();
         assert_eq!(
-            Table5::run_incremental(&shared.world, &shared.artifacts),
-            Table5::run(&shared.world, &shared.artifacts)
+            Table5::run_incremental(shared.world(), &shared.artifacts),
+            Table5::run(shared.world(), &shared.artifacts)
         );
     }
 }

@@ -159,12 +159,12 @@ impl Table6 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::common::testworld;
+    use crate::run::shared;
 
     #[test]
     fn shape_matches_paper() {
-        let shared = testworld::shared();
-        let t = Table6::run(&shared.world, &shared.artifacts);
+        let shared = shared();
+        let t = Table6::run(shared.world(), &shared.artifacts);
         assert!(t.vetted.total() > 10);
         assert!(t.unvetted.total() > 10);
         assert!(t.baseline.total() > 10);
@@ -192,10 +192,10 @@ mod tests {
 
     #[test]
     fn incremental_matches_batch() {
-        let shared = testworld::shared();
+        let shared = shared();
         assert_eq!(
-            Table6::run_incremental(&shared.world, &shared.artifacts),
-            Table6::run(&shared.world, &shared.artifacts)
+            Table6::run_incremental(shared.world(), &shared.artifacts),
+            Table6::run(shared.world(), &shared.artifacts)
         );
     }
 }

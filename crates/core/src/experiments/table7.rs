@@ -191,12 +191,12 @@ impl Table7 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::common::testworld;
+    use crate::run::shared;
 
     #[test]
     fn shape_matches_paper() {
-        let shared = testworld::shared();
-        let t = Table7::run(&shared.world, &shared.artifacts);
+        let shared = shared();
+        let t = Table7::run(shared.world(), &shared.artifacts);
 
         // Match rates: vetted developers match far more often than
         // unvetted ones (39% vs 15% in the paper) — vetted developers
@@ -222,14 +222,14 @@ mod tests {
     /// large enough for them to be stable.
     #[test]
     fn pipeline_matches_ground_truth() {
-        let shared = testworld::shared();
-        let t = Table7::run(&shared.world, &shared.artifacts);
+        let shared = shared();
+        let t = Table7::run(shared.world(), &shared.artifacts);
         let ds = &shared.artifacts.dataset;
         let expect = |vetted: bool| -> (u64, u64) {
             let observed = ds.packages_by_class(vetted);
             let mut funded = 0;
             let mut matched = 0;
-            for app in &shared.world.plan.apps {
+            for app in &shared.world().plan.apps {
                 if !observed.contains(app.package.as_str()) {
                     continue;
                 }
@@ -250,10 +250,10 @@ mod tests {
 
     #[test]
     fn incremental_matches_batch() {
-        let shared = testworld::shared();
+        let shared = shared();
         assert_eq!(
-            Table7::run_incremental(&shared.world, &shared.artifacts),
-            Table7::run(&shared.world, &shared.artifacts)
+            Table7::run_incremental(shared.world(), &shared.artifacts),
+            Table7::run(shared.world(), &shared.artifacts)
         );
     }
 }

@@ -181,12 +181,12 @@ impl Table8 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::common::testworld;
+    use crate::run::shared;
 
     #[test]
     fn funded_apps_use_both_classes() {
-        let shared = testworld::shared();
-        let t = Table8::run(&shared.world, &shared.artifacts);
+        let shared = shared();
+        let t = Table8::run(shared.world(), &shared.artifacts);
         // The small world still produces a handful of funded vetted
         // apps.
         assert!(t.funded_apps >= 1, "no funded vetted apps found");
@@ -199,10 +199,10 @@ mod tests {
 
     #[test]
     fn incremental_matches_batch() {
-        let shared = testworld::shared();
+        let shared = shared();
         assert_eq!(
-            Table8::run_incremental(&shared.world, &shared.artifacts),
-            Table8::run(&shared.world, &shared.artifacts)
+            Table8::run_incremental(shared.world(), &shared.artifacts),
+            Table8::run(shared.world(), &shared.artifacts)
         );
     }
 }

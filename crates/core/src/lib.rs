@@ -21,6 +21,8 @@
 //!   generated from these.
 //! * [`report`] — fixed-width table rendering shared by the
 //!   experiment binaries.
+//! * [`run`] — one run of both studies: a [`Run`] owns its world and
+//!   returns an [`Outcome`] that renders the report and its digest.
 //! * [`chaos`] — the deterministic chaos harness: the adversarial
 //!   fault grid, the one-call study runner, and the monotone
 //!   telemetry-survival scenario behind `tests/chaos.rs`.
@@ -40,6 +42,7 @@ pub mod config;
 pub mod experiments;
 pub mod honeystudy;
 pub mod report;
+pub mod run;
 pub mod servefront;
 pub mod wildgen;
 pub mod wildsim;
@@ -47,5 +50,6 @@ pub mod world;
 
 pub use config::WorldConfig;
 pub use honeystudy::HoneyStudy;
+pub use run::{Outcome, Run, RunError, RunOptions};
 pub use wildsim::WildArtifacts;
 pub use world::World;

@@ -858,10 +858,13 @@ fn serve_conn(
                     counters.add_parse_rejects(1);
                     break;
                 }
-                partial_since = if engine.has_partial() {
-                    partial_since.or(Some(Instant::now()))
-                } else {
-                    None
+                // A read that completed a request and left the next one
+                // partial starts that one's clock: each pipelined request
+                // is measured from its own first bytes, not the batch's.
+                partial_since = match (engine.has_partial(), report.responses) {
+                    (false, _) => None,
+                    (true, 0) => partial_since.or(Some(Instant::now())),
+                    (true, _) => Some(Instant::now()),
                 };
                 if partial_deadline_expired(counters, &mut stream, partial_since, cfg.shed.deadline)
                 {
@@ -1150,6 +1153,56 @@ mod tests {
         }
         assert_eq!(killed, Some(408), "drip was never killed");
         server.stop();
+    }
+
+    #[test]
+    fn each_pipelined_request_gets_its_own_parse_deadline() {
+        let mut cfg = tiny_cfg();
+        cfg.idle_timeout = Duration::from_secs(5);
+        cfg.shed.deadline = Some(Duration::from_millis(400));
+        let server = probe_server(cfg);
+        let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+        conn.set_read_timeout(Some(Duration::from_millis(20)))
+            .unwrap();
+        // Four writes 150 ms apart, each finishing one request and
+        // starting the next: no request is ever partial for more than
+        // 150 ms, though the first partial bytes are 450 ms old by the
+        // last write.
+        let ping = Request::get("/ping").encode();
+        let (head, tail) = ping.split_at(ping.len() / 2);
+        let mut buf = Vec::new();
+        let mut chunk = [0u8; 4096];
+        let mut statuses = Vec::new();
+        for i in 0..4 {
+            let finish: &[u8] = if i == 0 { &ping } else { tail };
+            if i > 0 {
+                thread::sleep(Duration::from_millis(150));
+            }
+            conn.write_all(&[finish, head].concat()).unwrap();
+            let want = i + 1;
+            let start = Instant::now();
+            while statuses.len() < want && start.elapsed() < Duration::from_secs(5) {
+                if let Ok(Some((resp, consumed))) = Response::parse(&buf) {
+                    buf.drain(..consumed);
+                    statuses.push(resp.status);
+                    continue;
+                }
+                match conn.read(&mut chunk) {
+                    Ok(0) => break,
+                    Ok(n) => buf.extend_from_slice(&chunk[..n]),
+                    Err(e)
+                        if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
+                    }
+                    Err(_) => break,
+                }
+            }
+        }
+        // Well inside the last partial's own 400 ms.
+        thread::sleep(Duration::from_millis(50));
+        let timeouts = server.counters().deadline_408s();
+        server.stop();
+        assert_eq!(statuses, [200; 4], "a pipelined request was cut off");
+        assert_eq!(timeouts, 0, "the parse deadline fired");
     }
 
     #[test]

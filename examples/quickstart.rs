@@ -1,23 +1,20 @@
-//! Quickstart: build a small world, buy incentivized installs for the
-//! honey app on three platforms, and print the §3.2 findings.
+//! Quickstart: build a small world, run both studies, and print the
+//! §3.2 findings of the incentivized installs bought for the honey app
+//! on three platforms.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
 //! ```
 
 use iiscope::experiments::Section3;
-use iiscope::{World, WorldConfig};
+use iiscope::{Run, RunOptions, WorldConfig};
 
 fn main() {
     // One seed controls everything: same seed, same world, same report.
-    let world = World::build(WorldConfig::small(2020)).expect("world build");
+    let run = Run::new(WorldConfig::small(2020)).expect("world build");
+    let out = run.study(RunOptions::default()).expect("studies");
 
-    println!("Publishing the honey app and purchasing installs…");
-    let study = world
-        .run_honey_study(world.study_start())
-        .expect("honey study");
-
-    for outcome in &study.outcomes {
+    for outcome in &out.honey.outcomes {
         println!(
             "{}: purchased {}, delivered {} in {} ({} completions paid)",
             outcome.iip,
@@ -28,5 +25,5 @@ fn main() {
         );
     }
     println!();
-    println!("{}", Section3::run(&world, study).render());
+    println!("{}", Section3::run(out.world(), out.honey.clone()).render());
 }

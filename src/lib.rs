@@ -9,20 +9,20 @@
 //! * [`World`] builds the complete simulated ecosystem — network, PKI,
 //!   Play Store, the seven IIPs of Table 1, attribution mediator,
 //!   crowd-worker populations, monitoring rig, Crunchbase snapshot;
-//! * [`World::run_honey_study`] reproduces the §3 experiment
-//!   (purchased installs, telemetry, forensics);
-//! * [`World::run_wild_study`] reproduces the §4 longitudinal study
-//!   (offer-wall milking through a MITM proxy, Play crawls, campaign
-//!   impact);
-//! * [`experiments`] regenerates every table and figure.
+//! * [`Run`] builds a world and runs both studies: the §3 experiment
+//!   (purchased installs, telemetry, forensics), then the §4
+//!   longitudinal study (offer-wall milking through a MITM proxy, Play
+//!   crawls, campaign impact), checkpointed and resumed as its
+//!   [`RunOptions`] ask;
+//! * [`experiments`] regenerates every table and figure, and an
+//!   [`Outcome`] renders them all as the report.
 //!
 //! ```no_run
-//! use iiscope::{World, WorldConfig};
+//! use iiscope::{Run, RunOptions, WorldConfig};
 //!
-//! let world = World::build(WorldConfig::small(42)).unwrap();
-//! let honey = world.run_honey_study(world.study_start()).unwrap();
-//! let artifacts = world.run_wild_study().unwrap();
-//! println!("{}", iiscope::experiments::full_report_incremental(&world, &artifacts, honey));
+//! let run = Run::new(WorldConfig::small(42)).unwrap();
+//! let out = run.study(RunOptions::default()).unwrap();
+//! println!("{}", out.report());
 //! ```
 
 #![forbid(unsafe_code)]

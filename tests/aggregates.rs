@@ -18,16 +18,21 @@
 
 mod common;
 
-use common::{run_study, TempDir};
+use common::TempDir;
 use iiscope::chaos::{chaos_config, CrashPlan};
 use iiscope::checkpoint::load_latest;
 use iiscope::experiments;
-use iiscope::wildsim::{CheckpointPolicy, WildRunOptions};
-use iiscope::{HoneyStudy, WildArtifacts, World};
+use iiscope::wildsim::CheckpointPolicy;
+use iiscope::{Outcome, Run, RunError, RunOptions, WorldConfig};
+
+/// Runs both studies on `cfg` as `opts` asks.
+fn study(cfg: WorldConfig, opts: RunOptions) -> Result<Outcome, RunError> {
+    Run::new(cfg)?.study(opts)
+}
 
 /// The batch oracle's report text.
-fn batch_report(world: &World, artifacts: &WildArtifacts, honey: HoneyStudy) -> String {
-    experiments::full_report_timed(world, artifacts, honey).0
+fn batch_report(out: &Outcome) -> String {
+    experiments::full_report_timed(out.world(), &out.artifacts, out.honey.clone()).0
 }
 
 #[test]
@@ -47,13 +52,14 @@ fn incremental_report_matches_batch_at_every_run_shape() {
                 if budget.is_some() {
                     cfg.spill_dir = Some(dir.0.clone());
                 }
-                let (world, artifacts, honey) = run_study(cfg);
+                let out = study(cfg, RunOptions::default()).expect("studies");
+                let artifacts = &out.artifacts;
                 assert!(
                     artifacts.aggregates.covers(&artifacts.dataset),
                     "{tag}: wild-study aggregates must cover the final dataset"
                 );
-                let batch = batch_report(&world, &artifacts, honey.clone());
-                let incremental = experiments::full_report_incremental(&world, &artifacts, honey);
+                let batch = batch_report(&out);
+                let incremental = out.report();
                 assert_eq!(
                     incremental, batch,
                     "{tag}: incremental report differs from the batch oracle"
@@ -67,54 +73,47 @@ fn incremental_report_matches_batch_at_every_run_shape() {
 fn incremental_report_survives_kill_and_resume() {
     // Straight-through batch baseline.
     let cfg = chaos_config(10_600);
-    let (world, artifacts, honey) = run_study(cfg.clone());
-    let straight_batch = batch_report(&world, &artifacts, honey);
+    let straight_batch = batch_report(&study(cfg.clone(), RunOptions::default()).unwrap());
 
     // First life: checkpoint every crawl, die at day 5 (a snapshot
     // exists at day 4, mid-run with offers already folded).
     let dir = TempDir::new("kill-resume");
-    {
-        let world = World::build(cfg.clone()).expect("build");
-        world
-            .run_honey_study(world.study_start())
-            .expect("honey study");
-        let crashed = world.run_wild_study_with(WildRunOptions {
-            checkpoint: Some(CheckpointPolicy {
-                dir: dir.0.clone(),
-                every_days: cfg.crawl_cadence_days,
-            }),
-            resume: None,
-            crash: Some(CrashPlan { kill_day: 5 }),
-        });
-        assert!(
-            matches!(
-                crashed,
-                Err(iiscope::subsystems::types::Error::Interrupted(_))
-            ),
-            "kill-point must surface as Error::Interrupted"
-        );
-    }
+    let opts = RunOptions {
+        checkpoint: Some(CheckpointPolicy {
+            dir: dir.0.clone(),
+            every_days: cfg.crawl_cadence_days,
+        }),
+        crash: Some(CrashPlan { kill_day: 5 }),
+        ..RunOptions::default()
+    };
+    let crashed = study(cfg.clone(), opts.clone());
+    assert!(
+        matches!(
+            crashed,
+            Err(RunError::Study(
+                _,
+                iiscope::subsystems::types::Error::Interrupted(_)
+            ))
+        ),
+        "kill-point must surface as Error::Interrupted"
+    );
 
     // Second life: the snapshot's AGGS section restores the digest,
     // and the remaining days keep folding on top of it.
-    let world = World::build(cfg).expect("build");
-    let honey = world
-        .run_honey_study(world.study_start())
-        .expect("honey study");
     let scan = load_latest(&dir.0).expect("scan checkpoint dir");
     let (snap, _) = scan.snapshot.expect("a valid snapshot exists");
     assert_eq!(snap.day, 4, "newest snapshot is the day-4 one");
-    let artifacts = world
-        .run_wild_study_with(WildRunOptions {
-            checkpoint: None,
-            resume: Some(snap),
-            crash: None,
-        })
-        .expect("resume");
+    let resume = RunOptions {
+        resume: true,
+        crash: None,
+        ..opts
+    };
+    let out = study(cfg, resume).expect("resume");
+    let artifacts = &out.artifacts;
     assert_eq!(artifacts.checkpoints.resumed_from_day, Some(4));
     assert!(artifacts.aggregates.covers(&artifacts.dataset));
     assert_eq!(
-        experiments::full_report_incremental(&world, &artifacts, honey),
+        out.report(),
         straight_batch,
         "kill-and-resume incremental report is not byte-identical to straight batch"
     );
@@ -140,19 +139,19 @@ fn incremental_render_reloads_fewer_spilled_segments() {
         cfg.baseline_apps = 10;
         cfg.memory_budget = Some(4 * 1024);
         cfg.spill_dir = Some(dir.0.clone());
-        let (world, artifacts, honey) = run_study(cfg);
-        let stats0 = artifacts.dataset.spill_stats();
+        let out = study(cfg, RunOptions::default()).expect("studies");
+        let stats0 = out.artifacts.dataset.spill_stats();
         assert!(
             stats0.spilled_segments > 0,
             "a 4 KiB budget must actually spill"
         );
         let report = if incremental {
-            experiments::full_report_incremental(&world, &artifacts, honey)
+            out.report()
         } else {
-            batch_report(&world, &artifacts, honey)
+            batch_report(&out)
         };
         assert!(!report.is_empty());
-        artifacts.dataset.spill_stats().reloads - stats0.reloads
+        out.artifacts.dataset.spill_stats().reloads - stats0.reloads
     };
     let batch = reloads_after("reload-batch", false);
     let incremental = reloads_after("reload-incr", true);

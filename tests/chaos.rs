@@ -23,9 +23,25 @@
 //! The in-suite sweep covers the first three grid plans; the full
 //! grid runs behind `--ignored` (CI's nightly profile).
 
-use iiscope::chaos::{fault_grid, run_chaos, telemetry_survival, ChaosOutcome};
+use iiscope::chaos::{chaos_config, fault_grid, telemetry_survival, ChaosOutcome};
 use iiscope::subsystems::netsim::FaultPlan;
 use iiscope::subsystems::types::time::study;
+use iiscope::{RunError, RunOptions};
+
+/// One chaos-sized run of `seed` at `parallelism` workers with `plan`
+/// armed on every connection the studies open.
+fn run_chaos(seed: u64, plan: &FaultPlan, parallelism: usize) -> Result<ChaosOutcome, RunError> {
+    let mut cfg = chaos_config(seed);
+    cfg.parallelism = parallelism;
+    let faults = Some(plan.clone());
+    iiscope::chaos::run_chaos(
+        cfg,
+        RunOptions {
+            faults,
+            ..RunOptions::default()
+        },
+    )
+}
 
 /// Sim-time budget (in days past the study start) no chaos run may
 /// exceed: the 8 monitoring days plus the honey study's sequential
@@ -41,7 +57,7 @@ fn check_invariants(name: &str, seed: u64, outcome: &ChaosOutcome) {
         study::STUDY_START.days() + SIM_BUDGET_DAYS
     );
     assert!(
-        outcome.report_digest != 0,
+        outcome.digest.report != 0,
         "{name}/{seed}: empty report digest"
     );
     assert!(

@@ -18,25 +18,66 @@
 mod common;
 
 use common::TempDir;
-use iiscope::chaos::{chaos_config, crash_resume_digest, straight_digest, CrashPlan, RunDigest};
+use iiscope::chaos::{chaos_config, run_chaos, CrashPlan};
 use iiscope::checkpoint::{load_latest, snapshot_path, Snapshot, SnapshotRef};
+use iiscope::run::RunDigest;
 use iiscope::subsystems::monitor::Dataset;
 use iiscope::subsystems::types::Error;
-use iiscope::wildsim::{CheckpointPolicy, WildRunOptions};
-use iiscope::{World, WorldConfig};
+use iiscope::wildsim::CheckpointPolicy;
+use iiscope::{Run, RunError, RunOptions, WorldConfig};
 use std::io::Cursor;
 use std::path::Path;
+
+/// A straight run's digest.
+fn straight_digest(cfg: WorldConfig) -> RunDigest {
+    run_chaos(cfg, RunOptions::default())
+        .expect("straight run")
+        .digest
+}
+
+/// Snapshots into `dir` every `every_days`, dying at `kill_day`.
+fn crashing(dir: &Path, every_days: u64, kill_day: u64) -> RunOptions {
+    RunOptions {
+        checkpoint: Some(CheckpointPolicy {
+            dir: dir.to_path_buf(),
+            every_days,
+        }),
+        crash: Some(CrashPlan { kill_day }),
+        ..RunOptions::default()
+    }
+}
+
+/// `opts` resumed: the crash plan gone, `resume` set.
+fn resumed(opts: RunOptions) -> RunOptions {
+    RunOptions {
+        resume: true,
+        crash: None,
+        ..opts
+    }
+}
+
+/// Whether a run ended at its crash plan's kill day.
+fn is_kill(result: &Result<impl Sized, RunError>) -> bool {
+    matches!(result, Err(RunError::Study(_, Error::Interrupted(_))))
+}
 
 /// Sweep kill days for one config, comparing each crash-and-resume
 /// digest against the straight-through baseline.
 fn sweep(cfg: WorldConfig, kill_days: &[u64], tag: &str) {
-    let straight = straight_digest(cfg.clone()).expect("straight run");
+    let straight = straight_digest(cfg.clone());
     for &kill in kill_days {
         let dir = TempDir::new(&format!("{tag}-k{kill}"));
-        let resumed = crash_resume_digest(cfg.clone(), kill, &dir.0)
-            .unwrap_or_else(|e| panic!("{tag}: crash at day {kill} failed to resume: {e}"));
+        // First life: snapshots on the crawl cadence until the kill.
+        // Second life: nothing survives but the config, the seed and
+        // the checkpoint directory.
+        let opts = crashing(&dir.0, cfg.crawl_cadence_days, kill);
+        let crashed = run_chaos(cfg.clone(), opts.clone());
+        assert!(is_kill(&crashed), "{tag}: kill day {kill} never fired");
+        let digest = run_chaos(cfg.clone(), resumed(opts))
+            .unwrap_or_else(|e| panic!("{tag}: crash at day {kill} failed to resume: {e}"))
+            .digest;
         assert_eq!(
-            resumed, straight,
+            digest, straight,
             "{tag}: crash at day {kill} + resume is not byte-identical to straight-through"
         );
     }
@@ -68,45 +109,24 @@ fn snapshot_written_at_one_worker_count_resumes_at_another() {
     // and stay byte-identical.
     let dir = TempDir::new("cross-workers");
     let cfg = chaos_config(42);
-    let straight = straight_digest(cfg.clone()).expect("straight run");
+    let straight = straight_digest(cfg.clone());
 
-    {
-        let world = World::build(cfg.clone()).unwrap();
-        world.run_honey_study(world.study_start()).unwrap();
-        let crashed = world.run_wild_study_with(WildRunOptions {
-            checkpoint: Some(CheckpointPolicy {
-                dir: dir.0.clone(),
-                every_days: cfg.crawl_cadence_days,
-            }),
-            resume: None,
-            crash: Some(CrashPlan { kill_day: 7 }),
-        });
-        assert!(
-            matches!(
-                crashed,
-                Err(iiscope::subsystems::types::Error::Interrupted(_))
-            ),
-            "kill-point must surface as Error::Interrupted"
-        );
-    }
+    let opts = crashing(&dir.0, cfg.crawl_cadence_days, 7);
+    let crashed = Run::new(cfg.clone()).unwrap().study(opts.clone());
+    assert!(
+        is_kill(&crashed),
+        "kill-point must surface as Error::Interrupted"
+    );
 
     let mut cfg8 = cfg;
     cfg8.parallelism = 8;
-    let world = World::build(cfg8).unwrap();
-    let honey = world.run_honey_study(world.study_start()).unwrap();
     let scan = load_latest(&dir.0).unwrap();
     let (snap, _) = scan.snapshot.expect("a valid snapshot exists");
     assert_eq!(snap.day, 4, "newest snapshot is the day-4 one");
-    let artifacts = world
-        .run_wild_study_with(WildRunOptions {
-            checkpoint: None,
-            resume: Some(snap),
-            crash: None,
-        })
-        .unwrap();
-    assert_eq!(artifacts.checkpoints.resumed_from_day, Some(4));
+    let out = Run::new(cfg8).unwrap().study(resumed(opts)).unwrap();
+    assert_eq!(out.artifacts.checkpoints.resumed_from_day, Some(4));
     assert_eq!(
-        RunDigest::of(&world, &artifacts, honey),
+        out.digest(),
         straight,
         "1-worker snapshot resumed at 8 workers must stay byte-identical"
     );
@@ -116,22 +136,11 @@ fn snapshot_written_at_one_worker_count_resumes_at_another() {
 fn corrupt_snapshots_fall_back_to_last_valid_and_stay_byte_identical() {
     let dir = TempDir::new("corrupt-fallback");
     let cfg = chaos_config(7);
-    let straight = straight_digest(cfg.clone()).expect("straight run");
+    let straight = straight_digest(cfg.clone());
 
     // First life: crash at day 7 leaves snapshots for days 0 and 4.
-    {
-        let world = World::build(cfg.clone()).unwrap();
-        world.run_honey_study(world.study_start()).unwrap();
-        let crashed = world.run_wild_study_with(WildRunOptions {
-            checkpoint: Some(CheckpointPolicy {
-                dir: dir.0.clone(),
-                every_days: cfg.crawl_cadence_days,
-            }),
-            resume: None,
-            crash: Some(CrashPlan { kill_day: 7 }),
-        });
-        assert!(crashed.is_err());
-    }
+    let crashed = run_chaos(cfg.clone(), crashing(&dir.0, cfg.crawl_cadence_days, 7));
+    assert!(crashed.is_err());
     assert!(snapshot_path(&dir.0, 0).exists());
     assert!(snapshot_path(&dir.0, 4).exists());
 
@@ -149,22 +158,23 @@ fn corrupt_snapshots_fall_back_to_last_valid_and_stay_byte_identical() {
     let (snap, _) = scan.snapshot.expect("day-0 snapshot still valid");
     assert_eq!(snap.day, 0);
 
-    {
-        let world = World::build(cfg.clone()).unwrap();
-        let honey = world.run_honey_study(world.study_start()).unwrap();
-        let artifacts = world
-            .run_wild_study_with(WildRunOptions {
-                checkpoint: None,
-                resume: Some(snap),
-                crash: None,
-            })
-            .unwrap();
-        assert_eq!(
-            RunDigest::of(&world, &artifacts, honey),
-            straight,
-            "resume from the fallback snapshot must stay byte-identical"
-        );
-    }
+    // A cadence past the last day: the resumed run, which starts past
+    // day 0, writes no snapshot over the files under test.
+    let opts = RunOptions {
+        checkpoint: Some(CheckpointPolicy {
+            dir: dir.0.clone(),
+            every_days: cfg.monitoring_days + 1,
+        }),
+        resume: true,
+        ..RunOptions::default()
+    };
+    let out = Run::new(cfg.clone()).unwrap().study(opts).unwrap();
+    assert_eq!(out.artifacts.checkpoints.resumed_from_day, Some(snap.day));
+    assert_eq!(
+        out.digest(),
+        straight,
+        "resume from the fallback snapshot must stay byte-identical"
+    );
 
     // Truncate the day-0 snapshot too: nothing valid remains, which is
     // a (logged) fresh start — still byte-identical, still no panic.
@@ -175,10 +185,7 @@ fn corrupt_snapshots_fall_back_to_last_valid_and_stay_byte_identical() {
     assert!(scan.snapshot.is_none());
     assert_eq!(scan.skipped.len(), 2);
 
-    let world = World::build(cfg).unwrap();
-    let honey = world.run_honey_study(world.study_start()).unwrap();
-    let artifacts = world.run_wild_study().unwrap();
-    assert_eq!(RunDigest::of(&world, &artifacts, honey), straight);
+    assert_eq!(straight_digest(cfg), straight);
 }
 
 #[test]
@@ -187,28 +194,11 @@ fn incompatible_snapshots_are_refused_not_resumed() {
     // by a seed-42 world whose result-relevant config changed.
     let dir = TempDir::new("incompatible");
     let cfg = chaos_config(42);
-    {
-        let world = World::build(cfg.clone()).unwrap();
-        world.run_honey_study(world.study_start()).unwrap();
-        let _ = world.run_wild_study_with(WildRunOptions {
-            checkpoint: Some(CheckpointPolicy {
-                dir: dir.0.clone(),
-                every_days: cfg.crawl_cadence_days,
-            }),
-            resume: None,
-            crash: Some(CrashPlan { kill_day: 5 }),
-        });
-    }
-    let (snap, _) = load_latest(&dir.0).unwrap().snapshot.unwrap();
+    let opts = crashing(&dir.0, cfg.crawl_cadence_days, 5);
+    let _ = run_chaos(cfg, opts.clone());
+    assert!(load_latest(&dir.0).unwrap().snapshot.is_some());
 
-    let other = World::build(chaos_config(43)).unwrap();
-    other.run_honey_study(other.study_start()).unwrap();
-    let err = other
-        .run_wild_study_with(WildRunOptions {
-            checkpoint: None,
-            resume: Some(snap.clone()),
-            crash: None,
-        })
+    let err = run_chaos(chaos_config(43), resumed(opts.clone()))
         .map(|_| ())
         .expect_err("seed mismatch must refuse the resume");
     assert!(
@@ -218,14 +208,7 @@ fn incompatible_snapshots_are_refused_not_resumed() {
 
     let mut changed = chaos_config(42);
     changed.monitoring_days += 2;
-    let world = World::build(changed).unwrap();
-    world.run_honey_study(world.study_start()).unwrap();
-    let err = world
-        .run_wild_study_with(WildRunOptions {
-            checkpoint: None,
-            resume: Some(snap),
-            crash: None,
-        })
+    let err = run_chaos(changed, resumed(opts))
         .map(|_| ())
         .expect_err("config change must refuse the resume");
     assert!(
@@ -248,21 +231,19 @@ fn every_written_snapshot_is_its_own_decode_reencode() {
     cfg.memory_budget = Some(32 * 1024);
     cfg.spill_dir = Some(dir.0.join("spill"));
     let snaps = dir.0.join("snap");
-    let world = World::build(cfg).unwrap();
-    world.run_honey_study(world.study_start()).unwrap();
-    let artifacts = world
-        .run_wild_study_with(WildRunOptions {
-            checkpoint: Some(CheckpointPolicy {
-                dir: snaps.clone(),
-                every_days: 1,
-            }),
-            resume: None,
-            crash: None,
-        })
-        .unwrap();
+    let days = cfg.monitoring_days;
+    let opts = RunOptions {
+        checkpoint: Some(CheckpointPolicy {
+            dir: snaps.clone(),
+            every_days: 1,
+        }),
+        ..RunOptions::default()
+    };
+    let out = Run::new(cfg).unwrap().study(opts).unwrap();
+    let artifacts = &out.artifacts;
     assert!(artifacts.dataset.spill_stats().spilled_segments > 0);
     let written = artifacts.checkpoints.snapshots_written;
-    assert_eq!(written, world.cfg.monitoring_days + 1);
+    assert_eq!(written, days + 1);
     let mut spilled_refs = 0;
     let mut file_bytes = 0;
     // Newest first: a restore cuts the spill files back to its own
@@ -322,26 +303,25 @@ fn budgeted_life(
     dir: &Path,
     resume: bool,
     crash: Option<CrashPlan>,
-) -> Result<(), Error> {
-    let world = World::build(cfg.clone())?;
-    world.run_honey_study(world.study_start())?;
+) -> Result<(), RunError> {
     let snaps = dir.join("snap");
-    let resume = resume.then(|| {
+    if resume {
         let scan = load_latest(&snaps).expect("checkpoint dir readable");
         let (snap, _) = scan.snapshot.expect("the first life left a snapshot");
         assert_eq!(snap.day, KILL_DAY - 1, "resumes the newest snapshot");
-        snap
-    });
-    let artifacts = world.run_wild_study_with(WildRunOptions {
+    }
+    let opts = RunOptions {
         checkpoint: Some(CheckpointPolicy {
             dir: snaps,
             every_days: 1,
         }),
         resume,
         crash,
-    })?;
+        ..RunOptions::default()
+    };
+    let out = Run::new(cfg.clone())?.study(opts)?;
     assert!(
-        artifacts.dataset.spill_stats().spilled_segments > 0,
+        out.artifacts.dataset.spill_stats().spilled_segments > 0,
         "the budget spills"
     );
     Ok(())
@@ -379,7 +359,7 @@ fn killed_and_resumed_budgeted_run_writes_the_uninterrupted_bytes() {
 
     let kill = Some(CrashPlan { kill_day: KILL_DAY });
     let killed = budgeted_life(&cfg, &dir.0, false, kill);
-    assert!(matches!(killed, Err(Error::Interrupted(_))), "{killed:?}");
+    assert!(is_kill(&killed), "{killed:?}");
     budgeted_life(&cfg, &dir.0, true, None).expect("resumed run");
 
     for day in KILL_DAY..=days {

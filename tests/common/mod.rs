@@ -7,7 +7,7 @@ use iiscope::subsystems::monitor::export::{
     write_charts_csv, write_offers_csv, write_profiles_csv,
 };
 use iiscope::subsystems::monitor::Dataset;
-use iiscope::{HoneyStudy, WildArtifacts, World, WorldConfig};
+use iiscope::WorldConfig;
 use std::path::PathBuf;
 
 /// A reduced small world: every mechanism exercised (two crawl days,
@@ -21,16 +21,6 @@ pub fn reduced(seed: u64, parallelism: usize) -> WorldConfig {
     cfg.honey_purchase = 60;
     cfg.parallelism = parallelism;
     cfg
-}
-
-/// Builds the world and runs the honey study, then the wild study.
-pub fn run_study(cfg: WorldConfig) -> (World, WildArtifacts, HoneyStudy) {
-    let world = World::build(cfg).expect("build");
-    let honey = world
-        .run_honey_study(world.study_start())
-        .expect("honey study");
-    let artifacts = world.run_wild_study().expect("wild study");
-    (world, artifacts, honey)
 }
 
 /// The dataset's offers, profiles and charts CSVs, rendered in memory.

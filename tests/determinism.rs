@@ -11,20 +11,20 @@
 mod common;
 
 use common::reduced;
-use iiscope::experiments;
-use iiscope::{World, WorldConfig};
+use iiscope::{Outcome, Run, RunOptions, WorldConfig};
+
+/// Both studies, straight through.
+fn study(cfg: WorldConfig) -> Outcome {
+    let run = Run::new(cfg).expect("build");
+    run.study(RunOptions::default()).expect("studies")
+}
 
 #[test]
 fn parallel_run_matches_sequential_report_and_csv_bytes() {
     let run = |parallelism: usize| {
-        let world = World::build(reduced(4_321, parallelism)).unwrap();
-        let honey = world
-            .run_honey_study(world.study_start())
-            .expect("honey study");
-        let artifacts = world.run_wild_study().expect("wild study");
-        let report = experiments::full_report_incremental(&world, &artifacts, honey);
-        let csv = common::csvs(&artifacts.dataset);
-        (report, csv, artifacts.dataset.intern_stats())
+        let out = study(reduced(4_321, parallelism));
+        let csv = common::csvs(&out.artifacts.dataset);
+        (out.report(), csv, out.artifacts.dataset.intern_stats())
     };
     let (seq_report, seq_csv, seq_interns) = run(1);
     let (par_report, par_csv, par_interns) = run(8);
@@ -40,10 +40,7 @@ fn parallel_run_matches_sequential_report_and_csv_bytes() {
 
 #[test]
 fn experiment_timings_cover_every_section_in_order() {
-    let world = World::build(reduced(9_876, 4)).unwrap();
-    let honey = world.run_honey_study(world.study_start()).unwrap();
-    let artifacts = world.run_wild_study().unwrap();
-    let (report, timings) = experiments::full_report_incremental_timed(&world, &artifacts, honey);
+    let (report, timings) = study(reduced(9_876, 4)).timed_report();
     let labels: Vec<&str> = timings.iter().map(|t| t.label).collect();
     assert_eq!(
         labels,
@@ -79,10 +76,7 @@ fn experiment_timings_cover_every_section_in_order() {
 fn paper_scale_seed42_report_regenerates_unchanged_with_8_workers() {
     let mut cfg = WorldConfig::paper(42);
     cfg.parallelism = 8;
-    let world = World::build(cfg).unwrap();
-    let honey = world.run_honey_study(world.study_start()).unwrap();
-    let artifacts = world.run_wild_study().unwrap();
-    let report = experiments::full_report_incremental(&world, &artifacts, honey);
+    let report = study(cfg).report();
     let oracle = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/docs/report_seed42.txt"

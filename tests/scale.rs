@@ -16,11 +16,11 @@
 
 mod common;
 
-use common::{reduced, run_study};
-use iiscope::chaos::{chaos_config, crash_resume_digest, straight_digest};
-use iiscope::experiments;
+use common::reduced;
+use iiscope::chaos::{chaos_config, run_chaos, CrashPlan};
 use iiscope::subsystems::types::Error;
-use iiscope::{World, WorldConfig};
+use iiscope::wildsim::CheckpointPolicy;
+use iiscope::{Run, RunError, RunOptions, WorldConfig};
 
 struct RunOut {
     report: String,
@@ -32,19 +32,20 @@ struct RunOut {
 }
 
 fn run(cfg: WorldConfig) -> RunOut {
-    let (world, artifacts, honey) = run_study(cfg);
-    let report = experiments::full_report_incremental(&world, &artifacts, honey);
-    let csv = common::csvs(&artifacts.dataset);
+    let run = Run::new(cfg).expect("build");
+    let out = run.study(RunOptions::default()).expect("studies");
+    let report = out.report();
+    let csv = common::csvs(&out.artifacts.dataset);
     // Sampled after the report + export walked the full history, so
     // `reloads` counts the decodes those reads forced.
-    let stats = artifacts.dataset.spill_stats();
+    let stats = out.artifacts.dataset.spill_stats();
     RunOut {
         report,
         csv,
-        tagged_installs: artifacts.tagged_installs,
+        tagged_installs: out.artifacts.tagged_installs,
         spilled_segments: stats.spilled_segments,
         reloads: stats.reloads,
-        sealed_chunks: world.store.install_ledger_footprint().spilled_chunks,
+        sealed_chunks: out.world().store.install_ledger_footprint().spilled_chunks,
     }
 }
 
@@ -149,10 +150,29 @@ fn crash_resume_under_memory_budget_stays_byte_identical() {
         cfg.spill_dir = Some(base.join(spill));
         cfg
     };
-    let straight = straight_digest(cfg_with("straight")).expect("straight run");
-    let ckpt_dir = base.join("ckpt");
-    std::fs::create_dir_all(&ckpt_dir).expect("checkpoint dir");
-    let resumed = crash_resume_digest(cfg_with("crashed"), 5, &ckpt_dir).expect("crash + resume");
+    let straight = run_chaos(cfg_with("straight"), RunOptions::default())
+        .expect("straight run")
+        .digest;
+    let crashed = cfg_with("crashed");
+    let opts = RunOptions {
+        checkpoint: Some(CheckpointPolicy {
+            dir: base.join("ckpt"),
+            every_days: crashed.crawl_cadence_days,
+        }),
+        crash: Some(CrashPlan { kill_day: 5 }),
+        ..RunOptions::default()
+    };
+    let killed = run_chaos(crashed.clone(), opts.clone()).map(|_| ());
+    assert!(
+        matches!(killed, Err(RunError::Study(_, Error::Interrupted(_)))),
+        "{killed:?}"
+    );
+    let opts = RunOptions {
+        resume: true,
+        crash: None,
+        ..opts
+    };
+    let resumed = run_chaos(crashed, opts).expect("crash + resume").digest;
     assert_eq!(
         resumed, straight,
         "budgeted crash-and-resume is not byte-identical to straight-through"
@@ -186,17 +206,14 @@ fn a_failed_spill_write_ends_the_study_with_an_error_not_a_panic() {
     let mut cfg = reduced(5_150, 1);
     cfg.memory_budget = Some(32 * 1024);
     cfg.spill_dir = Some(blocker.join("spill"));
-    let world = World::build(cfg).expect("build");
-    world
-        .run_honey_study(world.study_start())
-        .expect("honey study");
-    let err = world
-        .run_wild_study()
+    let err = Run::new(cfg)
+        .expect("build")
+        .study(RunOptions::default())
         .map(|_| ())
         .expect_err("an unwritable spill dir must fail the study");
     let _ = std::fs::remove_file(&blocker);
     match err {
-        Error::InvalidState(msg) => {
+        RunError::Study("wild study", Error::InvalidState(msg)) => {
             let want = format!("spill to {}", blocker.join("spill").display());
             assert!(msg.starts_with(&want), "{msg}");
         }
@@ -214,17 +231,14 @@ fn a_failed_install_ledger_seal_ends_the_study_at_a_day_boundary() {
     let mut cfg = reduced(5_150, 1);
     cfg.memory_budget = Some(1 << 30);
     cfg.spill_dir = Some(blocker.join("spill"));
-    let world = World::build(cfg).expect("build");
-    world
-        .run_honey_study(world.study_start())
-        .expect("honey study");
-    let err = world
-        .run_wild_study()
+    let err = Run::new(cfg)
+        .expect("build")
+        .study(RunOptions::default())
         .map(|_| ())
         .expect_err("an unwritable spill dir must fail the study");
     let _ = std::fs::remove_file(&blocker);
     match err {
-        Error::InvalidState(msg) => {
+        RunError::Study("wild study", Error::InvalidState(msg)) => {
             let want = format!(
                 "install ledger spill to {}",
                 blocker

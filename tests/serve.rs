@@ -14,7 +14,6 @@
 mod common;
 
 use common::reduced;
-use iiscope::experiments;
 use iiscope::subsystems::load::{LatencyLog, StatusTally};
 use iiscope::subsystems::netsim::{AsnId, AsnKind, HostAddr, PeerInfo};
 use iiscope::subsystems::serve::{AdminHandler, ServeConfig, Server, ShutdownFlag};
@@ -22,7 +21,7 @@ use iiscope::subsystems::types::{Country, SeedFork, SimTime};
 use iiscope::subsystems::wire::http::{Method, RequestCtx};
 use iiscope::subsystems::wire::server::HttpEngine;
 use iiscope::subsystems::wire::{Handler, Json, Request, Response};
-use iiscope::{World, WorldConfig};
+use iiscope::{Run, RunOptions, World, WorldConfig};
 use proptest::prelude::*;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -415,7 +414,8 @@ fn soak_holds_cap_keepalive_conns_with_backpressure_then_drains() {
 type RunOutput = (String, [String; 3]);
 
 fn run_world(cfg: WorldConfig, serve: bool) -> RunOutput {
-    let world = World::build(cfg).unwrap();
+    let run = Run::new(cfg).unwrap();
+    let world = run.world();
     // With `serve`, a real server binds the world's router and client
     // threads hammer the chart/wall/profile endpoints for the whole
     // run — none of it may perturb a single output byte.
@@ -475,10 +475,9 @@ fn run_world(cfg: WorldConfig, serve: bool) -> RunOutput {
         (server, stop, hammers, router)
     });
 
-    let honey = world.run_honey_study(world.study_start()).unwrap();
-    let artifacts = world.run_wild_study().unwrap();
-    let report = experiments::full_report_incremental(&world, &artifacts, honey);
-    let csv = common::csvs(&artifacts.dataset);
+    let out = run.study(RunOptions::default()).unwrap();
+    let report = out.report();
+    let csv = common::csvs(&out.artifacts.dataset);
 
     if let Some((server, stop, hammers, router)) = rig {
         stop.store(true, Ordering::Relaxed);
@@ -640,7 +639,8 @@ fn nightly_soak_emits_bench_serve_json() {
 fn paper_scale_seed42_report_survives_serving() {
     let mut cfg = WorldConfig::paper(42);
     cfg.parallelism = 8;
-    let world = World::build(cfg).unwrap();
+    let run = Run::new(cfg).unwrap();
+    let world = run.world();
     let server = Server::start(
         "127.0.0.1:0",
         ServeConfig {
@@ -667,9 +667,7 @@ fn paper_scale_seed42_report_survives_serving() {
         })
     };
 
-    let honey = world.run_honey_study(world.study_start()).unwrap();
-    let artifacts = world.run_wild_study().unwrap();
-    let report = experiments::full_report_incremental(&world, &artifacts, honey);
+    let report = run.study(RunOptions::default()).unwrap().report();
     stop.store(true, Ordering::Relaxed);
     hammer.join().unwrap();
     server.stop();

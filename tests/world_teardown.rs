@@ -11,7 +11,7 @@
 mod common;
 
 use common::TempDir;
-use iiscope::World;
+use iiscope::{Run, RunOptions};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::Path;
 use std::sync::atomic::{AtomicIsize, Ordering};
@@ -71,17 +71,15 @@ fn build_run_drop(seed: u64, spill_dir: Option<&Path>) {
         cfg.memory_budget = Some(32 * 1024);
         cfg.spill_dir = Some(dir.to_path_buf());
     }
-    let world = World::build(cfg).expect("world builds");
-    let honey = world
-        .run_honey_study(world.study_start())
-        .expect("honey study");
-    let wild = world.run_wild_study().expect("wild study");
+    let run = Run::new(cfg).expect("world builds");
+    let out = run.study(RunOptions::default()).expect("studies");
+    let wild = &out.artifacts;
     assert!(wild.tagged_installs > 0);
     if spill_dir.is_some() {
         assert!(wild.dataset.spill_stats().spilled_segments > 0);
-        assert!(world.store.install_ledger_footprint().spilled_chunks > 0);
+        assert!(out.world().store.install_ledger_footprint().spilled_chunks > 0);
     }
-    drop((honey, wild, world));
+    drop(out);
 }
 
 #[test]
