@@ -28,7 +28,6 @@ use iiscope_types::{Country, DeviceId, SeedFork, SimDuration};
 use iiscope_wire::server::HttpsFactory;
 use iiscope_wire::tls::{CertAuthority, ServerIdentity, TrustStore};
 use iiscope_wire::HttpClient;
-use std::io::Write;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -204,61 +203,9 @@ pub fn telemetry_survival(seed: u64, drop_chance: f64, devices: u64) -> usize {
     collector.distinct_installs()
 }
 
-/// FNV-1a over a byte slice — the digest two chaos runs are compared
-/// by (the workspace carries no hashing dependency).
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::default();
-    h.fold(bytes);
-    h.finish()
-}
-
-/// Streaming [`fnv64`]: a [`Write`] sink, so an export digests its
-/// bytes as they are written instead of rendering them first.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv64(u64);
-
-impl Default for Fnv64 {
-    /// The empty digest.
-    fn default() -> Fnv64 {
-        Fnv64(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Fnv64 {
-    fn fold(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    /// The digest of every byte written so far.
-    pub fn finish(self) -> u64 {
-        self.0
-    }
-}
-
-impl Write for Fnv64 {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.fold(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_is_stable_and_discriminating() {
-        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv64(b"chaos"), fnv64(b"chaos"));
-        assert_ne!(fnv64(b"chaos"), fnv64(b"order"));
-    }
 
     #[test]
     fn grid_covers_every_fault_family() {

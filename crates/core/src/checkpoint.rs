@@ -34,11 +34,12 @@
 //! snapshot is logged and skipped back to the previous valid one.
 
 use crate::aggregates::ReportAggregates;
-use crate::chaos::fnv64;
 use crate::config::WorldConfig;
 use iiscope_monitor::spill::{SavedRows, SegRef, SpillManifest};
 use iiscope_monitor::{Dataset, ProfileLog, SavedDataset};
+use iiscope_types::fnv::fnv64;
 use iiscope_types::frame::{Dec, Enc, FrameError, FrameReader, FrameWriter};
+use iiscope_types::spillfile::SpillRef;
 use iiscope_types::Interner;
 use iiscope_wire::ClientState;
 use rand::rngs::RngState;
@@ -361,7 +362,11 @@ fn enc_manifest(e: &mut Enc, m: &SpillManifest) {
     }
     e.u64(m.segments.len() as u64);
     for s in &m.segments {
-        e.u64(s.rows).u64(s.offset).u64(s.len).u32(s.crc);
+        let blob = s.blob;
+        e.u64(s.rows)
+            .u64(blob.offset)
+            .u64(blob.len.into())
+            .u32(blob.crc);
     }
 }
 
@@ -374,12 +379,16 @@ fn dec_manifest(d: &mut Dec) -> Result<SpillManifest, FrameError> {
     let n = d.u64()?;
     let mut segments = Vec::new();
     for _ in 0..n {
-        segments.push(SegRef {
-            rows: d.u64()?,
-            offset: d.u64()?,
-            len: d.u64()?,
+        let rows = d.u64()?;
+        let offset = d.u64()?;
+        let len =
+            u32::try_from(d.u64()?).map_err(|_| FrameError::Codec("spill segment over 4 GiB"))?;
+        let blob = SpillRef {
+            offset,
+            len,
             crc: d.u32()?,
-        });
+        };
+        segments.push(SegRef { rows, blob });
     }
     if file.is_none() && !segments.is_empty() {
         return Err(FrameError::Codec("spill segments without a spill file"));

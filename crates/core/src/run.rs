@@ -6,7 +6,7 @@
 //! world with both studies' results and renders the report or its
 //! digest when asked. A [`RunError`]'s exit code is `repro`'s.
 
-use crate::chaos::{fnv64, CrashPlan, Fnv64};
+use crate::chaos::CrashPlan;
 use crate::checkpoint::{self, Snapshot};
 use crate::experiments::{self, ExperimentTiming};
 use crate::wildsim::{CheckpointPolicy, WildRunOptions};
@@ -14,6 +14,7 @@ use crate::{HoneyStudy, WildArtifacts, World, WorldConfig};
 use iiscope_monitor::export::{write_charts_csv, write_offers_csv, write_profiles_csv};
 use iiscope_monitor::Dataset;
 use iiscope_netsim::FaultPlan;
+use iiscope_types::fnv::{fnv64, Fnv64};
 use iiscope_types::Error;
 use std::path::Path;
 use std::time::Instant;

@@ -130,7 +130,7 @@ fn check_spill(dataset: &Dataset, store: Option<&PlayStore>) -> Result<()> {
         return Err(Error::InvalidState(e.to_string()));
     }
     match store.and_then(PlayStore::install_spill_error) {
-        Some(e) => Err(Error::InvalidState(e.to_string())),
+        Some(e) => Err(Error::InvalidState(format!("install ledger {e}"))),
         None => Ok(()),
     }
 }
@@ -412,14 +412,20 @@ impl World {
             check_spill(&st.dataset, ledger_due.then_some(self.store.as_ref()))?;
             if let Some(cp) = &opts.checkpoint {
                 if day % cp.every_days.max(1) == 0 {
+                    // The snapshot names spill segments by offset and
+                    // CRC, so they reach the device before it does.
+                    let t = std::time::Instant::now();
+                    st.dataset
+                        .sync_spill()
+                        .map_err(|e| Error::InvalidState(e.to_string()))?;
                     // Encoding and writing interleave: the encode
                     // part ends when the temp file holds its last
                     // byte, the rest is fsync and rename.
-                    let t = std::time::Instant::now();
+                    let encode = std::time::Instant::now();
                     let mut encoded = 0.0;
                     let bytes = checkpoint::write_durable(&cp.dir, day, |f| {
                         self.write_snapshot(&st, day, f)?;
-                        encoded = t.elapsed().as_secs_f64();
+                        encoded = encode.elapsed().as_secs_f64();
                         Ok(())
                     })
                     .map_err(|e| {
@@ -492,9 +498,10 @@ impl World {
     }
 
     /// Where spill files live: the configured directory, else a
-    /// `spill/` subdirectory of the checkpoint directory (so snapshot
-    /// references and spill data share durability), else a per-process
-    /// directory under the system temp dir.
+    /// `spill/` subdirectory of the checkpoint directory (snapshot
+    /// references and the spill data they name, synced before each
+    /// snapshot, share durability), else a per-process directory under
+    /// the system temp dir.
     fn resolve_spill_dir(&self, opts: &WildRunOptions) -> PathBuf {
         if let Some(d) = &self.cfg.spill_dir {
             return d.clone();

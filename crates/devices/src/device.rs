@@ -10,6 +10,7 @@
 
 use iiscope_netsim::{AsnKind, HostAddr};
 use iiscope_playstore::InstallSignals;
+use iiscope_types::fnv::fnv64;
 use iiscope_types::{DeviceId, PackageName};
 
 /// A simulated Android device.
@@ -42,14 +43,7 @@ impl Device {
     /// FNV-1a hash of the SSID — the honey app "only store\[s\] a hashed
     /// value" (§3.1 Ethics).
     pub fn ssid_hash(&self) -> Option<u64> {
-        self.wifi_ssid.as_ref().map(|s| {
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for b in s.as_bytes() {
-                h ^= u64::from(*b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-            h
-        })
+        self.wifi_ssid.as_deref().map(|s| fnv64(s.as_bytes()))
     }
 
     /// The /24 of the public address as a compact key.

@@ -30,11 +30,11 @@ use crate::crawler::{ChartSnapshot, ProfileSnapshot};
 use crate::parsers::{RewardValue, ScrapedOffer};
 use crate::profiles::ProfileLog;
 use crate::spill::{
-    LogRow, OfferFields, ProfileFields, RowLog, RowLogIter, SavedRows, SpillError, SpillManifest,
-    SpillStats,
+    LogRow, OfferFields, ProfileFields, RowLog, RowLogIter, SavedRows, SpillManifest, SpillStats,
 };
 use iiscope_playstore::ChartKind;
 use iiscope_types::frame::{Dec, Enc, FrameError};
+use iiscope_types::spillfile::SpillError;
 use iiscope_types::{Chunked, Country, IipId, Interner, SimTime, Sym, SymMap, SymSet};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -553,16 +553,9 @@ impl Dataset {
     /// wait.
     pub fn set_memory_budget(&mut self, budget: Option<u64>, spill_dir: &Path, label: &str) {
         let per_log = budget.map(|b| (b / 2).max(4096));
-        self.offers.configure(
-            per_log,
-            spill_dir.join(format!("{label}-offers.spill")),
-            &self.syms,
-        );
-        self.charts.configure(
-            per_log,
-            spill_dir.join(format!("{label}-charts.spill")),
-            &self.syms,
-        );
+        let file = |log: &str| spill_dir.join(format!("{label}-{log}.spill"));
+        self.offers.configure(per_log, file("offers"), &self.syms);
+        self.charts.configure(per_log, file("charts"), &self.syms);
     }
 
     /// Combined spill counters of the offer and chart logs.
@@ -574,6 +567,12 @@ impl Dataset {
     /// keep every row resident after it).
     pub fn spill_error(&self) -> Option<&SpillError> {
         self.offers.spill_error().or(self.charts.spill_error())
+    }
+
+    /// Flushes both logs' spill files to the device. A snapshot names
+    /// their segments, so they must be durable before it is written.
+    pub fn sync_spill(&self) -> Result<(), SpillError> {
+        self.offers.sync().and_then(|()| self.charts.sync())
     }
 
     /// Spill manifest of the offer log (for checkpointing).

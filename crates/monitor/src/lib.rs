@@ -51,6 +51,5 @@ pub use normalize::RateBook;
 pub use parsers::{parse_wall, probe_wall, PageFill, RawOffer, RewardValue, ScrapedOffer};
 pub use profiles::ProfileLog;
 pub use spill::{
-    LogRow, OfferFields, ProfileFields, RowLog, SavedRows, SegRef, SpillError, SpillManifest,
-    SpillStats,
+    LogRow, OfferFields, ProfileFields, RowLog, SavedRows, SegRef, SpillManifest, SpillStats,
 };

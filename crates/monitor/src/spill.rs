@@ -26,20 +26,21 @@
 //!   which is what keeps the seed-42 report and CSVs byte-identical
 //!   with or without spilling.
 //! * **Checksummed end to end.** Each segment is one frame blob (CRC
-//!   per record inside) and its [`SegRef`] additionally carries a CRC
-//!   of the whole blob; [`RowLog::attach`] re-reads and verifies every
-//!   referenced segment before a resume is allowed to proceed.
+//!   per record inside) appended to the log's [`SpillFile`], and its
+//!   [`SegRef`] additionally carries the file's CRC of the whole blob;
+//!   [`RowLog::attach`] re-reads and verifies every referenced segment
+//!   before a resume is allowed to proceed.
 
 use crate::crawler::ProfileSnapshot;
 use crate::dataset::dec_chart;
 use crate::parsers::{RewardValue, ScrapedOffer};
-use iiscope_types::frame::{crc32, Dec, Enc, FrameError, FrameReader, FrameWriter};
+use iiscope_types::frame::{Dec, Enc, FrameError, FrameReader, FrameWriter};
+use iiscope_types::spillfile::{SpillError, SpillFile, SpillRef};
 use iiscope_types::{Chunked, Country, IipId, SimTime};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::fs::{File, OpenOptions};
-use std::io::{Cursor, Read as _, Seek as _, SeekFrom, Write as _};
-use std::path::{Path, PathBuf};
+use std::io::Cursor;
+use std::path::PathBuf;
 use std::sync::Arc;
 
 /// The one row form a [`RowLog`] keeps: its strings are symbols of the
@@ -70,13 +71,9 @@ pub trait LogRow: Sized + std::fmt::Debug {
 pub struct SegRef {
     /// Rows in the segment.
     pub rows: u64,
-    /// Byte offset of the frame blob in the spill file.
-    pub offset: u64,
-    /// Length of the frame blob.
-    pub len: u64,
-    /// CRC-32 of the whole blob (defense in depth on top of the
-    /// frame's per-record CRC).
-    pub crc: u32,
+    /// The segment's frame blob; its CRC covers the whole blob (defense
+    /// in depth on top of the frame's per-record CRC).
+    pub blob: SpillRef,
 }
 
 /// Everything a checkpoint needs to reference a log's spilled prefix
@@ -130,32 +127,11 @@ struct Warm<T> {
     bytes: usize,
 }
 
-/// The first spill write that failed. The log stops spilling after
-/// it, so every later row stays resident and no row is lost.
-#[derive(Debug)]
-pub struct SpillError {
-    /// Spill file the log was writing.
-    pub path: PathBuf,
-    /// What the filesystem said.
-    pub error: std::io::Error,
-}
-
-impl std::fmt::Display for SpillError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "spill to {} failed: {}", self.path.display(), self.error)
-    }
-}
-
-impl std::error::Error for SpillError {}
-
-/// Disk side of a log: the spill file plus the LRU of decoded
-/// segments. Behind a mutex so read-only dataset accessors (which run
-/// under the experiment fan-out) can load segments from `&self`.
+/// The LRU of decoded spilled segments. Behind a mutex so read-only
+/// dataset accessors (which run under the experiment fan-out) can load
+/// segments from `&self`.
 #[derive(Debug)]
 struct Cold<R> {
-    file: Option<File>,
-    /// End offset of the last written segment (next write position).
-    file_end: u64,
     /// Decoded segments, most-recently-used first.
     cache: Vec<(usize, Arc<Vec<R>>, usize)>,
     cache_bytes: usize,
@@ -182,10 +158,9 @@ pub struct RowLog<R: LogRow> {
     len: usize,
     /// Resident budget in bytes; `None` disables spilling.
     budget: Option<usize>,
-    /// Where to create the spill file on first spill.
-    spill_target: Option<PathBuf>,
-    /// First spill write failure; set once, spilling stops after it.
-    failed: Option<SpillError>,
+    /// The spill file, created on the first spill. After its first
+    /// failed write the log spills nothing more.
+    file: Option<SpillFile>,
     cold: Mutex<Cold<R>>,
 }
 
@@ -198,11 +173,8 @@ impl<R: LogRow> Default for RowLog<R> {
             warm: VecDeque::new(),
             len: 0,
             budget: None,
-            spill_target: None,
-            failed: None,
+            file: None,
             cold: Mutex::new(Cold {
-                file: None,
-                file_end: 0,
                 cache: Vec::new(),
                 cache_bytes: 0,
                 reloads: 0,
@@ -214,10 +186,13 @@ impl<R: LogRow> Default for RowLog<R> {
 impl<R: LogRow> RowLog<R> {
     /// Sets the resident budget and the spill file path. May be called
     /// before any row or after ingest started; enforcement happens on
-    /// the next push (and immediately, for already-closed segments).
+    /// the next push (and immediately, for already-closed segments). A
+    /// log that already spilled keeps its file.
     pub fn configure(&mut self, budget: Option<u64>, spill_file: PathBuf, ctx: &R::Ctx) {
         self.budget = budget.map(|b| b as usize);
-        self.spill_target = Some(spill_file);
+        if self.spilled.segments.is_empty() {
+            self.file = Some(SpillFile::kept(spill_file));
+        }
         self.enforce(ctx);
     }
 
@@ -257,86 +232,43 @@ impl<R: LogRow> RowLog<R> {
         }
     }
 
-    /// Spills oldest resident segments until the accounted resident
-    /// bytes fit the budget (or nothing closed remains resident). After
-    /// a failed spill write it does nothing: rows stay resident.
+    /// Appends the oldest resident segments to the spill file, moving
+    /// them to the spilled prefix, until the accounted resident bytes
+    /// fit the budget (or nothing closed remains resident). Once the
+    /// file has failed a write it spills nothing: rows stay resident.
     fn enforce(&mut self, ctx: &R::Ctx) {
-        let Some(budget) = self.budget else { return };
-        while self.failed.is_none()
-            && self.resident_bytes() > budget as u64
-            && !self.warm.is_empty()
-        {
-            if let Err(e) = self.spill_oldest(ctx) {
-                self.failed = Some(e);
-            }
-        }
-    }
-
-    /// Writes the oldest warm segment to the spill file and moves it to
-    /// the spilled prefix. On an I/O error the segment stays warm.
-    fn spill_oldest(&mut self, ctx: &R::Ctx) -> Result<(), SpillError> {
-        let path = self
-            .spill_target
-            .clone()
-            .expect("spill budget set without a spill file path");
-        let fail = |error| SpillError {
-            path: path.clone(),
-            error,
+        let (Some(budget), Some(file)) = (self.budget, &self.file) else {
+            return;
         };
-        let seg = self.warm.front().expect("enforce checks a warm segment");
-        let mut w = FrameWriter::new(Cursor::new(Vec::new())).map_err(fail)?;
-        w.record_with(|e| {
-            e.u64(seg.rows.len() as u64);
-            for r in seg.rows.iter() {
-                r.encode(ctx, e);
+        while self.resident_bytes() > budget as u64 {
+            let Some(seg) = self.warm.front() else { return };
+            let Some(blob) = file.append(&frame_rows(&seg.rows, ctx)) else {
+                return;
+            };
+            if self.spilled.file.is_none() {
+                // The manifest names the file absolutely, so a checkpoint
+                // written under a relative spill dir resumes from any
+                // working directory.
+                let path = file.path();
+                self.spilled.file = Some(std::path::absolute(path).unwrap_or_else(|_| path.into()));
             }
-        })
-        .map_err(fail)?;
-        let blob = w.finish().map_err(fail)?.into_inner();
-        let crc = crc32(&blob);
-
-        let mut cold = self.cold.lock();
-        if cold.file.is_none() {
-            // The manifest names the file absolutely, so a checkpoint
-            // written under a relative spill dir resumes from any
-            // working directory.
-            let absolute = std::path::absolute(&path).map_err(fail)?;
-            if let Some(parent) = path.parent() {
-                std::fs::create_dir_all(parent).map_err(fail)?;
-            }
-            let file = OpenOptions::new()
-                .read(true)
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(&path)
-                .map_err(fail)?;
-            cold.file = Some(file);
-            cold.file_end = 0;
-            self.spilled.file = Some(absolute);
+            let rows = seg.rows.len() as u64;
+            self.warm.pop_front();
+            self.spilled.segments.push(SegRef { rows, blob });
         }
-        let offset = cold.file_end;
-        let file = cold.file.as_mut().expect("just opened");
-        file.seek(SeekFrom::Start(offset)).map_err(fail)?;
-        file.write_all(&blob).map_err(fail)?;
-        cold.file_end = offset + blob.len() as u64;
-        drop(cold);
-
-        let seg = self.warm.pop_front().expect("checked above");
-        self.spilled.segments.push(SegRef {
-            rows: seg.rows.len() as u64,
-            offset,
-            len: blob.len() as u64,
-            crc,
-        });
-        Ok(())
     }
 
     /// The first spill write that failed, if any. The log keeps
     /// working fully resident after it; a caller that needs the
     /// budget to hold treats it as fatal.
     pub fn spill_error(&self) -> Option<&SpillError> {
-        self.failed.as_ref()
+        self.file.as_ref()?.error()
+    }
+
+    /// Flushes the spill file to the device, so a snapshot naming its
+    /// segments survives an OS crash.
+    pub fn sync(&self) -> Result<(), SpillError> {
+        self.file.as_ref().map_or(Ok(()), SpillFile::sync)
     }
 
     /// Loads a spilled segment through the LRU cache.
@@ -354,18 +286,8 @@ impl<R: LogRow> RowLog<R> {
             return rows;
         }
         cold.reloads += 1;
-        let path = self
-            .spilled
-            .file
-            .as_deref()
-            .expect("spilled without a file");
-        let file = cold.file.as_mut().expect("spilled without a file");
-        let mut rows = Vec::with_capacity(seg.rows as usize);
-        read_rows(file, path, seg, |d| {
-            rows.push(R::decode(d, ctx)?);
-            Ok(())
-        })
-        .unwrap_or_else(|e| panic!("{e}"));
+        let file = self.file.as_ref().expect("spilled without a file");
+        let rows = read_rows(file, seg, |d| R::decode(d, ctx)).unwrap_or_else(|e| panic!("{e}"));
         let bytes: usize = rows.iter().map(R::accounted_bytes).sum();
         let rows = Arc::new(rows);
         cold.cache.insert(0, (seg_idx, rows.clone(), bytes));
@@ -446,12 +368,11 @@ impl<R: LogRow> RowLog<R> {
         warm.chain(self.tail.iter()).for_each(|r| r.encode(ctx, e));
     }
 
-    /// Reattaches a spilled prefix on restore: opens the manifest's
-    /// spill file, reads each referenced segment once (a reload, as in
-    /// any scan), verifies it and hands each row's codec bytes to `row`,
-    /// then truncates any stale bytes a crashed run wrote past the
-    /// manifest and registers the segments, which stay spilled. Must be
-    /// called on an empty log, before any push.
+    /// Reattaches a spilled prefix on restore: reopens the manifest's
+    /// spill file cut back to its end, reads each segment once (a
+    /// reload, as in any scan), verifies it and hands each row's codec
+    /// bytes to `row`, then registers the segments, which stay spilled.
+    /// Must be called on an empty log, before any push.
     pub fn attach(
         &mut self,
         manifest: &SpillManifest,
@@ -465,31 +386,25 @@ impl<R: LogRow> RowLog<R> {
             .file
             .as_ref()
             .ok_or_else(|| "spill manifest has segments but no file".to_string())?;
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(path)
-            .map_err(|e| format!("open spill file {}: {e}", path.display()))?;
         let mut end = 0u64;
         for seg in &manifest.segments {
-            if seg.offset != end {
+            if seg.blob.offset != end {
+                let at = seg.blob.offset;
                 return Err(format!(
-                    "spill manifest gap: segment at {} expected at {end}",
-                    seg.offset
+                    "spill manifest gap: segment at {at} expected at {end}"
                 ));
             }
-            read_rows(&mut file, path, *seg, &mut row)?;
-            end = seg.offset + seg.len;
+            end += u64::from(seg.blob.len);
         }
-        file.set_len(end)
-            .map_err(|e| format!("truncate spill file: {e}"))?;
+        let file = SpillFile::reopen(path, end)
+            .map_err(|e| format!("reopen spill file {}: {e}", path.display()))?;
+        for seg in &manifest.segments {
+            read_rows(&file, *seg, &mut row)?;
+        }
         self.len = manifest.segments.iter().map(|s| s.rows as usize).sum();
         self.spilled = manifest.clone();
-        self.spill_target = Some(path.clone());
-        let mut cold = self.cold.lock();
-        cold.file = Some(file);
-        cold.file_end = end;
-        cold.reloads += manifest.segments.len() as u64;
+        self.file = Some(file);
+        self.cold.get_mut().reloads += manifest.segments.len() as u64;
         Ok(())
     }
 
@@ -505,60 +420,56 @@ impl<R: LogRow> RowLog<R> {
         SpillStats {
             spilled_segments: segments.len() as u64,
             spilled_rows: segments.iter().map(|s| s.rows).sum(),
-            spilled_bytes: segments.iter().map(|s| s.len).sum(),
+            spilled_bytes: segments.iter().map(|s| u64::from(s.blob.len)).sum(),
             reloads,
             resident_bytes: self.resident_bytes(),
         }
     }
 }
 
-/// Reads segment `seg` of the spill file at `path` and hands each
-/// row's codec bytes to `row`. The error names the file and the offset.
-fn read_rows(
-    file: &mut File,
-    path: &Path,
-    seg: SegRef,
-    row: impl FnMut(&mut Dec<'_>) -> Result<(), FrameError>,
-) -> Result<(), String> {
-    let fail = |what: &str, e: &dyn std::fmt::Display| {
-        let path = path.display();
-        format!(
-            "spill segment at offset {} of {path} is {what}: {e}",
-            seg.offset
-        )
-    };
-    let mut blob = vec![0u8; seg.len as usize];
-    file.seek(SeekFrom::Start(seg.offset))
-        .and_then(|_| file.read_exact(&mut blob))
-        .map_err(|e| fail("unreadable", &e))?;
-    decode_rows(&blob, seg, row).map_err(|e| fail("invalid", &e))
+/// A segment's frame blob: one record holding the row count, then
+/// each row's codec bytes.
+fn frame_rows<R: LogRow>(rows: &Chunked<R>, ctx: &R::Ctx) -> Vec<u8> {
+    let framed = (|| {
+        let mut w = FrameWriter::new(Cursor::new(Vec::new()))?;
+        w.record_with(|e| {
+            e.u64(rows.len() as u64);
+            rows.iter().for_each(|r| r.encode(ctx, e));
+        })?;
+        w.finish()
+    })();
+    framed
+        .expect("framing into memory cannot fail")
+        .into_inner()
 }
 
-/// Checks a segment blob (its CRC, one frame record, its row count) and
-/// hands each row to `row`, in order.
-fn decode_rows(
-    blob: &[u8],
+/// Reads segment `seg` back from `file` and decodes its rows with
+/// `row`, in order, after checking its frame and row count. The error
+/// names the file and the offset.
+fn read_rows<T>(
+    file: &SpillFile,
     seg: SegRef,
-    mut row: impl FnMut(&mut Dec<'_>) -> Result<(), FrameError>,
-) -> Result<(), FrameError> {
-    if crc32(blob) != seg.crc {
-        return Err(FrameError::Codec("segment blob CRC mismatch"));
-    }
-    let mut reader = FrameReader::new(blob)?;
-    let payload = reader
-        .next_record()?
-        .ok_or(FrameError::Codec("empty segment blob"))?;
-    if reader.next_record()?.is_some() {
-        return Err(FrameError::Codec("trailing record in segment blob"));
-    }
-    let mut d = Dec::new(payload);
-    if d.u64()? != seg.rows {
-        return Err(FrameError::Codec("segment row count mismatch"));
-    }
-    for _ in 0..seg.rows {
-        row(&mut d)?;
-    }
-    d.finish()
+    mut row: impl FnMut(&mut Dec<'_>) -> Result<T, FrameError>,
+) -> Result<Vec<T>, String> {
+    let mut blob = vec![0u8; seg.blob.len as usize];
+    file.read(seg.blob, &mut blob, |blob| {
+        let mut reader = FrameReader::new(blob)?;
+        let payload = reader
+            .next_record()?
+            .ok_or(FrameError::Codec("empty segment blob"))?;
+        if reader.next_record()?.is_some() {
+            return Err(FrameError::Codec("trailing record in segment blob"));
+        }
+        let mut d = Dec::new(payload);
+        if d.u64()? != seg.rows {
+            return Err(FrameError::Codec("segment row count mismatch"));
+        }
+        let mut rows = Vec::with_capacity(seg.rows as usize);
+        for _ in 0..seg.rows {
+            rows.push(row(&mut d)?);
+        }
+        d.finish().map(|()| rows)
+    })
 }
 
 enum Cur<'a, R> {
@@ -1034,7 +945,10 @@ mod tests {
         // Simulate a crashed run writing stale bytes past the manifest.
         {
             use std::io::Write as _;
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+            let mut f = std::fs::OpenOptions::new()
+                .append(true)
+                .open(&path)
+                .unwrap();
             f.write_all(b"stale garbage from a crashed successor")
                 .unwrap();
         }
@@ -1052,14 +966,15 @@ mod tests {
         let end: u64 = manifest
             .segments
             .iter()
-            .map(|s| s.offset + s.len)
+            .map(|s| s.blob.offset + u64::from(s.blob.len))
             .max()
             .unwrap();
         assert_eq!(std::fs::metadata(&path).unwrap().len(), end);
 
         // Flip one byte inside a referenced segment: attach must refuse.
         let mut bytes = std::fs::read(&path).unwrap();
-        let mid = (manifest.segments[0].offset + manifest.segments[0].len / 2) as usize;
+        let first = manifest.segments[0].blob;
+        let mid = (first.offset + u64::from(first.len / 2)) as usize;
         bytes[mid] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
         let mut corrupt: RowLog<ScrapedOffer> = RowLog::default();
@@ -1210,8 +1125,7 @@ mod tests {
             log.push(offer(k, k % 90), &());
         }
         assert!(log.stats().spilled_segments > 0);
-        let file = OpenOptions::new().write(true).open(&path).unwrap();
-        file.set_len(0).unwrap();
+        std::fs::write(&path, b"").unwrap();
         let panic =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| log.iter(&()).count()))
                 .expect_err("reading a truncated spill file must fail");

@@ -20,29 +20,20 @@
 //! history to grow and its slack is at most one chunk. Readers see
 //! decoded [`InstallEvent`] values through [`InstallEvents`].
 //!
-//! Under a memory budget the ledgers of a store seal each chunk to a
-//! [`SealFile`] as soon as it fills: one append-only scratch file per
-//! store, created on the first seal and unlinked as soon as it is
-//! open. Only the open chunk, the per-/24 counts and the day buckets
-//! stay in memory, plus each sealed chunk's offset and CRC-32. Sealed
-//! rows come back through positioned reads on a shared `&File`, so
-//! readers under the store's read lock stay parallel; the only writer
-//! of a sealed row is [`EngagementLedger::filter_installs`], which
-//! rewrites in place just the chunks whose rows it filtered. A ledger
-//! without a file keeps every chunk in memory, and a chunk whose seal
-//! fails stays there too (the file records the first error).
+//! Under a memory budget the ledgers of a store seal each chunk, as it
+//! fills, to the store's scratch [`SpillFile`] and keep its
+//! [`SpillRef`]. Readers under the store's read lock stay parallel;
+//! [`EngagementLedger::filter_installs`] rewrites in place just the
+//! sealed chunks whose rows it filtered. A chunk whose seal fails stays
+//! in memory (the file records the first error).
 
-use iiscope_types::frame::crc32;
+use iiscope_types::frame::{Dec, Enc};
+use iiscope_types::spillfile::{SpillFile, SpillRef};
 use iiscope_types::{SimTime, Usd};
-use parking_lot::Mutex;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet};
-use std::fs::{File, OpenOptions};
 use std::hash::{BuildHasherDefault, DefaultHasher};
-use std::os::unix::fs::FileExt;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Device-quality signals attached to one install event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,26 +147,6 @@ impl PackedInstall {
             filtered: self.bits & FILTERED != 0,
         }
     }
-
-    /// The row as a sealed chunk stores it, little-endian.
-    fn to_le_bytes(self) -> [u8; 16] {
-        let mut b = [0; 16];
-        b[..8].copy_from_slice(&self.at.to_le_bytes());
-        b[8..12].copy_from_slice(&self.block24.to_le_bytes());
-        b[12..].copy_from_slice(&self.bits.to_le_bytes());
-        b
-    }
-
-    /// The row `to_le_bytes` wrote into the 16 bytes of `b`.
-    fn from_le_bytes(b: &[u8]) -> PackedInstall {
-        let word =
-            |r: std::ops::Range<usize>| u32::from_le_bytes(b[r].try_into().expect("4 bytes"));
-        PackedInstall {
-            at: u64::from_le_bytes(b[..8].try_into().expect("8 bytes")),
-            block24: word(8..12),
-            bits: word(12..16),
-        }
-    }
 }
 
 /// Unfiltered event installs per /24, split by how many a block holds.
@@ -249,11 +220,24 @@ const _: () = assert!(CHUNK_BYTES == 4096);
 #[derive(Debug)]
 enum Chunk {
     /// In memory: the open chunk, every chunk of a ledger without a
-    /// [`SealFile`], and a full chunk whose seal failed.
+    /// file, and a full chunk whose seal failed.
     Resident(Vec<PackedInstall>),
-    /// [`CHUNK_ROWS`] rows in the ledger's file at `offset`, whose
-    /// bytes have CRC-32 `crc`.
-    Sealed { offset: u64, crc: u32 },
+    /// [`CHUNK_ROWS`] rows in the ledger's file.
+    Sealed(SpillRef),
+}
+
+// The chunk index is charged at this size (`install_heap_bytes`).
+const _: () = assert!(std::mem::size_of::<Chunk>() == 24);
+
+/// A full chunk's rows as the file stores them: each row's three
+/// fields in the frame codec, 16 bytes.
+fn chunk_bytes(rows: &[PackedInstall]) -> Vec<u8> {
+    debug_assert_eq!(rows.len(), CHUNK_ROWS);
+    let mut e = Enc::new();
+    for r in rows {
+        e.u64(r.at).u32(r.block24).u32(r.bits);
+    }
+    e.into_bytes()
 }
 
 /// A ledger's install rows in record order, in chunks of
@@ -264,7 +248,7 @@ enum Chunk {
 struct InstallRows {
     chunks: Vec<Chunk>,
     len: usize,
-    file: Option<Arc<SealFile>>,
+    file: Option<Arc<SpillFile>>,
 }
 
 impl InstallRows {
@@ -294,8 +278,8 @@ impl InstallRows {
             return;
         };
         if rows.len() == CHUNK_ROWS {
-            if let Some(sealed) = file.write(None, rows) {
-                self.chunks[c] = sealed;
+            if let Some(at) = file.append(&chunk_bytes(rows)) {
+                self.chunks[c] = Chunk::Sealed(at);
             }
         }
     }
@@ -305,54 +289,56 @@ impl InstallRows {
     fn load<'a>(&'a self, c: usize, window: &mut Cow<'a, [PackedInstall]>) {
         match self.chunks[c] {
             Chunk::Resident(ref rows) => *window = Cow::Borrowed(rows),
-            Chunk::Sealed { offset, crc } => {
-                let mut buf = match std::mem::take(window) {
-                    Cow::Owned(buf) => buf,
-                    Cow::Borrowed(_) => Vec::with_capacity(CHUNK_ROWS),
-                };
-                self.sealed_file().read(offset, crc, &mut buf);
-                *window = Cow::Owned(buf);
+            Chunk::Sealed(at) => self.read(at, window.to_mut()),
+        }
+    }
+
+    /// Hands the rows of chunk `c` to `edit`: in place when resident,
+    /// else read back and, when `edit` returns true, written back over
+    /// their sealed bytes. On a failed write the chunk comes back into
+    /// memory with its edits.
+    fn edit(&mut self, c: usize, edit: impl FnOnce(&mut [PackedInstall]) -> bool) {
+        let at = match &mut self.chunks[c] {
+            Chunk::Resident(rows) => {
+                edit(rows);
+                return;
             }
+            Chunk::Sealed(at) => *at,
+        };
+        let mut rows = Vec::with_capacity(CHUNK_ROWS);
+        self.read(at, &mut rows);
+        if edit(&mut rows) {
+            let sealed = self.sealed_file().rewrite(at, &chunk_bytes(&rows));
+            self.chunks[c] = sealed.map_or(Chunk::Resident(rows), Chunk::Sealed);
         }
     }
 
-    /// The rows of chunk `c` for editing: in place when resident, else
-    /// read into `buf` (hand them to [`InstallRows::rewrite`] after).
-    fn rows_mut<'s>(
-        &'s mut self,
-        c: usize,
-        buf: &'s mut Vec<PackedInstall>,
-    ) -> &'s mut [PackedInstall] {
-        match self.chunks[c] {
-            Chunk::Resident(ref mut rows) => rows,
-            Chunk::Sealed { offset, crc } => {
-                let file = self.file.as_ref().expect("a sealed chunk has a file");
-                file.read(offset, crc, buf);
-                buf
+    /// Reads the sealed chunk at `at` into `out`. Panics if the read or
+    /// its CRC fails: the file is this process's own unlinked scratch,
+    /// so either is a fault below the program.
+    fn read(&self, at: SpillRef, out: &mut Vec<PackedInstall>) {
+        let mut bytes = [0; CHUNK_BYTES];
+        let rows = |b: &[u8]| {
+            let mut d = Dec::new(b);
+            out.clear();
+            for _ in 0..CHUNK_ROWS {
+                let (at, block24, bits) = (d.u64()?, d.u32()?, d.u32()?);
+                out.push(PackedInstall { at, block24, bits });
             }
-        }
+            d.finish()
+        };
+        let read = self.sealed_file().read(at, &mut bytes, rows);
+        read.unwrap_or_else(|e| panic!("install ledger {e}"));
     }
 
-    /// Writes edited `rows` of chunk `c` back over its sealed bytes; a
-    /// resident chunk was edited in place. On a failed write the chunk
-    /// comes back into memory with its edits.
-    fn rewrite(&mut self, c: usize, rows: &[PackedInstall]) {
-        if let Chunk::Sealed { offset, .. } = self.chunks[c] {
-            self.chunks[c] = self
-                .sealed_file()
-                .write(Some(offset), rows)
-                .unwrap_or_else(|| Chunk::Resident(rows.to_vec()));
-        }
-    }
-
-    fn sealed_file(&self) -> &SealFile {
+    fn sealed_file(&self) -> &SpillFile {
         self.file.as_ref().expect("a sealed chunk has a file")
     }
 
     fn sealed_chunks(&self) -> usize {
         self.chunks
             .iter()
-            .filter(|c| matches!(c, Chunk::Sealed { .. }))
+            .filter(|c| matches!(c, Chunk::Sealed(_)))
             .count()
     }
 
@@ -364,7 +350,7 @@ impl InstallRows {
             .iter()
             .map(|c| match c {
                 Chunk::Resident(rows) => rows.capacity(),
-                Chunk::Sealed { .. } => 0,
+                Chunk::Sealed(_) => 0,
             })
             .sum();
         rows * std::mem::size_of::<PackedInstall>()
@@ -431,150 +417,6 @@ impl DoubleEndedIterator for InstallEvents<'_> {
 }
 
 impl ExactSizeIterator for InstallEvents<'_> {}
-
-/// The first failed create or write of a [`SealFile`]. The file seals
-/// nothing after it, so every later chunk stays in memory.
-#[derive(Debug)]
-pub struct SealError {
-    /// The file the ledgers were sealing into.
-    pub path: PathBuf,
-    /// What the filesystem said.
-    pub error: std::io::Error,
-}
-
-impl std::fmt::Display for SealError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "install ledger spill to {} failed: {}",
-            self.path.display(),
-            self.error
-        )
-    }
-}
-
-impl std::error::Error for SealError {}
-
-/// The append-only scratch file the ledgers of one store seal their
-/// full chunks into. Nothing touches the disk until the first seal,
-/// which creates the file and unlinks it at once, so it never outlives
-/// its handle and a crash leaves nothing behind. Appends and in-place
-/// rewrites serialize on a mutex; reads are positioned reads on the
-/// shared handle and take no lock.
-#[derive(Debug)]
-pub struct SealFile {
-    path: PathBuf,
-    file: OnceLock<File>,
-    /// Bytes appended so far: the next chunk's offset.
-    end: Mutex<u64>,
-    failed: OnceLock<SealError>,
-}
-
-impl SealFile {
-    /// A file to be created in `dir` on the first seal, named after
-    /// `label`, the process and a per-process counter, so two stores
-    /// never share one.
-    pub fn new(dir: &Path, label: &str) -> SealFile {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let n = NEXT.fetch_add(1, Ordering::Relaxed);
-        SealFile {
-            path: dir.join(format!("{label}-installs-{}-{n}.spill", std::process::id())),
-            file: OnceLock::new(),
-            end: Mutex::new(0),
-            failed: OnceLock::new(),
-        }
-    }
-
-    /// Where the file is (briefly) created.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Bytes appended to the file.
-    pub fn bytes(&self) -> u64 {
-        *self.end.lock()
-    }
-
-    /// The first failed create or write, if any.
-    pub fn error(&self) -> Option<&SealError> {
-        self.failed.get()
-    }
-
-    fn open(&self) -> std::io::Result<File> {
-        if let Some(dir) = self.path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create_new(true)
-            .open(&self.path)?;
-        std::fs::remove_file(&self.path)?;
-        Ok(file)
-    }
-
-    /// Writes a full chunk's `rows` at `at`, or appends them when `at`
-    /// is `None`; returns the sealed chunk. After the first failure it
-    /// writes nothing and returns `None`.
-    fn write(&self, at: Option<u64>, rows: &[PackedInstall]) -> Option<Chunk> {
-        debug_assert_eq!(rows.len(), CHUNK_ROWS);
-        if self.failed.get().is_some() {
-            return None;
-        }
-        let mut bytes = [0; CHUNK_BYTES];
-        for (out, row) in bytes.chunks_exact_mut(16).zip(rows) {
-            out.copy_from_slice(&row.to_le_bytes());
-        }
-        let mut end = self.end.lock();
-        let offset = at.unwrap_or(*end);
-        let file = match self.file.get() {
-            Some(file) => Ok(file),
-            None => self.open().map(|file| self.file.get_or_init(|| file)),
-        };
-        match file.and_then(|file| file.write_all_at(&bytes, offset)) {
-            Ok(()) => {
-                if at.is_none() {
-                    *end += CHUNK_BYTES as u64;
-                }
-                Some(Chunk::Sealed {
-                    offset,
-                    crc: crc32(&bytes),
-                })
-            }
-            Err(error) => {
-                let _ = self.failed.set(SealError {
-                    path: self.path.clone(),
-                    error,
-                });
-                None
-            }
-        }
-    }
-
-    /// Reads the sealed chunk at `offset` into `out`.
-    ///
-    /// # Panics
-    /// If the read fails or the bytes do not match `crc`: the file is
-    /// this process's own unlinked scratch, so either is a fault below
-    /// the program.
-    fn read(&self, offset: u64, crc: u32, out: &mut Vec<PackedInstall>) {
-        let mut bytes = [0; CHUNK_BYTES];
-        let file = self.file.get().expect("a sealed chunk's file is open");
-        if let Err(e) = file.read_exact_at(&mut bytes, offset) {
-            panic!(
-                "install ledger chunk at {offset} of {} is unreadable: {e}",
-                self.path.display()
-            );
-        }
-        assert!(
-            crc32(&bytes) == crc,
-            "install ledger chunk at {offset} of {} fails its CRC",
-            self.path.display()
-        );
-        out.clear();
-        out.extend(bytes.chunks_exact(16).map(PackedInstall::from_le_bytes));
-    }
-}
 
 /// Aggregates for one simulated day.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -783,7 +625,7 @@ impl EngagementLedger {
     /// Seals this ledger's full chunks into `file`, those already
     /// recorded first, then each as it fills. A ledger seals into one
     /// file for its life: a later call changes nothing.
-    pub fn seal_into(&mut self, file: &Arc<SealFile>) {
+    pub fn seal_into(&mut self, file: &Arc<SpillFile>) {
         if self.events.file.is_some() {
             return;
         }
@@ -826,28 +668,26 @@ impl EngagementLedger {
     /// with a newly filtered row are written back.
     pub fn filter_installs(&mut self, n: u64, mut pred: impl FnMut(&InstallEvent) -> bool) -> u64 {
         let mut removed = 0;
-        let mut buf = Vec::new();
         for c in 0..self.events.chunks.len() {
             if removed == n {
                 break;
             }
-            let before = removed;
-            let rows = self.events.rows_mut(c, &mut buf);
-            for row in rows.iter_mut().filter(|r| r.bits & FILTERED == 0) {
-                if removed == n {
-                    break;
+            self.events.edit(c, |rows| {
+                let before = removed;
+                for row in rows.iter_mut().filter(|r| r.bits & FILTERED == 0) {
+                    if removed == n {
+                        break;
+                    }
+                    let ev = row.unpack();
+                    if pred(&ev) {
+                        row.bits |= FILTERED;
+                        removed += 1;
+                        self.suspicious -= u64::from(ev.signals.is_suspicious());
+                        self.blocks.remove(ev.signals.block24);
+                    }
                 }
-                let ev = row.unpack();
-                if pred(&ev) {
-                    row.bits |= FILTERED;
-                    removed += 1;
-                    self.suspicious -= u64::from(ev.signals.is_suspicious());
-                    self.blocks.remove(ev.signals.block24);
-                }
-            }
-            if removed > before {
-                self.events.rewrite(c, &buf);
-            }
+                removed > before
+            });
         }
         self.filtered += removed;
         removed
@@ -884,6 +724,7 @@ impl EngagementLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     #[test]
     fn install_counting() {
@@ -1007,7 +848,7 @@ mod tests {
     #[test]
     fn a_sealing_ledger_keeps_only_its_open_chunk_in_memory() {
         let dir = scratch("seal");
-        let file = Arc::new(SealFile::new(&dir, "t"));
+        let file = Arc::new(SpillFile::scratch(&dir, "t"));
         let (mut sealed, mut resident) = (EngagementLedger::new(), EngagementLedger::new());
         // Chunks recorded before the file is set are sealed by it.
         fill(&mut sealed, 300);
@@ -1048,7 +889,7 @@ mod tests {
         // root.
         let blocker = scratch("blocker");
         std::fs::write(&blocker, b"not a directory").unwrap();
-        let file = Arc::new(SealFile::new(&blocker.join("spill"), "t"));
+        let file = Arc::new(SpillFile::scratch(&blocker.join("spill"), "t"));
         let (mut sealed, mut resident) = (EngagementLedger::new(), EngagementLedger::new());
         sealed.seal_into(&file);
         fill(&mut sealed, 2 * CHUNK_ROWS as u32 + 1);
@@ -1057,21 +898,13 @@ mod tests {
         assert_eq!(err.path, file.path());
         assert!(
             err.to_string()
-                .starts_with(&format!("install ledger spill to {}", blocker.display())),
+                .starts_with(&format!("spill to {}", blocker.display())),
             "{err}"
         );
         assert_eq!((sealed.sealed_chunks(), file.bytes()), (0, 0));
         assert_eq!(sealed.install_heap_bytes(), resident.install_heap_bytes());
         assert!(sealed.install_events().eq(resident.install_events()));
         let _ = std::fs::remove_file(&blocker);
-    }
-
-    #[test]
-    fn two_files_never_share_a_path() {
-        let dir = scratch("paths");
-        let (a, b) = (SealFile::new(&dir, "t"), SealFile::new(&dir, "t"));
-        assert_ne!(a.path(), b.path());
-        assert!(a.path().starts_with(&dir));
     }
 
     #[test]

@@ -5,8 +5,9 @@ use crate::apk::ApkInfo;
 use crate::catalog::{AppProfile, AppRecord, Catalog, DeveloperRecord};
 use crate::charts::{self, ChartEntry, ChartKind, ChartRanking};
 use crate::console::{acquisition_report, AcquisitionReport};
-use crate::engagement::{EngagementLedger, InstallSignals, SealError, SealFile};
+use crate::engagement::{EngagementLedger, InstallSignals};
 use crate::policy::{self, EnforcementConfig};
+use iiscope_types::spillfile::{SpillError, SpillFile};
 use iiscope_types::{
     AppId, Country, DeveloperId, Error, Genre, PackageName, Result, SeedFork, SimTime, Usd,
 };
@@ -68,7 +69,7 @@ pub struct LedgerFootprint {
     /// Heap bytes behind them
     /// ([`EngagementLedger::install_heap_bytes`]).
     pub heap_bytes: u64,
-    /// Chunks of install rows sealed to the store's [`SealFile`].
+    /// Chunks of install rows sealed to the store's [`SpillFile`].
     pub spilled_chunks: u64,
     /// Bytes written to that file.
     pub spilled_bytes: u64,
@@ -89,7 +90,7 @@ pub struct PlayStore {
     seed: SeedFork,
     /// Where the ledgers seal full chunks of install rows; unset, they
     /// keep every chunk in memory.
-    seal: OnceLock<Arc<SealFile>>,
+    seal: OnceLock<Arc<SpillFile>>,
 }
 
 impl PlayStore {
@@ -109,15 +110,15 @@ impl PlayStore {
         }
     }
 
-    /// Seals every ledger's full chunks of install rows into one
-    /// scratch file in `dir` (see [`SealFile`]), those already recorded
-    /// first, then each as it fills, so only open chunks stay in
-    /// memory. The file is created by the first seal. A store seals
-    /// into one file for its life: a later call changes nothing.
+    /// Seals every ledger's full chunks of install rows, those already
+    /// recorded first, then each as it fills, into one scratch
+    /// [`SpillFile`] in `dir`, `<label>-installs-<pid>-<n>.spill`. A
+    /// store seals into one file for its life: a later call changes
+    /// nothing.
     pub fn seal_installs_to(&self, dir: &Path, label: &str) {
         let file = self
             .seal
-            .get_or_init(|| Arc::new(SealFile::new(dir, label)));
+            .get_or_init(|| Arc::new(SpillFile::scratch(dir, &format!("{label}-installs"))));
         for ledger in self.inner.write().ledgers.values_mut() {
             ledger.seal_into(file);
         }
@@ -125,7 +126,7 @@ impl PlayStore {
 
     /// The first failed create or write of the store's install-row
     /// file, if any. Every chunk it could not take stays in memory.
-    pub fn install_spill_error(&self) -> Option<&SealError> {
+    pub fn install_spill_error(&self) -> Option<&SpillError> {
         self.seal.get()?.error()
     }
 

@@ -43,6 +43,10 @@
 //! * [`chunked`] — [`chunked::Chunked`], the one append-only row store
 //!   in fixed-capacity chunks under the install ledger, the profile log
 //!   and the resident part of every spillable row log.
+//! * [`spillfile`] — [`spillfile::SpillFile`], the one append-only,
+//!   CRC-checked file the dataset's row logs spill to and the install
+//!   ledgers seal to.
+//! * [`fnv`] — the one 64-bit FNV-1a.
 //! * [`error`] — the shared error type.
 
 #![forbid(unsafe_code)]
@@ -109,12 +113,14 @@ pub mod chaosstats;
 pub mod chunked;
 pub mod country;
 pub mod error;
+pub mod fnv;
 pub mod frame;
 pub mod genre;
 pub mod ids;
 pub mod money;
 pub mod rng;
 pub mod rss;
+pub mod spillfile;
 pub mod sym;
 pub mod time;
 pub mod wirestats;

@@ -18,6 +18,7 @@
 //! seeded simulation carry `Sym`s end to end and still print a
 //! byte-identical report.
 
+use crate::fnv::fnv64;
 use std::fmt;
 
 /// An interned string: a dense index into an [`Interner`].
@@ -75,19 +76,6 @@ impl fmt::Display for Sym {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-#[inline]
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// Arena-backed deterministic string interner.
 ///
 /// All interned bytes live in one contiguous slab; per-symbol
@@ -143,7 +131,7 @@ impl Interner {
             self.grow_index((self.index.len() * 2).max(16));
         }
         let mask = self.index.len() - 1;
-        let mut slot = (fnv1a(s.as_bytes()) as usize) & mask;
+        let mut slot = (fnv64(s.as_bytes()) as usize) & mask;
         loop {
             match self.index[slot] {
                 0 => break,
@@ -170,7 +158,7 @@ impl Interner {
             return None;
         }
         let mask = self.index.len() - 1;
-        let mut slot = (fnv1a(s.as_bytes()) as usize) & mask;
+        let mut slot = (fnv64(s.as_bytes()) as usize) & mask;
         loop {
             match self.index[slot] {
                 0 => return None,
@@ -230,7 +218,7 @@ impl Interner {
         let mask = capacity - 1;
         for i in 0..self.spans.len() as u32 {
             let s = self.resolve(Sym(i));
-            let mut slot = (fnv1a(s.as_bytes()) as usize) & mask;
+            let mut slot = (fnv64(s.as_bytes()) as usize) & mask;
             while self.index[slot] != 0 {
                 slot = (slot + 1) & mask;
             }

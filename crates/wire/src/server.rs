@@ -86,9 +86,8 @@ impl HttpEngine {
     }
 
     /// Feeds a byte slice through the engine's own reassembly buffer,
-    /// encoding responses onto the caller-owned `out`. Unlike
-    /// [`HttpEngine::feed`] this allocates nothing per call: the
-    /// reassembly buffer reclaims consumed front space and `out` is
+    /// encoding responses onto the caller-owned `out`. This allocates
+    /// nothing per call: the reassembly buffer reclaims consumed front space and `out` is
     /// reused by the caller across feeds. Parse errors are classified
     /// for socket clients (431 oversized header block, 413 oversized
     /// body, 400 otherwise); the sim paths keep their uniform 400.
@@ -144,15 +143,6 @@ impl HttpEngine {
     /// (used by servers to distinguish idle from mid-request stalls).
     pub fn has_partial(&self) -> bool {
         !self.buf.is_empty()
-    }
-
-    /// Feeds bytes; returns encoded responses for every complete
-    /// request found. Copying convenience wrapper around
-    /// [`HttpEngine::feed_into`].
-    pub fn feed(&mut self, data: &[u8], peer: PeerInfo, now: SimTime) -> Bytes {
-        let mut out = BytesMut::new();
-        self.feed_into(&Bytes::copy_from_slice(data), peer, now, &mut out);
-        out.freeze()
     }
 }
 
@@ -336,9 +326,14 @@ mod tests {
     /// The three feed paths must agree byte-for-byte on every
     /// fragmentation of the same input stream, valid or malformed.
     fn assert_feed_parity(stream: &[u8], splits: &[usize]) {
-        // Oracle: one `feed` over the whole stream.
-        let mut oracle_engine = HttpEngine::new(handler());
-        let oracle = oracle_engine.feed(stream, peer(), SimTime::EPOCH);
+        // Oracle: one `feed_into` over the whole stream.
+        let mut oracle = BytesMut::new();
+        HttpEngine::new(handler()).feed_into(
+            &Bytes::copy_from_slice(stream),
+            peer(),
+            SimTime::EPOCH,
+            &mut oracle,
+        );
 
         // `feed_into`, fragmented at `splits`.
         let mut into_engine = HttpEngine::new(handler());
@@ -465,8 +460,8 @@ mod tests {
         assert_eq!(resp.status, 413);
 
         // The same oversized inputs through the sim path stay 400.
-        let mut engine = HttpEngine::new(handler());
-        let sim = engine.feed(&big, peer(), SimTime::EPOCH);
+        let mut sim = BytesMut::new();
+        HttpEngine::new(handler()).feed_into(&big.into(), peer(), SimTime::EPOCH, &mut sim);
         let (resp, _) = Response::parse(&sim).unwrap().unwrap();
         assert_eq!(resp.status, 400);
     }

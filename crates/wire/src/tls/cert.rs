@@ -7,6 +7,7 @@
 //! against an expectation and overrides chain trust.
 
 use crate::Json;
+use iiscope_types::fnv::fnv64;
 use iiscope_types::{Error, Result, SeedFork};
 
 /// Mixes a 64-bit value (splitmix64 finalizer) — the "one-way function"
@@ -16,16 +17,6 @@ pub(crate) fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// FNV-1a over bytes.
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// A key pair. `public = mix(private)`.

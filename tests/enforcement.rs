@@ -11,11 +11,12 @@
 
 use iiscope::subsystems::playstore::console::acquisition_report;
 use iiscope::subsystems::playstore::engagement::{
-    EngagementLedger, InstallEvent, InstallSignals, SealFile, CHUNK_ROWS,
+    EngagementLedger, InstallEvent, InstallSignals, CHUNK_ROWS,
 };
 use iiscope::subsystems::playstore::policy::{sweep, EnforcementConfig};
 use iiscope::subsystems::playstore::store::detector_snapshot;
 use iiscope::subsystems::types::rng::chance;
+use iiscope::subsystems::types::spillfile::SpillFile;
 use iiscope::subsystems::types::{SeedFork, SimTime};
 use proptest::prelude::*;
 use rand::Rng;
@@ -274,7 +275,7 @@ const EDGES: [usize; 5] = [
 /// The file is unlinked as soon as it is open, so it leaves nothing in
 /// the temp dir.
 fn sealed_and_resident() -> (EngagementLedger, EngagementLedger) {
-    let file = SealFile::new(&std::env::temp_dir(), "iiscope-seal-parity");
+    let file = SpillFile::scratch(&std::env::temp_dir(), "iiscope-seal-parity");
     let mut sealed = EngagementLedger::new();
     sealed.seal_into(&Arc::new(file));
     (sealed, EngagementLedger::new())

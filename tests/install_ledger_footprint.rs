@@ -10,7 +10,8 @@
 //! seal their full chunks to disk keep only the open chunks and the
 //! counts: within 16 bytes per install.
 
-use iiscope::subsystems::playstore::engagement::{EngagementLedger, InstallSignals, SealFile};
+use iiscope::subsystems::playstore::engagement::{EngagementLedger, InstallSignals};
+use iiscope::subsystems::types::spillfile::SpillFile;
 use iiscope::subsystems::types::{SeedFork, SimTime};
 use rand::Rng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -135,7 +136,7 @@ fn install_ledger_heap_growth_stays_within_32_bytes_per_install() {
 fn sealing_ledger_heap_growth_stays_within_16_bytes_per_install() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     let dir = std::env::temp_dir().join(format!("iiscope-ledger-footprint-{}", std::process::id()));
-    let file = Arc::new(SealFile::new(&dir, "footprint"));
+    let file = Arc::new(SpillFile::scratch(&dir, "footprint"));
     let before = LIVE.load(Ordering::SeqCst);
     let ledgers = (0..LEDGERS)
         .map(|_| {

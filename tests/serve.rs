@@ -13,6 +13,7 @@
 
 mod common;
 
+use bytes::{Bytes, BytesMut};
 use common::reduced;
 use iiscope::subsystems::load::{LatencyLog, StatusTally};
 use iiscope::subsystems::netsim::{AsnId, AsnKind, HostAddr, PeerInfo};
@@ -80,12 +81,17 @@ fn conformance_addr() -> SocketAddr {
     })
 }
 
-/// The in-process oracle: one `feed` of the whole stream.
+/// The in-process oracle: one `feed_into` of the whole stream.
 fn oracle_bytes(stream: &[u8]) -> Vec<u8> {
-    let mut engine = HttpEngine::new(conformance_handler());
-    engine
-        .feed(stream, synthetic_peer(), SimTime::EPOCH)
-        .to_vec()
+    let mut out = BytesMut::new();
+    let stream = Bytes::copy_from_slice(stream);
+    HttpEngine::new(conformance_handler()).feed_into(
+        &stream,
+        synthetic_peer(),
+        SimTime::EPOCH,
+        &mut out,
+    );
+    out.to_vec()
 }
 
 /// Writes `stream` to a fresh socket in the given fragments, then
