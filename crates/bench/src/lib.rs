@@ -7,19 +7,22 @@
 //!
 //! [`oracles`] holds the reference implementations the production
 //! crates replaced, for the tests and benches that compare against
-//! them.
+//! them, and [`alloc`] the counting allocator the footprint tests
+//! install.
 //!
 //! The Criterion bench fixtures live under `benches/` (see
 //! `benches/fixture.rs`), not here: this library depends on no crate
 //! above `iiscope-monitor`, so `repro` — which the heavy bench targets
 //! dev-depend on — can link it without a cycle.
 
-#![forbid(unsafe_code)]
+// Only `alloc`, the allocator, holds unsafe code.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 use iiscope_wire::Json;
 use std::path::Path;
 
+pub mod alloc;
 pub mod oracles;
 
 /// Schema version stamped into every `BENCH_*.json` document. Bump on

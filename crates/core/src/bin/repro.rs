@@ -532,6 +532,9 @@ fn timed_report(out: &Outcome, scale: &str) -> String {
         ("reloads", spill.reloads.into()),
         ("resident_bytes", spill.resident_bytes.into()),
     ]);
+    let offer_segments = &artifacts.dataset.offers_spill().segments;
+    let offer_spilled_rows: u64 = offer_segments.iter().map(|s| s.rows).sum();
+    let offer_spilled_bytes: u64 = offer_segments.iter().map(|s| u64::from(s.blob.len)).sum();
     let ledger = world.store.install_ledger_footprint();
     let (cfg, ckpt) = (&world.cfg, &artifacts.checkpoints);
     let dumps: [(&str, Vec<(&str, Json)>); 7] = [
@@ -600,6 +603,8 @@ fn timed_report(out: &Outcome, scale: &str) -> String {
                     (artifacts.tagged_installs as f64 / wild_secs.max(1e-9)).into(),
                 ),
                 ("spill", spill_json),
+                ("offer_spilled_rows", offer_spilled_rows.into()),
+                ("offer_spilled_bytes", offer_spilled_bytes.into()),
             ],
         ),
         (

@@ -14,16 +14,18 @@
 //! resume rebuilds the world from config (a pure function of the
 //! seed), replays the sim steps up to the snapshot day — regenerating
 //! Play/IIP state and the RNG bit-exactly — and restores only what
-//! replay cannot reproduce: the dataset (with both interner tables, so
-//! symbol numbering survives), the chart crawler's client state, the
-//! chaos/wire counter ledgers. The snapshot's encoded sim section
-//! doubles as a verification oracle: the replayed sim state must match
-//! it byte-for-byte or the resume is refused.
+//! replay cannot reproduce: the dataset (with every symbol table its
+//! rows resolve through, so symbol numbering survives), the chart
+//! crawler's client state, the chaos/wire counter ledgers. The
+//! snapshot's encoded sim section doubles as a verification oracle: the
+//! replayed sim state must match it byte-for-byte or the resume is
+//! refused.
 //!
 //! The dataset has one snapshot shape. [`SnapshotRef`] borrows the live
-//! [`Dataset`] and streams its sections out; [`Snapshot::decode`]
-//! checks every row and keeps the dataset sections as one
-//! [`SavedDataset`], its offer and chart rows still encoded, which
+//! [`Dataset`] and streams its sections out, each row as the dataset
+//! holds it (symbols as `u32`s); [`Snapshot::decode`] checks every row's
+//! symbols against the SYMS tables and keeps the dataset sections as
+//! one [`SavedDataset`], its rows still encoded, which
 //! [`Dataset::restored`] turns back into a dataset one row at a time.
 //!
 //! Durability: snapshots are written to a temp file, fsynced, atomically
@@ -35,12 +37,11 @@
 
 use crate::aggregates::ReportAggregates;
 use crate::config::WorldConfig;
-use iiscope_monitor::spill::{SavedRows, SegRef, SpillManifest};
-use iiscope_monitor::{Dataset, ProfileLog, SavedDataset};
+use iiscope_monitor::spill::{SegRef, SpillManifest};
+use iiscope_monitor::{Dataset, SavedDataset, SavedRows, SymTables};
 use iiscope_types::fnv::fnv64;
 use iiscope_types::frame::{Dec, Enc, FrameError, FrameReader, FrameWriter};
 use iiscope_types::spillfile::SpillRef;
-use iiscope_types::Interner;
 use iiscope_wire::ClientState;
 use rand::rngs::RngState;
 use std::fs::File;
@@ -54,9 +55,12 @@ use std::path::{Path, PathBuf};
 /// (file + per-segment CRC) instead of being re-serialized into every
 /// snapshot, so snapshot cost tracks the resident suffix, not the
 /// full run history. Version 3 added the AGGS section (incremental
-/// report-aggregate state), which every snapshot carries; only this
-/// version decodes.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// report-aggregate state), which every snapshot carries. Version 4
+/// writes rows as the dataset holds them, each symbol a `u32`, and its
+/// SYMS section carries every table those symbols resolve through
+/// (package, description, store URL, affiliate, profile strings); only
+/// this version decodes.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 const SEC_META: u8 = 1;
 const SEC_SIM: u8 = 2;
@@ -145,11 +149,7 @@ impl SnapshotRef<'_> {
         w.record_with(|e| {
             e.u8(SEC_SIM).bytes_field(self.sim_bytes);
         })?;
-        w.record_with(|e| {
-            e.u8(SEC_SYMS);
-            enc_interner(e, ds.package_interner());
-            enc_interner(e, ds.description_interner());
-        })?;
+        w.record_with(|e| ds.symbol_tables().encode(e.u8(SEC_SYMS)))?;
         w.record_with(|e| {
             e.u8(SEC_SPILL);
             enc_manifest(e, ds.offers_spill());
@@ -254,9 +254,9 @@ impl Snapshot {
         let mut reader = FrameReader::new(bytes)?;
         let mut meta: Option<(u64, u64, u64)> = None;
         let mut sim_bytes: Option<Vec<u8>> = None;
-        let mut syms: Option<(Interner, Interner)> = None;
+        let mut syms: Option<SymTables> = None;
         let mut offers: Option<SavedRows> = None;
-        let mut profiles: Option<ProfileLog> = None;
+        let mut profiles: Option<SavedRows> = None;
         let mut charts: Option<SavedRows> = None;
         let mut crawler: Option<ClientState> = None;
         let mut counters: Option<(Ledger, Ledger)> = None;
@@ -265,6 +265,12 @@ impl Snapshot {
 
         while let Some(payload) = reader.next_record()? {
             let mut d = Dec::new(payload);
+            // Rows name their strings by symbol, so the tables (written
+            // first) must already be decoded.
+            let tables = || {
+                syms.as_ref()
+                    .ok_or(FrameError::Codec("rows before the SYMS section"))
+            };
             match d.u8()? {
                 SEC_META => {
                     if d.u32()? != SNAPSHOT_VERSION {
@@ -278,10 +284,9 @@ impl Snapshot {
                     d.finish()?;
                 }
                 SEC_SYMS => {
-                    let pkg = dec_interner(&mut d)?;
-                    let desc = dec_interner(&mut d)?;
+                    let tables = SymTables::decode(&mut d)?;
                     d.finish()?;
-                    syms = Some((pkg, desc));
+                    syms = Some(tables);
                 }
                 SEC_SPILL => {
                     let o = dec_manifest(&mut d)?;
@@ -291,17 +296,9 @@ impl Snapshot {
                 }
                 // Row sections: every row is checked, and the rows are
                 // kept as the section's bytes.
-                SEC_OFFERS => offers = Some(SavedRows::offers(&payload[1..])?),
-                SEC_PROFILES => {
-                    // Rows name packages by symbol, so the package
-                    // table (written first) must already be decoded.
-                    let (pkg, _) = syms
-                        .as_ref()
-                        .ok_or(FrameError::Codec("PROFILES section before SYMS"))?;
-                    profiles = Some(ProfileLog::decode(&mut d, pkg)?);
-                    d.finish()?;
-                }
-                SEC_CHARTS => charts = Some(SavedRows::charts(&payload[1..])?),
+                SEC_OFFERS => offers = Some(SavedRows::offers(&payload[1..], tables()?)?),
+                SEC_PROFILES => profiles = Some(SavedRows::profiles(&payload[1..], tables()?)?),
+                SEC_CHARTS => charts = Some(SavedRows::charts(&payload[1..], tables()?)?),
                 SEC_CRAWLER => {
                     let rng = dec_rng(&mut d)?;
                     let conn_seq = d.u64()?;
@@ -324,7 +321,7 @@ impl Snapshot {
         }
 
         let (seed, fingerprint, day) = meta.ok_or(FrameError::Codec("missing META section"))?;
-        let (pkg_syms, desc_syms) = syms.ok_or(FrameError::Codec("missing SYMS section"))?;
+        let syms = syms.ok_or(FrameError::Codec("missing SYMS section"))?;
         let (chaos_counters, wire_counters) =
             counters.ok_or(FrameError::Codec("missing COUNTERS section"))?;
         let (offers_spill, charts_spill) =
@@ -336,8 +333,7 @@ impl Snapshot {
             sim_bytes: sim_bytes.ok_or(FrameError::Codec("missing SIM section"))?,
             crawler: crawler.ok_or(FrameError::Codec("missing CRAWLER section"))?,
             dataset: SavedDataset {
-                pkg_syms,
-                desc_syms,
+                syms,
                 offers_spill,
                 offers: offers.ok_or(FrameError::Codec("missing OFFERS section"))?,
                 profiles: profiles.ok_or(FrameError::Codec("missing PROFILES section"))?,
@@ -418,25 +414,6 @@ fn dec_rng(d: &mut Dec) -> Result<RngState, FrameError> {
         counter,
         index: index as usize,
     })
-}
-
-fn enc_interner(e: &mut Enc, interner: &Interner) {
-    e.u64(interner.len() as u64);
-    for (_, s) in interner.iter() {
-        e.str(s);
-    }
-}
-
-fn dec_interner(d: &mut Dec) -> Result<Interner, FrameError> {
-    let n = d.u64()?;
-    let mut interner = Interner::new();
-    for _ in 0..n {
-        interner.intern(d.str()?);
-    }
-    if interner.len() as u64 != n {
-        return Err(FrameError::Codec("interner table has duplicate strings"));
-    }
-    Ok(interner)
 }
 
 fn enc_ledger(e: &mut Enc, ledger: &[(&str, u64)]) {
@@ -709,8 +686,7 @@ mod tests {
         assert_eq!(back.wire_counters, [("bytes_delivered".to_string(), 912)]);
         assert_eq!(back.aggregates, aggs);
         let saved = &back.dataset;
-        assert_eq!(&saved.pkg_syms, ds.package_interner());
-        assert_eq!(&saved.desc_syms, ds.description_interner());
+        assert_eq!(&saved.syms, ds.symbol_tables());
         assert_eq!(&saved.offers_spill, ds.offers_spill());
         assert_eq!(&saved.charts_spill, ds.charts_spill());
 
@@ -819,13 +795,14 @@ mod tests {
     }
 
     #[test]
-    fn only_version_3_snapshots_with_aggs_decode() {
+    fn only_version_4_snapshots_with_aggs_decode() {
         let bytes = sample_bytes();
         assert_eq!(reframe(&bytes, |p| Some(p.to_vec())), bytes);
         let err = |bytes: &[u8]| Snapshot::decode(bytes).err().map(|e| e.to_string());
-        // v2 (the pre-AGGS layout) and an unknown future version are
-        // both refused, not guessed at.
-        for version in [2u32, 4] {
+        // v3 (rows with their strings in full), v2 (the pre-AGGS
+        // layout) and an unknown future version are all refused, not
+        // guessed at.
+        for version in [2u32, 3, 5] {
             let relabelled = reframe(&bytes, |p| {
                 let mut p = p.to_vec();
                 if p[0] == SEC_META {
@@ -839,17 +816,18 @@ mod tests {
                 "v{version}: {got}"
             );
         }
-        // A v3 frame without its AGGS section is incomplete.
+        // A v4 frame without its AGGS section is incomplete.
         let no_aggs = reframe(&bytes, |p| (p[0] != SEC_AGGS).then(|| p.to_vec()));
         assert!(no_aggs.len() < bytes.len());
-        let got = err(&no_aggs).expect("a v3 frame without AGGS decoded");
+        let got = err(&no_aggs).expect("a v4 frame without AGGS decoded");
         assert!(got.contains("missing AGGS section"), "{got}");
     }
 
     #[test]
     fn profiles_decode_only_after_syms() {
-        // Profile rows name packages by symbol, so a PROFILES section
-        // ahead of SYMS is refused rather than resolved against nothing.
+        // Profile rows name their strings by symbol, so a PROFILES
+        // section ahead of SYMS is refused rather than resolved against
+        // nothing.
         let bytes = sample_bytes();
         let mut reader = FrameReader::new(&bytes).unwrap();
         let mut records = Vec::new();
@@ -865,7 +843,88 @@ mod tests {
         }
         let bytes = w.finish().unwrap().into_inner();
         let err = Snapshot::decode(&bytes).unwrap_err().to_string();
-        assert!(err.contains("PROFILES section before SYMS"), "{err}");
+        assert!(err.contains("rows before the SYMS section"), "{err}");
+    }
+
+    #[test]
+    fn a_row_naming_a_symbol_past_its_table_is_refused() {
+        // Empty and non-ASCII strings in every table; each table's last
+        // symbol is named by a row of one section only: the chart's
+        // package, an offer's description, store URL and affiliate, a
+        // profile's website.
+        let mut ds = sample_dataset(None);
+        let mut last = offer(60);
+        last.raw.description = "Installez et jouez \u{e0} \u{20ac}".into();
+        last.raw.store_url = String::new();
+        last.affiliate = "\u{fc}ber.cash".into();
+        ds.add_offers([last]);
+        ds.add_profile(ProfileSnapshot {
+            day: 1503,
+            package: "com.app.n2".into(),
+            title: String::new(),
+            genre_id: "TOOLS".into(),
+            released_day: 1400,
+            min_installs: 10,
+            developer_id: 8,
+            developer_name: "\u{d8}ster".into(),
+            developer_country: "DK".into(),
+            developer_email: String::new(),
+            developer_website: "https://\u{f8}.example".into(),
+            rating: 0.0,
+            rating_count: 0,
+        });
+        ds.add_chart(ChartSnapshot {
+            day: 1503,
+            chart: ChartKind::ALL[2].id(),
+            entries: vec![(String::new(), 1), ("com.\u{e9}t\u{e9}".into(), 2)],
+        });
+        let aggs = ReportAggregates::new();
+        let bytes = encode(&sample(&ds, &aggs));
+        assert!(Snapshot::decode(&bytes).is_ok());
+        // The SYMS body is five tables, each a count and its strings.
+        let tables = |body: &[u8]| -> Vec<Vec<String>> {
+            let mut d = Dec::new(body);
+            let tables = (0..5)
+                .map(|_| {
+                    let n = d.u64().unwrap();
+                    (0..n).map(|_| d.str().unwrap().to_string()).collect()
+                })
+                .collect();
+            d.finish().unwrap();
+            tables
+        };
+        for (t, section) in [
+            "packages",
+            "descriptions",
+            "urls",
+            "affiliates",
+            "profile strings",
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let short = reframe(&bytes, |p| {
+                if p[0] != SEC_SYMS {
+                    return Some(p.to_vec());
+                }
+                let mut tables = tables(&p[1..]);
+                tables[t].pop().expect("every table holds a string");
+                let mut e = Enc::new();
+                e.u8(SEC_SYMS);
+                for table in &tables {
+                    e.u64(table.len() as u64);
+                    for s in table {
+                        e.str(s);
+                    }
+                }
+                Some(e.into_bytes())
+            });
+            let got = Snapshot::decode(&short).map(drop).unwrap_err().to_string();
+            assert!(
+                got.contains("symbol past the end of its table"),
+                "{section}: {got}"
+            );
+        }
     }
 
     #[test]

@@ -23,15 +23,15 @@
 //! 8-byte (package, rank) entries read as [`ChartView`]s, and the
 //! [`ProfileLog`]'s 80-byte rows read as [`ProfileFields`]. Owned
 //! crawls ([`ScrapedOffer`], [`ChartSnapshot`], [`ProfileSnapshot`])
-//! are ingest inputs only; the spill and snapshot codecs write their
-//! bytes from the interned rows.
+//! are ingest inputs only. Spill segments and snapshot sections hold
+//! the rows as they are held, symbols as `u32`s, and a snapshot carries
+//! every table those symbols resolve through ([`SymTables`]), so a
+//! restore decodes rows without hashing a string.
 
 use crate::crawler::{ChartSnapshot, ProfileSnapshot};
 use crate::parsers::{RewardValue, ScrapedOffer};
-use crate::profiles::ProfileLog;
-use crate::spill::{
-    LogRow, OfferFields, ProfileFields, RowLog, RowLogIter, SavedRows, SpillManifest, SpillStats,
-};
+use crate::profiles::{ProfileFields, ProfileLog, ProfileRow};
+use crate::spill::{dec_index, dec_sym, LogRow, RowLog, RowLogIter, SpillManifest, SpillStats};
 use iiscope_playstore::ChartKind;
 use iiscope_types::frame::{Dec, Enc, FrameError};
 use iiscope_types::spillfile::SpillError;
@@ -111,37 +111,131 @@ pub struct InternStats {
     pub description_slab_bytes: usize,
 }
 
-/// The symbol spaces a [`Dataset`] interns into (opaque: reach them
-/// through the dataset's accessors). Offer rows resolve through all
-/// four; profiles and charts share the package space (the profile
-/// log keeps its other strings in its own table).
-#[derive(Debug, Default)]
+/// The symbol tables a [`Dataset`]'s rows resolve through (opaque:
+/// reach them through the dataset's accessors). Offer rows resolve
+/// through the first four; profiles and charts share the package
+/// space, and profile rows keep their other strings in `profile`. A
+/// snapshot's SYMS section carries all five ([`SymTables::encode`]).
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct SymTables {
     /// Package symbol space (offers ∪ profiles ∪ charts, plus any seed
     /// the world handed to [`Dataset::with_interner`]).
-    pkg: Interner,
+    pub(crate) pkg: Interner,
     /// Description symbol space — interning *is* the dedup index.
-    desc: Interner,
-    /// Store URLs of offer rows. Never checkpointed: a restore rebuilds
-    /// it while re-indexing the log in arrival order.
-    url: Interner,
-    /// Affiliate apps of offer rows (rebuilt on restore like `url`).
-    affiliate: Interner,
+    pub(crate) desc: Interner,
+    /// Store URLs of offer rows.
+    pub(crate) url: Interner,
+    /// Affiliate apps of offer rows.
+    pub(crate) affiliate: Interner,
+    /// Title, genre and developer strings of profile rows.
+    pub(crate) profile: Interner,
 }
 
-/// Looks `s` up in `table` for a decoded row; a string the table lacks
-/// is an error, never a new symbol.
-fn lookup(table: &Interner, s: &str) -> Result<Sym, FrameError> {
-    table
-        .get(s)
-        .ok_or(FrameError::Codec("string missing from its symbol table"))
+impl SymTables {
+    /// Writes every table, each as its length and then its strings in
+    /// symbol order: a snapshot's SYMS section body.
+    pub fn encode(&self, e: &mut Enc) {
+        for table in [
+            &self.pkg,
+            &self.desc,
+            &self.url,
+            &self.affiliate,
+            &self.profile,
+        ] {
+            e.u64(table.len() as u64);
+            for (_, s) in table.iter() {
+                e.str(s);
+            }
+        }
+    }
+
+    /// Reads what [`SymTables::encode`] wrote. Interning each table's
+    /// strings in order rebuilds it symbol for symbol; a table that
+    /// repeats a string is refused, since it would renumber the rest.
+    pub fn decode(d: &mut Dec<'_>) -> Result<SymTables, FrameError> {
+        let mut table = || {
+            let n = d.u64()?;
+            let mut table = Interner::new();
+            for _ in 0..n {
+                table.intern(d.str()?);
+            }
+            if table.len() as u64 != n {
+                return Err(FrameError::Codec("interner table has duplicate strings"));
+            }
+            Ok(table)
+        };
+        Ok(SymTables {
+            pkg: table()?,
+            desc: table()?,
+            url: table()?,
+            affiliate: table()?,
+            profile: table()?,
+        })
+    }
+}
+
+/// An offer observation with borrowed strings: the one offer view. The
+/// dataset's readers yield it, and ingest interns it into an
+/// [`OfferRow`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OfferFields<'a> {
+    /// Which IIP's wall it was seen on.
+    pub iip: IipId,
+    /// Wall-scoped offer key.
+    pub offer_key: u64,
+    /// Offer description as shown on the wall.
+    pub description: &'a str,
+    /// Reward in the wall's currency.
+    pub reward: RewardValue,
+    /// Advertised package.
+    pub package: &'a str,
+    /// Play Store URL of the advertised app.
+    pub store_url: &'a str,
+    /// When it was seen.
+    pub seen_at: SimTime,
+    /// Affiliate app whose wall showed it.
+    pub affiliate: &'a str,
+    /// Vantage point (VPN exit country) it was seen from.
+    pub vantage: Country,
+}
+
+impl OfferFields<'_> {
+    /// Accounted bytes of the owned observation, the struct plus its
+    /// four heap strings, as a row keeps them (saturating).
+    pub(crate) fn accounted_bytes(self) -> u32 {
+        let strings = [
+            self.description,
+            self.package,
+            self.store_url,
+            self.affiliate,
+        ];
+        let bytes =
+            std::mem::size_of::<ScrapedOffer>() + strings.map(str::len).iter().sum::<usize>();
+        u32::try_from(bytes).unwrap_or(u32::MAX)
+    }
+}
+
+impl ScrapedOffer {
+    /// The observation's fields, borrowed.
+    pub fn fields(&self) -> OfferFields<'_> {
+        OfferFields {
+            iip: self.iip,
+            offer_key: self.raw.offer_key,
+            description: &self.raw.description,
+            reward: self.raw.reward,
+            package: &self.raw.package,
+            store_url: &self.raw.store_url,
+            seen_at: self.seen_at,
+            affiliate: &self.affiliate,
+            vantage: self.vantage,
+        }
+    }
 }
 
 /// One offer observation as a [`Dataset`]'s offer log keeps it: every
 /// string an interned symbol, 56 bytes in all (opaque: readers get
 /// [`OfferFields`]). It keeps the owned observation's accounted size,
-/// so segment boundaries, spill files and snapshots are the same as for
-/// a log of owned rows.
+/// so segment boundaries are the same as for a log of owned rows.
 #[derive(Debug, Clone, Copy)]
 pub struct OfferRow {
     offer_key: u64,
@@ -176,6 +270,8 @@ impl OfferRow {
     }
 }
 
+/// An offer row on disk is 43 bytes: key, sighting time, reward tag and
+/// value, the four symbols, then the IIP and vantage indices.
 impl LogRow for OfferRow {
     type Ctx = SymTables;
     type View<'a> = OfferFields<'a>;
@@ -184,19 +280,46 @@ impl LogRow for OfferRow {
         self.accounted as usize
     }
 
-    fn encode(&self, syms: &SymTables, e: &mut Enc) {
-        self.view(syms).enc(e);
+    fn encode(&self, e: &mut Enc) {
+        e.u64(self.offer_key).u64(self.seen_at.secs());
+        match self.reward {
+            RewardValue::Usd(v) => e.u8(0).f64(v),
+            RewardValue::Points(v) => e.u8(1).i64(v),
+            RewardValue::Cents(v) => e.u8(2).i64(v),
+        };
+        for sym in [
+            self.package,
+            self.description,
+            self.store_url,
+            self.affiliate,
+        ] {
+            e.u32(sym.0);
+        }
+        e.u8(self.iip as u8).u8(self.vantage as u8);
     }
 
     fn decode(d: &mut Dec<'_>, syms: &SymTables) -> Result<OfferRow, FrameError> {
-        let o = OfferFields::dec(d)?;
-        let symbols = [
-            lookup(&syms.pkg, o.package)?,
-            lookup(&syms.desc, o.description)?,
-            lookup(&syms.url, o.store_url)?,
-            lookup(&syms.affiliate, o.affiliate)?,
-        ];
-        Ok(OfferRow::new(o, symbols))
+        let (offer_key, seen_at) = (d.u64()?, SimTime::from_secs(d.u64()?));
+        let reward = match d.u8()? {
+            0 => RewardValue::Usd(d.f64()?),
+            1 => RewardValue::Points(d.i64()?),
+            2 => RewardValue::Cents(d.i64()?),
+            _ => return Err(FrameError::Codec("unknown reward tag")),
+        };
+        let mut row = OfferRow {
+            offer_key,
+            seen_at,
+            reward,
+            package: dec_sym(d, &syms.pkg)?,
+            description: dec_sym(d, &syms.desc)?,
+            store_url: dec_sym(d, &syms.url)?,
+            affiliate: dec_sym(d, &syms.affiliate)?,
+            accounted: 0,
+            iip: dec_index(d, &IipId::ALL, "IIP index out of range")?,
+            vantage: dec_index(d, &Country::ALL, "country index out of range")?,
+        };
+        row.accounted = row.view(syms).accounted_bytes();
+        Ok(row)
     }
 
     fn view<'a>(&self, syms: &'a SymTables) -> OfferFields<'a> {
@@ -229,6 +352,8 @@ pub struct ChartRow {
     accounted: u32,
 }
 
+/// A chart row on disk is its day, its chart's index, its entry count,
+/// then each entry's package symbol and rank.
 impl LogRow for ChartRow {
     type Ctx = SymTables;
     type View<'a> = ChartView<'a>;
@@ -237,24 +362,26 @@ impl LogRow for ChartRow {
         self.accounted as usize
     }
 
-    fn encode(&self, syms: &SymTables, e: &mut Enc) {
+    fn encode(&self, e: &mut Enc) {
+        let kind = ChartKind::ALL.iter().position(|k| k.id() == self.chart);
+        let kind = kind.expect("a chart row names a chart kind");
         e.u64(self.day)
-            .str(self.chart)
+            .u8(kind as u8)
             .u64(self.entries.len() as u64);
         for &(pkg, rank) in self.entries.iter() {
-            e.str(syms.pkg.resolve(pkg)).u64(u64::from(rank));
+            e.u32(pkg.0).u32(rank);
         }
     }
 
     fn decode(d: &mut Dec<'_>, syms: &SymTables) -> Result<ChartRow, FrameError> {
+        let day = d.u64()?;
+        let chart = dec_index(d, &ChartKind::ALL, "chart index out of range")?.id();
         let (mut entries, mut package_bytes) = (Vec::new(), 0);
-        let (day, chart) = dec_chart(d, |pkg, rank| {
-            let rank =
-                u32::try_from(rank).map_err(|_| FrameError::Codec("chart rank out of range"))?;
-            entries.push((lookup(&syms.pkg, pkg)?, rank));
-            package_bytes += pkg.len();
-            Ok(())
-        })?;
+        for _ in 0..d.u64()? {
+            let pkg = dec_sym(d, &syms.pkg)?;
+            package_bytes += syms.pkg.resolve(pkg).len();
+            entries.push((pkg, d.u32()?));
+        }
         Ok(ChartRow {
             day,
             chart,
@@ -271,23 +398,6 @@ impl LogRow for ChartRow {
             packages: &syms.pkg,
         }
     }
-}
-
-/// Reads one chart crawl's codec bytes (as [`ChartRow`] writes them: the
-/// day, the chart id, the entry count, then each entry's package and
-/// rank), handing each entry to `entry`; returns the day and the chart.
-pub(crate) fn dec_chart<'a>(
-    d: &mut Dec<'a>,
-    mut entry: impl FnMut(&'a str, u64) -> Result<(), FrameError>,
-) -> Result<(u64, &'static str), FrameError> {
-    let day = d.u64()?;
-    let id = d.str()?;
-    let chart = ChartKind::ALL.iter().map(|k| k.id()).find(|&k| k == id);
-    let chart = chart.ok_or(FrameError::Codec("unknown chart id"))?;
-    for _ in 0..d.u64()? {
-        entry(d.str()?, d.u64()?)?;
-    }
-    Ok((day, chart))
 }
 
 /// Accounted bytes of an owned chart crawl of `entries` entries whose
@@ -330,26 +440,69 @@ impl std::fmt::Debug for ChartView<'_> {
 }
 
 /// A [`Dataset`] as a checkpoint carries it, which is all
-/// [`Dataset::restored`] needs: both symbol tables, the profile log,
+/// [`Dataset::restored`] needs: every symbol table, the profile log,
 /// and for the offer and chart logs the spilled prefix by reference
-/// plus the resident suffix as checked section bytes.
+/// plus the resident suffix.
 #[derive(Debug, Clone)]
 pub struct SavedDataset {
-    /// Package symbol table, rank order.
-    pub pkg_syms: Interner,
-    /// Description symbol table, rank order.
-    pub desc_syms: Interner,
+    /// Every table the rows' symbols resolve through.
+    pub syms: SymTables,
     /// Spilled prefix of the offer log: the spill file plus one
     /// CRC-checked segment reference per disk segment.
     pub offers_spill: SpillManifest,
     /// Resident suffix of the offer log, arrival order.
     pub offers: SavedRows,
-    /// The profile log; its packages are symbols of `pkg_syms`.
-    pub profiles: ProfileLog,
+    /// The whole profile log, arrival order.
+    pub profiles: SavedRows,
     /// Spilled prefix of the chart log.
     pub charts_spill: SpillManifest,
     /// Resident suffix of the chart log, arrival order.
     pub charts: SavedRows,
+}
+
+/// A log's rows as a snapshot section carries them: the section body
+/// (row count, then each row's bytes), copied out of the snapshot and
+/// checked to decode against the snapshot's tables. A restore decodes
+/// it again one row at a time, so the rows are never held decoded
+/// beside their bytes.
+#[derive(Debug, Clone)]
+pub struct SavedRows(Vec<u8>);
+
+impl SavedRows {
+    /// Checks an offer section body against `syms` and keeps it.
+    pub fn offers(body: &[u8], syms: &SymTables) -> Result<SavedRows, FrameError> {
+        SavedRows::checked(body, |d| OfferRow::decode(d, syms).map(drop))
+    }
+
+    /// Checks a profile section body against `syms` and keeps it.
+    pub fn profiles(body: &[u8], syms: &SymTables) -> Result<SavedRows, FrameError> {
+        SavedRows::checked(body, |d| ProfileRow::decode(d, syms).map(drop))
+    }
+
+    /// Checks a chart section body against `syms` and keeps it.
+    pub fn charts(body: &[u8], syms: &SymTables) -> Result<SavedRows, FrameError> {
+        SavedRows::checked(body, |d| ChartRow::decode(d, syms).map(drop))
+    }
+
+    fn checked(
+        body: &[u8],
+        row: impl FnMut(&mut Dec<'_>) -> Result<(), FrameError>,
+    ) -> Result<SavedRows, FrameError> {
+        let rows = SavedRows(body.to_vec());
+        rows.read(row).map(|()| rows)
+    }
+
+    /// Hands each row's bytes to `row`, in order.
+    fn read(
+        &self,
+        mut row: impl FnMut(&mut Dec<'_>) -> Result<(), FrameError>,
+    ) -> Result<(), FrameError> {
+        let mut d = Dec::new(&self.0);
+        for _ in 0..d.u64()? {
+            row(&mut d)?;
+        }
+        d.finish()
+    }
 }
 
 /// Incremental per-package aggregate behind [`Dataset::observations`].
@@ -454,20 +607,13 @@ impl Dataset {
 
     /// Rebuilds this empty dataset from its checkpointed form.
     ///
-    /// Only the raw logs and the package and description interners are
-    /// persisted — every index is a pure function of (interner seed,
-    /// insertion sequence), so the restore *re-ingests* the offer and
-    /// chart logs one row at a time through the live indexing paths,
-    /// with the saved interners pre-seeded. Pre-seeding matters: live
-    /// ingest interleaves offers, profiles and charts across crawl
-    /// days, so symbol numbering cannot be re-derived from any one log
-    /// alone. The store-URL and affiliate tables only the offer log
-    /// uses are rebuilt in log order (the profile log's table was
-    /// rebuilt the same way when it was decoded). Returns an error if
-    /// re-ingest mints a symbol the saved tables did not contain, or
-    /// the profile or chart log names a package they lack (a corrupt
-    /// or inconsistent snapshot), since that would renumber later
-    /// symbols.
+    /// The snapshot carries every symbol table the rows resolve through,
+    /// and every index is a pure function of the rows in arrival order.
+    /// So the restore takes the tables as saved and feeds each decoded
+    /// row through the indexing path live ingest uses, interning
+    /// nothing. Each row's symbols are checked against the tables as it
+    /// decodes: a row naming a symbol past its table (a corrupt or
+    /// inconsistent snapshot) is an error.
     ///
     /// A log's spilled segments are reattached, not read from the
     /// snapshot: each is read once, straight from disk and past the
@@ -485,38 +631,30 @@ impl Dataset {
         let invalid = |what: &str, e: &dyn std::fmt::Display| {
             iiscope_types::Error::InvalidState(format!("{what}: {e}"))
         };
-        self.syms = SymTables {
-            pkg: saved.pkg_syms,
-            desc: saved.desc_syms,
-            ..SymTables::default()
-        };
-        let (want_pkg, want_desc) = (self.syms.pkg.len(), self.syms.desc.len());
+        self.syms = saved.syms;
         // A log's spilled rows stream through the indexing pass as they
         // are verified; the log is taken out meanwhile because the
-        // indices borrow `self` mutably. Spilled offers index from their
-        // codec fields, which rebuilds the store-URL and affiliate tables.
+        // indices borrow `self` mutably.
         let mut log = std::mem::take(&mut self.offers);
         let attached = log.attach(&saved.offers_spill, |d| {
-            self.index_offer(OfferFields::dec(d)?);
+            let row = OfferRow::decode(d, &self.syms)?;
+            self.index_offer(&row);
             Ok(())
         });
         self.offers = log;
         attached.map_err(|e| invalid("offers spill manifest", &e))?;
-        saved
-            .offers
-            .read(|d| {
-                self.push_offer(OfferFields::dec(d)?);
-                Ok(())
-            })
-            .map_err(|e| invalid("offer rows", &e))?;
-        if saved.profiles.package_span() > self.syms.pkg.len() {
-            return Err(iiscope_types::Error::InvalidState(format!(
-                "profile log names package symbols up to {} of a {}-symbol table",
-                saved.profiles.package_span(),
-                self.syms.pkg.len()
-            )));
-        }
-        self.profiles = saved.profiles;
+        let rows = saved.offers.read(|d| {
+            let row = OfferRow::decode(d, &self.syms)?;
+            self.push_offer(row);
+            Ok(())
+        });
+        rows.map_err(|e| invalid("offer rows", &e))?;
+        let rows = saved.profiles.read(|d| {
+            let row = ProfileRow::decode(d, &self.syms)?;
+            self.profiles.push_row(row);
+            Ok(())
+        });
+        rows.map_err(|e| invalid("profile rows", &e))?;
         let mut log = std::mem::take(&mut self.charts);
         let attached = log.attach(&saved.charts_spill, |d| {
             self.index_chart(&ChartRow::decode(d, &self.syms)?);
@@ -524,23 +662,12 @@ impl Dataset {
         });
         self.charts = log;
         attached.map_err(|e| invalid("charts spill manifest", &e))?;
-        saved
-            .charts
-            .read(|d| {
-                let row = ChartRow::decode(d, &self.syms)?;
-                self.push_chart(row);
-                Ok(())
-            })
-            .map_err(|e| invalid("chart rows", &e))?;
-        if self.syms.pkg.len() != want_pkg || self.syms.desc.len() != want_desc {
-            return Err(iiscope_types::Error::InvalidState(format!(
-                "dataset restore minted new symbols: {} -> {} packages, {} -> {} descriptions",
-                want_pkg,
-                self.syms.pkg.len(),
-                want_desc,
-                self.syms.desc.len()
-            )));
-        }
+        let rows = saved.charts.read(|d| {
+            let row = ChartRow::decode(d, &self.syms)?;
+            self.push_chart(row);
+            Ok(())
+        });
+        rows.map_err(|e| invalid("chart rows", &e))?;
         Ok(self)
     }
 
@@ -554,8 +681,8 @@ impl Dataset {
     pub fn set_memory_budget(&mut self, budget: Option<u64>, spill_dir: &Path, label: &str) {
         let per_log = budget.map(|b| (b / 2).max(4096));
         let file = |log: &str| spill_dir.join(format!("{label}-{log}.spill"));
-        self.offers.configure(per_log, file("offers"), &self.syms);
-        self.charts.configure(per_log, file("charts"), &self.syms);
+        self.offers.configure(per_log, file("offers"));
+        self.charts.configure(per_log, file("charts"));
     }
 
     /// Combined spill counters of the offer and chart logs.
@@ -581,15 +708,15 @@ impl Dataset {
     }
 
     /// Writes the offer rows not covered by [`Dataset::offers_spill`]
-    /// as a snapshot section body (their count, then each row's codec
-    /// bytes in arrival order), straight from the interned rows.
+    /// as a snapshot section body (their count, then each row's bytes
+    /// in arrival order), straight from the interned rows.
     pub fn enc_offers(&self, e: &mut Enc) {
-        self.offers.enc_resident(&self.syms, e);
+        self.offers.enc_resident(e);
     }
 
     /// Writes the whole profile log as a snapshot section body.
     pub fn enc_profiles(&self, e: &mut Enc) {
-        self.profiles.encode(&self.syms.pkg, e);
+        self.profiles.encode(e);
     }
 
     /// Spill manifest of the chart log (for checkpointing).
@@ -600,85 +727,86 @@ impl Dataset {
     /// Writes the chart rows not covered by [`Dataset::charts_spill`]
     /// like [`Dataset::enc_offers`].
     pub fn enc_charts(&self, e: &mut Enc) {
-        self.charts.enc_resident(&self.syms, e);
+        self.charts.enc_resident(e);
     }
 
-    /// Index maintenance for one offer observation (shared by live
-    /// ingest and the restore re-ingest); returns the interned row.
-    fn index_offer(&mut self, o: OfferFields<'_>) -> OfferRow {
+    /// The row of one observation, its strings interned in a fixed
+    /// order (description, package, store URL, affiliate).
+    fn intern_offer(&mut self, o: OfferFields<'_>) -> OfferRow {
         let desc = self.syms.desc.intern(o.description);
         let pkg = self.syms.pkg.intern(o.package);
         let (url, affiliate) = (
             self.url_sym(pkg, o.store_url),
             self.affiliate_sym(o.affiliate),
         );
-        let row = OfferRow::new(o, [pkg, desc, url, affiliate]);
-        if self.seen_offer_keys.insert((o.iip, o.offer_key)) {
-            self.unique.push(row);
+        OfferRow::new(o, [pkg, desc, url, affiliate])
+    }
+
+    /// Index maintenance for one offer row (shared by live ingest and
+    /// the restore), including the store-URL and affiliate memos.
+    fn index_offer(&mut self, row: &OfferRow) {
+        let (pkg, iip, seen_at) = (row.package, row.iip, row.seen_at);
+        if self.seen_offer_keys.insert((iip, row.offer_key)) {
+            self.unique.push(*row);
         }
         self.advertised.insert(pkg);
-        self.by_iip[o.iip as usize].insert(pkg);
-        self.by_class[usize::from(o.iip.is_vetted())].insert(pkg);
+        self.by_iip[iip as usize].insert(pkg);
+        self.by_class[usize::from(iip.is_vetted())].insert(pkg);
         let agg = self
             .observations
             .get_or_insert_with(pkg, || ObservationAgg {
                 iips: BTreeSet::new(),
-                first_seen: o.seen_at,
-                last_seen: o.seen_at,
+                first_seen: seen_at,
+                last_seen: seen_at,
                 keys: BTreeSet::new(),
             });
-        agg.iips.insert(o.iip);
-        agg.first_seen = agg.first_seen.min(o.seen_at);
-        agg.last_seen = agg.last_seen.max(o.seen_at);
-        agg.keys.insert((o.iip, o.offer_key));
-        row
+        agg.iips.insert(iip);
+        agg.first_seen = agg.first_seen.min(seen_at);
+        agg.last_seen = agg.last_seen.max(seen_at);
+        agg.keys.insert((iip, row.offer_key));
+        self.url_by_pkg.insert(pkg, row.store_url);
+        self.last_affiliate = Some(row.affiliate);
     }
 
     /// Store-URL symbol of an offer of package `pkg`. A package keeps
     /// its URL, so the package's last URL is compared before hashing.
     fn url_sym(&mut self, pkg: Sym, url: &str) -> Sym {
-        if let Some(&last) = self.url_by_pkg.get(pkg) {
-            if self.syms.url.resolve(last) == url {
-                return last;
-            }
+        match self.url_by_pkg.get(pkg) {
+            Some(&last) if self.syms.url.resolve(last) == url => last,
+            _ => self.syms.url.intern(url),
         }
-        let sym = self.syms.url.intern(url);
-        self.url_by_pkg.insert(pkg, sym);
-        sym
     }
 
     /// Affiliate symbol of an offer. A milk batch shares one affiliate,
     /// so the previous row's is compared before hashing.
     fn affiliate_sym(&mut self, affiliate: &str) -> Sym {
-        if let Some(last) = self.last_affiliate {
-            if self.syms.affiliate.resolve(last) == affiliate {
-                return last;
-            }
+        match self.last_affiliate {
+            Some(last) if self.syms.affiliate.resolve(last) == affiliate => last,
+            _ => self.syms.affiliate.intern(affiliate),
         }
-        let sym = self.syms.affiliate.intern(affiliate);
-        self.last_affiliate = Some(sym);
-        sym
     }
 
     /// Appends scraped offers, updating every offer index (including
     /// the `(iip, key)` dedup set — first observation wins).
     pub fn add_offers(&mut self, offers: impl IntoIterator<Item = ScrapedOffer>) {
         for o in offers {
-            self.push_offer(o.fields());
+            let row = self.intern_offer(o.fields());
+            self.push_offer(row);
         }
     }
 
-    /// Indexes one observation and appends its interned row.
-    fn push_offer(&mut self, o: OfferFields<'_>) {
-        let row = self.index_offer(o);
-        self.offers.push(row, &self.syms);
+    /// Indexes one offer row and appends it.
+    fn push_offer(&mut self, row: OfferRow) {
+        self.index_offer(&row);
+        self.offers.push(row);
     }
 
     /// Appends a profile snapshot, keeping the per-package timeline
     /// day-sorted (stable: equal days stay in arrival order).
     pub fn add_profile(&mut self, snap: ProfileSnapshot) {
         let pkg = self.syms.pkg.intern(&snap.package);
-        self.profiles.push(pkg, snap.fields());
+        self.profiles
+            .push(pkg, snap.fields(), &mut self.syms.profile);
     }
 
     /// Index maintenance for one chart crawl (shared by live ingest and
@@ -722,7 +850,7 @@ impl Dataset {
     /// Indexes one chart crawl and appends its row.
     fn push_chart(&mut self, row: ChartRow) {
         self.index_chart(&row);
-        self.charts.push(row, &self.syms);
+        self.charts.push(row);
     }
 
     /// All offer observations, in arrival order, as views into the
@@ -734,7 +862,7 @@ impl Dataset {
 
     /// All profile crawls in arrival order, decoded (exact-sized).
     pub fn profiles(&self) -> impl ExactSizeIterator<Item = ProfileFields<'_>> + '_ {
-        self.profiles.iter(&self.syms.pkg)
+        self.profiles.iter(&self.syms)
     }
 
     /// All chart crawls, in arrival order (streaming, like
@@ -815,6 +943,12 @@ impl Dataset {
         &self.syms.desc
     }
 
+    /// Every symbol table the rows resolve through, as a snapshot's
+    /// SYMS section carries them.
+    pub fn symbol_tables(&self) -> &SymTables {
+        &self.syms
+    }
+
     /// Symbol of a package name, if it was ever observed or seeded.
     pub fn pkg_sym(&self, package: &str) -> Option<Sym> {
         self.syms.pkg.get(package)
@@ -884,7 +1018,7 @@ impl Dataset {
 
     /// Profile timeline of one package symbol, day-ascending.
     pub fn profile_series_sym(&self, sym: Sym) -> Vec<ProfileFields<'_>> {
-        self.profiles.series(sym, &self.syms.pkg)
+        self.profiles.series(sym, &self.syms)
     }
 
     /// First profile crawl of one package (crawl-day order).
@@ -894,7 +1028,7 @@ impl Dataset {
 
     /// First profile crawl of one package symbol (crawl-day order).
     pub fn first_profile_sym(&self, sym: Sym) -> Option<ProfileFields<'_>> {
-        self.profiles.first(sym, &self.syms.pkg)
+        self.profiles.first(sym, &self.syms)
     }
 
     /// Days on which `package` appeared in `chart`, with its rank.
@@ -964,7 +1098,7 @@ impl Dataset {
     /// size, plus its string table and per-package chain ends. The
     /// package slab is shared and counted by [`Dataset::intern_stats`].
     pub fn profile_log_bytes(&self) -> usize {
-        self.profiles.heap_bytes()
+        self.profiles.heap_bytes() + self.syms.profile.heap_bytes()
     }
 
     /// Chart entries ingested so far (`chart_entries` in
@@ -1029,14 +1163,14 @@ mod tests {
             enc(&mut e);
             e.into_bytes()
         };
+        let syms = ds.symbol_tables();
         SavedDataset {
-            pkg_syms: ds.package_interner().clone(),
-            desc_syms: ds.description_interner().clone(),
+            syms: syms.clone(),
             offers_spill: ds.offers_spill().clone(),
-            offers: SavedRows::offers(&body(&|e| ds.enc_offers(e))).unwrap(),
-            profiles: ds.profiles.clone(),
+            offers: SavedRows::offers(&body(&|e| ds.enc_offers(e)), syms).unwrap(),
+            profiles: SavedRows::profiles(&body(&|e| ds.enc_profiles(e)), syms).unwrap(),
             charts_spill: ds.charts_spill().clone(),
-            charts: SavedRows::charts(&body(&|e| ds.enc_charts(e))).unwrap(),
+            charts: SavedRows::charts(&body(&|e| ds.enc_charts(e)), syms).unwrap(),
         }
     }
 
@@ -1242,25 +1376,38 @@ mod tests {
             live.profile_series("com.z.late")
         );
 
-        // A snapshot whose interner is missing an ingested string is
-        // rejected (it would renumber symbols), never silently used.
+        // A row naming a symbol past its table is refused, whichever
+        // log it sits in, never resolved or minted.
         let err = |saved| Dataset::new().restored(saved).unwrap_err().to_string();
-        let no_rows = || SavedRows::offers(&0u64.to_le_bytes()).unwrap();
-        let bad = err(SavedDataset {
-            pkg_syms: Interner::new(),
-            profiles: ProfileLog::new(),
-            charts: no_rows(),
-            ..saved(&live)
-        });
-        assert!(bad.contains("minted new symbols"), "{bad}");
-        // So is a profile log naming packages the table lacks.
-        let bad = err(SavedDataset {
-            pkg_syms: Interner::new(),
-            offers: no_rows(),
-            charts: no_rows(),
-            ..saved(&live)
-        });
-        assert!(bad.contains("profile log names package symbols"), "{bad}");
+        let short = |edit: fn(&mut SymTables)| {
+            let mut s = saved(&live);
+            edit(&mut s.syms);
+            s
+        };
+        let no_rows = || SavedRows(0u64.to_le_bytes().to_vec());
+        let cases = [
+            ("offer rows", short(|s| s.url = Interner::new())),
+            (
+                "profile rows",
+                SavedDataset {
+                    offers: no_rows(),
+                    ..short(|s| s.profile = Interner::new())
+                },
+            ),
+            (
+                "chart rows",
+                SavedDataset {
+                    offers: no_rows(),
+                    profiles: no_rows(),
+                    ..short(|s| s.pkg = Interner::new())
+                },
+            ),
+        ];
+        for (log, bad) in cases {
+            let bad = err(bad);
+            assert!(bad.contains(log), "{bad}");
+            assert!(bad.contains("symbol past the end of its table"), "{bad}");
+        }
         // And rows that do not decode.
         let bad = err(SavedDataset {
             offers: saved(&live).charts,
@@ -1345,16 +1492,41 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("iiscope-ds-missing-{}", std::process::id()));
         let mut d = Dataset::new();
         d.set_memory_budget(Some(8 * 1024), &dir, "test");
-        d.add_offers((0..500).map(|k| offer(IipId::Fyber, k, &format!("com.app.{k}"), 3, "Go")));
-        let file = d.offers_spill().file.clone().expect("the budget spills");
-        // A reload looks strings up and never mints a symbol.
+        d.add_offers((0..500).map(|k| offer(IipId::Fyber, k, &format!("com.app.{k}"), 3, "")));
+        for day in 0..20 {
+            d.add_chart(ChartSnapshot {
+                day,
+                chart: "topselling_free",
+                entries: (0..50)
+                    .map(|r| (format!("com.\u{e9}.{}", (day + r) % 70), r as usize))
+                    .collect(),
+            });
+        }
+        // A reload checks each symbol against its table, so a table
+        // shorter than the rows it is read with is a fault of the file.
+        let reload = |d: &Dataset, log: &str, file: &Path, read: fn(&Dataset) -> usize| {
+            let read = std::panic::AssertUnwindSafe(|| read(d));
+            let panic = std::panic::catch_unwind(read)
+                .expect_err(&format!("a {log} reload past a table must fail"));
+            let msg = panic.downcast_ref::<String>().expect("a formatted message");
+            let want = format!("spill segment at offset 0 of {} is invalid", file.display());
+            assert!(msg.starts_with(&want), "{msg}");
+            assert!(msg.contains("symbol past the end of its table"), "{msg}");
+        };
+        let offers = d
+            .offers_spill()
+            .file
+            .clone()
+            .expect("the budget spills offers");
+        let charts = d
+            .charts_spill()
+            .file
+            .clone()
+            .expect("the budget spills charts");
         d.syms.url = Interner::new();
-        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| d.offers().count()))
-            .expect_err("a reload that misses a symbol must fail");
-        let msg = panic.downcast_ref::<String>().expect("a formatted message");
-        let want = format!("spill segment at offset 0 of {} is invalid", file.display());
-        assert!(msg.starts_with(&want), "{msg}");
-        assert!(msg.contains("missing from its symbol table"), "{msg}");
+        reload(&d, "offer", &offers, |d| d.offers().count());
+        d.syms.pkg = Interner::new();
+        reload(&d, "chart", &charts, |d| d.charts().count());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

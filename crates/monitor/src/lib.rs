@@ -43,13 +43,14 @@ pub mod profiles;
 pub mod spill;
 
 pub use crawler::{ChartSnapshot, Crawler, ProfileSnapshot};
-pub use dataset::{CampaignObservation, CampaignRef, Dataset, InternStats, OfferRow, SavedDataset};
+pub use dataset::{
+    CampaignObservation, CampaignRef, Dataset, InternStats, OfferFields, OfferRow, SavedDataset,
+    SavedRows, SymTables,
+};
 pub use export::export_csv;
 pub use fuzzer::{FuzzerConfig, UiFuzzer};
 pub use infra::MonitoringInfra;
 pub use normalize::RateBook;
 pub use parsers::{parse_wall, probe_wall, PageFill, RawOffer, RewardValue, ScrapedOffer};
-pub use profiles::ProfileLog;
-pub use spill::{
-    LogRow, OfferFields, ProfileFields, RowLog, SavedRows, SegRef, SpillManifest, SpillStats,
-};
+pub use profiles::{ProfileFields, ProfileLog};
+pub use spill::{LogRow, RowLog, SegRef, SpillManifest, SpillStats};

@@ -10,8 +10,9 @@
 //! per pass, not once per row.
 //!
 //! A log holds one row form, a [`LogRow`]: compact rows whose strings
-//! are symbols of their owner's tables, written and read back as the
-//! owned crawl's codec, viewed in place, and budgeted at the owned
+//! are symbols of their owner's tables, written to disk as they are
+//! held (each symbol a `u32`), read back by bounds-checking each symbol
+//! against its table, viewed in place, and budgeted at the owned
 //! crawl's accounted size.
 //!
 //! Invariants the rest of the workspace leans on:
@@ -31,12 +32,9 @@
 //!   [`RowLog::attach`] re-reads and verifies every referenced segment
 //!   before a resume is allowed to proceed.
 
-use crate::crawler::ProfileSnapshot;
-use crate::dataset::dec_chart;
-use crate::parsers::{RewardValue, ScrapedOffer};
 use iiscope_types::frame::{Dec, Enc, FrameError, FrameReader, FrameWriter};
 use iiscope_types::spillfile::{SpillError, SpillFile, SpillRef};
-use iiscope_types::{Chunked, Country, IipId, SimTime};
+use iiscope_types::{Chunked, Interner, Sym};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::io::Cursor;
@@ -44,9 +42,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 /// The one row form a [`RowLog`] keeps: its strings are symbols of the
-/// tables its owner passes in as `Ctx`, and it reads and writes the
-/// owned crawl's codec, so spill segments and snapshot sections hold
-/// the bytes a log of owned rows would.
+/// tables its owner passes in as `Ctx`. Spill segments and snapshot
+/// sections hold the row as it is held: each symbol a `u32`, each enum
+/// a small index, each number at full width.
 pub trait LogRow: Sized + std::fmt::Debug {
     /// Tables the row's symbols resolve through.
     type Ctx;
@@ -57,10 +55,10 @@ pub trait LogRow: Sized + std::fmt::Debug {
     /// The owned crawl's struct plus heap bytes: what budgets, segment
     /// boundaries and the LRU cap count, never allocator truth.
     fn accounted_bytes(&self) -> usize;
-    /// Writes the row's codec bytes.
-    fn encode(&self, ctx: &Self::Ctx, e: &mut Enc);
-    /// Reads one encoded row, looking its strings up in `ctx`; a string
-    /// the tables lack is an error (decoding never mints a symbol).
+    /// Writes the row's bytes.
+    fn encode(&self, e: &mut Enc);
+    /// Reads one encoded row, checking each symbol against its table in
+    /// `ctx` ([`dec_sym`]): decoding never hashes and never mints.
     fn decode(d: &mut Dec<'_>, ctx: &Self::Ctx) -> Result<Self, FrameError>;
     /// The row's view, borrowing `ctx`.
     fn view<'a>(&self, ctx: &'a Self::Ctx) -> Self::View<'a>;
@@ -146,7 +144,7 @@ const DEFAULT_SEG_BYTES: usize = 1 << 20;
 /// In log order a log is its spilled segments (`spilled`), then its
 /// resident closed segments (`warm`), then the open `tail`; segment
 /// indices count across `spilled` and `warm`. Every method that may
-/// encode, decode or view a row takes the tables it resolves through.
+/// decode or view a row takes the tables it resolves through.
 #[derive(Debug)]
 pub struct RowLog<R: LogRow> {
     tail: Chunked<R>,
@@ -188,12 +186,12 @@ impl<R: LogRow> RowLog<R> {
     /// before any row or after ingest started; enforcement happens on
     /// the next push (and immediately, for already-closed segments). A
     /// log that already spilled keeps its file.
-    pub fn configure(&mut self, budget: Option<u64>, spill_file: PathBuf, ctx: &R::Ctx) {
+    pub fn configure(&mut self, budget: Option<u64>, spill_file: PathBuf) {
         self.budget = budget.map(|b| b as usize);
         if self.spilled.segments.is_empty() {
             self.file = Some(SpillFile::kept(spill_file));
         }
-        self.enforce(ctx);
+        self.enforce();
     }
 
     /// Number of rows ever appended.
@@ -218,7 +216,7 @@ impl<R: LogRow> RowLog<R> {
 
     /// Appends a row, closing the tail into a segment and spilling
     /// cold segments as the budget demands.
-    pub fn push(&mut self, row: R, ctx: &R::Ctx) {
+    pub fn push(&mut self, row: R) {
         self.tail_bytes += row.accounted_bytes();
         self.tail.push(row);
         self.len += 1;
@@ -228,7 +226,7 @@ impl<R: LogRow> RowLog<R> {
             rows.shrink_to_fit();
             let bytes = std::mem::take(&mut self.tail_bytes);
             self.warm.push_back(Warm { rows, bytes });
-            self.enforce(ctx);
+            self.enforce();
         }
     }
 
@@ -236,13 +234,13 @@ impl<R: LogRow> RowLog<R> {
     /// them to the spilled prefix, until the accounted resident bytes
     /// fit the budget (or nothing closed remains resident). Once the
     /// file has failed a write it spills nothing: rows stay resident.
-    fn enforce(&mut self, ctx: &R::Ctx) {
+    fn enforce(&mut self) {
         let (Some(budget), Some(file)) = (self.budget, &self.file) else {
             return;
         };
         while self.resident_bytes() > budget as u64 {
             let Some(seg) = self.warm.front() else { return };
-            let Some(blob) = file.append(&frame_rows(&seg.rows, ctx)) else {
+            let Some(blob) = file.append(&frame_rows(&seg.rows)) else {
                 return;
             };
             if self.spilled.file.is_none() {
@@ -274,8 +272,8 @@ impl<R: LogRow> RowLog<R> {
     /// Loads a spilled segment through the LRU cache.
     ///
     /// # Panics
-    /// If the segment cannot be read back or names a string the tables
-    /// lack: the log wrote the file itself, so either is a fault below
+    /// If the segment cannot be read back or names a symbol past its
+    /// table: the log wrote the file itself, so either is a fault below
     /// the program. The message names the spill file and the offset.
     fn load(&self, seg_idx: usize, seg: SegRef, ctx: &R::Ctx) -> Arc<Vec<R>> {
         let mut cold = self.cold.lock();
@@ -360,18 +358,18 @@ impl<R: LogRow> RowLog<R> {
 
     /// Writes the rows *after* the spilled prefix (warm segments, then
     /// the tail) as a snapshot section body: their count, then each
-    /// row's codec bytes in log order, resolved through `ctx`.
-    pub(crate) fn enc_resident(&self, ctx: &R::Ctx, e: &mut Enc) {
+    /// row's bytes in log order.
+    pub(crate) fn enc_resident(&self, e: &mut Enc) {
         let spilled: u64 = self.spilled.segments.iter().map(|s| s.rows).sum();
         e.u64(self.len as u64 - spilled);
         let warm = self.warm.iter().flat_map(|w| w.rows.iter());
-        warm.chain(self.tail.iter()).for_each(|r| r.encode(ctx, e));
+        warm.chain(self.tail.iter()).for_each(|r| r.encode(e));
     }
 
     /// Reattaches a spilled prefix on restore: reopens the manifest's
     /// spill file cut back to its end, reads each segment once (a
-    /// reload, as in any scan), verifies it and hands each row's codec
-    /// bytes to `row`, then registers the segments, which stay spilled.
+    /// reload, as in any scan), verifies it and hands each row's bytes
+    /// to `row`, then registers the segments, which stay spilled.
     /// Must be called on an empty log, before any push.
     pub fn attach(
         &mut self,
@@ -428,13 +426,13 @@ impl<R: LogRow> RowLog<R> {
 }
 
 /// A segment's frame blob: one record holding the row count, then
-/// each row's codec bytes.
-fn frame_rows<R: LogRow>(rows: &Chunked<R>, ctx: &R::Ctx) -> Vec<u8> {
+/// each row's bytes.
+fn frame_rows<R: LogRow>(rows: &Chunked<R>) -> Vec<u8> {
     let framed = (|| {
         let mut w = FrameWriter::new(Cursor::new(Vec::new()))?;
         w.record_with(|e| {
             e.u64(rows.len() as u64);
-            rows.iter().for_each(|r| r.encode(ctx, e));
+            rows.iter().for_each(|r| r.encode(e));
         })?;
         w.finish()
     })();
@@ -522,254 +520,46 @@ impl<'a, R: LogRow> Iterator for RowLogIter<'a, R> {
 
 impl<R: LogRow> ExactSizeIterator for RowLogIter<'_, R> {}
 
-// --- Row codecs -----------------------------------------------------
+// --- Row codec helpers ----------------------------------------------
 //
-// These are the persistent field-by-field formats for the three crawl
-// logs, shared by spill segments and checkpoint snapshots. Each is the
-// codec of the owned crawl, whatever form a log holds it in.
+// A row is written as it is held: its symbols as `u32`s, its enums as
+// one-byte indices, its numbers at full width. These read the first two
+// back without hashing.
 
-/// An offer observation with borrowed strings: the one offer view and
-/// codec. The dataset's readers yield it, and its rows and restores
-/// write and read through it the bytes an owned [`ScrapedOffer`] would.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OfferFields<'a> {
-    /// Which IIP's wall it was seen on.
-    pub iip: IipId,
-    /// Wall-scoped offer key.
-    pub offer_key: u64,
-    /// Offer description as shown on the wall.
-    pub description: &'a str,
-    /// Reward in the wall's currency.
-    pub reward: RewardValue,
-    /// Advertised package.
-    pub package: &'a str,
-    /// Play Store URL of the advertised app.
-    pub store_url: &'a str,
-    /// When it was seen.
-    pub seen_at: SimTime,
-    /// Affiliate app whose wall showed it.
-    pub affiliate: &'a str,
-    /// Vantage point (VPN exit country) it was seen from.
-    pub vantage: Country,
-}
-
-impl<'a> OfferFields<'a> {
-    /// Writes the observation's codec bytes.
-    pub fn enc(self, e: &mut Enc) {
-        e.u8(self.iip as u8).u64(self.offer_key);
-        e.str(self.description);
-        match self.reward {
-            RewardValue::Usd(v) => e.u8(0).f64(v),
-            RewardValue::Points(v) => e.u8(1).i64(v),
-            RewardValue::Cents(v) => e.u8(2).i64(v),
-        };
-        e.str(self.package).str(self.store_url);
-        e.u64(self.seen_at.secs());
-        e.str(self.affiliate).str(self.vantage.code());
-    }
-
-    /// Reads one observation, borrowing its strings from the payload.
-    pub(crate) fn dec(d: &mut Dec<'a>) -> Result<OfferFields<'a>, FrameError> {
-        Ok(OfferFields {
-            iip: iip_from_index(d.u8()?)?,
-            offer_key: d.u64()?,
-            description: d.str()?,
-            reward: match d.u8()? {
-                0 => RewardValue::Usd(d.f64()?),
-                1 => RewardValue::Points(d.i64()?),
-                2 => RewardValue::Cents(d.i64()?),
-                _ => return Err(FrameError::Codec("unknown reward tag")),
-            },
-            package: d.str()?,
-            store_url: d.str()?,
-            seen_at: SimTime::from_secs(d.u64()?),
-            affiliate: d.str()?,
-            vantage: country_from_code(d.str()?)?,
-        })
-    }
-
-    /// Accounted bytes of the owned observation, the struct plus its
-    /// four heap strings, as a row keeps them (saturating).
-    pub(crate) fn accounted_bytes(self) -> u32 {
-        let strings = [
-            self.description,
-            self.package,
-            self.store_url,
-            self.affiliate,
-        ];
-        let bytes =
-            std::mem::size_of::<ScrapedOffer>() + strings.map(str::len).iter().sum::<usize>();
-        u32::try_from(bytes).unwrap_or(u32::MAX)
+/// Reads a symbol of `table`: a `u32` checked against the table's
+/// length, so a decode never hashes a string and never mints a symbol.
+pub(crate) fn dec_sym(d: &mut Dec<'_>, table: &Interner) -> Result<Sym, FrameError> {
+    let sym = d.u32()?;
+    if (sym as usize) < table.len() {
+        Ok(Sym(sym))
+    } else {
+        Err(FrameError::Codec("symbol past the end of its table"))
     }
 }
 
-impl ScrapedOffer {
-    /// The observation's fields, borrowed.
-    pub fn fields(&self) -> OfferFields<'_> {
-        OfferFields {
-            iip: self.iip,
-            offer_key: self.raw.offer_key,
-            description: &self.raw.description,
-            reward: self.raw.reward,
-            package: &self.raw.package,
-            store_url: &self.raw.store_url,
-            seen_at: self.seen_at,
-            affiliate: &self.affiliate,
-            vantage: self.vantage,
-        }
-    }
-}
-
-/// A profile crawl with borrowed strings: the one profile codec. The
-/// dataset's interned profile rows and the snapshot PROFILES section
-/// encode through it, so every form of a profile writes the same bytes.
-/// It is also what the dataset's profile readers yield: a decoded crawl
-/// whose strings borrow the dataset's symbol tables.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProfileFields<'a> {
-    /// Crawl day (simulated).
-    pub day: u64,
-    /// Package name.
-    pub package: &'a str,
-    /// Title.
-    pub title: &'a str,
-    /// Play genre id.
-    pub genre_id: &'a str,
-    /// Release day on the simulated timeline.
-    pub released_day: u64,
-    /// Public lower-bound install count.
-    pub min_installs: u64,
-    /// Developer id.
-    pub developer_id: u64,
-    /// Developer name.
-    pub developer_name: &'a str,
-    /// Developer country code.
-    pub developer_country: &'a str,
-    /// Developer contact email.
-    pub developer_email: &'a str,
-    /// Developer website (empty when not listed).
-    pub developer_website: &'a str,
-    /// Average star rating (0.0 when unrated).
-    pub rating: f64,
-    /// Number of ratings behind the average.
-    pub rating_count: u64,
-}
-
-impl<'a> ProfileFields<'a> {
-    /// Writes the crawl's codec bytes.
-    pub fn enc(self, e: &mut Enc) {
-        e.u64(self.day);
-        e.str(self.package).str(self.title).str(self.genre_id);
-        e.u64(self.released_day)
-            .u64(self.min_installs)
-            .u64(self.developer_id);
-        e.str(self.developer_name)
-            .str(self.developer_country)
-            .str(self.developer_email)
-            .str(self.developer_website);
-        e.f64(self.rating).u64(self.rating_count);
-    }
-
-    /// Reads one crawl, borrowing its strings from the payload.
-    pub(crate) fn dec(d: &mut Dec<'a>) -> Result<ProfileFields<'a>, FrameError> {
-        Ok(ProfileFields {
-            day: d.u64()?,
-            package: d.str()?,
-            title: d.str()?,
-            genre_id: d.str()?,
-            released_day: d.u64()?,
-            min_installs: d.u64()?,
-            developer_id: d.u64()?,
-            developer_name: d.str()?,
-            developer_country: d.str()?,
-            developer_email: d.str()?,
-            developer_website: d.str()?,
-            rating: d.f64()?,
-            rating_count: d.u64()?,
-        })
-    }
-}
-
-impl ProfileSnapshot {
-    /// The snapshot's fields, borrowed.
-    pub fn fields(&self) -> ProfileFields<'_> {
-        ProfileFields {
-            day: self.day,
-            package: &self.package,
-            title: &self.title,
-            genre_id: &self.genre_id,
-            released_day: self.released_day,
-            min_installs: self.min_installs,
-            developer_id: self.developer_id,
-            developer_name: &self.developer_name,
-            developer_country: &self.developer_country,
-            developer_email: &self.developer_email,
-            developer_website: &self.developer_website,
-            rating: self.rating,
-            rating_count: self.rating_count,
-        }
-    }
-}
-
-/// A log's resident suffix as a snapshot section carries it: the
-/// section body (row count, then each row's codec bytes), copied out of
-/// the snapshot and checked to decode row by row. A restore decodes it
-/// again one row at a time, so the rows are never held owned side by
-/// side.
-#[derive(Debug, Clone)]
-pub struct SavedRows(Vec<u8>);
-
-impl SavedRows {
-    /// Checks an offer section body and keeps it.
-    pub fn offers(body: &[u8]) -> Result<SavedRows, FrameError> {
-        let rows = SavedRows(body.to_vec());
-        rows.read(|d| OfferFields::dec(d).map(drop)).map(|()| rows)
-    }
-
-    /// Checks a chart section body and keeps it.
-    pub fn charts(body: &[u8]) -> Result<SavedRows, FrameError> {
-        let rows = SavedRows(body.to_vec());
-        rows.read(|d| dec_chart(d, |_, _| Ok(())).map(drop))
-            .map(|()| rows)
-    }
-
-    /// Hands each row's codec bytes to `row`, in order.
-    pub(crate) fn read<'a>(
-        &'a self,
-        mut row: impl FnMut(&mut Dec<'a>) -> Result<(), FrameError>,
-    ) -> Result<(), FrameError> {
-        let mut d = Dec::new(&self.0);
-        for _ in 0..d.u64()? {
-            row(&mut d)?;
-        }
-        d.finish()
-    }
-}
-
-fn iip_from_index(idx: u8) -> Result<IipId, FrameError> {
-    IipId::ALL
-        .get(idx as usize)
-        .copied()
-        .ok_or(FrameError::Codec("IIP index out of range"))
-}
-
-fn country_from_code(code: &str) -> Result<Country, FrameError> {
-    Country::ALL
-        .iter()
-        .find(|c| c.code() == code)
-        .copied()
-        .ok_or(FrameError::Codec("unknown country code"))
+/// Reads a one-byte index into `all`; an index past it is `what`.
+pub(crate) fn dec_index<T: Copy>(
+    d: &mut Dec<'_>,
+    all: &[T],
+    what: &'static str,
+) -> Result<T, FrameError> {
+    let i = usize::from(d.u8()?);
+    all.get(i).copied().ok_or(FrameError::Codec(what))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::crawler::ChartSnapshot;
-    use crate::parsers::RawOffer;
+    use crate::crawler::{ChartSnapshot, ProfileSnapshot};
+    use crate::dataset::{ChartRow, Dataset, OfferRow};
+    use crate::parsers::{RawOffer, RewardValue, ScrapedOffer};
+    use crate::profiles::ProfileRow;
     use iiscope_playstore::ChartKind;
+    use iiscope_types::{Country, IipId, SimTime};
 
-    /// The owned observation as its own row form: the oracle the
-    /// interned logs are checked against.
+    /// The owned observation as its own row form, its strings written
+    /// in full: the oracle the log's mechanics are checked with. It
+    /// writes the fields the fixtures below vary.
     impl LogRow for ScrapedOffer {
         type Ctx = ();
         type View<'a> = ScrapedOffer;
@@ -778,32 +568,37 @@ mod tests {
             self.fields().accounted_bytes() as usize
         }
 
-        fn encode(&self, _: &(), e: &mut Enc) {
-            self.fields().enc(e);
+        fn encode(&self, e: &mut Enc) {
+            let RewardValue::Cents(cents) = self.raw.reward else {
+                unreachable!("the fixtures pay cents")
+            };
+            e.u64(self.raw.offer_key)
+                .i64(cents)
+                .u64(self.seen_at.secs());
+            e.str(&self.raw.description)
+                .str(&self.raw.package)
+                .str(&self.raw.store_url);
         }
 
         fn decode(d: &mut Dec<'_>, _: &()) -> Result<ScrapedOffer, FrameError> {
-            OfferFields::dec(d).map(owned)
+            let (offer_key, cents, secs) = (d.u64()?, d.i64()?, d.u64()?);
+            Ok(ScrapedOffer {
+                iip: IipId::Fyber,
+                raw: RawOffer {
+                    offer_key,
+                    description: d.str()?.into(),
+                    reward: RewardValue::Cents(cents),
+                    package: d.str()?.into(),
+                    store_url: d.str()?.into(),
+                },
+                seen_at: SimTime::from_secs(secs),
+                affiliate: "com.cash.app".into(),
+                vantage: Country::Us,
+            })
         }
 
         fn view(&self, _: &()) -> ScrapedOffer {
             self.clone()
-        }
-    }
-
-    fn owned(o: OfferFields<'_>) -> ScrapedOffer {
-        ScrapedOffer {
-            iip: o.iip,
-            raw: RawOffer {
-                offer_key: o.offer_key,
-                description: o.description.to_string(),
-                reward: o.reward,
-                package: o.package.to_string(),
-                store_url: o.store_url.to_string(),
-            },
-            seen_at: o.seen_at,
-            affiliate: o.affiliate.to_string(),
-            vantage: o.vantage,
         }
     }
 
@@ -823,19 +618,21 @@ mod tests {
         }
     }
 
+    /// The rows of a section body: its count, then each row.
+    fn section_rows<R: LogRow>(bytes: &[u8], ctx: &R::Ctx) -> Vec<R> {
+        let mut d = Dec::new(bytes);
+        let rows = (0..d.u64().unwrap())
+            .map(|_| R::decode(&mut d, ctx).unwrap())
+            .collect();
+        d.finish().unwrap();
+        rows
+    }
+
     /// The log's resident suffix, decoded back from its section body.
     fn resident_rows(log: &RowLog<ScrapedOffer>) -> Vec<ScrapedOffer> {
         let mut e = Enc::new();
-        log.enc_resident(&(), &mut e);
-        let mut rows = Vec::new();
-        let saved = SavedRows(e.into_bytes());
-        saved
-            .read(|d| {
-                rows.push(owned(OfferFields::dec(d)?));
-                Ok(())
-            })
-            .unwrap();
-        rows
+        log.enc_resident(&mut e);
+        section_rows(&e.into_bytes(), &())
     }
 
     fn tmpfile(tag: &str) -> PathBuf {
@@ -850,7 +647,7 @@ mod tests {
     fn resident_log_round_trips_without_a_file() {
         let mut log: RowLog<ScrapedOffer> = RowLog::default();
         for k in 0..100 {
-            log.push(offer(k, k), &());
+            log.push(offer(k, k));
         }
         assert_eq!(log.len(), 100);
         let back: Vec<ScrapedOffer> = log.iter(&()).collect();
@@ -865,10 +662,10 @@ mod tests {
     fn tiny_budget_spills_and_iteration_is_unchanged() {
         let path = tmpfile("budget");
         let mut log: RowLog<ScrapedOffer> = RowLog::default();
-        log.configure(Some(16 * 1024), path.clone(), &());
+        log.configure(Some(16 * 1024), path.clone());
         let want: Vec<ScrapedOffer> = (0..2_000).map(|k| offer(k, k % 90)).collect();
         for o in &want {
-            log.push(o.clone(), &());
+            log.push(o.clone());
         }
         let stats = log.stats();
         assert!(stats.spilled_segments > 0, "budget must force spilling");
@@ -896,10 +693,10 @@ mod tests {
         let blocker = tmpfile("blocker");
         std::fs::write(&blocker, b"not a directory").unwrap();
         let mut log: RowLog<ScrapedOffer> = RowLog::default();
-        log.configure(Some(8 * 1024), blocker.join("spill").join("x.spill"), &());
+        log.configure(Some(8 * 1024), blocker.join("spill").join("x.spill"));
         let want: Vec<ScrapedOffer> = (0..500).map(|k| offer(k, k % 90)).collect();
         for o in &want {
-            log.push(o.clone(), &());
+            log.push(o.clone());
         }
         let err = log.spill_error().expect("the spill write must fail");
         assert!(err.to_string().starts_with("spill to "), "{err}");
@@ -920,9 +717,9 @@ mod tests {
         let relative = up.join(target.strip_prefix("/").unwrap());
         assert!(relative.is_relative());
         let mut log: RowLog<ScrapedOffer> = RowLog::default();
-        log.configure(Some(8 * 1024), relative.clone(), &());
+        log.configure(Some(8 * 1024), relative.clone());
         for k in 0..500 {
-            log.push(offer(k, k % 90), &());
+            log.push(offer(k, k % 90));
         }
         assert!(log.stats().spilled_segments > 0);
         assert_eq!(log.manifest().file, Some(cwd.join(&relative)));
@@ -933,10 +730,10 @@ mod tests {
     fn attach_restores_and_rejects_corruption() {
         let path = tmpfile("attach");
         let mut log: RowLog<ScrapedOffer> = RowLog::default();
-        log.configure(Some(8 * 1024), path.clone(), &());
+        log.configure(Some(8 * 1024), path.clone());
         let want: Vec<ScrapedOffer> = (0..1_500).map(|k| offer(k, k % 90)).collect();
         for o in &want {
-            log.push(o.clone(), &());
+            log.push(o.clone());
         }
         let manifest = log.manifest().clone();
         let suffix = resident_rows(&log);
@@ -955,10 +752,10 @@ mod tests {
 
         let mut restored: RowLog<ScrapedOffer> = RowLog::default();
         restored
-            .attach(&manifest, |d| OfferFields::dec(d).map(drop))
+            .attach(&manifest, |d| ScrapedOffer::decode(d, &()).map(drop))
             .expect("attach verified manifest");
         for o in &suffix {
-            restored.push(o.clone(), &());
+            restored.push(o.clone());
         }
         let back: Vec<ScrapedOffer> = restored.iter(&()).collect();
         assert_eq!(back, want);
@@ -978,7 +775,7 @@ mod tests {
         bytes[mid] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
         let mut corrupt: RowLog<ScrapedOffer> = RowLog::default();
-        let err = corrupt.attach(&manifest, |d| OfferFields::dec(d).map(drop));
+        let err = corrupt.attach(&manifest, |d| ScrapedOffer::decode(d, &()).map(drop));
         assert!(err.unwrap_err().contains("is invalid"));
         let _ = std::fs::remove_file(&path);
     }
@@ -987,10 +784,10 @@ mod tests {
     fn iter_from_matches_skip_at_every_position() {
         let path = tmpfile("iter-from");
         let mut log: RowLog<ScrapedOffer> = RowLog::default();
-        log.configure(Some(16 * 1024), path.clone(), &());
+        log.configure(Some(16 * 1024), path.clone());
         let want: Vec<ScrapedOffer> = (0..1_200).map(|k| offer(k, k / 40)).collect();
         for o in &want {
-            log.push(o.clone(), &());
+            log.push(o.clone());
         }
         assert!(log.stats().spilled_segments > 0);
         // Positions chosen to land inside spilled segments, resident
@@ -1016,9 +813,9 @@ mod tests {
     fn iter_from_past_spilled_prefix_never_touches_disk() {
         let path = tmpfile("iter-cold");
         let mut log: RowLog<ScrapedOffer> = RowLog::default();
-        log.configure(Some(16 * 1024), path.clone(), &());
+        log.configure(Some(16 * 1024), path.clone());
         for k in 0..2_000 {
-            log.push(offer(k, k % 90), &());
+            log.push(offer(k, k % 90));
         }
         let stats = log.stats();
         assert!(stats.spilled_rows > 0);
@@ -1050,14 +847,14 @@ mod tests {
             // otherwise budgets from 4 KiB up sweep the spill/resident
             // boundary across the log.
             if budget_kib >= 4 {
-                log.configure(Some(budget_kib * 1024), path.clone(), &());
+                log.configure(Some(budget_kib * 1024), path.clone());
             }
             // Rows arrive in day order (the append-only crawl pattern),
             // ~30 rows per day.
             let want: Vec<ScrapedOffer> =
                 (0..n_rows as u64).map(|k| offer(k, k / 30)).collect();
             for o in &want {
-                log.push(o.clone(), &());
+                log.push(o.clone());
             }
             // The cursor for "since day d" is the count of rows strictly
             // before that day — exactly what a per-day fold records.
@@ -1074,55 +871,97 @@ mod tests {
 
     #[test]
     fn chart_and_profile_rows_round_trip_the_codec() {
-        let chart = ChartSnapshot {
+        // Rows write `iip as u8` and `vantage as u8` and read them back
+        // as positions in `ALL`.
+        assert!(IipId::ALL.iter().enumerate().all(|(i, &x)| x as usize == i));
+        assert!(Country::ALL
+            .iter()
+            .enumerate()
+            .all(|(i, &x)| x as usize == i));
+        // Empty and non-ASCII strings, every reward kind, and the last
+        // IIP, country and chart, so every index sits at its edge.
+        let mut ds = Dataset::new();
+        ds.add_offers((0..3).map(|k| {
+            let mut o = offer(k, k);
+            o.iip = IipId::ALL[IipId::ALL.len() - 1];
+            o.vantage = Country::ALL[Country::ALL.len() - 1 - k as usize];
+            o.raw.reward = [
+                RewardValue::Usd(-0.5),
+                RewardValue::Points(i64::MIN),
+                RewardValue::Cents(i64::MAX),
+            ][k as usize];
+            o.raw.description = ["", "Installez \u{e0} \u{20ac}", "x"][k as usize].into();
+            o.affiliate = String::new();
+            o
+        }));
+        ds.add_chart(ChartSnapshot {
             day: 12,
+            chart: ChartKind::ALL[ChartKind::ALL.len() - 1].id(),
+            entries: vec![
+                ("com.a".into(), 1),
+                (String::new(), 2),
+                ("com.\u{e9}".into(), u32::MAX as usize),
+            ],
+        });
+        ds.add_chart(ChartSnapshot {
+            day: 13,
             chart: ChartKind::ALL[0].id(),
-            entries: vec![("com.a".into(), 1), ("com.b".into(), 2)],
-        };
-        let mut e = Enc::new();
-        e.u64(chart.day).str(chart.chart).u64(2);
-        e.str("com.a").u64(1).str("com.b").u64(2);
-        let bytes = e.into_bytes();
-        let mut d = Dec::new(&bytes);
-        let mut back = Vec::new();
-        let (day, id) = dec_chart(&mut d, |p, r| {
-            back.push((p.to_string(), r as usize));
-            Ok(())
-        })
-        .unwrap();
-        d.finish().unwrap();
-        assert_eq!((day, id, back), (chart.day, chart.chart, chart.entries));
-
-        let profile = ProfileSnapshot {
+            entries: vec![],
+        });
+        ds.add_profile(ProfileSnapshot {
             day: 3,
             package: "com.a.b".into(),
-            title: "A".into(),
+            title: String::new(),
             genre_id: "TOOLS".into(),
-            released_day: 1,
+            released_day: u64::MAX,
             min_installs: 100,
             developer_id: 4,
-            developer_name: "Dev".into(),
+            developer_name: "D\u{e9}v".into(),
             developer_country: "DE".into(),
             developer_email: "d@x".into(),
             developer_website: String::new(),
             rating: 4.5,
             rating_count: 9,
+        });
+        let syms = ds.symbol_tables();
+        let section = |enc: &dyn Fn(&mut Enc)| {
+            let mut e = Enc::new();
+            enc(&mut e);
+            e.into_bytes()
         };
-        let mut e = Enc::new();
-        profile.fields().enc(&mut e);
-        let bytes = e.into_bytes();
+
+        let bytes = section(&|e| ds.enc_offers(e));
+        assert_eq!(bytes.len(), 8 + 3 * 43, "43 bytes an offer row");
+        let offers: Vec<OfferRow> = section_rows(&bytes, syms);
+        let views: Vec<_> = offers.iter().map(|r| r.view(syms)).collect();
+        assert_eq!(views, ds.offers().collect::<Vec<_>>());
+        for (row, view) in offers.iter().zip(&views) {
+            assert_eq!(row.accounted_bytes(), view.accounted_bytes() as usize);
+        }
+
+        let charts: Vec<ChartRow> = section_rows(&section(&|e| ds.enc_charts(e)), syms);
+        let views = charts.iter().map(|r| r.view(syms));
+        assert_eq!(
+            format!("{:?}", views.collect::<Vec<_>>()),
+            format!("{:?}", ds.charts().collect::<Vec<_>>())
+        );
+
+        let bytes = section(&|e| ds.enc_profiles(e));
         let mut d = Dec::new(&bytes);
-        assert_eq!(ProfileFields::dec(&mut d).unwrap(), profile.fields());
+        assert_eq!(d.u64().unwrap(), 1);
+        let mut log = crate::ProfileLog::new();
+        log.push_row(ProfileRow::decode(&mut d, syms).unwrap());
         d.finish().unwrap();
+        assert!(log.iter(syms).eq(ds.profiles()));
     }
 
     #[test]
     fn a_truncated_spill_file_is_named_on_reload() {
         let path = tmpfile("truncated");
         let mut log: RowLog<ScrapedOffer> = RowLog::default();
-        log.configure(Some(8 * 1024), path.clone(), &());
+        log.configure(Some(8 * 1024), path.clone());
         for k in 0..500 {
-            log.push(offer(k, k % 90), &());
+            log.push(offer(k, k % 90));
         }
         assert!(log.stats().spilled_segments > 0);
         std::fs::write(&path, b"").unwrap();

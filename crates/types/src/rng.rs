@@ -166,14 +166,6 @@ pub fn exponential(rng: &mut impl Rng, mean: f64) -> f64 {
     -mean * u.ln()
 }
 
-/// Fisher–Yates shuffle driven by the deterministic RNG.
-pub fn shuffle<T>(rng: &mut impl Rng, slice: &mut [T]) {
-    for i in (1..slice.len()).rev() {
-        let j = rng.gen_range(0..=i);
-        slice.swap(i, j);
-    }
-}
-
 /// Reservoir-samples `k` items out of an iterator, preserving
 /// deterministic behaviour for a given RNG state.
 pub fn sample_k<T>(rng: &mut impl Rng, iter: impl IntoIterator<Item = T>, k: usize) -> Vec<T> {
@@ -287,17 +279,6 @@ mod tests {
         let n = 20_000;
         let mean = (0..n).map(|_| exponential(&mut rng, 30.0)).sum::<f64>() / n as f64;
         assert!((mean - 30.0).abs() < 1.5, "mean {mean}");
-    }
-
-    #[test]
-    fn shuffle_permutes() {
-        let mut rng = SeedFork::new(9).rng();
-        let mut v: Vec<u32> = (0..100).collect();
-        shuffle(&mut rng, &mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(v, sorted, "astronomically unlikely to be identity");
     }
 
     #[test]

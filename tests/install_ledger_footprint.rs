@@ -13,52 +13,9 @@
 use iiscope::subsystems::playstore::engagement::{EngagementLedger, InstallSignals};
 use iiscope::subsystems::types::spillfile::SpillFile;
 use iiscope::subsystems::types::{SeedFork, SimTime};
+use iiscope_bench::alloc::{self, Counting};
 use rand::Rng;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Bytes currently allocated through [`Counting`].
-static LIVE: AtomicIsize = AtomicIsize::new(0);
-
-/// The system allocator, keeping a running total of live bytes.
-struct Counting;
-
-// SAFETY: every call forwards to `System` unchanged; the counter only
-// observes sizes.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
-        }
-        p
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
-        if !p.is_null() {
-            LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        LIVE.fetch_sub(layout.size() as isize, Ordering::Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = System.realloc(ptr, layout, new_size);
-        if !p.is_null() {
-            LIVE.fetch_add(
-                new_size as isize - layout.size() as isize,
-                Ordering::Relaxed,
-            );
-        }
-        p
-    }
-}
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -96,7 +53,7 @@ fn fill_and_measure(mut ledgers: Vec<EngagementLedger>, before: isize, limit: f6
             ledger.record_install(at, signals, TAGS[rng.gen_range(0..TAGS.len())]);
         }
     }
-    let grown = LIVE.load(Ordering::SeqCst) - before;
+    let grown = alloc::live() - before;
 
     let installs = (LEDGERS * INSTALLS_PER_LEDGER) as u64;
     let events: u64 = ledgers.iter().map(|l| l.event_installs()).sum();
@@ -127,7 +84,7 @@ fn fill_and_measure(mut ledgers: Vec<EngagementLedger>, before: isize, limit: f6
 #[test]
 fn install_ledger_heap_growth_stays_within_32_bytes_per_install() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
-    let before = LIVE.load(Ordering::SeqCst);
+    let before = alloc::live();
     let ledgers = (0..LEDGERS).map(|_| EngagementLedger::new()).collect();
     fill_and_measure(ledgers, before, 32.0);
 }
@@ -137,7 +94,7 @@ fn sealing_ledger_heap_growth_stays_within_16_bytes_per_install() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     let dir = std::env::temp_dir().join(format!("iiscope-ledger-footprint-{}", std::process::id()));
     let file = Arc::new(SpillFile::scratch(&dir, "footprint"));
-    let before = LIVE.load(Ordering::SeqCst);
+    let before = alloc::live();
     let ledgers = (0..LEDGERS)
         .map(|_| {
             let mut l = EngagementLedger::new();

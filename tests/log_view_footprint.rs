@@ -14,95 +14,10 @@
 use iiscope::subsystems::monitor::{ChartSnapshot, Dataset, RawOffer, RewardValue, ScrapedOffer};
 use iiscope::subsystems::playstore::ChartKind;
 use iiscope::subsystems::types::{Country, IipId, SimTime};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-/// One thread's allocation books.
-struct Books {
-    /// Whether this thread's allocations count.
-    on: Cell<bool>,
-    /// Allocations (reallocations included) while counting.
-    allocs: Cell<usize>,
-    /// Net bytes allocated while counting.
-    live: Cell<isize>,
-}
-
-thread_local! {
-    static BOOKS: Books = const {
-        Books {
-            on: Cell::new(false),
-            allocs: Cell::new(0),
-            live: Cell::new(0),
-        }
-    };
-}
-
-/// Books `bytes` (and an allocation, if `alloc`) to this thread if it
-/// is counting. Other threads' allocations, such as a concurrently
-/// running test's, never reach these books.
-fn book(alloc: bool, bytes: isize) {
-    let _ = BOOKS.try_with(|b| {
-        if b.on.get() {
-            b.allocs.set(b.allocs.get() + usize::from(alloc));
-            b.live.set(b.live.get() + bytes);
-        }
-    });
-}
-
-/// The system allocator, booking allocations and live bytes to the
-/// threads that count.
-struct Counting;
-
-// SAFETY: every call forwards to `System` unchanged; the books only
-// observe sizes.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            book(true, layout.size() as isize);
-        }
-        p
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
-        if !p.is_null() {
-            book(true, layout.size() as isize);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        book(false, -(layout.size() as isize));
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = System.realloc(ptr, layout, new_size);
-        if !p.is_null() {
-            book(true, new_size as isize - layout.size() as isize);
-        }
-        p
-    }
-}
+use iiscope_bench::alloc::{counted, Counting};
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
-
-/// Runs `f` with this thread's allocations counted; returns its result,
-/// the allocations it made and the live bytes it left behind.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, usize, isize) {
-    BOOKS.with(|b| {
-        b.allocs.set(0);
-        b.live.set(0);
-        b.on.set(true);
-    });
-    let out = f();
-    BOOKS.with(|b| {
-        b.on.set(false);
-        (out, b.allocs.get(), b.live.get())
-    })
-}
 
 fn spill_dir(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("iiscope-view-{tag}-{}", std::process::id()))

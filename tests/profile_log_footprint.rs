@@ -11,50 +11,7 @@
 
 use iiscope::subsystems::monitor::{Dataset, ProfileSnapshot};
 use iiscope::subsystems::types::Interner;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, Ordering};
-
-/// Bytes currently allocated through [`Counting`].
-static LIVE: AtomicIsize = AtomicIsize::new(0);
-
-/// The system allocator, keeping a running total of live bytes.
-struct Counting;
-
-// SAFETY: every call forwards to `System` unchanged; the counter only
-// observes sizes.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
-        }
-        p
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
-        if !p.is_null() {
-            LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        LIVE.fetch_sub(layout.size() as isize, Ordering::Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = System.realloc(ptr, layout, new_size);
-        if !p.is_null() {
-            LIVE.fetch_add(
-                new_size as isize - layout.size() as isize,
-                Ordering::Relaxed,
-            );
-        }
-        p
-    }
-}
+use iiscope_bench::alloc::{self, Counting};
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -118,13 +75,13 @@ fn profile_log_heap_growth_stays_within_96_bytes_per_row() {
 
     // Each crawled snapshot is built and dropped inside the window, so
     // only what the dataset keeps of it counts.
-    let before = LIVE.load(Ordering::SeqCst);
+    let before = alloc::live();
     for c in 0..CRAWLS {
         for app in 0..APPS {
             ds.add_profile(crawl(app, c));
         }
     }
-    let grown = LIVE.load(Ordering::SeqCst) - before;
+    let grown = alloc::live() - before;
 
     let rows = APPS * CRAWLS as usize;
     assert_eq!(ds.profiles().len(), rows);

@@ -885,7 +885,7 @@ proptest! {
 
 use iiscope::aggregates::ReportAggregates;
 use iiscope::checkpoint::{Snapshot, SnapshotRef};
-use iiscope::subsystems::monitor::spill::{LogRow, RowLog};
+use iiscope::subsystems::monitor::spill::{LogRow, RowLog, SpillManifest};
 use iiscope::subsystems::types::frame::{Dec, Enc};
 use iiscope::subsystems::wire::ClientState;
 use proptest::test_runner::TestCaseError;
@@ -983,44 +983,21 @@ fn snapshot_of(ds: &Dataset, aggregates: &ReportAggregates) -> Vec<u8> {
     bytes
 }
 
-/// Whether some section of `snapshot` has exactly `body` as its body.
-fn has_section(snapshot: &[u8], body: &Enc) -> bool {
-    let mut reader = FrameReader::new(snapshot).expect("fresh snapshot frames");
-    let mut found = false;
-    while let Some(record) = reader.next_record().expect("fresh snapshot records") {
-        // A section is its tag byte, then its body.
-        found |= record.get(1..) == Some(body.bytes());
-    }
-    found
-}
-
-/// `ds` holds exactly `oracle`: iteration yields every observation,
-/// and its snapshot's OFFERS section is the owned-row codec over the
-/// oracle rows past the spilled prefix. Returns the snapshot.
+/// `ds` holds exactly `oracle`: iteration yields every observation.
+/// Returns its snapshot.
 fn check_offer_log(ds: &Dataset, oracle: &[ScrapedOffer]) -> Result<Vec<u8>, TestCaseError> {
     prop_assert_eq!(ds.offers().len(), oracle.len());
     prop_assert_eq!(
         ds.offers().collect::<Vec<_>>(),
         oracle.iter().map(ScrapedOffer::fields).collect::<Vec<_>>()
     );
-    let spilled: u64 = ds.offers_spill().segments.iter().map(|s| s.rows).sum();
-    let suffix = &oracle[spilled as usize..];
-    let mut section = Enc::new();
-    section.u64(suffix.len() as u64);
-    for o in suffix {
-        o.fields().enc(&mut section);
-    }
-    let bytes = snapshot_of(ds, &ReportAggregates::new());
-    prop_assert!(
-        has_section(&bytes, &section),
-        "no snapshot section holds the oracle's offer rows"
-    );
-    Ok(bytes)
+    Ok(snapshot_of(ds, &ReportAggregates::new()))
 }
 
-/// An owned observation as its own log row: the segment-layout oracle.
-/// Its accounted size is the struct plus its four heap strings, as the
-/// interned rows claim to keep.
+/// An owned observation as its own log row: the segment-boundary
+/// oracle. Its accounted size is the struct plus its four heap strings,
+/// as the interned rows claim to keep; only its boundaries are
+/// compared, so it writes no bytes.
 #[derive(Debug)]
 struct OwnedOffer(ScrapedOffer);
 
@@ -1037,9 +1014,7 @@ impl LogRow for OwnedOffer {
             + o.affiliate.len()
     }
 
-    fn encode(&self, _: &(), e: &mut Enc) {
-        self.0.fields().enc(e);
-    }
+    fn encode(&self, _: &mut Enc) {}
 
     fn decode(_: &mut Dec<'_>, _: &()) -> Result<OwnedOffer, FrameError> {
         Err(FrameError::Codec("the layout oracle is never read back"))
@@ -1054,7 +1029,8 @@ proptest! {
     /// The interned offer log against a plain `Vec<ScrapedOffer>`
     /// oracle. Fully resident, under a 4 KiB budget, and restored from
     /// each one's own snapshot, every dataset iterates the input back
-    /// unchanged and snapshots it with the owned-row codec.
+    /// unchanged, and the budgeted log closes its segments where a log
+    /// of owned rows would.
     #[test]
     fn interned_offer_log_matches_a_vec_oracle(
         specs in prop::collection::vec(arb_observation(), 0..160),
@@ -1075,14 +1051,15 @@ proptest! {
         if oracle.len() >= 100 {
             prop_assert!(budgeted.spill_stats().spilled_segments > 0, "4 KiB must spill");
         }
-        // Same segments on disk (rows, offsets, lengths, blob CRCs) as
-        // a log of owned rows under the same budget.
+        // The same spilled segments, by row count, as a log of owned
+        // rows under the same budget: boundaries follow accounted bytes.
         let mut owned: RowLog<OwnedOffer> = RowLog::default();
-        owned.configure(Some(4096), dir.join("owned-offers.spill"), &());
+        owned.configure(Some(4096), dir.join("owned-offers.spill"));
         for o in &oracle {
-            owned.push(OwnedOffer(o.clone()), &());
+            owned.push(OwnedOffer(o.clone()));
         }
-        prop_assert_eq!(&owned.manifest().segments, &budgeted.offers_spill().segments);
+        let rows = |m: &SpillManifest| m.segments.iter().map(|s| s.rows).collect::<Vec<_>>();
+        prop_assert_eq!(rows(owned.manifest()), rows(budgeted.offers_spill()));
         for ds in [&resident, &budgeted] {
             let bytes = check_offer_log(ds, &oracle)?;
             let snap = Snapshot::decode(&bytes).expect("own snapshot decodes");
@@ -1147,9 +1124,8 @@ fn profile(spec: ProfileSpec) -> ProfileSnapshot {
 
 /// `ds` holds exactly the crawls of `oracle`: `profiles()` yields them
 /// in arrival order, each package's series is the oracle's rows of that
-/// package stably sorted by day (by name and by symbol), its first
-/// crawl is the series head, and the snapshot's PROFILES section is
-/// the owned-snapshot codec over the oracle.
+/// package stably sorted by day (by name and by symbol), and its first
+/// crawl is the series head.
 fn check_profile_log(ds: &Dataset, oracle: &[ProfileSnapshot]) -> Result<(), TestCaseError> {
     prop_assert_eq!(ds.profiles().len(), oracle.len());
     let all: Vec<ProfileFields> = ds.profiles().collect();
@@ -1172,17 +1148,6 @@ fn check_profile_log(ds: &Dataset, oracle: &[ProfileSnapshot]) -> Result<(), Tes
     }
     prop_assert!(ds.profile_series("never.crawled").is_empty());
     prop_assert!(ds.first_profile("never.crawled").is_none());
-
-    let mut section = Enc::new();
-    section.u64(oracle.len() as u64);
-    for p in oracle {
-        p.fields().enc(&mut section);
-    }
-    let bytes = snapshot_of(ds, &ReportAggregates::new());
-    prop_assert!(
-        has_section(&bytes, &section),
-        "no snapshot section holds the oracle's profile rows"
-    );
     Ok(())
 }
 
@@ -1277,9 +1242,7 @@ enum Ingest {
 
 /// `ds` holds exactly `charts` and the first observations `unique`:
 /// every chart reader, every presence query and every unique-offer
-/// reader answers as the oracle does, and the snapshot's CHARTS section
-/// is the owned-crawl codec over the oracle crawls past the spilled
-/// prefix. Returns the snapshot.
+/// reader answers as the oracle does. Returns its snapshot.
 fn check_charts_and_unique(
     ds: &Dataset,
     charts: &[ChartSnapshot],
@@ -1343,22 +1306,7 @@ fn check_charts_and_unique(
         .collect();
     prop_assert_eq!(&with_syms, &want);
 
-    let spilled: u64 = ds.charts_spill().segments.iter().map(|s| s.rows).sum();
-    let suffix = &charts[spilled as usize..];
-    let mut section = Enc::new();
-    section.u64(suffix.len() as u64);
-    for c in suffix {
-        section.u64(c.day).str(c.chart).u64(c.entries.len() as u64);
-        for (pkg, rank) in &c.entries {
-            section.str(pkg).u64(*rank as u64);
-        }
-    }
-    let bytes = snapshot_of(ds, &ReportAggregates::new());
-    prop_assert!(
-        has_section(&bytes, &section),
-        "no snapshot section holds the oracle's chart rows"
-    );
-    Ok(bytes)
+    Ok(snapshot_of(ds, &ReportAggregates::new()))
 }
 
 proptest! {

@@ -15,74 +15,18 @@ use iiscope::checkpoint::{load_latest, snapshot_path, write_durable, Snapshot, S
 use iiscope::subsystems::monitor::{Dataset, RawOffer, RewardValue, ScrapedOffer};
 use iiscope::subsystems::types::{Country, IipId, SimTime};
 use iiscope::subsystems::wire::ClientState;
-use std::alloc::{GlobalAlloc, Layout, System};
+use iiscope_bench::alloc::{peak_growth, Counting};
 use std::io::{self, Cursor, Seek, SeekFrom, Write};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicIsize, Ordering};
-
-/// Bytes currently allocated through [`Counting`].
-static LIVE: AtomicIsize = AtomicIsize::new(0);
-/// Highest [`LIVE`] seen since [`peak_growth`] last started.
-static PEAK: AtomicIsize = AtomicIsize::new(0);
-
-/// The system allocator, keeping a running total of live bytes and
-/// its high-water mark.
-struct Counting;
-
-fn grew(by: isize) {
-    let now = LIVE.fetch_add(by, Ordering::Relaxed) + by;
-    PEAK.fetch_max(now, Ordering::Relaxed);
-}
-
-// SAFETY: every call forwards to `System` unchanged; the counters only
-// observe sizes.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            grew(layout.size() as isize);
-        }
-        p
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
-        if !p.is_null() {
-            grew(layout.size() as isize);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        LIVE.fetch_sub(layout.size() as isize, Ordering::Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = System.realloc(ptr, layout, new_size);
-        if !p.is_null() {
-            grew(new_size as isize - layout.size() as isize);
-        }
-        p
-    }
-}
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Runs `f` and returns how far the heap rose above where it started.
-/// The tests of this file hold [`MEASURE`], so no other test allocates
-/// meanwhile.
-fn peak_growth(f: impl FnOnce()) -> isize {
-    let before = LIVE.load(Ordering::SeqCst);
-    PEAK.store(before, Ordering::SeqCst);
-    f();
-    PEAK.load(Ordering::SeqCst) - before
-}
-
+/// The tests of this file hold it while they run, so no other test
+/// allocates while one measures [`peak_growth`].
 static MEASURE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-/// A dataset of `rows` offer observations of ~190 encoded bytes each,
+/// A dataset of `rows` offer observations of 43 encoded bytes each,
 /// over 2,000 packages with one description each, so its symbol
 /// tables stay small beside its offer rows.
 fn dataset_with_offers(rows: usize) -> Dataset {
@@ -158,7 +102,7 @@ impl Drop for TempDir {
 #[test]
 fn writing_a_snapshot_grows_the_heap_by_at_most_one_mebibyte() {
     let _serial = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
-    let ds = dataset_with_offers(70_000);
+    let ds = dataset_with_offers(200_000);
     let aggs = ReportAggregates::new();
     let snap = snapshot(&ds, &aggs);
     let dir = TempDir::new("footprint");
@@ -192,7 +136,7 @@ fn writing_a_snapshot_grows_the_heap_by_at_most_one_mebibyte() {
 #[test]
 fn decoding_a_snapshot_grows_the_heap_by_at_most_its_length_and_one_mebibyte() {
     let _serial = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
-    let ds = dataset_with_offers(70_000);
+    let ds = dataset_with_offers(200_000);
     let aggs = ReportAggregates::new();
     let file = encode(&snapshot(&ds, &aggs));
     assert!(file.len() > 8_000_000, "only {} B of snapshot", file.len());
@@ -243,7 +187,7 @@ fn a_sink_failing_at_any_byte_is_an_error_never_a_panic() {
     let _serial = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     // Three windows of offer rows, so failures land in the middle of
     // streamed payloads, on window edges and in header patches.
-    let ds = dataset_with_offers(1_500);
+    let ds = dataset_with_offers(5_000);
     let aggs = ReportAggregates::new();
     let snap = snapshot(&ds, &aggs);
     let whole = encode(&snap);

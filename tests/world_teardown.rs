@@ -12,51 +12,8 @@ mod common;
 
 use common::TempDir;
 use iiscope::{Run, RunOptions};
-use std::alloc::{GlobalAlloc, Layout, System};
+use iiscope_bench::alloc::{self, Counting};
 use std::path::Path;
-use std::sync::atomic::{AtomicIsize, Ordering};
-
-/// Bytes currently allocated through [`Counting`].
-static LIVE: AtomicIsize = AtomicIsize::new(0);
-
-/// The system allocator, keeping a running total of live bytes.
-struct Counting;
-
-// SAFETY: every call forwards to `System` unchanged; the counter only
-// observes sizes.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
-        }
-        p
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
-        if !p.is_null() {
-            LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        LIVE.fetch_sub(layout.size() as isize, Ordering::Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = System.realloc(ptr, layout, new_size);
-        if !p.is_null() {
-            LIVE.fetch_add(
-                new_size as isize - layout.size() as isize,
-                Ordering::Relaxed,
-            );
-        }
-        p
-    }
-}
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -84,17 +41,17 @@ fn build_run_drop(seed: u64, spill_dir: Option<&Path>) {
 
 #[test]
 fn a_dropped_world_returns_its_heap() {
-    let start = LIVE.load(Ordering::SeqCst);
+    let start = alloc::live();
     build_run_drop(42, None);
-    let after_first = LIVE.load(Ordering::SeqCst) - start;
+    let after_first = alloc::live() - start;
     build_run_drop(7, None);
-    let after_second = LIVE.load(Ordering::SeqCst) - start;
+    let after_second = alloc::live() - start;
     // The scratch dir's path is allocated before the count and freed
     // after it.
     let spill = TempDir::new("teardown");
-    let before_budgeted = LIVE.load(Ordering::SeqCst);
+    let before_budgeted = alloc::live();
     build_run_drop(42, Some(&spill.0));
-    let after_budgeted = LIVE.load(Ordering::SeqCst) - before_budgeted;
+    let after_budgeted = alloc::live() - before_budgeted;
     eprintln!(
         "live bytes left: {after_first} after one world, {after_second} after two, \
          {after_budgeted} after a budgeted one"
